@@ -458,8 +458,9 @@ class LogFit:
 def fit_log_curve(points) -> LogFit:
     """Closed-form normal equations on (ln x, y) pairs.
 
-    Needs at least two distinct positive x values; anything else cannot
-    identify a slope.
+    Needs at least two positive x values with distinct logarithms;
+    anything else cannot identify a slope. Distinct x values can share
+    ln x when they are a few ulps apart.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if any(x <= 0 for x, _ in pts):
@@ -472,6 +473,8 @@ def fit_log_curve(points) -> LogFit:
     u_mean = sum(us) / n
     y_mean = sum(ys) / n
     var = sum((u - u_mean) ** 2 for u in us)
+    if var == 0:
+        raise DegenerateFit("log fit needs at least two distinct ln x values")
     cov = sum((u - u_mean) * (y - y_mean) for u, y in zip(us, ys))
     a = cov / var
     b = y_mean - a * u_mean

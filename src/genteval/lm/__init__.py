@@ -2,7 +2,7 @@
 
 from .adapter import ExternalLM, serve_lines
 from .base import LanguageModel, ProbTrace, TraceEntry, as_ids, perplexity, token_prob_trace
-from .ffn import PAD_TOKEN, FeedForwardLM, ffn_init, log_softmax, softmax
+from .ffn import PAD_TOKEN, FeedForwardLM, log_softmax, softmax
 from .ngram import NGramLM, ngram_fit
 from .store import load_model, save_model
 
@@ -15,7 +15,6 @@ __all__ = [
     "ProbTrace",
     "TraceEntry",
     "as_ids",
-    "ffn_init",
     "load_model",
     "log_softmax",
     "ngram_fit",

@@ -5,8 +5,17 @@ A language model is anything with a ``vocab`` attribute, a
 (summing to 1 within 1e-9), and a ``score(seq, context)`` returning the
 summed natural log-probability of ``seq`` given ``context``. Only the
 tokens of ``seq`` contribute to the score; the context conditions but is
-never scored. Fitted models are immutable: concurrent read-only scoring
-is safe, training is single-writer.
+never scored.
+
+A model may also declare ``context_len``: the number of trailing context
+ids its predictions depend on (order-1 for the n-gram, the window for
+the ffn). Decoders then pass only that many trailing ids to
+``next_dist``; a model without the attribute gets the whole context.
+
+Fitted models are immutable: concurrent read-only scoring is safe,
+training is single-writer. The n-gram's per-order continuation rows,
+built on first use, are a write-once cache; threads that race to build
+one store equal rows, so this stays true.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .. import decode
 
 class LanguageModel(Protocol):
     vocab: Vocab
+    # Optional: context_len: int, see the module docstring.
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
 

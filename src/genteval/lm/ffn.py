@@ -42,9 +42,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _uniform(rng: SplitMix64, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.empty(int(np.prod(shape)))
-    for i in range(arr.size):
-        arr[i] = rng.uniform() * 0.2 - 0.1
+    # Elementwise the same two roundings as rng.uniform() * 0.2 - 0.1.
+    arr = rng.uniforms(int(np.prod(shape)))
+    arr *= 0.2
+    arr -= 0.1
     return arr.reshape(shape)
 
 
@@ -80,6 +81,11 @@ class FeedForwardLM:
         self.pad_id = pad_id
         self.n_labels = n_labels
         self.regression = regression
+
+    @property
+    def context_len(self) -> int:
+        """Only the last ``context`` ids of a context affect a prediction."""
+        return self.context
 
     @classmethod
     def init(
@@ -219,7 +225,3 @@ class FeedForwardLM:
         dx = (dz1 @ self.params["w1"]).reshape(-1, self.context, self.embed_dim)
         np.add.at(grads["emb"], cache.ctx, dx)
 
-
-def ffn_init(vocab: Vocab, **kwargs) -> FeedForwardLM:
-    """Alias for :meth:`FeedForwardLM.init`."""
-    return FeedForwardLM.init(vocab, **kwargs)

@@ -11,6 +11,14 @@ context yields the uniform distribution. With k_s = 0 an unseen context
 would be 0/0, so the model backs off to the shortened context (dropping
 the leftmost token) until it finds one with observations; the unigram
 level always qualifies on non-empty training data.
+
+``next_dist`` reads each context's observed continuations from a
+CSR-style row index (context -> slice of flat next-id and count arrays),
+so one call costs O(|V|) numpy work plus O(observed continuations). The
+index of an order is built on the first ``next_dist`` that answers from
+it, never at fit or load time: models fitted only for scoring (reverse
+perplexity) never pay for it. It is a write-once cache; two threads
+racing to build it store equal rows.
 """
 
 from __future__ import annotations
@@ -54,6 +62,12 @@ class NGramLM:
             self.ctx_totals[o] = totals
         if self.ctx_totals.get(1, {}).get((), 0) == 0:
             raise EmptyInput("n-gram model fitted on no tokens")
+        self._rows: dict[int, _Rows] = {}
+
+    @property
+    def context_len(self) -> int:
+        """Only the last order-1 ids of a context affect a prediction."""
+        return self.order - 1
 
     def _level(self, context: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
         """Pick the order to answer from: longest usable context."""
@@ -74,14 +88,18 @@ class NGramLM:
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
         o, ctx, total = self._level(as_ids(context))
         v = self.vocab.size
-        dist = np.zeros(v)
         denom = total + self.k_s * v
         if denom == 0:
-            return dist  # k_s = 0 with an empty unigram table cannot happen
-        for w in range(v):
-            c = self.counts[o].get(ctx + (w,), 0)
-            if c or self.k_s:
-                dist[w] = (c + self.k_s) / denom
+            return np.zeros(v)  # k_s = 0 with an empty unigram table cannot happen
+        # Same float operations as (count + k_s) / denom per token.
+        dist = np.full(v, self.k_s / denom)
+        rows = self._rows.get(o)
+        if rows is None:
+            rows = self._rows[o] = _Rows(self.counts[o], v)
+        span = rows.index.get(ctx)
+        if span is not None:
+            start, end = span
+            dist[rows.next_ids[start:end]] = (rows.counts[start:end] + self.k_s) / denom
         return dist
 
     def score(self, seq, context: Sequence[int] = ()) -> float:
@@ -95,6 +113,31 @@ class NGramLM:
             total += np.log(p)
             ctx.append(tok)
         return float(total)
+
+
+class _Rows:
+    """Observed continuations of every context of one order, CSR style.
+
+    The continuations of ``ctx`` are ``next_ids[start:end]`` with counts
+    ``counts[start:end]``, where ``(start, end) = index[ctx]``. Next ids
+    outside the vocab are left out, as no distribution entry holds them.
+    """
+
+    __slots__ = ("index", "next_ids", "counts")
+
+    def __init__(self, table: dict[tuple[int, ...], int], vocab_size: int) -> None:
+        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for gram, c in table.items():
+            if 0 <= gram[-1] < vocab_size:
+                grouped.setdefault(gram[:-1], []).append((gram[-1], c))
+        self.index: dict[tuple[int, ...], tuple[int, int]] = {}
+        flat: list[tuple[int, int]] = []
+        for ctx, row in grouped.items():
+            self.index[ctx] = (len(flat), len(flat) + len(row))
+            flat += row
+        pairs = np.array(flat, dtype=np.int64).reshape(len(flat), 2)
+        self.next_ids = pairs[:, 0]
+        self.counts = pairs[:, 1]
 
 
 def ngram_fit(

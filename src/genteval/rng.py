@@ -11,20 +11,27 @@ defaults. The state transition is the splitmix construction:
     output <- z xor (z >> 31)
 
 Uniform doubles take the top 53 bits of the output, giving values in
-[0, 1). One `uniform()` call consumes exactly one state transition.
+[0, 1). One `uniform()` call consumes exactly one state transition;
+`uniforms(n)` computes the same n doubles at once in numpy uint64, whose
+multiplication wraps mod 2^64 exactly like the masked integer code.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_CHUNK = 1 << 16  # bounds the uint64 temporaries of uniforms()
 
 
 def mix64(z: int) -> int:
     """Finalizer of the splitmix transition; also used as a stable hash."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -56,6 +63,28 @@ class SplitMix64:
     def uniform(self) -> float:
         """One double in [0, 1), consuming one state transition."""
         return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` values of ``uniform()``, bit for bit, as an array.
+
+        Advances the state by ``n`` transitions, as ``n`` calls would.
+        """
+        out = np.empty(n)
+        for start in range(0, n, _CHUNK):
+            stop = min(n, start + _CHUNK)
+            # The i-th transition from here leaves state + i * gamma.
+            z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self.state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            out[start:stop] = z >> np.uint64(11)
+        out *= 1.0 / (1 << 53)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via rejection, consuming >= 1 transitions."""

@@ -352,6 +352,18 @@ def test_fit_log_curve_degenerate_inputs():
         fit_log_curve([])
 
 
+def test_fit_log_curve_distinct_x_with_equal_logs():
+    # Two self_bleu values a few ulps apart, seen from a near-untrained
+    # model; their logarithms are the same double.
+    xs = (2.4636069805109172e-08, 2.4636069805109176e-08)
+    assert xs[0] != xs[1] and math.log(xs[0]) == math.log(xs[1])
+    with pytest.raises(DegenerateFit):
+        fit_log_curve([(xs[0], 1.0), (xs[1], 2.0)])
+    records = [_record("m", 0.5, corpus_bleu=0.1, self_bleu=xs[0]),
+               _record("m", 0.9, corpus_bleu=0.2, self_bleu=xs[1])]
+    assert tradeoff_table(records, "corpus_bleu", "self_bleu").fits == {"m": None}
+
+
 def _record(model, param, **metrics):
     return SweepRecord(model, "topp", param, 4, metrics, 0)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,3 +71,15 @@ def test_shuffle_deterministic():
 def test_randint_rejects_nonpositive():
     with pytest.raises(ValueError):
         SplitMix64(0).randint(0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0xDEADBEEFCAFEBABE])
+@pytest.mark.parametrize("n", [0, 1, 7, (1 << 16) + 3])
+def test_uniforms_match_scalar_loop(seed, n):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    got = fast.uniforms(n)
+    want = [slow.uniform() for _ in range(n)]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert fast.state == slow.state
+    assert fast.uniform() == slow.uniform()
