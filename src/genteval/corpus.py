@@ -130,6 +130,11 @@ def _is_punct(ch: str) -> bool:
 def _word_surfaces(text: str) -> list[str]:
     out: list[str] = []
     for chunk in text.split():
+        # Alphanumeric characters are all in L* or N*, so such a chunk
+        # has no punctuation to split on.
+        if chunk.isalnum():
+            out.append(chunk)
+            continue
         run = []
         for ch in chunk:
             if _is_punct(ch):

@@ -7,6 +7,17 @@ a (model, prefix, config, seed) tuple always reproduces the same
 continuation. Continuations have fixed length ``max_len``; there is no
 end-of-sequence token.
 
+Because every continuation has the same length, the prefixes of a batch
+decode in lockstep (:func:`generate_batch`): one model call per step
+returns a ``(B, |V|)`` array holding the next-token distribution of
+every prefix, or of every live beam hypothesis of every prefix. Tokens
+are then chosen row by row exactly as a one-prefix decode chooses them;
+greedy takes a row-wise argmax. :func:`generate` is the one-prefix case.
+A model's batched rows may differ from its single rows in the last bits
+(the ffn's matrix products depend on the batch), so a continuation is a
+function of the batch it was decoded in; callers that must agree, such
+as ``genteval generate`` and a sweep cell, batch the same prefixes.
+
 Every ranking of tokens is probability (or log-probability) descending
 with ties broken toward the lower id, i.e. a stable argsort of the
 negated values. One decode step costs O(|V|) numpy work plus sorts sized
@@ -26,7 +37,7 @@ by what is kept, not by the vocab:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -46,6 +57,11 @@ _PARAM_FIELD = {
     "topp": "p",
     "penalized": "theta",
 }
+
+# Rows per model call in generate_batch. Whole prefixes fill it in index
+# order (a beam prefix takes b rows), so memory stays flat however many
+# prefixes a batch has.
+MAX_BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,26 @@ class DecoderConfig:
         """The strategy's scalar parameter, for records and sweep tables."""
         field = _PARAM_FIELD[self.strategy]
         return None if field is None else getattr(self, field)
+
+
+def param_value(strategy: str, value) -> float | int | None:
+    """``value`` as the type of ``strategy``'s parameter field.
+
+    Beam widths and top-k sizes are ints, every other parameter a float;
+    None stays None.
+    """
+    if value is None:
+        return None
+    return int(value) if _PARAM_FIELD.get(strategy) in ("b", "k") else float(value)
+
+
+def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderConfig:
+    """The config that decodes the sweep cell ``strategy(param)``."""
+    field = _PARAM_FIELD.get(strategy)
+    if field is None and param is not None and strategy in _PARAM_FIELD:
+        raise ConfigError(f"{strategy} takes no parameter")
+    kwargs = {} if field is None else {field: param_value(strategy, param)}
+    return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
 def _check_dist(dist: np.ndarray) -> np.ndarray:
@@ -263,59 +299,112 @@ def generate(model, prefix, cfg: DecoderConfig) -> TokenSequence:
 
     Returns only the continuation; the prefix conditions it but is not
     part of the output. Greedy and beam are deterministic; beam breaks
-    score ties lexicographically on the token-id sequence. A model with a
-    ``context_len`` attribute receives only that many trailing ids.
+    score ties lexicographically on the token-id sequence. This is the
+    one-prefix case of :func:`generate_batch`.
     """
+    return generate_batch(model, [prefix], [cfg])[0]
+
+
+def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
+    """Decode one continuation per prefix, all prefixes in lockstep.
+
+    ``cfgs[i]`` decodes ``prefixes[i]``. The configs may differ only in
+    ``seed``; row i draws from its own SplitMix64 stream seeded with
+    ``cfgs[i].seed``. Every step asks the model for the next-token
+    distributions of all live rows (each prefix, or each beam
+    hypothesis) at once, through ``next_dist_batch`` when the model has
+    it and by stacking ``next_dist`` rows otherwise. A model call takes
+    at most ``MAX_BATCH_ROWS`` rows, filled with whole prefixes in index
+    order. Tokens are then chosen row by row by the rules of a
+    single-prefix decode, so the output equals decoding each prefix
+    alone whenever the model's batched rows equal its single rows.
+    """
+    prefixes = [_context_ids(p) for p in prefixes]
+    cfgs = list(cfgs)
+    if len(cfgs) != len(prefixes):
+        raise ConfigError("generate_batch needs one config per prefix")
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ConfigError("configs of one batch may differ only in seed")
     vocab_size = model.vocab.size
     if cfg.k is not None and cfg.k > vocab_size:
         raise ConfigError(f"top-k k={cfg.k} exceeds vocab size {vocab_size}")
     if cfg.strategy == "beam":
-        ids = _beam_search(model, _context_ids(prefix), cfg.b, cfg.max_len)
-        return TokenSequence(ids, model.vocab)
+        decode, per_call = _beam_rows, max(1, MAX_BATCH_ROWS // cfg.b)
+    else:
+        decode, per_call = _sample_rows, MAX_BATCH_ROWS
+    out: list[TokenSequence] = []
+    for lo in range(0, len(prefixes), per_call):
+        for ids in decode(model, prefixes[lo : lo + per_call], cfgs[lo : lo + per_call]):
+            out.append(TokenSequence(tuple(ids), model.vocab))
+    return out
+
+
+def _next_dists(model, contexts: list) -> np.ndarray:
+    """``(len(contexts), |V|)`` next-token distributions, one row per context."""
+    batch = getattr(model, "next_dist_batch", None)
+    if batch is None:
+        return np.stack([np.asarray(model.next_dist(c), dtype=np.float64) for c in contexts])
+    return np.asarray(batch(contexts), dtype=np.float64)
+
+
+def _pick(dist: np.ndarray, cfg: DecoderConfig, out: list[int], rng: SplitMix64) -> int:
+    """One row's next token for every strategy but greedy and beam."""
+    if cfg.strategy != "penalized":  # temperature, topk, topp
+        return sample(truncate_renormalize(dist, cfg.strategy, cfg.param), rng)
+    pdist = penalize(dist, out, cfg.theta)
+    if cfg.t is not None:
+        return sample(truncate_renormalize(pdist, "temperature", cfg.t), rng)
+    return int(np.argmax(pdist))
+
+
+def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
+    cfg = cfgs[0]
     window = getattr(model, "context_len", None)
-    rng = SplitMix64(cfg.seed)
-    ctx = list(_context_ids(prefix))
-    out: list[int] = []
+    rngs = [SplitMix64(c.seed) for c in cfgs]
+    ctxs = [list(p) for p in prefixes]
+    outs: list[list[int]] = [[] for _ in prefixes]
     for _ in range(cfg.max_len):
-        dist = np.asarray(model.next_dist(_tail(ctx, window)), dtype=np.float64)
+        dists = _next_dists(model, [_tail(ctx, window) for ctx in ctxs])
         if cfg.strategy == "greedy":
-            tok = int(np.argmax(dist))
-        elif cfg.strategy == "temperature":
-            tok = sample(truncate_renormalize(dist, "temperature", cfg.t), rng)
-        elif cfg.strategy == "topk":
-            tok = sample(truncate_renormalize(dist, "topk", cfg.k), rng)
-        elif cfg.strategy == "topp":
-            tok = sample(truncate_renormalize(dist, "topp", cfg.p), rng)
-        else:  # penalized
-            pdist = penalize(dist, out, cfg.theta)
-            if cfg.t is not None:
-                tok = sample(truncate_renormalize(pdist, "temperature", cfg.t), rng)
-            else:
-                tok = int(np.argmax(pdist))
-        out.append(tok)
-        ctx.append(tok)
-    return TokenSequence(tuple(out), model.vocab)
+            toks = np.argmax(dists, axis=1).tolist()
+        else:
+            toks = [_pick(dist, cfg, out, rng) for dist, out, rng in zip(dists, outs, rngs)]
+        for ctx, out, tok in zip(ctxs, outs, toks):
+            ctx.append(tok)
+            out.append(tok)
+    return outs
 
 
-def _beam_search(model, prefix: tuple[int, ...], width: int, max_len: int) -> tuple[int, ...]:
+def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
     # Hypotheses are (ids, score); score is the summed log-probability of
     # the continuation tokens only.
+    width = cfgs[0].b
     window = getattr(model, "context_len", None)
-    prefix = _tail(prefix, window)
-    beams: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
-    for _ in range(max_len):
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for ids, score in beams:
-            context = _tail(prefix + _tail(ids, window), window)
-            dist = np.asarray(model.next_dist(context), dtype=np.float64)
-            logp = np.full(dist.size, -np.inf)
-            mask = dist > 0
-            logp[mask] = np.log(dist[mask])
-            # Keeping only the per-beam top ``width`` tokens is exact:
-            # anything dropped is dominated by width better candidates
-            # that share its prefix, under the same (score, ids) order.
-            for tok in top_ids(logp, width):
-                candidates.append((ids + (int(tok),), score + float(logp[tok])))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        beams = candidates[:width]
-    return beams[0][0]
+    heads = [_tail(p, window) for p in prefixes]
+    beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in prefixes]
+    for _ in range(cfgs[0].max_len):
+        contexts = [
+            _tail(head + _tail(ids, window), window)
+            for head, hyps in zip(heads, beams)
+            for ids, _ in hyps
+        ]
+        rows = iter(_next_dists(model, contexts))
+        for i, hyps in enumerate(beams):
+            candidates: list[tuple[tuple[int, ...], float]] = []
+            for (ids, score), dist in zip(hyps, rows):
+                # The log is taken per row: over the whole (B, |V|) array
+                # it costs more on the n-gram's mostly-constant rows.
+                logp = np.full(dist.size, -np.inf)
+                mask = dist > 0
+                logp[mask] = np.log(dist[mask])
+                # Keeping only the per-beam top ``width`` tokens is exact:
+                # anything dropped is dominated by width better candidates
+                # that share its prefix, under the same (score, ids) order.
+                for tok in top_ids(logp, width):
+                    candidates.append((ids + (int(tok),), score + float(logp[tok])))
+            candidates.sort(key=lambda c: (-c[1], c[0]))
+            beams[i] = candidates[:width]
+    return [hyps[0][0] for hyps in beams]

@@ -43,7 +43,7 @@ from ..corpus import (
     tokenize,
     vocab_from_manifest,
 )
-from ..decode import STRATEGIES, DecoderConfig, generate
+from ..decode import STRATEGIES, DecoderConfig, param_value
 from ..errors import AlignmentError, ConfigError, DataError, EmptyInput
 from ..lm.base import token_prob_trace
 from ..lm.ffn import FeedForwardLM
@@ -61,7 +61,6 @@ from ..losses import (
 )
 from ..metrics import (
     BleuConfig,
-    Sample,
     SampleSet,
     acceptability_penlp,
     corpus_bleu,
@@ -74,10 +73,10 @@ from .samples import load_sample_set, save_sample_set, write_metric_report
 from .sweep import (
     SweepConfig,
     SWEEP_METRICS,
+    decode_cell,
     read_sweep_csv,
     reference_set,
     run_sweep,
-    sample_seed,
     tradeoff_table,
     write_tradeoff,
 )
@@ -392,14 +391,12 @@ def _parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
             if not params:
                 out.append((name, (None,)))
             else:
-                cast = int if name in ("beam", "topk") else float
-                out.append((name, tuple(cast(x) for x in params.split(","))))
+                out.append((name, tuple(param_value(name, x) for x in params.split(","))))
         return tuple(out)
     out = []
     for name, params in raw:
         name = _strategy_name(name)
-        cast = int if name in ("beam", "topk") else float
-        out.append((name, tuple(None if x is None else cast(x) for x in params)))
+        out.append((name, tuple(param_value(name, x) for x in params)))
     return tuple(out)
 
 
@@ -625,20 +622,12 @@ def _cmd_generate(opt: SimpleNamespace) -> int:
         if getattr(opt, name) is not None
     }
     model_name = Path(opt.model).stem
-    param = DecoderConfig(strategy=strategy, max_len=opt.gen_len, **kwargs).param
-    samples = []
-    for i, seq in enumerate(sequences):
-        prefix = seq.window(0, opt.prefix_len)
-        dcfg = DecoderConfig(
-            strategy=strategy,
-            max_len=opt.gen_len,
-            seed=sample_seed(opt.seed, model_name, strategy, param, i),
-            **kwargs,
-        )
-        samples.append(Sample(id=str(i), prefix=prefix, continuation=generate(model, prefix, dcfg)))
+    dcfg = DecoderConfig(strategy=strategy, max_len=opt.gen_len, **kwargs)
+    prefixes = [seq.window(0, opt.prefix_len) for seq in sequences]
+    samples = decode_cell(model, model_name, dcfg.param, prefixes, dcfg, opt.seed)
     sset = SampleSet(
-        tuple(samples),
-        {"model": model_name, "strategy": strategy, "param": param, "seed": opt.seed},
+        samples,
+        {"model": model_name, "strategy": strategy, "param": dcfg.param, "seed": opt.seed},
     )
     samples_out = Path(opt.samples_out) if opt.samples_out else out / "samples.jsonl"
     save_sample_set(samples_out, sset)

@@ -1,8 +1,9 @@
 """Decoding sweep runner, log-curve fitting, and the trade-off table.
 
 A sweep is a grid of (model, strategy, parameter) cells. Each cell
-generates one continuation per prefix, persists them, computes the
-configured metrics, and emits one SweepRecord. Cells are independent:
+decodes one continuation per prefix (all prefixes of the cell in one
+lockstep batch), persists them, computes the configured metrics, and
+emits one SweepRecord. Cells are independent:
 the seed for sample i of a cell is ``seed XOR stable_hash(model |
 strategy | param | i)``, so records do not depend on execution order
 and a bounded worker pool can run cells in parallel without changing
@@ -22,16 +23,17 @@ import json
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..corpus import CorpusSplits, TokenSequence
-from ..decode import DecoderConfig, generate
+from ..decode import DecoderConfig, cell_config, generate_batch, param_value
 from ..errors import ConfigError, DegenerateFit
 from ..lm.ngram import ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
     BleuConfig,
+    RefIndex,
     Sample,
     SampleSet,
     corpus_bleu,
@@ -58,9 +60,6 @@ CSV_COLUMNS = (
     "schema",
 )
 SCHEMA_TAG = "v1"
-
-# Strategies whose parameter is an integer count rather than a real.
-_INT_PARAM = {"beam", "topk"}
 
 
 @dataclass(frozen=True)
@@ -149,23 +148,6 @@ class SweepRecord:
         return cls(**data)
 
 
-def _decoder_config(strategy: str, param, gen_len: int, seed: int) -> DecoderConfig:
-    kwargs = {"strategy": strategy, "max_len": gen_len, "seed": seed}
-    if strategy == "beam":
-        kwargs["b"] = int(param)
-    elif strategy == "temperature":
-        kwargs["t"] = float(param)
-    elif strategy == "topk":
-        kwargs["k"] = int(param)
-    elif strategy == "topp":
-        kwargs["p"] = float(param)
-    elif strategy == "penalized":
-        kwargs["theta"] = float(param)
-    elif param is not None:
-        raise ConfigError("greedy takes no parameter")
-    return DecoderConfig(**kwargs)
-
-
 def cell_key(model: str, strategy: str, param) -> str:
     raw = f"{model}__{strategy}__{param}"
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", raw)
@@ -174,6 +156,26 @@ def cell_key(model: str, strategy: str, param) -> str:
 def sample_seed(base_seed: int, model: str, strategy: str, param, index: int) -> int:
     """Per-sample seed: base XOR a stable hash of the cell and index."""
     return base_seed ^ stable_hash(f"{model}|{strategy}|{param}|{index}")
+
+
+def decode_cell(
+    model, model_name: str, param, prefixes, dcfg: DecoderConfig, base_seed: int
+) -> tuple[Sample, ...]:
+    """One continuation per prefix, sample i seeded by :func:`sample_seed`.
+
+    All prefixes decode in one :func:`genteval.decode.generate_batch`
+    call, in index order. ``genteval generate`` and a sweep cell both
+    decode through here, so they batch alike and write the same samples.
+    """
+    cfgs = [
+        replace(dcfg, seed=sample_seed(base_seed, model_name, dcfg.strategy, param, i))
+        for i in range(len(prefixes))
+    ]
+    continuations = generate_batch(model, prefixes, cfgs)
+    return tuple(
+        Sample(id=str(i), prefix=prefix, continuation=cont)
+        for i, (prefix, cont) in enumerate(zip(prefixes, continuations))
+    )
 
 
 def _config_digest(cfg: SweepConfig, model: str, strategy: str, param, n_prefixes: int) -> str:
@@ -258,6 +260,7 @@ def run_sweep(
     bleu_cfg = BleuConfig(
         max_n=cfg.max_n, subsample=cfg.subsample, subsample_seed=cfg.subsample_seed
     )
+    ref_index = RefIndex.from_set(refs, cfg.max_n) if "corpus_bleu" in cfg.metrics else None
     fwd_scorer = (
         ngram_fit(list(splits.train), order=cfg.fwd_order, k_s=cfg.fwd_k_s)
         if "forward_ppl" in cfg.metrics
@@ -279,7 +282,7 @@ def run_sweep(
                 raise ConfigError(load_errors[model_name])
             record = _compute_cell(
                 cfg, loaded[model_name], model_name, strategy, param,
-                prefixes, refs, bleu_cfg, fwd_scorer, samples_path,
+                prefixes, refs, ref_index, bleu_cfg, fwd_scorer, samples_path,
             )
             record.config_hash = digest
             record.samples_file = samples_path.name
@@ -337,26 +340,22 @@ def _compute_cell(
     param,
     prefixes: list[TokenSequence],
     refs: SampleSet,
+    ref_index: RefIndex | None,
     bleu_cfg: BleuConfig,
     fwd_scorer,
     samples_path: Path,
 ) -> SweepRecord:
-    samples = []
-    for i, prefix in enumerate(prefixes):
-        dcfg = _decoder_config(
-            strategy, param, cfg.gen_len, sample_seed(cfg.seed, model_name, strategy, param, i)
-        )
-        continuation = generate(model, prefix, dcfg)
-        samples.append(Sample(id=str(i), prefix=prefix, continuation=continuation))
+    dcfg = cell_config(strategy, param, cfg.gen_len)
+    samples = decode_cell(model, model_name, param, prefixes, dcfg, cfg.seed)
     sset = SampleSet(
-        tuple(samples),
+        samples,
         {"model": model_name, "strategy": strategy, "param": param, "seed": cfg.seed},
     )
     save_sample_set(samples_path, sset)
     values: dict[str, float | None] = {}
     for metric in cfg.metrics:
         if metric == "corpus_bleu":
-            values[metric] = corpus_bleu(sset, refs, bleu_cfg)
+            values[metric] = corpus_bleu(sset, ref_index, bleu_cfg)
         elif metric == "self_bleu":
             values[metric] = self_bleu(sset, bleu_cfg)
         elif metric == "seq_rep_4":
@@ -420,16 +419,11 @@ def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
             metrics = {}
             for name in SWEEP_METRICS:
                 metrics[name] = float(row[name]) if row[name] else None
-            param: float | int | None = None
-            if row["param"]:
-                param = (
-                    int(row["param"]) if row["strategy"] in _INT_PARAM else float(row["param"])
-                )
             records.append(
                 SweepRecord(
                     model=row["model"],
                     strategy=row["strategy"],
-                    param=param,
+                    param=param_value(row["strategy"], row["param"] or None),
                     n_samples=int(row["n_samples"]),
                     metrics=metrics,
                     seed=int(row["seed"]),

@@ -12,6 +12,20 @@ ids its predictions depend on (order-1 for the n-gram, the window for
 the ffn). Decoders then pass only that many trailing ids to
 ``next_dist``; a model without the attribute gets the whole context.
 
+A model may also offer ``next_dist_batch(contexts)``, returning a
+``(len(contexts), |V|)`` array whose row i is the distribution after
+``contexts[i]``; the decoders then make one call per step for all the
+prefixes (or beam hypotheses) they decode together. It is optional: a
+model without it is served by stacking its ``next_dist`` rows. A
+batched row may differ from ``next_dist`` of the same context in the
+last bits, and the difference may depend on the batch size and on the
+row's position. The n-gram's rows are bit-identical; the ffn's matrix
+products are not batch-invariant (about 1e-19 absolute on probabilities
+near 1e-4 at |V| = 5000). A decode is therefore a function of the batch
+it ran in, which is why ``genteval generate`` and a sweep cell decode
+the same prefixes in the same batches, and why neither depends on the
+worker count.
+
 Fitted models are immutable: concurrent read-only scoring is safe,
 training is single-writer. The n-gram's per-order continuation rows,
 built on first use, are a write-once cache; threads that race to build
@@ -35,6 +49,8 @@ class LanguageModel(Protocol):
     # Optional: context_len: int, see the module docstring.
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
+
+    # Optional: next_dist_batch(contexts) -> (B, |V|), see the module docstring.
 
     def score(self, seq, context: Sequence[int] = ()) -> float: ...
 

@@ -175,13 +175,16 @@ class FeedForwardLM:
         return cache.h @ self.params["wc"].T + self.params["bc"]
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        cache = self.forward(self._single_window(as_ids(context)))
-        return softmax(self.vocab_logits(cache))[0]
+        return self.next_dist_batch([context])[0]
 
-    def _single_window(self, ids: tuple[int, ...]) -> np.ndarray:
+    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """``(len(contexts), V)`` next-token distributions from one forward pass."""
         c = self.context
-        window = ((self.pad_id,) * c + ids)[-c:]
-        return np.array([window], dtype=np.int64)
+        pad = (self.pad_id,) * c
+        windows = np.array(
+            [(pad + as_ids(ctx))[-c:] for ctx in contexts], dtype=np.int64
+        ).reshape(len(contexts), c)
+        return softmax(self.vocab_logits(self.forward(windows)))
 
     def score(self, seq, context: Sequence[int] = ()) -> float:
         ids = as_ids(seq)

@@ -86,13 +86,26 @@ class NGramLM:
         return (c + self.k_s) / denom if denom > 0 else 0.0
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        o, ctx, total = self._level(as_ids(context))
-        v = self.vocab.size
+        dist = np.empty(self.vocab.size)
+        self._fill(dist, as_ids(context))
+        return dist
+
+    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
+        """``(len(contexts), V)``; row i is bit for bit ``next_dist(contexts[i])``."""
+        out = np.empty((len(contexts), self.vocab.size))
+        for dist, context in zip(out, contexts):
+            self._fill(dist, as_ids(context))
+        return out
+
+    def _fill(self, dist: np.ndarray, context: tuple[int, ...]) -> None:
+        o, ctx, total = self._level(context)
+        v = dist.size
         denom = total + self.k_s * v
         if denom == 0:
-            return np.zeros(v)  # k_s = 0 with an empty unigram table cannot happen
+            dist.fill(0.0)  # k_s = 0 with an empty unigram table cannot happen
+            return
         # Same float operations as (count + k_s) / denom per token.
-        dist = np.full(v, self.k_s / denom)
+        dist.fill(self.k_s / denom)
         rows = self._rows.get(o)
         if rows is None:
             rows = self._rows[o] = _Rows(self.counts[o], v)
@@ -100,7 +113,6 @@ class NGramLM:
         if span is not None:
             start, end = span
             dist[rows.next_ids[start:end]] = (rows.counts[start:end] + self.k_s) / denom
-        return dist
 
     def score(self, seq, context: Sequence[int] = ()) -> float:
         ids = as_ids(seq)
@@ -167,7 +179,6 @@ def ngram_fit(
     for seq in sequences:
         ids = as_ids(seq)
         for o in range(1, order + 1):
-            table = counts[o]
-            for i in range(len(ids) - o + 1):
-                table[ids[i : i + o]] += 1
+            # The windows ids[i : i + o], in order, counted in C.
+            counts[o].update(zip(*(ids[j:] for j in range(o))))
     return NGramLM(vocab, order, k_s, {o: dict(t) for o, t in counts.items()})

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Vocab
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from .ffn import FeedForwardLM
 from .ngram import NGramLM
 
@@ -68,19 +68,38 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
+    """Read a model file; a truncated or malformed one raises DataError."""
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
         raise ConfigError(f"{path}: not a model file (bad magic)")
-    (head_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
     head_start = len(MAGIC) + 8
-    header = json.loads(blob[head_start : head_start + head_len].decode("utf-8"))
-    payload = np.frombuffer(blob[head_start + head_len :], dtype="<f8")
+    if len(blob) < head_start:
+        raise DataError(f"{path}: truncated model file")
+    (head_len,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    body_start = head_start + head_len
+    if len(blob) < body_start:
+        raise DataError(f"{path}: truncated model header")
+    try:
+        header = json.loads(blob[head_start:body_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable model header ({exc})") from None
+    if (len(blob) - body_start) % 8:
+        raise DataError(f"{path}: truncated model payload")
+    payload = np.frombuffer(blob, dtype="<f8", offset=body_start)
+    try:
+        return _decode(header, payload, path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
+
+
+def _decode(header: dict, payload: np.ndarray, path):
     vocab = Vocab(header["vocab"])
     if header["backend"] == "ffn":
         params = {}
         pos = 0
         for name, shape in header["tensors"]:
             size = int(np.prod(shape)) if shape else 1
+            _need(payload, pos + size, path)
             params[name] = payload[pos : pos + size].reshape(shape).copy()
             pos += size
         return FeedForwardLM(
@@ -98,14 +117,20 @@ def load_model(path: str | Path):
         counts: dict[int, dict[tuple[int, ...], int]] = {}
         pos = 0
         for o in range(1, order + 1):
+            _need(payload, pos + 1, path)
             n_entries = int(payload[pos])
             pos += 1
-            table = {}
-            for _ in range(n_entries):
-                gram = tuple(int(v) for v in payload[pos : pos + o])
-                pos += o
-                table[gram] = int(payload[pos])
-                pos += 1
-            counts[o] = table
+            end = pos + n_entries * (o + 1)
+            _need(payload, end, path)
+            # One record per gram: its o ids, then its count, all stored
+            # as integral float64 values that int64 holds exactly.
+            records = payload[pos:end].reshape(n_entries, o + 1).astype(np.int64)
+            counts[o] = dict(zip(map(tuple, records[:, :o].tolist()), records[:, o].tolist()))
+            pos = end
         return NGramLM(vocab, order, float(header["k_s"]), counts)
     raise ConfigError(f"{path}: unknown backend {header['backend']!r}")
+
+
+def _need(payload: np.ndarray, size: int, path) -> None:
+    if payload.size < size:
+        raise DataError(f"{path}: model payload holds {payload.size} values, needs {size}")

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import SentencePair, TokenSequence
-from .decode import DecoderConfig, generate
+from .decode import DecoderConfig, generate_batch
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -467,14 +467,17 @@ def multitask_step(
             raise ConfigError(f"objective {kind!r} is active but the batch has no data for it")
         scale = weight / len(items)
         loss_sum = 0.0
+        rollouts = [None] * len(items)
         if kind == "ul":
             seq_level = rng.uniform() < cfg.seq_ul.mix_prob
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
-        for item in items:
+            if seq_level:
+                rollouts = _greedy_rollouts(model, items, cfg.seq_ul)
+        for j, item in enumerate(items):
             if kind == "mle":
                 loss, g = ce_loss(model, item)
             elif kind == "ul":
-                loss, g = _ul_item(model, item, cfg.seq_ul, seq_level)
+                loss, g = _ul_item(model, item, cfg.seq_ul, rollouts[j])
             elif kind in ("nsp", "sop"):
                 pos_pair, neg_pair = item
                 loss, g = margin_rank_loss(model, pos_pair, neg_pair, cfg.margin)
@@ -500,17 +503,23 @@ def _batch_items(batch: TrainBatch, kind: str):
     return getattr(batch, kind)
 
 
-def _ul_item(model, seq: TokenSequence, cfg: SeqUlConfig, seq_level: bool):
-    if not seq_level:
+def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence, TokenSequence]]:
+    """(prefix, greedy continuation) per sequence, decoded in one batch."""
+    for seq in seqs:
+        if len(seq) < cfg.prefix_len:
+            raise ConfigError(
+                f"sequence of {len(seq)} tokens is shorter than ul prefix {cfg.prefix_len}"
+            )
+    prefixes = [seq.window(0, cfg.prefix_len) for seq in seqs]
+    greedy = DecoderConfig(strategy="greedy", max_len=cfg.gen_len)
+    return list(zip(prefixes, generate_batch(model, prefixes, [greedy] * len(prefixes))))
+
+
+def _ul_item(model, seq: TokenSequence, cfg: SeqUlConfig, rollout):
+    """Token-level UL on ``seq``, or sequence-level UL on its ``rollout``."""
+    if rollout is None:
         return ul_token_loss(model, seq, previous_token_candidates(seq))
-    if len(seq) < cfg.prefix_len:
-        raise ConfigError(
-            f"sequence of {len(seq)} tokens is shorter than ul prefix {cfg.prefix_len}"
-        )
-    prefix = seq.window(0, cfg.prefix_len)
-    continuation = generate(
-        model, prefix, DecoderConfig(strategy="greedy", max_len=cfg.gen_len)
-    )
+    prefix, continuation = rollout
     candidates = ul_seq_candidates(continuation, cfg.ngram)
     return ul_token_loss(model, continuation, candidates, context=prefix.ids)
 

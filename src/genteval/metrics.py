@@ -87,10 +87,16 @@ class BleuConfig:
             raise ConfigError("subsample must be positive")
 
 
-class _RefIndex:
-    """Per-order hashed max-counts over a fixed reference pool."""
+class RefIndex:
+    """Per-order hashed max-counts over a fixed reference pool.
+
+    :func:`corpus_bleu` accepts one in place of the reference set, so a
+    caller scoring many candidate sets against the same references (a
+    sweep, once per cell) builds it once.
+    """
 
     def __init__(self, refs: Sequence[Sequence[int]], max_n: int) -> None:
+        self.max_n = max_n
         self.lengths = sorted(len(r) for r in refs)
         self.max_counts: list[dict[tuple[int, ...], int]] = [dict() for _ in range(max_n)]
         for ref in refs:
@@ -100,6 +106,10 @@ class _RefIndex:
                 for gram, c in _gram_counts(ids, n).items():
                     if c > table.get(gram, 0):
                         table[gram] = c
+
+    @classmethod
+    def from_set(cls, ref: SampleSet, max_n: int) -> "RefIndex":
+        return cls([s.continuation.ids for s in ref.samples], max_n)
 
     def clipped(self, gram_counts: Counter, n: int) -> int:
         table = self.max_counts[n - 1]
@@ -169,7 +179,7 @@ def bleu(candidate, references: Sequence, cfg: BleuConfig | None = None) -> floa
     if not refs:
         raise InsufficientSamples("bleu needs at least one reference")
     cand = as_ids(candidate)
-    index = _RefIndex(refs, cfg.max_n)
+    index = RefIndex(refs, cfg.max_n)
     return _bleu_core(cand, index.clipped, cfg, index.closest_length(len(cand)))
 
 
@@ -181,13 +191,18 @@ def _pick_candidates(n: int, cfg: BleuConfig) -> list[int]:
     return sorted(order[: cfg.subsample])
 
 
-def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -> float:
-    """Mean BLEU of generated continuations against the reference pool."""
+def corpus_bleu(gen: SampleSet, ref: SampleSet | RefIndex, cfg: BleuConfig | None = None) -> float:
+    """Mean BLEU of generated continuations against the reference pool.
+
+    ``ref`` is the reference set or a :class:`RefIndex` built from it
+    with ``cfg.max_n``.
+    """
     cfg = cfg or BleuConfig()
-    if not len(gen) or not len(ref):
+    index = ref if isinstance(ref, RefIndex) else RefIndex.from_set(ref, cfg.max_n)
+    if not len(gen) or not index.lengths:
         raise InsufficientSamples("corpus_bleu needs non-empty gen and ref sets")
-    refs = [s.continuation.ids for s in ref.samples]
-    index = _RefIndex(refs, cfg.max_n)
+    if index.max_n != cfg.max_n:
+        raise ConfigError(f"reference index has max_n={index.max_n}, config wants {cfg.max_n}")
     chosen = _pick_candidates(len(gen), cfg)
     total = 0.0
     for i in chosen:

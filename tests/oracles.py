@@ -238,3 +238,34 @@ def naive_generate(model, prefix, cfg):
         out.append(tok)
         ctx.append(tok)
     return TokenSequence(tuple(out), model.vocab)
+
+
+def naive_generate_batch(model, prefixes, cfgs):
+    """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix."""
+    return [naive_generate(model, prefix, cfg) for prefix, cfg in zip(prefixes, cfgs)]
+
+
+# ---------------------------------------------------------------------------
+# Tokenization: the per-character loop the alphanumeric-chunk fast path skips
+# ---------------------------------------------------------------------------
+
+
+def naive_word_surfaces(text):
+    """The word scheme's split of whitespace chunks, one category lookup
+    per character."""
+    import unicodedata
+
+    out = []
+    for chunk in text.split():
+        run = []
+        for ch in chunk:
+            if unicodedata.category(ch).startswith("P"):
+                if run:
+                    out.append("".join(run))
+                    run = []
+                out.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            out.append("".join(run))
+    return out

@@ -187,6 +187,52 @@ def test_generate_reruns_byte_identically(workspace, tmp_path):
     assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("strategy", [["--strategy", "topk", "--k", "5"], ["--strategy", "beam", "--b", "3"]])
+def test_generate_and_sweep_cell_write_identical_samples(workspace, tmp_path, strategy):
+    # An ffn's batched rows depend on the batch, so the two paths must
+    # batch the same prefixes for their samples to agree.
+    model_dir = tmp_path / "ffn"
+    assert main(
+        [
+            "train", "--manifest", str(workspace["manifest"]), "--backend", "ffn",
+            "--epochs", "1", "--context", "4", "--embed-dim", "8", "--hidden-dim", "16",
+            "--out-dir", str(model_dir),
+        ]
+    ) == 0
+    model = model_dir / "model.lmek"
+    shape = ["--manifest", str(workspace["manifest"]), "--prefix-len", "5", "--gen-len", "7",
+             "--n-prefixes", "6", "--seed", "13"]
+    assert main(["generate", "--model", str(model), *strategy, *shape,
+                 "--out-dir", str(tmp_path / "gen")]) == 0
+    name, param = strategy[1], strategy[3]
+    assert main(["sweep", "--models", f"model={model}", "--strategies", f"{name}:{param}",
+                 "--metrics", "seq_rep_4", *shape, "--out-dir", str(tmp_path / "sweep")]) == 0
+
+    def rows(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    generated = rows(tmp_path / "gen" / "samples.jsonl")
+    cell = rows(next((tmp_path / "sweep" / "samples").glob("*.jsonl")))
+    assert len(generated) == 6
+    assert [(r["prefix_ids"], r["continuation_ids"]) for r in generated] == [
+        (r["prefix_ids"], r["continuation_ids"]) for r in cell
+    ]
+
+
+@pytest.mark.parametrize("cut", ["header", "payload", "odd"])
+def test_generate_rejects_truncated_model_file(workspace, tmp_path, capsys, cut):
+    blob = workspace["model"].read_bytes()
+    head_end = 13 + int.from_bytes(blob[5:13], "little")
+    keep = {"header": head_end - 10, "payload": len(blob) - 8 * 40, "odd": len(blob) - 3}[cut]
+    broken = tmp_path / "broken.lmek"
+    broken.write_bytes(blob[:keep])
+    capsys.readouterr()
+    rc = _generate(workspace, tmp_path, extra=["--model", str(broken)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_generate_accepts_temp_alias(workspace, tmp_path):
     rc = main(
         [

@@ -29,10 +29,33 @@ from genteval.errors import (
     InsufficientData,
 )
 
-from oracles import naive_ngrams
+from oracles import naive_ngrams, naive_word_surfaces
 
 
 # --- tokenization -----------------------------------------------------------
+
+
+# Letters, digits and marks of several scripts, punctuation (ASCII,
+# CJK, Arabic, general), symbols, and whitespace.
+_MIXED = "aZé9٣½Ⅻ五ßǅ,.!?¿«»、。؟–—‐()·$+€©́̈ \t\n\u3000"
+
+
+@given(st.text(alphabet=st.sampled_from(_MIXED)) | st.text())
+def test_word_surfaces_fast_path_matches_character_loop(text):
+    from genteval.corpus import _word_surfaces
+
+    assert _word_surfaces(text) == naive_word_surfaces(text)
+
+
+def test_alphanumeric_characters_are_never_punctuation():
+    # The premise of the fast path, over every code point.
+    import sys
+    import unicodedata
+
+    assert not [
+        c for c in range(sys.maxunicode + 1)
+        if chr(c).isalnum() and unicodedata.category(chr(c)).startswith("P")
+    ]
 
 
 def test_word_scheme_detaches_punctuation():

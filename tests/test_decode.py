@@ -7,7 +7,9 @@ import pytest
 from genteval.corpus import TokenSequence, Vocab
 from genteval.decode import (
     DecoderConfig,
+    cell_config,
     generate,
+    param_value,
     penalize,
     sample,
     truncate_renormalize,
@@ -204,6 +206,25 @@ def test_config_range_checks():
     ):
         with pytest.raises(ConfigError):
             DecoderConfig(**bad)
+
+
+def test_cell_config_puts_the_parameter_in_its_field():
+    assert cell_config("greedy", None, 7, seed=3) == DecoderConfig(strategy="greedy", max_len=7, seed=3)
+    for strategy, raw, field, want in (
+        ("beam", "4", "b", 4),
+        ("topk", 40.0, "k", 40),
+        ("temperature", "0.8", "t", 0.8),
+        ("topp", 1, "p", 1.0),
+        ("penalized", "1.5", "theta", 1.5),
+    ):
+        value = param_value(strategy, raw)
+        assert value == want and type(value) is type(want)
+        cfg = cell_config(strategy, raw, 5)
+        assert getattr(cfg, field) == want and cfg.param == want and cfg.max_len == 5
+    assert param_value("topp", None) is None
+    for strategy, param in (("greedy", 0.5), ("beam", None), ("bogus", None), ("topp", 2.0)):
+        with pytest.raises(ConfigError):
+            cell_config(strategy, param, 5)
 
 
 def test_topk_larger_than_vocab_rejected_at_generate():

@@ -13,15 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genteval.corpus import TokenSequence, Vocab
-from genteval.decode import DecoderConfig, generate, sample, top_ids, truncate_renormalize
+from dataclasses import replace
+
+from genteval import decode
+from genteval.decode import (
+    DecoderConfig,
+    generate,
+    generate_batch,
+    sample,
+    top_ids,
+    truncate_renormalize,
+)
+from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, NGramLM, load_model, ngram_fit, save_model
+from genteval.losses import SeqUlConfig, TrainConfig, TrainData, Trainer
 from genteval.rng import SplitMix64, stable_hash
 
 from oracles import (
     SlowLM,
     naive_generate,
+    naive_generate_batch,
     naive_next_dist,
+    naive_ngrams,
     naive_sample,
     naive_top_ids,
     naive_truncate,
@@ -48,6 +62,24 @@ def test_next_dist_matches_naive_loop(v, order, k_s, data):
     contexts += data.draw(st.lists(st.lists(st.integers(0, v - 1), max_size=9), max_size=4))
     for ctx in contexts:
         assert model.next_dist(ctx).tobytes() == naive_next_dist(model, ctx).tobytes()
+    batch = model.next_dist_batch(contexts)
+    for row, ctx in zip(batch, contexts):
+        assert row.tobytes() == naive_next_dist(model, ctx).tobytes()
+
+
+@given(
+    corpus=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=30), min_size=1, max_size=4),
+    order=st.integers(min_value=1, max_value=4),
+)
+def test_fit_counts_match_window_scan(corpus, order):
+    vocab = Vocab.placeholder(6)
+    model = ngram_fit([TokenSequence(tuple(s), vocab) for s in corpus], order)
+    for o in range(1, order + 1):
+        want = {}  # first-occurrence order, as the table keeps it
+        for ids in corpus:
+            for gram, c in naive_ngrams(ids, o).items():
+                want[gram] = want.get(gram, 0) + c
+        assert list(model.counts[o].items()) == list(want.items())
 
 
 def test_next_dist_ignores_counted_ids_outside_the_vocab():
@@ -246,6 +278,82 @@ def test_generate_with_window_equals_whole_context(cfg):
             assert fast == naive_generate(SlowLM(model), prefix, cfg).ids, name
 
 
+# --- lockstep batches --------------------------------------------------------
+
+
+def _batch(cfg, splits, n=9):
+    """Prefixes of mixed lengths, each with its own seed."""
+    prefixes = [splits.train[i].window(0, 4 + i) for i in range(n - 2)] + [[0], [3, 1]]
+    return prefixes, [replace(cfg, seed=cfg.seed * 1000 + 17 * i) for i in range(n)]
+
+
+@pytest.mark.parametrize("max_rows", [2, decode.MAX_BATCH_ROWS])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.strategy}-{c.param}-{c.t}")
+def test_generate_batch_equals_per_prefix_decodes_on_the_ngram(cfg, max_rows, monkeypatch):
+    # A cap of 2 rows splits the batch into several calls (one prefix per
+    # call for beam(3)).
+    monkeypatch.setattr(decode, "MAX_BATCH_ROWS", max_rows)
+    splits, models = _models()
+    prefixes, cfgs = _batch(cfg, splits)
+    for name in ("ngram3", "ngram2s", "unigram"):
+        model = models[name]
+        slow = [s.ids for s in naive_generate_batch(SlowLM(model), prefixes, cfgs)]
+        assert [s.ids for s in generate_batch(model, prefixes, cfgs)] == slow, name
+        # Served by stacking next_dist rows.
+        assert [s.ids for s in generate_batch(_NoWindow(model), prefixes, cfgs)] == slow, name
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.strategy}-{c.param}-{c.t}")
+def test_generate_batch_equals_per_prefix_decodes_on_the_ffn(cfg):
+    splits, models = _models()
+    prefixes, cfgs = _batch(cfg, splits)
+    fast = [s.ids for s in generate_batch(models["ffn"], prefixes, cfgs)]
+    assert fast == [s.ids for s in naive_generate_batch(models["ffn"], prefixes, cfgs)]
+
+
+def test_ffn_batch_rows_match_single_rows():
+    model = FeedForwardLM.init(Vocab.placeholder(3000), context=4, embed_dim=16, hidden_dim=64, seed=3)
+    contexts = [[], [5], list(range(7))] + [[(13 * i + j) % 3000 for j in range(4)] for i in range(29)]
+    batch = model.next_dist_batch(contexts)
+    assert batch.shape == (32, model.vocab.size)
+    for row, ctx in zip(batch, contexts):
+        np.testing.assert_allclose(row, model.next_dist(ctx), rtol=1e-12, atol=0)
+
+
+def test_generate_batch_rejects_mixed_configs():
+    _, models = _models()
+    model = models["ngram3"]
+    greedy = DecoderConfig(strategy="greedy", max_len=3)
+    assert generate_batch(model, [], []) == []
+    with pytest.raises(ConfigError):
+        generate_batch(model, [[0], [1]], [greedy])
+    with pytest.raises(ConfigError):
+        generate_batch(model, [[0], [1]], [greedy, replace(greedy, max_len=4)])
+    assert len(generate_batch(model, [[0], [1]], [greedy, replace(greedy, seed=9)])) == 2
+
+
+def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
+    splits, vocab = word_splits(150, 24)
+    cfg = TrainConfig(
+        epochs=2,
+        batch_size=8,
+        objectives=(("mle", 1.0), ("ul", 1.0)),
+        seq_ul=SeqUlConfig(mix_prob=0.7, prefix_len=8, gen_len=10, ngram=2),
+    )
+
+    def train():
+        model = FeedForwardLM.init(vocab, context=3, embed_dim=8, hidden_dim=16, seed=4)
+        history = Trainer(model, cfg, seed=2).fit(TrainData(sequences=splits.train))
+        return history, model.params
+
+    hist, params = train()
+    assert any(step["ul_branch"] == 1.0 for step in hist)
+    monkeypatch.setattr("genteval.losses.generate_batch", naive_generate_batch)
+    slow_hist, slow_params = train()
+    assert hist == slow_hist
+    assert all(params[n].tobytes() == slow_params[n].tobytes() for n in params)
+
+
 # --- the harness end to end --------------------------------------------------
 
 
@@ -269,7 +377,8 @@ def test_run_sweep_fast_and_slow_write_identical_files(tmp_path, monkeypatch, wo
     )
     chosen = {name: models[name] for name in cfg.models}
     run_sweep(cfg, splits, tmp_path / "fast", models=chosen, workers=workers)
-    monkeypatch.setattr("genteval.harness.sweep.generate", naive_generate)
+    # The slow side decodes each prefix alone, through the full-sort paths.
+    monkeypatch.setattr("genteval.harness.sweep.generate_batch", naive_generate_batch)
     slow = {name: SlowLM(m) for name, m in chosen.items()}
     run_sweep(cfg, splits, tmp_path / "slow", models=slow, workers=workers)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab, tokenize
-from genteval.errors import BadOrder, ConfigError, EmptyInput
+from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm import (
     ExternalLM,
     FeedForwardLM,
@@ -277,6 +277,28 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMODEL")
     with pytest.raises(ConfigError):
         load_model(path)
+
+
+@pytest.mark.parametrize("backend", ["ngram", "ffn"])
+def test_load_rejects_every_truncation_and_a_bad_header(tmp_path, backend):
+    seq, vocab = tokenize("a b c a b b c a a c", "word")
+    if backend == "ngram":
+        model = ngram_fit(seq, order=3, k_s=0.5)
+    else:
+        model = FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3, seed=1)
+    path = tmp_path / "m.lmek"
+    save_model(model, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ConfigError if cut < 5 else DataError):
+            load_model(path)
+    head_end = 13 + int.from_bytes(blob[5:13], "little")
+    path.write_bytes(blob[:13] + b"{" * (head_end - 13) + blob[head_end:])
+    with pytest.raises(DataError):
+        load_model(path)
+    path.write_bytes(blob)
+    assert load_model(path).vocab == model.vocab
 
 
 # --- external adapter ---------------------------------------------------------

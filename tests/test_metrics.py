@@ -10,6 +10,7 @@ from genteval.corpus import TokenSequence, Vocab
 from genteval.errors import ConfigError, InsufficientSamples
 from genteval.metrics import (
     BleuConfig,
+    RefIndex,
     Sample,
     SampleSet,
     acceptability_penlp,
@@ -110,6 +111,19 @@ def test_corpus_bleu_is_mean_over_candidates():
     refs = [list(s.continuation.ids) for s in ref.samples]
     want = sum(naive_bleu(list(s.continuation.ids), refs) for s in gen.samples) / 3
     assert corpus_bleu(gen, ref) == pytest.approx(want, abs=1e-12)
+
+
+def test_corpus_bleu_with_a_prebuilt_reference_index():
+    rng = SplitMix64(4)
+    gen = mk_set([[rng.randint(5) for _ in range(rng.randint(8) + 1)] for _ in range(9)])
+    ref = mk_set([[rng.randint(5) for _ in range(rng.randint(8) + 1)] for _ in range(5)])
+    for cfg in (BleuConfig(), BleuConfig(max_n=2, subsample=4, subsample_seed=3)):
+        index = RefIndex.from_set(ref, cfg.max_n)
+        assert corpus_bleu(gen, index, cfg) == corpus_bleu(gen, ref, cfg)
+    with pytest.raises(ConfigError):
+        corpus_bleu(gen, RefIndex.from_set(ref, 3), BleuConfig(max_n=4))
+    with pytest.raises(InsufficientSamples):
+        corpus_bleu(gen, RefIndex.from_set(SampleSet(()), 4))
 
 
 def test_corpus_bleu_allows_distinct_vocabs():
