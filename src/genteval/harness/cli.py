@@ -1,7 +1,7 @@
 """Command-line front end for the whole toolkit.
 
 Subcommands: ingest, train, generate, eval (quality | diversity |
-consistency | acceptability), sweep, fit, trace, nli, story. Global
+consistency | acceptability), sweep, fit, trace. Global
 options ``--config`` (a JSON file of option values), ``--seed``,
 ``--out-dir``, and ``--workers`` apply everywhere; any flag given on the
 command line overrides the config file, which overrides the built-in
@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,7 +51,6 @@ from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
 from ..lm.store import load_model, save_model
 from ..losses import (
-    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -59,23 +59,14 @@ from ..losses import (
     labels_to_ids,
     load_label_file,
 )
-from ..metrics import (
-    BleuConfig,
-    SampleSet,
-    acceptability_penlp,
-    corpus_bleu,
-    forward_ppl,
-    mean_seq_rep,
-    reverse_ppl,
-    self_bleu,
-)
+from ..metrics import SampleSet, acceptability_penlp
 from .samples import load_sample_set, save_sample_set, write_metric_report
 from .sweep import (
+    METRICS,
     SweepConfig,
-    SWEEP_METRICS,
     decode_cell,
+    metric_inputs,
     read_sweep_csv,
-    reference_set,
     run_sweep,
     tradeoff_table,
     write_tradeoff,
@@ -86,6 +77,16 @@ _STRATEGY_ALIASES = {"temp": "temperature"}
 # Built-in defaults per subcommand; a key must appear here for the
 # config file to be allowed to set it.
 _GLOBALS = {"seed": 0, "out_dir": ".", "workers": 1}
+# The metric settings shared by eval and sweep (see sweep.metric_inputs).
+_METRIC_SETTINGS = {
+    "max_n": 4,
+    "subsample": None,
+    "subsample_seed": 0,
+    "fwd_order": 2,
+    "fwd_k_s": 1.0,
+    "rev_order": 2,
+    "rev_k_s": 1.0,
+}
 DEFAULTS: dict[str, dict] = {
     "ingest": {
         **_GLOBALS,
@@ -149,13 +150,7 @@ DEFAULTS: dict[str, dict] = {
         "alpha": 0.6,
         "prefix_len": None,
         "gen_len": None,
-        "max_n": 4,
-        "subsample": None,
-        "subsample_seed": 0,
-        "fwd_order": 2,
-        "fwd_k_s": 1.0,
-        "rev_order": 2,
-        "rev_k_s": 1.0,
+        **_METRIC_SETTINGS,
     },
     "sweep": {
         **_GLOBALS,
@@ -165,14 +160,8 @@ DEFAULTS: dict[str, dict] = {
         "prefix_len": 50,
         "gen_len": 100,
         "n_prefixes": None,
-        "metrics": ",".join(SWEEP_METRICS),
-        "max_n": 4,
-        "subsample": None,
-        "subsample_seed": 0,
-        "fwd_order": 2,
-        "fwd_k_s": 1.0,
-        "rev_order": 2,
-        "rev_k_s": 1.0,
+        "metrics": ",".join(METRICS),
+        **_METRIC_SETTINGS,
     },
     "fit": {
         **_GLOBALS,
@@ -190,8 +179,6 @@ DEFAULTS: dict[str, dict] = {
         "truncate": None,
         "trace_out": None,
     },
-    "nli": {**_GLOBALS, "model": None, "triples": None, "scheme": "word", "report": None},
-    "story": {**_GLOBALS, "model": None, "stories": None, "scheme": "word", "report": None},
 }
 
 
@@ -206,6 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--out-dir", dest="out_dir")
     common.add_argument("--workers", type=int)
+    metric_settings = argparse.ArgumentParser(add_help=False)
+    metric_settings.add_argument("--max-n", dest="max_n", type=int)
+    metric_settings.add_argument("--subsample", type=int)
+    metric_settings.add_argument("--subsample-seed", dest="subsample_seed", type=int)
+    metric_settings.add_argument("--fwd-order", dest="fwd_order", type=int)
+    metric_settings.add_argument("--fwd-k-s", dest="fwd_k_s", type=float)
+    metric_settings.add_argument("--rev-order", dest="rev_order", type=int)
+    metric_settings.add_argument("--rev-k-s", dest="rev_k_s", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="tokenize and split a corpus")
@@ -254,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-prefixes", dest="n_prefixes", type=int)
     p.add_argument("--samples-out", dest="samples_out")
 
-    p = sub.add_parser("eval", parents=[common], help="score samples or datasets")
+    p = sub.add_parser("eval", parents=[common, metric_settings], help="score samples or datasets")
     p.add_argument("kind", choices=("quality", "diversity", "consistency", "acceptability"))
     p.add_argument("--samples", help="generated SampleSet JSONL")
     p.add_argument("--manifest")
@@ -266,15 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--prefix-len", dest="prefix_len", type=int)
     p.add_argument("--gen-len", dest="gen_len", type=int)
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--subsample-seed", dest="subsample_seed", type=int)
-    p.add_argument("--fwd-order", dest="fwd_order", type=int)
-    p.add_argument("--fwd-k-s", dest="fwd_k_s", type=float)
-    p.add_argument("--rev-order", dest="rev_order", type=int)
-    p.add_argument("--rev-k-s", dest="rev_k_s", type=float)
 
-    p = sub.add_parser("sweep", parents=[common], help="run the model x strategy x param grid")
+    p = sub.add_parser(
+        "sweep", parents=[common, metric_settings], help="run the model x strategy x param grid"
+    )
     p.add_argument("--manifest")
     p.add_argument("--models", help='e.g. "mle=out/mle.lmek,ul=out/ul.lmek"')
     p.add_argument("--strategies", help='e.g. "greedy;topp:0.2,0.9;topk:2,10"')
@@ -282,13 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-len", dest="gen_len", type=int)
     p.add_argument("--n-prefixes", dest="n_prefixes", type=int)
     p.add_argument("--metrics")
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--subsample-seed", dest="subsample_seed", type=int)
-    p.add_argument("--fwd-order", dest="fwd_order", type=int)
-    p.add_argument("--fwd-k-s", dest="fwd_k_s", type=float)
-    p.add_argument("--rev-order", dest="rev_order", type=int)
-    p.add_argument("--rev-k-s", dest="rev_k_s", type=float)
 
     p = sub.add_parser("fit", parents=[common], help="fit the quality-diversity trade-off curves")
     p.add_argument("--csv", help="sweep.csv from a finished sweep")
@@ -303,18 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context-ids", dest="context_ids")
     p.add_argument("--truncate", help='"topk:K" or "topp:P"')
     p.add_argument("--trace-out", dest="trace_out")
-
-    p = sub.add_parser("nli", parents=[common], help="entailed-vs-contradicting selection accuracy")
-    p.add_argument("--model")
-    p.add_argument("--triples")
-    p.add_argument("--scheme", choices=("word", "char"))
-    p.add_argument("--report")
-
-    p = sub.add_parser("story", parents=[common], help="story-ending selection accuracy")
-    p.add_argument("--model")
-    p.add_argument("--stories")
-    p.add_argument("--scheme", choices=("word", "char"))
-    p.add_argument("--report")
 
     return parser
 
@@ -470,21 +441,14 @@ def _cmd_ingest(opt: SimpleNamespace) -> int:
 def _build_train_config(opt: SimpleNamespace) -> TrainConfig:
     base = TrainConfig.from_json(opt.train_config) if opt.train_config else TrainConfig()
     objectives = _parse_objectives(opt.objectives) if opt.objectives is not None else None
-    seq_ul = None
     ul_overrides = {
         "mix_prob": opt.mix_prob,
         "prefix_len": opt.ul_prefix_len,
         "gen_len": opt.ul_gen_len,
         "ngram": opt.ul_ngram,
     }
-    if any(v is not None for v in ul_overrides.values()):
-        current = base.seq_ul
-        seq_ul = SeqUlConfig(
-            mix_prob=ul_overrides["mix_prob"] if ul_overrides["mix_prob"] is not None else current.mix_prob,
-            prefix_len=ul_overrides["prefix_len"] if ul_overrides["prefix_len"] is not None else current.prefix_len,
-            gen_len=ul_overrides["gen_len"] if ul_overrides["gen_len"] is not None else current.gen_len,
-            ngram=ul_overrides["ngram"] if ul_overrides["ngram"] is not None else current.ngram,
-        )
+    ul_overrides = {k: v for k, v in ul_overrides.items() if v is not None}
+    seq_ul = replace(base.seq_ul, **ul_overrides) if ul_overrides else None
     return base.override(
         epochs=opt.epochs,
         batch_size=opt.batch_size,
@@ -635,93 +599,60 @@ def _cmd_generate(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _eval_inputs(opt: SimpleNamespace):
+def _eval_metrics(opt: SimpleNamespace, out: Path) -> int:
+    """Report every metric of kind ``opt.kind`` through the sweep's table."""
     _require(opt, "samples", "manifest")
-    gen = load_sample_set(opt.samples)
-    splits, _ = load_splits(opt.manifest)
+    splits, manifest = load_splits(opt.manifest)
+    gen = load_sample_set(opt.samples, vocab_from_manifest(manifest))
     first = gen.samples[0]
     prefix_len = opt.prefix_len if opt.prefix_len is not None else (
         len(first.prefix) if first.prefix else 1
     )
     gen_len = opt.gen_len if opt.gen_len is not None else len(first.continuation)
-    refs = reference_set(splits, prefix_len, gen_len)
     provenance = dict(gen.provenance)
     provenance["samples"] = Path(opt.samples).name
-    return gen, splits, refs, provenance
-
-
-def _cmd_eval(opt: SimpleNamespace) -> int:
-    out = _out_dir(opt)
-    if opt.kind == "quality":
-        gen, splits, refs, provenance = _eval_inputs(opt)
-        bleu_cfg = BleuConfig(
-            max_n=opt.max_n, subsample=opt.subsample, subsample_seed=opt.subsample_seed
-        )
-        value = corpus_bleu(gen, refs, bleu_cfg)
+    names = [name for name, metric in METRICS.items() if metric.kind == opt.kind]
+    inputs = metric_inputs(opt, names, splits, prefix_len, gen_len)
+    for name in names:
+        value, nulls = METRICS[name].compute(gen, inputs)
         write_metric_report(
-            out / "report_corpus_bleu.json",
-            "corpus_bleu",
+            out / f"report_{name}.json",
+            name,
             value,
-            {"max_n": opt.max_n, "subsample": opt.subsample, "subsample_seed": opt.subsample_seed},
-            provenance,
-            len(gen),
-        )
-        print(f"corpus_bleu: {value:.6f}")
-        scorer = ngram_fit(list(splits.train), order=opt.fwd_order, k_s=opt.fwd_k_s)
-        fwd = forward_ppl(scorer, gen)
-        write_metric_report(
-            out / "report_forward_ppl.json",
-            "forward_ppl",
-            fwd,
-            {"order": opt.fwd_order, "k_s": opt.fwd_k_s},
-            provenance,
-            len(gen),
-        )
-        print(f"forward_ppl: {fwd:.6f}")
-        return 0
-    if opt.kind == "diversity":
-        gen, splits, refs, provenance = _eval_inputs(opt)
-        bleu_cfg = BleuConfig(
-            max_n=opt.max_n, subsample=opt.subsample, subsample_seed=opt.subsample_seed
-        )
-        value = self_bleu(gen, bleu_cfg)
-        write_metric_report(
-            out / "report_self_bleu.json",
-            "self_bleu",
-            value,
-            {"max_n": opt.max_n, "subsample": opt.subsample, "subsample_seed": opt.subsample_seed},
-            provenance,
-            len(gen),
-        )
-        print(f"self_bleu: {value:.6f}")
-        mean, nulls = mean_seq_rep(gen, 4)
-        write_metric_report(
-            out / "report_seq_rep_4.json",
-            "seq_rep_4",
-            mean,
-            {"n": 4},
+            METRICS[name].config(opt),
             provenance,
             len(gen),
             nulls_excluded=nulls,
         )
-        print(f"seq_rep_4: {'null' if mean is None else f'{mean:.6f}'}")
-        rev = reverse_ppl(gen, refs, order=opt.rev_order, k_s=opt.rev_k_s)
-        write_metric_report(
-            out / "report_reverse_ppl.json",
-            "reverse_ppl",
-            rev,
-            {"order": opt.rev_order, "k_s": opt.rev_k_s},
-            provenance,
-            len(gen),
-        )
-        print(f"reverse_ppl: {rev:.6f}")
-        return 0
+        print(f"{name}: {'null' if value is None else f'{value:.6f}'}")
+    return 0
+
+
+def _cmd_eval(opt: SimpleNamespace) -> int:
+    out = _out_dir(opt)
+    if opt.kind in ("quality", "diversity"):
+        return _eval_metrics(opt, out)
     if opt.kind == "consistency":
         if (opt.triples is None) == (opt.stories is None):
             raise ConfigError("eval consistency needs exactly one of --triples/--stories")
+        _require(opt, "model")
+        model = load_model(opt.model)
         if opt.triples is not None:
-            return _run_selection(opt, opt.triples, load_triples, Path(opt.out_dir) / "report_nli.json")
-        return _run_selection(opt, opt.stories, load_stories, Path(opt.out_dir) / "report_story.json")
+            loaded, report_path = load_triples(opt.triples), out / "report_nli.json"
+        else:
+            loaded, report_path = load_stories(opt.stories), out / "report_story.json"
+        result = selection_accuracy(
+            model,
+            loaded.records,
+            lambda text: encode(text, model.vocab, opt.scheme, on_oov="skip"),
+        )
+        save_selection_result(result, report_path, loaded.issues)
+        print(
+            f"accuracy: {result.accuracy:.4f} over {result.n} items "
+            f"({result.ties} ties, {len(loaded.issues)} skipped lines)"
+        )
+        print(f"report: {report_path}")
+        return 0
     # acceptability
     _require(opt, "model", "sentences")
     model = load_model(opt.model)
@@ -842,37 +773,6 @@ def _cmd_trace(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _run_selection(opt: SimpleNamespace, data_path: str, loader, report_path: Path) -> int:
-    _require(opt, "model")
-    model = load_model(opt.model)
-    loaded = loader(data_path)
-    result = selection_accuracy(
-        model,
-        loaded.records,
-        lambda text: encode(text, model.vocab, opt.scheme, on_oov="skip"),
-    )
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    save_selection_result(result, report_path, loaded.issues)
-    print(
-        f"accuracy: {result.accuracy:.4f} over {result.n} items "
-        f"({result.ties} ties, {len(loaded.issues)} skipped lines)"
-    )
-    print(f"report: {report_path}")
-    return 0
-
-
-def _cmd_nli(opt: SimpleNamespace) -> int:
-    _require(opt, "triples")
-    report = Path(opt.report) if opt.report else _out_dir(opt) / "nli_report.json"
-    return _run_selection(opt, opt.triples, load_triples, report)
-
-
-def _cmd_story(opt: SimpleNamespace) -> int:
-    _require(opt, "stories")
-    report = Path(opt.report) if opt.report else _out_dir(opt) / "story_report.json"
-    return _run_selection(opt, opt.stories, load_stories, report)
-
-
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "train": _cmd_train,
@@ -881,8 +781,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "fit": _cmd_fit,
     "trace": _cmd_trace,
-    "nli": _cmd_nli,
-    "story": _cmd_story,
 }
 
 

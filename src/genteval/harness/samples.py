@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from ..corpus import TokenSequence, Vocab
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..metrics import Sample, SampleSet
 
 
@@ -37,39 +37,42 @@ def save_sample_set(path: str | Path, sset: SampleSet) -> None:
             )
 
 
-def load_sample_set(path: str | Path, vocab: Vocab | None = None) -> SampleSet:
-    """Read a sample JSONL; synthesizes a placeholder vocab if none given."""
-    rows = []
+def _row_sequence(row: dict, key: str, vocab: Vocab, where: str) -> TokenSequence | None:
+    ids = row.get(key)
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+        raise DataError(f"{where}: {key} must be a list of integer token ids")
+    if not ids:
+        return None
+    try:
+        return TokenSequence(tuple(ids), vocab)
+    except ConfigError as exc:  # an id outside the vocab
+        raise DataError(f"{where}: {exc}") from None
+
+
+def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
+    """Read a sample JSONL whose token ids must index ``vocab``."""
+    first = None
+    samples = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad JSON ({exc})") from None
-    if not rows:
+                raise DataError(f"{where}: bad JSON ({exc})") from None
+            if not isinstance(row, dict) or "id" not in row:
+                raise DataError(f"{where}: a sample must be a JSON object with an id")
+            prefix = _row_sequence(row, "prefix_ids", vocab, where)
+            continuation = _row_sequence(row, "continuation_ids", vocab, where)
+            if continuation is None:
+                raise DataError(f"{where}: empty continuation_ids")
+            first = first or row
+            samples.append(Sample(id=str(row["id"]), prefix=prefix, continuation=continuation))
+    if first is None:
         raise DataError(f"{path}: no samples")
-    if vocab is None:
-        top = 0
-        for row in rows:
-            ids = row["continuation_ids"] + row["prefix_ids"]
-            top = max(top, max(ids) if ids else 0)
-        vocab = Vocab.placeholder(top + 1)
-    samples = []
-    for row in rows:
-        prefix = (
-            TokenSequence(tuple(row["prefix_ids"]), vocab) if row["prefix_ids"] else None
-        )
-        samples.append(
-            Sample(
-                id=str(row["id"]),
-                prefix=prefix,
-                continuation=TokenSequence(tuple(row["continuation_ids"]), vocab),
-            )
-        )
-    first = rows[0]
     provenance = {
         "model": first.get("model"),
         "strategy": first.get("strategy"),

@@ -25,11 +25,12 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from ..corpus import CorpusSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
 from ..errors import ConfigError, DegenerateFit
-from ..lm.ngram import ngram_fit
+from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
     BleuConfig,
@@ -43,23 +44,93 @@ from ..metrics import (
     self_bleu,
 )
 from ..rng import stable_hash
-from .samples import load_sample_set, save_sample_set
+from .samples import save_sample_set
 
-SWEEP_METRICS = ("corpus_bleu", "self_bleu", "seq_rep_4", "forward_ppl", "reverse_ppl")
-CSV_COLUMNS = (
-    "model",
-    "strategy",
-    "param",
-    "n_samples",
-    "corpus_bleu",
-    "self_bleu",
-    "seq_rep_4",
-    "forward_ppl",
-    "reverse_ppl",
-    "seed",
-    "schema",
-)
+
+@dataclass(frozen=True)
+class MetricInputs:
+    """What every metric of one run shares, built once by :func:`metric_inputs`.
+
+    ``settings`` is any object with the metric settings ``max_n``,
+    ``subsample``, ``subsample_seed``, ``fwd_order``, ``fwd_k_s``,
+    ``rev_order`` and ``rev_k_s`` (a :class:`SweepConfig` or the CLI's
+    options). An input no requested metric needs is None.
+    """
+
+    settings: object
+    bleu_cfg: BleuConfig
+    refs: SampleSet | None = None
+    ref_index: RefIndex | None = None
+    fwd_scorer: NGramLM | None = None
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One trade-off metric: its ``genteval eval`` kind, direction and scorer.
+
+    ``config`` maps the settings to the report's ``config`` dict;
+    ``compute`` maps (samples, inputs) to (value, nulls excluded). The
+    scorers call the metric functions by their module-level names, so
+    a wrapper installed on this module's attributes sees every call.
+    """
+
+    kind: str  # "quality" | "diversity"
+    higher_better: bool
+    config: Callable[[object], dict]
+    compute: Callable[[SampleSet, MetricInputs], tuple[float | None, int]]
+
+
+def _bleu_config(s) -> dict:
+    return {"max_n": s.max_n, "subsample": s.subsample, "subsample_seed": s.subsample_seed}
+
+
+# The one metric table, in sweep CSV column order.
+METRICS: dict[str, Metric] = {
+    "corpus_bleu": Metric(
+        "quality", True, _bleu_config,
+        lambda sset, inp: (corpus_bleu(sset, inp.ref_index, inp.bleu_cfg), 0),
+    ),
+    "self_bleu": Metric(
+        "diversity", False, _bleu_config,
+        lambda sset, inp: (self_bleu(sset, inp.bleu_cfg), 0),
+    ),
+    "seq_rep_4": Metric(
+        "diversity", False, lambda s: {"n": 4},
+        lambda sset, inp: mean_seq_rep(sset, 4),
+    ),
+    "forward_ppl": Metric(
+        "quality", False, lambda s: {"order": s.fwd_order, "k_s": s.fwd_k_s},
+        lambda sset, inp: (forward_ppl(inp.fwd_scorer, sset), 0),
+    ),
+    "reverse_ppl": Metric(
+        "diversity", False, lambda s: {"order": s.rev_order, "k_s": s.rev_k_s},
+        lambda sset, inp: (
+            reverse_ppl(sset, inp.refs, order=inp.settings.rev_order, k_s=inp.settings.rev_k_s),
+            0,
+        ),
+    ),
+}
+CSV_COLUMNS = ("model", "strategy", "param", "n_samples", *METRICS, "seed", "schema")
 SCHEMA_TAG = "v1"
+
+
+def metric_inputs(
+    settings, names, splits: CorpusSplits, prefix_len: int, gen_len: int
+) -> MetricInputs:
+    """Build the inputs the metrics ``names`` need, each part only if needed."""
+    bleu_cfg = BleuConfig(
+        max_n=settings.max_n, subsample=settings.subsample, subsample_seed=settings.subsample_seed
+    )
+    refs = ref_index = fwd_scorer = None
+    if "corpus_bleu" in names or "reverse_ppl" in names:
+        refs = reference_set(splits, prefix_len, gen_len)
+    if "corpus_bleu" in names:
+        ref_index = RefIndex.from_set(refs, settings.max_n)
+    if "forward_ppl" in names:
+        fwd_scorer = ngram_fit(
+            list(splits.train), order=settings.fwd_order, k_s=settings.fwd_k_s
+        )
+    return MetricInputs(settings, bleu_cfg, refs, ref_index, fwd_scorer)
 
 
 @dataclass(frozen=True)
@@ -79,7 +150,7 @@ class SweepConfig:
     gen_len: int = 100
     n_prefixes: int | None = None
     seed: int = 0
-    metrics: tuple[str, ...] = SWEEP_METRICS
+    metrics: tuple[str, ...] = tuple(METRICS)
     max_n: int = 4
     subsample: int | None = None
     subsample_seed: int = 0
@@ -96,7 +167,7 @@ class SweepConfig:
         if min(self.prefix_len, self.gen_len) < 1:
             raise ConfigError("prefix_len and gen_len must be positive")
         for name in self.metrics:
-            if name not in SWEEP_METRICS:
+            if name not in METRICS:
                 raise ConfigError(f"unknown sweep metric {name!r}")
         seen = set()
         for strategy, params in self.strategies:
@@ -256,16 +327,7 @@ def run_sweep(
     ]
     if cells and not prefixes:
         raise ConfigError("no prefixes available for the sweep")
-    refs = reference_set(splits, cfg.prefix_len, cfg.gen_len)
-    bleu_cfg = BleuConfig(
-        max_n=cfg.max_n, subsample=cfg.subsample, subsample_seed=cfg.subsample_seed
-    )
-    ref_index = RefIndex.from_set(refs, cfg.max_n) if "corpus_bleu" in cfg.metrics else None
-    fwd_scorer = (
-        ngram_fit(list(splits.train), order=cfg.fwd_order, k_s=cfg.fwd_k_s)
-        if "forward_ppl" in cfg.metrics
-        else None
-    )
+    inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     loaded, load_errors = _resolve_models(cfg, models)
 
     def run_cell(cell):
@@ -282,7 +344,7 @@ def run_sweep(
                 raise ConfigError(load_errors[model_name])
             record = _compute_cell(
                 cfg, loaded[model_name], model_name, strategy, param,
-                prefixes, refs, ref_index, bleu_cfg, fwd_scorer, samples_path,
+                prefixes, inputs, samples_path,
             )
             record.config_hash = digest
             record.samples_file = samples_path.name
@@ -339,10 +401,7 @@ def _compute_cell(
     strategy: str,
     param,
     prefixes: list[TokenSequence],
-    refs: SampleSet,
-    ref_index: RefIndex | None,
-    bleu_cfg: BleuConfig,
-    fwd_scorer,
+    inputs: MetricInputs,
     samples_path: Path,
 ) -> SweepRecord:
     dcfg = cell_config(strategy, param, cfg.gen_len)
@@ -352,25 +411,12 @@ def _compute_cell(
         {"model": model_name, "strategy": strategy, "param": param, "seed": cfg.seed},
     )
     save_sample_set(samples_path, sset)
-    values: dict[str, float | None] = {}
-    for metric in cfg.metrics:
-        if metric == "corpus_bleu":
-            values[metric] = corpus_bleu(sset, ref_index, bleu_cfg)
-        elif metric == "self_bleu":
-            values[metric] = self_bleu(sset, bleu_cfg)
-        elif metric == "seq_rep_4":
-            mean, _nulls = mean_seq_rep(sset, 4)
-            values[metric] = mean
-        elif metric == "forward_ppl":
-            values[metric] = forward_ppl(fwd_scorer, sset)
-        elif metric == "reverse_ppl":
-            values[metric] = reverse_ppl(sset, refs, order=cfg.rev_order, k_s=cfg.rev_k_s)
     return SweepRecord(
         model=model_name,
         strategy=strategy,
         param=param,
         n_samples=len(samples),
-        metrics=values,
+        metrics={name: METRICS[name].compute(sset, inputs)[0] for name in cfg.metrics},
         seed=cfg.seed,
     )
 
@@ -396,11 +442,7 @@ def write_sweep_csv(path: str | Path, records: list[SweepRecord]) -> None:
                     r.strategy,
                     _format_cell(r.param),
                     r.n_samples,
-                    _format_cell(r.metrics.get("corpus_bleu")),
-                    _format_cell(r.metrics.get("self_bleu")),
-                    _format_cell(r.metrics.get("seq_rep_4")),
-                    _format_cell(r.metrics.get("forward_ppl")),
-                    _format_cell(r.metrics.get("reverse_ppl")),
+                    *(_format_cell(r.metrics.get(name)) for name in METRICS),
                     r.seed,
                     SCHEMA_TAG,
                 ]
@@ -416,9 +458,7 @@ def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
         for row in reader:
             if row["schema"] != SCHEMA_TAG:
                 raise ConfigError(f"{path}: unknown schema tag {row['schema']!r}")
-            metrics = {}
-            for name in SWEEP_METRICS:
-                metrics[name] = float(row[name]) if row[name] else None
+            metrics = {name: float(row[name]) if row[name] else None for name in METRICS}
             records.append(
                 SweepRecord(
                     model=row["model"],
@@ -476,18 +516,6 @@ def fit_log_curve(points) -> LogFit:
     return LogFit(a=a, b=b, residual_sum=residual)
 
 
-# Metrics where larger values mean better quality; these are negated on
-# the trade-off y axis so "down and to the left" is always worse.
-HIGHER_BETTER = {
-    "corpus_bleu": True,
-    "acceptability": True,
-    "self_bleu": False,
-    "seq_rep_4": False,
-    "forward_ppl": False,
-    "reverse_ppl": False,
-}
-
-
 @dataclass(frozen=True)
 class TradeoffRow:
     model: str
@@ -513,12 +541,13 @@ def tradeoff_table(
     """Quality-vs-diversity points with one log fit per model.
 
     x is the diversity value as-is; y is the quality value, negated when
-    the metric is higher-better. Rows with a missing value keep their
+    the metric is higher-better, so "down and to the left" is always
+    worse. Rows with a missing value keep their
     place in the table with blanks and are excluded from fits; a model
     whose usable points cannot support a fit gets fits[model] = None.
     """
-    if quality_metric not in HIGHER_BETTER or diversity_metric not in HIGHER_BETTER:
-        known = ", ".join(sorted(HIGHER_BETTER))
+    if quality_metric not in METRICS or diversity_metric not in METRICS:
+        known = ", ".join(sorted(METRICS))
         raise ConfigError(f"metrics must be one of: {known}")
     rows = []
     per_model: dict[str, list[tuple[float, float]]] = {}
@@ -527,7 +556,7 @@ def tradeoff_table(
         diversity = r.metrics.get(diversity_metric)
         y = None
         if quality is not None:
-            y = -quality if HIGHER_BETTER[quality_metric] else quality
+            y = -quality if METRICS[quality_metric].higher_better else quality
         rows.append(TradeoffRow(r.model, r.strategy, r.param, diversity, y))
         if diversity is not None and diversity > 0 and y is not None:
             per_model.setdefault(r.model, []).append((diversity, y))

@@ -1,13 +1,11 @@
 """Language model backends and scoring utilities."""
 
-from .adapter import ExternalLM, serve_lines
 from .base import LanguageModel, ProbTrace, TraceEntry, as_ids, perplexity, token_prob_trace
 from .ffn import PAD_TOKEN, FeedForwardLM, log_softmax, softmax
 from .ngram import NGramLM, ngram_fit
 from .store import load_model, save_model
 
 __all__ = [
-    "ExternalLM",
     "FeedForwardLM",
     "LanguageModel",
     "NGramLM",
@@ -20,7 +18,6 @@ __all__ = [
     "ngram_fit",
     "perplexity",
     "save_model",
-    "serve_lines",
     "softmax",
     "token_prob_trace",
 ]

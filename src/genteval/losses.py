@@ -428,8 +428,8 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrainBatch:
-    """One step's worth of data, grouped per objective kind."""
+class TrainData:
+    """Items per objective kind: the trainer's pools, and one step's batch."""
 
     sequences: tuple[TokenSequence, ...] = ()
     nsp: tuple[tuple[SentencePair, SentencePair], ...] = ()
@@ -439,6 +439,13 @@ class TrainBatch:
     dp: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
 
 
+def _items(data: TrainData, kind: str):
+    """The items objective ``kind`` trains on (mle and ul share sequences)."""
+    if kind in ("mle", "ul"):
+        return data.sequences
+    return getattr(data, kind)
+
+
 def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray], scale: float) -> None:
     for name, g in part.items():
         total[name] += scale * g
@@ -446,7 +453,7 @@ def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray], scale
 
 def multitask_step(
     model: FeedForwardLM,
-    batch: TrainBatch,
+    batch: TrainData,
     cfg: TrainConfig,
     opt: AdamState,
     rng: SplitMix64,
@@ -462,7 +469,7 @@ def multitask_step(
     for kind, weight in cfg.objectives:
         if weight == 0.0:
             continue
-        items = _batch_items(batch, kind)
+        items = _items(batch, kind)
         if not items:
             raise ConfigError(f"objective {kind!r} is active but the batch has no data for it")
         scale = weight / len(items)
@@ -497,12 +504,6 @@ def multitask_step(
     return scalars
 
 
-def _batch_items(batch: TrainBatch, kind: str):
-    if kind in ("mle", "ul"):
-        return batch.sequences
-    return getattr(batch, kind)
-
-
 def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence, TokenSequence]]:
     """(prefix, greedy continuation) per sequence, decoded in one batch."""
     for seq in seqs:
@@ -524,18 +525,6 @@ def _ul_item(model, seq: TokenSequence, cfg: SeqUlConfig, rollout):
     return ul_token_loss(model, continuation, candidates, context=prefix.ids)
 
 
-@dataclass(frozen=True)
-class TrainData:
-    """Pools the trainer draws batches from, one per objective kind."""
-
-    sequences: tuple[TokenSequence, ...] = ()
-    nsp: tuple[tuple[SentencePair, SentencePair], ...] = ()
-    sop: tuple[tuple[SentencePair, SentencePair], ...] = ()
-    tfidf: tuple[tuple[TokenSequence, tuple[float, ...]], ...] = ()
-    pos: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
-    dp: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
-
-
 class Trainer:
     """Deterministic epoch loop: shuffle, slice, multitask_step.
 
@@ -553,7 +542,7 @@ class Trainer:
 
     def fit(self, data: TrainData) -> list[dict[str, float]]:
         active = [k for k, w in self.cfg.objectives if w > 0]
-        pools = {k: _data_pool(data, k) for k in active}
+        pools = {k: _items(data, k) for k in active}
         for kind, pool in pools.items():
             if not pool:
                 raise ConfigError(f"objective {kind!r} has no training data")
@@ -581,17 +570,11 @@ class Trainer:
                             taken.append(pool[cursors[kind] % len(pool)])
                             cursors[kind] += 1
                         parts[kind] = tuple(taken)
-                batch = TrainBatch(**parts)
+                batch = TrainData(**parts)
                 self.history.append(
                     multitask_step(self.model, batch, self.cfg, self.opt, self.rng)
                 )
         return self.history
-
-
-def _data_pool(data: TrainData, kind: str):
-    if kind in ("mle", "ul"):
-        return data.sequences
-    return getattr(data, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from genteval.corpus import write_ids_file
-from genteval.harness.cli import main
+from genteval.harness.cli import DEFAULTS, _build_parser, main
+from genteval.harness.sweep import SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
 from toytext import make_text
 
 
@@ -287,6 +288,41 @@ def test_eval_diversity_reports(workspace, tmp_path):
     assert rep["value"] is None or 0.0 <= rep["value"] <= 1.0
 
 
+_GOOD_ROW = {"id": "0", "prefix_ids": [0, 1], "continuation_ids": [2, 3, 1]}
+
+
+@pytest.mark.parametrize("kind", ["quality", "diversity"])
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        '{"id": "1", "prefix_ids": [0]}',
+        "[1, 2]",
+        '{"id": "1", "prefix_ids": [0], "continuation_ids": [2, 1000000]}',
+        '{"id": "1", "prefix_ids": [0], "continuation_ids": [2, 1.5]}',
+        '{"id": "1", "prefix_ids": 0, "continuation_ids": [2]}',
+        '{"id": "1", "prefix_ids": [0], "continuation_ids": []}',
+    ],
+    ids=["no-continuation", "not-object", "id-outside-vocab", "float-id", "ids-not-list", "empty"],
+)
+def test_eval_rejects_bad_sample_rows(workspace, tmp_path, capsys, kind, bad_row):
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(json.dumps(_GOOD_ROW) + "\n" + bad_row + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(
+        [
+            "eval", kind,
+            "--samples", str(samples),
+            "--manifest", str(workspace["manifest"]),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{samples}:2:" in err
+    assert not list((tmp_path / "out").glob("report_*.json"))
+
+
 def test_eval_consistency_requires_exactly_one_dataset(workspace, tmp_path):
     base = [
         "eval", "consistency",
@@ -314,6 +350,7 @@ def test_eval_consistency_triples_report(workspace, tmp_path):
     )
     assert rc == 0
     report = json.loads((tmp_path / "report_nli.json").read_text(encoding="utf-8"))
+    assert set(report) == {"accuracy", "n", "ties", "per_item", "issues"}
     assert report["n"] == 2
     assert (tmp_path / "report_nli.items.jsonl").exists()
 
@@ -338,7 +375,7 @@ def test_eval_acceptability(workspace, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# trace / nli / sweep / fit
+# trace / sweep / fit
 # ---------------------------------------------------------------------------
 
 
@@ -369,22 +406,6 @@ def test_trace_rejects_bad_truncation_argument(workspace, tmp_path):
         ]
     )
     assert rc == 2
-
-
-def test_nli_command_writes_report(workspace, tmp_path):
-    triples = tmp_path / "nli.tsv"
-    triples.write_text("the cat sat.\tthe dog ran\tthe sea held\n", encoding="utf-8")
-    rc = main(
-        [
-            "nli",
-            "--model", str(workspace["model"]),
-            "--triples", str(triples),
-            "--report", str(tmp_path / "r.json"),
-        ]
-    )
-    assert rc == 0
-    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-    assert set(report) == {"accuracy", "n", "ties", "per_item", "issues"}
 
 
 def test_sweep_and_fit_pipeline(workspace, tmp_path):
@@ -419,6 +440,89 @@ def test_sweep_and_fit_pipeline(workspace, tmp_path):
     assert "bigram" in fits["fits"]
 
 
+def test_fit_rejects_metric_without_sweep_column(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    write_sweep_csv(csv_path, [SweepRecord("m", "greedy", None, 3, {"corpus_bleu": 0.5}, 0)])
+    capsys.readouterr()
+    rc = main(["fit", "--csv", str(csv_path), "--quality", "acceptability",
+               "--out-dir", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "fits.json").exists()
+
+
+@pytest.fixture(scope="module")
+def toy_sweep(workspace, tmp_path_factory):
+    """A six-strategy sweep of the bigram and a small ffn over the CLI corpus."""
+    root = tmp_path_factory.mktemp("toy_sweep")
+    assert main(
+        [
+            "train", "--manifest", str(workspace["manifest"]), "--backend", "ffn",
+            "--epochs", "1", "--context", "4", "--embed-dim", "8", "--hidden-dim", "16",
+            "--out-dir", str(root / "ffn"),
+        ]
+    ) == 0
+    assert main(
+        [
+            "sweep", "--manifest", str(workspace["manifest"]),
+            "--models", f"ngram={workspace['model']},ffn={root / 'ffn' / 'model.lmek'}",
+            "--strategies", "greedy;beam:3;topk:5;topp:0.9;temperature:1.5;penalized:1.2",
+            "--prefix-len", "5", "--gen-len", "8", "--n-prefixes", "6",
+            "--out-dir", str(root / "sweep"),
+        ]
+    ) == 0
+    return root / "sweep"
+
+
+def _eval_cell(workspace, samples, out):
+    """Every eval quality/diversity value for one samples file, or the failing exit code."""
+    values = {}
+    for kind in ("quality", "diversity"):
+        rc = main(["eval", kind, "--samples", str(samples),
+                   "--manifest", str(workspace["manifest"]), "--out-dir", str(out)])
+        if rc != 0:
+            return rc
+    for report in out.glob("report_*.json"):
+        data = json.loads(report.read_text(encoding="utf-8"))
+        values[data["metric"]] = data["value"]
+    return values
+
+
+def test_eval_reproduces_every_sweep_cell(workspace, toy_sweep, tmp_path):
+    vocab_size = len(json.loads(workspace["manifest"].read_text(encoding="utf-8"))["tokenizer"]["vocab"])
+    records = read_sweep_csv(toy_sweep / "sweep.csv")
+    assert len(records) == 12
+    compared = 0
+    for record in records:
+        samples = toy_sweep / "samples" / f"{cell_key(record.model, record.strategy, record.param)}.jsonl"
+        rows = [json.loads(line) for line in samples.read_text(encoding="utf-8").splitlines()]
+        got = _eval_cell(workspace, samples, tmp_path / samples.stem)
+        if any(i >= vocab_size for row in rows for i in row["continuation_ids"]):
+            # An ffn can emit its pad token, which is outside the corpus vocab.
+            assert record.model == "ffn" and got == 3
+            continue
+        want = dict(record.metrics)
+        if record.model == "ffn":
+            # See test_eval_reverse_ppl_matches_ffn_sweep_cells.
+            del want["reverse_ppl"], got["reverse_ppl"]
+        assert got == want, samples.name
+        compared += 1
+    assert compared >= 10  # all but cells holding a pad id
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sweep fits an ffn cell's reverse-ppl n-gram over the model vocab, which "
+    "adds the pad token; eval only has the manifest vocab",
+)
+def test_eval_reverse_ppl_matches_ffn_sweep_cells(workspace, toy_sweep, tmp_path):
+    record = next(r for r in read_sweep_csv(toy_sweep / "sweep.csv")
+                  if (r.model, r.strategy) == ("ffn", "greedy"))
+    got = _eval_cell(workspace, toy_sweep / "samples" / "ffn__greedy__None.jsonl", tmp_path)
+    assert got["reverse_ppl"] == record.metrics["reverse_ppl"]
+
+
 def test_sweep_rejects_unknown_strategy(workspace, tmp_path):
     rc = main(
         [
@@ -442,3 +546,13 @@ def test_missing_model_file_is_data_error(workspace, tmp_path):
         ]
     )
     assert rc == 3
+
+
+def test_parser_destinations_match_defaults():
+    # _resolve reads only DEFAULTS keys, so a flag without a default would be ignored.
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == set(DEFAULTS)
+    assert len(DEFAULTS) == 7
+    for command, parser in subparsers.choices.items():
+        dests = {a.dest for a in parser._actions} - {"help", "config"}
+        assert dests == set(DEFAULTS[command]), command

@@ -104,23 +104,15 @@ def test_sample_jsonl_has_pinned_keys(tmp_path):
     }
 
 
-def test_load_sample_set_synthesizes_vocab(tmp_path):
-    path = tmp_path / "samples.jsonl"
-    save_sample_set(path, _sample_set())
-    loaded = load_sample_set(path)
-    # placeholder just covers the largest id seen (3 in the continuations)
-    assert loaded.vocab.size == 4
-
-
 def test_load_sample_set_errors(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(DataError):
-        load_sample_set(empty)
+        load_sample_set(empty, VOCAB)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n", encoding="utf-8")
     with pytest.raises(DataError):
-        load_sample_set(bad)
+        load_sample_set(bad, VOCAB)
 
 
 def test_metric_report_keys(tmp_path):

@@ -1,6 +1,4 @@
-import io
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -8,14 +6,12 @@ import pytest
 from genteval.corpus import TokenSequence, Vocab, tokenize
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm import (
-    ExternalLM,
     FeedForwardLM,
     NGramLM,
     load_model,
     ngram_fit,
     perplexity,
     save_model,
-    serve_lines,
     token_prob_trace,
 )
 from genteval.lm.ffn import PAD_TOKEN
@@ -299,43 +295,3 @@ def test_load_rejects_every_truncation_and_a_bad_header(tmp_path, backend):
         load_model(path)
     path.write_bytes(blob)
     assert load_model(path).vocab == model.vocab
-
-
-# --- external adapter ---------------------------------------------------------
-
-
-def test_adapter_score_and_dist_roundtrip():
-    seq, _ = _abab()
-    lm = ngram_fit(seq, order=2, k_s=1.0)
-    ids = seq.ids
-    server_in = io.StringIO(f"SCORE |{' '.join(map(str, ids))}\nDIST 0\nSCORE x|0\n")
-    server_out = io.StringIO()
-    serve_lines(lm, server_in, server_out)
-    replies = server_out.getvalue().splitlines()
-    assert replies[0].startswith("OK ")
-    assert float(replies[0][3:]) == pytest.approx(lm.score(ids))
-    dist = [float(x) for x in replies[1][3:].split()]
-    assert dist == pytest.approx(list(lm.next_dist((0,))))
-    assert replies[2].startswith("ERR ")
-
-
-def test_adapter_spawned_client_matches_local(tmp_path):
-    # Full client/server loop over in-process pipes on a worker thread.
-    seq, vocab = _abab()
-    lm = ngram_fit(seq, order=2, k_s=1.0)
-    c2s_r, c2s_w = _socketpair_files()
-    s2c_r, s2c_w = _socketpair_files()
-    server = threading.Thread(target=serve_lines, args=(lm, c2s_r, s2c_w), daemon=True)
-    server.start()
-    client = ExternalLM(vocab, s2c_r, c2s_w)
-    assert client.score(seq.ids) == pytest.approx(lm.score(seq.ids))
-    np.testing.assert_allclose(client.next_dist((0,)), lm.next_dist((0,)))
-    c2s_w.close()
-    server.join(timeout=5)
-
-
-def _socketpair_files():
-    import socket
-
-    a, b = socket.socketpair()
-    return a.makefile("r"), b.makefile("w")

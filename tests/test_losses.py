@@ -12,7 +12,6 @@ from genteval.lm import FeedForwardLM
 from genteval.losses import (
     AdamState,
     SeqUlConfig,
-    TrainBatch,
     TrainConfig,
     TrainData,
     Trainer,
@@ -359,7 +358,7 @@ def test_seq_ul_config_rejects():
 def test_multitask_step_scalars_and_total():
     model = tiny_model()
     cfg = TrainConfig(objectives=(("mle", 2.0),))
-    batch = TrainBatch(sequences=(seq(0, 1, 2), seq(3, 4)))
+    batch = TrainData(sequences=(seq(0, 1, 2), seq(3, 4)))
     out = multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
     assert set(out) == {"mle", "total"}
     assert out["total"] == pytest.approx(2.0 * out["mle"], abs=1e-12)
@@ -372,7 +371,7 @@ def test_multitask_step_ul_branch_follows_mix_prob():
             objectives=(("ul", 1.0),),
             seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=2, gen_len=3, ngram=2),
         )
-        batch = TrainBatch(sequences=(seq(0, 1, 0, 1),))
+        batch = TrainData(sequences=(seq(0, 1, 0, 1),))
         out = multitask_step(
             model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(1)
         )
@@ -382,7 +381,7 @@ def test_multitask_step_ul_branch_follows_mix_prob():
 def test_multitask_step_missing_data_raises():
     model = tiny_model()
     cfg = TrainConfig(objectives=(("mle", 1.0), ("nsp", 0.5)))
-    batch = TrainBatch(sequences=(seq(0, 1),))
+    batch = TrainData(sequences=(seq(0, 1),))
     with pytest.raises(ConfigError):
         multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
 
