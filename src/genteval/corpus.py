@@ -28,6 +28,7 @@ from .errors import (
     BadOrder,
     ConfigError,
     CorpusTooSmall,
+    DataError,
     EmptyInput,
     InsufficientData,
 )
@@ -389,16 +390,26 @@ def write_ids_file(path: str | Path, sequences: Iterable[Sequence[int]], vocab_s
 
 
 def read_ids_file(path: str | Path) -> tuple[list[list[int]], int]:
+    """Read an ids file; a bad header or id raises DataError naming ``path:line``."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if not header.startswith(IDS_HEADER):
             raise EmptyInput(f"{path}: missing {IDS_HEADER}N header")
-        vocab_size = int(header[len(IDS_HEADER) :])
+        try:
+            vocab_size = int(header[len(IDS_HEADER) :])
+        except ValueError:
+            raise DataError(f"{path}:1: bad vocab size in {header!r}") from None
         sequences = []
-        for line in f:
-            line = line.strip()
-            if line:
-                sequences.append([int(tok) for tok in line.split()])
+        for lineno, line in enumerate(f, start=2):
+            try:
+                ids = [int(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not ids:
+                continue
+            if min(ids) < 0 or max(ids) >= vocab_size:
+                raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
+            sequences.append(ids)
     return sequences, vocab_size
 
 
@@ -419,7 +430,7 @@ def save_splits(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    vocab_size = _tokenizer_vocab_size(tokenizer)
+    vocab_size = vocab_from_manifest({"tokenizer": tokenizer}).size
     for name, fname in _SPLIT_FILES.items():
         part = getattr(splits, name)
         write_ids_file(out / fname, (s.ids for s in part), vocab_size)
@@ -437,12 +448,6 @@ def save_splits(
     return manifest_path
 
 
-def _tokenizer_vocab_size(tokenizer: dict) -> int:
-    if "vocab" in tokenizer:
-        return len(tokenizer["vocab"])
-    return int(tokenizer["vocab_size"])
-
-
 def vocab_from_manifest(manifest: dict) -> Vocab:
     tok = manifest["tokenizer"]
     if "vocab" in tok:
@@ -451,21 +456,27 @@ def vocab_from_manifest(manifest: dict) -> Vocab:
 
 
 def load_splits(manifest_path: str | Path) -> tuple[CorpusSplits, dict]:
+    """Read a manifest and its three ids files; a malformed one raises DataError."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
-    vocab = vocab_from_manifest(manifest)
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        vocab = vocab_from_manifest(manifest)
+        seq_len, ratios = int(manifest["seq_len"]), tuple(manifest["ratios"])
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: bad manifest ({type(exc).__name__}: {exc})") from None
     parts = {}
     for name, fname in _SPLIT_FILES.items():
-        sequences, vocab_size = read_ids_file(manifest_path.parent / fname)
+        path = manifest_path.parent / fname
+        sequences, vocab_size = read_ids_file(path)
         if vocab_size != vocab.size:
-            raise ConfigError(f"{fname}: vocab size {vocab_size} != manifest {vocab.size}")
+            raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {vocab.size}")
         parts[name] = tuple(TokenSequence(tuple(ids), vocab) for ids in sequences)
     splits = CorpusSplits(
         train=parts["train"],
         dev=parts["dev"],
         test=parts["test"],
-        seq_len=int(manifest["seq_len"]),
-        ratios=tuple(manifest["ratios"]),
+        seq_len=seq_len,
+        ratios=ratios,
     )
     return splits, manifest

@@ -1,16 +1,20 @@
 """Command-line front end for the whole toolkit.
 
 Subcommands: ingest, train, generate, eval (quality | diversity |
-consistency | acceptability), sweep, fit, trace. Global
-options ``--config`` (a JSON file of option values), ``--seed``,
-``--out-dir``, and ``--workers`` apply everywhere; any flag given on the
-command line overrides the config file, which overrides the built-in
-default. Exit codes: 0 success, 2 configuration error, 3 data error.
+consistency | acceptability), sweep, fit, trace. Global options
+``--config`` (a JSON file of option values), ``--seed``, ``--out-dir``
+and ``--workers`` (accepted and ignored) apply everywhere. Each option
+is declared once, in the parser, with its built-in default; a config
+file replaces those defaults, and any flag given on the command line
+overrides both.
 
 Config file keys use the flag names with underscores, in one flat
 object shared by all subcommands; keys a subcommand does not use are
-ignored. Artifacts never embed absolute paths or timestamps, so two
-runs from one config produce byte-identical output trees.
+ignored, and a value of an option with a type is read as that type.
+Exit codes: 0 success, 2 configuration error (including usage errors),
+3 data error; a failure prints one line to stderr. Artifacts never embed
+absolute paths or timestamps, so two runs from one config produce
+byte-identical output trees.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 from ..consistency import (
     load_stories,
@@ -74,180 +77,81 @@ from .sweep import (
 
 _STRATEGY_ALIASES = {"temp": "temperature"}
 
-# Built-in defaults per subcommand; a key must appear here for the
-# config file to be allowed to set it.
-_GLOBALS = {"seed": 0, "out_dir": ".", "workers": 1}
-# The metric settings shared by eval and sweep (see sweep.metric_inputs).
-_METRIC_SETTINGS = {
-    "max_n": 4,
-    "subsample": None,
-    "subsample_seed": 0,
-    "fwd_order": 2,
-    "fwd_k_s": 1.0,
-    "rev_order": 2,
-    "rev_k_s": 1.0,
-}
-DEFAULTS: dict[str, dict] = {
-    "ingest": {
-        **_GLOBALS,
-        "input": None,
-        "format": "text",
-        "scheme": "word",
-        "seq_len": 100,
-        "ratios": "0.8,0.1,0.1",
-    },
-    "train": {
-        **_GLOBALS,
-        "manifest": None,
-        "backend": "ffn",
-        "model_out": None,
-        "order": 2,
-        "k_s": 1.0,
-        "context": 8,
-        "embed_dim": 32,
-        "hidden_dim": 64,
-        "epochs": None,
-        "batch_size": None,
-        "learning_rate": None,
-        "margin": None,
-        "objectives": None,
-        "train_config": None,
-        "mix_prob": None,
-        "ul_prefix_len": None,
-        "ul_gen_len": None,
-        "ul_ngram": None,
-        "pairs_text": None,
-        "pairs_count": 200,
-        "labels": None,
-        "doc_len": None,
-    },
-    "generate": {
-        **_GLOBALS,
-        "model": None,
-        "manifest": None,
-        "split": "train",
-        "strategy": "greedy",
-        "b": None,
-        "t": None,
-        "k": None,
-        "p": None,
-        "theta": None,
-        "prefix_len": 50,
-        "gen_len": 100,
-        "n_prefixes": None,
-        "samples_out": None,
-    },
-    "eval": {
-        **_GLOBALS,
-        "kind": None,
-        "samples": None,
-        "manifest": None,
-        "model": None,
-        "triples": None,
-        "stories": None,
-        "sentences": None,
-        "scheme": "word",
-        "alpha": 0.6,
-        "prefix_len": None,
-        "gen_len": None,
-        **_METRIC_SETTINGS,
-    },
-    "sweep": {
-        **_GLOBALS,
-        "manifest": None,
-        "models": None,
-        "strategies": None,
-        "prefix_len": 50,
-        "gen_len": 100,
-        "n_prefixes": None,
-        "metrics": ",".join(METRICS),
-        **_METRIC_SETTINGS,
-    },
-    "fit": {
-        **_GLOBALS,
-        "csv": None,
-        "quality": "corpus_bleu",
-        "diversity": "self_bleu",
-    },
-    "trace": {
-        **_GLOBALS,
-        "model": None,
-        "ids": None,
-        "text": None,
-        "scheme": "word",
-        "context_ids": None,
-        "truncate": None,
-        "trace_out": None,
-    },
-}
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one-line config errors (exit 2)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser(config: dict | None = None, command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI; ``config`` values become the defaults of ``command``'s options."""
+    parser = _Parser(
         prog="genteval",
         description="Evaluate language models on open-ended generation: "
         "quality, diversity, and consistency.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of option values")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--workers", type=int)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out-dir", default=".")
+    common.add_argument("--workers", type=int, default=1, help="ignored; sweep cells run serially")
     metric_settings = argparse.ArgumentParser(add_help=False)
-    metric_settings.add_argument("--max-n", dest="max_n", type=int)
+    metric_settings.add_argument("--max-n", type=int, default=4)
     metric_settings.add_argument("--subsample", type=int)
-    metric_settings.add_argument("--subsample-seed", dest="subsample_seed", type=int)
-    metric_settings.add_argument("--fwd-order", dest="fwd_order", type=int)
-    metric_settings.add_argument("--fwd-k-s", dest="fwd_k_s", type=float)
-    metric_settings.add_argument("--rev-order", dest="rev_order", type=int)
-    metric_settings.add_argument("--rev-k-s", dest="rev_k_s", type=float)
+    metric_settings.add_argument("--subsample-seed", type=int, default=0)
+    metric_settings.add_argument("--fwd-order", type=int, default=2)
+    metric_settings.add_argument("--fwd-k-s", type=float, default=1.0)
+    metric_settings.add_argument("--rev-order", type=int, default=2)
+    metric_settings.add_argument("--rev-k-s", type=float, default=1.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", parents=[common], help="tokenize and split a corpus")
     p.add_argument("--input")
-    p.add_argument("--format", choices=("text", "ids"))
-    p.add_argument("--scheme", choices=("word", "char"))
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--ratios", help="train,dev,test fractions, e.g. 0.8,0.1,0.1")
+    p.add_argument("--format", choices=("text", "ids"), default="text")
+    p.add_argument("--scheme", choices=("word", "char"), default="word")
+    p.add_argument("--seq-len", type=int, default=100)
+    p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test fractions")
 
     p = sub.add_parser("train", parents=[common], help="train an n-gram or feed-forward LM")
     p.add_argument("--manifest")
-    p.add_argument("--backend", choices=("ffn", "ngram"))
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--order", type=int, help="n-gram order")
-    p.add_argument("--k-s", dest="k_s", type=float, help="n-gram add-k smoothing")
-    p.add_argument("--context", type=int, help="ffn window size")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+    p.add_argument("--backend", choices=("ffn", "ngram"), default="ffn")
+    p.add_argument("--model-out")
+    p.add_argument("--order", type=int, default=2, help="n-gram order")
+    p.add_argument("--k-s", type=float, default=1.0, help="n-gram add-k smoothing")
+    p.add_argument("--context", type=int, default=8, help="ffn window size")
+    p.add_argument("--embed-dim", type=int, default=32)
+    p.add_argument("--hidden-dim", type=int, default=64)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--margin", type=float)
     p.add_argument("--objectives", help='e.g. "mle:1.0,ul:0.5"')
-    p.add_argument("--train-config", dest="train_config", help="TrainConfig JSON file")
-    p.add_argument("--mix-prob", dest="mix_prob", type=float)
-    p.add_argument("--ul-prefix-len", dest="ul_prefix_len", type=int)
-    p.add_argument("--ul-gen-len", dest="ul_gen_len", type=int)
-    p.add_argument("--ul-ngram", dest="ul_ngram", type=int)
-    p.add_argument("--pairs-text", dest="pairs_text", help="raw text for nsp/sop pairs")
-    p.add_argument("--pairs-count", dest="pairs_count", type=int)
+    p.add_argument("--train-config", help="TrainConfig JSON file")
+    p.add_argument("--mix-prob", type=float)
+    p.add_argument("--ul-prefix-len", type=int)
+    p.add_argument("--ul-gen-len", type=int)
+    p.add_argument("--ul-ngram", type=int)
+    p.add_argument("--pairs-text", help="raw text for nsp/sop pairs")
+    p.add_argument("--pairs-count", type=int, default=200)
     p.add_argument("--labels", help="TSV label file for pos/dp")
-    p.add_argument("--doc-len", dest="doc_len", type=int, help="tf-idf document length")
+    p.add_argument("--doc-len", type=int, help="tf-idf document length")
 
     p = sub.add_parser("generate", parents=[common], help="decode continuations into a sample file")
     p.add_argument("--model")
     p.add_argument("--manifest")
-    p.add_argument("--split", choices=("train", "dev", "test"))
-    p.add_argument("--strategy")
+    p.add_argument("--split", choices=("train", "dev", "test"), default="train")
+    p.add_argument("--strategy", default="greedy")
     p.add_argument("--b", type=int)
     p.add_argument("--t", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--prefix-len", dest="prefix_len", type=int)
-    p.add_argument("--gen-len", dest="gen_len", type=int)
-    p.add_argument("--n-prefixes", dest="n_prefixes", type=int)
-    p.add_argument("--samples-out", dest="samples_out")
+    p.add_argument("--prefix-len", type=int, default=50)
+    p.add_argument("--gen-len", type=int, default=100)
+    p.add_argument("--n-prefixes", type=int)
+    p.add_argument("--samples-out")
 
     p = sub.add_parser("eval", parents=[common, metric_settings], help="score samples or datasets")
     p.add_argument("kind", choices=("quality", "diversity", "consistency", "acceptability"))
@@ -257,10 +161,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples")
     p.add_argument("--stories")
     p.add_argument("--sentences", help="file of sentences for acceptability, one per line")
-    p.add_argument("--scheme", choices=("word", "char"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--prefix-len", dest="prefix_len", type=int)
-    p.add_argument("--gen-len", dest="gen_len", type=int)
+    p.add_argument("--scheme", choices=("word", "char"), default="word")
+    p.add_argument("--alpha", type=float, default=0.6)
+    p.add_argument("--prefix-len", type=int)
+    p.add_argument("--gen-len", type=int)
 
     p = sub.add_parser(
         "sweep", parents=[common, metric_settings], help="run the model x strategy x param grid"
@@ -268,78 +172,92 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--models", help='e.g. "mle=out/mle.lmek,ul=out/ul.lmek"')
     p.add_argument("--strategies", help='e.g. "greedy;topp:0.2,0.9;topk:2,10"')
-    p.add_argument("--prefix-len", dest="prefix_len", type=int)
-    p.add_argument("--gen-len", dest="gen_len", type=int)
-    p.add_argument("--n-prefixes", dest="n_prefixes", type=int)
-    p.add_argument("--metrics")
+    p.add_argument("--prefix-len", type=int, default=50)
+    p.add_argument("--gen-len", type=int, default=100)
+    p.add_argument("--n-prefixes", type=int)
+    p.add_argument("--metrics", default=",".join(METRICS))
 
     p = sub.add_parser("fit", parents=[common], help="fit the quality-diversity trade-off curves")
     p.add_argument("--csv", help="sweep.csv from a finished sweep")
-    p.add_argument("--quality")
-    p.add_argument("--diversity")
+    p.add_argument("--quality", default="corpus_bleu")
+    p.add_argument("--diversity", default="self_bleu")
 
     p = sub.add_parser("trace", parents=[common], help="per-token probability trace as CSV")
     p.add_argument("--model")
     p.add_argument("--ids", help='space-separated token ids, e.g. "4 1 7"')
     p.add_argument("--text", help="text to encode with --scheme against the model vocab")
-    p.add_argument("--scheme", choices=("word", "char"))
-    p.add_argument("--context-ids", dest="context_ids")
+    p.add_argument("--scheme", choices=("word", "char"), default="word")
+    p.add_argument("--context-ids")
     p.add_argument("--truncate", help='"topk:K" or "topp:P"')
-    p.add_argument("--trace-out", dest="trace_out")
+    p.add_argument("--trace-out")
 
+    if config:
+        p = sub.choices[command]
+        p.set_defaults(**{
+            a.dest: _config_value(a, config[a.dest])
+            for a in p._actions
+            if a.option_strings and a.dest in config and a.dest not in ("help", "config")
+        })
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_value(action: argparse.Action, value):
+    """A config value of an option with a type, as the text of its flag: argparse converts it."""
+    return value if action.type is None or value is None else str(value)
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Flags over the ``--config`` file over the built-in defaults."""
+    args = _build_parser().parse_args(argv)
+    if args.config is not None:
+        args = _build_parser(_load_config(args.config), args.command).parse_args(argv)
+    return args
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, command: str) -> SimpleNamespace:
-    """Merge per-key: CLI flag > config file > built-in default."""
-    merged = {}
-    for key, default in DEFAULTS[command].items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        merged[key] = value
-    return SimpleNamespace(**merged)
-
-
-def _require(opt: SimpleNamespace, *names: str) -> None:
+def _require(opt: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(opt, name) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
-def _out_dir(opt: SimpleNamespace) -> Path:
+def _out_dir(opt: argparse.Namespace) -> Path:
     out = Path(opt.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
+def _option_parser(parse):
+    """Make a malformed value (not a number, a string or a list of pairs) a config error."""
+
+    def wrapped(raw):
+        try:
+            return parse(raw)
+        except (AttributeError, TypeError, ValueError):
+            raise ConfigError(f"malformed option value {raw!r}") from None
+
+    return wrapped
+
+
+@_option_parser
+def _parse_ratios(text: str) -> tuple[float, ...]:
     parts = text.split(",") if isinstance(text, str) else list(text)
-    if len(parts) != 3:
-        raise ConfigError("ratios must be three comma-separated numbers")
     return tuple(float(x) for x in parts)
 
 
+@_option_parser
 def _parse_id_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"bad id list {text!r}") from None
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
 def _strategy_name(name: str) -> str:
@@ -349,21 +267,12 @@ def _strategy_name(name: str) -> str:
     return name
 
 
+@_option_parser
 def _parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
     """Accept "greedy;topp:0.2,0.9" or the equivalent list-of-pairs."""
     if isinstance(raw, str):
-        out = []
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, params = part.partition(":")
-            name = _strategy_name(name.strip())
-            if not params:
-                out.append((name, (None,)))
-            else:
-                out.append((name, tuple(param_value(name, x) for x in params.split(","))))
-        return tuple(out)
+        parts = [p.strip().partition(":") for p in raw.split(";") if p.strip()]
+        raw = [(name.strip(), params.split(",") if params else [None]) for name, _, params in parts]
     out = []
     for name, params in raw:
         name = _strategy_name(name)
@@ -371,6 +280,7 @@ def _parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
     return tuple(out)
 
 
+@_option_parser
 def _parse_models(raw) -> dict[str, str]:
     """Accept "name=path,..." / "path,..." or a dict / list from config."""
     if isinstance(raw, dict):
@@ -391,6 +301,7 @@ def _parse_models(raw) -> dict[str, str]:
     return mapping
 
 
+@_option_parser
 def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
     if not isinstance(raw, str):
         return tuple((kind, float(w)) for kind, w in raw)
@@ -416,7 +327,7 @@ def _manifest_scheme(manifest: dict) -> tuple[str, Vocab]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ingest(opt: SimpleNamespace) -> int:
+def _cmd_ingest(opt: argparse.Namespace) -> int:
     _require(opt, "input")
     out = _out_dir(opt)
     if opt.format == "ids":
@@ -438,7 +349,7 @@ def _cmd_ingest(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _build_train_config(opt: SimpleNamespace) -> TrainConfig:
+def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
     base = TrainConfig.from_json(opt.train_config) if opt.train_config else TrainConfig()
     objectives = _parse_objectives(opt.objectives) if opt.objectives is not None else None
     ul_overrides = {
@@ -520,7 +431,7 @@ def _label_items(opt, scheme: str, vocab: Vocab):
     return tuple(items), len(table)
 
 
-def _cmd_train(opt: SimpleNamespace) -> int:
+def _cmd_train(opt: argparse.Namespace) -> int:
     _require(opt, "manifest")
     out = _out_dir(opt)
     splits, manifest = load_splits(opt.manifest)
@@ -569,7 +480,7 @@ def _cmd_train(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_generate(opt: SimpleNamespace) -> int:
+def _cmd_generate(opt: argparse.Namespace) -> int:
     _require(opt, "model", "manifest")
     out = _out_dir(opt)
     model = load_model(opt.model)
@@ -599,7 +510,7 @@ def _cmd_generate(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _eval_metrics(opt: SimpleNamespace, out: Path) -> int:
+def _eval_metrics(opt: argparse.Namespace, out: Path) -> int:
     """Report every metric of kind ``opt.kind`` through the sweep's table."""
     _require(opt, "samples", "manifest")
     splits, manifest = load_splits(opt.manifest)
@@ -628,7 +539,7 @@ def _eval_metrics(opt: SimpleNamespace, out: Path) -> int:
     return 0
 
 
-def _cmd_eval(opt: SimpleNamespace) -> int:
+def _cmd_eval(opt: argparse.Namespace) -> int:
     out = _out_dir(opt)
     if opt.kind in ("quality", "diversity"):
         return _eval_metrics(opt, out)
@@ -691,7 +602,7 @@ def _cmd_eval(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_sweep(opt: SimpleNamespace) -> int:
+def _cmd_sweep(opt: argparse.Namespace) -> int:
     _require(opt, "manifest", "models", "strategies")
     out = _out_dir(opt)
     splits, _ = load_splits(opt.manifest)
@@ -715,7 +626,7 @@ def _cmd_sweep(opt: SimpleNamespace) -> int:
         fwd_order=opt.fwd_order,
         fwd_k_s=opt.fwd_k_s,
     )
-    records = run_sweep(cfg, splits, out, models=mapping, workers=opt.workers)
+    records = run_sweep(cfg, splits, out, models=mapping)
     failed = [r for r in records if r.failed]
     print(f"sweep: {len(records)} cells, {len(failed)} failed -> {out / 'sweep.csv'}")
     for r in failed:
@@ -723,7 +634,7 @@ def _cmd_sweep(opt: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_fit(opt: SimpleNamespace) -> int:
+def _cmd_fit(opt: argparse.Namespace) -> int:
     _require(opt, "csv")
     out = _out_dir(opt)
     records = read_sweep_csv(opt.csv)
@@ -738,6 +649,7 @@ def _cmd_fit(opt: SimpleNamespace) -> int:
     return 0
 
 
+@_option_parser
 def _parse_truncation(raw: str | None) -> tuple[str, float] | None:
     if raw is None:
         return None
@@ -747,7 +659,7 @@ def _parse_truncation(raw: str | None) -> tuple[str, float] | None:
     return (mode, int(value) if mode == "topk" else float(value))
 
 
-def _cmd_trace(opt: SimpleNamespace) -> int:
+def _cmd_trace(opt: argparse.Namespace) -> int:
     _require(opt, "model")
     out = _out_dir(opt)
     model = load_model(opt.model)
@@ -785,21 +697,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        opt = _resolve(args, config, args.command)
-        return _COMMANDS[args.command](opt)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        return _fail("config error", exc, 2)
+    except (DataError, OSError, UnicodeDecodeError) as exc:
+        return _fail("data error", exc, 3)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report ``exc`` on one stderr line, even when its text quotes a newline."""
+    print(f"{kind}: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,12 +3,11 @@
 A sweep is a grid of (model, strategy, parameter) cells. Each cell
 decodes one continuation per prefix (all prefixes of the cell in one
 lockstep batch), persists them, computes the configured metrics, and
-emits one SweepRecord. Cells are independent:
-the seed for sample i of a cell is ``seed XOR stable_hash(model |
-strategy | param | i)``, so records do not depend on execution order
-and a bounded worker pool can run cells in parallel without changing
-any output. A failed cell is recorded with its error and the sweep
-moves on.
+emits one SweepRecord. Cells run one after another, in grid order,
+and are independent: the seed for sample i of a cell is ``seed XOR
+stable_hash(model | strategy | param | i)``, so a record does not depend
+on which cells ran before it. A failed cell is recorded with its error
+and the sweep moves on.
 
 Re-running a sweep recomputes only missing or stale cells: every record
 stores a hash of the cell configuration plus a digest of its samples
@@ -22,14 +21,13 @@ import hashlib
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 from ..corpus import CorpusSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
-from ..errors import ConfigError, DegenerateFit
+from ..errors import ConfigError, DataError, DegenerateFit
 from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
@@ -201,22 +199,7 @@ class SweepRecord:
     samples_sha256: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "strategy": self.strategy,
-            "param": self.param,
-            "n_samples": self.n_samples,
-            "metrics": self.metrics,
-            "seed": self.seed,
-            "failed": self.failed,
-            "config_hash": self.config_hash,
-            "samples_file": self.samples_file,
-            "samples_sha256": self.samples_sha256,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SweepRecord":
-        return cls(**data)
+        return asdict(self)
 
 
 def cell_key(model: str, strategy: str, param) -> str:
@@ -307,7 +290,6 @@ def run_sweep(
     splits: CorpusSplits,
     out_dir: str | Path,
     models: dict[str, object] | None = None,
-    workers: int = 1,
 ) -> list[SweepRecord]:
     """Run every cell of the grid, returning records in grid order.
 
@@ -330,15 +312,16 @@ def run_sweep(
     inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     loaded, load_errors = _resolve_models(cfg, models)
 
-    def run_cell(cell):
-        model_name, strategy, param = cell
+    records = []
+    for model_name, strategy, param in cells:
         digest = _config_digest(cfg, model_name, strategy, param, len(prefixes))
         key = cell_key(model_name, strategy, param)
         record_path = out / "records" / f"{key}.json"
         samples_path = out / "samples" / f"{key}.jsonl"
         reused = _try_reuse(record_path, samples_path, digest)
         if reused is not None:
-            return reused
+            records.append(reused)
+            continue
         try:
             if model_name in load_errors:
                 raise ConfigError(load_errors[model_name])
@@ -363,13 +346,7 @@ def run_sweep(
         with open(record_path, "w", encoding="utf-8") as f:
             json.dump(record.to_json(), f, sort_keys=True, indent=2)
             f.write("\n")
-        return record
-
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(c) for c in cells]
+        records.append(record)
     write_sweep_csv(out / "sweep.csv", records)
     return records
 
@@ -379,8 +356,8 @@ def _try_reuse(record_path: Path, samples_path: Path, digest: str) -> SweepRecor
         return None
     try:
         with open(record_path, encoding="utf-8") as f:
-            record = SweepRecord.from_json(json.load(f))
-    except (json.JSONDecodeError, TypeError):
+            record = SweepRecord(**json.load(f))
+    except (TypeError, ValueError):  # not JSON, not UTF-8, or not a record
         return None
     if record.config_hash != digest:
         return None
@@ -450,25 +427,28 @@ def write_sweep_csv(path: str | Path, records: list[SweepRecord]) -> None:
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
+    """Read a sweep CSV; a cell that does not parse raises DataError naming ``path:line``."""
     records = []
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ConfigError(f"{path}: unexpected sweep CSV columns")
-        for row in reader:
-            if row["schema"] != SCHEMA_TAG:
-                raise ConfigError(f"{path}: unknown schema tag {row['schema']!r}")
-            metrics = {name: float(row[name]) if row[name] else None for name in METRICS}
-            records.append(
-                SweepRecord(
-                    model=row["model"],
-                    strategy=row["strategy"],
-                    param=param_value(row["strategy"], row["param"] or None),
-                    n_samples=int(row["n_samples"]),
-                    metrics=metrics,
-                    seed=int(row["seed"]),
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+                raise ConfigError(f"{path}: unexpected sweep CSV columns")
+            for row in reader:
+                if row["schema"] != SCHEMA_TAG:
+                    raise ConfigError(f"{path}: unknown schema tag {row['schema']!r}")
+                records.append(
+                    SweepRecord(
+                        model=row["model"],
+                        strategy=row["strategy"],
+                        param=param_value(row["strategy"], row["param"] or None),
+                        n_samples=int(row["n_samples"]),
+                        metrics={name: float(row[name]) if row[name] else None for name in METRICS},
+                        seed=int(row["seed"]),
+                    )
                 )
-            )
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return records
 
 

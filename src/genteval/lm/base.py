@@ -23,13 +23,7 @@ row's position. The n-gram's rows are bit-identical; the ffn's matrix
 products are not batch-invariant (about 1e-19 absolute on probabilities
 near 1e-4 at |V| = 5000). A decode is therefore a function of the batch
 it ran in, which is why ``genteval generate`` and a sweep cell decode
-the same prefixes in the same batches, and why neither depends on the
-worker count.
-
-Fitted models are immutable: concurrent read-only scoring is safe,
-training is single-writer. The n-gram's per-order continuation rows,
-built on first use, are a write-once cache; threads that race to build
-one store equal rows, so this stays true.
+the same prefixes in the same batches.
 """
 
 from __future__ import annotations

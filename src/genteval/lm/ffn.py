@@ -49,6 +49,37 @@ def _uniform(rng: SplitMix64, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def param_shapes(
+    vocab_size: int,
+    context: int,
+    embed_dim: int,
+    hidden_dim: int,
+    n_labels: int = 0,
+    regression: bool = False,
+) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor, in the order init fills them.
+
+    ``vocab_size`` counts the pad token. Weights draw from the seeded
+    stream in this order; biases (the ``b*`` tensors) start at zero.
+    """
+    if min(context, embed_dim, hidden_dim) < 1:
+        raise ConfigError("context, embed_dim and hidden_dim must be positive")
+    if n_labels < 0:
+        raise ConfigError("n_labels must be non-negative")
+    shapes = {
+        "emb": (vocab_size, embed_dim),
+        "w1": (hidden_dim, context * embed_dim),
+        "b1": (hidden_dim,),
+        "w2": (vocab_size, hidden_dim),
+        "b2": (vocab_size,),
+    }
+    if regression:
+        shapes.update(wr=(hidden_dim,), br=())
+    if n_labels:
+        shapes.update(wc=(n_labels, hidden_dim), bc=(n_labels,))
+    return shapes
+
+
 @dataclass
 class FfnCache:
     """Intermediates for one batch of context windows."""
@@ -104,30 +135,17 @@ class FeedForwardLM:
         order (embedding, hidden, output, regression head,
         classification head), so identical seeds give identical models.
         """
-        if min(context, embed_dim, hidden_dim) < 1:
-            raise ConfigError("context, embed_dim and hidden_dim must be positive")
-        if n_labels < 0:
-            raise ConfigError("n_labels must be non-negative")
         if PAD_TOKEN in vocab:
             padded, pad_id = vocab, vocab.id_of(PAD_TOKEN)
         else:
             padded = Vocab(vocab.tokens + (PAD_TOKEN,))
             pad_id = padded.size - 1
+        shapes = param_shapes(padded.size, context, embed_dim, hidden_dim, n_labels, regression)
         rng = SplitMix64(seed)
-        v = padded.size
         params = {
-            "emb": _uniform(rng, (v, embed_dim)),
-            "w1": _uniform(rng, (hidden_dim, context * embed_dim)),
-            "b1": np.zeros(hidden_dim),
-            "w2": _uniform(rng, (v, hidden_dim)),
-            "b2": np.zeros(v),
+            name: np.zeros(shape) if name.startswith("b") else _uniform(rng, shape)
+            for name, shape in shapes.items()
         }
-        if regression:
-            params["wr"] = _uniform(rng, (hidden_dim,))
-            params["br"] = np.zeros(())
-        if n_labels:
-            params["wc"] = _uniform(rng, (n_labels, hidden_dim))
-            params["bc"] = np.zeros(n_labels)
         return cls(
             padded, context, embed_dim, hidden_dim, params, pad_id,
             n_labels=n_labels, regression=regression,

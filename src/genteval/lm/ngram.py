@@ -17,8 +17,7 @@ CSR-style row index (context -> slice of flat next-id and count arrays),
 so one call costs O(|V|) numpy work plus O(observed continuations). The
 index of an order is built on the first ``next_dist`` that answers from
 it, never at fit or load time: models fitted only for scoring (reverse
-perplexity) never pay for it. It is a write-once cache; two threads
-racing to build it store equal rows.
+perplexity) never pay for it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ for any count below 2**53.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..corpus import Vocab
 from ..errors import ConfigError, DataError
-from .ffn import FeedForwardLM
+from .ffn import FeedForwardLM, param_shapes
 from .ngram import NGramLM
 
 MAGIC = b"LMEK1"
@@ -68,10 +69,10 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    """Read a model file; a truncated or malformed one raises DataError."""
+    """Read a model file; a truncated, malformed or foreign one raises DataError."""
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
-        raise ConfigError(f"{path}: not a model file (bad magic)")
+        raise DataError(f"{path}: not a model file (bad magic)")
     head_start = len(MAGIC) + 8
     if len(blob) < head_start:
         raise DataError(f"{path}: truncated model file")
@@ -86,49 +87,67 @@ def load_model(path: str | Path):
     if (len(blob) - body_start) % 8:
         raise DataError(f"{path}: truncated model payload")
     payload = np.frombuffer(blob, dtype="<f8", offset=body_start)
+    if not np.isfinite(payload).all():
+        raise DataError(f"{path}: model payload holds a non-finite value")
     try:
         return _decode(header, payload, path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
 
 
 def _decode(header: dict, payload: np.ndarray, path):
     vocab = Vocab(header["vocab"])
     if header["backend"] == "ffn":
+        hyper = {k: int(header[k]) for k in ("context", "embed_dim", "hidden_dim", "n_labels")}
+        regression = bool(header["regression"])
+        shapes = param_shapes(vocab.size, regression=regression, **hyper)
+        names = sorted(shapes)
+        if header["tensors"] != [[n, list(shapes[n])] for n in names]:
+            raise DataError(f"{path}: tensor shapes do not fit the model header")
+        pad_id = int(header["pad_id"])
+        if not 0 <= pad_id < vocab.size:
+            raise DataError(f"{path}: pad id {pad_id} outside the vocab")
         params = {}
         pos = 0
-        for name, shape in header["tensors"]:
-            size = int(np.prod(shape)) if shape else 1
+        for name in names:
+            size = math.prod(shapes[name])
             _need(payload, pos + size, path)
-            params[name] = payload[pos : pos + size].reshape(shape).copy()
+            params[name] = payload[pos : pos + size].reshape(shapes[name]).copy()
             pos += size
-        return FeedForwardLM(
-            vocab,
-            context=int(header["context"]),
-            embed_dim=int(header["embed_dim"]),
-            hidden_dim=int(header["hidden_dim"]),
-            params=params,
-            pad_id=int(header["pad_id"]),
-            n_labels=int(header["n_labels"]),
-            regression=bool(header["regression"]),
+        model = FeedForwardLM(
+            vocab, params=params, pad_id=pad_id, regression=regression, **hyper
         )
-    if header["backend"] == "ngram":
+    elif header["backend"] == "ngram":
         order = int(header["order"])
         counts: dict[int, dict[tuple[int, ...], int]] = {}
         pos = 0
         for o in range(1, order + 1):
             _need(payload, pos + 1, path)
             n_entries = int(payload[pos])
+            if n_entries < 0 or n_entries != payload[pos]:
+                raise DataError(f"{path}: bad order-{o} n-gram count {payload[pos]!r}")
             pos += 1
             end = pos + n_entries * (o + 1)
             _need(payload, end, path)
             # One record per gram: its o ids, then its count, all stored
             # as integral float64 values that int64 holds exactly.
-            records = payload[pos:end].reshape(n_entries, o + 1).astype(np.int64)
+            records = payload[pos:end].reshape(n_entries, o + 1)
+            grams, cnt = records[:, :o], records[:, o]
+            if not (
+                (records == np.floor(records)).all()
+                and ((grams >= 0) & (grams < vocab.size)).all()
+                and ((cnt >= 1) & (cnt <= 2**53)).all()
+            ):
+                raise DataError(f"{path}: an order-{o} n-gram record is not ids and a count")
+            records = records.astype(np.int64)
             counts[o] = dict(zip(map(tuple, records[:, :o].tolist()), records[:, o].tolist()))
             pos = end
-        return NGramLM(vocab, order, float(header["k_s"]), counts)
-    raise ConfigError(f"{path}: unknown backend {header['backend']!r}")
+        model = NGramLM(vocab, order, float(header["k_s"]), counts)
+    else:
+        raise DataError(f"{path}: unknown backend {header['backend']!r}")
+    if pos != payload.size:
+        raise DataError(f"{path}: model payload holds {payload.size} values, uses {pos}")
+    return model
 
 
 def _need(payload: np.ndarray, size: int, path) -> None:

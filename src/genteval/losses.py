@@ -314,12 +314,13 @@ def load_label_file(path: str | Path) -> list[list[tuple[str, str, int | None]]]
                     current = []
                 continue
             parts = line.split("\t")
-            if len(parts) == 2:
-                current.append((parts[0], parts[1], None))
-            elif len(parts) == 3:
-                current.append((parts[0], parts[1], int(parts[2])))
-            else:
+            if len(parts) not in (2, 3):
                 raise DataError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+            try:
+                head = int(parts[2]) if len(parts) == 3 else None
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: head {parts[2]!r} is not an integer") from None
+            current.append((parts[0], parts[1], head))
     if current:
         sentences.append(current)
     if not sentences:
@@ -418,8 +419,12 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        """Read a config file; bad JSON, an unknown key or a mistyped value is a ConfigError."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_dict(json.load(f))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad train config ({type(exc).__name__}: {exc})") from None
 
     def override(self, **kwargs) -> "TrainConfig":
         """Replace fields with any non-None keyword values (CLI flags win)."""

@@ -1,12 +1,17 @@
 """End-to-end command-line runs, exercised in process via main()."""
 
+import contextlib
+import io
 import json
 import math
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from genteval.corpus import write_ids_file
-from genteval.harness.cli import DEFAULTS, _build_parser, main
+from genteval.harness.cli import _build_parser, _parse_args, main
 from genteval.harness.sweep import SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
 from toytext import make_text
 
@@ -548,11 +553,289 @@ def test_missing_model_file_is_data_error(workspace, tmp_path):
     assert rc == 3
 
 
-def test_parser_destinations_match_defaults():
-    # _resolve reads only DEFAULTS keys, so a flag without a default would be ignored.
+def _config_and_flag_values(action):
+    """Two values for one option, the first unlike its default: (config value, flag text, flag value)."""
+    if action.choices:
+        config = next(c for c in action.choices if c != action.default)
+        flag = next(c for c in action.choices if c != config)
+        return config, flag, flag
+    if action.type is int:
+        return 7, "9", 9
+    if action.type is float:
+        return 0.25, "0.75", 0.75
+    return "from-config", "from-flag", "from-flag"
+
+
+def test_config_sets_every_option_and_flags_win(tmp_path):
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
-    assert set(subparsers.choices) == set(DEFAULTS)
-    assert len(DEFAULTS) == 7
+    assert len(subparsers.choices) == 7
     for command, parser in subparsers.choices.items():
-        dests = {a.dest for a in parser._actions} - {"help", "config"}
-        assert dests == set(DEFAULTS[command]), command
+        head = [command, "quality"] if command == "eval" else [command]
+        options = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+        assert options, command
+        values = {a.dest: _config_and_flag_values(a) for a in options}
+        config = tmp_path / f"{command}.json"
+        config.write_text(
+            json.dumps({"not_an_option": 1, **{k: v[0] for k, v in values.items()}}), encoding="utf-8"
+        )
+        defaults = vars(_parse_args(head))
+        from_config = vars(_parse_args([*head, "--config", str(config)]))
+        flags = [x for a in options for x in (a.option_strings[0], values[a.dest][1])]
+        from_flags = vars(_parse_args([*head, "--config", str(config), *flags]))
+        for a in options:
+            assert defaults[a.dest] == a.default, (command, a.dest)
+            assert from_config[a.dest] == values[a.dest][0], (command, a.dest)
+            assert from_flags[a.dest] == values[a.dest][2], (command, a.dest)
+        assert "not_an_option" not in from_config
+
+
+def test_sweep_output_does_not_depend_on_workers(workspace, tmp_path):
+    # --workers is accepted and ignored: cells always run one after another.
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    for workers in ("1", "4"):
+        assert main(
+            [
+                "sweep", "--manifest", str(workspace["manifest"]),
+                "--models", f"m1={workspace['model']},m2={workspace['model']}",
+                "--strategies", "greedy;topk:2,5;topp:0.9", "--metrics", "self_bleu,seq_rep_4",
+                "--prefix-len", "5", "--gen-len", "6", "--n-prefixes", "4",
+                "--workers", workers, "--out-dir", str(tmp_path / workers),
+            ]
+        ) == 0
+    serial = tree(tmp_path / "1")
+    assert len(serial) == 2 * 2 * 4 + 1
+    assert serial == tree(tmp_path / "4")
+
+
+def _fails_with_one_line(capsys, argv, code):
+    capsys.readouterr()
+    rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    prefix = {2: "config error: ", 3: "data error: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["ingest", "--seq-len", "abc"], None, "argument --seq-len: invalid int value: 'abc'"),
+        (["ingest", "--format", "xml"], None, "argument --format: invalid choice"),
+        (["ingest", "--no-such-flag"], None, "unrecognized arguments"),
+        (["no-such-command"], None, "invalid choice"),
+        ([], None, "required"),
+        (["eval"], None, "required"),
+        (["ingest"], {"seq_len": "abc"}, "argument --seq-len: invalid int value: 'abc'"),
+        (["ingest"], {"seq_len": [1]}, "argument --seq-len: invalid int value: '[1]'"),
+        (["ingest"], {"seq_len": 2.5}, "argument --seq-len: invalid int value: '2.5'"),
+        (["ingest"], {"seq_len": True}, "argument --seq-len: invalid int value: 'True'"),
+        (["eval", "quality"], {"alpha": {}}, "argument --alpha: invalid float value: '{}'"),
+        (["ingest"], b'{"input": "\xff"}', "cannot read config file"),
+        (["ingest", "--input", "{text}", "--ratios", "0.8,x,0.1", "--out-dir", "{out}"], None,
+         "malformed option value"),
+        (["train", "--manifest", "{manifest}", "--objectives", "mle:x", "--out-dir", "{out}"], None,
+         "malformed option value"),
+        (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--strategies", "topk:two",
+          "--out-dir", "{out}"], None, "malformed option value"),
+        (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--out-dir", "{out}"],
+         {"strategies": 5}, "malformed option value 5"),
+        (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", "topp:x", "--out-dir", "{out}"],
+         None, "malformed option value"),
+    ],
+)
+def test_usage_errors_are_one_line_config_errors(workspace, tmp_path, capsys, argv, config, message):
+    argv = [a.format(out=tmp_path, **workspace) for a in argv]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv += ["--config", str(path)]
+    assert message in _fails_with_one_line(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "content", ["{oops", '{"nope": 1}', '{"epochs": "x"}', "[1, 2]", '{"seq_ul": {"a\\nb": 1}}']
+)
+def test_bad_train_config_is_one_line_config_error(workspace, tmp_path, capsys, content):
+    path = tmp_path / "train.json"
+    path.write_text(content, encoding="utf-8")
+    argv = ["train", "--manifest", workspace["manifest"], "--train-config", path, "--out-dir", tmp_path]
+    assert str(path) in _fails_with_one_line(capsys, argv, 2)
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: exit 2 or 3 with one line, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, where",
+    [
+        ("manifest-not-json", "manifest.json:"),
+        ("manifest-without-tokenizer", "manifest.json:"),
+        ("id-not-integer", "train.ids.txt:3:"),
+        ("id-outside-vocab", "train.ids.txt:2:"),
+        ("vocab-size-disagrees", "train.ids.txt:1:"),
+    ],
+)
+def test_malformed_splits_are_data_errors(workspace, tmp_path, capsys, case, where):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    manifest, ids = data / "manifest.json", data / "train.ids.txt"
+    lines = ids.read_text(encoding="utf-8").splitlines()
+    vocab_size = int(lines[0].split("=")[1])
+    if case == "manifest-not-json":
+        manifest.write_text("{oops", encoding="utf-8")
+    elif case == "manifest-without-tokenizer":
+        content = json.loads(manifest.read_text(encoding="utf-8"))
+        del content["tokenizer"]
+        manifest.write_text(json.dumps(content), encoding="utf-8")
+    else:
+        if case == "id-not-integer":
+            lines[2] += " x"
+        elif case == "id-outside-vocab":
+            lines[1] += f" {vocab_size}"
+        else:
+            lines[0] = f"#vocab_size={vocab_size + 1}"
+        ids.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["train", "--manifest", manifest, "--backend", "ngram", "--out-dir", tmp_path / "out"]
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert f"{data / where}" in err
+    assert not (tmp_path / "out" / "model.lmek").exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["bad-magic", "label-head", "csv-cell", "samples-utf8", "sentences-utf8", "triples-utf8",
+     "stories-utf8", "labels-utf8"],
+)
+def test_malformed_reader_inputs_are_data_errors(workspace, tmp_path, capsys, case):
+    model, manifest, out = workspace["model"], workspace["manifest"], tmp_path / "out"
+    path = tmp_path / "input"
+    train_pos = ["train", "--manifest", manifest, "--backend", "ffn", "--objectives", "pos:1.0",
+                 "--labels", path, "--epochs", "1", "--out-dir", out]
+    where = f"{path}:"
+    if case == "bad-magic":
+        path.write_bytes(b"NOTAMODEL")
+        argv = ["trace", "--model", path, "--ids", "0", "--out-dir", out]
+    elif case == "label-head":
+        path.write_text("the\tDET\t0\ncat\tNOUN\tx\n", encoding="utf-8")
+        argv, where = train_pos, f"{path}:2:"
+    elif case == "csv-cell":
+        write_sweep_csv(path, [SweepRecord("m", "topk", 2, 3, {"corpus_bleu": 0.5}, 0)])
+        path.write_text(path.read_text(encoding="utf-8").replace("0.5", "abc"), encoding="utf-8")
+        argv, where = ["fit", "--csv", path, "--out-dir", out], f"{path}:2:"
+    else:
+        kind = case.split("-")[0]
+        good = {"samples": json.dumps(_GOOD_ROW), "sentences": "the cat sat",
+                "triples": "the cat sat.\tthe dog ran\tthe sun sat",
+                "stories": "\t".join(["the cat sat."] * 4 + ["the dog ran", "a sun sat", "a"]),
+                "labels": "the\tDET"}[kind]
+        path.write_bytes(good.encode("utf-8") + b"\n\xff\xfe\n")
+        argv = {
+            "samples": ["eval", "quality", "--samples", path, "--manifest", manifest],
+            "sentences": ["eval", "acceptability", "--model", model, "--sentences", path],
+            "triples": ["eval", "consistency", "--model", model, "--triples", path],
+            "stories": ["eval", "consistency", "--model", model, "--stories", path],
+            "labels": train_pos,
+        }[kind] + ["--out-dir", out]
+        where = "can't decode"
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert where in err
+
+
+# One valid file of each input type, the file a mutation replaces, and the
+# command that reads it; "{w}" is a fresh copy of the clean inputs.
+_FUZZ_TARGETS = {
+    "manifest": ("data/manifest.json", ["train", "--manifest", "{w}/data/manifest.json", "--backend", "ngram"]),
+    "ids": ("data/train.ids.txt", ["train", "--manifest", "{w}/data/manifest.json", "--backend", "ngram"]),
+    "model": ("ngram.lmek", ["generate", "--model", "{w}/ngram.lmek", "--manifest", "{w}/data/manifest.json",
+                             "--strategy", "topp", "--p", "0.9", "--prefix-len", "3", "--gen-len", "4",
+                             "--n-prefixes", "2"]),
+    "ffn_model": ("ffn.lmek", ["eval", "acceptability", "--model", "{w}/ffn.lmek",
+                               "--sentences", "{w}/sentences.txt"]),
+    "samples": ("samples.jsonl", ["eval", "quality", "--samples", "{w}/samples.jsonl",
+                                  "--manifest", "{w}/data/manifest.json"]),
+    "triples": ("nli.tsv", ["eval", "consistency", "--model", "{w}/ngram.lmek", "--triples", "{w}/nli.tsv"]),
+    "stories": ("stories.tsv", ["eval", "consistency", "--model", "{w}/ngram.lmek",
+                                "--stories", "{w}/stories.tsv"]),
+    "labels": ("labels.tsv", ["train", "--manifest", "{w}/data/manifest.json", "--backend", "ffn",
+                              "--objectives", "pos:1.0", "--labels", "{w}/labels.tsv", "--epochs", "1",
+                              "--context", "2", "--embed-dim", "4", "--hidden-dim", "4"]),
+    "sentences": ("sentences.txt", ["eval", "acceptability", "--model", "{w}/ngram.lmek",
+                                    "--sentences", "{w}/sentences.txt"]),
+    "sweep_csv": ("sweep.csv", ["fit", "--csv", "{w}/sweep.csv"]),
+    "config": ("config.json", ["ingest", "--config", "{w}/config.json"]),
+    "train_config": ("train.json", ["train", "--manifest", "{w}/data/manifest.json", "--backend", "ffn",
+                                    "--train-config", "{w}/train.json", "--context", "2", "--embed-dim", "4",
+                                    "--hidden-dim", "4"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    clean = root / "clean"
+    shutil.copytree(workspace["manifest"].parent, clean / "data")
+    shutil.copy(workspace["model"], clean / "ngram.lmek")
+    shutil.copy(workspace["text"], clean / "corpus.txt")
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--backend", "ffn", "--epochs", "1",
+                 "--context", "2", "--embed-dim", "4", "--hidden-dim", "4", "--model-out",
+                 str(clean / "ffn.lmek"), "--out-dir", str(root / "ffn")]) == 0
+    assert _generate(workspace, root / "gen", extra=["--samples-out", str(clean / "samples.jsonl")]) == 0
+    (clean / "nli.tsv").write_text(
+        "the cat sat the home.\tthe dog ran\tthe sea held\na man met a tree.\tthe sun sat\tthe fish left\n",
+        encoding="utf-8",
+    )
+    (clean / "stories.tsv").write_text(
+        "\t".join(["the cat sat.", "a dog ran.", "the man met a tree.", "the sun sat.",
+                   "the fish left", "a sea held", "b"]) + "\n",
+        encoding="utf-8",
+    )
+    (clean / "labels.tsv").write_text(
+        "the\tDET\t1\ncat\tNOUN\t1\nsat\tVERB\t0\n\na\tDET\t1\ndog\tNOUN\t-1\n", encoding="utf-8"
+    )
+    (clean / "sentences.txt").write_text("the cat sat\nthe dog ran the road\n", encoding="utf-8")
+    write_sweep_csv(
+        clean / "sweep.csv",
+        [
+            SweepRecord(m, "topp", p, 4, {"corpus_bleu": 0.1 + p / 4, "self_bleu": 0.2 + p / 2}, 0)
+            for m in ("m1", "m2") for p in (0.3, 0.6, 0.9)
+        ],
+    )
+    config = {"input": str(clean / "corpus.txt"), "seq_len": 30, "ratios": "0.8,0.1,0.1",
+              "scheme": "word", "seed": 3}
+    (clean / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    train = {"epochs": 1, "batch_size": 8, "learning_rate": 0.01, "objectives": [["mle", 1.0], ["ul", 0.5]],
+             "seq_ul": {"mix_prob": 0.5, "prefix_len": 3, "gen_len": 4, "ngram": 2}, "margin": 1.0}
+    (clean / "train.json").write_text(json.dumps(train), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("kind", sorted(_FUZZ_TARGETS))
+@settings(derandomize=True, database=None, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_truncated_or_mutated_input_fails_cleanly(fuzz_inputs, kind, data):
+    name, argv = _FUZZ_TARGETS[kind]
+    work = fuzz_inputs / f"work-{kind}"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(fuzz_inputs / "clean", work)
+    target = work / name
+    blob = target.read_bytes()
+    pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+    if data.draw(st.booleans(), label="truncate"):
+        target.write_bytes(blob[:pos])
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+        target.write_bytes(blob[:pos] + bytes([byte]) + blob[pos + 1:])
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main([a.format(w=work) for a in argv] + ["--out-dir", str(work / "out")])
+    err = stderr.getvalue()
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1, err

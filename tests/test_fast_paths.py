@@ -357,8 +357,7 @@ def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
 # --- the harness end to end --------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_fast_and_slow_write_identical_files(tmp_path, monkeypatch, workers):
+def test_run_sweep_fast_and_slow_write_identical_files(tmp_path, monkeypatch):
     splits, models = _models()
     cfg = SweepConfig(
         models=("ngram3", "ffn"),
@@ -376,11 +375,11 @@ def test_run_sweep_fast_and_slow_write_identical_files(tmp_path, monkeypatch, wo
         seed=11,
     )
     chosen = {name: models[name] for name in cfg.models}
-    run_sweep(cfg, splits, tmp_path / "fast", models=chosen, workers=workers)
+    run_sweep(cfg, splits, tmp_path / "fast", models=chosen)
     # The slow side decodes each prefix alone, through the full-sort paths.
     monkeypatch.setattr("genteval.harness.sweep.generate_batch", naive_generate_batch)
     slow = {name: SlowLM(m) for name, m in chosen.items()}
-    run_sweep(cfg, splits, tmp_path / "slow", models=slow, workers=workers)
+    run_sweep(cfg, splits, tmp_path / "slow", models=slow)
 
     def tree(root):
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}

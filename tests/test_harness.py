@@ -263,6 +263,20 @@ def test_run_sweep_recomputes_on_corrupt_samples(tmp_path):
     assert target.read_bytes() == good  # regenerated identically
 
 
+@pytest.mark.parametrize("junk", [b"\xff\xfe{", b"[1, 2]", b'{"model": "m1"}'])
+def test_run_sweep_recomputes_an_unreadable_record(tmp_path, junk):
+    cfg = mk_cfg(strategies=(("greedy", (None,)),))
+    model = CountingModel(VOCAB)
+    run_sweep(cfg, mk_splits(), tmp_path, models={"m1": model})
+    target = next((tmp_path / "records").glob("*.json"))
+    good = target.read_bytes()
+    target.write_bytes(junk)
+    model.calls = 0
+    run_sweep(cfg, mk_splits(), tmp_path, models={"m1": model})
+    assert model.calls > 0
+    assert target.read_bytes() == good
+
+
 def test_run_sweep_isolates_failing_model_and_retries_it(tmp_path):
     cfg = mk_cfg(models=("m1", "m2"))
     models = {"m1": CountingModel(VOCAB), "m2": str(tmp_path / "missing.lm")}
@@ -277,19 +291,6 @@ def test_run_sweep_isolates_failing_model_and_retries_it(tmp_path):
     models["m2"] = CountingModel(VOCAB, 2)
     again = run_sweep(cfg, mk_splits(), tmp_path, models=models)
     assert all(r.failed is None for r in again)
-
-
-def test_run_sweep_parallel_matches_serial(tmp_path):
-    cfg = mk_cfg(models=("m1", "m2"))
-
-    def models():
-        return {"m1": CountingModel(VOCAB), "m2": CountingModel(VOCAB, 3)}
-
-    run_sweep(cfg, mk_splits(), tmp_path / "serial", models=models(), workers=1)
-    run_sweep(cfg, mk_splits(), tmp_path / "par", models=models(), workers=4)
-    a = (tmp_path / "serial" / "sweep.csv").read_bytes()
-    b = (tmp_path / "par" / "sweep.csv").read_bytes()
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

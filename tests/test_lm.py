@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -271,7 +273,64 @@ def test_save_is_byte_deterministic(tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"NOTAMODEL")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+def _split_model_file(path):
+    blob = path.read_bytes()
+    head_end = 13 + int.from_bytes(blob[5:13], "little")
+    return json.loads(blob[13:head_end]), np.frombuffer(blob, dtype="<f8", offset=head_end).copy()
+
+
+def _write_model_file(path, header, payload):
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"LMEK1" + struct.pack("<Q", len(head)) + head + payload.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "case", ["fractional-count", "zero-count", "id-outside-vocab", "nan", "negative-entries", "extra-value"]
+)
+def test_load_rejects_ngram_payload_that_is_not_ids_and_counts(tmp_path, case):
+    seq, vocab = tokenize("a b c a b", "word")
+    path = tmp_path / "m.lmek"
+    save_model(ngram_fit(seq, order=2, k_s=0.5), path)
+    header, payload = _split_model_file(path)
+    # payload: [n_unigrams, id, count, id, count, ..., n_bigrams, id, id, count, ...]
+    if case == "fractional-count":
+        payload[2] = 1.5
+    elif case == "zero-count":
+        payload[2] = 0.0
+    elif case == "id-outside-vocab":
+        payload[1] = vocab.size
+    elif case == "nan":
+        payload[2] = np.nan
+    elif case == "negative-entries":
+        payload[0] = -1.0
+    else:
+        payload = np.append(payload, 1.0)
+    _write_model_file(path, header, payload)
+    with pytest.raises(DataError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("context", 3), ("hidden_dim", 4), ("n_labels", 2), ("pad_id", 9), ("tensors", []), ("payload", np.inf)],
+)
+def test_load_rejects_ffn_header_or_weights_that_do_not_fit(tmp_path, field, value):
+    _, vocab = tokenize("a b c", "word")
+    path = tmp_path / "m.lmek"
+    save_model(FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3, seed=1), path)
+    header, payload = _split_model_file(path)
+    _write_model_file(path, header, payload)
+    assert load_model(path).vocab.size == vocab.size + 1  # the rewrite alone keeps the file valid
+    if field == "payload":
+        payload[0] = value
+    else:
+        header[field] = value
+    _write_model_file(path, header, payload)
+    with pytest.raises(DataError):
         load_model(path)
 
 
@@ -287,7 +346,7 @@ def test_load_rejects_every_truncation_and_a_bad_header(tmp_path, backend):
     blob = path.read_bytes()
     for cut in range(len(blob)):
         path.write_bytes(blob[:cut])
-        with pytest.raises(ConfigError if cut < 5 else DataError):
+        with pytest.raises(DataError):
             load_model(path)
     head_end = 13 + int.from_bytes(blob[5:13], "little")
     path.write_bytes(blob[:13] + b"{" * (head_end - 13) + blob[head_end:])
