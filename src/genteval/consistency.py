@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import EmptyDataset
+from .errors import EmptyDataset, open_text
 from .lm.base import perplexity
 
 _TERMINALS = (".", "!", "?")
@@ -60,7 +60,7 @@ class LoadResult:
 
 
 def _data_lines(path: str | Path):
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -31,6 +31,7 @@ from .errors import (
     DataError,
     EmptyInput,
     InsufficientData,
+    open_text,
 )
 from .rng import SplitMix64
 
@@ -86,10 +87,17 @@ class TokenSequence:
     def __post_init__(self) -> None:
         if not self.ids:
             raise EmptyInput("token sequence must contain at least one id")
-        limit = self.vocab.size
-        for i in self.ids:
-            if not 0 <= i < limit:
-                raise ConfigError(f"token id {i} out of range for vocab of {limit}")
+        lo, hi, limit = min(self.ids), max(self.ids), self.vocab.size
+        if lo < 0 or hi >= limit:
+            raise ConfigError(f"token id {lo if lo < 0 else hi} out of range for vocab of {limit}")
+
+    @classmethod
+    def trusted(cls, ids: tuple[int, ...], vocab: Vocab) -> "TokenSequence":
+        """A sequence of non-empty ids the caller has already range-checked."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "ids", ids)
+        object.__setattr__(seq, "vocab", vocab)
+        return seq
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -391,7 +399,7 @@ def write_ids_file(path: str | Path, sequences: Iterable[Sequence[int]], vocab_s
 
 def read_ids_file(path: str | Path) -> tuple[list[list[int]], int]:
     """Read an ids file; a bad header or id raises DataError naming ``path:line``."""
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         header = f.readline().strip()
         if not header.startswith(IDS_HEADER):
             raise EmptyInput(f"{path}: missing {IDS_HEADER}N header")
@@ -471,7 +479,8 @@ def load_splits(manifest_path: str | Path) -> tuple[CorpusSplits, dict]:
         sequences, vocab_size = read_ids_file(path)
         if vocab_size != vocab.size:
             raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {vocab.size}")
-        parts[name] = tuple(TokenSequence(tuple(ids), vocab) for ids in sequences)
+        # read_ids_file has range-checked every line against this vocab size.
+        parts[name] = tuple(TokenSequence.trusted(tuple(ids), vocab) for ids in sequences)
     splits = CorpusSplits(
         train=parts["train"],
         dev=parts["dev"],

@@ -1,4 +1,4 @@
-"""Exception taxonomy for the toolkit.
+"""Exception taxonomy for the toolkit, and the reader's text-file opener.
 
 Two branches matter for the CLI: configuration problems (bad flags,
 invalid strategy/parameter pairings) exit with code 2, data problems
@@ -6,6 +6,9 @@ invalid strategy/parameter pairings) exit with code 2, data problems
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class ToolkitError(Exception):
@@ -54,3 +57,20 @@ class NoSupervision(DataError):
 
 class DegenerateFit(DataError):
     """A curve fit was requested on degenerate points."""
+
+
+@contextmanager
+def open_text(path, newline: str | None = None):
+    """Open ``path`` to read UTF-8 text; bytes that do not decode raise
+    DataError naming ``path:line`` and the file offset of the bad byte."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}:{line}: {exc}") from None
+        raise

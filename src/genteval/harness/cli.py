@@ -48,7 +48,7 @@ from ..corpus import (
     vocab_from_manifest,
 )
 from ..decode import STRATEGIES, DecoderConfig, param_value
-from ..errors import AlignmentError, ConfigError, DataError, EmptyInput
+from ..errors import AlignmentError, ConfigError, DataError, EmptyInput, open_text
 from ..lm.base import token_prob_trace
 from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
@@ -338,7 +338,8 @@ def _cmd_ingest(opt: argparse.Namespace) -> int:
         corpus = TokenSequence(flat, Vocab.placeholder(vocab_size))
         tokenizer = {"scheme": "external", "vocab_size": vocab_size}
     else:
-        text = Path(opt.input).read_text(encoding="utf-8")
+        with open_text(opt.input) as f:
+            text = f.read()
         corpus, vocab = tokenize(text, opt.scheme)
         tokenizer = {"scheme": opt.scheme, "vocab": list(vocab.tokens)}
     splits = split_corpus(corpus, opt.seq_len, _parse_ratios(opt.ratios))
@@ -375,7 +376,8 @@ def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
         raise ConfigError(f"objective {mode!r} needs --pairs-text")
     if scheme == "external":
         raise ConfigError("nsp/sop need a manifest with a text tokenizer")
-    text = Path(opt.pairs_text).read_text(encoding="utf-8")
+    with open_text(opt.pairs_text) as f:
+        text = f.read()
     sentences = []
     for sent in segment_sentences(text):
         try:
@@ -570,7 +572,7 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
     scores = []
     nulls = 0
     rows = []
-    with open(opt.sentences, encoding="utf-8") as f:
+    with open_text(opt.sentences) as f:
         lines = [line.strip() for line in f if line.strip()]
     if not lines:
         raise DataError(f"{opt.sentences}: no sentences")

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from ..corpus import TokenSequence, Vocab
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, open_text
 from ..metrics import Sample, SampleSet
 
 
@@ -53,7 +53,7 @@ def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
     """Read a sample JSONL whose token ids must index ``vocab``."""
     first = None
     samples = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

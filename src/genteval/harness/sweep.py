@@ -27,7 +27,7 @@ from typing import Callable
 
 from ..corpus import CorpusSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
-from ..errors import ConfigError, DataError, DegenerateFit
+from ..errors import ConfigError, DataError, DegenerateFit, open_text
 from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
@@ -427,16 +427,16 @@ def write_sweep_csv(path: str | Path, records: list[SweepRecord]) -> None:
 
 
 def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
-    """Read a sweep CSV; a cell that does not parse raises DataError naming ``path:line``."""
+    """Read a sweep CSV; a bad header, schema tag or cell raises DataError naming ``path:line``."""
     records = []
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_text(path, newline="") as f:
         reader = csv.DictReader(f)
         try:
             if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-                raise ConfigError(f"{path}: unexpected sweep CSV columns")
+                raise DataError(f"{path}:1: unexpected sweep CSV columns")
             for row in reader:
                 if row["schema"] != SCHEMA_TAG:
-                    raise ConfigError(f"{path}: unknown schema tag {row['schema']!r}")
+                    raise DataError(f"{path}:{reader.line_num}: unknown schema tag {row['schema']!r}")
                 records.append(
                     SweepRecord(
                         model=row["model"],
@@ -447,6 +447,8 @@ def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
                         seed=int(row["seed"]),
                     )
                 )
+        except UnicodeDecodeError:
+            raise  # open_text names the line
         except (csv.Error, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return records

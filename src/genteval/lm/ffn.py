@@ -163,13 +163,16 @@ class FeedForwardLM:
     def windows(self, ids: Sequence[int], context: Sequence[int] = ()) -> np.ndarray:
         """(len(ids), c) matrix: row t holds the window conditioning ids[t]."""
         c = self.context
-        ctx = tuple(context)
-        full = (self.pad_id,) * c + ctx + tuple(ids)
-        offset = len(ctx)
-        return np.array(
-            [full[offset + t : offset + t + c] for t in range(len(ids))],
-            dtype=np.int64,
-        ).reshape(len(ids), c)
+        ctx = tuple(context)[-c:]  # only the last c context ids reach a window
+        full = np.array((self.pad_id,) * c + ctx + tuple(ids), dtype=np.int64)
+        # Row t is full[len(ctx) + t : len(ctx) + t + c]: a strided view of
+        # full, then copied. numpy's sliding_window_view would add more
+        # Python overhead per call than the per-row loop cost on short rows.
+        step = full.itemsize
+        view = np.ndarray(
+            (len(ids), c), dtype=np.int64, buffer=full, offset=len(ctx) * step, strides=(step, step)
+        )
+        return view.copy()
 
     def forward(self, ctx: np.ndarray) -> FfnCache:
         t = ctx.shape[0]

@@ -1,7 +1,8 @@
 """Training objectives for the feed-forward LM, with explicit gradients.
 
 Every loss returns ``(scalar, grads)`` where ``grads`` matches the
-model's parameter dict. Gradients are derived by hand through the
+model's parameter dict (the per-item losses can instead add a scaled
+gradient into a dict they are given). Gradients are derived by hand through the
 softmax/tanh stack (see :meth:`FeedForwardLM.backward`) and are meant to
 be validated against central finite differences via :func:`grad_check`;
 nothing here relies on an autodiff framework.
@@ -18,6 +19,19 @@ Objective kinds understood by :func:`multitask_step`:
   regression head.
 * ``pos`` / ``dp``: token classification via the classification head;
   both kinds share the head, so a single model trains one or the other.
+
+``mle`` and ``ul`` run blocked: the step stacks the context windows of
+all its sequences into rows and cuts them into blocks of at most
+``_BLOCK_ROWS`` rows (a sequence may straddle two blocks). Each block
+makes one forward, one exp pass that yields both the gold log-probs and
+the softmax, one combined ``dlogits`` and one backward into the step's
+gradient. Token-level UL trains on the same windows as MLE, so it shares
+MLE's blocks; its candidates are ``(position, token)`` arrays, gathered
+and scattered sparsely. Sequence-level UL stacks the greedy rollouts
+into blocks of their own. :func:`ce_loss` and :func:`ul_token_loss` are
+one-sequence calls of the same block code. The other kinds make one
+forward per item and add their scaled gradient straight into the step's
+gradient.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import SentencePair, TokenSequence
 from .decode import DecoderConfig, generate_batch
@@ -38,6 +53,7 @@ from .errors import (
     DataError,
     EmptyDataset,
     NoSupervision,
+    open_text,
 )
 from .lm.base import as_ids
 from .lm.ffn import FeedForwardLM, log_softmax, softmax
@@ -47,6 +63,9 @@ OBJECTIVE_KINDS = ("mle", "ul", "nsp", "sop", "tfidf", "pos", "dp")
 
 # Probabilities inside ln(1 - p) are clamped to at most 1 - _UL_CLAMP.
 _UL_CLAMP = 1e-12
+
+# Rows (token positions) per forward/backward block of the mle/ul step.
+_BLOCK_ROWS = 128
 
 MASK_LABEL = "X"
 
@@ -60,16 +79,38 @@ def ce_loss(
     model: FeedForwardLM, seq, context: Sequence[int] = ()
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy of each token given its window."""
-    ids = as_ids(seq)
-    cache = model.forward(model.windows(ids, as_ids(context)))
-    logp = log_softmax(model.vocab_logits(cache))
-    rows = np.arange(len(ids))
-    loss = float(-logp[rows, list(ids)].mean())
-    dlogits = softmax(model.vocab_logits(cache)).copy()
-    dlogits[rows, list(ids)] -= 1.0
     grads = model.zero_grads()
-    model.backward(cache, grads, dlogits=dlogits / len(ids))
-    return loss, grads
+    ce, _ = _token_losses(model, [as_ids(seq)], [as_ids(context)], None, 1.0, 0.0, grads)
+    return ce[0], grads
+
+
+def _previous_token_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Token-level UL candidates as ``(position, token)`` arrays, positions ascending."""
+    _, first = np.unique(ids, return_index=True)
+    first.sort()
+    seen = ids[first]  # distinct tokens in order of first use
+    earlier = first[None, :] < np.arange(len(ids))[:, None]
+    rows, k = np.nonzero(earlier & (seen[None, :] != ids[:, None]))
+    return rows, seen[k]
+
+
+def _repeat_pairs(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sequence-level UL candidates as ``(position, token)`` arrays, positions ascending."""
+    if n < 1:
+        raise ConfigError("n-gram order must be at least 1")
+    if len(ids) < n:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    grams = sliding_window_view(ids, n)
+    _, first, inverse = np.unique(grams, axis=0, return_index=True, return_inverse=True)
+    rows = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(grams))) + (n - 1)
+    return rows, ids[rows]
+
+
+def _as_sets(length: int, pairs: tuple[np.ndarray, np.ndarray]) -> list[frozenset[int]]:
+    out: list[set[int]] = [set() for _ in range(length)]
+    for t, tok in zip(*(a.tolist() for a in pairs)):
+        out[t].add(tok)
+    return [frozenset(c) for c in out]
 
 
 def previous_token_candidates(seq) -> list[frozenset[int]]:
@@ -78,13 +119,8 @@ def previous_token_candidates(seq) -> list[frozenset[int]]:
     The ground-truth token at each position is filtered out, so the loss
     never pushes down the probability of the correct continuation.
     """
-    ids = as_ids(seq)
-    out: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for tok in ids:
-        out.append(frozenset(seen - {tok}))
-        seen.add(tok)
-    return out
+    ids = np.asarray(as_ids(seq), dtype=np.int64)
+    return _as_sets(len(ids), _previous_token_pairs(ids))
 
 
 def ul_seq_candidates(continuation, n: int) -> list[frozenset[int]]:
@@ -94,19 +130,8 @@ def ul_seq_candidates(continuation, n: int) -> list[frozenset[int]]:
     t also ends at some earlier position (overlaps count). Positions
     without a repeat get an empty set.
     """
-    if n < 1:
-        raise ConfigError("n-gram order must be at least 1")
-    ids = as_ids(continuation)
-    seen: set[tuple[int, ...]] = set()
-    out: list[frozenset[int]] = []
-    for t in range(len(ids)):
-        if t + 1 < n:
-            out.append(frozenset())
-            continue
-        gram = ids[t + 1 - n : t + 1]
-        out.append(frozenset({ids[t]}) if gram in seen else frozenset())
-        seen.add(gram)
-    return out
+    ids = np.asarray(as_ids(continuation), dtype=np.int64)
+    return _as_sets(len(ids), _repeat_pairs(ids, n))
 
 
 def ul_token_loss(
@@ -119,24 +144,73 @@ def ul_token_loss(
     ids = as_ids(seq)
     if len(candidates) != len(ids):
         raise ConfigError("need one candidate set per position")
-    cache = model.forward(model.windows(ids, as_ids(context)))
-    probs = softmax(model.vocab_logits(cache))
-    t_count = len(ids)
-    loss = 0.0
-    # q holds p/(1-p) at candidate slots; the clamp zeroes its gradient.
-    q = np.zeros_like(probs)
-    for t, cands in enumerate(candidates):
-        for c in cands:
-            p = probs[t, c]
-            clamped = min(p, 1.0 - _UL_CLAMP)
-            loss += -math.log1p(-clamped)
-            if p < 1.0 - _UL_CLAMP:
-                q[t, c] = p / (1.0 - p)
-    loss /= t_count
-    dlogits = (q - probs * q.sum(axis=1, keepdims=True)) / t_count
+    rows = np.array([t for t, cands in enumerate(candidates) for _ in cands], dtype=np.int64)
+    cols = np.array([c for cands in candidates for c in cands], dtype=np.int64)
     grads = model.zero_grads()
-    model.backward(cache, grads, dlogits=dlogits)
-    return float(loss), grads
+    _, ul = _token_losses(model, [ids], [as_ids(context)], [(rows, cols)], 0.0, 1.0, grads)
+    return ul[0], grads
+
+
+def _token_losses(
+    model: FeedForwardLM,
+    seqs: Sequence[tuple[int, ...]],
+    contexts: Sequence[tuple[int, ...]],
+    candidates: Sequence[tuple[np.ndarray, np.ndarray]] | None,
+    ce_weight: float,
+    ul_weight: float,
+    grads: dict[str, np.ndarray],
+) -> tuple[list[float], list[float]]:
+    """Per-sequence CE and UL losses over every token of ``seqs``, in row blocks.
+
+    ``seqs[i]`` is conditioned on ``contexts[i]``; ``candidates[i]`` is
+    its UL ``(position, token)`` arrays, positions ascending (None: no
+    UL). All windows are stacked into rows, and each block of at most
+    ``_BLOCK_ROWS`` rows (a sequence may straddle two) runs one forward,
+    one exp pass and one backward. Sequence i adds ``ce_weight / len_i``
+    times its CE gradient plus ``ul_weight / len_i`` times its UL
+    gradient into ``grads``. The returned losses are unweighted.
+    """
+    lens = [len(s) for s in seqs]
+    bounds = np.cumsum([0] + lens)
+    n_rows = int(bounds[-1])
+    windows = np.concatenate([model.windows(s, c) for s, c in zip(seqs, contexts)])
+    gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
+    row_scale = np.repeat(1.0 / np.array(lens), lens)
+    if candidates is None:
+        cand_rows = cand_toks = np.empty(0, dtype=np.int64)
+    else:
+        cand_rows = np.concatenate([t + lo for (t, _), lo in zip(candidates, bounds)])
+        cand_toks = np.concatenate([tok for _, tok in candidates])
+    gold_logp = np.empty(n_rows)
+    cand_p = np.empty(len(cand_rows))
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_rows)
+        a, b = np.searchsorted(cand_rows, (lo, hi))
+        rows, cr, ct = np.arange(hi - lo), cand_rows[a:b] - lo, cand_toks[a:b]
+        cache = model.forward(windows[lo:hi])
+        # The block owns its cache: z goes logits -> shifted -> exp -> dlogits in place.
+        z = model.vocab_logits(cache)
+        z -= z.max(axis=1, keepdims=True)
+        gold_z = z[rows, gold[lo:hi]]
+        np.exp(z, out=z)
+        denom = z.sum(axis=1)
+        gold_logp[lo:hi] = gold_z - np.log(denom)
+        p = cand_p[a:b] = z[cr, ct] / denom[cr]
+        # d/dlogits: ce * (softmax - onehot) + ul * (q - softmax * sum(q)),
+        # with q = p / (1 - p) at the candidates; the clamp zeroes q.
+        kept = p < 1.0 - _UL_CLAMP
+        q = np.where(kept, p / (1.0 - np.where(kept, p, 0.0)), 0.0)
+        scale = row_scale[lo:hi]
+        q_sum = np.bincount(cr, weights=q, minlength=hi - lo)
+        z *= ((ce_weight - ul_weight * q_sum) * scale / denom)[:, None]
+        z[rows, gold[lo:hi]] -= ce_weight * scale
+        z[cr, ct] += ul_weight * scale[cr] * q
+        model.backward(cache, grads, dlogits=z)
+    penalty = -np.log1p(-np.minimum(cand_p, 1.0 - _UL_CLAMP))
+    cuts = np.searchsorted(cand_rows, bounds)
+    ce = [float(-gold_logp[lo:hi].mean()) for lo, hi in zip(bounds, bounds[1:])]
+    ul = [float(penalty[a:b].sum() / t) for a, b, t in zip(cuts, cuts[1:], lens)]
+    return ce, ul
 
 
 def hinge_rank(ppl_pos: float, ppl_neg: float, margin: float) -> float:
@@ -166,20 +240,24 @@ def margin_rank_loss(
     pos: SentencePair,
     neg: SentencePair,
     margin: float,
+    *,
+    grads: dict[str, np.ndarray] | None = None,
+    scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Hinge on the perplexity gap between a true and a corrupted pair.
 
     Perplexity of the second sentence is computed conditioned on the
     first; the hinge activates when the positive pair fails to beat the
-    negative one by ``margin``.
+    negative one by ``margin``. ``scale`` times the gradient is added
+    into ``grads`` (fresh zeros when omitted), as for every loss below.
     """
     ppl_pos, cache_pos, ids_pos = _pair_ppl(model, pos)
     ppl_neg, cache_neg, ids_neg = _pair_ppl(model, neg)
     loss = hinge_rank(ppl_pos, ppl_neg, margin)
-    grads = model.zero_grads()
+    grads = model.zero_grads() if grads is None else grads
     if loss > 0.0:
-        _add_ppl_grad(model, cache_pos, ids_pos, ppl_pos, grads)
-        _add_ppl_grad(model, cache_neg, ids_neg, -ppl_neg, grads)
+        _add_ppl_grad(model, cache_pos, ids_pos, scale * ppl_pos, grads)
+        _add_ppl_grad(model, cache_neg, ids_neg, -scale * ppl_neg, grads)
     return loss, grads
 
 
@@ -196,6 +274,9 @@ def regression_loss(
     seq,
     targets: Sequence[float],
     context: Sequence[int] = (),
+    *,
+    grads: dict[str, np.ndarray] | None = None,
+    scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean smooth-L1 between the regression head and per-token targets."""
     ids = as_ids(seq)
@@ -207,8 +288,8 @@ def regression_loss(
     dreg = np.empty(len(ids))
     for t, (p, y) in enumerate(zip(preds, targets)):
         losses[t], dreg[t] = smooth_l1_loss(float(p), float(y))
-    grads = model.zero_grads()
-    model.backward(cache, grads, dreg=dreg / len(ids))
+    grads = model.zero_grads() if grads is None else grads
+    model.backward(cache, grads, dreg=dreg * (scale / len(ids)))
     return float(losses.mean()), grads
 
 
@@ -217,6 +298,9 @@ def classification_loss(
     seq,
     labels: Sequence[int | None],
     context: Sequence[int] = (),
+    *,
+    grads: dict[str, np.ndarray] | None = None,
+    scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean CE of the gold label at each supervised position.
 
@@ -237,8 +321,8 @@ def classification_loss(
     dcls = np.zeros_like(logits)
     dcls[supervised] = softmax(logits[supervised])
     dcls[supervised, gold] -= 1.0
-    grads = model.zero_grads()
-    model.backward(cache, grads, dcls=dcls / len(supervised))
+    grads = model.zero_grads() if grads is None else grads
+    model.backward(cache, grads, dcls=dcls * (scale / len(supervised)))
     return loss, grads
 
 
@@ -305,7 +389,7 @@ def load_label_file(path: str | Path) -> list[list[tuple[str, str, int | None]]]
     """
     sentences: list[list[tuple[str, str, int | None]]] = []
     current: list[tuple[str, str, int | None]] = []
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -398,7 +482,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if not self.objectives:
             raise ConfigError("at least one objective is required")
+        kinds = [kind for kind, _ in self.objectives]
         for kind, weight in self.objectives:
+            if kinds.count(kind) > 1:
+                raise ConfigError(f"objective {kind!r} is listed more than once")
             if kind not in OBJECTIVE_KINDS:
                 raise ConfigError(f"unknown objective kind {kind!r}")
             if weight < 0:
@@ -451,9 +538,11 @@ def _items(data: TrainData, kind: str):
     return getattr(data, kind)
 
 
-def _accumulate(total: dict[str, np.ndarray], part: dict[str, np.ndarray], scale: float) -> None:
-    for name, g in part.items():
-        total[name] += scale * g
+def _mean(losses: Sequence[float]) -> float:
+    total = 0.0
+    for loss in losses:  # left to right, on every Python version
+        total += loss
+    return total / len(losses)
 
 
 def multitask_step(
@@ -467,46 +556,66 @@ def multitask_step(
 
     Returns the per-objective mean losses plus their weighted total
     under key "total". The UL coin is the only randomness consumed.
+    mle and token-level ul share one blocked pass over the sequences;
+    sequence-level ul makes a blocked pass over the greedy rollouts.
     """
+    active = [(kind, w) for kind, w in cfg.objectives if w != 0.0]
+    for kind, _ in active:
+        if not _items(batch, kind):
+            raise ConfigError(f"objective {kind!r} is active but the batch has no data for it")
+    weights = dict(active)
+    seq_level = "ul" in weights and rng.uniform() < cfg.seq_ul.mix_prob
+    token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
+    means: dict[str, float] = {}
+    seqs = [s.ids for s in batch.sequences]
+    if "mle" in weights or token_ul:
+        cands = None
+        if token_ul:
+            cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs]
+        ce, ul = _token_losses(
+            model, seqs, [()] * len(seqs), cands,
+            weights.get("mle", 0.0) / len(seqs),
+            weights["ul"] / len(seqs) if token_ul else 0.0,
+            grads,
+        )
+        means["mle"] = _mean(ce)
+        if token_ul:
+            means["ul"] = _mean(ul)
+    if seq_level:
+        rollouts = _greedy_rollouts(model, batch.sequences, cfg.seq_ul)
+        conts = [cont.ids for _, cont in rollouts]
+        cands = [_repeat_pairs(np.array(c, dtype=np.int64), cfg.seq_ul.ngram) for c in conts]
+        _, ul = _token_losses(
+            model, conts, [prefix.ids for prefix, _ in rollouts], cands,
+            0.0, weights["ul"] / len(seqs), grads,
+        )
+        means["ul"] = _mean(ul)
+    for kind, weight in active:
+        if kind not in ("mle", "ul"):
+            items = _items(batch, kind)
+            scale = weight / len(items)
+            means[kind] = _mean([_item_loss(model, kind, item, cfg, grads, scale) for item in items])
     scalars: dict[str, float] = {}
     total = 0.0
-    for kind, weight in cfg.objectives:
-        if weight == 0.0:
-            continue
-        items = _items(batch, kind)
-        if not items:
-            raise ConfigError(f"objective {kind!r} is active but the batch has no data for it")
-        scale = weight / len(items)
-        loss_sum = 0.0
-        rollouts = [None] * len(items)
+    for kind, weight in active:
         if kind == "ul":
-            seq_level = rng.uniform() < cfg.seq_ul.mix_prob
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
-            if seq_level:
-                rollouts = _greedy_rollouts(model, items, cfg.seq_ul)
-        for j, item in enumerate(items):
-            if kind == "mle":
-                loss, g = ce_loss(model, item)
-            elif kind == "ul":
-                loss, g = _ul_item(model, item, cfg.seq_ul, rollouts[j])
-            elif kind in ("nsp", "sop"):
-                pos_pair, neg_pair = item
-                loss, g = margin_rank_loss(model, pos_pair, neg_pair, cfg.margin)
-            elif kind == "tfidf":
-                seq, targets = item
-                loss, g = regression_loss(model, seq, targets)
-            else:  # pos | dp
-                seq, labels = item
-                loss, g = classification_loss(model, seq, labels)
-            loss_sum += loss
-            _accumulate(grads, g, scale)
-        mean_loss = loss_sum / len(items)
-        scalars[kind] = mean_loss
-        total += weight * mean_loss
+        scalars[kind] = means[kind]
+        total += weight * means[kind]
     scalars["total"] = total
     opt.update(model.params, grads)
     return scalars
+
+
+def _item_loss(model, kind: str, item, cfg: TrainConfig, grads, scale: float) -> float:
+    """Loss of one nsp/sop/tfidf/pos/dp item; ``scale`` times its gradient goes into ``grads``."""
+    if kind in ("nsp", "sop"):
+        pos_pair, neg_pair = item
+        return margin_rank_loss(model, pos_pair, neg_pair, cfg.margin, grads=grads, scale=scale)[0]
+    seq, targets = item
+    loss_fn = regression_loss if kind == "tfidf" else classification_loss
+    return loss_fn(model, seq, targets, grads=grads, scale=scale)[0]
 
 
 def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence, TokenSequence]]:
@@ -519,15 +628,6 @@ def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence,
     prefixes = [seq.window(0, cfg.prefix_len) for seq in seqs]
     greedy = DecoderConfig(strategy="greedy", max_len=cfg.gen_len)
     return list(zip(prefixes, generate_batch(model, prefixes, [greedy] * len(prefixes))))
-
-
-def _ul_item(model, seq: TokenSequence, cfg: SeqUlConfig, rollout):
-    """Token-level UL on ``seq``, or sequence-level UL on its ``rollout``."""
-    if rollout is None:
-        return ul_token_loss(model, seq, previous_token_candidates(seq))
-    prefix, continuation = rollout
-    candidates = ul_seq_candidates(continuation, cfg.ngram)
-    return ul_token_loss(model, continuation, candidates, context=prefix.ids)
 
 
 class Trainer:

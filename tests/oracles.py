@@ -269,3 +269,128 @@ def naive_word_surfaces(text):
         if run:
             out.append("".join(run))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Training: the per-item losses and step the blocked step replaces
+# ---------------------------------------------------------------------------
+
+_UL_CLAMP = 1e-12
+
+
+def naive_windows(model, ids, context=()):
+    """The ffn's context windows, one Python slice per row."""
+    c = model.context
+    ctx = tuple(context)
+    full = (model.pad_id,) * c + ctx + tuple(ids)
+    offset = len(ctx)
+    return np.array(
+        [full[offset + t : offset + t + c] for t in range(len(ids))], dtype=np.int64
+    ).reshape(len(ids), c)
+
+
+def naive_previous_token_candidates(ids):
+    """Per position, the set of earlier tokens minus the gold one."""
+    out, seen = [], set()
+    for tok in ids:
+        out.append(frozenset(seen - {tok}))
+        seen.add(tok)
+    return out
+
+
+def naive_ul_seq_candidates(ids, n):
+    """Per position t, {ids[t]} when the n-gram ending at t ended earlier too."""
+    ids = tuple(ids)
+    out, seen = [], set()
+    for t in range(len(ids)):
+        if t + 1 < n:
+            out.append(frozenset())
+            continue
+        gram = ids[t + 1 - n : t + 1]
+        out.append(frozenset({ids[t]}) if gram in seen else frozenset())
+        seen.add(gram)
+    return out
+
+
+def naive_ce_loss(model, ids, context=()):
+    """Mean token cross-entropy of one sequence: its own forward and backward."""
+    from genteval.lm.ffn import log_softmax, softmax
+
+    cache = model.forward(naive_windows(model, ids, context))
+    logp = log_softmax(model.vocab_logits(cache))
+    rows = np.arange(len(ids))
+    loss = float(-logp[rows, list(ids)].mean())
+    dlogits = softmax(model.vocab_logits(cache)).copy()
+    dlogits[rows, list(ids)] -= 1.0
+    grads = model.zero_grads()
+    model.backward(cache, grads, dlogits=dlogits / len(ids))
+    return loss, grads
+
+
+def naive_ul_token_loss(model, ids, candidates, context=()):
+    """Unlikelihood of one sequence, one candidate at a time into a dense q."""
+    from genteval.lm.ffn import softmax
+
+    cache = model.forward(naive_windows(model, ids, context))
+    probs = softmax(model.vocab_logits(cache))
+    loss = 0.0
+    q = np.zeros_like(probs)
+    for t, cands in enumerate(candidates):
+        for c in cands:
+            p = probs[t, c]
+            loss += -math.log1p(-min(p, 1.0 - _UL_CLAMP))
+            if p < 1.0 - _UL_CLAMP:
+                q[t, c] = p / (1.0 - p)
+    dlogits = (q - probs * q.sum(axis=1, keepdims=True)) / len(ids)
+    grads = model.zero_grads()
+    model.backward(cache, grads, dlogits=dlogits)
+    return loss / len(ids), grads
+
+
+def naive_multitask_step(model, batch, cfg, opt, rng):
+    """``genteval.losses.multitask_step`` one item at a time: a fresh
+    gradient dict per item, scaled and added into the step's total."""
+    from genteval.decode import DecoderConfig
+    from genteval.losses import classification_loss, margin_rank_loss, regression_loss
+
+    grads = model.zero_grads()
+    scalars, total = {}, 0.0
+    for kind, weight in cfg.objectives:
+        if weight == 0.0:
+            continue
+        items = batch.sequences if kind in ("mle", "ul") else getattr(batch, kind)
+        rollouts = [None] * len(items)
+        if kind == "ul":
+            seq_level = rng.uniform() < cfg.seq_ul.mix_prob
+            scalars["ul_branch"] = 1.0 if seq_level else 0.0
+            if seq_level:
+                ul = cfg.seq_ul
+                prefixes = [seq.window(0, ul.prefix_len) for seq in items]
+                greedy = DecoderConfig(strategy="greedy", max_len=ul.gen_len)
+                conts = naive_generate_batch(model, prefixes, [greedy] * len(items))
+                rollouts = list(zip(prefixes, conts))
+        loss_sum = 0.0
+        for item, rollout in zip(items, rollouts):
+            if kind == "mle":
+                loss, g = naive_ce_loss(model, item.ids)
+            elif kind == "ul" and rollout is None:
+                ids = item.ids
+                loss, g = naive_ul_token_loss(model, ids, naive_previous_token_candidates(ids))
+            elif kind == "ul":
+                prefix, cont = rollout
+                cands = naive_ul_seq_candidates(cont.ids, cfg.seq_ul.ngram)
+                loss, g = naive_ul_token_loss(model, cont.ids, cands, prefix.ids)
+            elif kind in ("nsp", "sop"):
+                loss, g = margin_rank_loss(model, *item, cfg.margin)
+            elif kind == "tfidf":
+                loss, g = regression_loss(model, *item)
+            else:
+                loss, g = classification_loss(model, *item)
+            loss_sum += loss
+            for name, part in g.items():
+                grads[name] += (weight / len(items)) * part
+        scalars[kind] = loss_sum / len(items)
+        total += weight * scalars[kind]
+    scalars["total"] = total
+    opt.update(model.params, grads)
+    return scalars

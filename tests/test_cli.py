@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from genteval.corpus import write_ids_file
 from genteval.harness.cli import _build_parser, _parse_args, main
-from genteval.harness.sweep import SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
+from genteval.harness.sweep import CSV_COLUMNS, SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
 from toytext import make_text
 
 
@@ -741,9 +741,31 @@ def test_malformed_reader_inputs_are_data_errors(workspace, tmp_path, capsys, ca
             "stories": ["eval", "consistency", "--model", model, "--stories", path],
             "labels": train_pos,
         }[kind] + ["--out-dir", out]
-        where = "can't decode"
+        where = f"{path}:2: 'utf-8' codec can't decode byte 0xff in position {len(good) + 1}"
     err = _fails_with_one_line(capsys, argv, 3)
     assert where in err
+
+
+@pytest.mark.parametrize("reader", ["sentences", "ingest-text", "ids", "sweep-csv", "pairs-text"])
+def test_non_utf8_input_error_names_file_and_line(workspace, tmp_path, capsys, reader):
+    model, manifest, out = workspace["model"], workspace["manifest"], tmp_path / "out"
+    path = tmp_path / "input"
+    head = {"sentences": "the cat sat\nthe dog ran\n", "ingest-text": "the cat sat.\n\n",
+            "ids": "#vocab_size=9\n1 2 3\n", "pairs-text": "the cat sat. the dog ran.\n",
+            "sweep-csv": ",".join(CSV_COLUMNS) + "\r\n"}[reader].encode("utf-8")
+    path.write_bytes(head + b"ok \xe2\x82 \xff\n")  # a cut multi-byte sequence on line 3
+    argv = {
+        "sentences": ["eval", "acceptability", "--model", model, "--sentences", path],
+        "ingest-text": ["ingest", "--input", path],
+        "ids": ["ingest", "--input", path, "--format", "ids"],
+        "sweep-csv": ["fit", "--csv", path],
+        "pairs-text": ["train", "--manifest", manifest, "--backend", "ffn", "--objectives", "nsp:1.0",
+                       "--pairs-text", path, "--epochs", "1"],
+    }[reader] + ["--out-dir", out]
+    err = _fails_with_one_line(capsys, argv, 3)
+    line = head.count(b"\n") + 1
+    assert f"data error: {path}:{line}: 'utf-8' codec can't decode" in err
+    assert f"in position {len(head) + 3}-" in err
 
 
 # One valid file of each input type, the file a mutation replaces, and the

@@ -113,6 +113,10 @@ def test_token_sequence_bounds_checked():
         TokenSequence((0, 2), vocab)
     with pytest.raises(EmptyInput):
         TokenSequence((), vocab)
+    with pytest.raises(ConfigError, match="token id -1 out of range"):
+        TokenSequence((1, -1, 0, 5), vocab)
+    with pytest.raises(ConfigError, match="token id 5 out of range"):
+        TokenSequence((1, 5, 0), vocab)
 
 
 # --- splitting --------------------------------------------------------------
@@ -286,6 +290,8 @@ def test_splits_roundtrip(tmp_path):
     assert loaded.counts == splits.counts
     assert loaded.seq_len == splits.seq_len
     assert [s.ids for s in loaded.train] == [s.ids for s in splits.train]
+    # Loaded sequences skip the second range check but equal checked ones.
+    assert (loaded.train, loaded.dev, loaded.test) == (splits.train, splits.dev, splits.test)
     assert manifest["seed"] == 4
     assert manifest["tokenizer"]["scheme"] == "word"
 

@@ -1,7 +1,9 @@
-"""Fast decoding paths against the slow paths they replace (tests/oracles.py).
+"""Fast paths against the slow paths they replace (tests/oracles.py).
 
-Every comparison is exact: the fast paths promise bit-identical output,
-so distributions are compared with ``tobytes()`` and decodes id for id.
+Decoding comparisons are exact: those fast paths promise bit-identical
+output, so distributions are compared with ``tobytes()`` and decodes id
+for id. The blocked training step sums the same terms in another order
+and is held to a stated relative tolerance instead.
 """
 
 import sys
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genteval.corpus import TokenSequence, Vocab
+from genteval.corpus import SentencePair, TokenSequence, Vocab
 from dataclasses import replace
 
 from genteval import decode
@@ -27,18 +29,32 @@ from genteval.decode import (
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, NGramLM, load_model, ngram_fit, save_model
-from genteval.losses import SeqUlConfig, TrainConfig, TrainData, Trainer
+from genteval import losses
+from genteval.losses import (
+    AdamState,
+    SeqUlConfig,
+    TrainConfig,
+    TrainData,
+    Trainer,
+    multitask_step,
+    previous_token_candidates,
+    ul_seq_candidates,
+)
 from genteval.rng import SplitMix64, stable_hash
 
 from oracles import (
     SlowLM,
     naive_generate,
     naive_generate_batch,
+    naive_multitask_step,
     naive_next_dist,
     naive_ngrams,
+    naive_previous_token_candidates,
     naive_sample,
     naive_top_ids,
     naive_truncate,
+    naive_ul_seq_candidates,
+    naive_windows,
 )
 from toytext import word_splits
 
@@ -352,6 +368,140 @@ def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
     slow_hist, slow_params = train()
     assert hist == slow_hist
     assert all(params[n].tobytes() == slow_params[n].tobytes() for n in params)
+
+
+# --- the blocked training step ----------------------------------------------
+
+
+@pytest.mark.parametrize("context", [1, 3, 8])
+def test_windows_match_per_row_slices(context):
+    model = FeedForwardLM.init(Vocab.placeholder(40), context=context, embed_dim=2, hidden_dim=2)
+    seqs = [(), (5,), (1, 2, 3), tuple(range(30))]
+    contexts = [(), (7,), (4, 5, 6), tuple(range(10, 35))]
+    for ids in seqs:
+        for ctx in contexts:
+            fast = model.windows(ids, ctx)
+            slow = naive_windows(model, ids, ctx)
+            assert fast.dtype == slow.dtype and fast.shape == slow.shape == (len(ids), context)
+            assert fast.flags.c_contiguous and fast.flags.owndata and np.array_equal(fast, slow)
+
+
+def _pairs_from_sets(sets):
+    rows = [t for t, cands in enumerate(sets) for _ in sorted(cands)]
+    cols = [c for cands in sets for c in sorted(cands)]
+    return rows, cols
+
+
+def _sorted_pairs(rows, cols):
+    order = np.lexsort((cols, rows))
+    return rows[order].tolist(), cols[order].tolist()
+
+
+@given(
+    ids=st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+    n=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_candidate_pairs_match_per_position_sets(ids, n):
+    arr = np.array(ids, dtype=np.int64)
+    for (rows, cols), want in (
+        (losses._previous_token_pairs(arr), naive_previous_token_candidates(ids)),
+        (losses._repeat_pairs(arr, n), naive_ul_seq_candidates(ids, n)),
+    ):
+        assert np.all(np.diff(rows) >= 0)  # the block code slices pairs by row
+        assert _sorted_pairs(rows, cols) == _pairs_from_sets(want)
+    assert previous_token_candidates(ids) == naive_previous_token_candidates(ids)
+    assert ul_seq_candidates(ids, n) == naive_ul_seq_candidates(ids, n)
+
+
+class _CaptureAdam(AdamState):
+    """Adam that keeps a copy of the last gradient it applied."""
+
+    def update(self, params, grads):
+        self.grads = {name: g.copy() for name, g in grads.items()}
+        super().update(params, grads)
+
+
+_V = 30
+_LENS = (9, 40, 7, 130, 64, 3, 200, 25)  # several blocks; two sequences exceed the cap
+
+
+def _step_data(lens=_LENS):
+    vocab = Vocab.placeholder(_V)
+    seqs = [TokenSequence(tuple((7 * i + 3 * t + t // 5) % 11 for t in range(n)), vocab)
+            for i, n in enumerate(lens)]
+    pairs = [
+        (SentencePair(seqs[0], seqs[2], "positive", "nsp"),
+         SentencePair(seqs[0], seqs[5], "negative", "nsp")),
+        (SentencePair(seqs[2], seqs[0], "positive", "nsp"),
+         SentencePair(seqs[2], seqs[1], "negative", "nsp")),
+    ]
+    tfidf = [(seqs[i], tuple(0.3 * ((t * i) % 7) for t in range(len(seqs[i])))) for i in (0, 2)]
+    pos = [(seqs[i], tuple(None if t % 3 == 0 else t % 4 for t in range(len(seqs[i]))))
+           for i in (0, 5)]
+    return vocab, TrainData(sequences=tuple(seqs), nsp=tuple(pairs), tfidf=tuple(tfidf),
+                            pos=tuple(pos))
+
+
+STEP_CASES = {
+    "mle": ((("mle", 1.0),), 0.5),
+    "mle+token_ul": ((("mle", 1.0), ("ul", 0.7)), 0.0),
+    "mle+seq_ul": ((("mle", 1.0), ("ul", 0.7)), 1.0),
+    "token_ul": ((("ul", 2.0),), 0.0),
+    "seq_ul": ((("ul", 2.0),), 1.0),
+    "ul_before_mle": ((("ul", 0.5), ("mle", 1.5)), 0.0),
+    "every_kind": ((("nsp", 0.3), ("mle", 1.0), ("tfidf", 0.2), ("ul", 0.5), ("pos", 0.4)), 0.0),
+    "every_kind_seq_ul": ((("mle", 1.0), ("ul", 0.5), ("nsp", 0.3), ("tfidf", 0.2),
+                           ("pos", 0.4)), 1.0),
+}
+STEP_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_blocked_step_matches_per_item_step(case):
+    objectives, mix = STEP_CASES[case]
+    vocab, batch = _step_data()
+    cfg = TrainConfig(objectives=objectives,
+                      seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
+
+    def run(step):
+        model = FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5,
+                                   n_labels=4, regression=True)
+        opt, rng = _CaptureAdam(model.params, 1e-2), SplitMix64(9)
+        return step(model, batch, cfg, opt, rng), opt.grads, rng.uniform()
+
+    fast, fast_grads, fast_next = run(multitask_step)
+    slow, slow_grads, slow_next = run(naive_multitask_step)
+    assert fast_next == slow_next  # the same randomness was consumed
+    assert list(fast) == list(slow)
+    for key, want in slow.items():
+        assert fast[key] == pytest.approx(want, rel=STEP_RTOL, abs=0), key
+    for name, want in slow_grads.items():
+        err = np.max(np.abs(fast_grads[name] - want))
+        assert err <= STEP_RTOL * np.max(np.abs(want)), (name, err)
+
+
+def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
+    rows = []
+    forward = FeedForwardLM.forward
+
+    def counting(self, ctx):
+        rows.append(ctx.shape[0])
+        return forward(self, ctx)
+
+    monkeypatch.setattr(FeedForwardLM, "forward", counting)
+    vocab, batch = _step_data()
+    assert max(_LENS) > losses._BLOCK_ROWS
+    for mix in (0.0, 1.0):
+        cfg = TrainConfig(objectives=(("mle", 1.0), ("ul", 0.5)),
+                          seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
+        model = FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5)
+        rows.clear()
+        multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
+        assert max(rows) <= losses._BLOCK_ROWS
+        if mix == 0.0:
+            # Token-level UL reuses MLE's forward: every token is forwarded once.
+            assert sum(rows) == sum(_LENS)
 
 
 # --- the harness end to end --------------------------------------------------

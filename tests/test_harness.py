@@ -314,7 +314,7 @@ def test_sweep_csv_roundtrip(tmp_path):
 def test_read_sweep_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "sweep.csv"
     path.write_text("model,oops\nx,y\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match=r"sweep\.csv:1: unexpected sweep CSV columns"):
         read_sweep_csv(path)
 
 
@@ -324,7 +324,7 @@ def test_read_sweep_csv_rejects_unknown_schema(tmp_path):
     write_sweep_csv(path, [record])
     text = path.read_text(encoding="utf-8").replace(SCHEMA_TAG, "v999")
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match=r"sweep\.csv:2: unknown schema tag 'v999'"):
         read_sweep_csv(path)
 
 

@@ -336,6 +336,7 @@ def test_train_config_from_json(tmp_path):
         {"objectives": (("mle", -1.0),)},
         {"objectives": (("mle", 0.0), ("ul", 0.0))},
         {"learning_rate": 0.0},
+        {"objectives": (("mle", 1.0), ("ul", 0.5), ("mle", 2.0))},
     ],
 )
 def test_train_config_rejects(bad):
