@@ -1,4 +1,5 @@
-"""Exception taxonomy for the toolkit, and the reader's text-file opener.
+"""Exception taxonomy for the toolkit, the reader's text-file opener and
+the writers' atomic replace.
 
 Two branches matter for the CLI: configuration problems (bad flags,
 invalid strategy/parameter pairings) exit with code 2, data problems
@@ -7,6 +8,8 @@ invalid strategy/parameter pairings) exit with code 2, data problems
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -73,4 +76,20 @@ def open_text(path, newline: str | None = None):
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise DataError(f"{path}:{line}: {exc}") from None
+        raise
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a temp file beside ``path`` for writing. A clean exit moves it
+    onto ``path`` in one ``os.replace``; an error removes it and leaves
+    ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise

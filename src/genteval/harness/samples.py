@@ -12,13 +12,13 @@ import json
 from pathlib import Path
 
 from ..corpus import TokenSequence, Vocab
-from ..errors import ConfigError, DataError, open_text
+from ..errors import ConfigError, DataError, atomic_write, open_text
 from ..metrics import Sample, SampleSet
 
 
 def save_sample_set(path: str | Path, sset: SampleSet) -> None:
     prov = sset.provenance
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         for s in sset.samples:
             f.write(
                 json.dumps(
@@ -99,6 +99,6 @@ def write_metric_report(
         "n_samples": n_samples,
         "nulls_excluded": nulls_excluded,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")

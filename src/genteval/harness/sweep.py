@@ -27,7 +27,7 @@ from typing import Callable
 
 from ..corpus import CorpusSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
-from ..errors import ConfigError, DataError, DegenerateFit, open_text
+from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text
 from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
@@ -343,7 +343,7 @@ def run_sweep(
                 failed=f"{type(exc).__name__}: {exc}",
                 config_hash=digest,
             )
-        with open(record_path, "w", encoding="utf-8") as f:
+        with atomic_write(record_path, encoding="utf-8") as f:
             json.dump(record.to_json(), f, sort_keys=True, indent=2)
             f.write("\n")
         records.append(record)

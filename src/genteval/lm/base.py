@@ -19,11 +19,18 @@ prefixes (or beam hypotheses) they decode together. It is optional: a
 model without it is served by stacking its ``next_dist`` rows. A
 batched row may differ from ``next_dist`` of the same context in the
 last bits, and the difference may depend on the batch size and on the
-row's position. The n-gram's rows are bit-identical; the ffn's matrix
-products are not batch-invariant (about 1e-19 absolute on probabilities
-near 1e-4 at |V| = 5000). A decode is therefore a function of the batch
-it ran in, which is why ``genteval generate`` and a sweep cell decode
-the same prefixes in the same batches.
+row's position. The n-gram's ``next_dist`` is its one-row batch, and
+each row is computed elementwise from sorted-array lookups, so its rows
+do not depend on the batch; the ffn's matrix products are not
+batch-invariant (about 1e-19 absolute on probabilities near 1e-4 at
+|V| = 5000). A decode is therefore a function of the batch it ran in,
+which is why ``genteval generate`` and a sweep cell decode the same
+prefixes in the same batches.
+
+Likewise a model may offer ``score_batch(seqs, contexts=())``, the
+``score`` of every sequence from one call; :func:`batch_scores` uses it
+for the perplexity metrics and calls ``score`` per sequence otherwise.
+The n-gram's ``score`` is its one-sequence batch.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ class LanguageModel(Protocol):
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
 
-    # Optional: next_dist_batch(contexts) -> (B, |V|), see the module docstring.
+    # Optional: next_dist_batch(contexts) -> (B, |V|) and
+    # score_batch(seqs, contexts=()) -> list of scores, see the module docstring.
 
     def score(self, seq, context: Sequence[int] = ()) -> float: ...
 
@@ -56,6 +64,15 @@ def as_ids(seq) -> tuple[int, ...]:
     if isinstance(seq, TokenSequence):
         return seq.ids
     return tuple(int(i) for i in seq)
+
+
+def batch_scores(model, seqs) -> list[float]:
+    """``model.score(seq)`` of each of ``seqs``, in one ``score_batch`` call
+    when the model has it."""
+    batch = getattr(model, "score_batch", None)
+    if batch is None:
+        return [model.score(s) for s in seqs]
+    return batch(seqs)
 
 
 def perplexity(model, seq, context: Sequence[int] = ()) -> float:

@@ -12,143 +12,140 @@ would be 0/0, so the model backs off to the shortened context (dropping
 the leftmost token) until it finds one with observations; the unigram
 level always qualifies on non-empty training data.
 
-``next_dist`` reads each context's observed continuations from a
-CSR-style row index (context -> slice of flat next-id and count arrays),
-so one call costs O(|V|) numpy work plus O(observed continuations). The
-index of an order is built on the first ``next_dist`` that answers from
-it, never at fit or load time: models fitted only for scoring (reverse
-perplexity) never pay for it.
+Order o keeps ``grams[o]``, its distinct o-grams in lexicographic order,
+and their ``counts[o]``. A gram's key is the row of its context in
+``grams[o - 1]`` times a base above every id, plus its last id, so keys
+ascend with the grams, each context's continuations are one block of
+rows, and no key overflows at any order. ``score_batch`` and
+``next_dist_batch`` look up a whole batch with one ``searchsorted`` per
+order; ``score`` and ``next_dist`` are their one-row calls.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..corpus import TokenSequence, Vocab
-from ..errors import BadOrder, ConfigError, EmptyInput
+from ..errors import BadOrder, ConfigError, DataError, EmptyInput
 from .base import as_ids
 
 
 class NGramLM:
     backend = "ngram"
 
-    def __init__(
-        self,
-        vocab: Vocab,
-        order: int,
-        k_s: float,
-        counts: dict[int, dict[tuple[int, ...], int]],
-    ) -> None:
+    def __init__(self, vocab: Vocab, order: int, k_s: float, grams: dict, counts: dict) -> None:
+        """``grams[o]``: the o-grams, strictly increasing, each one's
+        context a gram of ``grams[o - 1]``; ``counts[o]``: their counts."""
         if order < 1:
             raise BadOrder("n-gram order must be at least 1")
         if k_s < 0:
             raise ConfigError("smoothing constant must be non-negative")
-        self.vocab = vocab
-        self.order = order
-        self.k_s = float(k_s)
-        self.counts = {o: dict(counts.get(o, {})) for o in range(1, order + 1)}
-        counts = self.counts
-        # Continuation totals per context; the unigram context is ().
-        self.ctx_totals: dict[int, dict[tuple[int, ...], int]] = {}
-        for o, table in counts.items():
-            totals: dict[tuple[int, ...], int] = {}
-            for gram, c in table.items():
-                ctx = gram[:-1]
-                totals[ctx] = totals.get(ctx, 0) + c
-            self.ctx_totals[o] = totals
-        if self.ctx_totals.get(1, {}).get((), 0) == 0:
+        self.vocab, self.order, self.k_s = vocab, order, float(k_s)
+        self.grams = {o: np.asarray(grams[o], dtype=np.int64).reshape(-1, o) for o in range(1, order + 1)}
+        # counts[o] views all but a trailing 0 that row -1 (no gram) reads.
+        self._counts = {o: np.append(np.asarray(counts[o], dtype=np.int64), 0) for o in self.grams}
+        self.counts = {o: c[:-1] for o, c in self._counts.items()}
+        # Ids run below base - 1, which stands for every id no gram holds
+        # (and row -1 makes a negative key), so a miss never matches.
+        self._base = 2 + max((int(g.max()) for g in self.grams.values() if g.size), default=0)
+        # Per order: the keys, then a sentinel; context r's row block [bounds[r],
+        # bounds[r + 1]) and total, then a 0 total that row -1 (absent) reads.
+        self._keys, self._bounds, self._totals = {}, {}, {}
+        for o, g in self.grams.items():
+            rows = np.zeros(len(g), dtype=np.int64)
+            for j in range(o - 1):
+                rows = self._find(j + 1, rows, g[:, j])
+            if (rows < 0).any():
+                raise DataError(f"an order-{o} n-gram's context is not an order-{o - 1} n-gram")
+            keys = rows * self._base + g[:, -1]
+            if (keys[1:] <= keys[:-1]).any():
+                raise DataError(f"order-{o} n-grams are not strictly increasing")
+            self._keys[o] = np.append(keys, np.iinfo(np.int64).max)
+            n_ctx = len(self.grams[o - 1]) if o > 1 else 1
+            b = self._bounds[o] = np.searchsorted(self._keys[o], np.arange(n_ctx + 1) * self._base)
+            cum = np.concatenate(([0], np.cumsum(self.counts[o])))
+            self._totals[o] = np.append(cum[b[1:]] - cum[b[:-1]], 0)
+        if self._totals[1][0] == 0:
             raise EmptyInput("n-gram model fitted on no tokens")
-        self._rows: dict[int, _Rows] = {}
 
     @property
     def context_len(self) -> int:
         """Only the last order-1 ids of a context affect a prediction."""
         return self.order - 1
 
-    def _level(self, context: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
-        """Pick the order to answer from: longest usable context."""
-        ctx = context[max(0, len(context) - (self.order - 1)) :] if self.order > 1 else ()
-        for o in range(min(self.order, len(ctx) + 1), 0, -1):
-            c = ctx[len(ctx) - (o - 1) :] if o > 1 else ()
-            total = self.ctx_totals[o].get(c, 0)
-            if total > 0 or self.k_s > 0 or o == 1:
-                return o, c, total
-        raise AssertionError("unreachable: unigram level always answers")
+    def _find(self, o: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Row in ``grams[o]`` of (gram ``rows`` of ``grams[o - 1]``) + (id,), or -1."""
+        want = rows * self._base + ids
+        at = np.searchsorted(self._keys[o], want)
+        return np.where(self._keys[o][at] == want, at, -1)
 
-    def token_prob(self, token: int, context: Sequence[int]) -> float:
-        o, ctx, total = self._level(tuple(context))
-        c = self.counts[o].get(ctx + (token,), 0)
-        denom = total + self.k_s * self.vocab.size
-        return (c + self.k_s) / denom if denom > 0 else 0.0
+    def _lookup(self, contexts, seqs):
+        """Backoff level, context row, context total and gram count of every
+        id of ``seqs``, end to end; ``seqs[i]`` follows ``contexts[i]``."""
+        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in map(as_ids, contexts)]
+        n_ctx = np.array([len(t) for t in tails], dtype=np.int64)
+        lens = n_ctx + np.array([len(s) for s in seqs], dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64)
+        flat[flat.view(np.uint64) >= self._base - 1] = self._base - 1  # negative ids too
+        behind = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)  # ids before, per segment
+        q = np.flatnonzero(behind >= np.repeat(n_ctx, lens))
+        avail = behind[q]
+        level, row = np.ones(len(q), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
+        total, count = np.full(len(q), self._totals[1][0]), np.zeros(len(q), dtype=np.int64)
+        prefix = np.zeros(len(flat), dtype=np.int64)  # row of the (k-1)-gram ending before i
+        for k in range(1, self.order + 1):
+            ends = self._find(k, prefix, flat)  # row of the k-gram ending at i
+            count = np.where(level == k, self._counts[k][ends[q]], count)  # level k: context + id
+            if k == self.order:
+                return level, row, total, count
+            prefix = np.concatenate(([-1], ends[:-1]))
+            prefix[behind < k] = -1
+            r = prefix[q]
+            t = self._totals[k + 1][r]
+            pick = avail >= k if self.k_s > 0 else t > 0
+            level, row, total = np.where(pick, k + 1, level), np.where(pick, r, row), np.where(pick, t, total)
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        dist = np.empty(self.vocab.size)
-        self._fill(dist, as_ids(context))
-        return dist
+        return self.next_dist_batch([context])[0]
 
     def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """``(len(contexts), V)``; row i is bit for bit ``next_dist(contexts[i])``."""
-        out = np.empty((len(contexts), self.vocab.size))
-        for dist, context in zip(out, contexts):
-            self._fill(dist, as_ids(context))
+        """``(len(contexts), V)``; row i is the distribution after ``contexts[i]``."""
+        level, row, total, _ = self._lookup(contexts, [(-1,)] * len(contexts))
+        v = self.vocab.size
+        denom = total + self.k_s * v
+        # Same float operations as (count + k_s) / denom per token.
+        out = np.empty((len(contexts), v))
+        out[:] = (self.k_s / denom)[:, None]
+        for o in np.unique(level[row >= 0]).tolist():  # the levels that answer from counts
+            b = np.flatnonzero((level == o) & (row >= 0))
+            lo = self._bounds[o][row[b]]
+            n = self._bounds[o][row[b] + 1] - lo
+            at = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+            b, nxt = np.repeat(b, n), self.grams[o][at, -1]
+            keep = nxt < v  # a counted id the vocab lacks has no entry
+            out[b[keep], nxt[keep]] = (self.counts[o][at[keep]] + self.k_s) / denom[b[keep]]
         return out
 
-    def _fill(self, dist: np.ndarray, context: tuple[int, ...]) -> None:
-        o, ctx, total = self._level(context)
-        v = dist.size
-        denom = total + self.k_s * v
-        if denom == 0:
-            dist.fill(0.0)  # k_s = 0 with an empty unigram table cannot happen
-            return
-        # Same float operations as (count + k_s) / denom per token.
-        dist.fill(self.k_s / denom)
-        rows = self._rows.get(o)
-        if rows is None:
-            rows = self._rows[o] = _Rows(self.counts[o], v)
-        span = rows.index.get(ctx)
-        if span is not None:
-            start, end = span
-            dist[rows.next_ids[start:end]] = (rows.counts[start:end] + self.k_s) / denom
-
     def score(self, seq, context: Sequence[int] = ()) -> float:
-        ids = as_ids(seq)
-        ctx = list(as_ids(context))
-        total = 0.0
-        for tok in ids:
-            p = self.token_prob(tok, tuple(ctx))
-            if p <= 0.0:
-                return -np.inf
-            total += np.log(p)
-            ctx.append(tok)
-        return float(total)
+        return self.score_batch([seq], [context])[0]
 
+    def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
+        """``score(seqs[i], contexts[i])`` of every sequence, from one lookup.
 
-class _Rows:
-    """Observed continuations of every context of one order, CSR style.
-
-    The continuations of ``ctx`` are ``next_ids[start:end]`` with counts
-    ``counts[start:end]``, where ``(start, end) = index[ctx]``. Next ids
-    outside the vocab are left out, as no distribution entry holds them.
-    """
-
-    __slots__ = ("index", "next_ids", "counts")
-
-    def __init__(self, table: dict[tuple[int, ...], int], vocab_size: int) -> None:
-        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for gram, c in table.items():
-            if 0 <= gram[-1] < vocab_size:
-                grouped.setdefault(gram[:-1], []).append((gram[-1], c))
-        self.index: dict[tuple[int, ...], tuple[int, int]] = {}
-        flat: list[tuple[int, int]] = []
-        for ctx, row in grouped.items():
-            self.index[ctx] = (len(flat), len(flat) + len(row))
-            flat += row
-        pairs = np.array(flat, dtype=np.int64).reshape(len(flat), 2)
-        self.next_ids = pairs[:, 0]
-        self.counts = pairs[:, 1]
+        A zero-probability token makes its sequence's score -inf; each
+        sum runs left to right, as a per-token loop adds.
+        """
+        seqs = [as_ids(s) for s in seqs]
+        if contexts and len(contexts) != len(seqs):
+            raise ConfigError("score_batch needs one context per sequence")
+        _, _, total, count = self._lookup(contexts or [()] * len(seqs), seqs)
+        p = (count + self.k_s) / (total + self.k_s * self.vocab.size)
+        logp = np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
+        ends = np.cumsum([len(s) for s in seqs]).tolist()
+        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if s else 0.0 for s, e in zip(seqs, ends)]
 
 
 def ngram_fit(
@@ -163,21 +160,24 @@ def ngram_fit(
     vocab of the first sequence; pass one explicitly when fitting on raw
     generated ids.
     """
-    if order < 1:
-        raise BadOrder("n-gram order must be at least 1")
-    if isinstance(corpus, TokenSequence):
-        corpus = [corpus]
-    sequences = list(corpus)
+    sequences = [corpus] if isinstance(corpus, TokenSequence) else list(corpus)
     if not sequences:
         raise EmptyInput("no training sequences")
     if vocab is None:
         vocab = sequences[0].vocab
-    counts: dict[int, dict[tuple[int, ...], int]] = {
-        o: Counter() for o in range(1, order + 1)
-    }
-    for seq in sequences:
-        ids = as_ids(seq)
-        for o in range(1, order + 1):
-            # The windows ids[i : i + o], in order, counted in C.
-            counts[o].update(zip(*(ids[j:] for j in range(o))))
-    return NGramLM(vocab, order, k_s, {o: dict(t) for o, t in counts.items()})
+    sequences = [as_ids(s) for s in sequences]
+    lens = np.array([len(s) for s in sequences], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))  # ids left in the sequence
+    base = int(flat.max()) + 1 if flat.size else 1
+    # Each o-gram window is keyed by its (o-1)-gram's row x base + its last
+    # id, and all windows of one order are counted in one np.unique.
+    grams, counts = {}, {}
+    prev, rows = np.empty((1, 0), dtype=np.int64), np.zeros(len(flat), dtype=np.int64)
+    for o in range(1, order + 1):
+        at = np.flatnonzero(room >= o)
+        keys, rows[at], counts[o] = np.unique(
+            rows[at] * base + flat[at + o - 1], return_inverse=True, return_counts=True
+        )
+        grams[o] = prev = np.column_stack([prev[keys // base], keys % base])
+    return NGramLM(vocab, order, k_s, grams, counts)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Vocab
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, atomic_write
 from .ffn import FeedForwardLM, param_shapes
 from .ngram import NGramLM
 
@@ -55,17 +55,15 @@ def save_model(model, path: str | Path) -> None:
             "k_s": model.k_s,
             "vocab": list(model.vocab.tokens),
         }
-        flat: list[float] = []
-        for o in range(1, model.order + 1):
-            table = model.counts[o]
-            flat.append(float(len(table)))
-            for gram in sorted(table):
-                flat.extend(float(i) for i in gram)
-                flat.append(float(table[gram]))
-        payload = np.array(flat)
+        payload = np.concatenate([
+            np.concatenate(([len(model.counts[o])], np.column_stack(
+                [model.grams[o], model.counts[o]]).ravel()))
+            for o in range(1, model.order + 1)
+        ])
     else:
         raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-    Path(path).write_bytes(_pack(header, payload))
+    with atomic_write(path, "wb") as f:
+        f.write(_pack(header, payload))
 
 
 def load_model(path: str | Path):
@@ -119,7 +117,7 @@ def _decode(header: dict, payload: np.ndarray, path):
         )
     elif header["backend"] == "ngram":
         order = int(header["order"])
-        counts: dict[int, dict[tuple[int, ...], int]] = {}
+        grams, counts = {}, {}
         pos = 0
         for o in range(1, order + 1):
             _need(payload, pos + 1, path)
@@ -132,17 +130,19 @@ def _decode(header: dict, payload: np.ndarray, path):
             # One record per gram: its o ids, then its count, all stored
             # as integral float64 values that int64 holds exactly.
             records = payload[pos:end].reshape(n_entries, o + 1)
-            grams, cnt = records[:, :o], records[:, o]
+            grams[o], counts[o] = records[:, :o], records[:, o]
             if not (
                 (records == np.floor(records)).all()
-                and ((grams >= 0) & (grams < vocab.size)).all()
-                and ((cnt >= 1) & (cnt <= 2**53)).all()
+                and ((grams[o] >= 0) & (grams[o] < vocab.size)).all()
+                and ((counts[o] >= 1) & (counts[o] <= 2**53)).all()
+                and counts[o].sum() <= 2**53
             ):
                 raise DataError(f"{path}: an order-{o} n-gram record is not ids and a count")
-            records = records.astype(np.int64)
-            counts[o] = dict(zip(map(tuple, records[:, :o].tolist()), records[:, o].tolist()))
             pos = end
-        model = NGramLM(vocab, order, float(header["k_s"]), counts)
+        try:
+            model = NGramLM(vocab, order, float(header["k_s"]), grams, counts)
+        except DataError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
     else:
         raise DataError(f"{path}: unknown backend {header['backend']!r}")
     if pos != payload.size:

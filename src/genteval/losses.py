@@ -427,6 +427,9 @@ def labels_to_ids(aligned: Sequence[str], table: dict[str, int]) -> list[int | N
 # ---------------------------------------------------------------------------
 
 
+_ADAM_CHUNK = 1 << 14  # elements per in-place pass: the scratch stays small and cached
+
+
 class AdamState:
     """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
 
@@ -438,16 +441,32 @@ class AdamState:
         self.step_count = 0
         self.m = {n: np.zeros_like(a) for n, a in params.items()}
         self.v = {n: np.zeros_like(a) for n, a in params.items()}
+        self._scratch = np.empty((2, _ADAM_CHUNK))
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """In place, chunk by chunk, in the operation order of
+        ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * g * g``,
+        ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``. Each tensor must be
+        C-contiguous, so that its flat view writes through."""
         self.step_count += 1
         c1 = 1.0 - self.beta1**self.step_count
         c2 = 1.0 - self.beta2**self.step_count
         for name, p in params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            p -= self.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+            arrays = (p, grads[name], self.m[name], self.v[name])
+            if not all(a.flags.c_contiguous for a in arrays):
+                raise ConfigError(f"Adam updates C-contiguous tensors in place; {name!r} is not")
+            flat = [a.reshape(-1) for a in arrays]
+            for lo in range(0, p.size, _ADAM_CHUNK):
+                p_, g, m, v = (a[lo : lo + _ADAM_CHUNK] for a in flat)
+                t, u = self._scratch[:, : g.size]
+                np.multiply(m, self.beta1, out=m)
+                np.add(m, np.multiply(g, 1 - self.beta1, out=t), out=m)
+                np.multiply(v, self.beta2, out=v)
+                np.multiply(np.multiply(g, 1 - self.beta2, out=t), g, out=t)
+                np.add(v, t, out=v)
+                np.multiply(np.divide(m, c1, out=t), self.lr, out=t)
+                np.add(np.sqrt(np.divide(v, c2, out=u), out=u), self.eps, out=u)
+                np.subtract(p_, np.divide(t, u, out=t), out=p_)
 
 
 @dataclass(frozen=True)

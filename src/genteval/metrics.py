@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .corpus import TokenSequence, Vocab
 from .errors import ConfigError, InsufficientSamples
-from .lm.base import as_ids
+from .lm.base import as_ids, batch_scores
 from .lm.ngram import NGramLM, ngram_fit
 from .rng import SplitMix64
 
@@ -306,8 +306,7 @@ def forward_ppl(scorer, gen: SampleSet) -> float:
         raise InsufficientSamples("forward_ppl needs at least one sample")
     total_lp = 0.0
     total_tokens = 0
-    for s in gen.samples:
-        lp = scorer.score(s.continuation.ids)
+    for s, lp in zip(gen.samples, batch_scores(scorer, gen.continuations())):
         if not math.isfinite(lp):
             return math.inf
         total_lp += lp
@@ -335,8 +334,8 @@ def reverse_ppl(
     scorer = ngram_fit(gen.continuations(), order=order, k_s=k_s, vocab=vocab)
     total_lp = 0.0
     total_tokens = 0
-    for s in human_test.samples:
-        total_lp += scorer.score(s.continuation.ids)
+    for s, lp in zip(human_test.samples, scorer.score_batch(human_test.continuations())):
+        total_lp += lp
         total_tokens += len(s.continuation)
     return math.exp(-total_lp / total_tokens)
 

@@ -108,18 +108,114 @@ def spearman(xs, ys):
 # ---------------------------------------------------------------------------
 
 
+class DictNGram:
+    """The n-gram model as one dict of counts per order: the slow reference
+    for ``NGramLM``'s sorted arrays.
+
+    ``_level``, ``token_prob``, ``score`` and ``to_bytes`` are the dict
+    implementation the package used before: context totals summed in a
+    Python loop, one lookup per scored token, a model file written one
+    gram at a time.
+    """
+
+    def __init__(self, vocab, order, k_s, counts):
+        self.vocab, self.order, self.k_s = vocab, order, float(k_s)
+        self.counts = {o: dict(counts.get(o, {})) for o in range(1, order + 1)}
+        self.ctx_totals = {}
+        for o, table in self.counts.items():
+            totals = {}
+            for gram, c in table.items():
+                totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
+            self.ctx_totals[o] = totals
+
+    @classmethod
+    def of(cls, model):
+        return cls(model.vocab, model.order, model.k_s, ngram_tables(model))
+
+    @classmethod
+    def fit(cls, corpus, vocab, order, k_s):
+        """Count every window of every id list with ``naive_ngrams``."""
+        counts = {o: {} for o in range(1, order + 1)}
+        for ids in corpus:
+            for o in counts:
+                for gram, c in naive_ngrams(ids, o).items():
+                    counts[o][gram] = counts[o].get(gram, 0) + c
+        return cls(vocab, order, k_s, counts)
+
+    def _level(self, context):
+        ctx = context[max(0, len(context) - (self.order - 1)) :] if self.order > 1 else ()
+        for o in range(min(self.order, len(ctx) + 1), 0, -1):
+            c = ctx[len(ctx) - (o - 1) :] if o > 1 else ()
+            total = self.ctx_totals[o].get(c, 0)
+            if total > 0 or self.k_s > 0 or o == 1:
+                return o, c, total
+        raise AssertionError("unreachable: unigram level always answers")
+
+    def token_prob(self, token, context):
+        o, ctx, total = self._level(tuple(context))
+        c = self.counts[o].get(ctx + (token,), 0)
+        denom = total + self.k_s * self.vocab.size
+        return (c + self.k_s) / denom if denom > 0 else 0.0
+
+    def score(self, seq, context=()):
+        ctx = [int(i) for i in context]
+        total = 0.0
+        for tok in seq:
+            p = self.token_prob(int(tok), tuple(ctx))
+            if p <= 0.0:
+                return -np.inf
+            total += np.log(p)
+            ctx.append(int(tok))
+        return float(total)
+
+    def to_bytes(self):
+        """The model file ``save_model`` writes, one gram at a time."""
+        import json
+        import struct
+
+        header = {"backend": "ngram", "order": self.order, "k_s": self.k_s,
+                  "vocab": list(self.vocab.tokens)}
+        flat = []
+        for o in range(1, self.order + 1):
+            table = self.counts[o]
+            flat.append(float(len(table)))
+            for gram in sorted(table):
+                flat.extend(float(i) for i in gram)
+                flat.append(float(table[gram]))
+        head = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        return b"LMEK1" + struct.pack("<Q", len(head)) + head + np.array(flat).astype("<f8").tobytes()
+
+
+def ngram_tables(model):
+    """An ``NGramLM``'s count arrays as {order: {gram tuple: count}}."""
+    return {
+        o: dict(zip(map(tuple, model.grams[o].tolist()), model.counts[o].tolist()))
+        for o in range(1, model.order + 1)
+    }
+
+
+def ngram_from_tables(vocab, order, k_s, counts):
+    """An ``NGramLM`` holding the dict tables ``counts`` ({order: {gram: count}})."""
+    from genteval.lm import NGramLM
+
+    rows = {o: sorted(counts.get(o, {}).items()) for o in range(1, order + 1)}
+    grams = {o: np.array([g for g, _ in r], dtype=np.int64).reshape(-1, o) for o, r in rows.items()}
+    return NGramLM(vocab, order, k_s, grams, {o: [c for _, c in r] for o, r in rows.items()})
+
+
 def naive_next_dist(model, context):
     """An n-gram conditional by one dict lookup per vocab entry.
 
-    The backoff level is found by scanning the count tables, not from
-    the model's cached totals.
+    ``model`` is an ``NGramLM`` or a ``DictNGram``. The backoff level is
+    found by scanning the count tables, not from cached totals.
     """
+    counts = model.counts if isinstance(model, DictNGram) else ngram_tables(model)
     order, k_s, v = model.order, model.k_s, model.vocab.size
     ctx = tuple(int(i) for i in context)
     ctx = ctx[max(0, len(ctx) - (order - 1)) :] if order > 1 else ()
     for o in range(min(order, len(ctx) + 1), 0, -1):
         c = ctx[len(ctx) - (o - 1) :] if o > 1 else ()
-        total = sum(n for gram, n in model.counts[o].items() if gram[:-1] == c)
+        total = sum(n for gram, n in counts[o].items() if gram[:-1] == c)
         if total > 0 or k_s > 0 or o == 1:
             break
     dist = np.zeros(v)
@@ -127,7 +223,7 @@ def naive_next_dist(model, context):
     if denom == 0:
         return dist
     for w in range(v):
-        n = model.counts[o].get(c + (w,), 0)
+        n = counts[o].get(c + (w,), 0)
         if n or k_s:
             dist[w] = (n + k_s) / denom
     return dist
@@ -136,15 +232,16 @@ def naive_next_dist(model, context):
 class SlowLM:
     """A model seen through the slow paths: no ``context_len``, so the
     decoder hands it the whole context, and for an n-gram the O(|V|)
-    ``naive_next_dist``."""
+    ``naive_next_dist`` over its dict tables."""
 
     def __init__(self, model):
         self.model = model
         self.vocab = model.vocab
+        self.tables = DictNGram.of(model) if hasattr(model, "grams") else None
 
     def next_dist(self, context):
-        if hasattr(self.model, "counts"):
-            return naive_next_dist(self.model, context)
+        if self.tables is not None:
+            return naive_next_dist(self.tables, context)
         return self.model.next_dist(context)
 
     def score(self, seq, context=()):
@@ -394,3 +491,16 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
     scalars["total"] = total
     opt.update(model.params, grads)
     return scalars
+
+
+def naive_adam_update(state, params, grads):
+    """``AdamState.update`` as whole-array expressions: fresh ``m`` and
+    ``v`` arrays and a fresh step array per tensor."""
+    state.step_count += 1
+    c1 = 1.0 - state.beta1**state.step_count
+    c2 = 1.0 - state.beta2**state.step_count
+    for name, p in params.items():
+        g = grads[name]
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        p -= state.lr * (state.m[name] / c1) / (np.sqrt(state.v[name] / c2) + state.eps)

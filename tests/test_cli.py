@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -744,6 +745,56 @@ def test_malformed_reader_inputs_are_data_errors(workspace, tmp_path, capsys, ca
         where = f"{path}:2: 'utf-8' codec can't decode byte 0xff in position {len(good) + 1}"
     err = _fails_with_one_line(capsys, argv, 3)
     assert where in err
+
+
+def _rewrite_ngram_records(src, dst, order, i, j, copy):
+    """Write ``src``'s model file to ``dst`` with record j of the given
+    order copied over record i (``copy``) or the two swapped."""
+    blob = src.read_bytes()
+    body = 13 + int.from_bytes(blob[5:13], "little")
+    payload = np.frombuffer(blob, dtype="<f8", offset=body).copy()
+    pos = 0
+    for o in range(1, order):
+        pos += 1 + int(payload[pos]) * (o + 1)
+    records = payload[pos + 1 : pos + 1 + int(payload[pos]) * (order + 1)].reshape(-1, order + 1)
+    if copy:
+        records[i] = records[j]
+    else:
+        records[[i, j]] = records[[j, i]]
+    dst.write_bytes(blob[:body] + payload.tobytes())
+    return len(records)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("copy", [False, True], ids=["swapped", "repeated"])
+def test_ngram_records_out_of_order_are_data_errors(workspace, tmp_path, capsys, order, copy):
+    path = tmp_path / "model.lmek"
+    _rewrite_ngram_records(workspace["model"], path, order, 0, 1, copy)
+    argv = ["eval", "acceptability", "--model", path, "--sentences", tmp_path / "s.txt",
+            "--out-dir", tmp_path / "out"]
+    (tmp_path / "s.txt").write_text("the cat sat\n", encoding="utf-8")
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert f"{path}: order-{order} n-grams are not strictly increasing" in err
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reordered_or_repeated_ngram_records_fail_cleanly(workspace, tmp_path, data):
+    path = tmp_path / "model.lmek"
+    order = data.draw(st.sampled_from([1, 2]), label="order")
+    n = _rewrite_ngram_records(workspace["model"], path, order, 0, 0, True)
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i), label="j")
+    _rewrite_ngram_records(workspace["model"], path, order, i, j, data.draw(st.booleans(), label="copy"))
+    argv = ["generate", "--model", path, "--manifest", workspace["manifest"], "--strategy", "greedy",
+            "--prefix-len", "3", "--gen-len", "4", "--n-prefixes", "2", "--out-dir", tmp_path / "out"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main([str(a) for a in argv])
+    err = stderr.getvalue()
+    assert rc == 3 and err.count("\n") == 1, err
+    assert f"{path}: order-{order} n-grams are not strictly increasing" in err
 
 
 @pytest.mark.parametrize("reader", ["sentences", "ingest-text", "ids", "sweep-csv", "pairs-text"])

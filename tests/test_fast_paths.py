@@ -7,7 +7,9 @@ and is held to a stated relative tolerance instead.
 """
 
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from genteval.decode import (
 )
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
-from genteval.lm import FeedForwardLM, NGramLM, load_model, ngram_fit, save_model
+from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
 from genteval import losses
 from genteval.losses import (
     AdamState,
@@ -43,12 +45,15 @@ from genteval.losses import (
 from genteval.rng import SplitMix64, stable_hash
 
 from oracles import (
+    DictNGram,
     SlowLM,
+    naive_adam_update,
     naive_generate,
     naive_generate_batch,
     naive_multitask_step,
     naive_next_dist,
     naive_ngrams,
+    ngram_from_tables,
     naive_previous_token_candidates,
     naive_sample,
     naive_top_ids,
@@ -58,29 +63,57 @@ from oracles import (
 )
 from toytext import word_splits
 
-# --- n-gram rows -------------------------------------------------------------
+# --- n-gram sorted arrays against the dict model ---------------------------
 
 
-@given(
-    v=st.integers(min_value=2, max_value=9),
-    order=st.integers(min_value=1, max_value=4),
-    k_s=st.sampled_from([0.0, 0.5, 1.0]),
-    data=st.data(),
-)
-@settings(max_examples=80, deadline=None)
-def test_next_dist_matches_naive_loop(v, order, k_s, data):
-    # The corpus leaves the top id unused, so some contexts are unseen.
-    ids = st.integers(min_value=0, max_value=v - 2)
-    corpus = data.draw(st.lists(st.lists(ids, min_size=1, max_size=40), min_size=1, max_size=3))
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _ngram_case(draw, max_order=4):
+    """A fitted model, its dict oracle and queries: the corpus leaves the
+    top id unused (unseen contexts; zero-probability tokens when k_s = 0),
+    and with ``oov`` it also counts ids the vocab lacks."""
+    v = draw(st.integers(min_value=2, max_value=9))
+    order = draw(st.integers(min_value=1, max_value=max_order))
+    k_s = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    top = v + 1 if draw(st.booleans()) else v - 2
+    corpus = draw(st.lists(st.lists(st.integers(0, top), min_size=1, max_size=40), min_size=1, max_size=3))
     vocab = Vocab.placeholder(v)
-    model = ngram_fit([TokenSequence(tuple(s), vocab) for s in corpus], order, k_s)
-    contexts = [(), (0,), (v - 1,), (v - 1,) * order, corpus[0], corpus[0] * 3]
-    contexts += data.draw(st.lists(st.lists(st.integers(0, v - 1), max_size=9), max_size=4))
+    model = ngram_fit([tuple(s) for s in corpus], order, k_s, vocab=vocab)
+    queries = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=9), min_size=1, max_size=5))
+    contexts = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=6), min_size=len(queries),
+                             max_size=len(queries)))
+    queries += [(), corpus[0], (v - 1,) * 3]
+    contexts += [(), (), corpus[0]]
+    return model, DictNGram.fit(corpus, vocab, order, k_s), queries, contexts
+
+
+@given(case=_ngram_case())
+@settings(max_examples=120, deadline=None)
+def test_score_batch_and_score_match_the_dict_model(case):
+    model, ref, seqs, contexts = case
+    want = [ref.score(s, c) for s, c in zip(seqs, contexts)]
+    got = model.score_batch(seqs, contexts)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    assert [_bits(model.score(s, c)) for s, c in zip(seqs, contexts)] == [_bits(x) for x in want]
+    no_context = [_bits(ref.score(s)) for s in seqs]
+    assert [_bits(x) for x in model.score_batch(seqs)] == no_context
+
+
+@given(case=_ngram_case())
+@settings(max_examples=80, deadline=None)
+def test_next_dist_matches_naive_loop(case):
+    model, ref, seqs, contexts = case
+    contexts = contexts + seqs + [(0,) * model.order]
     for ctx in contexts:
-        assert model.next_dist(ctx).tobytes() == naive_next_dist(model, ctx).tobytes()
+        want = naive_next_dist(ref, ctx).tobytes()
+        assert model.next_dist(ctx).tobytes() == want
+        assert naive_next_dist(model, ctx).tobytes() == want
     batch = model.next_dist_batch(contexts)
     for row, ctx in zip(batch, contexts):
-        assert row.tobytes() == naive_next_dist(model, ctx).tobytes()
+        assert row.tobytes() == naive_next_dist(ref, ctx).tobytes()
 
 
 @given(
@@ -91,32 +124,65 @@ def test_fit_counts_match_window_scan(corpus, order):
     vocab = Vocab.placeholder(6)
     model = ngram_fit([TokenSequence(tuple(s), vocab) for s in corpus], order)
     for o in range(1, order + 1):
-        want = {}  # first-occurrence order, as the table keeps it
+        want = {}
         for ids in corpus:
             for gram, c in naive_ngrams(ids, o).items():
                 want[gram] = want.get(gram, 0) + c
-        assert list(model.counts[o].items()) == list(want.items())
+        got = list(zip(map(tuple, model.grams[o].tolist()), model.counts[o].tolist()))
+        assert got == sorted(want.items())
+
+
+@given(case=_ngram_case())
+@settings(max_examples=40, deadline=None)
+def test_saved_model_bytes_equal_the_dict_writer(case):
+    model, ref, _, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.lmek"
+        save_model(model, path)
+        assert path.read_bytes() == ref.to_bytes()
+        if model.grams[1].max() >= model.vocab.size:
+            return  # a file with ids the vocab lacks is refused
+        loaded = load_model(path)
+    for o in range(1, model.order + 1):
+        assert loaded.grams[o].tobytes() == model.grams[o].tobytes()
+        assert loaded.counts[o].tobytes() == model.counts[o].tobytes()
+
+
+def test_orders_whose_mixed_radix_key_would_overflow_int64():
+    # 5001**6 and 100**10 are past 2**63; the keys use context rows instead.
+    rng = np.random.default_rng(3)
+    for v, order in ((5001, 6), (100, 10)):
+        assert v**order >= 2**63
+        vocab = Vocab.placeholder(v)
+        corpus = [tuple(rng.integers(0, v, size=60).tolist()) for _ in range(3)]
+        corpus.append(corpus[0][:30] * 2)  # repeated contexts at every order
+        for k_s in (0.0, 0.5):
+            model = ngram_fit(corpus, order, k_s, vocab=vocab)
+            ref = DictNGram.fit(corpus, vocab, order, k_s)
+            seqs = [corpus[3][:25], corpus[1][5:40], (v - 1, 0, v - 1)]
+            assert [_bits(x) for x in model.score_batch(seqs)] == [_bits(ref.score(s)) for s in seqs]
+            for ctx in (corpus[3][:order + 2], corpus[2][-order:], ()):
+                assert model.next_dist(ctx).tobytes() == naive_next_dist(ref, ctx).tobytes()
 
 
 def test_next_dist_ignores_counted_ids_outside_the_vocab():
     # A model file can carry ids the vocab lacks; no entry can hold them.
     counts = {1: {(0,): 3, (1,): 1, (5,): 2}, 2: {(0, 1): 2, (0, 7): 1, (1, 0): 1}}
     for k_s in (0.0, 1.0):
-        model = NGramLM(Vocab.placeholder(3), 2, k_s, counts)
+        model = ngram_from_tables(Vocab.placeholder(3), 2, k_s, counts)
+        ref = DictNGram(Vocab.placeholder(3), 2, k_s, counts)
         for ctx in ((), (0,), (1,), (2,)):
-            assert model.next_dist(ctx).tobytes() == naive_next_dist(model, ctx).tobytes()
+            assert model.next_dist(ctx).tobytes() == naive_next_dist(ref, ctx).tobytes()
 
 
-def test_rows_are_built_on_first_next_dist_not_at_fit_or_load(tmp_path):
+def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
     seq = TokenSequence((0, 1, 2, 1, 0, 2, 2), Vocab.placeholder(3))
     model = ngram_fit(seq, order=3, k_s=0.5)
     save_model(model, tmp_path / "m.lmek")
     loaded = load_model(tmp_path / "m.lmek")
-    assert model._rows == {} and loaded._rows == {}
-    model.score(seq)
-    assert model._rows == {}
-    model.next_dist((0, 1))
-    assert set(model._rows) == {3}
+    contexts = [(), (0,), (0, 1), (2, 2, 2)]
+    assert loaded.next_dist_batch(contexts).tobytes() == model.next_dist_batch(contexts).tobytes()
+    assert _bits(loaded.score(seq)) == _bits(model.score(seq))
 
 
 def test_rows_cache_is_safe_under_concurrent_first_use():
@@ -502,6 +568,27 @@ def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
         if mix == 0.0:
             # Token-level UL reuses MLE's forward: every token is forwarded once.
             assert sum(rows) == sum(_LENS)
+
+
+def test_in_place_adam_matches_whole_array_expressions():
+    rng = np.random.default_rng(5)
+    # "big" spans more than one in-place chunk; "s" is 0-d, as a regression bias is.
+    params = {"w": rng.normal(size=(7, 5)), "b": rng.normal(size=3), "e": rng.normal(size=(2, 3, 4)),
+              "big": rng.normal(size=(2 * losses._ADAM_CHUNK // 70 + 3, 70)), "s": rng.normal(size=())}
+    ref_params = {n: p.copy() for n, p in params.items()}
+    opt, ref = AdamState(params, 0.01), AdamState(ref_params, 0.01)
+    for step in range(6):
+        grads = {n: rng.normal(size=p.shape) * 10.0 ** (step - 3) for n, p in params.items()}
+        grads["b"][step % 3] = 0.0
+        opt.update(params, grads)
+        naive_adam_update(ref, ref_params, grads)
+        for n in params:
+            assert params[n].tobytes() == ref_params[n].tobytes()
+            assert opt.m[n].tobytes() == ref.m[n].tobytes()
+            assert opt.v[n].tobytes() == ref.v[n].tobytes()
+    transposed = np.ones((3, 2)).T  # its flat copy would drop the update
+    with pytest.raises(ConfigError):
+        AdamState({"t": transposed}, 0.01).update({"t": transposed}, {"t": np.ones((2, 3))})
 
 
 # --- the harness end to end --------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import CorpusSplits, TokenSequence, Vocab
-from genteval.errors import ConfigError, DataError, DegenerateFit
+from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
 from genteval.harness.sweep import (
     CSV_COLUMNS,
@@ -102,6 +102,23 @@ def test_sample_jsonl_has_pinned_keys(tmp_path):
     assert set(row) == {
         "id", "model", "strategy", "param", "seed", "prefix_ids", "continuation_ids",
     }
+
+
+def test_a_writer_that_fails_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "samples.jsonl"
+    save_sample_set(path, _sample_set())
+    before = path.read_bytes()
+    good = _sample_set().samples[0]
+    unwritable = Sample("x", None, TokenSequence.trusted((2, object()), VOCAB))
+    with pytest.raises(TypeError):  # after the first line went out
+        save_sample_set(path, SampleSet((good, unwritable), {}))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.jsonl"]
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_write(tmp_path / "new.txt", encoding="utf-8") as f:
+            f.write("partial")
+            raise KeyboardInterrupt
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.jsonl"]
 
 
 def test_load_sample_set_errors(tmp_path):

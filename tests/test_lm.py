@@ -18,6 +18,13 @@ from genteval.lm import (
 )
 from genteval.lm.ffn import PAD_TOKEN
 
+from oracles import ngram_tables
+
+
+def _p(lm, token, context):
+    """p(token | context) from the model's score of the one token."""
+    return math.exp(lm.score((token,), context))
+
 
 def _abab():
     seq, vocab = tokenize("a b a b", "word")
@@ -31,8 +38,8 @@ def test_bigram_mle_from_abab():
     seq, vocab = _abab()
     lm = ngram_fit(seq, order=2, k_s=0.0)
     a, b = vocab.id_of("a"), vocab.id_of("b")
-    assert lm.token_prob(b, (a,)) == pytest.approx(1.0)
-    assert lm.token_prob(a, (b,)) == pytest.approx(1.0)
+    assert _p(lm, b, (a,)) == pytest.approx(1.0)
+    assert _p(lm, a, (b,)) == pytest.approx(1.0)
 
 
 def test_bigram_smoothed_hand_value():
@@ -40,7 +47,7 @@ def test_bigram_smoothed_hand_value():
     # p(b | a) = (1 + 1) / (1 + 1 * 2) = 2/3.
     seq, vocab = tokenize("a b", "word")
     lm = ngram_fit(seq, order=2, k_s=1.0)
-    assert lm.token_prob(vocab.id_of("b"), (vocab.id_of("a"),)) == pytest.approx(2 / 3)
+    assert _p(lm, vocab.id_of("b"), (vocab.id_of("a"),)) == pytest.approx(2 / 3)
 
 
 def test_unseen_context_with_smoothing_is_uniform():
@@ -48,7 +55,7 @@ def test_unseen_context_with_smoothing_is_uniform():
     # (0 + k_s) / (0 + k_s |V|) = 1/|V|, with no backoff.
     seq, vocab = _abab()
     lm3 = ngram_fit(seq, order=3, k_s=1.0)
-    p = lm3.token_prob(vocab.id_of("a"), (vocab.id_of("b"), vocab.id_of("b")))
+    p = _p(lm3, vocab.id_of("a"), (vocab.id_of("b"), vocab.id_of("b")))
     assert p == pytest.approx(1.0 / vocab.size)
 
 
@@ -58,7 +65,7 @@ def test_unsmoothed_unseen_context_backs_off():
     seq, vocab = tokenize("a b a b a c", "word")
     lm = ngram_fit(seq, order=3, k_s=0.0)
     a, b, c = (vocab.id_of(t) for t in "abc")
-    p_backed = lm.token_prob(b, (c, c))
+    p_backed = _p(lm, b, (c, c))
     # Unigram fallback: p(b) = 2/6.
     assert p_backed == pytest.approx(2 / 6)
 
@@ -77,7 +84,7 @@ def test_score_is_sum_of_token_logs():
     ids = seq.ids
     expected = 0.0
     for t, tok in enumerate(ids):
-        expected += math.log(lm.token_prob(tok, ids[:t]))
+        expected += math.log(_p(lm, tok, ids[:t]))
     assert lm.score(ids) == pytest.approx(expected)
 
 
@@ -87,6 +94,13 @@ def test_score_context_not_scored():
     joint = lm.score(seq.ids)
     split = lm.score(seq.ids[:2]) + lm.score(seq.ids[2:], context=seq.ids[:2])
     assert joint == pytest.approx(split)
+
+
+def test_score_batch_needs_one_context_per_sequence():
+    seq, _ = _abab()
+    lm = ngram_fit(seq, order=2, k_s=1.0)
+    with pytest.raises(ConfigError):
+        lm.score_batch([seq.ids, seq.ids], [seq.ids[:1]])
 
 
 def test_ppl_hand_value_abab():
@@ -127,8 +141,7 @@ def test_fit_on_multiple_sequences_skips_boundaries():
     parts = [TokenSequence((0, 1), vocab), TokenSequence((2, 0), vocab)]
     lm = ngram_fit(parts, order=2, k_s=0.0)
     # The boundary bigram (1, 2) was never counted.
-    assert lm.counts[2].get((1, 2)) is None
-    assert lm.counts[2][(0, 1)] == 1
+    assert ngram_tables(lm)[2] == {(0, 1): 1, (2, 0): 1}
 
 
 # --- feed-forward model -------------------------------------------------------
@@ -257,7 +270,7 @@ def test_ngram_roundtrip_is_exact(tmp_path):
     save_model(lm, path)
     loaded = load_model(path)
     assert loaded.order == 3 and loaded.k_s == 0.5
-    assert loaded.counts == lm.counts
+    assert ngram_tables(loaded) == ngram_tables(lm)
     assert loaded.score(seq.ids) == pytest.approx(lm.score(seq.ids))
 
 
@@ -289,7 +302,9 @@ def _write_model_file(path, header, payload):
 
 
 @pytest.mark.parametrize(
-    "case", ["fractional-count", "zero-count", "id-outside-vocab", "nan", "negative-entries", "extra-value"]
+    "case",
+    ["fractional-count", "zero-count", "id-outside-vocab", "nan", "negative-entries", "extra-value",
+     "unsorted", "duplicate", "orphan-context"],
 )
 def test_load_rejects_ngram_payload_that_is_not_ids_and_counts(tmp_path, case):
     seq, vocab = tokenize("a b c a b", "word")
@@ -297,7 +312,15 @@ def test_load_rejects_ngram_payload_that_is_not_ids_and_counts(tmp_path, case):
     save_model(ngram_fit(seq, order=2, k_s=0.5), path)
     header, payload = _split_model_file(path)
     # payload: [n_unigrams, id, count, id, count, ..., n_bigrams, id, id, count, ...]
-    if case == "fractional-count":
+    # with unigrams (0, 2) (1, 2) (2, 1) and bigrams (0, 1, 2) (1, 2, 1) (2, 0, 1).
+    if case == "unsorted":
+        payload[1:5] = payload[[3, 4, 1, 2]]
+    elif case == "duplicate":
+        payload[3:5] = payload[1:3]
+    elif case == "orphan-context":
+        header["vocab"] = [*header["vocab"], "d"]
+        payload[14] = 3.0  # (2, 0) -> (3, 0): no unigram (3,) precedes it
+    elif case == "fractional-count":
         payload[2] = 1.5
     elif case == "zero-count":
         payload[2] = 0.0
@@ -310,8 +333,12 @@ def test_load_rejects_ngram_payload_that_is_not_ids_and_counts(tmp_path, case):
     else:
         payload = np.append(payload, 1.0)
     _write_model_file(path, header, payload)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         load_model(path)
+    if case in ("unsorted", "duplicate"):
+        assert str(err.value) == f"{path}: order-1 n-grams are not strictly increasing"
+    elif case == "orphan-context":
+        assert str(err.value) == f"{path}: an order-2 n-gram's context is not an order-1 n-gram"
 
 
 @pytest.mark.parametrize(
