@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import EmptyDataset, open_text
+from .errors import EmptyDataset, atomic_write, open_text
 from .lm.base import perplexity
 
 _TERMINALS = (".", "!", "?")
@@ -182,7 +182,7 @@ def save_selection_result(
     """Write the summary JSON plus a per-item JSONL next to it."""
     report_path = Path(report_path)
     items_path = report_path.with_suffix(".items.jsonl")
-    with open(items_path, "w", encoding="utf-8") as f:
+    with atomic_write(items_path, encoding="utf-8") as f:
         for i, item in enumerate(result.per_item):
             f.write(
                 json.dumps(
@@ -203,6 +203,6 @@ def save_selection_result(
         "per_item": items_path.name,
         "issues": [{"line": i.line, "reason": i.reason} for i in issues],
     }
-    with open(report_path, "w", encoding="utf-8") as f:
+    with atomic_write(report_path, encoding="utf-8") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     BadOrder,
     ConfigError,
@@ -31,6 +33,7 @@ from .errors import (
     DataError,
     EmptyInput,
     InsufficientData,
+    atomic_write,
     open_text,
 )
 from .rng import SplitMix64
@@ -390,11 +393,39 @@ IDS_HEADER = "#vocab_size="
 
 def write_ids_file(path: str | Path, sequences: Iterable[Sequence[int]], vocab_size: int) -> None:
     """One sequence per line of space-separated ids, after a vocab header."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, encoding="utf-8") as f:
         f.write(f"{IDS_HEADER}{vocab_size}\n")
         for ids in sequences:
             f.write(" ".join(str(i) for i in ids))
             f.write("\n")
+
+
+def _parse_plain_ids(body: str, vocab_size: int) -> list[list[int]] | None:
+    """The non-empty lines of ``body`` as id lists, parsed in one numpy pass.
+
+    Handles the files ``write_ids_file`` writes: ASCII digits, spaces and
+    newlines only, ids of at most 18 digits, all below ``vocab_size``.
+    Returns None for anything else, which the line-by-line reader then
+    parses or rejects with the bad line's number.
+    """
+    # Spaces around the body let every id start after and end before a
+    # non-digit, and keep the digit reads below in bounds.
+    raw = np.frombuffer(f" {body}{' ' * 19}".encode("utf-8"), dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    if not np.all(digit | (raw == ord(" ")) | (raw == ord("\n"))):
+        return None
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts
+    if lengths.size and lengths.max() > 18:  # could overflow int64
+        return None
+    ids = np.zeros(len(starts), dtype=np.int64)
+    for j in range(int(lengths.max(initial=0))):
+        ids = np.where(lengths > j, ids * 10 + (raw[starts + j] - ord("0")), ids)
+    if ids.size and ids.max() >= vocab_size:
+        return None
+    bounds = [0, *np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))).tolist(), len(ids)]
+    flat = ids.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
 def read_ids_file(path: str | Path) -> tuple[list[list[int]], int]:
@@ -407,17 +438,21 @@ def read_ids_file(path: str | Path) -> tuple[list[list[int]], int]:
             vocab_size = int(header[len(IDS_HEADER) :])
         except ValueError:
             raise DataError(f"{path}:1: bad vocab size in {header!r}") from None
-        sequences = []
-        for lineno, line in enumerate(f, start=2):
-            try:
-                ids = [int(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not ids:
-                continue
-            if min(ids) < 0 or max(ids) >= vocab_size:
-                raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
-            sequences.append(ids)
+        body = f.read()
+    sequences = _parse_plain_ids(body, vocab_size)
+    if sequences is not None:
+        return sequences, vocab_size
+    sequences = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        try:
+            ids = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not ids:
+            continue
+        if min(ids) < 0 or max(ids) >= vocab_size:
+            raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
+        sequences.append(ids)
     return sequences, vocab_size
 
 
@@ -450,7 +485,7 @@ def save_splits(
         "seed": seed,
     }
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
+    with atomic_write(manifest_path, encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
     return manifest_path

@@ -8,31 +8,56 @@ continuation. Continuations have fixed length ``max_len``; there is no
 end-of-sequence token.
 
 Because every continuation has the same length, the prefixes of a batch
-decode in lockstep (:func:`generate_batch`): one model call per step
-returns a ``(B, |V|)`` array holding the next-token distribution of
-every prefix, or of every live beam hypothesis of every prefix. Tokens
-are then chosen row by row exactly as a one-prefix decode chooses them;
-greedy takes a row-wise argmax. :func:`generate` is the one-prefix case.
-A model's batched rows may differ from its single rows in the last bits
-(the ffn's matrix products depend on the batch), so a continuation is a
-function of the batch it was decoded in; callers that must agree, such
-as ``genteval generate`` and a sweep cell, batch the same prefixes.
+decode in lockstep (:func:`generate_batch`): one ``next_dist_batch``
+call per step returns a ``(B, |V|)`` block holding the next-token
+distribution of every prefix, or of every live beam hypothesis of every
+prefix. The tokens of all rows are then chosen with block operations on
+that array, each row by the rules of a one-prefix decode:
+:func:`truncate_renormalize`, :func:`penalize` and :func:`sample` are
+the one-row case of the same code. :func:`generate` is the one-prefix
+case of :func:`generate_batch`. A model's batched rows may differ from
+its single rows in the last bits (the ffn's matrix products depend on
+the batch), so a continuation is a function of the batch it was decoded
+in; callers that must agree, such as ``genteval generate`` and a sweep
+cell, batch the same prefixes.
 
 Every ranking of tokens is probability (or log-probability) descending
 with ties broken toward the lower id, i.e. a stable argsort of the
-negated values. One decode step costs O(|V|) numpy work plus sorts sized
-by what is kept, not by the vocab:
+negated values. A step ranks its block once, and truncation and the
+inverse-CDF draw share that ranking: dividing the kept probabilities by
+their sum keeps their order, except where it rounds two different
+probabilities to one value, and only such rows are ranked again. Each
+row's choice is bit-identical to choosing it alone, because every
+floating-point operation that decides it sees the same operands in the
+same order:
 
-- a model that declares ``context_len`` is handed only that many
-  trailing ids, so a step does not copy the whole context;
+- elementwise operations (log, exp, division) give an element the same
+  result wherever it sits, so a log taken only where the probability is
+  positive equals one row's log of its positive entries;
+- a cumulative sum is sequential, so zero-mass tokens ranked after the
+  support leave it unchanged, and along axis 1 of a C-contiguous block
+  it equals the one-row call;
+- a sum uses numpy's pairwise grouping, which zeros change: a row sum
+  along axis 1 equals one row's sum of the same vector, so top-k, top-p
+  and penalized (which sum whole zero-filled rows) take block sums,
+  while temperature (which sums the positive entries only) takes the
+  block sum only for rows without zeros and sums the others alone;
+- maxima, comparisons and counts are exact.
+
+One decode step costs O(|V|) numpy work per row plus sorts:
+
+- a model's ``context_len`` hands it only that many trailing ids, so a
+  step does not copy the whole context;
 - top-k and the beam's per-hypothesis top-``b`` select with
-  ``np.partition`` and resolve ties at the boundary by id, falling back
-  to a full sort when the vocab is not much larger than k;
-- ``sample`` and top-p sort only the tokens with positive probability.
-  Zero-mass tokens sort last and add nothing to a sequential cumsum, so
-  the sorted prefix, its cumsum and every outcome are unchanged;
-- a large full ranking first tries the faster unstable sort and keeps
-  it when the result has no ties, since then the order is unique.
+  ``np.partition`` along the rows and resolve ties at the boundary by
+  id, falling back to a full sort when the vocab is not much larger
+  than k;
+- a large full ranking first tries the faster unstable sort on the whole
+  block and keeps it for each row without ties, since then that row's
+  order is unique; the rows with ties are sorted again stably, and a
+  block whose rows visibly tie (a repeated smallest value) sorts stably
+  at once;
+- top-p keeps only the ranked columns that hold some row's kept mass.
 """
 
 from __future__ import annotations
@@ -148,51 +173,132 @@ def _check_dist(dist: np.ndarray) -> np.ndarray:
 # k; at |V| = 100 the argsort was faster.
 _PARTITION_FACTOR = 16
 # From about this many values on, an unstable sort that turns out to have
-# no ties is much cheaper than the stable one (4x at |V| = 5000).
+# no ties is much cheaper than the stable one (5x on an (8, 5001) block).
 _QUICKSORT_MIN = 2048
 
 
-def _rank(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(-values, kind="stable")``, faster on large tie-free input.
+def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order = np.argsort(-values, axis=1, kind="stable")`` and the values
+    in that order, faster on large tie-free rows.
 
-    Without ties the descending order is unique, so any sort finds it;
-    the stable sort runs only when ties (or NaN) are present.
+    Without ties a row's descending order is unique, so any sort finds it:
+    a large block tries the unstable sort and sorts again stably the rows
+    whose ranking shows a tie (or NaN). A block where some row's smallest
+    value repeats (an add-k n-gram's unseen tokens, or zeros) has ties,
+    and sorts stably at once.
     """
-    if values.size >= _QUICKSORT_MIN:
-        order = np.argsort(-values)
-        ranked = values[order]
-        if np.all(ranked[1:] < ranked[:-1]):
-            return order
-    return np.argsort(-values, kind="stable")
+    if values.shape[1] < _QUICKSORT_MIN or np.any(
+        np.count_nonzero(values == values.min(axis=1)[:, None], axis=1) > 1
+    ):
+        return _sort_rows(values, "stable")
+    order, ranked = _sort_rows(values, "quicksort")
+    tied = ~np.all(ranked[:, 1:] < ranked[:, :-1], axis=1)
+    if tied.any():
+        order[tied], ranked[tied] = _sort_rows(values[tied], "stable")
+    return order, ranked
+
+
+def _sort_rows(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(-values, axis=1, kind=kind)
+    return order, np.take_along_axis(values, order, axis=1)
+
+
+def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ids of its ``k`` largest values, value desc then id asc.
+
+    Equal to ``_rank_rows(values)[0][:, :k]``.
+    """
+    if values.shape[1] < _PARTITION_FACTOR * k:
+        return _rank_rows(values)[0][:, :k]
+    ids = np.argpartition(-values, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(values, ids, axis=1).min(axis=1)
+    # The partition's set is exact unless the k-th value has ties beyond
+    # it (or NaN is in play); such a row takes every value above the k-th,
+    # then the lowest-id ties up to k in all.
+    for i in np.flatnonzero(np.count_nonzero(values >= kth[:, None], axis=1) != k).tolist():
+        above = np.flatnonzero(values[i] > kth[i])
+        tied = np.flatnonzero(values[i] == kth[i])[: k - above.size]
+        if above.size + tied.size < k:  # NaN: only the full sort ranks it
+            ids[i] = _rank_rows(values[i : i + 1])[0][0, :k]
+        else:
+            ids[i] = np.concatenate((above, tied))
+    ids.sort(axis=1)
+    order = np.argsort(-np.take_along_axis(values, ids, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(ids, order, axis=1)
 
 
 def top_ids(values: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the ``k`` largest values, value descending then id ascending.
+    """Ids of the ``k`` largest values, value desc then id asc.
 
     Equal to ``np.argsort(-values, kind="stable")[:k]``.
     """
-    n = values.size
-    if n < _PARTITION_FACTOR * k:
-        return _rank(values)[:k]
-    kth = -np.partition(-values, k - 1)[k - 1]
-    above = np.flatnonzero(values > kth)
-    tied = np.flatnonzero(values == kth)[: k - above.size]
-    ids = np.concatenate((above, tied))
-    if ids.size < k:  # NaN among the values: only the full sort ranks them
-        return _rank(values)[:k]
-    return ids[np.argsort(-values[ids], kind="stable")]
+    return _top_rows(np.asarray(values)[None], k)[0]
 
 
-def _support_order(dist: np.ndarray) -> np.ndarray:
-    """Tokens with positive probability, probability desc then id asc.
+def _log_rows(dists: np.ndarray) -> np.ndarray:
+    """Elementwise log, -inf where a probability is zero."""
+    return np.log(dists, out=np.full(dists.shape, -np.inf), where=dists > 0)
 
-    This is the prefix of the full order that carries all the mass; an
-    all-zero (degenerate) vector keeps the full order.
+
+def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
+    """``truncate_renormalize(row, "temperature", t)`` of every row."""
+    if t == 1.0:
+        return dists.copy()
+    mask = dists > 0
+    if not mask.any(axis=1).all():
+        raise ValueError("temperature needs a distribution with positive mass")
+    logw = _log_rows(dists)
+    logw /= t
+    logw -= logw.max(axis=1)[:, None]
+    w = np.exp(logw)
+    # One row sums its positive entries alone. Zeros among them change the
+    # grouping of numpy's pairwise sum, so only full rows take the block sum.
+    total = w.sum(axis=1)
+    for i in np.flatnonzero(~mask.all(axis=1)).tolist():
+        total[i] = w[i][mask[i]].sum()
+    w /= total[:, None]
+    return w
+
+
+def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k or top-p of every row of a ``(B, |V|)`` block, in rank order.
+
+    Returns ``(ids, probs, cut)``: each row's token ids ranked as
+    :func:`sample` ranks its truncated distribution, their truncated
+    probabilities (zero past the kept tokens), and whether the row dropped
+    mass and was renormalized. Columns that hold no row's mass are cut
+    off. The one ranking of the input serves both: dividing by the kept
+    mass keeps the order unless it rounds two different probabilities to
+    one value, and only such rows rank again.
     """
-    support = np.flatnonzero(dist > 0)
-    if support.size == 0:
-        support = np.arange(dist.size)
-    return support[_rank(dist[support])]
+    if mode == "topk":
+        ids = _top_rows(dists, int(value))
+        probs = np.take_along_axis(dists, ids, axis=1)
+        kept = np.full(len(dists), int(value))
+        cut = np.count_nonzero(dists > 0, axis=1) > kept
+    else:
+        ids, probs = _rank_rows(dists)
+        # Zero-mass tokens rank last and never change the cumsum.
+        kept = np.count_nonzero(np.cumsum(probs, axis=1) < value, axis=1) + 1
+        support = np.count_nonzero(probs > 0, axis=1)
+        cut = support > kept
+        width = max(1, int(np.where(cut, kept, support).max()))
+        ids, probs = ids[:, :width], probs[:, :width]
+    if cut.any():
+        raw, ranked, kept = probs[cut], ids[cut], kept[cut][:, None]
+        width = int(kept.max())
+        kept_probs = np.where(np.arange(raw.shape[1]) < kept, raw, 0.0)
+        # One row renormalizes by the sum of its whole zero-filled vector.
+        out = np.zeros((len(raw), dists.shape[1]))
+        out[np.arange(len(raw))[:, None], ranked[:, :width]] = kept_probs[:, :width]
+        total = out.sum(axis=1)[:, None]
+        new = kept_probs / total
+        merged = ((raw[:, :-1] > raw[:, 1:]) & (new[:, :-1] == new[:, 1:]) & (new[:, 1:] > 0)).any(axis=1)
+        if merged.any():
+            order, ranked_out = _rank_rows(out[merged] / total[merged])
+            ranked[merged], new[merged] = order[:, : raw.shape[1]], ranked_out[:, : raw.shape[1]]
+        ids[cut], probs[cut] = ranked, new
+    return ids, probs, cut
 
 
 def truncate_renormalize(dist: np.ndarray, mode: str, value: float) -> np.ndarray:
@@ -208,41 +314,29 @@ def truncate_renormalize(dist: np.ndarray, mode: str, value: float) -> np.ndarra
     if mode == "temperature":
         if not value > 0:
             raise ConfigError("temperature must be positive")
-        if value == 1.0:
-            return dist.copy()
-        out = np.zeros_like(dist)
-        mask = dist > 0
-        logw = np.log(dist[mask]) / value
-        logw -= logw.max()
-        w = np.exp(logw)
-        out[mask] = w / w.sum()
-        return out
+        return _temperature_rows(dist[None], value)[0]
     if mode == "topk":
-        k = int(value)
-        if not 1 <= k <= n:
+        if not 1 <= int(value) <= n:
             raise ConfigError(f"top-k needs 1 <= k <= {n}")
-        if k == n:
-            return dist.copy()
-        keep = top_ids(dist, k)
     elif mode == "topp":
-        p = float(value)
-        if not 0 < p <= 1:
+        if not 0 < float(value) <= 1:
             raise ConfigError("top-p needs 0 < p <= 1")
-        # Zero-mass tokens never change the cumsum, so keeping or
-        # dropping them leaves the result unchanged.
-        order = _support_order(dist)
-        cum = np.cumsum(dist[order])
-        cutoff = int(np.searchsorted(cum, p, side="left"))
-        keep = order[: cutoff + 1]
     else:
         raise ConfigError(f"unknown truncation mode {mode!r}")
-    dropped = np.ones(n, dtype=bool)
-    dropped[keep] = False
-    if not np.any(dist[dropped] > 0):
+    ids, probs, cut = _truncate_rows(dist[None], mode, value)
+    if not cut[0]:
         return dist.copy()
     out = np.zeros_like(dist)
-    out[keep] = dist[keep]
-    return out / out.sum()
+    out[ids[0]] = probs[0]
+    return out
+
+
+def _penalize_rows(dists: np.ndarray, seen: np.ndarray, theta: float) -> np.ndarray:
+    """``penalize`` of every row; ``seen[i]`` marks the tokens row i generated."""
+    logp = _log_rows(dists)
+    np.multiply(logp, theta, out=logp, where=seen)  # -inf stays -inf
+    w = np.exp(logp - logp.max(axis=1)[:, None])
+    return w / w.sum(axis=1)[:, None]
 
 
 def penalize(dist: np.ndarray, generated: Iterable[int], theta: float) -> np.ndarray:
@@ -255,15 +349,25 @@ def penalize(dist: np.ndarray, generated: Iterable[int], theta: float) -> np.nda
     dist = _check_dist(dist)
     if theta < 1:
         raise ConfigError("penalty exponent must be at least 1")
-    mask = dist > 0
-    logp = np.full(dist.size, -np.inf)
-    logp[mask] = np.log(dist[mask])
-    for i in set(generated):
-        if logp[i] != -np.inf:
-            logp[i] *= theta
-    top = logp.max()
-    w = np.exp(logp - top)
-    return w / w.sum()
+    seen = np.zeros(dist.size, dtype=bool)
+    seen[list(set(generated))] = True
+    return _penalize_rows(dist[None], seen[None], theta)[0]
+
+
+def _draw(ids: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one token per row.
+
+    ``probs`` holds each row's probabilities in rank order (the support
+    first, zeros after) and ``ids`` their tokens. Row i takes the first
+    token whose cumulative mass exceeds ``u[i]``, the last of the support
+    when round-off leaves ``u[i]`` past it, and token 0 when the row has
+    no mass at all.
+    """
+    cum = np.cumsum(probs, axis=1)
+    n = np.count_nonzero(probs > 0, axis=1)
+    at = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), n - 1)
+    toks = np.take_along_axis(ids, np.maximum(at, 0)[:, None], axis=1)[:, 0]
+    return np.where(n > 0, toks, 0)
 
 
 def sample(dist: np.ndarray, rng: SplitMix64) -> int:
@@ -272,17 +376,30 @@ def sample(dist: np.ndarray, rng: SplitMix64) -> int:
     Consumes exactly one uniform variate; u = 0 selects the
     highest-probability token.
     """
-    dist = _check_dist(dist)
-    order = _support_order(dist)
-    cum = np.cumsum(dist[order])
-    u = rng.uniform()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= order.size:
-        idx = order.size - 1
-    # Guard against float round-off leaving u past the last positive mass.
-    while idx > 0 and dist[order[idx]] == 0:
-        idx -= 1
-    return int(order[idx])
+    ids, probs = _rank_rows(_check_dist(dist)[None])
+    return int(_draw(ids, probs, np.array([rng.uniform()]))[0])
+
+
+def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen: np.ndarray) -> np.ndarray:
+    """The next token of every row of ``dists`` for every strategy but beam.
+
+    Row i draws one uniform from ``rngs[i]`` when the strategy samples;
+    ``seen`` marks the tokens each row has generated.
+    """
+    if cfg.strategy == "greedy":
+        return np.argmax(dists, axis=1)
+    mode, value = cfg.strategy, cfg.param
+    if cfg.strategy == "penalized":
+        dists = _penalize_rows(dists, seen, cfg.theta)
+        if cfg.t is None:
+            return np.argmax(dists, axis=1)
+        mode, value = "temperature", cfg.t
+    u = np.array([rng.uniform() for rng in rngs])
+    if mode == "temperature":
+        ids, probs = _rank_rows(_temperature_rows(dists, value))
+    else:
+        ids, probs, _ = _truncate_rows(dists, mode, value)
+    return _draw(ids, probs, u)
 
 
 def _context_ids(prefix) -> tuple[int, ...]:
@@ -312,12 +429,12 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     ``seed``; row i draws from its own SplitMix64 stream seeded with
     ``cfgs[i].seed``. Every step asks the model for the next-token
     distributions of all live rows (each prefix, or each beam
-    hypothesis) at once, through ``next_dist_batch`` when the model has
-    it and by stacking ``next_dist`` rows otherwise. A model call takes
-    at most ``MAX_BATCH_ROWS`` rows, filled with whole prefixes in index
-    order. Tokens are then chosen row by row by the rules of a
-    single-prefix decode, so the output equals decoding each prefix
-    alone whenever the model's batched rows equal its single rows.
+    hypothesis) at once, through ``next_dist_batch``. A model call
+    takes at most ``MAX_BATCH_ROWS`` rows, filled with whole prefixes in
+    index order. The tokens of a step are chosen for the whole block by
+    the rules of a single-prefix decode, so the output equals decoding
+    each prefix alone whenever the model's batched rows equal its
+    single rows.
     """
     prefixes = [_context_ids(p) for p in prefixes]
     cfgs = list(cfgs)
@@ -344,45 +461,32 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
 
 def _next_dists(model, contexts: list) -> np.ndarray:
     """``(len(contexts), |V|)`` next-token distributions, one row per context."""
-    batch = getattr(model, "next_dist_batch", None)
-    if batch is None:
-        return np.stack([np.asarray(model.next_dist(c), dtype=np.float64) for c in contexts])
-    return np.asarray(batch(contexts), dtype=np.float64)
-
-
-def _pick(dist: np.ndarray, cfg: DecoderConfig, out: list[int], rng: SplitMix64) -> int:
-    """One row's next token for every strategy but greedy and beam."""
-    if cfg.strategy != "penalized":  # temperature, topk, topp
-        return sample(truncate_renormalize(dist, cfg.strategy, cfg.param), rng)
-    pdist = penalize(dist, out, cfg.theta)
-    if cfg.t is not None:
-        return sample(truncate_renormalize(pdist, "temperature", cfg.t), rng)
-    return int(np.argmax(pdist))
+    return np.asarray(model.next_dist_batch(contexts), dtype=np.float64)
 
 
 def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
     cfg = cfgs[0]
-    window = getattr(model, "context_len", None)
+    window = model.context_len
     rngs = [SplitMix64(c.seed) for c in cfgs]
     ctxs = [list(p) for p in prefixes]
-    outs: list[list[int]] = [[] for _ in prefixes]
+    rows = np.arange(len(prefixes))
+    seen = None
     for _ in range(cfg.max_len):
         dists = _next_dists(model, [_tail(ctx, window) for ctx in ctxs])
-        if cfg.strategy == "greedy":
-            toks = np.argmax(dists, axis=1).tolist()
-        else:
-            toks = [_pick(dist, cfg, out, rng) for dist, out, rng in zip(dists, outs, rngs)]
-        for ctx, out, tok in zip(ctxs, outs, toks):
+        if seen is None:
+            seen = np.zeros(dists.shape, dtype=bool)
+        toks = _choose(dists, cfg, rngs, seen)
+        seen[rows, toks] = True
+        for ctx, tok in zip(ctxs, toks.tolist()):
             ctx.append(tok)
-            out.append(tok)
-    return outs
+    return [ctx[len(p) :] for ctx, p in zip(ctxs, prefixes)]
 
 
 def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
     # Hypotheses are (ids, score); score is the summed log-probability of
     # the continuation tokens only.
     width = cfgs[0].b
-    window = getattr(model, "context_len", None)
+    window = model.context_len
     heads = [_tail(p, window) for p in prefixes]
     beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in prefixes]
     for _ in range(cfgs[0].max_len):
@@ -391,20 +495,17 @@ def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]
             for head, hyps in zip(heads, beams)
             for ids, _ in hyps
         ]
-        rows = iter(_next_dists(model, contexts))
+        logp = _log_rows(_next_dists(model, contexts))
+        # Keeping only the per-hypothesis top ``width`` tokens is exact:
+        # anything dropped is dominated by width better candidates that
+        # share its prefix, under the same (score, ids) order.
+        top = _top_rows(logp, width)
+        tops = iter(zip(top.tolist(), np.take_along_axis(logp, top, axis=1).tolist()))
         for i, hyps in enumerate(beams):
             candidates: list[tuple[tuple[int, ...], float]] = []
-            for (ids, score), dist in zip(hyps, rows):
-                # The log is taken per row: over the whole (B, |V|) array
-                # it costs more on the n-gram's mostly-constant rows.
-                logp = np.full(dist.size, -np.inf)
-                mask = dist > 0
-                logp[mask] = np.log(dist[mask])
-                # Keeping only the per-beam top ``width`` tokens is exact:
-                # anything dropped is dominated by width better candidates
-                # that share its prefix, under the same (score, ids) order.
-                for tok in top_ids(logp, width):
-                    candidates.append((ids + (int(tok),), score + float(logp[tok])))
+            for (ids, score), (toks, logps) in zip(hyps, tops):
+                for tok, lp in zip(toks, logps):
+                    candidates.append((ids + (tok,), score + lp))
             candidates.sort(key=lambda c: (-c[1], c[0]))
             beams[i] = candidates[:width]
     return [hyps[0][0] for hyps in beams]

@@ -48,7 +48,7 @@ from ..corpus import (
     vocab_from_manifest,
 )
 from ..decode import STRATEGIES, DecoderConfig, param_value
-from ..errors import AlignmentError, ConfigError, DataError, EmptyInput, open_text
+from ..errors import AlignmentError, ConfigError, DataError, EmptyInput, atomic_write, open_text
 from ..lm.base import token_prob_trace
 from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
@@ -473,7 +473,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
     )
     trainer = Trainer(model, cfg, seed=opt.seed)
     history = trainer.fit(TrainData(**data_kwargs))
-    with open(out / "train_history.json", "w", encoding="utf-8") as f:
+    with atomic_write(out / "train_history.json", encoding="utf-8") as f:
         json.dump(history, f, sort_keys=True, indent=2)
         f.write("\n")
     save_model(model, model_out)
@@ -587,7 +587,7 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
         scores.append(value)
         rows.append({"index": i, "penlp": value, "n_tokens": len(seq)})
     items_path = out / "acceptability.items.jsonl"
-    with open(items_path, "w", encoding="utf-8") as f:
+    with atomic_write(items_path, encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
     mean = sum(scores) / len(scores) if scores else None
@@ -675,7 +675,7 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
     context = _parse_id_list(opt.context_ids) if opt.context_ids else ()
     trace = token_prob_trace(model, seq, _parse_truncation(opt.truncate), context)
     trace_out = Path(opt.trace_out) if opt.trace_out else out / "trace.csv"
-    with open(trace_out, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(trace_out, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["position", "token_id", "token", "prob", "truncated_prob"])
         for pos, entry in enumerate(trace.entries):

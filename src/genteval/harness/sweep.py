@@ -409,7 +409,7 @@ def _format_cell(value) -> str:
 
 
 def write_sweep_csv(path: str | Path, records: list[SweepRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in records:
@@ -552,7 +552,7 @@ def tradeoff_table(
 
 
 def write_tradeoff(table: TradeoffTable, csv_path: str | Path, fits_path: str | Path) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(csv_path, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model", "strategy", "param", "x", "y"])
         for row in table.rows:
@@ -577,6 +577,6 @@ def write_tradeoff(table: TradeoffTable, csv_path: str | Path, fits_path: str | 
             for model, fit in table.fits.items()
         },
     }
-    with open(fits_path, "w", encoding="utf-8") as f:
+    with atomic_write(fits_path, encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -1,22 +1,20 @@
 """Language model contract plus scoring utilities shared by all backends.
 
-A language model is anything with a ``vocab`` attribute, a
-``next_dist(context)`` returning a probability vector over the vocab
-(summing to 1 within 1e-9), and a ``score(seq, context)`` returning the
-summed natural log-probability of ``seq`` given ``context``. Only the
-tokens of ``seq`` contribute to the score; the context conditions but is
-never scored.
+A language model has a ``vocab`` attribute, a ``next_dist(context)``
+returning a probability vector over the vocab (summing to 1 within
+1e-9), and a ``score(seq, context)`` returning the summed natural
+log-probability of ``seq`` given ``context``. Only the tokens of ``seq``
+contribute to the score; the context conditions but is never scored.
 
-A model may also declare ``context_len``: the number of trailing context
-ids its predictions depend on (order-1 for the n-gram, the window for
-the ffn). Decoders then pass only that many trailing ids to
-``next_dist``; a model without the attribute gets the whole context.
+It also declares ``context_len``: the number of trailing context ids its
+predictions depend on (order-1 for the n-gram, the window for the ffn),
+or None when they depend on the whole context. Decoders pass only that
+many trailing ids.
 
-A model may also offer ``next_dist_batch(contexts)``, returning a
+And it has ``next_dist_batch(contexts)``, returning a
 ``(len(contexts), |V|)`` array whose row i is the distribution after
-``contexts[i]``; the decoders then make one call per step for all the
-prefixes (or beam hypotheses) they decode together. It is optional: a
-model without it is served by stacking its ``next_dist`` rows. A
+``contexts[i]``; the decoders make one call per step for all the
+prefixes (or beam hypotheses) they decode together. A
 batched row may differ from ``next_dist`` of the same context in the
 last bits, and the difference may depend on the batch size and on the
 row's position. The n-gram's ``next_dist`` is its one-row batch, and
@@ -27,7 +25,7 @@ batch-invariant (about 1e-19 absolute on probabilities near 1e-4 at
 which is why ``genteval generate`` and a sweep cell decode the same
 prefixes in the same batches.
 
-Likewise a model may offer ``score_batch(seqs, contexts=())``, the
+A model may also offer ``score_batch(seqs, contexts=())``, the
 ``score`` of every sequence from one call; :func:`batch_scores` uses it
 for the perplexity metrics and calls ``score`` per sequence otherwise.
 The n-gram's ``score`` is its one-sequence batch.
@@ -47,12 +45,13 @@ from .. import decode
 
 class LanguageModel(Protocol):
     vocab: Vocab
-    # Optional: context_len: int, see the module docstring.
+    context_len: int | None
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
 
-    # Optional: next_dist_batch(contexts) -> (B, |V|) and
-    # score_batch(seqs, contexts=()) -> list of scores, see the module docstring.
+    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray: ...
+
+    # Optional: score_batch(seqs, contexts=()) -> list of scores, see the module docstring.
 
     def score(self, seq, context: Sequence[int] = ()) -> float: ...
 

@@ -229,10 +229,20 @@ def naive_next_dist(model, context):
     return dist
 
 
-class SlowLM:
-    """A model seen through the slow paths: no ``context_len``, so the
-    decoder hands it the whole context, and for an n-gram the O(|V|)
-    ``naive_next_dist`` over its dict tables."""
+class StackedRows:
+    """The batched half of the LM contract for a test model that defines
+    only ``next_dist``: its rows stacked, and whole contexts."""
+
+    context_len = None
+
+    def next_dist_batch(self, contexts):
+        return np.stack([np.asarray(self.next_dist(c), dtype=np.float64) for c in contexts])
+
+
+class SlowLM(StackedRows):
+    """A model seen through the slow paths: a whole-context
+    ``context_len``, one ``next_dist`` per batch row, and for an n-gram
+    the O(|V|) ``naive_next_dist`` over its dict tables."""
 
     def __init__(self, model):
         self.model = model
@@ -253,13 +263,11 @@ def naive_top_ids(values, k):
 
 
 def naive_truncate(dist, mode, value):
-    """top-k / top-p by a full stable argsort (temperature is unchanged)."""
-    from genteval.decode import truncate_renormalize
-
+    """top-k / top-p by a full stable argsort; temperature as one row did it."""
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.size
     if mode == "temperature":
-        return truncate_renormalize(dist, mode, value)
+        return row_temperature(dist, value)
     order = np.argsort(-dist, kind="stable")
     if mode == "topk":
         if int(value) == n:
@@ -291,6 +299,75 @@ def naive_sample(dist, rng):
     return int(order[idx])
 
 
+# The per-row selection that block selection replaced, kept as it was:
+# one row, one ranking per call, one uniform per sampled token.
+
+_QUICKSORT_MIN = 2048
+
+
+def row_rank(values):
+    if values.size >= _QUICKSORT_MIN:
+        order = np.argsort(-values)
+        ranked = values[order]
+        if np.all(ranked[1:] < ranked[:-1]):
+            return order
+    return np.argsort(-values, kind="stable")
+
+
+def row_support_order(dist):
+    support = np.flatnonzero(dist > 0)
+    if support.size == 0:
+        support = np.arange(dist.size)
+    return support[row_rank(dist[support])]
+
+
+def row_temperature(dist, value):
+    if value == 1.0:
+        return dist.copy()
+    out = np.zeros_like(dist)
+    mask = dist > 0
+    logw = np.log(dist[mask]) / value
+    logw -= logw.max()
+    w = np.exp(logw)
+    out[mask] = w / w.sum()
+    return out
+
+
+def row_penalize(dist, generated, theta):
+    mask = dist > 0
+    logp = np.full(dist.size, -np.inf)
+    logp[mask] = np.log(dist[mask])
+    for i in set(generated):
+        if logp[i] != -np.inf:
+            logp[i] *= theta
+    top = logp.max()
+    w = np.exp(logp - top)
+    return w / w.sum()
+
+
+def row_sample(dist, rng):
+    order = row_support_order(dist)
+    cum = np.cumsum(dist[order])
+    u = rng.uniform()
+    idx = int(np.searchsorted(cum, u, side="right"))
+    if idx >= order.size:
+        idx = order.size - 1
+    # Guard against float round-off leaving u past the last positive mass.
+    while idx > 0 and dist[order[idx]] == 0:
+        idx -= 1
+    return int(order[idx])
+
+
+def row_pick(dist, cfg, out, rng):
+    """One row's next token for every strategy but greedy and beam."""
+    if cfg.strategy != "penalized":  # temperature, topk, topp
+        return row_sample(naive_truncate(dist, cfg.strategy, cfg.param), rng)
+    pdist = row_penalize(dist, out, cfg.theta)
+    if cfg.t is not None:
+        return row_sample(naive_truncate(pdist, "temperature", cfg.t), rng)
+    return int(np.argmax(pdist))
+
+
 def naive_beam_search(model, prefix, width, max_len):
     beams = [((), 0.0)]
     for _ in range(max_len):
@@ -310,7 +387,6 @@ def naive_beam_search(model, prefix, width, max_len):
 def naive_generate(model, prefix, cfg):
     """``genteval.decode.generate`` with every step on the slow path."""
     from genteval.corpus import TokenSequence
-    from genteval.decode import penalize
     from genteval.rng import SplitMix64
 
     prefix = tuple(prefix.ids) if isinstance(prefix, TokenSequence) else tuple(prefix)
@@ -321,17 +397,7 @@ def naive_generate(model, prefix, cfg):
     out = []
     for _ in range(cfg.max_len):
         dist = np.asarray(model.next_dist(list(ctx)), dtype=np.float64)
-        if cfg.strategy == "greedy":
-            tok = int(np.argmax(dist))
-        elif cfg.strategy == "penalized":
-            pdist = penalize(dist, out, cfg.theta)
-            if cfg.t is None:
-                tok = int(np.argmax(pdist))
-            else:
-                tok = naive_sample(naive_truncate(pdist, "temperature", cfg.t), rng)
-        else:
-            value = {"temperature": cfg.t, "topk": cfg.k, "topp": cfg.p}[cfg.strategy]
-            tok = naive_sample(naive_truncate(dist, cfg.strategy, value), rng)
+        tok = int(np.argmax(dist)) if cfg.strategy == "greedy" else row_pick(dist, cfg, out, rng)
         out.append(tok)
         ctx.append(tok)
     return TokenSequence(tuple(out), model.vocab)
@@ -340,6 +406,38 @@ def naive_generate(model, prefix, cfg):
 def naive_generate_batch(model, prefixes, cfgs):
     """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix."""
     return [naive_generate(model, prefix, cfg) for prefix, cfg in zip(prefixes, cfgs)]
+
+
+# ---------------------------------------------------------------------------
+# File formats: the line-by-line ids reader the one-pass parse replaces
+# ---------------------------------------------------------------------------
+
+
+def naive_read_ids_file(path):
+    """``read_ids_file`` as one ``int()`` per id, line by line."""
+    from genteval.corpus import IDS_HEADER
+    from genteval.errors import DataError, EmptyInput, open_text
+
+    with open_text(path) as f:
+        header = f.readline().strip()
+        if not header.startswith(IDS_HEADER):
+            raise EmptyInput(f"{path}: missing {IDS_HEADER}N header")
+        try:
+            vocab_size = int(header[len(IDS_HEADER) :])
+        except ValueError:
+            raise DataError(f"{path}:1: bad vocab size in {header!r}") from None
+        sequences = []
+        for lineno, line in enumerate(f, start=2):
+            try:
+                ids = [int(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not ids:
+                continue
+            if min(ids) < 0 or max(ids) >= vocab_size:
+                raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
+            sequences.append(ids)
+    return sequences, vocab_size
 
 
 # ---------------------------------------------------------------------------

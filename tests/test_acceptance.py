@@ -42,7 +42,7 @@ from genteval.rng import SplitMix64, stable_hash
 from genteval.harness.sweep import fit_log_curve
 from genteval.corpus import SentencePair
 
-from oracles import naive_bleu, naive_ngrams, naive_seq_rep, spearman
+from oracles import StackedRows, naive_bleu, naive_ngrams, naive_seq_rep, spearman
 from toytext import char_splits, make_rich_text, word_splits
 
 
@@ -106,7 +106,7 @@ def test_criterion_02_bleu_hand_case():
 # ---------------------------------------------------------------------------
 
 
-class _HashLM:
+class _HashLM(StackedRows):
     """Deterministic pseudo-random conditional distributions."""
 
     def __init__(self, size: int, salt: int, zero_one: bool = False):

@@ -29,7 +29,7 @@ from genteval.errors import (
     InsufficientData,
 )
 
-from oracles import naive_ngrams, naive_word_surfaces
+from oracles import naive_ngrams, naive_read_ids_file, naive_word_surfaces
 
 
 # --- tokenization -----------------------------------------------------------
@@ -279,6 +279,35 @@ def test_ids_file_requires_header(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(EmptyInput):
         read_ids_file(path)
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return type(exc).__name__, str(exc)
+
+
+# Mostly what write_ids_file writes, plus what only the line reader accepts
+# (tabs, signs, underscores, other digits, CR line ends) or rejects.
+_IDS_TEXT = st.lists(
+    st.sampled_from(list("0123456789") * 3 + [" "] * 8 + ["\n"] * 4 + list("\t\r-+_x\u0663\u00a0")),
+    max_size=80,
+).map("".join)
+
+
+@given(body=_IDS_TEXT, vocab_size=st.sampled_from([0, 7, 100, 10**18]))
+def test_read_ids_file_matches_the_line_reader(tmp_path_factory, body, vocab_size):
+    path = tmp_path_factory.mktemp("ids") / "x.ids.txt"
+    path.write_bytes(f"#vocab_size={vocab_size}\n{body}".encode("utf-8"))
+    assert _read_outcome(read_ids_file, path) == _read_outcome(naive_read_ids_file, path)
+
+
+def test_read_ids_file_parses_long_and_padded_ids(tmp_path):
+    path = tmp_path / "x.ids.txt"
+    for body in ("007  12\n\n\n3 \n", "1" * 18 + "\n" + "2" * 19, "9" * 18):
+        path.write_text(f"#vocab_size={10**19}\n{body}", encoding="utf-8")
+        assert read_ids_file(path) == naive_read_ids_file(path)
 
 
 def test_splits_roundtrip(tmp_path):

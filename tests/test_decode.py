@@ -17,8 +17,10 @@ from genteval.decode import (
 from genteval.errors import ConfigError
 from genteval.rng import SplitMix64, stable_hash
 
+from oracles import StackedRows
 
-class TableLM:
+
+class TableLM(StackedRows):
     """Deterministic pseudo-random model: dist depends only on context."""
 
     def __init__(self, vocab_size, seed=0):
@@ -259,7 +261,7 @@ def test_generate_seed_changes_stochastic_output():
 def test_penalized_greedy_avoids_repeats():
     # A near-one-hot model loops under greedy; theta pushes the repeated
     # token down once its log-prob is scaled.
-    class Peaky:
+    class Peaky(StackedRows):
         vocab = Vocab.placeholder(3)
 
         def next_dist(self, context):

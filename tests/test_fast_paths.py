@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from genteval.rng import SplitMix64, stable_hash
 from oracles import (
     DictNGram,
     SlowLM,
+    StackedRows,
     naive_adam_update,
     naive_generate,
     naive_generate_batch,
@@ -60,6 +62,9 @@ from oracles import (
     naive_truncate,
     naive_ul_seq_candidates,
     naive_windows,
+    row_penalize,
+    row_pick,
+    row_temperature,
 )
 from toytext import word_splits
 
@@ -288,6 +293,18 @@ def test_sample_degenerate_all_zero_keeps_old_answer():
     assert sample(dist, _FixedU(0.3)) == naive_sample(dist, _FixedU(0.3)) == 0
 
 
+def test_renormalizing_that_merges_two_probabilities_ranks_again():
+    # Token 0 sits one ulp below token 1. Dividing by the kept mass rounds
+    # both to one value, so after truncation the lower id ranks first.
+    dist = np.array([np.nextafter(0.24, 0.0), 0.24, 0.4, 0.12])
+    for cfg in (DecoderConfig("topk", k=3), DecoderConfig("topp", p=0.85)):
+        out = truncate_renormalize(dist, cfg.strategy, cfg.param)
+        assert out[0] == out[1] and out.tobytes() == naive_truncate(dist, cfg.strategy, cfg.param).tobytes()
+        picks = [row_pick(dist, cfg, [], _FixedU(u)) for u in (0.0, 0.5, 0.8, 0.99)]
+        assert picks == [2, 0, 1, 1]
+        assert [int(decode._choose(dist[None], cfg, [_FixedU(u)], None)[0]) for u in (0.0, 0.5, 0.8, 0.99)] == picks
+
+
 class _FixedU:
     def __init__(self, u):
         self.u = float(u)
@@ -296,7 +313,7 @@ class _FixedU:
         return self.u
 
 
-class TieLM:
+class TieLM(StackedRows):
     """Context-hashed distributions over a few levels: ties everywhere."""
 
     def __init__(self, vocab_size, seed=0):
@@ -315,6 +332,140 @@ def test_beam_matches_full_sort_on_ties(width):
     cfg = DecoderConfig(strategy="beam", b=width, max_len=6)
     for prefix in ([0], [3, 1], [7, 7, 7]):
         assert generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
+
+
+# --- block selection against the per-row code --------------------------------
+
+_ROW_KINDS = ("ngram", "unsmoothed", "ffn", "peaked", "levels", "adjacent", "onehot", "empty")
+
+
+def _block_row(kind, v, rng):
+    """One next-token distribution of the given shape of support and ties."""
+    w = np.zeros(v)
+    if kind == "ngram":  # add-k smoothed: every unseen token shares one level
+        w[:] = 1.0
+        w[rng.choice(v, 30, replace=False)] += rng.integers(1, 4, 30)
+    elif kind == "unsmoothed":  # a few counted tokens with tied counts, zeros elsewhere
+        w[rng.choice(v, 12, replace=False)] = rng.integers(1, 4, 12)
+    elif kind in ("ffn", "peaked"):  # a softmax: no ties; peaked rows underflow under temperature
+        w = np.exp(rng.normal(0.0, 3.0 if kind == "ffn" else 60.0, v))
+    elif kind == "levels":
+        w = rng.choice(np.array(_LEVELS), v)
+        w[rng.integers(v)] = 0.5
+    elif kind == "adjacent":  # neighbouring floats, which renormalizing can merge
+        ids = rng.choice(v, 16, replace=False)
+        w[ids[:8]] = rng.random(8)
+        w /= 2 * w.sum()
+        w[ids[8:]] = np.nextafter(w[ids[:8]], 0.0)
+        return w
+    elif kind == "onehot":
+        w[rng.integers(v)] = 1.0
+    else:
+        return w
+    return w / w.sum()
+
+
+@st.composite
+def _selection_case(draw, strategies=("greedy", "topk", "topp", "temperature", "penalized"), empty=True):
+    """A ``(B, |V|)`` block of mixed rows, a config, and per-row histories and seeds."""
+    v = draw(st.sampled_from([100, 5001]))
+    kinds = _ROW_KINDS if empty else _ROW_KINDS[:-1]
+    rows = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dists = np.stack([_block_row(kind, v, rng) for kind in rows])
+    strategy = draw(st.sampled_from(strategies))
+    if strategy == "topk":
+        cfg = DecoderConfig(strategy, k=draw(st.sampled_from([1, 2, 40, v]) | st.integers(1, v)))
+    elif strategy == "topp":
+        ranked = -np.sort(-dists[draw(st.integers(0, len(rows) - 1))])
+        exact = float(min(1.0, np.cumsum(ranked)[draw(st.integers(0, 40))]))  # a boundary hit
+        exact = exact if exact > 0 else 1.0  # a row without mass has none
+        cfg = DecoderConfig(strategy, p=draw(st.sampled_from([1.0, exact]) | st.floats(0.01, 1.0)))
+    elif strategy == "temperature":
+        cfg = DecoderConfig(strategy, t=draw(st.sampled_from([1.0, 0.3, 0.8, 1.5])))
+    elif strategy == "penalized":
+        cfg = DecoderConfig(strategy, theta=draw(st.sampled_from([1.0, 1.5, 30.0])),
+                            t=draw(st.sampled_from([None, 1.0, 0.7])))
+    elif strategy == "beam":
+        cfg = DecoderConfig(strategy, b=draw(st.integers(1, 3)))
+    else:
+        cfg = DecoderConfig(strategy)
+    generated = [draw(st.lists(st.integers(0, v - 1), max_size=6)) for _ in rows]
+    seeds = [draw(st.integers(0, 2**64 - 1)) for _ in rows]
+    return dists, cfg, generated, seeds
+
+
+@given(case=_selection_case())
+@settings(max_examples=200, deadline=None)
+def test_block_selection_matches_per_row_code(case):
+    dists, cfg, generated, seeds = case
+    seen = np.zeros(dists.shape, dtype=bool)
+    for i, out in enumerate(generated):
+        seen[i, out] = True
+    fast, slow = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
+    with np.errstate(invalid="ignore"):  # a row without mass penalizes to NaN
+        try:
+            want = [int(np.argmax(d)) if cfg.strategy == "greedy" else row_pick(d, cfg, out, rng)
+                    for d, out, rng in zip(dists, generated, slow)]
+        except ValueError:  # temperature of a row without mass
+            with pytest.raises(ValueError):
+                decode._choose(dists, cfg, fast, seen)
+            return
+        got = decode._choose(dists, cfg, fast, seen).tolist()
+    assert got == want
+    assert [r.state for r in fast] == [r.state for r in slow]
+
+
+@given(case=_selection_case(strategies=("topk", "topp", "temperature", "penalized")))
+@settings(max_examples=150, deadline=None)
+def test_block_probabilities_match_per_row_code_bit_for_bit(case):
+    dists, cfg, generated, _ = case
+    if cfg.strategy == "penalized":
+        seen = np.zeros(dists.shape, dtype=bool)
+        for i, out in enumerate(generated):
+            seen[i, out] = True
+        with np.errstate(invalid="ignore"):  # a row without mass penalizes to NaN
+            got = decode._penalize_rows(dists, seen, cfg.theta)
+            want = np.stack([row_penalize(d, out, cfg.theta) for d, out in zip(dists, generated)])
+        live = dists.any(axis=1)
+        assert got[live].tobytes() == want[live].tobytes() and np.isnan(got[~live]).all()
+        return
+    if cfg.strategy == "temperature":
+        dists = dists[dists.any(axis=1)]  # a row without mass has no temperature
+        if len(dists):
+            got = decode._temperature_rows(dists, cfg.t)
+            assert got.tobytes() == np.stack([row_temperature(d, cfg.t) for d in dists]).tobytes()
+        return
+    ids, probs, cut = decode._truncate_rows(dists, cfg.strategy, cfg.param)
+    got = dists.copy()
+    got[cut] = 0.0
+    rows = np.flatnonzero(cut)
+    got[rows[:, None], ids[cut]] = probs[cut]
+    assert got.tobytes() == np.stack([naive_truncate(d, cfg.strategy, cfg.param) for d in dists]).tobytes()
+
+
+class _ReplayLM(StackedRows):
+    """Serves the rows of a fixed block, one picked by a hash of the context."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.vocab = Vocab.placeholder(rows.shape[1])
+
+    def next_dist(self, context):
+        return self.rows[stable_hash(" ".join(map(str, context))) % len(self.rows)]
+
+
+@given(case=_selection_case(strategies=("beam", "topk", "topp", "temperature", "penalized"), empty=False),
+       n=st.integers(1, 7), cap=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_block_decode_cut_by_max_batch_rows_matches_per_row_decode(case, n, cap):
+    dists, cfg, _, seeds = case
+    model = _ReplayLM(dists)
+    prefixes = [[i % dists.shape[1]] for i in range(n)]
+    cfgs = [replace(cfg, max_len=4, seed=seeds[0] ^ i) for i in range(n)]
+    with mock.patch.object(decode, "MAX_BATCH_ROWS", cap):
+        got = [s.ids for s in generate_batch(model, prefixes, cfgs)]
+    assert got == [s.ids for s in naive_generate_batch(model, prefixes, cfgs)]
 
 
 # --- whole decodes: trailing windows and every strategy ----------------------
@@ -341,8 +492,8 @@ def _models():
     }
 
 
-class _NoWindow:
-    """The same model without ``context_len``: it sees whole contexts."""
+class _NoWindow(StackedRows):
+    """The same model with a whole-context ``context_len`` and stacked rows."""
 
     def __init__(self, model):
         self.vocab = model.vocab

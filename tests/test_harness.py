@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from genteval.corpus import CorpusSplits, TokenSequence, Vocab
+from genteval.corpus import CorpusSplits, TokenSequence, Vocab, write_ids_file
 from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
 from genteval.harness.sweep import (
@@ -27,10 +27,12 @@ from genteval.harness.sweep import (
 )
 from genteval.metrics import Sample, SampleSet
 
+from oracles import StackedRows
+
 VOCAB = Vocab.placeholder(6)
 
 
-class CountingModel:
+class CountingModel(StackedRows):
     """Deterministic stub whose next_dist calls are observable."""
 
     def __init__(self, vocab, shift=0):
@@ -119,6 +121,19 @@ def test_a_writer_that_fails_midway_keeps_the_previous_file(tmp_path):
             f.write("partial")
             raise KeyboardInterrupt
     assert [p.name for p in tmp_path.iterdir()] == ["samples.jsonl"]
+
+    def failing_source():
+        yield (1, 2)
+        raise RuntimeError("source failed")
+
+    ids = tmp_path / "data" / "train.ids.txt"
+    ids.parent.mkdir()
+    write_ids_file(ids, [(3, 4)], vocab_size=9)
+    before = ids.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_ids_file(ids, failing_source(), vocab_size=9)
+    assert ids.read_bytes() == before
+    assert [p.name for p in ids.parent.iterdir()] == ["train.ids.txt"]
 
 
 def test_load_sample_set_errors(tmp_path):
