@@ -14,11 +14,11 @@ aborting the run; an input with zero valid records is an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import EmptyDataset, atomic_write, open_text
+from .errors import DataError, EmptyDataset, EmptyInput, atomic_write, open_text
 from .lm.base import perplexity
 
 _TERMINALS = (".", "!", "?")
@@ -31,6 +31,7 @@ class NliTriple:
     context: str
     entailed: str
     contradicting: str
+    where: str = field(default="", compare=False)  # "path:line" of a loaded record
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class StoryItem:
     ending_a: str
     ending_b: str
     correct: str  # "a" | "b"
+    where: str = field(default="", compare=False)  # "path:line" of a loaded record
 
     @property
     def context(self) -> str:
@@ -88,7 +90,7 @@ def load_triples(path: str | Path) -> LoadResult:
         if not context.endswith(_TERMINALS):
             issues.append(LineIssue(lineno, "context does not end with terminal punctuation"))
             continue
-        records.append(NliTriple(context, entailed, contradicting))
+        records.append(NliTriple(context, entailed, contradicting, f"{path}:{lineno}"))
     if not records:
         raise EmptyDataset(f"{path}: no valid triples")
     return LoadResult(tuple(records), tuple(issues))
@@ -110,9 +112,7 @@ def load_stories(path: str | Path) -> LoadResult:
         if fields[6] not in ("a", "b"):
             issues.append(LineIssue(lineno, f"correct column must be 'a' or 'b', got {fields[6]!r}"))
             continue
-        records.append(
-            StoryItem(tuple(fields[:4]), fields[4], fields[5], fields[6])
-        )
+        records.append(StoryItem(tuple(fields[:4]), fields[4], fields[5], fields[6], f"{path}:{lineno}"))
     if not records:
         raise EmptyDataset(f"{path}: no valid stories")
     return LoadResult(tuple(records), tuple(issues))
@@ -140,23 +140,30 @@ def selection_accuracy(model, items: Sequence, encode: Callable) -> SelectionRes
     conditions each option but its own tokens are excluded from the
     perplexity normalization; options are scored independently, which
     for word-level tokenization is identical to joining context and
-    option with a single space.
+    option with a single space. All items are encoded (a text with no
+    in-vocab token fails naming its item) before one batch scores them.
     """
     if not items:
         raise EmptyDataset("no items to score")
-    outcomes = []
-    correct = 0
-    ties = 0
-    for item in items:
+    contexts, options = [], []
+    for i, item in enumerate(items):
         if isinstance(item, NliTriple):
             context, pos_text, neg_text = item.context, item.entailed, item.contradicting
         else:
             context = item.context
             pos_text = item.ending_a if item.correct == "a" else item.ending_b
             neg_text = item.ending_b if item.correct == "a" else item.ending_a
-        ctx_ids = encode(context)
-        ppl_pos = perplexity(model, encode(pos_text), context=ctx_ids)
-        ppl_neg = perplexity(model, encode(neg_text), context=ctx_ids)
+        try:
+            ctx, pos, neg = encode(context), encode(pos_text), encode(neg_text)
+        except EmptyInput as exc:
+            raise DataError(f"{item.where or f'item {i}'}: {exc}") from None
+        contexts += [ctx, ctx]
+        options += [pos, neg]
+    ppl = perplexity(model, options, contexts)
+    outcomes = []
+    correct = 0
+    ties = 0
+    for ppl_pos, ppl_neg in zip(ppl[::2], ppl[1::2]):
         if ppl_pos < ppl_neg:
             picked = "pos"
             correct += 1

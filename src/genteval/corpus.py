@@ -247,10 +247,11 @@ def split_corpus(
 
 
 def extract_ngrams(ids: Sequence[int], n: int) -> Counter:
-    """Multiset of all length-n contiguous windows, as a Counter."""
+    """Multiset of all length-n contiguous windows (tuples), as a Counter."""
     if n < 1:
         raise BadOrder("n-gram order must be at least 1")
-    return Counter(tuple(ids[i : i + n]) for i in range(len(ids) - n + 1))
+    ids = tuple(ids)
+    return Counter(ids[i : i + n] for i in range(len(ids) - n + 1))
 
 
 _TERMINALS = ".!?"

@@ -569,23 +569,20 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
     # acceptability
     _require(opt, "model", "sentences")
     model = load_model(opt.model)
-    scores = []
-    nulls = 0
-    rows = []
     with open_text(opt.sentences) as f:
         lines = [line.strip() for line in f if line.strip()]
     if not lines:
         raise DataError(f"{opt.sentences}: no sentences")
-    for i, line in enumerate(lines):
+    seqs = []
+    for line in lines:
         try:
-            seq = encode(line, model.vocab, opt.scheme, on_oov="skip")
+            seqs.append(encode(line, model.vocab, opt.scheme, on_oov="skip").ids)
         except EmptyInput:
-            nulls += 1
-            rows.append({"index": i, "penlp": None, "n_tokens": 0})
-            continue
-        value = acceptability_penlp(model, seq, alpha=opt.alpha)
-        scores.append(value)
-        rows.append({"index": i, "penlp": value, "n_tokens": len(seq)})
+            seqs.append(())  # no in-vocab token: a null row
+    scores = acceptability_penlp(model, [s for s in seqs if s], alpha=opt.alpha)
+    nulls = len(seqs) - len(scores)
+    values = iter(scores)
+    rows = [{"index": i, "penlp": next(values) if s else None, "n_tokens": len(s)} for i, s in enumerate(seqs)]
     items_path = out / "acceptability.items.jsonl"
     with atomic_write(items_path, encoding="utf-8") as f:
         for row in rows:

@@ -1,34 +1,29 @@
 """Language model contract plus scoring utilities shared by all backends.
 
-A language model has a ``vocab`` attribute, a ``next_dist(context)``
-returning a probability vector over the vocab (summing to 1 within
-1e-9), and a ``score(seq, context)`` returning the summed natural
-log-probability of ``seq`` given ``context``. Only the tokens of ``seq``
-contribute to the score; the context conditions but is never scored.
+A language model has a ``vocab``; a ``context_len``, the number of
+trailing context ids its predictions depend on (order-1 for the n-gram,
+the window for the ffn) or None for the whole context, so decoders pass
+only that many; and two batched methods over int id sequences (a caller
+holding a TokenSequence passes its ``.ids``):
 
-It also declares ``context_len``: the number of trailing context ids its
-predictions depend on (order-1 for the n-gram, the window for the ffn),
-or None when they depend on the whole context. Decoders pass only that
-many trailing ids.
+- ``next_dist_batch(contexts)``: a ``(len(contexts), |V|)`` array whose
+  row i is the next-token distribution after ``contexts[i]`` (summing to
+  1 within 1e-9). Decoders make one call per step for all the prefixes
+  (or beam hypotheses) they decode together.
+- ``score_batch(seqs, contexts=())``: the summed natural log-probability
+  of each ``seqs[i]`` given ``contexts[i]`` (or no context); the context
+  conditions but is never scored. An empty sequence scores 0.0. Every
+  scorer (perplexities, acceptability, consistency) makes one call.
 
-And it has ``next_dist_batch(contexts)``, returning a
-``(len(contexts), |V|)`` array whose row i is the distribution after
-``contexts[i]``; the decoders make one call per step for all the
-prefixes (or beam hypotheses) they decode together. A
-batched row may differ from ``next_dist`` of the same context in the
-last bits, and the difference may depend on the batch size and on the
-row's position. The n-gram's ``next_dist`` is its one-row batch, and
-each row is computed elementwise from sorted-array lookups, so its rows
-do not depend on the batch; the ffn's matrix products are not
-batch-invariant (about 1e-19 absolute on probabilities near 1e-4 at
-|V| = 5000). A decode is therefore a function of the batch it ran in,
-which is why ``genteval generate`` and a sweep cell decode the same
-prefixes in the same batches.
-
-A model may also offer ``score_batch(seqs, contexts=())``, the
-``score`` of every sequence from one call; :func:`batch_scores` uses it
-for the perplexity metrics and calls ``score`` per sequence otherwise.
-The n-gram's ``score`` is its one-sequence batch.
+``next_dist`` and ``score`` are their one-row calls. A batched row may
+differ from the one-row call in the last bits, depending on the batch
+size and the row's position. The n-gram computes rows elementwise from
+sorted-array lookups, so they do not depend on the batch; the ffn's
+matrix products are not batch-invariant (about 1e-19 absolute on
+probabilities near 1e-4 at |V| = 5000, a few 1e-16 relative on scores).
+A decode is therefore a function of the batch it ran in, which is why
+``genteval generate`` and a sweep cell decode the same prefixes in the
+same batches.
 """
 
 from __future__ import annotations
@@ -51,9 +46,9 @@ class LanguageModel(Protocol):
 
     def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray: ...
 
-    # Optional: score_batch(seqs, contexts=()) -> list of scores, see the module docstring.
+    def score(self, seq: Sequence[int], context: Sequence[int] = ()) -> float: ...
 
-    def score(self, seq, context: Sequence[int] = ()) -> float: ...
+    def score_batch(self, seqs: Sequence[Sequence[int]], contexts: Sequence = ()) -> list[float]: ...
 
 
 def as_ids(seq) -> tuple[int, ...]:
@@ -65,28 +60,18 @@ def as_ids(seq) -> tuple[int, ...]:
     return tuple(int(i) for i in seq)
 
 
-def batch_scores(model, seqs) -> list[float]:
-    """``model.score(seq)`` of each of ``seqs``, in one ``score_batch`` call
-    when the model has it."""
-    batch = getattr(model, "score_batch", None)
-    if batch is None:
-        return [model.score(s) for s in seqs]
-    return batch(seqs)
+def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:
+    """exp of the mean per-token negative log-likelihood of each of ``seqs``
+    (after ``contexts[i]``, when given), from one ``score_batch`` call.
 
-
-def perplexity(model, seq, context: Sequence[int] = ()) -> float:
-    """exp of mean per-token negative log-likelihood of ``seq``.
-
-    A zero-probability token makes the result +inf rather than raising;
-    degenerate inputs are a data condition, not a crash.
+    A zero-probability token makes that perplexity +inf rather than
+    raising; degenerate inputs are a data condition, not a crash.
     """
-    ids = as_ids(seq)
-    if not ids:
+    seqs = [as_ids(s) for s in seqs]
+    if not all(seqs):
         raise ValueError("cannot take perplexity of an empty sequence")
-    logprob = model.score(ids, as_ids(context))
-    if not math.isfinite(logprob):
-        return math.inf
-    return math.exp(-logprob / len(ids))
+    scores = model.score_batch(seqs, [as_ids(c) for c in contexts])
+    return [math.exp(-lp / len(s)) if math.isfinite(lp) else math.inf for s, lp in zip(seqs, scores)]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,12 @@ import numpy as np
 from ..corpus import Vocab
 from ..errors import ConfigError
 from ..rng import SplitMix64
-from .base import as_ids
 
 PAD_TOKEN = "<pad>"
+
+# Rows (token positions) per block of gold_blocks: bounds the (rows, |V|)
+# logits that scoring and the mle/ul training step hold at once.
+BLOCK_ROWS = 128
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,7 +186,8 @@ class FeedForwardLM:
 
     def vocab_logits(self, cache: FfnCache) -> np.ndarray:
         if cache.logits is None:
-            cache.logits = cache.h @ self.params["w2"].T + self.params["b2"]
+            cache.logits = cache.h @ self.params["w2"].T
+            cache.logits += self.params["b2"]  # in place: one (rows, V) array
         return cache.logits
 
     def reg_predictions(self, cache: FfnCache) -> np.ndarray:
@@ -203,17 +208,44 @@ class FeedForwardLM:
         c = self.context
         pad = (self.pad_id,) * c
         windows = np.array(
-            [(pad + as_ids(ctx))[-c:] for ctx in contexts], dtype=np.int64
+            [(*pad, *ctx[-c:])[-c:] for ctx in contexts], dtype=np.int64
         ).reshape(len(contexts), c)
         return softmax(self.vocab_logits(self.forward(windows)))
 
     def score(self, seq, context: Sequence[int] = ()) -> float:
-        ids = as_ids(seq)
-        if not ids:
-            raise ValueError("cannot score an empty sequence")
-        cache = self.forward(self.windows(ids, as_ids(context)))
-        logp = log_softmax(self.vocab_logits(cache))
-        return float(logp[np.arange(len(ids)), list(ids)].sum())
+        return self.score_batch([seq], [context])[0]
+
+    def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
+        """``score(seqs[i], contexts[i])`` of every sequence, from
+        :meth:`gold_blocks`; each sum runs left to right. A row's value
+        depends on its block in the last bits."""
+        if contexts and len(contexts) != len(seqs):
+            raise ConfigError("score_batch needs one context per sequence")
+        logp = np.empty(sum(map(len, seqs)))
+        for _ in self.gold_blocks(seqs, contexts or [()] * len(seqs), logp):
+            pass
+        ends = np.cumsum([len(s) for s in seqs]).tolist()
+        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+
+    def gold_blocks(self, seqs, contexts, gold_logp: np.ndarray):
+        """Run the windows of ``seqs`` (``seqs[i]`` after ``contexts[i]``) in
+        blocks of at most ``BLOCK_ROWS`` rows, one forward and one exp pass
+        each. Fills ``gold_logp`` with each row's log-probability of its own
+        id and yields ``(lo, hi, cache, z, denom)`` per block of rows
+        ``lo:hi``: ``z / denom`` is its softmax, and the caller owns ``z``."""
+        empty = np.empty((0, self.context), dtype=np.int64)
+        windows = np.concatenate([empty] + [self.windows(s, c) for s, c in zip(seqs, contexts)])
+        gold = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=len(windows))
+        for lo in range(0, len(gold), BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, len(gold))
+            cache = self.forward(windows[lo:hi])
+            z = self.vocab_logits(cache)
+            z -= z.max(axis=1, keepdims=True)
+            gold_z = z[np.arange(hi - lo), gold[lo:hi]]
+            np.exp(z, out=z)
+            denom = z.sum(axis=1)
+            gold_logp[lo:hi] = gold_z - np.log(denom)
+            yield lo, hi, cache, z, denom
 
     # -- backward ---------------------------------------------------------
 

@@ -85,7 +85,7 @@ class NGramLM:
     def _lookup(self, contexts, seqs):
         """Backoff level, context row, context total and gram count of every
         id of ``seqs``, end to end; ``seqs[i]`` follows ``contexts[i]``."""
-        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in map(as_ids, contexts)]
+        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in contexts]
         n_ctx = np.array([len(t) for t in tails], dtype=np.int64)
         lens = n_ctx + np.array([len(s) for s in seqs], dtype=np.int64)
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64)
@@ -138,14 +138,13 @@ class NGramLM:
         A zero-probability token makes its sequence's score -inf; each
         sum runs left to right, as a per-token loop adds.
         """
-        seqs = [as_ids(s) for s in seqs]
         if contexts and len(contexts) != len(seqs):
             raise ConfigError("score_batch needs one context per sequence")
         _, _, total, count = self._lookup(contexts or [()] * len(seqs), seqs)
         p = (count + self.k_s) / (total + self.k_s * self.vocab.size)
         logp = np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
         ends = np.cumsum([len(s) for s in seqs]).tolist()
-        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if s else 0.0 for s, e in zip(seqs, ends)]
+        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
 
 
 def ngram_fit(

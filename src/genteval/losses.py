@@ -21,11 +21,11 @@ Objective kinds understood by :func:`multitask_step`:
   both kinds share the head, so a single model trains one or the other.
 
 ``mle`` and ``ul`` run blocked: the step stacks the context windows of
-all its sequences into rows and cuts them into blocks of at most
-``_BLOCK_ROWS`` rows (a sequence may straddle two blocks). Each block
-makes one forward, one exp pass that yields both the gold log-probs and
-the softmax, one combined ``dlogits`` and one backward into the step's
-gradient. Token-level UL trains on the same windows as MLE, so it shares
+all its sequences into rows and runs them through
+:meth:`FeedForwardLM.gold_blocks`, blocks of at most ``BLOCK_ROWS`` rows
+(a sequence may straddle two blocks). Each block makes one forward, one
+exp pass that yields both the gold log-probs and the softmax, one
+combined ``dlogits`` and one backward into the step's gradient. Token-level UL trains on the same windows as MLE, so it shares
 MLE's blocks; its candidates are ``(position, token)`` arrays, gathered
 and scattered sparsely. Sequence-level UL stacks the greedy rollouts
 into blocks of their own. :func:`ce_loss` and :func:`ul_token_loss` are
@@ -63,9 +63,6 @@ OBJECTIVE_KINDS = ("mle", "ul", "nsp", "sop", "tfidf", "pos", "dp")
 
 # Probabilities inside ln(1 - p) are clamped to at most 1 - _UL_CLAMP.
 _UL_CLAMP = 1e-12
-
-# Rows (token positions) per forward/backward block of the mle/ul step.
-_BLOCK_ROWS = 128
 
 MASK_LABEL = "X"
 
@@ -164,16 +161,14 @@ def _token_losses(
 
     ``seqs[i]`` is conditioned on ``contexts[i]``; ``candidates[i]`` is
     its UL ``(position, token)`` arrays, positions ascending (None: no
-    UL). All windows are stacked into rows, and each block of at most
-    ``_BLOCK_ROWS`` rows (a sequence may straddle two) runs one forward,
-    one exp pass and one backward. Sequence i adds ``ce_weight / len_i``
-    times its CE gradient plus ``ul_weight / len_i`` times its UL
-    gradient into ``grads``. The returned losses are unweighted.
+    UL). Each block of :meth:`FeedForwardLM.gold_blocks` turns its ``z``
+    into dlogits in place and runs one backward. Sequence i adds
+    ``ce_weight / len_i`` times its CE gradient plus ``ul_weight / len_i``
+    times its UL gradient into ``grads``. The returned losses are unweighted.
     """
     lens = [len(s) for s in seqs]
     bounds = np.cumsum([0] + lens)
     n_rows = int(bounds[-1])
-    windows = np.concatenate([model.windows(s, c) for s, c in zip(seqs, contexts)])
     gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
     row_scale = np.repeat(1.0 / np.array(lens), lens)
     if candidates is None:
@@ -183,18 +178,9 @@ def _token_losses(
         cand_toks = np.concatenate([tok for _, tok in candidates])
     gold_logp = np.empty(n_rows)
     cand_p = np.empty(len(cand_rows))
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n_rows)
+    for lo, hi, cache, z, denom in model.gold_blocks(seqs, contexts, gold_logp):
         a, b = np.searchsorted(cand_rows, (lo, hi))
         rows, cr, ct = np.arange(hi - lo), cand_rows[a:b] - lo, cand_toks[a:b]
-        cache = model.forward(windows[lo:hi])
-        # The block owns its cache: z goes logits -> shifted -> exp -> dlogits in place.
-        z = model.vocab_logits(cache)
-        z -= z.max(axis=1, keepdims=True)
-        gold_z = z[rows, gold[lo:hi]]
-        np.exp(z, out=z)
-        denom = z.sum(axis=1)
-        gold_logp[lo:hi] = gold_z - np.log(denom)
         p = cand_p[a:b] = z[cr, ct] / denom[cr]
         # d/dlogits: ce * (softmax - onehot) + ul * (q - softmax * sum(q)),
         # with q = p / (1 - p) at the candidates; the clamp zeroes q.

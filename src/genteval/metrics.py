@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import TokenSequence, Vocab
+from .corpus import TokenSequence, Vocab, extract_ngrams
 from .errors import ConfigError, InsufficientSamples
-from .lm.base import as_ids, batch_scores
+from .lm.base import as_ids
 from .lm.ngram import NGramLM, ngram_fit
 from .rng import SplitMix64
 
@@ -100,10 +100,9 @@ class RefIndex:
         self.lengths = sorted(len(r) for r in refs)
         self.max_counts: list[dict[tuple[int, ...], int]] = [dict() for _ in range(max_n)]
         for ref in refs:
-            ids = tuple(ref)
             for n in range(1, max_n + 1):
                 table = self.max_counts[n - 1]
-                for gram, c in _gram_counts(ids, n).items():
+                for gram, c in extract_ngrams(ref, n).items():
                     if c > table.get(gram, 0):
                         table[gram] = c
 
@@ -117,10 +116,6 @@ class RefIndex:
 
     def closest_length(self, c_len: int) -> int:
         return _closest(self.lengths, c_len)
-
-
-def _gram_counts(ids: tuple[int, ...], n: int) -> Counter:
-    return Counter(ids[i : i + n] for i in range(len(ids) - n + 1))
 
 
 def _closest(sorted_lengths: list[int], c_len: int, skip_one_of: int | None = None) -> int:
@@ -164,7 +159,7 @@ def _bleu_core(cand: tuple[int, ...], clipped_fn, cfg: BleuConfig, ref_length: i
     orders = min(cfg.max_n, c_len)
     log_sum = 0.0
     for n in range(1, orders + 1):
-        counts = _gram_counts(cand, n)
+        counts = extract_ngrams(cand, n)
         matched = clipped_fn(counts, n)
         p = matched / (c_len - n + 1) if matched > 0 else cfg.smoothing_epsilon
         log_sum += math.log(p)
@@ -227,7 +222,7 @@ class _LooIndex:
         for owner, ids in enumerate(seqs):
             for n in range(1, max_n + 1):
                 table = self.tables[n - 1]
-                for gram, c in _gram_counts(ids, n).items():
+                for gram, c in extract_ngrams(ids, n).items():
                     best, who, second = table.get(gram, (0, -1, 0))
                     if c >= best:
                         table[gram] = (c, owner, best)
@@ -295,23 +290,23 @@ def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
     return sum(values) / len(values), nulls
 
 
-def forward_ppl(scorer, gen: SampleSet) -> float:
-    """Perplexity of the concatenated continuations under ``scorer``.
-
-    Token-weighted: exp of the mean per-token NLL across all samples.
-    Each continuation is scored from an empty context, so samples never
-    condition each other.
-    """
-    if not len(gen):
-        raise InsufficientSamples("forward_ppl needs at least one sample")
+def _pooled_ppl(scorer, sset: SampleSet) -> float:
+    """exp of the token-weighted mean NLL of ``sset``'s continuations, each
+    scored from an empty context so that samples never condition each other."""
+    seqs = [s.continuation.ids for s in sset.samples]
     total_lp = 0.0
-    total_tokens = 0
-    for s, lp in zip(gen.samples, batch_scores(scorer, gen.continuations())):
+    for lp in scorer.score_batch(seqs):
         if not math.isfinite(lp):
             return math.inf
         total_lp += lp
-        total_tokens += len(s.continuation)
-    return math.exp(-total_lp / total_tokens)
+    return math.exp(-total_lp / sum(map(len, seqs)))
+
+
+def forward_ppl(scorer, gen: SampleSet) -> float:
+    """Perplexity of the generated continuations under ``scorer``."""
+    if not len(gen):
+        raise InsufficientSamples("forward_ppl needs at least one sample")
+    return _pooled_ppl(scorer, gen)
 
 
 def reverse_ppl(
@@ -324,32 +319,29 @@ def reverse_ppl(
 
     Degenerate generations yield a model that finds real text surprising,
     pushing this up. Smoothing is mandatory (k_s > 0): the fitted model
-    must assign finite probability to unseen human n-grams.
+    must assign finite probability to unseen human n-grams. The model is
+    smoothed over the human set's vocab, so every model's generations are
+    compared over the same tokens.
     """
     if not k_s > 0:
         raise ConfigError("reverse_ppl requires k_s > 0")
     if not len(gen) or not len(human_test):
         raise InsufficientSamples("reverse_ppl needs non-empty gen and human sets")
-    vocab = gen.vocab if gen.vocab.size >= human_test.vocab.size else human_test.vocab
-    scorer = ngram_fit(gen.continuations(), order=order, k_s=k_s, vocab=vocab)
-    total_lp = 0.0
-    total_tokens = 0
-    for s, lp in zip(human_test.samples, scorer.score_batch(human_test.continuations())):
-        total_lp += lp
-        total_tokens += len(s.continuation)
-    return math.exp(-total_lp / total_tokens)
+    scorer = ngram_fit(gen.continuations(), order=order, k_s=k_s, vocab=human_test.vocab)
+    return _pooled_ppl(scorer, human_test)
 
 
-def acceptability_penlp(scorer, sentence, context: Sequence[int] = (), alpha: float = 0.6) -> float:
-    """Length-normalized log-probability: ln p / ((5 + |s|) / 6) ** alpha.
+def acceptability_penlp(scorer, sentences, alpha: float = 0.6) -> list[float]:
+    """Length-normalized log-probability of each sentence, from one
+    ``score_batch`` call: ln p / ((5 + |s|) / 6) ** alpha.
 
     Less negative is more acceptable. alpha = 0 disables normalization;
     a single-token sentence has penalty exactly 1.
     """
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
-    ids = as_ids(sentence)
-    if not ids:
+    sentences = [as_ids(s) for s in sentences]
+    if not all(sentences):
         raise InsufficientSamples("cannot score an empty sentence")
-    penalty = ((5.0 + len(ids)) / 6.0) ** alpha
-    return scorer.score(ids, as_ids(context)) / penalty
+    scores = scorer.score_batch(sentences)
+    return [lp / ((5.0 + len(ids)) / 6.0) ** alpha for ids, lp in zip(sentences, scores)]

@@ -229,9 +229,18 @@ def naive_next_dist(model, context):
     return dist
 
 
-class StackedRows:
+class StackedScores:
+    """``score_batch`` for a test model that defines only ``score``: one
+    ``score`` call per sequence."""
+
+    def score_batch(self, seqs, contexts=()):
+        return [self.score(s, c) for s, c in zip(seqs, contexts or [()] * len(seqs))]
+
+
+class StackedRows(StackedScores):
     """The batched half of the LM contract for a test model that defines
-    only ``next_dist``: its rows stacked, and whole contexts."""
+    only ``next_dist`` (and ``score``): its rows and scores stacked, and
+    whole contexts."""
 
     context_len = None
 
@@ -482,6 +491,18 @@ def naive_windows(model, ids, context=()):
     return np.array(
         [full[offset + t : offset + t + c] for t in range(len(ids))], dtype=np.int64
     ).reshape(len(ids), c)
+
+
+def naive_ffn_score(model, ids, context=()):
+    """The ffn's one-sequence score as it was before ``score_batch``: one
+    forward over the sequence's windows, a log-softmax over the vocab, the
+    gold entries summed by numpy; 0.0 when empty."""
+    from genteval.lm.ffn import log_softmax
+
+    if not len(ids):
+        return 0.0
+    logits = model.vocab_logits(model.forward(naive_windows(model, ids, context)))
+    return float(log_softmax(logits)[np.arange(len(ids)), list(ids)].sum())
 
 
 def naive_previous_token_candidates(ids):

@@ -361,6 +361,24 @@ def test_eval_consistency_triples_report(workspace, tmp_path):
     assert (tmp_path / "report_nli.items.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, good, bad",
+    [
+        ("--triples", "the cat sat the home.\tthe dog ran\tthe sea held",
+         "a man met a tree.\tzzz qqq\tthe fish left"),
+        ("--stories", "the cat sat.\tthe dog ran.\ta man met.\tthe sea held.\tthe sun sat\tthe fish left\ta",
+         "the cat sat.\tthe dog ran.\ta man met.\tthe sea held.\tthe sun sat\tzzz qqq\tb"),
+    ],
+)
+def test_eval_consistency_item_with_no_in_vocab_token_names_its_line(workspace, tmp_path, capsys, flag, good, bad):
+    data = tmp_path / "items.tsv"
+    data.write_text(f"{good}\n# comment\n{bad}\n{good}\n", encoding="utf-8")
+    argv = ["eval", "consistency", "--model", workspace["model"], flag, data, "--out-dir", tmp_path / "out"]
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert err == f"data error: {data}:3: no in-vocab tokens\n"
+    assert not list((tmp_path / "out").glob("report_*"))
+
+
 def test_eval_acceptability(workspace, tmp_path):
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("the cat sat\nthe dog ran the road\n", encoding="utf-8")
@@ -508,20 +526,11 @@ def test_eval_reproduces_every_sweep_cell(workspace, toy_sweep, tmp_path):
             # An ffn can emit its pad token, which is outside the corpus vocab.
             assert record.model == "ffn" and got == 3
             continue
-        want = dict(record.metrics)
-        if record.model == "ffn":
-            # See test_eval_reverse_ppl_matches_ffn_sweep_cells.
-            del want["reverse_ppl"], got["reverse_ppl"]
-        assert got == want, samples.name
+        assert got == dict(record.metrics), samples.name
         compared += 1
     assert compared >= 10  # all but cells holding a pad id
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the sweep fits an ffn cell's reverse-ppl n-gram over the model vocab, which "
-    "adds the pad token; eval only has the manifest vocab",
-)
 def test_eval_reverse_ppl_matches_ffn_sweep_cells(workspace, toy_sweep, tmp_path):
     record = next(r for r in read_sweep_csv(toy_sweep / "sweep.csv")
                   if (r.model, r.strategy) == ("ffn", "greedy"))

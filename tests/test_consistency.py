@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -13,7 +14,9 @@ from genteval.consistency import (
     save_selection_result,
     selection_accuracy,
 )
-from genteval.errors import EmptyDataset
+from genteval.errors import DataError, EmptyDataset, EmptyInput
+
+from oracles import StackedScores
 
 
 # encode must produce integer ids; assign them per word on first sight
@@ -27,7 +30,7 @@ def encode_words(text):
     return tuple(out)
 
 
-class WordScorer:
+class WordScorer(StackedScores):
     """Per-word log-prob table keyed by surface; unseen words get the floor."""
 
     def __init__(self, table, floor=-5.0):
@@ -118,6 +121,33 @@ def _triples():
         NliTriple("ctx one.", "good", "bad"),
         NliTriple("ctx two.", "good good", "bad bad"),
     ]
+
+
+def test_selection_accuracy_scores_every_option_in_one_batch():
+    class CountingScorer(WordScorer):
+        batches = 0
+
+        def score_batch(self, seqs, contexts=()):
+            self.batches += 1
+            assert len(seqs) == len(contexts) == 4
+            return super().score_batch(seqs, contexts)
+
+    scorer = CountingScorer({"good": -0.1, "bad": -3.0})
+    assert selection_accuracy(scorer, _triples(), encode_words).accuracy == 1.0
+    assert scorer.batches == 1
+
+
+def test_selection_accuracy_names_the_item_with_no_in_vocab_token(tmp_path):
+    path = tmp_path / "nli.tsv"
+    path.write_text("Fine here.\tgood\tbad\n# comment\nAlso fine.\tzzz qqq\tbad\n", encoding="utf-8")
+
+    def encode_known(text):
+        if "zzz" in text:
+            raise EmptyInput("no in-vocab tokens")
+        return encode_words(text)
+
+    with pytest.raises(DataError, match=re.escape(f"{path}:3: no in-vocab tokens")):
+        selection_accuracy(WordScorer({}), load_triples(path).records, encode_known)
 
 
 def test_selection_accuracy_prefers_lower_perplexity():

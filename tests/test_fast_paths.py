@@ -32,6 +32,7 @@ from genteval.decode import (
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
+from genteval.lm.ffn import BLOCK_ROWS
 from genteval import losses
 from genteval.losses import (
     AdamState,
@@ -60,6 +61,7 @@ from oracles import (
     naive_sample,
     naive_top_ids,
     naive_truncate,
+    naive_ffn_score,
     naive_ul_seq_candidates,
     naive_windows,
     row_penalize,
@@ -93,6 +95,55 @@ def _ngram_case(draw, max_order=4):
     queries += [(), corpus[0], (v - 1,) * 3]
     contexts += [(), (), corpus[0]]
     return model, DictNGram.fit(corpus, vocab, order, k_s), queries, contexts
+
+
+# --- score_batch on both backends against the per-sequence scorers --------
+
+
+def _scoring_case(v=300):
+    """A fitted n-gram, an ffn with a 4-id window, and sequences whose
+    windows number over 128 in all, with one sequence straddling row 128,
+    empty sequences, and contexts shorter and longer than the window."""
+    rng = SplitMix64(11)
+    lens = [0, 1, 3, 7, 0, 40, 2, 90, 5, 11]
+    ctx_lens = [0, 2, 5, 0, 3, 1, 9, 0, 4, 12]
+    seqs = [tuple(rng.randint(v) for _ in range(n)) for n in lens]
+    contexts = [tuple(rng.randint(v) for _ in range(n)) for n in ctx_lens]
+    starts = np.cumsum(lens) - lens
+    assert sum(lens) > 128 and any(a < 128 < a + n for a, n in zip(starts, lens))
+    corpus = [tuple(rng.randint(v) for _ in range(60)) for _ in range(8)]
+    ngram = ngram_fit(corpus, 3, 0.5, vocab=Vocab.placeholder(v))
+    ffn = FeedForwardLM.init(Vocab.placeholder(v), context=4, embed_dim=8, hidden_dim=16, seed=5)
+    return ngram, ffn, seqs, contexts
+
+
+def test_ngram_score_batch_matches_the_dict_model_past_one_block():
+    ngram, _, seqs, contexts = _scoring_case()
+    ref = DictNGram.of(ngram)
+    want = [_bits(ref.score(s, c)) for s, c in zip(seqs, contexts)]
+    assert [_bits(x) for x in ngram.score_batch(seqs, contexts)] == want
+    assert [_bits(ngram.score(s, c)) for s, c in zip(seqs, contexts)] == want
+
+
+def test_ffn_score_batch_matches_the_per_sequence_scorer():
+    _, ffn, seqs, contexts = _scoring_case()
+    want = [naive_ffn_score(ffn, s, c) for s, c in zip(seqs, contexts)]
+    got = ffn.score_batch(seqs, contexts)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([ffn.score(s, c) for s, c in zip(seqs, contexts)], want, rtol=1e-12, atol=0)
+    no_context = [naive_ffn_score(ffn, s) for s in seqs]
+    np.testing.assert_allclose(ffn.score_batch(seqs), no_context, rtol=1e-12, atol=0)
+
+
+def test_empty_sequences_score_zero_on_both_backends():
+    ngram, ffn, seqs, contexts = _scoring_case()
+    for model in (ngram, ffn):
+        got = model.score_batch(seqs, contexts)
+        assert [got[i] for i, s in enumerate(seqs) if not s] == [0.0, 0.0]
+        assert all(x < 0 for x, s in zip(got, seqs) if s)
+        assert model.score((), (1, 2)) == 0.0 and model.score_batch([]) == []
+        with pytest.raises(ConfigError):
+            model.score_batch(seqs, contexts[:-1])
 
 
 @given(case=_ngram_case())
@@ -187,7 +238,7 @@ def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
     loaded = load_model(tmp_path / "m.lmek")
     contexts = [(), (0,), (0, 1), (2, 2, 2)]
     assert loaded.next_dist_batch(contexts).tobytes() == model.next_dist_batch(contexts).tobytes()
-    assert _bits(loaded.score(seq)) == _bits(model.score(seq))
+    assert _bits(loaded.score(seq.ids)) == _bits(model.score(seq.ids))
 
 
 def test_rows_cache_is_safe_under_concurrent_first_use():
@@ -708,14 +759,14 @@ def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
 
     monkeypatch.setattr(FeedForwardLM, "forward", counting)
     vocab, batch = _step_data()
-    assert max(_LENS) > losses._BLOCK_ROWS
+    assert max(_LENS) > BLOCK_ROWS
     for mix in (0.0, 1.0):
         cfg = TrainConfig(objectives=(("mle", 1.0), ("ul", 0.5)),
                           seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
         model = FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5)
         rows.clear()
         multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
-        assert max(rows) <= losses._BLOCK_ROWS
+        assert max(rows) <= BLOCK_ROWS
         if mix == 0.0:
             # Token-level UL reuses MLE's forward: every token is forwarded once.
             assert sum(rows) == sum(_LENS)

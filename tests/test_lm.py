@@ -18,7 +18,7 @@ from genteval.lm import (
 )
 from genteval.lm.ffn import PAD_TOKEN
 
-from oracles import ngram_tables
+from oracles import StackedScores, ngram_tables
 
 
 def _p(lm, token, context):
@@ -108,24 +108,24 @@ def test_ppl_hand_value_abab():
     seq, vocab = _abab()
     lm = ngram_fit(seq, order=2, k_s=0.0)
     two = TokenSequence(seq.ids[:2], vocab)
-    assert perplexity(lm, two) == pytest.approx(math.sqrt(2.0))
+    assert perplexity(lm, [two]) == [pytest.approx(math.sqrt(2.0))]
 
 
 def test_uniform_model_ppl_is_vocab_size():
-    class Uniform:
+    class Uniform(StackedScores):
         vocab = Vocab.placeholder(10)
 
         def score(self, seq, context=()):
             return len(seq) * math.log(1 / 10)
 
-    assert perplexity(Uniform(), (0, 1, 2)) == pytest.approx(10.0)
+    assert perplexity(Uniform(), [(0, 1, 2)]) == [pytest.approx(10.0)]
 
 
 def test_zero_prob_gives_infinite_ppl():
     seq, vocab = _abab()
     unseen_vocab = Vocab([*vocab.tokens, "z"])
     lm = ngram_fit(TokenSequence(seq.ids, unseen_vocab), order=1, k_s=0.0)
-    assert perplexity(lm, (unseen_vocab.id_of("z"),)) == math.inf
+    assert perplexity(lm, [(unseen_vocab.id_of("z"),)]) == [math.inf]
 
 
 def test_order_validation():

@@ -24,7 +24,7 @@ from genteval.metrics import (
 )
 from genteval.rng import SplitMix64
 
-from oracles import naive_bleu, naive_self_bleu, naive_seq_rep
+from oracles import StackedScores, naive_bleu, naive_self_bleu, naive_seq_rep
 
 
 def mk_set(seqs, vocab=None, **prov):
@@ -37,7 +37,7 @@ def mk_set(seqs, vocab=None, **prov):
     return SampleSet(samples, dict(prov))
 
 
-class UniformScorer:
+class UniformScorer(StackedScores):
     def __init__(self, v):
         self.logp = math.log(1.0 / v)
 
@@ -45,7 +45,7 @@ class UniformScorer:
         return len(ids) * self.logp
 
 
-class FixedScorer:
+class FixedScorer(StackedScores):
     def __init__(self, value):
         self.value = value
 
@@ -234,7 +234,7 @@ def test_forward_ppl_uniform_scorer():
 def test_forward_ppl_token_weighted():
     # 2 tokens at p=1/2 plus 4 tokens at p=1/8 -> exp(mean nll), not
     # the mean of the two per-sample ppls.
-    class TwoRate:
+    class TwoRate(StackedScores):
         def score(self, ids, context=()):
             p = 0.5 if len(ids) == 2 else 0.125
             return len(ids) * math.log(p)
@@ -282,23 +282,23 @@ def test_reverse_ppl_handles_vocab_size_mismatch():
 
 
 def test_penlp_single_token_has_unit_penalty():
-    assert acceptability_penlp(FixedScorer(-3.0), [4]) == pytest.approx(-3.0)
+    assert acceptability_penlp(FixedScorer(-3.0), [[4]]) == [pytest.approx(-3.0)]
 
 
 def test_penlp_seven_tokens():
-    got = acceptability_penlp(FixedScorer(-7.0), [0] * 7)
+    [got] = acceptability_penlp(FixedScorer(-7.0), [[0] * 7])
     assert got == pytest.approx(-7.0 / 2.0**0.6, rel=1e-12)
 
 
 def test_penlp_alpha_zero_is_raw_score():
-    assert acceptability_penlp(FixedScorer(-5.0), [0] * 9, alpha=0.0) == -5.0
+    assert acceptability_penlp(FixedScorer(-5.0), [[0] * 9], alpha=0.0) == [-5.0]
 
 
 def test_penlp_rejects_negative_alpha_and_empty_input():
     with pytest.raises(ConfigError):
-        acceptability_penlp(FixedScorer(0.0), [1], alpha=-0.1)
+        acceptability_penlp(FixedScorer(0.0), [[1]], alpha=-0.1)
     with pytest.raises(InsufficientSamples):
-        acceptability_penlp(FixedScorer(0.0), [])
+        acceptability_penlp(FixedScorer(0.0), [[1], []])
 
 
 # ---------------------------------------------------------------------------
