@@ -128,7 +128,6 @@ def _build_parser(config: dict | None = None, command: str | None = None) -> arg
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--margin", type=float)
     p.add_argument("--objectives", help='e.g. "mle:1.0,ul:0.5"')
-    p.add_argument("--train-config", help="TrainConfig JSON file")
     p.add_argument("--mix-prob", type=float)
     p.add_argument("--ul-prefix-len", type=int)
     p.add_argument("--ul-gen-len", type=int)
@@ -351,7 +350,7 @@ def _cmd_ingest(opt: argparse.Namespace) -> int:
 
 
 def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
-    base = TrainConfig.from_json(opt.train_config) if opt.train_config else TrainConfig()
+    base = TrainConfig()
     objectives = _parse_objectives(opt.objectives) if opt.objectives is not None else None
     ul_overrides = {
         "mix_prob": opt.mix_prob,

@@ -1,8 +1,8 @@
 """Training objectives for the feed-forward LM, with explicit gradients.
 
-Every loss returns ``(scalar, grads)`` where ``grads`` matches the
-model's parameter dict (the per-item losses can instead add a scaled
-gradient into a dict they are given). Gradients are derived by hand through the
+Every public loss is a one-item call of the batched code below and
+returns ``(scalar, grads)``, with ``grads`` a fresh dict matching the
+model's parameters. Gradients are derived by hand through the
 softmax/tanh stack (see :meth:`FeedForwardLM.backward`) and are meant to
 be validated against central finite differences via :func:`grad_check`;
 nothing here relies on an autodiff framework.
@@ -20,23 +20,25 @@ Objective kinds understood by :func:`multitask_step`:
 * ``pos`` / ``dp``: token classification via the classification head;
   both kinds share the head, so a single model trains one or the other.
 
-``mle`` and ``ul`` run blocked: the step stacks the context windows of
-all its sequences into rows and runs them through
+A step makes one batched call per active kind, each adding its weighted
+gradient into the step's gradient. ``mle`` and ``ul`` stack the context
+windows of all the step's sequences into rows and run them through
 :meth:`FeedForwardLM.gold_blocks`, blocks of at most ``BLOCK_ROWS`` rows
 (a sequence may straddle two blocks). Each block makes one forward, one
 exp pass that yields both the gold log-probs and the softmax, one
-combined ``dlogits`` and one backward into the step's gradient. Token-level UL trains on the same windows as MLE, so it shares
-MLE's blocks; its candidates are ``(position, token)`` arrays, gathered
-and scattered sparsely. Sequence-level UL stacks the greedy rollouts
-into blocks of their own. :func:`ce_loss` and :func:`ul_token_loss` are
-one-sequence calls of the same block code. The other kinds make one
-forward per item and add their scaled gradient straight into the step's
-gradient.
+combined ``dlogits`` and one backward. Token-level UL trains on the same
+windows as MLE, so it shares MLE's blocks; its candidates are
+``(position, token)`` arrays, gathered and scattered sparsely.
+Sequence-level UL stacks the greedy rollouts into blocks of their own.
+``nsp``/``sop`` score all their pairs with one ``score_batch`` call and
+run the pairs of active hinges through the same blocks, as CE weighted by
+perplexity. ``tfidf``, ``pos`` and ``dp`` make one forward over every
+item's windows and use only the heads, never the vocab logits; only
+``gold_blocks`` normalizes those.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -153,7 +155,7 @@ def _token_losses(
     seqs: Sequence[tuple[int, ...]],
     contexts: Sequence[tuple[int, ...]],
     candidates: Sequence[tuple[np.ndarray, np.ndarray]] | None,
-    ce_weight: float,
+    ce_weight: float | np.ndarray,
     ul_weight: float,
     grads: dict[str, np.ndarray],
 ) -> tuple[list[float], list[float]]:
@@ -162,15 +164,17 @@ def _token_losses(
     ``seqs[i]`` is conditioned on ``contexts[i]``; ``candidates[i]`` is
     its UL ``(position, token)`` arrays, positions ascending (None: no
     UL). Each block of :meth:`FeedForwardLM.gold_blocks` turns its ``z``
-    into dlogits in place and runs one backward. Sequence i adds
-    ``ce_weight / len_i`` times its CE gradient plus ``ul_weight / len_i``
-    times its UL gradient into ``grads``. The returned losses are unweighted.
+    into dlogits in place and runs one backward. ``ce_weight`` is one
+    float or one weight per sequence; sequence i adds ``ce_weight_i / len_i``
+    times its CE gradient plus ``ul_weight / len_i`` times its UL gradient
+    into ``grads``. The returned losses are unweighted.
     """
     lens = [len(s) for s in seqs]
     bounds = np.cumsum([0] + lens)
     n_rows = int(bounds[-1])
     gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
     row_scale = np.repeat(1.0 / np.array(lens), lens)
+    row_ce = np.repeat(np.broadcast_to(ce_weight, len(lens)), lens)
     if candidates is None:
         cand_rows = cand_toks = np.empty(0, dtype=np.int64)
     else:
@@ -186,10 +190,10 @@ def _token_losses(
         # with q = p / (1 - p) at the candidates; the clamp zeroes q.
         kept = p < 1.0 - _UL_CLAMP
         q = np.where(kept, p / (1.0 - np.where(kept, p, 0.0)), 0.0)
-        scale = row_scale[lo:hi]
+        scale, ce = row_scale[lo:hi], row_ce[lo:hi]
         q_sum = np.bincount(cr, weights=q, minlength=hi - lo)
-        z *= ((ce_weight - ul_weight * q_sum) * scale / denom)[:, None]
-        z[rows, gold[lo:hi]] -= ce_weight * scale
+        z *= ((ce - ul_weight * q_sum) * scale / denom)[:, None]
+        z[rows, gold[lo:hi]] -= ce * scale
         z[cr, ct] += ul_weight * scale[cr] * q
         model.backward(cache, grads, dlogits=z)
     penalty = -np.log1p(-np.minimum(cand_p, 1.0 - _UL_CLAMP))
@@ -204,112 +208,113 @@ def hinge_rank(ppl_pos: float, ppl_neg: float, margin: float) -> float:
     return max(0.0, ppl_pos - ppl_neg + margin)
 
 
-def _pair_ppl(model: FeedForwardLM, pair: SentencePair):
-    ids = pair.second.ids
-    cache = model.forward(model.windows(ids, pair.first.ids))
-    logp = log_softmax(model.vocab_logits(cache))
-    rows = np.arange(len(ids))
-    nll = float(-logp[rows, list(ids)].mean())
-    return math.exp(nll), cache, ids
+def _rank_losses(
+    model: FeedForwardLM,
+    items: Sequence[tuple[SentencePair, SentencePair]],
+    margin: float,
+    scale: float,
+    grads: dict[str, np.ndarray],
+) -> list[float]:
+    """Hinge of each ``(positive, negative)`` item on its perplexity gap.
+
+    The second sentence of every pair is scored given its first in one
+    ``score_batch`` call. d ppl / d logits is ppl times the mean CE
+    gradient, so the pairs of the items whose hinge is active make one
+    :func:`_token_losses` pass with CE weights ``scale * ppl`` (positive)
+    and ``-scale * ppl`` (negative).
+    """
+    pairs = [pair for item in items for pair in item]
+    seqs = [pair.second.ids for pair in pairs]
+    contexts = [pair.first.ids for pair in pairs]
+    ppl = np.exp(-np.array(model.score_batch(seqs, contexts)) / [len(s) for s in seqs])
+    hinges = [hinge_rank(p, n, margin) for p, n in zip(ppl[0::2].tolist(), ppl[1::2].tolist())]
+    on = np.flatnonzero(np.repeat(np.array(hinges) > 0.0, 2))
+    if len(on):
+        weights = scale * np.tile([1.0, -1.0], len(items)) * ppl
+        _token_losses(
+            model, [seqs[i] for i in on], [contexts[i] for i in on], None, weights[on], 0.0, grads
+        )
+    return hinges
 
 
-def _add_ppl_grad(model, cache, ids, coef, grads) -> None:
-    # d ppl / d logits = ppl * (softmax - onehot) / T; coef folds in ppl
-    # and the loss-side sign.
-    d = softmax(model.vocab_logits(cache)).copy()
-    d[np.arange(len(ids)), list(ids)] -= 1.0
-    model.backward(cache, grads, dlogits=d * (coef / len(ids)))
+def smooth_l1_loss(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise smooth L1; returns (loss, d loss / d pred)."""
+    x = np.subtract(pred, target)
+    inner = np.abs(x) < 1.0
+    return np.where(inner, 0.5 * x * x, np.abs(x) - 0.5), np.where(inner, x, np.sign(x))
+
+
+def _head_losses(
+    model: FeedForwardLM,
+    kind: str,
+    items: Sequence[tuple[object, Sequence]],
+    scale: float,
+    grads: dict[str, np.ndarray],
+) -> list[float]:
+    """Per-item losses of ``(seq, targets)`` items on a head, one target per token.
+
+    ``tfidf`` is the mean smooth-L1 between the regression head and the
+    targets. ``pos`` and ``dp`` are the mean CE of the gold label at each
+    supervised position; ``None`` marks an unsupervised position (the X
+    alignment label), and an item with none supervised is an error. One
+    forward runs the windows of every item and no vocab logits are formed;
+    each item adds ``scale`` times its gradient into ``grads``.
+    """
+    seqs = [as_ids(seq) for seq, _ in items]
+    lens = np.array([len(s) for s in seqs])
+    if any(len(targets) != len(s) for s, (_, targets) in zip(seqs, items)):
+        raise ConfigError(f"{kind} needs one target per position")
+    bounds = np.cumsum([0, *lens])
+    cache = model.forward(np.concatenate([model.windows(s) for s in seqs]))
+    if kind == "tfidf":
+        targets = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in items])
+        losses, dreg = smooth_l1_loss(model.reg_predictions(cache), targets)
+        model.backward(cache, grads, dreg=dreg * np.repeat(scale / lens, lens))
+        return [float(losses[lo:hi].mean()) for lo, hi in zip(bounds, bounds[1:])]
+    labels = [lab for _, labs in items for lab in labs]
+    rows = np.array([t for t, lab in enumerate(labels) if lab is not None], dtype=np.int64)
+    cuts = np.searchsorted(rows, bounds)
+    counts = np.diff(cuts)
+    if not counts.all():
+        raise NoSupervision("every position is masked")
+    gold = (np.arange(len(rows)), np.array([lab for lab in labels if lab is not None], dtype=np.int64))
+    logits = model.cls_logits(cache)
+    nll = -log_softmax(logits[rows])[gold]
+    dsup = softmax(logits[rows])
+    dsup[gold] -= 1.0
+    dcls = np.zeros_like(logits)
+    dcls[rows] = dsup * np.repeat(scale / counts, counts)[:, None]
+    model.backward(cache, grads, dcls=dcls)
+    return [float(nll[a:b].mean()) for a, b in zip(cuts, cuts[1:])]
 
 
 def margin_rank_loss(
-    model: FeedForwardLM,
-    pos: SentencePair,
-    neg: SentencePair,
-    margin: float,
-    *,
-    grads: dict[str, np.ndarray] | None = None,
-    scale: float = 1.0,
+    model: FeedForwardLM, pos: SentencePair, neg: SentencePair, margin: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Hinge on the perplexity gap between a true and a corrupted pair.
 
     Perplexity of the second sentence is computed conditioned on the
     first; the hinge activates when the positive pair fails to beat the
-    negative one by ``margin``. ``scale`` times the gradient is added
-    into ``grads`` (fresh zeros when omitted), as for every loss below.
+    negative one by ``margin``.
     """
-    ppl_pos, cache_pos, ids_pos = _pair_ppl(model, pos)
-    ppl_neg, cache_neg, ids_neg = _pair_ppl(model, neg)
-    loss = hinge_rank(ppl_pos, ppl_neg, margin)
-    grads = model.zero_grads() if grads is None else grads
-    if loss > 0.0:
-        _add_ppl_grad(model, cache_pos, ids_pos, scale * ppl_pos, grads)
-        _add_ppl_grad(model, cache_neg, ids_neg, -scale * ppl_neg, grads)
-    return loss, grads
-
-
-def smooth_l1_loss(pred: float, target: float) -> tuple[float, float]:
-    """Pointwise smooth L1; returns (loss, d loss / d pred)."""
-    x = pred - target
-    if abs(x) < 1.0:
-        return 0.5 * x * x, x
-    return abs(x) - 0.5, math.copysign(1.0, x)
+    grads = model.zero_grads()
+    return _rank_losses(model, [(pos, neg)], margin, 1.0, grads)[0], grads
 
 
 def regression_loss(
-    model: FeedForwardLM,
-    seq,
-    targets: Sequence[float],
-    context: Sequence[int] = (),
-    *,
-    grads: dict[str, np.ndarray] | None = None,
-    scale: float = 1.0,
+    model: FeedForwardLM, seq, targets: Sequence[float]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean smooth-L1 between the regression head and per-token targets."""
-    ids = as_ids(seq)
-    if len(targets) != len(ids):
-        raise ConfigError("need one regression target per position")
-    cache = model.forward(model.windows(ids, as_ids(context)))
-    preds = model.reg_predictions(cache)
-    losses = np.empty(len(ids))
-    dreg = np.empty(len(ids))
-    for t, (p, y) in enumerate(zip(preds, targets)):
-        losses[t], dreg[t] = smooth_l1_loss(float(p), float(y))
-    grads = model.zero_grads() if grads is None else grads
-    model.backward(cache, grads, dreg=dreg * (scale / len(ids)))
-    return float(losses.mean()), grads
+    grads = model.zero_grads()
+    return _head_losses(model, "tfidf", [(seq, targets)], 1.0, grads)[0], grads
 
 
 def classification_loss(
-    model: FeedForwardLM,
-    seq,
-    labels: Sequence[int | None],
-    context: Sequence[int] = (),
-    *,
-    grads: dict[str, np.ndarray] | None = None,
-    scale: float = 1.0,
+    model: FeedForwardLM, seq, labels: Sequence[int | None]
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean CE of the gold label at each supervised position.
-
-    ``None`` marks an unsupervised position (the X alignment label);
-    those positions contribute nothing. All-masked input is an error.
-    """
-    ids = as_ids(seq)
-    if len(labels) != len(ids):
-        raise ConfigError("need one label per position")
-    supervised = [t for t, lab in enumerate(labels) if lab is not None]
-    if not supervised:
-        raise NoSupervision("every position is masked")
-    cache = model.forward(model.windows(ids, as_ids(context)))
-    logits = model.cls_logits(cache)
-    logp = log_softmax(logits)
-    gold = [labels[t] for t in supervised]
-    loss = float(-logp[supervised, gold].mean())
-    dcls = np.zeros_like(logits)
-    dcls[supervised] = softmax(logits[supervised])
-    dcls[supervised, gold] -= 1.0
-    grads = model.zero_grads() if grads is None else grads
-    model.backward(cache, grads, dcls=dcls * (scale / len(supervised)))
-    return loss, grads
+    """Mean CE of the gold label at each supervised (not ``None``) position."""
+    grads = model.zero_grads()
+    return _head_losses(model, "pos", [(seq, labels)], 1.0, grads)[0], grads
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +503,6 @@ class TrainConfig:
         if not any(w > 0 for _, w in self.objectives):
             raise ConfigError("at least one objective weight must be positive")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        if "seq_ul" in data:
-            data["seq_ul"] = SeqUlConfig(**data["seq_ul"])
-        if "objectives" in data:
-            data["objectives"] = tuple(
-                (kind, float(w)) for kind, w in data["objectives"]
-            )
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TrainConfig":
-        """Read a config file; bad JSON, an unknown key or a mistyped value is a ConfigError."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                return cls.from_dict(json.load(f))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad train config ({type(exc).__name__}: {exc})") from None
-
     def override(self, **kwargs) -> "TrainConfig":
         """Replace fields with any non-None keyword values (CLI flags win)."""
         clean = {k: v for k, v in kwargs.items() if v is not None}
@@ -562,7 +547,8 @@ def multitask_step(
     Returns the per-objective mean losses plus their weighted total
     under key "total". The UL coin is the only randomness consumed.
     mle and token-level ul share one blocked pass over the sequences;
-    sequence-level ul makes a blocked pass over the greedy rollouts.
+    sequence-level ul makes a blocked pass over the greedy rollouts; every
+    other kind makes one batched call over its items.
     """
     active = [(kind, w) for kind, w in cfg.objectives if w != 0.0]
     for kind, _ in active:
@@ -597,10 +583,11 @@ def multitask_step(
         )
         means["ul"] = _mean(ul)
     for kind, weight in active:
-        if kind not in ("mle", "ul"):
-            items = _items(batch, kind)
-            scale = weight / len(items)
-            means[kind] = _mean([_item_loss(model, kind, item, cfg, grads, scale) for item in items])
+        items = _items(batch, kind)
+        if kind in ("nsp", "sop"):
+            means[kind] = _mean(_rank_losses(model, items, cfg.margin, weight / len(items), grads))
+        elif kind not in ("mle", "ul"):
+            means[kind] = _mean(_head_losses(model, kind, items, weight / len(items), grads))
     scalars: dict[str, float] = {}
     total = 0.0
     for kind, weight in active:
@@ -611,16 +598,6 @@ def multitask_step(
     scalars["total"] = total
     opt.update(model.params, grads)
     return scalars
-
-
-def _item_loss(model, kind: str, item, cfg: TrainConfig, grads, scale: float) -> float:
-    """Loss of one nsp/sop/tfidf/pos/dp item; ``scale`` times its gradient goes into ``grads``."""
-    if kind in ("nsp", "sop"):
-        pos_pair, neg_pair = item
-        return margin_rank_loss(model, pos_pair, neg_pair, cfg.margin, grads=grads, scale=scale)[0]
-    seq, targets = item
-    loss_fn = regression_loss if kind == "tfidf" else classification_loss
-    return loss_fn(model, seq, targets, grads=grads, scale=scale)[0]
 
 
 def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence, TokenSequence]]:

@@ -563,11 +563,70 @@ def naive_ul_token_loss(model, ids, candidates, context=()):
     return loss / len(ids), grads
 
 
+def naive_pair_ppl(model, pair):
+    """Perplexity of a pair's second sentence given its first, with its forward cache."""
+    from genteval.lm.ffn import log_softmax
+
+    ids = pair.second.ids
+    cache = model.forward(naive_windows(model, ids, pair.first.ids))
+    logp = log_softmax(model.vocab_logits(cache))
+    nll = float(-logp[np.arange(len(ids)), list(ids)].mean())
+    return math.exp(nll), cache, ids
+
+
+def naive_margin_rank_loss(model, pos, neg, margin):
+    """The hinge on one item's perplexity gap, each pair with its own forward
+    and a dense softmax gradient scaled by its perplexity."""
+    from genteval.lm.ffn import softmax
+
+    ppl_pos, cache_pos, ids_pos = naive_pair_ppl(model, pos)
+    ppl_neg, cache_neg, ids_neg = naive_pair_ppl(model, neg)
+    loss = max(0.0, ppl_pos - ppl_neg + margin)
+    grads = model.zero_grads()
+    if loss > 0.0:
+        for cache, ids, coef in ((cache_pos, ids_pos, ppl_pos), (cache_neg, ids_neg, -ppl_neg)):
+            d = softmax(model.vocab_logits(cache)).copy()
+            d[np.arange(len(ids)), list(ids)] -= 1.0
+            model.backward(cache, grads, dlogits=d * (coef / len(ids)))
+    return loss, grads
+
+
+def naive_regression_loss(model, seq, targets):
+    """Mean smooth-L1 of one item's regression head, one position at a time."""
+    ids = seq.ids
+    cache = model.forward(naive_windows(model, ids))
+    preds = model.reg_predictions(cache)
+    losses, dreg = np.empty(len(ids)), np.empty(len(ids))
+    for t, (p, y) in enumerate(zip(preds, targets)):
+        x = float(p) - float(y)
+        losses[t], dreg[t] = (0.5 * x * x, x) if abs(x) < 1.0 else (abs(x) - 0.5, math.copysign(1.0, x))
+    grads = model.zero_grads()
+    model.backward(cache, grads, dreg=dreg / len(ids))
+    return float(losses.mean()), grads
+
+
+def naive_classification_loss(model, seq, labels):
+    """Mean label CE of one item over its supervised positions."""
+    from genteval.lm.ffn import log_softmax, softmax
+
+    ids = seq.ids
+    supervised = [t for t, lab in enumerate(labels) if lab is not None]
+    cache = model.forward(naive_windows(model, ids))
+    logits = model.cls_logits(cache)
+    gold = [labels[t] for t in supervised]
+    loss = float(-log_softmax(logits)[supervised, gold].mean())
+    dcls = np.zeros_like(logits)
+    dcls[supervised] = softmax(logits[supervised])
+    dcls[supervised, gold] -= 1.0
+    grads = model.zero_grads()
+    model.backward(cache, grads, dcls=dcls / len(supervised))
+    return loss, grads
+
+
 def naive_multitask_step(model, batch, cfg, opt, rng):
     """``genteval.losses.multitask_step`` one item at a time: a fresh
     gradient dict per item, scaled and added into the step's total."""
     from genteval.decode import DecoderConfig
-    from genteval.losses import classification_loss, margin_rank_loss, regression_loss
 
     grads = model.zero_grads()
     scalars, total = {}, 0.0
@@ -597,11 +656,11 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
                 cands = naive_ul_seq_candidates(cont.ids, cfg.seq_ul.ngram)
                 loss, g = naive_ul_token_loss(model, cont.ids, cands, prefix.ids)
             elif kind in ("nsp", "sop"):
-                loss, g = margin_rank_loss(model, *item, cfg.margin)
+                loss, g = naive_margin_rank_loss(model, *item, cfg.margin)
             elif kind == "tfidf":
-                loss, g = regression_loss(model, *item)
+                loss, g = naive_regression_loss(model, *item)
             else:
-                loss, g = classification_loss(model, *item)
+                loss, g = naive_classification_loss(model, *item)
             loss_sum += loss
             for name, part in g.items():
                 grads[name] += (weight / len(items)) * part

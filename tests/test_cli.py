@@ -139,6 +139,52 @@ def test_train_ffn_writes_history(workspace, tmp_path):
     assert history and all("total" in step for step in history)
 
 
+def test_train_config_file_reaches_the_trainer(workspace, tmp_path):
+    # Each value differs from its default in a way the history shows: 3 epochs
+    # of one step each, ul keys, every coin on the sequence-level branch, and
+    # an n-gram order longer than the rollout, so no candidate and zero loss.
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({
+        "epochs": 3, "batch_size": 10_000, "objectives": [["mle", 1.0], ["ul", 0.5]],
+        "mix_prob": 1.0, "ul_prefix_len": 3, "ul_gen_len": 8, "ul_ngram": 9,
+        "context": 2, "embed_dim": 4, "hidden_dim": 4,
+    }), encoding="utf-8")
+    argv = ["train", "--manifest", workspace["manifest"], "--config", config, "--out-dir", tmp_path]
+    assert main([str(a) for a in argv]) == 0
+    history = json.loads((tmp_path / "train_history.json").read_text(encoding="utf-8"))
+    assert len(history) == 3
+    assert all(set(step) == {"mle", "ul", "ul_branch", "total"} for step in history)
+    assert all(step["ul_branch"] == 1.0 and step["ul"] == 0.0 for step in history)
+
+
+def test_train_aux_objectives_end_to_end_reruns_are_byte_identical(workspace, tmp_path):
+    sentences = [s.strip() for s in workspace["text"].read_text(encoding="utf-8").split(".")][:30]
+    pairs = tmp_path / "pairs.txt"  # capitalized starts, so the text splits into sentences
+    pairs.write_text(" ".join(s[0].upper() + s[1:] + "." for s in sentences), encoding="utf-8")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("\n\n".join(
+        "\n".join(f"{w}\t{'DET' if w in ('the', 'a') else 'WORD'}\t{int(w in ('the', 'a'))}"
+                  for w in s.split())
+        for s in sentences[:12]
+    ) + "\n", encoding="utf-8")
+
+    def train(objectives, out):
+        argv = ["train", "--manifest", workspace["manifest"], "--backend", "ffn", "--objectives", objectives,
+                "--pairs-text", pairs, "--pairs-count", "12", "--labels", labels, "--epochs", "2",
+                "--batch-size", "8", "--context", "2", "--embed-dim", "4", "--hidden-dim", "8",
+                "--out-dir", out]
+        assert main([str(a) for a in argv]) == 0
+        history = json.loads((out / "train_history.json").read_text(encoding="utf-8"))
+        assert all(math.isfinite(v) for step in history for v in step.values())
+        return {frozenset(step) - {"total"} for step in history}, [
+            (out / name).read_bytes() for name in ("model.lmek", "train_history.json")]
+
+    keys, first = train("mle:1.0,nsp:0.5,tfidf:0.5,pos:0.5", tmp_path / "a")
+    assert keys == {frozenset({"mle", "nsp", "tfidf", "pos"})}
+    assert train("mle:1.0,nsp:0.5,tfidf:0.5,pos:0.5", tmp_path / "b") == (keys, first)
+    assert train("sop:1.0,dp:1.0", tmp_path / "c")[0] == {frozenset({"sop", "dp"})}
+
+
 def test_train_rejects_both_label_heads(workspace, tmp_path):
     rc = main(
         [
@@ -665,14 +711,19 @@ def test_usage_errors_are_one_line_config_errors(workspace, tmp_path, capsys, ar
     assert message in _fails_with_one_line(capsys, argv, 2)
 
 
-@pytest.mark.parametrize(
-    "content", ["{oops", '{"nope": 1}', '{"epochs": "x"}', "[1, 2]", '{"seq_ul": {"a\\nb": 1}}']
-)
+_BAD_TRAIN_CONFIGS = {
+    "{oops": "cannot read config file {path}",
+    '{"epochs": "x"}': "argument --epochs: invalid int value: 'x'",
+    "[1, 2]": "{path}: config must be a JSON object",
+}
+
+
+@pytest.mark.parametrize("content", list(_BAD_TRAIN_CONFIGS))
 def test_bad_train_config_is_one_line_config_error(workspace, tmp_path, capsys, content):
     path = tmp_path / "train.json"
     path.write_text(content, encoding="utf-8")
-    argv = ["train", "--manifest", workspace["manifest"], "--train-config", path, "--out-dir", tmp_path]
-    assert str(path) in _fails_with_one_line(capsys, argv, 2)
+    argv = ["train", "--manifest", workspace["manifest"], "--config", path, "--out-dir", tmp_path]
+    assert _BAD_TRAIN_CONFIGS[content].format(path=path) in _fails_with_one_line(capsys, argv, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +902,7 @@ _FUZZ_TARGETS = {
     "sweep_csv": ("sweep.csv", ["fit", "--csv", "{w}/sweep.csv"]),
     "config": ("config.json", ["ingest", "--config", "{w}/config.json"]),
     "train_config": ("train.json", ["train", "--manifest", "{w}/data/manifest.json", "--backend", "ffn",
-                                    "--train-config", "{w}/train.json", "--context", "2", "--embed-dim", "4",
-                                    "--hidden-dim", "4"]),
+                                    "--config", "{w}/train.json"]),
 }
 
 
@@ -891,7 +941,8 @@ def fuzz_inputs(workspace, tmp_path_factory):
               "scheme": "word", "seed": 3}
     (clean / "config.json").write_text(json.dumps(config), encoding="utf-8")
     train = {"epochs": 1, "batch_size": 8, "learning_rate": 0.01, "objectives": [["mle", 1.0], ["ul", 0.5]],
-             "seq_ul": {"mix_prob": 0.5, "prefix_len": 3, "gen_len": 4, "ngram": 2}, "margin": 1.0}
+             "mix_prob": 0.5, "ul_prefix_len": 3, "ul_gen_len": 4, "ul_ngram": 2, "margin": 1.0,
+             "context": 2, "embed_dim": 4, "hidden_dim": 4}
     (clean / "train.json").write_text(json.dumps(train), encoding="utf-8")
     return root
 

@@ -53,6 +53,7 @@ from oracles import (
     naive_adam_update,
     naive_generate,
     naive_generate_batch,
+    naive_margin_rank_loss,
     naive_multitask_step,
     naive_next_dist,
     naive_ngrams,
@@ -704,37 +705,51 @@ def _step_data(lens=_LENS):
         (SentencePair(seqs[2], seqs[0], "positive", "nsp"),
          SentencePair(seqs[2], seqs[1], "negative", "nsp")),
     ]
+    swaps = [(SentencePair(seqs[a], seqs[b], "positive", "sop"),
+              SentencePair(seqs[b], seqs[a], "negative", "sop")) for a, b in ((0, 2), (5, 1), (2, 7))]
     tfidf = [(seqs[i], tuple(0.3 * ((t * i) % 7) for t in range(len(seqs[i])))) for i in (0, 2)]
     pos = [(seqs[i], tuple(None if t % 3 == 0 else t % 4 for t in range(len(seqs[i]))))
            for i in (0, 5)]
-    return vocab, TrainData(sequences=tuple(seqs), nsp=tuple(pairs), tfidf=tuple(tfidf),
-                            pos=tuple(pos))
+    dp = [(seqs[i], tuple(None if t % 4 == 1 else (t * i) % 4 for t in range(len(seqs[i]))))
+          for i in (2, 7, 5)]
+    return vocab, TrainData(sequences=tuple(seqs), nsp=tuple(pairs), sop=tuple(swaps),
+                            tfidf=tuple(tfidf), pos=tuple(pos), dp=tuple(dp))
 
 
+def _step_model(vocab):
+    return FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5,
+                              n_labels=4, regression=True)
+
+
+# (objectives, seq-UL mix_prob, margin). At margin 0 the first nsp item's
+# hinge is off and the second's on (see test_step_cases_cover_both_hinge_states).
 STEP_CASES = {
-    "mle": ((("mle", 1.0),), 0.5),
-    "mle+token_ul": ((("mle", 1.0), ("ul", 0.7)), 0.0),
-    "mle+seq_ul": ((("mle", 1.0), ("ul", 0.7)), 1.0),
-    "token_ul": ((("ul", 2.0),), 0.0),
-    "seq_ul": ((("ul", 2.0),), 1.0),
-    "ul_before_mle": ((("ul", 0.5), ("mle", 1.5)), 0.0),
-    "every_kind": ((("nsp", 0.3), ("mle", 1.0), ("tfidf", 0.2), ("ul", 0.5), ("pos", 0.4)), 0.0),
+    "mle": ((("mle", 1.0),), 0.5, 1.0),
+    "mle+token_ul": ((("mle", 1.0), ("ul", 0.7)), 0.0, 1.0),
+    "mle+seq_ul": ((("mle", 1.0), ("ul", 0.7)), 1.0, 1.0),
+    "token_ul": ((("ul", 2.0),), 0.0, 1.0),
+    "seq_ul": ((("ul", 2.0),), 1.0, 1.0),
+    "ul_before_mle": ((("ul", 0.5), ("mle", 1.5)), 0.0, 1.0),
+    "every_kind": ((("nsp", 0.3), ("mle", 1.0), ("tfidf", 0.2), ("ul", 0.5), ("pos", 0.4)), 0.0, 1.0),
     "every_kind_seq_ul": ((("mle", 1.0), ("ul", 0.5), ("nsp", 0.3), ("tfidf", 0.2),
-                           ("pos", 0.4)), 1.0),
+                           ("pos", 0.4)), 1.0, 1.0),
+    "sop+dp": ((("sop", 0.8), ("mle", 1.0), ("dp", 0.6)), 0.0, 1.0),
+    "tfidf": ((("tfidf", 1.5),), 0.0, 1.0),
+    "nsp_some_hinges": ((("nsp", 1.0),), 0.0, 0.0),
+    "nsp_no_hinge": ((("nsp", 1.0), ("tfidf", 0.5)), 0.0, -1.0),
 }
 STEP_RTOL = 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_blocked_step_matches_per_item_step(case):
-    objectives, mix = STEP_CASES[case]
+    objectives, mix, margin = STEP_CASES[case]
     vocab, batch = _step_data()
-    cfg = TrainConfig(objectives=objectives,
+    cfg = TrainConfig(objectives=objectives, margin=margin,
                       seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
 
     def run(step):
-        model = FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5,
-                                   n_labels=4, regression=True)
+        model = _step_model(vocab)
         opt, rng = _CaptureAdam(model.params, 1e-2), SplitMix64(9)
         return step(model, batch, cfg, opt, rng), opt.grads, rng.uniform()
 
@@ -747,6 +762,32 @@ def test_blocked_step_matches_per_item_step(case):
     for name, want in slow_grads.items():
         err = np.max(np.abs(fast_grads[name] - want))
         assert err <= STEP_RTOL * np.max(np.abs(want)), (name, err)
+
+
+def test_step_cases_cover_both_hinge_states():
+    vocab, batch = _step_data()
+    model = _step_model(vocab)
+    hinges = {m: [naive_margin_rank_loss(model, *item, m)[0] for item in batch.nsp] for m in (-1.0, 0.0, 1.0)}
+    assert hinges[-1.0] == [0.0, 0.0]
+    assert hinges[0.0][0] == 0.0 < hinges[0.0][1]
+    assert min(hinges[1.0]) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["tfidf", "pos", "dp"])
+def test_head_objective_makes_one_forward_per_step(monkeypatch, kind):
+    rows = []
+    forward = FeedForwardLM.forward
+
+    def counting(self, ctx):
+        rows.append(ctx.shape[0])
+        return forward(self, ctx)
+
+    monkeypatch.setattr(FeedForwardLM, "forward", counting)
+    vocab, batch = _step_data()
+    model = _step_model(vocab)
+    cfg = TrainConfig(objectives=((kind, 1.0),))
+    multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
+    assert rows == [sum(len(seq) for seq, _ in getattr(batch, kind))]
 
 
 def test_blocked_step_forwards_at_most_block_rows(monkeypatch):

@@ -1,6 +1,5 @@
 """Training objectives: frozen values, gradient checks, trainer determinism."""
 
-import json
 import math
 
 import numpy as np
@@ -306,25 +305,11 @@ def test_adam_constant_gradient_steps_by_lr():
     assert params["p"][0] == pytest.approx(0.8, abs=1e-7)
 
 
-def test_train_config_from_dict_and_override():
-    cfg = TrainConfig.from_dict(
-        {
-            "epochs": 2,
-            "objectives": [["mle", 1.0], ["ul", 0.5]],
-            "seq_ul": {"mix_prob": 0.25, "ngram": 2},
-        }
-    )
-    assert cfg.objectives == (("mle", 1.0), ("ul", 0.5))
-    assert cfg.seq_ul.mix_prob == 0.25
-    assert cfg.seq_ul.prefix_len == 50  # default survives partial dict
+def test_train_config_override():
+    cfg = TrainConfig(epochs=2, objectives=(("mle", 1.0), ("ul", 0.5)))
     out = cfg.override(epochs=None, batch_size=4)
     assert out.epochs == 2 and out.batch_size == 4
-
-
-def test_train_config_from_json(tmp_path):
-    path = tmp_path / "train.json"
-    path.write_text(json.dumps({"learning_rate": 0.01}), encoding="utf-8")
-    assert TrainConfig.from_json(path).learning_rate == 0.01
+    assert out.objectives == cfg.objectives and out.seq_ul == SeqUlConfig()
 
 
 @pytest.mark.parametrize(
