@@ -21,6 +21,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -246,12 +247,38 @@ def split_corpus(
     )
 
 
-def extract_ngrams(ids: Sequence[int], n: int) -> Counter:
-    """Multiset of all length-n contiguous windows (tuples), as a Counter."""
-    if n < 1:
+def ngram_windows(
+    seqs: Sequence[Sequence[int]], max_n: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every n-gram window of ``seqs`` for orders 1..max_n, as a dense gram id.
+
+    Returns ``(flat, owner, ids)``: the ids of ``seqs`` end to end, the
+    sequence each position of ``flat`` belongs to, and one array per order
+    whose ``ids[o - 1][i]`` is the id of the o-gram starting at position
+    i, or -1 where that window would run past its sequence. Windows never
+    span sequences. The ids of one order are dense and lexicographic:
+    equal grams share an id, and ids ascend with the grams. An o-gram's
+    key is its (o-1)-gram's id times a base above every token id, plus
+    its last id, and one ``np.unique`` per order ranks the keys.
+    """
+    if max_n < 1:
         raise BadOrder("n-gram order must be at least 1")
-    ids = tuple(ids)
-    return Counter(ids[i : i + n] for i in range(len(ids) - n + 1))
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lens.sum()))
+    owner = np.repeat(np.arange(len(lens)), lens)
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))  # ids left in the sequence
+    base = int(flat.max()) + 1 if flat.size else 1
+    ids, prev = [], np.zeros(len(flat), dtype=np.int64)
+    for o in range(1, max_n + 1):
+        at = np.flatnonzero(room >= o)
+        if not at.size:
+            break
+        keys = prev[at] * base + flat[at + o - 1]
+        prev = np.full(len(flat), -1, dtype=np.int64)
+        _, prev[at] = np.unique(keys, return_inverse=True)
+        ids.append(prev)
+    # Orders past the longest sequence have no windows, so one array serves them all.
+    return flat, owner, ids + [np.full(len(flat), -1, dtype=np.int64)] * (max_n - len(ids))
 
 
 _TERMINALS = ".!?"

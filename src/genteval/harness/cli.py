@@ -48,7 +48,9 @@ from ..corpus import (
     vocab_from_manifest,
 )
 from ..decode import STRATEGIES, DecoderConfig, param_value
-from ..errors import AlignmentError, ConfigError, DataError, EmptyInput, atomic_write, open_text
+from ..errors import (
+    AlignmentError, ConfigError, DataError, EmptyInput, InsufficientData, atomic_write, open_text,
+)
 from ..lm.base import token_prob_trace
 from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
@@ -383,7 +385,12 @@ def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
             sentences.append(encode(sent, vocab, scheme, on_oov="skip"))
         except EmptyInput:
             continue
-    return tuple(build_pair_datasets(sentences, mode, opt.pairs_count, opt.seed))
+    try:
+        return tuple(build_pair_datasets(sentences, mode, opt.pairs_count, opt.seed))
+    except InsufficientData as exc:
+        raise InsufficientData(
+            f"{opt.pairs_text}: {exc} (sentences split only after ./!/? followed by an uppercase letter)"
+        ) from None
 
 
 def _tfidf_items(opt, splits, vocab: Vocab):

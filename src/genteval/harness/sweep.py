@@ -32,7 +32,6 @@ from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
     BleuConfig,
-    RefIndex,
     Sample,
     SampleSet,
     corpus_bleu,
@@ -58,7 +57,6 @@ class MetricInputs:
     settings: object
     bleu_cfg: BleuConfig
     refs: SampleSet | None = None
-    ref_index: RefIndex | None = None
     fwd_scorer: NGramLM | None = None
 
 
@@ -86,7 +84,7 @@ def _bleu_config(s) -> dict:
 METRICS: dict[str, Metric] = {
     "corpus_bleu": Metric(
         "quality", True, _bleu_config,
-        lambda sset, inp: (corpus_bleu(sset, inp.ref_index, inp.bleu_cfg), 0),
+        lambda sset, inp: (corpus_bleu(sset, inp.refs, inp.bleu_cfg), 0),
     ),
     "self_bleu": Metric(
         "diversity", False, _bleu_config,
@@ -119,16 +117,14 @@ def metric_inputs(
     bleu_cfg = BleuConfig(
         max_n=settings.max_n, subsample=settings.subsample, subsample_seed=settings.subsample_seed
     )
-    refs = ref_index = fwd_scorer = None
+    refs = fwd_scorer = None
     if "corpus_bleu" in names or "reverse_ppl" in names:
         refs = reference_set(splits, prefix_len, gen_len)
-    if "corpus_bleu" in names:
-        ref_index = RefIndex.from_set(refs, settings.max_n)
     if "forward_ppl" in names:
         fwd_scorer = ngram_fit(
             list(splits.train), order=settings.fwd_order, k_s=settings.fwd_k_s
         )
-    return MetricInputs(settings, bleu_cfg, refs, ref_index, fwd_scorer)
+    return MetricInputs(settings, bleu_cfg, refs, fwd_scorer)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..corpus import TokenSequence, Vocab
+from ..corpus import TokenSequence, Vocab, ngram_windows
 from ..errors import BadOrder, ConfigError, DataError, EmptyInput
 from .base import as_ids
 
@@ -164,19 +164,14 @@ def ngram_fit(
         raise EmptyInput("no training sequences")
     if vocab is None:
         vocab = sequences[0].vocab
-    sequences = [as_ids(s) for s in sequences]
-    lens = np.array([len(s) for s in sequences], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
-    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))  # ids left in the sequence
-    base = int(flat.max()) + 1 if flat.size else 1
-    # Each o-gram window is keyed by its (o-1)-gram's row x base + its last
-    # id, and all windows of one order are counted in one np.unique.
+    flat, _, ids = ngram_windows([as_ids(s) for s in sequences], order)
     grams, counts = {}, {}
-    prev, rows = np.empty((1, 0), dtype=np.int64), np.zeros(len(flat), dtype=np.int64)
     for o in range(1, order + 1):
-        at = np.flatnonzero(room >= o)
-        keys, rows[at], counts[o] = np.unique(
-            rows[at] * base + flat[at + o - 1], return_inverse=True, return_counts=True
-        )
-        grams[o] = prev = np.column_stack([prev[keys // base], keys % base])
+        at = np.flatnonzero(ids[o - 1] >= 0)
+        gram_ids = ids[o - 1][at]
+        counts[o] = np.bincount(gram_ids)
+        # Windows with one id hold one gram, so any of them spells it.
+        start = np.empty(len(counts[o]), dtype=np.int64)
+        start[gram_ids] = at
+        grams[o] = flat[start[:, None] + np.arange(o)]
     return NGramLM(vocab, order, k_s, grams, counts)

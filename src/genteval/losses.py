@@ -45,9 +45,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import SentencePair, TokenSequence
+from .corpus import SentencePair, TokenSequence, ngram_windows
 from .decode import DecoderConfig, generate_batch
 from .errors import (
     AlignmentError,
@@ -93,16 +92,21 @@ def _previous_token_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, seen[k]
 
 
-def _repeat_pairs(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sequence-level UL candidates as ``(position, token)`` arrays, positions ascending."""
-    if n < 1:
-        raise ConfigError("n-gram order must be at least 1")
-    if len(ids) < n:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    grams = sliding_window_view(ids, n)
-    _, first, inverse = np.unique(grams, axis=0, return_index=True, return_inverse=True)
-    rows = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(grams))) + (n - 1)
-    return rows, ids[rows]
+def _repeat_pairs(seqs: Sequence[Sequence[int]], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sequence-level UL candidates of each sequence as ``(position, token)``
+    arrays, positions ascending: the last token of every n-gram window
+    whose gram already ended earlier in the same sequence."""
+    flat, owner, ids = ngram_windows(seqs, n)
+    at = np.flatnonzero(ids[n - 1] >= 0)
+    base = int(ids[n - 1].max(initial=0)) + 1
+    _, first = np.unique(owner[at] * base + ids[n - 1][at], return_index=True)
+    repeat = np.ones(len(at), dtype=bool)
+    repeat[first] = False
+    ends = at[repeat] + (n - 1)
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    rows = ends - (np.cumsum(lens) - lens)[owner[ends]]
+    cuts = np.searchsorted(owner[ends], np.arange(len(seqs) + 1)).tolist()
+    return [(rows[a:b], flat[ends[a:b]]) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _as_sets(length: int, pairs: tuple[np.ndarray, np.ndarray]) -> list[frozenset[int]]:
@@ -129,8 +133,8 @@ def ul_seq_candidates(continuation, n: int) -> list[frozenset[int]]:
     t also ends at some earlier position (overlaps count). Positions
     without a repeat get an empty set.
     """
-    ids = np.asarray(as_ids(continuation), dtype=np.int64)
-    return _as_sets(len(ids), _repeat_pairs(ids, n))
+    ids = as_ids(continuation)
+    return _as_sets(len(ids), _repeat_pairs([ids], n)[0])
 
 
 def ul_token_loss(
@@ -576,7 +580,7 @@ def multitask_step(
     if seq_level:
         rollouts = _greedy_rollouts(model, batch.sequences, cfg.seq_ul)
         conts = [cont.ids for _, cont in rollouts]
-        cands = [_repeat_pairs(np.array(c, dtype=np.int64), cfg.seq_ul.ngram) for c in conts]
+        cands = _repeat_pairs(conts, cfg.seq_ul.ngram)
         _, ul = _token_losses(
             model, conts, [prefix.ids for prefix, _ in rollouts], cands,
             0.0, weights["ul"] / len(seqs), grads,

@@ -8,22 +8,25 @@ always scores 1.0), zero-count precisions replaced by a small epsilon,
 times the brevity penalty exp(min(0, 1 - r/c)) where r is the closest
 reference length with ties broken toward the shorter reference.
 
-Corpus-BLEU and Self-BLEU score each candidate against a shared
-reference pool, so references are pre-hashed into per-order max-count
-tables once instead of being rescanned per candidate; the slow path
-this replaces is kept alive as a brute-force oracle in the test suite
-and the two must agree exactly.
+BLEU, Self-BLEU and seq-rep-n count n-grams as the dense gram ids of
+``corpus.ngram_windows``, references and candidates in one call. One
+``np.unique`` per order counts every (sequence, gram) pair; one
+``lexsort`` per order ranks each gram's counts across the references,
+so a candidate's clipped count is the lesser of its own and the best
+count in a reference other than itself. Matched counts are integers and
+each candidate's floats stay in Python, so the values equal those of
+the brute-force oracle in the test suite exactly.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import TokenSequence, Vocab, extract_ngrams
+import numpy as np
+
+from .corpus import TokenSequence, Vocab, ngram_windows
 from .errors import ConfigError, InsufficientSamples
 from .lm.base import as_ids
 from .lm.ngram import NGramLM, ngram_fit
@@ -87,95 +90,88 @@ class BleuConfig:
             raise ConfigError("subsample must be positive")
 
 
-class RefIndex:
-    """Per-order hashed max-counts over a fixed reference pool.
+def _pair_counts(owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct (sequence, gram) pair among one order's windows, with
+    its count, ordered by sequence, then gram."""
+    at = ids >= 0
+    base = int(ids.max(initial=0)) + 1
+    keys, counts = np.unique(owner[at] * base + ids[at], return_counts=True)
+    return keys // base, keys % base, counts
 
-    :func:`corpus_bleu` accepts one in place of the reference set, so a
-    caller scoring many candidate sets against the same references (a
-    sweep, once per cell) builds it once.
+
+def _clipped_counts(seqs: list, n_refs: int, first_cand: int, max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of candidates ``seqs[first_cand:]`` against
+    references ``seqs[:n_refs]``: entry (i, n - 1) sums, over candidate i's
+    n-grams, its count capped at the gram's largest count in one reference
+    other than the candidate itself."""
+    _, owner, ids = ngram_windows(seqs, max_n)
+    out = np.zeros((len(seqs) - first_cand, max_n), dtype=np.int64)
+    for n in range(max_n):
+        seq, gram, count = _pair_counts(owner, ids[n])
+        ref = seq < n_refs
+        # By gram, then count descending: each gram's first entry holds its
+        # best count and that count's owner, the next entry of the same gram
+        # the second best. On a tie the two are equal, so the owner is moot.
+        order = np.lexsort((-count[ref], gram[ref]))
+        r_seq, r_gram, r_count = seq[ref][order], gram[ref][order], count[ref][order]
+        head = np.flatnonzero(np.diff(r_gram, prepend=-1))
+        has_second = np.append(r_gram, -1)[head + 1] == r_gram[head]
+        n_grams = int(ids[n].max(initial=-1)) + 1
+        best, second = np.zeros((2, n_grams), dtype=np.int64)
+        owner_of_best = np.full(n_grams, -1)
+        best[r_gram[head]], owner_of_best[r_gram[head]] = r_count[head], r_seq[head]
+        second[r_gram[head[has_second]]] = r_count[head[has_second] + 1]
+        cand = seq >= first_cand
+        g, c_seq = gram[cand], seq[cand]
+        clip = np.minimum(count[cand], np.where(owner_of_best[g] == c_seq, second[g], best[g]))
+        out[:, n] = np.bincount(c_seq - first_cand, weights=clip, minlength=len(out))
+    return out
+
+
+def _closest(ref_lens: np.ndarray, c_lens: np.ndarray, skip: int) -> np.ndarray:
+    """Nearest reference length to each candidate length, ties toward the
+    shorter, once ``skip`` copies of the candidate's own length are set aside."""
+    pool = np.sort(ref_lens)
+    lo, hi = np.searchsorted(pool, c_lens, "left"), np.searchsorted(pool, c_lens, "right")
+    far = 1 << 62  # farther than any length, so never the nearest
+    padded = np.concatenate(([-far], pool, [far]))
+    below, above = padded[lo], padded[hi + 1]
+    nearest = np.where(c_lens - below <= above - c_lens, below, above)
+    return np.where(hi - lo > skip, c_lens, nearest)
+
+
+def _mean_bleu(cands: list, refs: list | None, cfg: BleuConfig) -> float:
+    """Mean BLEU of ``cands`` against ``refs``, or, with ``refs`` None, of
+    each candidate against all the other candidates (leave-one-out).
+
+    Matched counts are integers; each candidate's floats are Python's,
+    summed left to right, as the brute-force oracle computes them.
     """
-
-    def __init__(self, refs: Sequence[Sequence[int]], max_n: int) -> None:
-        self.max_n = max_n
-        self.lengths = sorted(len(r) for r in refs)
-        self.max_counts: list[dict[tuple[int, ...], int]] = [dict() for _ in range(max_n)]
-        for ref in refs:
-            for n in range(1, max_n + 1):
-                table = self.max_counts[n - 1]
-                for gram, c in extract_ngrams(ref, n).items():
-                    if c > table.get(gram, 0):
-                        table[gram] = c
-
-    @classmethod
-    def from_set(cls, ref: SampleSet, max_n: int) -> "RefIndex":
-        return cls([s.continuation.ids for s in ref.samples], max_n)
-
-    def clipped(self, gram_counts: Counter, n: int) -> int:
-        table = self.max_counts[n - 1]
-        return sum(min(c, table.get(g, 0)) for g, c in gram_counts.items())
-
-    def closest_length(self, c_len: int) -> int:
-        return _closest(self.lengths, c_len)
-
-
-def _closest(sorted_lengths: list[int], c_len: int, skip_one_of: int | None = None) -> int:
-    """Nearest length, ties toward the shorter; optionally ignore one copy."""
-    # Fixed-length pools are the common case; answer without scanning.
-    if sorted_lengths and sorted_lengths[0] == sorted_lengths[-1]:
-        if skip_one_of != sorted_lengths[0] or len(sorted_lengths) > 1:
-            return sorted_lengths[0]
-    best: int | None = None
-    best_key: tuple[int, int] | None = None
-    pos = bisect.bisect_left(sorted_lengths, c_len)
-    skipped = False
-    lo, hi = pos - 1, pos
-    n = len(sorted_lengths)
-    while lo >= 0 or hi < n:
-        for idx in (hi if hi < n else None, lo if lo >= 0 else None):
-            if idx is None:
-                continue
-            length = sorted_lengths[idx]
-            if not skipped and length == skip_one_of:
-                skipped = True
-                continue
-            key = (abs(length - c_len), length)
-            if best_key is None or key < best_key:
-                best, best_key = length, key
-        # Distances grow outward on sorted data; once both frontiers are
-        # strictly past the best distance nothing remaining can win,
-        # even on the shorter-length tie-break.
-        if best_key is not None:
-            left_done = lo < 0 or c_len - sorted_lengths[lo] > best_key[0]
-            right_done = hi >= n or sorted_lengths[hi] - c_len > best_key[0]
-            if left_done and right_done:
-                break
-        lo -= 1
-        hi += 1
-    return best if best is not None else 0
-
-
-def _bleu_core(cand: tuple[int, ...], clipped_fn, cfg: BleuConfig, ref_length: int) -> float:
-    c_len = len(cand)
-    orders = min(cfg.max_n, c_len)
-    log_sum = 0.0
-    for n in range(1, orders + 1):
-        counts = extract_ngrams(cand, n)
-        matched = clipped_fn(counts, n)
-        p = matched / (c_len - n + 1) if matched > 0 else cfg.smoothing_epsilon
-        log_sum += math.log(p)
-    geo = math.exp(log_sum / orders)
-    return math.exp(min(0.0, 1.0 - ref_length / c_len)) * geo
+    loo = refs is None
+    pool = cands if loo else refs
+    seqs = cands if loo else [*refs, *cands]
+    matched = _clipped_counts(seqs, len(pool), len(seqs) - len(cands), cfg.max_n)
+    c_lens = np.array([len(c) for c in cands], dtype=np.int64)
+    r_lens = _closest(np.array([len(r) for r in pool], dtype=np.int64), c_lens, int(loo))
+    total = 0.0
+    for c_len, r_len, row in zip(c_lens.tolist(), r_lens.tolist(), matched.tolist()):
+        orders = min(cfg.max_n, c_len)
+        log_sum = 0.0
+        for n in range(1, orders + 1):
+            m = row[n - 1]
+            p = m / (c_len - n + 1) if m > 0 else cfg.smoothing_epsilon
+            log_sum += math.log(p)
+        geo = math.exp(log_sum / orders)
+        total += math.exp(min(0.0, 1.0 - r_len / c_len)) * geo
+    return total / len(cands)
 
 
 def bleu(candidate, references: Sequence, cfg: BleuConfig | None = None) -> float:
     """BLEU of one candidate against one or more references."""
-    cfg = cfg or BleuConfig()
     refs = [as_ids(r) for r in references]
     if not refs:
         raise InsufficientSamples("bleu needs at least one reference")
-    cand = as_ids(candidate)
-    index = RefIndex(refs, cfg.max_n)
-    return _bleu_core(cand, index.clipped, cfg, index.closest_length(len(cand)))
+    return _mean_bleu([as_ids(candidate)], refs, cfg or BleuConfig())
 
 
 def _pick_candidates(n: int, cfg: BleuConfig) -> list[int]:
@@ -186,59 +182,13 @@ def _pick_candidates(n: int, cfg: BleuConfig) -> list[int]:
     return sorted(order[: cfg.subsample])
 
 
-def corpus_bleu(gen: SampleSet, ref: SampleSet | RefIndex, cfg: BleuConfig | None = None) -> float:
-    """Mean BLEU of generated continuations against the reference pool.
-
-    ``ref`` is the reference set or a :class:`RefIndex` built from it
-    with ``cfg.max_n``.
-    """
+def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -> float:
+    """Mean BLEU of generated continuations against the reference pool."""
     cfg = cfg or BleuConfig()
-    index = ref if isinstance(ref, RefIndex) else RefIndex.from_set(ref, cfg.max_n)
-    if not len(gen) or not index.lengths:
+    if not len(gen) or not len(ref):
         raise InsufficientSamples("corpus_bleu needs non-empty gen and ref sets")
-    if index.max_n != cfg.max_n:
-        raise ConfigError(f"reference index has max_n={index.max_n}, config wants {cfg.max_n}")
-    chosen = _pick_candidates(len(gen), cfg)
-    total = 0.0
-    for i in chosen:
-        cand = gen.samples[i].continuation.ids
-        total += _bleu_core(cand, index.clipped, cfg, index.closest_length(len(cand)))
-    return total / len(chosen)
-
-
-class _LooIndex:
-    """Reference index supporting leave-one-out queries.
-
-    Tracks the best and second-best per-sequence count of every gram
-    along with the best count's owner, so the max over "all sequences
-    except i" is a dict lookup instead of a rescan.
-    """
-
-    def __init__(self, seqs: Sequence[tuple[int, ...]], max_n: int) -> None:
-        self.tables: list[dict[tuple[int, ...], tuple[int, int, int]]] = [
-            dict() for _ in range(max_n)
-        ]
-        self.lengths = sorted(len(s) for s in seqs)
-        for owner, ids in enumerate(seqs):
-            for n in range(1, max_n + 1):
-                table = self.tables[n - 1]
-                for gram, c in extract_ngrams(ids, n).items():
-                    best, who, second = table.get(gram, (0, -1, 0))
-                    if c >= best:
-                        table[gram] = (c, owner, best)
-                    elif c > second:
-                        table[gram] = (best, who, c)
-
-    def clipped_excluding(self, gram_counts: Counter, n: int, exclude: int) -> int:
-        table = self.tables[n - 1]
-        matched = 0
-        for g, c in gram_counts.items():
-            best, who, second = table.get(g, (0, -1, 0))
-            matched += min(c, second if who == exclude else best)
-        return matched
-
-    def closest_length_excluding(self, c_len: int, own_len: int) -> int:
-        return _closest(self.lengths, c_len, skip_one_of=own_len)
+    cands = [gen.samples[i].continuation.ids for i in _pick_candidates(len(gen), cfg)]
+    return _mean_bleu(cands, [s.continuation.ids for s in ref.samples], cfg)
 
 
 def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
@@ -252,39 +202,27 @@ def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
     chosen = _pick_candidates(len(gen), cfg)
     if len(chosen) < 2:
         raise InsufficientSamples("self_bleu needs at least two samples")
-    seqs = [gen.samples[i].continuation.ids for i in chosen]
-    index = _LooIndex(seqs, cfg.max_n)
-    total = 0.0
-    for i, cand in enumerate(seqs):
-        def clipped(counts, n, _i=i):
-            return index.clipped_excluding(counts, n, _i)
+    return _mean_bleu([gen.samples[i].continuation.ids for i in chosen], None, cfg)
 
-        ref_len = index.closest_length_excluding(len(cand), len(cand))
-        total += _bleu_core(cand, clipped, cfg, ref_len)
-    return total / len(seqs)
+
+def _seq_reps(seqs: list, n: int) -> list[float | None]:
+    """1 - distinct/total n-grams of each sequence; None where it has none."""
+    _, owner, ids = ngram_windows(seqs, n)
+    seq, _, _ = _pair_counts(owner, ids[n - 1])
+    total = np.bincount(owner[ids[n - 1] >= 0], minlength=len(seqs))
+    reps = 1.0 - np.bincount(seq, minlength=len(seqs)) / np.maximum(total, 1)
+    return [r if t else None for r, t in zip(reps.tolist(), total.tolist())]
 
 
 def seq_rep_n(seq, n: int = 4) -> float | None:
     """Repeated n-gram fraction: 1 - unique/total. None when len < n."""
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    ids = as_ids(seq)
-    if len(ids) < n:
-        return None
-    grams = [ids[i : i + n] for i in range(len(ids) - n + 1)]
-    return 1.0 - len(set(grams)) / len(grams)
+    return _seq_reps([as_ids(seq)], n)[0]
 
 
 def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
     """Average seq_rep_n over a set; returns (mean, null count)."""
-    values = []
-    nulls = 0
-    for s in gen.samples:
-        v = seq_rep_n(s.continuation, n)
-        if v is None:
-            nulls += 1
-        else:
-            values.append(v)
+    values = [v for v in _seq_reps([s.continuation.ids for s in gen.samples], n) if v is not None]
+    nulls = len(gen) - len(values)
     if not values:
         return None, nulls
     return sum(values) / len(values), nulls

@@ -20,6 +20,32 @@ def naive_ngrams(ids, n):
     return out
 
 
+def check_ngram_windows(seqs, max_n, windows):
+    """Assert that ``windows``, the ``corpus.ngram_windows(seqs, max_n)``
+    result, spells every sequence's n-grams as ``naive_ngrams`` counts them.
+
+    Each window is read back through its start position; one id must spell
+    one gram, and the ids of an order must number its distinct grams
+    0, 1, ... in lexicographic order.
+    """
+    flat, owner, ids = windows[0].tolist(), windows[1].tolist(), [a.tolist() for a in windows[2]]
+    assert flat == [t for s in seqs for t in s]
+    assert owner == [k for k, s in enumerate(seqs) for _ in s]
+    assert len(ids) == max_n and all(len(row) == len(flat) for row in ids)
+    for n in range(1, max_n + 1):
+        spelled = {}
+        counts = [{} for _ in seqs]
+        for i, g in enumerate(ids[n - 1]):
+            if g < 0:
+                continue
+            gram = tuple(flat[i : i + n])
+            assert spelled.setdefault(g, gram) == gram
+            counts[owner[i]][gram] = counts[owner[i]].get(gram, 0) + 1
+        assert counts == [naive_ngrams(s, n) for s in seqs]
+        assert sorted(spelled) == list(range(len(spelled)))
+        assert [spelled[g] for g in range(len(spelled))] == sorted(set(spelled.values()))
+
+
 def naive_seq_rep(ids, n):
     grams = [tuple(ids[i : i + n]) for i in range(len(ids) - n + 1)]
     if not grams:

@@ -185,6 +185,15 @@ def test_train_aux_objectives_end_to_end_reruns_are_byte_identical(workspace, tm
     assert train("sop:1.0,dp:1.0", tmp_path / "c")[0] == {frozenset({"sop", "dp"})}
 
 
+def test_lowercase_pairs_text_names_the_file_and_the_split_rule(workspace, tmp_path, capsys):
+    # make_text writes lowercase sentences, so the text never splits.
+    argv = ["train", "--manifest", workspace["manifest"], "--backend", "ffn", "--objectives", "mle:1.0,nsp:0.5",
+            "--pairs-text", workspace["text"], "--pairs-count", "5", "--out-dir", tmp_path]
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert f"{workspace['text']}: asked for 5 pairs but only 0 adjacent pairs exist" in err
+    assert "followed by an uppercase letter" in err
+
+
 def test_train_rejects_both_label_heads(workspace, tmp_path):
     rc = main(
         [

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genteval.corpus import (
     CorpusSplits,
@@ -11,8 +11,8 @@ from genteval.corpus import (
     build_pair_datasets,
     detokenize,
     encode,
-    extract_ngrams,
     load_splits,
+    ngram_windows,
     read_ids_file,
     save_splits,
     segment_sentences,
@@ -23,13 +23,14 @@ from genteval.corpus import (
     write_ids_file,
 )
 from genteval.errors import (
+    BadOrder,
     ConfigError,
     CorpusTooSmall,
     EmptyInput,
     InsufficientData,
 )
 
-from oracles import naive_ngrams, naive_read_ids_file, naive_word_surfaces
+from oracles import check_ngram_windows, naive_read_ids_file, naive_word_surfaces
 
 
 # --- tokenization -----------------------------------------------------------
@@ -163,14 +164,33 @@ def test_split_counts_sum_to_chunks(n, seq_len):
 # --- n-grams ----------------------------------------------------------------
 
 
-def test_extract_ngrams_matches_oracle():
+def test_ngram_windows_match_oracle():
     ids = [1, 2, 1, 2, 1, 3]
-    for n in (1, 2, 3):
-        assert dict(extract_ngrams(ids, n)) == naive_ngrams(ids, n)
+    check_ngram_windows([ids], 3, ngram_windows([ids], 3))
 
 
-def test_extract_ngrams_short_input_empty():
-    assert extract_ngrams([1, 2], 3) == {}
+def test_ngram_windows_short_input_empty():
+    _, _, ids = ngram_windows([[1, 2]], 3)
+    assert [a.tolist() for a in ids] == [[0, 1], [0, -1], [-1, -1]]
+
+
+@st.composite
+def _id_lists(draw):
+    top = draw(st.sampled_from([2, 4, 5000]))
+    return draw(st.lists(st.lists(st.integers(0, top), max_size=12), max_size=40))
+
+
+@given(_id_lists(), st.integers(min_value=1, max_value=5))
+@example([[1, 2], [3], []], 4)  # order 3 has a window, order 4 none
+@example([], 2)
+@settings(max_examples=150, deadline=None)
+def test_ngram_windows_match_naive_ngrams(seqs, max_n):
+    check_ngram_windows(seqs, max_n, ngram_windows(seqs, max_n))
+
+
+def test_ngram_windows_reject_order_zero():
+    with pytest.raises(BadOrder):
+        ngram_windows([[1, 2]], 0)
 
 
 # --- sentence segmentation --------------------------------------------------

@@ -675,12 +675,25 @@ def test_candidate_pairs_match_per_position_sets(ids, n):
     arr = np.array(ids, dtype=np.int64)
     for (rows, cols), want in (
         (losses._previous_token_pairs(arr), naive_previous_token_candidates(ids)),
-        (losses._repeat_pairs(arr, n), naive_ul_seq_candidates(ids, n)),
+        (losses._repeat_pairs([ids], n)[0], naive_ul_seq_candidates(ids, n)),
     ):
         assert np.all(np.diff(rows) >= 0)  # the block code slices pairs by row
         assert _sorted_pairs(rows, cols) == _pairs_from_sets(want)
     assert previous_token_candidates(ids) == naive_previous_token_candidates(ids)
     assert ul_seq_candidates(ids, n) == naive_ul_seq_candidates(ids, n)
+
+
+@given(
+    seqs=st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=30), max_size=8),
+    n=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_repeat_pairs_of_many_sequences_match_each_alone(seqs, n):
+    got = losses._repeat_pairs(seqs, n)
+    assert len(got) == len(seqs)
+    for (rows, cols), ids in zip(got, seqs):
+        assert np.all(np.diff(rows) >= 0)
+        assert _sorted_pairs(rows, cols) == _pairs_from_sets(naive_ul_seq_candidates(ids, n))
 
 
 class _CaptureAdam(AdamState):

@@ -227,24 +227,6 @@ def test_run_sweep_produces_grid_records_and_files(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
-def test_run_sweep_builds_the_bleu_reference_index_once(tmp_path, monkeypatch):
-    from genteval import metrics
-
-    built = []
-    real = metrics.RefIndex.__init__
-
-    def counting(self, refs, max_n):
-        built.append(max_n)
-        real(self, refs, max_n)
-
-    monkeypatch.setattr(metrics.RefIndex, "__init__", counting)
-    cfg = mk_cfg(models=("m1", "m2"), metrics=("corpus_bleu",))
-    models = {"m1": CountingModel(VOCAB, 0), "m2": CountingModel(VOCAB, 2)}
-    records = run_sweep(cfg, mk_splits(), tmp_path, models=models)
-    assert len(records) == 6 and all(r.failed is None for r in records)
-    assert built == [cfg.max_n]
-
-
 def test_run_sweep_empty_strategies_yields_header_only_csv(tmp_path):
     cfg = mk_cfg(strategies=())
     records = run_sweep(cfg, mk_splits(), tmp_path, models={"m1": CountingModel(VOCAB)})

@@ -2,15 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genteval import metrics
 from genteval.corpus import TokenSequence, Vocab
 from genteval.errors import ConfigError, InsufficientSamples
 from genteval.metrics import (
     BleuConfig,
-    RefIndex,
     Sample,
     SampleSet,
     acceptability_penlp,
@@ -113,17 +114,85 @@ def test_corpus_bleu_is_mean_over_candidates():
     assert corpus_bleu(gen, ref) == pytest.approx(want, abs=1e-12)
 
 
-def test_corpus_bleu_with_a_prebuilt_reference_index():
+def _ids(sset):
+    return [list(s.continuation.ids) for s in sset.samples]
+
+
+def test_corpus_bleu_subsample_matches_oracle():
     rng = SplitMix64(4)
     gen = mk_set([[rng.randint(5) for _ in range(rng.randint(8) + 1)] for _ in range(9)])
     ref = mk_set([[rng.randint(5) for _ in range(rng.randint(8) + 1)] for _ in range(5)])
     for cfg in (BleuConfig(), BleuConfig(max_n=2, subsample=4, subsample_seed=3)):
-        index = RefIndex.from_set(ref, cfg.max_n)
-        assert corpus_bleu(gen, index, cfg) == corpus_bleu(gen, ref, cfg)
-    with pytest.raises(ConfigError):
-        corpus_bleu(gen, RefIndex.from_set(ref, 3), BleuConfig(max_n=4))
+        chosen = list(range(len(gen)))
+        if cfg.subsample is not None:
+            SplitMix64(cfg.subsample_seed).shuffle(chosen)
+            chosen = sorted(chosen[: cfg.subsample])
+        want = 0.0
+        for i in chosen:
+            want += naive_bleu(_ids(gen)[i], _ids(ref), max_n=cfg.max_n)
+        assert corpus_bleu(gen, ref, cfg) == want / len(chosen)
     with pytest.raises(InsufficientSamples):
-        corpus_bleu(gen, RefIndex.from_set(SampleSet(()), 4))
+        corpus_bleu(gen, SampleSet(()))
+
+
+# (candidates, references or None for Self-BLEU, max_n)
+BLEU_EDGE_CASES = {
+    "self_best_count_tied_across_owners": ([[1, 1, 2], [1, 1, 3], [1, 4, 4]], None, 4),
+    "self_duplicate_candidates": ([[5, 6, 7], [5, 6, 7], [5, 6], [7, 7, 5, 6]], None, 4),
+    "self_all_distinct_grams": ([[1, 2], [3, 4], [5]], None, 2),
+    "corpus_max_n_above_every_length": ([[1, 2], [2], [1, 2, 1]], [[1, 2, 1, 2], [2, 1]], 5),
+    "corpus_no_overlap": ([[9, 9, 9], [8]], [[1, 2, 3], [4, 5]], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLEU_EDGE_CASES))
+def test_bleu_edge_cases_match_oracle(case):
+    cands, refs, max_n = BLEU_EDGE_CASES[case]
+    cfg = BleuConfig(max_n=max_n)
+    if refs is None:
+        assert self_bleu(mk_set(cands), cfg) == naive_self_bleu(cands, max_n=max_n)
+    else:
+        want = 0.0
+        for c in cands:
+            want += naive_bleu(c, refs, max_n=max_n)
+        ref = mk_set(refs, vocab=Vocab.placeholder(10))
+        assert corpus_bleu(mk_set(cands, vocab=Vocab.placeholder(10)), ref, cfg) == want / len(cands)
+
+
+@given(
+    st.sampled_from([3, 5, 5000]),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=10), min_size=2, max_size=8),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_bleu_and_self_bleu_equal_the_oracle(top, seqs, max_n, data):
+    seqs = [[t * top // 5 for t in s] for s in seqs]  # ids reach top, with repeats
+    n_refs = data.draw(st.integers(1, len(seqs) - 1))
+    refs, cands = seqs[:n_refs], seqs[n_refs:]
+    cfg = BleuConfig(max_n=max_n)
+    vocab = Vocab.placeholder(top + 1)
+    assert self_bleu(mk_set(seqs, vocab=vocab), cfg) == naive_self_bleu(seqs, max_n=max_n)
+    want = 0.0
+    for c in cands:
+        want += naive_bleu(c, refs, max_n=max_n)
+    assert corpus_bleu(mk_set(cands, vocab=vocab), mk_set(refs, vocab=vocab), cfg) == want / len(cands)
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=12),
+    st.lists(st.integers(1, 12), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_closest_reference_length_matches_a_scan(pool, c_lens, leave_one_out):
+    if leave_one_out:
+        pool = pool + c_lens  # each candidate's own length is in the pool
+    got = metrics._closest(np.array(pool), np.array(c_lens), int(leave_one_out))
+    for c, r in zip(c_lens, got.tolist()):
+        rest = list(pool)
+        if leave_one_out:
+            rest.remove(c)
+        assert r == min(rest, key=lambda length: (abs(length - c), length))
 
 
 def test_corpus_bleu_allows_distinct_vocabs():
