@@ -16,10 +16,10 @@ sweep harness with a CLI front end (``genteval --help``).
 
 from . import consistency, corpus, decode, harness, losses, metrics, rng
 from .corpus import CorpusSplits, TokenSequence, Vocab, split_corpus, tokenize
-from .decode import DecoderConfig, generate
+from .decode import DecoderConfig, generate_batch
 from .errors import ConfigError, DataError, ToolkitError
 from .lm import FeedForwardLM, NGramLM, load_model, ngram_fit, perplexity, save_model
-from .metrics import BleuConfig, Sample, SampleSet, bleu, corpus_bleu, self_bleu, seq_rep_n
+from .metrics import BleuConfig, Sample, SampleSet, corpus_bleu, self_bleu, seq_rep_n
 
 __version__ = "0.1.0"
 
@@ -36,12 +36,11 @@ __all__ = [
     "TokenSequence",
     "ToolkitError",
     "Vocab",
-    "bleu",
     "consistency",
     "corpus",
     "corpus_bleu",
     "decode",
-    "generate",
+    "generate_batch",
     "harness",
     "load_model",
     "losses",

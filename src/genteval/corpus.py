@@ -206,13 +206,6 @@ def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error")
     return TokenSequence(tuple(ids), vocab)
 
 
-def detokenize(seq: TokenSequence, scheme: str = "word") -> str:
-    """Inverse of tokenize up to whitespace; exact for the char scheme."""
-    if scheme == "char":
-        return "".join(seq.surfaces())
-    return " ".join(seq.surfaces())
-
-
 def split_corpus(
     seq: TokenSequence,
     seq_len: int,

@@ -12,14 +12,13 @@ decode in lockstep (:func:`generate_batch`): one ``next_dist_batch``
 call per step returns a ``(B, |V|)`` block holding the next-token
 distribution of every prefix, or of every live beam hypothesis of every
 prefix. The tokens of all rows are then chosen with block operations on
-that array, each row by the rules of a one-prefix decode:
-:func:`truncate_renormalize`, :func:`penalize` and :func:`sample` are
-the one-row case of the same code. :func:`generate` is the one-prefix
-case of :func:`generate_batch`. A model's batched rows may differ from
-its single rows in the last bits (the ffn's matrix products depend on
-the batch), so a continuation is a function of the batch it was decoded
-in; callers that must agree, such as ``genteval generate`` and a sweep
-cell, batch the same prefixes.
+that array, each row by the rules of a one-prefix decode, so a batch of
+one prefix is the one-prefix decode. A model's batched rows may differ
+from its single rows in the last bits (the ffn's matrix products depend
+on the batch), so a continuation is a function of the batch it was
+decoded in; callers that must agree, such as ``genteval generate`` and a
+sweep cell, batch the same prefixes. :func:`token_prob_trace` reads a
+fixed sequence's probabilities through the same truncation code.
 
 Every ranking of tokens is probability (or log-probability) descending
 with ties broken toward the lower id, i.e. a stable argsort of the
@@ -63,7 +62,6 @@ One decode step costs O(|V|) numpy work per row plus sorts:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -162,13 +160,6 @@ def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderCon
     return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
-def _check_dist(dist: np.ndarray) -> np.ndarray:
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 1 or dist.size == 0:
-        raise ConfigError("distribution must be a non-empty vector")
-    return dist
-
-
 # Partial selection beats a full sort only when the vocab is well past
 # k; at |V| = 100 the argsort was faster.
 _PARTITION_FACTOR = 16
@@ -227,21 +218,14 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(ids, order, axis=1)
 
 
-def top_ids(values: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the ``k`` largest values, value desc then id asc.
-
-    Equal to ``np.argsort(-values, kind="stable")[:k]``.
-    """
-    return _top_rows(np.asarray(values)[None], k)[0]
-
-
 def _log_rows(dists: np.ndarray) -> np.ndarray:
     """Elementwise log, -inf where a probability is zero."""
     return np.log(dists, out=np.full(dists.shape, -np.inf), where=dists > 0)
 
 
 def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
-    """``truncate_renormalize(row, "temperature", t)`` of every row."""
+    """Every row's probabilities raised to ``1 / t`` and renormalized over
+    its positive entries; zeros stay zero."""
     if t == 1.0:
         return dists.copy()
     mask = dists > 0
@@ -263,11 +247,13 @@ def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
 def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-k or top-p of every row of a ``(B, |V|)`` block, in rank order.
 
-    Returns ``(ids, probs, cut)``: each row's token ids ranked as
-    :func:`sample` ranks its truncated distribution, their truncated
-    probabilities (zero past the kept tokens), and whether the row dropped
-    mass and was renormalized. Columns that hold no row's mass are cut
-    off. The one ranking of the input serves both: dividing by the kept
+    Top-k keeps a row's first k ranked tokens, top-p the fewest whose
+    mass reaches p. Returns ``(ids, probs, cut)``: each row's token ids
+    ranked as the inverse-CDF draw ranks its truncated distribution, their
+    truncated probabilities (zero past the kept tokens), and whether the
+    row dropped mass and was renormalized. A row that drops no mass keeps
+    its input probabilities exactly. Columns that hold no row's mass are
+    cut off. The one ranking of the input serves both: dividing by the kept
     mass keeps the order unless it rounds two different probabilities to
     one value, and only such rows rank again.
     """
@@ -301,57 +287,14 @@ def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.
     return ids, probs, cut
 
 
-def truncate_renormalize(dist: np.ndarray, mode: str, value: float) -> np.ndarray:
-    """Transform a distribution by top-k, top-p, or temperature.
-
-    Ordering for both truncations is probability descending with ties
-    broken toward the lower token id. When no probability mass is
-    actually dropped the input is returned unchanged (as a copy), which
-    keeps topk(|V|), topp(1.0), and temperature(1.0) exact identities.
-    """
-    dist = _check_dist(dist)
-    n = dist.size
-    if mode == "temperature":
-        if not value > 0:
-            raise ConfigError("temperature must be positive")
-        return _temperature_rows(dist[None], value)[0]
-    if mode == "topk":
-        if not 1 <= int(value) <= n:
-            raise ConfigError(f"top-k needs 1 <= k <= {n}")
-    elif mode == "topp":
-        if not 0 < float(value) <= 1:
-            raise ConfigError("top-p needs 0 < p <= 1")
-    else:
-        raise ConfigError(f"unknown truncation mode {mode!r}")
-    ids, probs, cut = _truncate_rows(dist[None], mode, value)
-    if not cut[0]:
-        return dist.copy()
-    out = np.zeros_like(dist)
-    out[ids[0]] = probs[0]
-    return out
-
-
 def _penalize_rows(dists: np.ndarray, seen: np.ndarray, theta: float) -> np.ndarray:
-    """``penalize`` of every row; ``seen[i]`` marks the tokens row i generated."""
+    """Every row with the log-probabilities of its generated tokens (``seen[i]``
+    marks those of row i) scaled by ``theta``, softmax-renormalized; theta =
+    1 is the identity, larger theta pushes repeated tokens down."""
     logp = _log_rows(dists)
     np.multiply(logp, theta, out=logp, where=seen)  # -inf stays -inf
     w = np.exp(logp - logp.max(axis=1)[:, None])
     return w / w.sum(axis=1)[:, None]
-
-
-def penalize(dist: np.ndarray, generated: Iterable[int], theta: float) -> np.ndarray:
-    """Scale log-probabilities of already-generated tokens by theta.
-
-    Works in the log domain: penalized tokens get theta * ln(p), all
-    others keep ln(p), and the result is softmax-renormalized. theta = 1
-    is the identity; larger theta pushes repeated tokens down.
-    """
-    dist = _check_dist(dist)
-    if theta < 1:
-        raise ConfigError("penalty exponent must be at least 1")
-    seen = np.zeros(dist.size, dtype=bool)
-    seen[list(set(generated))] = True
-    return _penalize_rows(dist[None], seen[None], theta)[0]
 
 
 def _draw(ids: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -368,16 +311,6 @@ def _draw(ids: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     at = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), n - 1)
     toks = np.take_along_axis(ids, np.maximum(at, 0)[:, None], axis=1)[:, 0]
     return np.where(n > 0, toks, 0)
-
-
-def sample(dist: np.ndarray, rng: SplitMix64) -> int:
-    """Inverse-CDF draw over tokens ordered (prob desc, id asc).
-
-    Consumes exactly one uniform variate; u = 0 selects the
-    highest-probability token.
-    """
-    ids, probs = _rank_rows(_check_dist(dist)[None])
-    return int(_draw(ids, probs, np.array([rng.uniform()]))[0])
 
 
 def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen: np.ndarray) -> np.ndarray:
@@ -411,19 +344,13 @@ def _tail(ids, n: int | None):
     return ids if n is None else ids[max(0, len(ids) - n) :]
 
 
-def generate(model, prefix, cfg: DecoderConfig) -> TokenSequence:
-    """Decode a continuation of ``cfg.max_len`` tokens after ``prefix``.
-
-    Returns only the continuation; the prefix conditions it but is not
-    part of the output. Greedy and beam are deterministic; beam breaks
-    score ties lexicographically on the token-id sequence. This is the
-    one-prefix case of :func:`generate_batch`.
-    """
-    return generate_batch(model, [prefix], [cfg])[0]
-
-
 def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     """Decode one continuation per prefix, all prefixes in lockstep.
+
+    Each continuation holds ``max_len`` tokens after its prefix, which
+    conditions it but is not part of the output. Greedy and beam are
+    deterministic; beam breaks score ties lexicographically on the
+    token-id sequence.
 
     ``cfgs[i]`` decodes ``prefixes[i]``. The configs may differ only in
     ``seed``; row i draws from its own SplitMix64 stream seeded with
@@ -462,6 +389,41 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
 def _next_dists(model, contexts: list) -> np.ndarray:
     """``(len(contexts), |V|)`` next-token distributions, one row per context."""
     return np.asarray(model.next_dist_batch(contexts), dtype=np.float64)
+
+
+def token_prob_trace(model, seq, truncation: tuple[str, float] | None = None, context=()):
+    """Raw and truncated probability of each token of ``seq`` after
+    ``context`` and the tokens before it, as two float arrays.
+
+    The distributions of all positions come from ``next_dist_batch``, at
+    most ``MAX_BATCH_ROWS`` rows per call. ``truncation`` is None or a
+    ("topk"|"topp", value) pair that :func:`_truncate_rows` applies, the
+    code the decoder samples from; a token the truncation drops has
+    truncated probability 0.
+    """
+    ids, ctx = _context_ids(seq), _context_ids(context)
+    if truncation is not None:
+        mode, value = truncation
+        if mode not in ("topk", "topp"):
+            raise ConfigError(f"unknown truncation mode {mode!r}")
+        if mode == "topk" and not 1 <= value <= model.vocab.size:
+            raise ConfigError(f"top-k needs 1 <= k <= {model.vocab.size}")
+        if mode == "topp" and not 0 < value <= 1:
+            raise ConfigError("top-p needs 0 < p <= 1")
+    window, start, ctx = model.context_len, len(ctx), ctx + ids
+    raw, trunc = np.empty(len(ids)), np.empty(len(ids))
+    for lo in range(0, len(ids), MAX_BATCH_ROWS):
+        hi = min(lo + MAX_BATCH_ROWS, len(ids))
+        ends = range(start + lo, start + hi)
+        dists = _next_dists(model, [ctx[0 if window is None else max(0, e - window) : e] for e in ends])
+        toks = np.array(ids[lo:hi], dtype=np.int64)
+        raw[lo:hi] = dists[np.arange(hi - lo), toks]
+        if truncation is None:
+            trunc[lo:hi] = raw[lo:hi]
+        else:
+            kept, probs, _ = _truncate_rows(dists, mode, value)
+            trunc[lo:hi] = np.where(kept == toks[:, None], probs, 0.0).sum(axis=1)
+    return raw, trunc
 
 
 def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:

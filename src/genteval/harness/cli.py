@@ -47,11 +47,10 @@ from ..corpus import (
     tokenize,
     vocab_from_manifest,
 )
-from ..decode import STRATEGIES, DecoderConfig, param_value
+from ..decode import STRATEGIES, DecoderConfig, param_value, token_prob_trace
 from ..errors import (
     AlignmentError, ConfigError, DataError, EmptyInput, InsufficientData, atomic_write, open_text,
 )
-from ..lm.base import token_prob_trace
 from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
 from ..lm.store import load_model, save_model
@@ -372,7 +371,7 @@ def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
+def _pair_items(opt, scheme: str, vocab: Vocab, mode: str):
     if opt.pairs_text is None:
         raise ConfigError(f"objective {mode!r} needs --pairs-text")
     if scheme == "external":
@@ -461,7 +460,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
     n_labels = 0
     for mode in ("nsp", "sop"):
         if mode in active:
-            data_kwargs[mode] = _pair_items(opt, splits, scheme, vocab, mode)
+            data_kwargs[mode] = _pair_items(opt, scheme, vocab, mode)
     if "tfidf" in active:
         data_kwargs["tfidf"] = _tfidf_items(opt, splits, vocab)
     for kind in ("pos", "dp"):
@@ -676,17 +675,14 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
     else:
         seq = encode(opt.text, model.vocab, opt.scheme, on_oov="error")
     context = _parse_id_list(opt.context_ids) if opt.context_ids else ()
-    trace = token_prob_trace(model, seq, _parse_truncation(opt.truncate), context)
+    raw, trunc = token_prob_trace(model, seq, _parse_truncation(opt.truncate), context)
     trace_out = Path(opt.trace_out) if opt.trace_out else out / "trace.csv"
     with atomic_write(trace_out, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["position", "token_id", "token", "prob", "truncated_prob"])
-        for pos, entry in enumerate(trace.entries):
-            writer.writerow(
-                [pos, entry.token, model.vocab.tokens[entry.token],
-                 repr(entry.prob), repr(entry.truncated_prob)]
-            )
-    print(f"trace: {trace_out} ({len(trace)} positions)")
+        for pos, (tok, p, q) in enumerate(zip(seq.ids, raw.tolist(), trunc.tolist())):
+            writer.writerow([pos, tok, model.vocab.tokens[tok], repr(p), repr(q)])
+    print(f"trace: {trace_out} ({len(seq)} positions)")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Language model backends and scoring utilities."""
 
-from .base import LanguageModel, ProbTrace, TraceEntry, as_ids, perplexity, token_prob_trace
+from .base import LanguageModel, as_ids, perplexity
 from .ffn import PAD_TOKEN, FeedForwardLM, log_softmax, softmax
 from .ngram import NGramLM, ngram_fit
 from .store import load_model, save_model
@@ -10,8 +10,6 @@ __all__ = [
     "LanguageModel",
     "NGramLM",
     "PAD_TOKEN",
-    "ProbTrace",
-    "TraceEntry",
     "as_ids",
     "load_model",
     "log_softmax",
@@ -19,5 +17,4 @@ __all__ = [
     "perplexity",
     "save_model",
     "softmax",
-    "token_prob_trace",
 ]

@@ -15,8 +15,9 @@ holding a TokenSequence passes its ``.ids``):
   conditions but is never scored. An empty sequence scores 0.0. Every
   scorer (perplexities, acceptability, consistency) makes one call.
 
-``next_dist`` and ``score`` are their one-row calls. A batched row may
-differ from the one-row call in the last bits, depending on the batch
+Both backends also keep ``next_dist(context)``, the one-row call of
+``next_dist_batch``, for callers that walk one context at a time. A row
+may differ between batches in the last bits, depending on the batch
 size and the row's position. The n-gram computes rows elementwise from
 sorted-array lookups, so they do not depend on the batch; the ffn's
 matrix products are not batch-invariant (about 1e-19 absolute on
@@ -29,13 +30,12 @@ same batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from ..corpus import TokenSequence, Vocab
-from .. import decode
+from ..errors import ConfigError
 
 
 class LanguageModel(Protocol):
@@ -45,8 +45,6 @@ class LanguageModel(Protocol):
     def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
 
     def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray: ...
-
-    def score(self, seq: Sequence[int], context: Sequence[int] = ()) -> float: ...
 
     def score_batch(self, seqs: Sequence[Sequence[int]], contexts: Sequence = ()) -> list[float]: ...
 
@@ -74,46 +72,12 @@ def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:
     return [math.exp(-lp / len(s)) if math.isfinite(lp) else math.inf for s, lp in zip(seqs, scores)]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    token: int
-    prob: float
-    truncated_prob: float
-
-
-@dataclass(frozen=True)
-class ProbTrace:
-    """Per-position probabilities a model assigns to a fixed sequence."""
-
-    entries: tuple[TraceEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def token_prob_trace(
-    model,
-    seq,
-    truncation: tuple[str, float] | None = None,
-    context: Sequence[int] = (),
-) -> ProbTrace:
-    """Trace raw and truncated probabilities of each token of ``seq``.
-
-    ``truncation`` is None or a ("topk"|"topp", value) pair applied via
-    :func:`genteval.decode.truncate_renormalize`; a token dropped by the
-    truncation reports a truncated probability of 0.
-    """
-    ids = as_ids(seq)
-    ctx = list(as_ids(context))
-    entries = []
-    for tok in ids:
-        dist = np.asarray(model.next_dist(ctx), dtype=np.float64)
-        raw = float(dist[tok])
-        if truncation is None:
-            trunc = raw
-        else:
-            mode, value = truncation
-            trunc = float(decode.truncate_renormalize(dist, mode, value)[tok])
-        entries.append(TraceEntry(token=int(tok), prob=raw, truncated_prob=trunc))
-        ctx.append(int(tok))
-    return ProbTrace(entries=tuple(entries))
+def summed_scores(token_logp: Callable, seqs, contexts: Sequence = ()) -> list[float]:
+    """``score_batch`` from a backend's ``token_logp(seqs, contexts)``, the
+    log-probability of every id of ``seqs`` end to end: each sequence's sum,
+    left to right as a per-token loop adds, and 0.0 for an empty one."""
+    if contexts and len(contexts) != len(seqs):
+        raise ConfigError("score_batch needs one context per sequence")
+    logp = token_logp(seqs, contexts or [()] * len(seqs))
+    ends = np.cumsum([len(s) for s in seqs]).tolist()
+    return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]

@@ -27,6 +27,7 @@ import numpy as np
 from ..corpus import Vocab
 from ..errors import ConfigError
 from ..rng import SplitMix64
+from .base import summed_scores
 
 PAD_TOKEN = "<pad>"
 
@@ -212,20 +213,17 @@ class FeedForwardLM:
         ).reshape(len(contexts), c)
         return softmax(self.vocab_logits(self.forward(windows)))
 
-    def score(self, seq, context: Sequence[int] = ()) -> float:
-        return self.score_batch([seq], [context])[0]
-
     def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
-        """``score(seqs[i], contexts[i])`` of every sequence, from
-        :meth:`gold_blocks`; each sum runs left to right. A row's value
-        depends on its block in the last bits."""
-        if contexts and len(contexts) != len(seqs):
-            raise ConfigError("score_batch needs one context per sequence")
+        """The summed log-probability of each ``seqs[i]`` after ``contexts[i]``,
+        from :meth:`gold_blocks`. A row's value depends on its block in the
+        last bits."""
+        return summed_scores(self._token_logp, seqs, contexts)
+
+    def _token_logp(self, seqs, contexts) -> np.ndarray:
         logp = np.empty(sum(map(len, seqs)))
-        for _ in self.gold_blocks(seqs, contexts or [()] * len(seqs), logp):
+        for _ in self.gold_blocks(seqs, contexts, logp):
             pass
-        ends = np.cumsum([len(s) for s in seqs]).tolist()
-        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+        return logp
 
     def gold_blocks(self, seqs, contexts, gold_logp: np.ndarray):
         """Run the windows of ``seqs`` (``seqs[i]`` after ``contexts[i]``) in

@@ -18,7 +18,7 @@ and their ``counts[o]``. A gram's key is the row of its context in
 ascend with the grams, each context's continuations are one block of
 rows, and no key overflows at any order. ``score_batch`` and
 ``next_dist_batch`` look up a whole batch with one ``searchsorted`` per
-order; ``score`` and ``next_dist`` are their one-row calls.
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..corpus import TokenSequence, Vocab, ngram_windows
 from ..errors import BadOrder, ConfigError, DataError, EmptyInput
-from .base import as_ids
+from .base import as_ids, summed_scores
 
 
 class NGramLM:
@@ -129,22 +129,15 @@ class NGramLM:
             out[b[keep], nxt[keep]] = (self.counts[o][at[keep]] + self.k_s) / denom[b[keep]]
         return out
 
-    def score(self, seq, context: Sequence[int] = ()) -> float:
-        return self.score_batch([seq], [context])[0]
-
     def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
-        """``score(seqs[i], contexts[i])`` of every sequence, from one lookup.
+        """The summed log-probability of each ``seqs[i]`` after ``contexts[i]``,
+        from one lookup; a zero-probability token makes it -inf."""
+        return summed_scores(self._token_logp, seqs, contexts)
 
-        A zero-probability token makes its sequence's score -inf; each
-        sum runs left to right, as a per-token loop adds.
-        """
-        if contexts and len(contexts) != len(seqs):
-            raise ConfigError("score_batch needs one context per sequence")
-        _, _, total, count = self._lookup(contexts or [()] * len(seqs), seqs)
+    def _token_logp(self, seqs, contexts) -> np.ndarray:
+        _, _, total, count = self._lookup(contexts, seqs)
         p = (count + self.k_s) / (total + self.k_s * self.vocab.size)
-        logp = np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
-        ends = np.cumsum([len(s) for s in seqs]).tolist()
-        return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+        return np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
 
 
 def ngram_fit(

@@ -1,11 +1,10 @@
 """Training objectives for the feed-forward LM, with explicit gradients.
 
-Every public loss is a one-item call of the batched code below and
-returns ``(scalar, grads)``, with ``grads`` a fresh dict matching the
-model's parameters. Gradients are derived by hand through the
-softmax/tanh stack (see :meth:`FeedForwardLM.backward`) and are meant to
-be validated against central finite differences via :func:`grad_check`;
-nothing here relies on an autodiff framework.
+Each loss takes a batch of items and adds its weighted gradient into a
+dict matching the model's parameters. Gradients are derived by hand
+through the softmax/tanh stack (see :meth:`FeedForwardLM.backward`),
+which the test suite checks against central finite differences; nothing
+here relies on an autodiff framework.
 
 Objective kinds understood by :func:`multitask_step`:
 
@@ -42,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,15 +72,6 @@ MASK_LABEL = "X"
 # ---------------------------------------------------------------------------
 
 
-def ce_loss(
-    model: FeedForwardLM, seq, context: Sequence[int] = ()
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy of each token given its window."""
-    grads = model.zero_grads()
-    ce, _ = _token_losses(model, [as_ids(seq)], [as_ids(context)], None, 1.0, 0.0, grads)
-    return ce[0], grads
-
-
 def _previous_token_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Token-level UL candidates as ``(position, token)`` arrays, positions ascending."""
     _, first = np.unique(ids, return_index=True)
@@ -107,51 +97,6 @@ def _repeat_pairs(seqs: Sequence[Sequence[int]], n: int) -> list[tuple[np.ndarra
     rows = ends - (np.cumsum(lens) - lens)[owner[ends]]
     cuts = np.searchsorted(owner[ends], np.arange(len(seqs) + 1)).tolist()
     return [(rows[a:b], flat[ends[a:b]]) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _as_sets(length: int, pairs: tuple[np.ndarray, np.ndarray]) -> list[frozenset[int]]:
-    out: list[set[int]] = [set() for _ in range(length)]
-    for t, tok in zip(*(a.tolist() for a in pairs)):
-        out[t].add(tok)
-    return [frozenset(c) for c in out]
-
-
-def previous_token_candidates(seq) -> list[frozenset[int]]:
-    """Token-level unlikelihood candidates: all previous tokens.
-
-    The ground-truth token at each position is filtered out, so the loss
-    never pushes down the probability of the correct continuation.
-    """
-    ids = np.asarray(as_ids(seq), dtype=np.int64)
-    return _as_sets(len(ids), _previous_token_pairs(ids))
-
-
-def ul_seq_candidates(continuation, n: int) -> list[frozenset[int]]:
-    """Sequence-level candidates: tokens ending an already-seen n-gram.
-
-    Position t is flagged with candidate {x_t} when the n-gram ending at
-    t also ends at some earlier position (overlaps count). Positions
-    without a repeat get an empty set.
-    """
-    ids = as_ids(continuation)
-    return _as_sets(len(ids), _repeat_pairs([ids], n)[0])
-
-
-def ul_token_loss(
-    model: FeedForwardLM,
-    seq,
-    candidates: Sequence[frozenset[int]],
-    context: Sequence[int] = (),
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Unlikelihood: -ln(1 - p(c)) summed over candidates, per-position mean."""
-    ids = as_ids(seq)
-    if len(candidates) != len(ids):
-        raise ConfigError("need one candidate set per position")
-    rows = np.array([t for t, cands in enumerate(candidates) for _ in cands], dtype=np.int64)
-    cols = np.array([c for cands in candidates for c in cands], dtype=np.int64)
-    grads = model.zero_grads()
-    _, ul = _token_losses(model, [ids], [as_ids(context)], [(rows, cols)], 0.0, 1.0, grads)
-    return ul[0], grads
 
 
 def _token_losses(
@@ -290,35 +235,6 @@ def _head_losses(
     dcls[rows] = dsup * np.repeat(scale / counts, counts)[:, None]
     model.backward(cache, grads, dcls=dcls)
     return [float(nll[a:b].mean()) for a, b in zip(cuts, cuts[1:])]
-
-
-def margin_rank_loss(
-    model: FeedForwardLM, pos: SentencePair, neg: SentencePair, margin: float
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Hinge on the perplexity gap between a true and a corrupted pair.
-
-    Perplexity of the second sentence is computed conditioned on the
-    first; the hinge activates when the positive pair fails to beat the
-    negative one by ``margin``.
-    """
-    grads = model.zero_grads()
-    return _rank_losses(model, [(pos, neg)], margin, 1.0, grads)[0], grads
-
-
-def regression_loss(
-    model: FeedForwardLM, seq, targets: Sequence[float]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean smooth-L1 between the regression head and per-token targets."""
-    grads = model.zero_grads()
-    return _head_losses(model, "tfidf", [(seq, targets)], 1.0, grads)[0], grads
-
-
-def classification_loss(
-    model: FeedForwardLM, seq, labels: Sequence[int | None]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean CE of the gold label at each supervised (not ``None``) position."""
-    grads = model.zero_grads()
-    return _head_losses(model, "pos", [(seq, labels)], 1.0, grads)[0], grads
 
 
 # ---------------------------------------------------------------------------
@@ -666,37 +582,3 @@ class Trainer:
                     multitask_step(self.model, batch, self.cfg, self.opt, self.rng)
                 )
         return self.history
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(
-    model: FeedForwardLM,
-    loss_fn: Callable[[FeedForwardLM], tuple[float, dict[str, np.ndarray]]],
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    Relative error is |a - n| / max(|a|, |n|, 1e-8), evaluated for every
-    parameter scalar; the loss function must be deterministic.
-    """
-    _, grads = loss_fn(model)
-    worst = 0.0
-    for name, arr in model.params.items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn(model)[0]
-            flat[i] = orig - step
-            down = loss_fn(model)[0]
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic = gflat[i]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .corpus import TokenSequence, Vocab, ngram_windows
 from .errors import ConfigError, InsufficientSamples
 from .lm.base import as_ids
-from .lm.ngram import NGramLM, ngram_fit
+from .lm.ngram import ngram_fit
 from .rng import SplitMix64
 
 
@@ -103,7 +102,9 @@ def _clipped_counts(seqs: list, n_refs: int, first_cand: int, max_n: int) -> np.
     """Clipped n-gram matches of candidates ``seqs[first_cand:]`` against
     references ``seqs[:n_refs]``: entry (i, n - 1) sums, over candidate i's
     n-grams, its count capped at the gram's largest count in one reference
-    other than the candidate itself."""
+    other than the candidate itself. Orders past the longest sequence have
+    no n-grams, so the columns stop there."""
+    max_n = max(1, min(max_n, max(map(len, seqs))))
     _, owner, ids = ngram_windows(seqs, max_n)
     out = np.zeros((len(seqs) - first_cand, max_n), dtype=np.int64)
     for n in range(max_n):
@@ -164,14 +165,6 @@ def _mean_bleu(cands: list, refs: list | None, cfg: BleuConfig) -> float:
         geo = math.exp(log_sum / orders)
         total += math.exp(min(0.0, 1.0 - r_len / c_len)) * geo
     return total / len(cands)
-
-
-def bleu(candidate, references: Sequence, cfg: BleuConfig | None = None) -> float:
-    """BLEU of one candidate against one or more references."""
-    refs = [as_ids(r) for r in references]
-    if not refs:
-        raise InsufficientSamples("bleu needs at least one reference")
-    return _mean_bleu([as_ids(candidate)], refs, cfg or BleuConfig())
 
 
 def _pick_candidates(n: int, cfg: BleuConfig) -> list[int]:

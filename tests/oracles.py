@@ -102,6 +102,13 @@ def naive_self_bleu(seqs, max_n=4, epsilon=1e-9):
     return total / len(seqs)
 
 
+def one_bleu(candidate, references, cfg=None):
+    """BLEU of one candidate by the package's batched ``metrics._mean_bleu``."""
+    from genteval.metrics import BleuConfig, _mean_bleu
+
+    return _mean_bleu([tuple(candidate)], [tuple(r) for r in references], cfg or BleuConfig())
+
+
 def spearman(xs, ys):
     """Spearman rank correlation; average ranks for ties."""
 
@@ -290,7 +297,7 @@ class SlowLM(StackedRows):
         return self.model.next_dist(context)
 
     def score(self, seq, context=()):
-        return self.model.score(seq, context)
+        return self.model.score_batch([seq], [context])[0]
 
 
 def naive_top_ids(values, k):
@@ -420,7 +427,8 @@ def naive_beam_search(model, prefix, width, max_len):
 
 
 def naive_generate(model, prefix, cfg):
-    """``genteval.decode.generate`` with every step on the slow path."""
+    """One prefix of ``genteval.decode.generate_batch`` with every step on
+    the slow path."""
     from genteval.corpus import TokenSequence
     from genteval.rng import SplitMix64
 
@@ -441,6 +449,45 @@ def naive_generate(model, prefix, cfg):
 def naive_generate_batch(model, prefixes, cfgs):
     """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix."""
     return [naive_generate(model, prefix, cfg) for prefix, cfg in zip(prefixes, cfgs)]
+
+
+# One row or one prefix through the block code, for tests that pin one case.
+
+
+def one_truncate(dist, mode, value):
+    """``dist`` after ``decode._truncate_rows`` (or ``_temperature_rows``)
+    as a one-row block, scattered back to a dense vector."""
+    from genteval.decode import _temperature_rows, _truncate_rows
+
+    rows = np.asarray(dist, dtype=np.float64)[None]
+    if mode == "temperature":
+        return _temperature_rows(rows, value)[0]
+    ids, probs, _ = _truncate_rows(rows, mode, value)
+    out = np.zeros(rows.shape[1])
+    out[ids[0]] = probs[0]
+    return out
+
+
+def one_penalize(dist, generated, theta):
+    from genteval.decode import _penalize_rows
+
+    seen = np.zeros((1, len(dist)), dtype=bool)
+    seen[0, list(set(generated))] = True
+    return _penalize_rows(np.asarray(dist, dtype=np.float64)[None], seen, theta)[0]
+
+
+def one_sample(dist, rng):
+    """One inverse-CDF draw by ``decode._choose`` (temperature 1 keeps ``dist``)."""
+    from genteval.decode import DecoderConfig, _choose
+
+    cfg = DecoderConfig("temperature", t=1.0)
+    return int(_choose(np.asarray(dist, dtype=np.float64)[None], cfg, [rng], None)[0])
+
+
+def one_generate(model, prefix, cfg):
+    from genteval.decode import generate_batch
+
+    return generate_batch(model, [prefix], [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +694,63 @@ def naive_classification_loss(model, seq, labels):
     grads = model.zero_grads()
     model.backward(cache, grads, dcls=dcls / len(supervised))
     return loss, grads
+
+
+# One item through the batched losses: ``(loss, grads)`` with a fresh
+# gradient dict, the form ``grad_check`` differentiates.
+
+
+def one_ce(model, ids, context=()):
+    from genteval.losses import _token_losses
+
+    grads = model.zero_grads()
+    return _token_losses(model, [tuple(ids)], [tuple(context)], None, 1.0, 0.0, grads)[0][0], grads
+
+
+def one_ul(model, ids, pairs, context=()):
+    """Unlikelihood of ``ids`` on its ``(position, token)`` candidate arrays."""
+    from genteval.losses import _token_losses
+
+    grads = model.zero_grads()
+    return _token_losses(model, [tuple(ids)], [tuple(context)], [pairs], 0.0, 1.0, grads)[1][0], grads
+
+
+def one_rank(model, pos, neg, margin):
+    from genteval.losses import _rank_losses
+
+    grads = model.zero_grads()
+    return _rank_losses(model, [(pos, neg)], margin, 1.0, grads)[0], grads
+
+
+def one_head(model, kind, seq, targets):
+    from genteval.losses import _head_losses
+
+    grads = model.zero_grads()
+    return _head_losses(model, kind, [(seq, targets)], 1.0, grads)[0], grads
+
+
+def grad_check(model, loss_fn, step=1e-5):
+    """Max relative error between the analytic gradient of ``loss_fn(model)
+    -> (loss, grads)`` and central differences, over every parameter scalar.
+
+    Relative error is |a - n| / max(|a|, |n|, 1e-8); the loss function must
+    be deterministic.
+    """
+    _, grads = loss_fn(model)
+    worst = 0.0
+    for name, arr in model.params.items():
+        flat, gflat = arr.reshape(-1), grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss_fn(model)[0]
+            flat[i] = orig - step
+            down = loss_fn(model)[0]
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
 
 
 def naive_multitask_step(model, batch, cfg, opt, rng):

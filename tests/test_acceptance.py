@@ -19,7 +19,7 @@ import pytest
 
 from genteval.consistency import selection_accuracy
 from genteval.corpus import TokenSequence, Vocab, encode, ngram_windows, tokenize
-from genteval.decode import DecoderConfig, generate, sample
+from genteval.decode import DecoderConfig
 from genteval.harness.cli import main
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, ngram_fit
@@ -28,20 +28,18 @@ from genteval.losses import (
     TrainConfig,
     TrainData,
     Trainer,
-    ce_loss,
-    classification_loss,
-    grad_check,
-    margin_rank_loss,
-    previous_token_candidates,
+    _previous_token_pairs,
     smooth_l1_loss,
-    ul_token_loss,
 )
-from genteval.metrics import Sample, SampleSet, bleu, mean_seq_rep, reverse_ppl, seq_rep_n
+from genteval.metrics import Sample, SampleSet, mean_seq_rep, reverse_ppl, seq_rep_n
 from genteval.rng import SplitMix64, stable_hash
 from genteval.harness.sweep import fit_log_curve
 from genteval.corpus import SentencePair
 
-from oracles import StackedRows, check_ngram_windows, naive_bleu, naive_seq_rep, spearman
+from oracles import (
+    StackedRows, check_ngram_windows, grad_check, naive_bleu, naive_seq_rep, one_bleu, one_ce, one_generate,
+    one_head, one_rank, one_sample, one_ul, spearman,
+)
 from toytext import char_splits, make_rich_text, word_splits
 
 
@@ -73,7 +71,7 @@ def test_criterion_01_metric_oracles():
             [rng.randint(6) for _ in range(rng.randint(12) + 1)]
             for _ in range(rng.randint(3) + 1)
         ]
-        worst_bleu = max(worst_bleu, abs(bleu(cand, refs) - naive_bleu(cand, refs)))
+        worst_bleu = max(worst_bleu, abs(one_bleu(cand, refs) - naive_bleu(cand, refs)))
     elapsed = time.monotonic() - start
     ok = worst_bleu <= 1e-9 and elapsed < 30.0
     _verdict(
@@ -93,7 +91,7 @@ def test_criterion_02_bleu_hand_case():
     vocab = Vocab(["the", "cat", "sat", "on", "mat"])
     cand = encode("the cat sat", vocab).ids
     ref = encode("the cat sat on the mat", vocab).ids
-    got = bleu(cand, [ref])
+    got = one_bleu(cand, [ref])
     ok = abs(got - 0.3679) <= 1e-4
     _verdict(2, "BLEU brevity-penalty hand case", ok, f"got {got:.6f}, want 0.3679 +/- 1e-4")
 
@@ -170,19 +168,19 @@ def test_criterion_03_sampler_identities():
         want_sampled = _ref_unrestricted(model, prefix.ids, steps, seed)
         pairs = {
             "topk(1)=greedy": (
-                generate(model, prefix, DecoderConfig("topk", k=1, max_len=steps, seed=seed)).ids,
+                one_generate(model, prefix, DecoderConfig("topk", k=1, max_len=steps, seed=seed)).ids,
                 want_greedy,
             ),
             "beam(1)=greedy": (
-                generate(model, prefix, DecoderConfig("beam", b=1, max_len=steps)).ids,
+                one_generate(model, prefix, DecoderConfig("beam", b=1, max_len=steps)).ids,
                 want_greedy,
             ),
             "topp(1.0)=unrestricted": (
-                generate(model, prefix, DecoderConfig("topp", p=1.0, max_len=steps, seed=seed)).ids,
+                one_generate(model, prefix, DecoderConfig("topp", p=1.0, max_len=steps, seed=seed)).ids,
                 want_sampled,
             ),
             "temperature(1)=identity": (
-                generate(
+                one_generate(
                     model, prefix, DecoderConfig("temperature", t=1.0, max_len=steps, seed=seed)
                 ).ids,
                 want_sampled,
@@ -209,7 +207,7 @@ def test_criterion_04_sampling_statistics():
     dist = np.array([0.7, 0.3])
     rng = SplitMix64(404)
     draws = 10_000
-    zeros = sum(1 for _ in range(draws) if sample(dist, rng) == 0)
+    zeros = sum(1 for _ in range(draws) if one_sample(dist, rng) == 0)
     freq = zeros / draws
     ok = abs(freq - 0.7) <= 0.02
     _verdict(4, "10k draws from [0.7, 0.3]", ok, f"frequency {freq:.4f}, want 0.7 +/- 0.02")
@@ -231,23 +229,20 @@ def test_criterion_05_gradient_suite():
         )
 
     errors = {
-        "ce_loss": grad_check(fresh(), lambda m: ce_loss(m, [0, 4, 2, 1])),
-        "ul_token_loss": grad_check(
-            fresh(),
-            lambda m: ul_token_loss(m, [0, 4, 0, 4], previous_token_candidates([0, 4, 0, 4])),
+        "mle": grad_check(fresh(), lambda m: one_ce(m, [0, 4, 2, 1])),
+        "ul token": grad_check(
+            fresh(), lambda m: one_ul(m, [0, 4, 0, 4], _previous_token_pairs(np.array([0, 4, 0, 4])))
         ),
-        "margin_rank_loss": grad_check(
+        "margin rank": grad_check(
             fresh(),
-            lambda m: margin_rank_loss(
+            lambda m: one_rank(
                 m,
                 SentencePair(seq, TokenSequence((1, 5), vocab), "positive", "nsp"),
                 SentencePair(seq, TokenSequence((6, 3), vocab), "negative", "nsp"),
                 margin=5.0,
             ),
         ),
-        "classification_loss": grad_check(
-            fresh(), lambda m: classification_loss(m, [0, 4, 2], [1, None, 2])
-        ),
+        "classification": grad_check(fresh(), lambda m: one_head(m, "pos", [0, 4, 2], [1, None, 2])),
     }
     # smooth_l1 is a scalar function; central-difference it directly on
     # points covering both branches
@@ -278,7 +273,7 @@ def _greedy_rep(model, splits, n_prefixes=30):
     samples = []
     for i, seq in enumerate(splits.train[:n_prefixes]):
         prefix = seq.window(0, 50)
-        cont = generate(model, prefix, DecoderConfig("greedy", max_len=100))
+        cont = one_generate(model, prefix, DecoderConfig("greedy", max_len=100))
         samples.append(Sample(str(i), prefix, cont))
     mean, _nulls = mean_seq_rep(SampleSet(tuple(samples)), 4)
     return mean

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from genteval.corpus import write_ids_file
 from genteval.harness.cli import _build_parser, _parse_args, main
 from genteval.harness.sweep import CSV_COLUMNS, SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
+from genteval.lm import load_model
 from toytext import make_text
 
 
@@ -709,10 +710,16 @@ def _fails_with_one_line(capsys, argv, code):
          {"strategies": 5}, "malformed option value 5"),
         (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", "topp:x", "--out-dir", "{out}"],
          None, "malformed option value"),
+        *(
+            (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", bad, "--out-dir", "{out}"], None, want)
+            for bad, want in (("topk:0", "top-k needs"), ("topk:{over}", "top-k needs"),
+                              ("topp:0", "top-p needs"), ("topp:1.5", "top-p needs"))
+        ),
     ],
 )
 def test_usage_errors_are_one_line_config_errors(workspace, tmp_path, capsys, argv, config, message):
-    argv = [a.format(out=tmp_path, **workspace) for a in argv]
+    over = load_model(workspace["model"]).vocab.size + 1  # one past the vocab
+    argv = [a.format(out=tmp_path, over=over, **workspace) for a in argv]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())

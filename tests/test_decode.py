@@ -5,19 +5,11 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab
-from genteval.decode import (
-    DecoderConfig,
-    cell_config,
-    generate,
-    param_value,
-    penalize,
-    sample,
-    truncate_renormalize,
-)
+from genteval.decode import DecoderConfig, cell_config, param_value, token_prob_trace
 from genteval.errors import ConfigError
 from genteval.rng import SplitMix64, stable_hash
 
-from oracles import StackedRows
+from oracles import StackedRows, one_generate, one_penalize, one_sample, one_truncate
 
 
 class TableLM(StackedRows):
@@ -41,31 +33,31 @@ class TableLM(StackedRows):
         return total
 
 
-# --- truncate_renormalize ---------------------------------------------------
+# --- truncation -------------------------------------------------------------
 
 
 def test_topk_hand_value():
-    out = truncate_renormalize(np.array([0.5, 0.3, 0.2]), "topk", 2)
+    out = one_truncate(np.array([0.5, 0.3, 0.2]), "topk", 2)
     assert out == pytest.approx([0.625, 0.375, 0.0])
 
 
 def test_topp_hand_value():
     # cum = [0.5, 0.8, 1.0]; the 0.7 threshold lands inside the second
     # token, so both are kept.
-    out = truncate_renormalize(np.array([0.5, 0.3, 0.2]), "topp", 0.7)
+    out = one_truncate(np.array([0.5, 0.3, 0.2]), "topp", 0.7)
     assert out == pytest.approx([0.625, 0.375, 0.0])
 
 
 def test_topp_boundary_is_inclusive():
     # Exact cumulative hit: topp(0.5) keeps only the first token.
-    out = truncate_renormalize(np.array([0.5, 0.3, 0.2]), "topp", 0.5)
+    out = one_truncate(np.array([0.5, 0.3, 0.2]), "topp", 0.5)
     assert out == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_temperature_sharpens_and_flattens():
     dist = np.array([0.7, 0.3])
-    cold = truncate_renormalize(dist, "temperature", 0.5)
-    hot = truncate_renormalize(dist, "temperature", 2.0)
+    cold = one_truncate(dist, "temperature", 0.5)
+    hot = one_truncate(dist, "temperature", 2.0)
     assert cold[0] > dist[0] > hot[0]
     # T=0.5 squares the probabilities before renormalizing.
     assert cold[0] == pytest.approx(0.49 / (0.49 + 0.09))
@@ -74,26 +66,23 @@ def test_temperature_sharpens_and_flattens():
 def test_noop_transforms_return_copies():
     dist = np.array([0.4, 0.35, 0.25])
     for mode, value in (("topk", 3), ("topp", 1.0), ("temperature", 1.0)):
-        out = truncate_renormalize(dist, mode, value)
+        out = one_truncate(dist, mode, value)
         assert np.array_equal(out, dist)
         assert out is not dist
 
 
 def test_truncation_tie_break_prefers_lower_id():
-    out = truncate_renormalize(np.array([0.25, 0.25, 0.25, 0.25]), "topk", 2)
+    out = one_truncate(np.array([0.25, 0.25, 0.25, 0.25]), "topk", 2)
     assert out == pytest.approx([0.5, 0.5, 0.0, 0.0])
 
 
 def test_truncation_param_validation():
-    dist = np.array([0.6, 0.4])
+    model = TableLM(2)
+    for bad in (("topk", 0), ("topk", 3), ("topp", 0.0), ("topp", 1.5), ("entmax", 0.5)):
+        with pytest.raises(ConfigError):
+            token_prob_trace(model, [0], bad)
     with pytest.raises(ConfigError):
-        truncate_renormalize(dist, "topk", 0)
-    with pytest.raises(ConfigError):
-        truncate_renormalize(dist, "topp", 0.0)
-    with pytest.raises(ConfigError):
-        truncate_renormalize(dist, "temperature", -1.0)
-    with pytest.raises(ConfigError):
-        truncate_renormalize(dist, "entmax", 0.5)
+        DecoderConfig(strategy="temperature", t=-1.0)
 
 
 def test_truncations_sum_to_one():
@@ -107,38 +96,38 @@ def test_truncations_sum_to_one():
             ("topp", 0.05 + 0.95 * rng.uniform()),
             ("temperature", 0.25 + rng.uniform()),
         ):
-            out = truncate_renormalize(dist, mode, value)
+            out = one_truncate(dist, mode, value)
             assert out.sum() == pytest.approx(1.0)
             assert (out >= 0).all()
 
 
-# --- penalize ---------------------------------------------------------------
+# --- penalty ----------------------------------------------------------------
 
 
 def test_penalize_hand_value():
     # ln 0.6 doubled: exp(2 ln 0.6) = 0.36 against 0.4 -> [0.4737, 0.5263].
-    out = penalize(np.array([0.6, 0.4]), {0}, theta=2.0)
+    out = one_penalize(np.array([0.6, 0.4]), {0}, theta=2.0)
     assert out == pytest.approx([0.36 / 0.76, 0.40 / 0.76])
 
 
 def test_penalize_identity_at_one():
     dist = np.array([0.5, 0.3, 0.2])
-    assert penalize(dist, {0, 2}, 1.0) == pytest.approx(list(dist))
+    assert one_penalize(dist, {0, 2}, 1.0) == pytest.approx(list(dist))
 
 
 def test_penalize_only_hits_generated():
     dist = np.array([0.25, 0.25, 0.5])
-    out = penalize(dist, {2}, 3.0)
+    out = one_penalize(dist, {2}, 3.0)
     assert out[0] == pytest.approx(out[1])
     assert out[2] < 0.5
 
 
 def test_penalize_rejects_theta_below_one():
     with pytest.raises(ConfigError):
-        penalize(np.array([1.0]), set(), 0.5)
+        DecoderConfig(strategy="penalized", theta=0.5)
 
 
-# --- sample -----------------------------------------------------------------
+# --- sampling ---------------------------------------------------------------
 
 
 class _FixedU:
@@ -150,34 +139,34 @@ class _FixedU:
 
 
 def test_sample_u_zero_takes_mode():
-    assert sample(np.array([0.2, 0.5, 0.3]), _FixedU(0.0)) == 1
+    assert one_sample(np.array([0.2, 0.5, 0.3]), _FixedU(0.0)) == 1
 
 
 def test_sample_cdf_boundaries():
     dist = np.array([0.2, 0.5, 0.3])
     # Ordered (1, 2, 0): cum = [0.5, 0.8, 1.0]; side="right" puts the
     # exact boundary in the next bucket.
-    assert sample(dist, _FixedU(0.49)) == 1
-    assert sample(dist, _FixedU(0.5)) == 2
-    assert sample(dist, _FixedU(0.99)) == 0
+    assert one_sample(dist, _FixedU(0.49)) == 1
+    assert one_sample(dist, _FixedU(0.5)) == 2
+    assert one_sample(dist, _FixedU(0.99)) == 0
 
 
 def test_sample_never_returns_zero_prob_token():
     dist = np.array([0.0, 1.0, 0.0])
     rng = SplitMix64(3)
-    assert all(sample(dist, rng) == 1 for _ in range(200))
+    assert all(one_sample(dist, rng) == 1 for _ in range(200))
 
 
 def test_sample_consumes_one_variate_per_token():
     model = TableLM(6, seed=1)
     cfg = DecoderConfig(strategy="topp", p=0.8, max_len=7, seed=5)
-    out = generate(model, [0], cfg)
+    out = one_generate(model, [0], cfg)
     # Replay the exact draws with a parallel generator.
     rng = SplitMix64(5)
     ctx = [0]
     for tok in out.ids:
-        dist = truncate_renormalize(model.next_dist(ctx), "topp", 0.8)
-        assert sample(dist, rng) == tok
+        dist = one_truncate(model.next_dist(ctx), "topp", 0.8)
+        assert one_sample(dist, rng) == tok
         ctx.append(tok)
 
 
@@ -232,15 +221,15 @@ def test_cell_config_puts_the_parameter_in_its_field():
 def test_topk_larger_than_vocab_rejected_at_generate():
     model = TableLM(4)
     with pytest.raises(ConfigError):
-        generate(model, [0], DecoderConfig(strategy="topk", k=5, max_len=3))
+        one_generate(model, [0], DecoderConfig(strategy="topk", k=5, max_len=3))
 
 
-# --- generate ---------------------------------------------------------------
+# --- decoding one prefix ----------------------------------------------------
 
 
 def test_generate_returns_continuation_only():
     model = TableLM(5, seed=2)
-    out = generate(model, [1, 2], DecoderConfig(strategy="greedy", max_len=4))
+    out = one_generate(model, [1, 2], DecoderConfig(strategy="greedy", max_len=4))
     assert isinstance(out, TokenSequence)
     assert len(out) == 4
 
@@ -248,13 +237,13 @@ def test_generate_returns_continuation_only():
 def test_generate_deterministic_under_seed():
     model = TableLM(9, seed=4)
     cfg = DecoderConfig(strategy="temperature", t=1.3, max_len=12, seed=77)
-    assert generate(model, [0, 3], cfg).ids == generate(model, [0, 3], cfg).ids
+    assert one_generate(model, [0, 3], cfg).ids == one_generate(model, [0, 3], cfg).ids
 
 
 def test_generate_seed_changes_stochastic_output():
     model = TableLM(9, seed=4)
-    a = generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=1))
-    b = generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=2))
+    a = one_generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=1))
+    b = one_generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=2))
     assert a.ids != b.ids
 
 
@@ -267,9 +256,9 @@ def test_penalized_greedy_avoids_repeats():
         def next_dist(self, context):
             return np.array([0.90, 0.09, 0.01])
 
-    greedy = generate(Peaky(), [0], DecoderConfig(strategy="greedy", max_len=4))
+    greedy = one_generate(Peaky(), [0], DecoderConfig(strategy="greedy", max_len=4))
     assert greedy.ids == (0, 0, 0, 0)
-    pen = generate(Peaky(), [0], DecoderConfig(strategy="penalized", theta=30.0, max_len=4))
+    pen = one_generate(Peaky(), [0], DecoderConfig(strategy="penalized", theta=30.0, max_len=4))
     assert pen.ids[0] == 0
     assert pen.ids[1] != 0
 
@@ -294,20 +283,20 @@ def test_beam_full_width_matches_exhaustive_search():
     model = TableLM(3, seed=8)
     for seed in (0, 1, 2):
         model.seed = seed
-        got = generate(model, [0], DecoderConfig(strategy="beam", b=9, max_len=2))
+        got = one_generate(model, [0], DecoderConfig(strategy="beam", b=9, max_len=2))
         assert got.ids == _exhaustive_best(model, [0], 9, 2)
 
 
 def test_beam_width_one_is_greedy():
     model = TableLM(7, seed=3)
-    a = generate(model, [2, 4], DecoderConfig(strategy="beam", b=1, max_len=10))
-    g = generate(model, [2, 4], DecoderConfig(strategy="greedy", max_len=10))
+    a = one_generate(model, [2, 4], DecoderConfig(strategy="beam", b=1, max_len=10))
+    g = one_generate(model, [2, 4], DecoderConfig(strategy="greedy", max_len=10))
     assert a.ids == g.ids
 
 
 def test_beam_improves_or_matches_greedy_score():
     model = TableLM(5, seed=11)
     prefix = [1]
-    greedy = generate(model, prefix, DecoderConfig(strategy="greedy", max_len=5))
-    wide = generate(model, prefix, DecoderConfig(strategy="beam", b=4, max_len=5))
+    greedy = one_generate(model, prefix, DecoderConfig(strategy="greedy", max_len=5))
+    wide = one_generate(model, prefix, DecoderConfig(strategy="beam", b=4, max_len=5))
     assert model.score(wide.ids, prefix) >= model.score(greedy.ids, prefix) - 1e-12

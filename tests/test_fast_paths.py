@@ -21,14 +21,7 @@ from genteval.corpus import SentencePair, TokenSequence, Vocab
 from dataclasses import replace
 
 from genteval import decode
-from genteval.decode import (
-    DecoderConfig,
-    generate,
-    generate_batch,
-    sample,
-    top_ids,
-    truncate_renormalize,
-)
+from genteval.decode import DecoderConfig, generate_batch
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
@@ -41,8 +34,6 @@ from genteval.losses import (
     TrainData,
     Trainer,
     multitask_step,
-    previous_token_candidates,
-    ul_seq_candidates,
 )
 from genteval.rng import SplitMix64, stable_hash
 
@@ -65,6 +56,9 @@ from oracles import (
     naive_ffn_score,
     naive_ul_seq_candidates,
     naive_windows,
+    one_generate,
+    one_sample,
+    one_truncate,
     row_penalize,
     row_pick,
     row_temperature,
@@ -123,7 +117,6 @@ def test_ngram_score_batch_matches_the_dict_model_past_one_block():
     ref = DictNGram.of(ngram)
     want = [_bits(ref.score(s, c)) for s, c in zip(seqs, contexts)]
     assert [_bits(x) for x in ngram.score_batch(seqs, contexts)] == want
-    assert [_bits(ngram.score(s, c)) for s, c in zip(seqs, contexts)] == want
 
 
 def test_ffn_score_batch_matches_the_per_sequence_scorer():
@@ -131,7 +124,6 @@ def test_ffn_score_batch_matches_the_per_sequence_scorer():
     want = [naive_ffn_score(ffn, s, c) for s, c in zip(seqs, contexts)]
     got = ffn.score_batch(seqs, contexts)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    np.testing.assert_allclose([ffn.score(s, c) for s, c in zip(seqs, contexts)], want, rtol=1e-12, atol=0)
     no_context = [naive_ffn_score(ffn, s) for s in seqs]
     np.testing.assert_allclose(ffn.score_batch(seqs), no_context, rtol=1e-12, atol=0)
 
@@ -142,7 +134,7 @@ def test_empty_sequences_score_zero_on_both_backends():
         got = model.score_batch(seqs, contexts)
         assert [got[i] for i, s in enumerate(seqs) if not s] == [0.0, 0.0]
         assert all(x < 0 for x, s in zip(got, seqs) if s)
-        assert model.score((), (1, 2)) == 0.0 and model.score_batch([]) == []
+        assert model.score_batch([()], [(1, 2)]) == [0.0] and model.score_batch([]) == []
         with pytest.raises(ConfigError):
             model.score_batch(seqs, contexts[:-1])
 
@@ -154,7 +146,6 @@ def test_score_batch_and_score_match_the_dict_model(case):
     want = [ref.score(s, c) for s, c in zip(seqs, contexts)]
     got = model.score_batch(seqs, contexts)
     assert [_bits(x) for x in got] == [_bits(x) for x in want]
-    assert [_bits(model.score(s, c)) for s, c in zip(seqs, contexts)] == [_bits(x) for x in want]
     no_context = [_bits(ref.score(s)) for s in seqs]
     assert [_bits(x) for x in model.score_batch(seqs)] == no_context
 
@@ -239,7 +230,7 @@ def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
     loaded = load_model(tmp_path / "m.lmek")
     contexts = [(), (0,), (0, 1), (2, 2, 2)]
     assert loaded.next_dist_batch(contexts).tobytes() == model.next_dist_batch(contexts).tobytes()
-    assert _bits(loaded.score(seq.ids)) == _bits(model.score(seq.ids))
+    assert loaded.score_batch([seq.ids]) == model.score_batch([seq.ids])
 
 
 def test_rows_cache_is_safe_under_concurrent_first_use():
@@ -286,18 +277,18 @@ def _tie_heavy():
 def test_top_ids_matches_stable_argsort(values, data):
     values = np.array(values)
     for k in {1, 2, data.draw(st.integers(1, values.size)), values.size}:
-        assert np.array_equal(top_ids(values, k), naive_top_ids(values, k))
+        assert np.array_equal(decode._top_rows(values[None], k)[0], naive_top_ids(values, k))
 
 
 @given(dist=_tie_heavy(), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_topk_and_topp_match_full_sort(dist, data):
     k = data.draw(st.integers(1, dist.size))
-    assert truncate_renormalize(dist, "topk", k).tobytes() == naive_truncate(dist, "topk", k).tobytes()
+    assert one_truncate(dist, "topk", k).tobytes() == naive_truncate(dist, "topk", k).tobytes()
     # Exact cumulative sums are the boundary cases of top-p.
     cum = np.cumsum(dist[naive_top_ids(dist, dist.size)])
     for p in {data.draw(st.floats(0.01, 1.0)), float(min(1.0, cum[0])), float(min(1.0, cum[-1])), 1.0}:
-        assert truncate_renormalize(dist, "topp", p).tobytes() == naive_truncate(dist, "topp", p).tobytes()
+        assert one_truncate(dist, "topp", p).tobytes() == naive_truncate(dist, "topp", p).tobytes()
 
 
 @given(dist=_tie_heavy(), seed=st.integers(0, 2**64 - 1))
@@ -305,11 +296,11 @@ def test_topk_and_topp_match_full_sort(dist, data):
 def test_sample_matches_full_sort(dist, seed):
     fast, slow = SplitMix64(seed), SplitMix64(seed)
     for _ in range(20):
-        assert sample(dist, fast) == naive_sample(dist, slow)
+        assert one_sample(dist, fast) == naive_sample(dist, slow)
     # Every cumulative boundary, plus the ends of [0, 1).
     cum = np.cumsum(dist[naive_top_ids(dist, dist.size)])
     for u in [0.0, np.nextafter(1.0, 0.0), *cum[:50], *np.nextafter(cum[:50], 0.0)]:
-        assert sample(dist, _FixedU(u)) == naive_sample(dist, _FixedU(u))
+        assert one_sample(dist, _FixedU(u)) == naive_sample(dist, _FixedU(u))
 
 
 @pytest.mark.parametrize("case", ["distinct", "one_tie", "levels", "nan", "mostly_nan", "signed_zero"])
@@ -327,22 +318,22 @@ def test_large_vocab_rankings_match_full_sort(case):
         values[10:] = np.nan
     elif case == "signed_zero":
         values[[3, 30, 300]] = [0.0, -0.0, 0.0]
-    assert np.array_equal(top_ids(values, 5000), naive_top_ids(values, 5000))
-    assert np.array_equal(top_ids(values, 40), naive_top_ids(values, 40))
+    assert np.array_equal(decode._top_rows(values[None], 5000)[0], naive_top_ids(values, 5000))
+    assert np.array_equal(decode._top_rows(values[None], 40)[0], naive_top_ids(values, 40))
     if case in ("nan", "mostly_nan", "signed_zero"):
         return
     dist = values / values.sum()
     for p in (0.3, 0.9, 1.0):
-        assert truncate_renormalize(dist, "topp", p).tobytes() == naive_truncate(dist, "topp", p).tobytes()
-    assert truncate_renormalize(dist, "topk", 40).tobytes() == naive_truncate(dist, "topk", 40).tobytes()
+        assert one_truncate(dist, "topp", p).tobytes() == naive_truncate(dist, "topp", p).tobytes()
+    assert one_truncate(dist, "topk", 40).tobytes() == naive_truncate(dist, "topk", 40).tobytes()
     fast, slow = SplitMix64(3), SplitMix64(3)
     for _ in range(20):
-        assert sample(dist, fast) == naive_sample(dist, slow)
+        assert one_sample(dist, fast) == naive_sample(dist, slow)
 
 
 def test_sample_degenerate_all_zero_keeps_old_answer():
     dist = np.zeros(40)
-    assert sample(dist, _FixedU(0.3)) == naive_sample(dist, _FixedU(0.3)) == 0
+    assert one_sample(dist, _FixedU(0.3)) == naive_sample(dist, _FixedU(0.3)) == 0
 
 
 def test_renormalizing_that_merges_two_probabilities_ranks_again():
@@ -350,7 +341,7 @@ def test_renormalizing_that_merges_two_probabilities_ranks_again():
     # both to one value, so after truncation the lower id ranks first.
     dist = np.array([np.nextafter(0.24, 0.0), 0.24, 0.4, 0.12])
     for cfg in (DecoderConfig("topk", k=3), DecoderConfig("topp", p=0.85)):
-        out = truncate_renormalize(dist, cfg.strategy, cfg.param)
+        out = one_truncate(dist, cfg.strategy, cfg.param)
         assert out[0] == out[1] and out.tobytes() == naive_truncate(dist, cfg.strategy, cfg.param).tobytes()
         picks = [row_pick(dist, cfg, [], _FixedU(u)) for u in (0.0, 0.5, 0.8, 0.99)]
         assert picks == [2, 0, 1, 1]
@@ -383,7 +374,7 @@ def test_beam_matches_full_sort_on_ties(width):
     model = TieLM(80, seed=width)
     cfg = DecoderConfig(strategy="beam", b=width, max_len=6)
     for prefix in ([0], [3, 1], [7, 7, 7]):
-        assert generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
+        assert one_generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
 
 
 # --- block selection against the per-row code --------------------------------
@@ -558,8 +549,8 @@ def test_generate_with_window_equals_whole_context(cfg):
     prefixes = [splits.train[i].window(0, 10) for i in range(3)] + [[0]]
     for name, model in models.items():
         for prefix in prefixes:
-            fast = generate(model, prefix, cfg).ids
-            assert fast == generate(_NoWindow(model), prefix, cfg).ids, name
+            fast = one_generate(model, prefix, cfg).ids
+            assert fast == one_generate(_NoWindow(model), prefix, cfg).ids, name
             assert fast == naive_generate(SlowLM(model), prefix, cfg).ids, name
 
 
@@ -615,6 +606,26 @@ def test_generate_batch_rejects_mixed_configs():
     with pytest.raises(ConfigError):
         generate_batch(model, [[0], [1]], [greedy, replace(greedy, max_len=4)])
     assert len(generate_batch(model, [[0], [1]], [greedy, replace(greedy, seed=9)])) == 2
+
+
+def test_trace_runs_in_blocks_and_equals_per_prefix_rows():
+    ngram, ffn, _, _ = _scoring_case()
+    rng = SplitMix64(19)
+    seq, context = tuple(rng.randint(300) for _ in range(300)), (5, 7, 9)
+    for model in (ngram, ffn):
+        dists = [model.next_dist(context + seq[:t]) for t in range(len(seq))]
+        for truncation in (None, ("topk", 40), ("topp", 0.9)):
+            sizes, batch = [], model.next_dist_batch
+            with mock.patch.object(model, "next_dist_batch", lambda c: sizes.append(len(c)) or batch(c)), \
+                    mock.patch.object(model, "next_dist", None):  # no one-row call
+                got = np.concatenate(decode.token_prob_trace(model, seq, truncation, context))
+            assert sum(sizes) == len(seq) and max(sizes) <= decode.MAX_BATCH_ROWS
+            kept = [naive_truncate(d, *truncation) for d in dists] if truncation else dists
+            want = np.array([d[tok] for rows in (dists, kept) for d, tok in zip(rows, seq)])
+            if model is ngram:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
@@ -679,8 +690,6 @@ def test_candidate_pairs_match_per_position_sets(ids, n):
     ):
         assert np.all(np.diff(rows) >= 0)  # the block code slices pairs by row
         assert _sorted_pairs(rows, cols) == _pairs_from_sets(want)
-    assert previous_token_candidates(ids) == naive_previous_token_candidates(ids)
-    assert ul_seq_candidates(ids, n) == naive_ul_seq_candidates(ids, n)
 
 
 @given(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab, tokenize
+from genteval.decode import token_prob_trace
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm import (
     FeedForwardLM,
@@ -14,16 +15,19 @@ from genteval.lm import (
     ngram_fit,
     perplexity,
     save_model,
-    token_prob_trace,
 )
 from genteval.lm.ffn import PAD_TOKEN
 
-from oracles import StackedScores, ngram_tables
+from oracles import StackedRows, StackedScores, ngram_tables
+
+
+def _score(lm, ids, context=()):
+    return lm.score_batch([ids], [context])[0]
 
 
 def _p(lm, token, context):
     """p(token | context) from the model's score of the one token."""
-    return math.exp(lm.score((token,), context))
+    return math.exp(_score(lm, (token,), context))
 
 
 def _abab():
@@ -85,14 +89,14 @@ def test_score_is_sum_of_token_logs():
     expected = 0.0
     for t, tok in enumerate(ids):
         expected += math.log(_p(lm, tok, ids[:t]))
-    assert lm.score(ids) == pytest.approx(expected)
+    assert _score(lm, ids) == pytest.approx(expected)
 
 
 def test_score_context_not_scored():
     seq, _ = _abab()
     lm = ngram_fit(seq, order=2, k_s=1.0)
-    joint = lm.score(seq.ids)
-    split = lm.score(seq.ids[:2]) + lm.score(seq.ids[2:], context=seq.ids[:2])
+    joint = _score(lm, seq.ids)
+    split = _score(lm, seq.ids[:2]) + _score(lm, seq.ids[2:], context=seq.ids[:2])
     assert joint == pytest.approx(split)
 
 
@@ -207,7 +211,7 @@ def test_ffn_score_matches_next_dist_chain():
     for tok in ids:
         expected += math.log(model.next_dist(ctx)[tok])
         ctx.append(tok)
-    assert model.score(ids) == pytest.approx(expected)
+    assert _score(model, ids) == pytest.approx(expected)
 
 
 def test_windows_left_padded():
@@ -223,25 +227,24 @@ def test_windows_left_padded():
 
 
 def test_trace_hand_value_topk2():
-    class Fixed:
+    class Fixed(StackedRows):
         vocab = Vocab.placeholder(3)
 
         def next_dist(self, context):
             return np.array([0.5, 0.3, 0.2])
 
-    trace = token_prob_trace(Fixed(), (1,), truncation=("topk", 2))
-    assert trace.entries[0].prob == pytest.approx(0.3)
-    assert trace.entries[0].truncated_prob == pytest.approx(0.375)
-    dropped = token_prob_trace(Fixed(), (2,), truncation=("topk", 2))
-    assert dropped.entries[0].truncated_prob == 0.0
+    raw, trunc = token_prob_trace(Fixed(), (1,), truncation=("topk", 2))
+    assert raw[0] == pytest.approx(0.3)
+    assert trunc[0] == pytest.approx(0.375)
+    _, dropped = token_prob_trace(Fixed(), (2,), truncation=("topk", 2))
+    assert dropped[0] == 0.0
 
 
 def test_trace_no_truncation_copies_raw():
     seq, _ = _abab()
     lm = ngram_fit(seq, order=2, k_s=1.0)
-    trace = token_prob_trace(lm, seq.ids)
-    for entry in trace.entries:
-        assert entry.truncated_prob == entry.prob
+    raw, trunc = token_prob_trace(lm, seq.ids)
+    assert len(raw) == len(seq) and np.array_equal(trunc, raw)
 
 
 # --- persistence --------------------------------------------------------------
@@ -271,7 +274,7 @@ def test_ngram_roundtrip_is_exact(tmp_path):
     loaded = load_model(path)
     assert loaded.order == 3 and loaded.k_s == 0.5
     assert ngram_tables(loaded) == ngram_tables(lm)
-    assert loaded.score(seq.ids) == pytest.approx(lm.score(seq.ids))
+    assert _score(loaded, seq.ids) == pytest.approx(_score(lm, seq.ids))
 
 
 def test_save_is_byte_deterministic(tmp_path):

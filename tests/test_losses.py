@@ -14,23 +14,19 @@ from genteval.losses import (
     TrainConfig,
     TrainData,
     Trainer,
+    _previous_token_pairs,
+    _repeat_pairs,
     align_labels,
-    ce_loss,
-    classification_loss,
-    grad_check,
     hinge_rank,
     label_vocab,
     labels_to_ids,
     load_label_file,
-    margin_rank_loss,
     multitask_step,
-    previous_token_candidates,
-    regression_loss,
     smooth_l1_loss,
-    ul_seq_candidates,
-    ul_token_loss,
 )
 from genteval.rng import SplitMix64
+
+from oracles import grad_check, one_ce, one_head, one_rank, one_ul
 
 VOCAB = Vocab(["a", "b", "c", "d", "e"])
 
@@ -52,35 +48,27 @@ def seq(*ids):
 # ---------------------------------------------------------------------------
 
 
+def _pairs(rows, toks):
+    return set(zip(rows.tolist(), toks.tolist()))
+
+
 def test_previous_token_candidates_filter_gold():
-    cands = previous_token_candidates([3, 5, 3, 7])
-    assert cands == [
-        frozenset(),
-        frozenset({3}),
-        frozenset({5}),  # gold 3 removed
-        frozenset({3, 5}),
-    ]
+    # Position 2 drops its gold 3.
+    assert _pairs(*_previous_token_pairs(np.array([3, 5, 3, 7]))) == {(1, 3), (2, 5), (3, 3), (3, 5)}
 
 
 def test_ul_seq_candidates_flags_repeated_ngrams():
-    cands = ul_seq_candidates([1, 2, 1, 2, 1], n=2)
-    assert cands == [
-        frozenset(),
-        frozenset(),
-        frozenset(),
-        frozenset({2}),  # (1,2) repeats
-        frozenset({1}),  # (2,1) repeats
-    ]
+    # (1, 2) repeats at position 3, (2, 1) at position 4.
+    assert _pairs(*_repeat_pairs([[1, 2, 1, 2, 1]], 2)[0]) == {(3, 2), (4, 1)}
 
 
 def test_ul_seq_candidates_unigram_order():
-    cands = ul_seq_candidates([4, 4, 2, 4], n=1)
-    assert cands == [frozenset(), frozenset({4}), frozenset(), frozenset({4})]
+    assert _pairs(*_repeat_pairs([[4, 4, 2, 4]], 1)[0]) == {(1, 4), (3, 4)}
 
 
 def test_ul_seq_candidates_rejects_bad_order():
     with pytest.raises(ConfigError):
-        ul_seq_candidates([1, 2], n=0)
+        _repeat_pairs([[1, 2]], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +79,7 @@ def test_ul_seq_candidates_rejects_bad_order():
 def test_ce_loss_matches_next_dist_route():
     model = tiny_model()
     ids = [0, 3, 1, 1, 4]
-    loss, _ = ce_loss(model, ids)
+    loss, _ = one_ce(model, ids)
     per_tok = []
     for t, tok in enumerate(ids):
         per_tok.append(-math.log(model.next_dist(ids[:t])[tok]))
@@ -102,7 +90,7 @@ def test_ce_loss_respects_context():
     model = tiny_model()
     ids = [2, 0]
     ctx = [1, 4]
-    loss, _ = ce_loss(model, ids, context=ctx)
+    loss, _ = one_ce(model, ids, context=ctx)
     want = -(
         math.log(model.next_dist(ctx)[2]) + math.log(model.next_dist(ctx + [2])[0])
     ) / 2.0
@@ -112,20 +100,12 @@ def test_ce_loss_respects_context():
 def test_ul_token_loss_matches_next_dist_route():
     model = tiny_model()
     ids = [0, 1, 0, 2]
-    cands = previous_token_candidates(ids)
-    loss, _ = ul_token_loss(model, ids, cands)
+    rows, toks = _previous_token_pairs(np.array(ids))
+    loss, _ = one_ul(model, ids, (rows, toks))
     total = 0.0
-    for t, cs in enumerate(cands):
-        dist = model.next_dist(ids[:t])
-        for c in cs:
-            total += -math.log1p(-dist[c])
+    for t, c in zip(rows.tolist(), toks.tolist()):
+        total += -math.log1p(-model.next_dist(ids[:t])[c])
     assert loss == pytest.approx(total / len(ids), abs=1e-12)
-
-
-def test_ul_token_loss_length_mismatch():
-    model = tiny_model()
-    with pytest.raises(ConfigError):
-        ul_token_loss(model, [0, 1], [frozenset()])
 
 
 def test_hinge_rank_values():
@@ -145,21 +125,21 @@ def test_smooth_l1_values():
 def test_classification_loss_requires_supervision():
     model = tiny_model(n_labels=3)
     with pytest.raises(NoSupervision):
-        classification_loss(model, [0, 1], [None, None])
+        one_head(model, "pos", [0, 1], [None, None])
 
 
 def test_classification_loss_skips_masked_positions():
     model = tiny_model(n_labels=3)
-    full, _ = classification_loss(model, [0, 1], [2, None])
+    full, _ = one_head(model, "pos", [0, 1], [2, None])
     # masked position contributes nothing: same loss as supervising only pos 0
-    solo, _ = classification_loss(model, [0], [2])
+    solo, _ = one_head(model, "pos", [0], [2])
     assert full == pytest.approx(solo, abs=1e-12)
 
 
 def test_regression_loss_length_mismatch():
     model = tiny_model(regression=True)
     with pytest.raises(ConfigError):
-        regression_loss(model, [0, 1, 2], [0.5])
+        one_head(model, "tfidf", [0, 1, 2], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +151,15 @@ GRAD_TOL = 1e-4
 
 def test_grad_ce():
     model = tiny_model()
-    err = grad_check(model, lambda m: ce_loss(m, [0, 3, 1, 2]))
+    err = grad_check(model, lambda m: one_ce(m, [0, 3, 1, 2]))
     assert err < GRAD_TOL
 
 
 def test_grad_ul_token():
     model = tiny_model()
     ids = [0, 1, 0, 1]
-    cands = previous_token_candidates(ids)
-    err = grad_check(model, lambda m: ul_token_loss(m, ids, cands))
+    cands = _previous_token_pairs(np.array(ids))
+    err = grad_check(model, lambda m: one_ul(m, ids, cands))
     assert err < GRAD_TOL
 
 
@@ -188,7 +168,7 @@ def test_grad_margin_rank_active():
     pos = SentencePair(seq(0, 1), seq(2, 3), "positive", "nsp")
     neg = SentencePair(seq(0, 1), seq(4, 4), "negative", "nsp")
     # margin large enough that the hinge is active regardless of ppl gap
-    err = grad_check(model, lambda m: margin_rank_loss(m, pos, neg, margin=5.0))
+    err = grad_check(model, lambda m: one_rank(m, pos, neg, margin=5.0))
     assert err < GRAD_TOL
 
 
@@ -196,7 +176,7 @@ def test_margin_rank_inactive_hinge_gives_zero_grads():
     model = tiny_model()
     pos = SentencePair(seq(0, 1), seq(2, 3), "positive", "nsp")
     neg = SentencePair(seq(0, 1), seq(4, 4), "negative", "nsp")
-    loss, grads = margin_rank_loss(model, pos, neg, margin=-100.0)
+    loss, grads = one_rank(model, pos, neg, margin=-100.0)
     assert loss == 0.0
     assert all(not g.any() for g in grads.values())
 
@@ -204,13 +184,13 @@ def test_margin_rank_inactive_hinge_gives_zero_grads():
 def test_grad_regression_both_branches():
     model = tiny_model(regression=True)
     # one target inside the quadratic region, one deep in the linear one
-    err = grad_check(model, lambda m: regression_loss(m, [0, 1], [0.25, 5.0]))
+    err = grad_check(model, lambda m: one_head(m, "tfidf", [0, 1], [0.25, 5.0]))
     assert err < GRAD_TOL
 
 
 def test_grad_classification_with_mask():
     model = tiny_model(n_labels=3)
-    err = grad_check(model, lambda m: classification_loss(m, [0, 1, 2], [1, None, 0]))
+    err = grad_check(model, lambda m: one_head(m, "pos", [0, 1, 2], [1, None, 0]))
     assert err < GRAD_TOL
 
 
@@ -218,7 +198,7 @@ def test_grad_check_flags_wrong_gradients():
     model = tiny_model()
 
     def broken(m):
-        loss, grads = ce_loss(m, [0, 1, 2])
+        loss, grads = one_ce(m, [0, 1, 2])
         return loss, {n: np.zeros_like(g) for n, g in grads.items()}
 
     assert grad_check(model, broken) > 0.5

@@ -1,6 +1,7 @@
 """Text-degeneration metrics against naive oracles and frozen hand values."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from genteval.metrics import (
     Sample,
     SampleSet,
     acceptability_penlp,
-    bleu,
     corpus_bleu,
     forward_ppl,
     mean_seq_rep,
@@ -25,7 +25,7 @@ from genteval.metrics import (
 )
 from genteval.rng import SplitMix64
 
-from oracles import StackedScores, naive_bleu, naive_self_bleu, naive_seq_rep
+from oracles import StackedScores, naive_bleu, naive_self_bleu, naive_seq_rep, one_bleu as bleu
 
 
 def mk_set(seqs, vocab=None, **prov):
@@ -86,7 +86,7 @@ def test_bleu_epsilon_is_configurable():
 
 def test_bleu_empty_references():
     with pytest.raises(InsufficientSamples):
-        bleu([1, 2], [])
+        corpus_bleu(mk_set([[1, 2]]), SampleSet(()))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=12))
@@ -177,6 +177,18 @@ def test_bleu_and_self_bleu_equal_the_oracle(top, seqs, max_n, data):
     for c in cands:
         want += naive_bleu(c, refs, max_n=max_n)
     assert corpus_bleu(mk_set(cands, vocab=vocab), mk_set(refs, vocab=vocab), cfg) == want / len(cands)
+
+
+def test_bleu_counts_no_order_past_the_longest_sequence():
+    cands, refs = [[1, 2, 3] * 10, [3, 1]], [[1, 2, 3, 4] * 5] * 6
+    cfg = BleuConfig(max_n=10**5)
+    for run, want in (
+        (lambda: corpus_bleu(mk_set(cands), mk_set(refs), cfg), sum(naive_bleu(c, refs, 10**5) for c in cands) / 2),
+        (lambda: self_bleu(mk_set(cands + refs), cfg), naive_self_bleu(cands + refs, 10**5)),
+    ):
+        with mock.patch.object(metrics, "_pair_counts", wraps=metrics._pair_counts) as counted:
+            assert run() == want
+        assert counted.call_count <= 30  # the longest sequence
 
 
 @given(
