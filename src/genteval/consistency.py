@@ -13,12 +13,11 @@ aborting the run; an input with zero valid records is an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import DataError, EmptyDataset, EmptyInput, atomic_write, open_text
+from .errors import DataError, EmptyDataset, EmptyInput, open_text, write_json, write_jsonl
 from .lm.base import perplexity
 
 _TERMINALS = (".", "!", "?")
@@ -189,27 +188,14 @@ def save_selection_result(
     """Write the summary JSON plus a per-item JSONL next to it."""
     report_path = Path(report_path)
     items_path = report_path.with_suffix(".items.jsonl")
-    with atomic_write(items_path, encoding="utf-8") as f:
-        for i, item in enumerate(result.per_item):
-            f.write(
-                json.dumps(
-                    {
-                        "index": i,
-                        "ppl_pos": item.ppl_pos,
-                        "ppl_neg": item.ppl_neg,
-                        "picked": item.picked,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    report = {
+    write_jsonl(items_path, (
+        {"index": i, "ppl_pos": item.ppl_pos, "ppl_neg": item.ppl_neg, "picked": item.picked}
+        for i, item in enumerate(result.per_item)
+    ))
+    write_json(report_path, {
         "accuracy": result.accuracy,
         "n": result.n,
         "ties": result.ties,
         "per_item": items_path.name,
         "issues": [{"line": i.line, "reason": i.reason} for i in issues],
-    }
-    with atomic_write(report_path, encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })

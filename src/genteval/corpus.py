@@ -36,6 +36,7 @@ from .errors import (
     InsufficientData,
     atomic_write,
     open_text,
+    write_json,
 )
 from .rng import SplitMix64
 
@@ -506,9 +507,7 @@ def save_splits(
         "seed": seed,
     }
     manifest_path = out / "manifest.json"
-    with atomic_write(manifest_path, encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

@@ -1,11 +1,13 @@
 """Decoding strategies over next-token distributions.
 
 Six strategies: greedy, beam(b), temperature(t), top-k(k), top-p(p), and
-penalized(theta). The stochastic ones draw exactly one uniform variate
-per emitted token from the splitmix generator in :mod:`genteval.rng`, so
-a (model, prefix, config, seed) tuple always reproduces the same
-continuation. Continuations have fixed length ``max_len``; there is no
-end-of-sequence token.
+penalized(theta). One table holds each one's parameter field, type and
+valid range; :class:`DecoderConfig`, the sweep grid, the ``generate``
+flags and ``trace --truncate`` all read it. The stochastic strategies
+draw exactly one uniform variate per emitted token from the splitmix
+generator in :mod:`genteval.rng`, so a (model, prefix, config, seed)
+tuple always reproduces the same continuation. Continuations have fixed
+length ``max_len``; there is no end-of-sequence token.
 
 Because every continuation has the same length, the prefixes of a batch
 decode in lockstep (:func:`generate_batch`): one ``next_dist_batch``
@@ -62,24 +64,37 @@ One decode step costs O(|V|) numpy work per row plus sorts:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .corpus import TokenSequence
 from .errors import ConfigError
+from .lm.base import as_ids
 from .rng import SplitMix64
 
-STRATEGIES = ("greedy", "beam", "temperature", "topk", "topp", "penalized")
 
-# Which config field carries the strategy's parameter.
-_PARAM_FIELD = {
+class _Param(NamedTuple):
+    field: str  # the DecoderConfig field that carries the parameter
+    type: type
+    valid: Callable[[float], bool]
+    error: str
+
+
+# The strategy table: each strategy's parameter field, type, valid range
+# and range error, in the order of the ``generate`` flags. Greedy takes
+# no parameter.
+_PARAMS: dict[str, _Param | None] = {
     "greedy": None,
-    "beam": "b",
-    "temperature": "t",
-    "topk": "k",
-    "topp": "p",
-    "penalized": "theta",
+    "beam": _Param("b", int, lambda b: b >= 1, "beam width must be at least 1"),
+    "temperature": _Param("t", float, lambda t: t > 0, "temperature must be positive"),
+    "topk": _Param("k", int, lambda k: k >= 1, "top-k needs k >= 1"),
+    "topp": _Param("p", float, lambda p: 0 < p <= 1, "top-p needs 0 < p <= 1"),
+    "penalized": _Param("theta", float, lambda theta: theta >= 1, "penalty exponent must be at least 1"),
 }
+# Parameter field -> type, for front ends that take one flag per field.
+PARAM_FIELDS = {spec.field: spec.type for spec in _PARAMS.values() if spec is not None}
+_ALIASES = {"temp": "temperature"}
 
 # Rows per model call in generate_batch. Whole prefixes fill it in index
 # order (a beam prefix takes b rows), so memory stays flat however many
@@ -89,7 +104,7 @@ MAX_BATCH_ROWS = 128
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Strategy plus its parameter; mismatched pairings are rejected.
+    """Strategy plus its parameter; bad pairings and out-of-range values are rejected.
 
     ``t`` may additionally be set alongside ``penalized`` to sample from
     the penalized distribution at a temperature instead of taking its
@@ -106,57 +121,71 @@ class DecoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in _PARAMS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.max_len < 1:
             raise ConfigError("max_len must be at least 1")
-        wanted = _PARAM_FIELD[self.strategy]
-        for name in ("b", "t", "k", "p", "theta"):
-            value = getattr(self, name)
-            if name == wanted:
-                if value is None:
-                    raise ConfigError(f"strategy {self.strategy} needs parameter {name}")
-            elif value is not None:
-                # Lone exception: penalized composes with a temperature.
-                if not (self.strategy == "penalized" and name == "t"):
-                    raise ConfigError(
-                        f"parameter {name} not valid for strategy {self.strategy}"
-                    )
-        if self.b is not None and self.b < 1:
-            raise ConfigError("beam width must be at least 1")
-        if self.t is not None and not self.t > 0:
-            raise ConfigError("temperature must be positive")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("top-k needs k >= 1")
-        if self.p is not None and not 0 < self.p <= 1:
-            raise ConfigError("top-p needs 0 < p <= 1")
-        if self.theta is not None and self.theta < 1:
-            raise ConfigError("penalty exponent must be at least 1")
+        for strategy, spec in _PARAMS.items():
+            value = None if spec is None else getattr(self, spec.field)
+            if value is None:
+                if strategy == self.strategy and spec is not None:
+                    raise ConfigError(f"strategy {strategy} needs parameter {spec.field}")
+            # Lone exception: penalized composes with a temperature.
+            elif strategy != self.strategy and (self.strategy, strategy) != ("penalized", "temperature"):
+                raise ConfigError(f"parameter {spec.field} not valid for strategy {self.strategy}")
+            elif not spec.valid(value):
+                raise ConfigError(spec.error)
 
     @property
     def param(self) -> float | int | None:
         """The strategy's scalar parameter, for records and sweep tables."""
-        field = _PARAM_FIELD[self.strategy]
-        return None if field is None else getattr(self, field)
+        spec = _PARAMS[self.strategy]
+        return None if spec is None else getattr(self, spec.field)
+
+    def check_vocab(self, vocab_size: int) -> None:
+        """Reject a top-k larger than the vocab it is to decode over."""
+        if self.k is not None and self.k > vocab_size:
+            raise ConfigError(f"top-k needs k <= {vocab_size}, the vocab size; got k={self.k}")
+
+
+def strategy_name(name: str) -> str:
+    """``name``, or the strategy it is an alias of (``temp``); unknown names are rejected."""
+    name = _ALIASES.get(name, name)
+    if name not in _PARAMS:
+        raise ConfigError(f"unknown strategy {name!r}")
+    return name
 
 
 def param_value(strategy: str, value) -> float | int | None:
-    """``value`` as the type of ``strategy``'s parameter field.
-
-    Beam widths and top-k sizes are ints, every other parameter a float;
-    None stays None.
-    """
+    """``value`` as the type of ``strategy``'s parameter (a float if it has none); None stays None."""
     if value is None:
         return None
-    return int(value) if _PARAM_FIELD.get(strategy) in ("b", "k") else float(value)
+    spec = _PARAMS.get(strategy)
+    return float(value) if spec is None else spec.type(value)
+
+
+def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
+    """The grid "greedy;topp:0.2,0.9", or its list of (name, params) pairs,
+    with aliases resolved and each param as its field's type; a name
+    without params gets the one param None. :func:`cell_config` checks
+    each cell; a param that is not a number raises ValueError.
+    """
+    if isinstance(raw, str):
+        parts = [p.strip().partition(":") for p in raw.split(";") if p.strip()]
+        raw = [(name.strip(), params.split(",") if params else [None]) for name, _, params in parts]
+    out = []
+    for name, params in raw:
+        name = strategy_name(name)
+        out.append((name, tuple(param_value(name, x) for x in params)))
+    return tuple(out)
 
 
 def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderConfig:
     """The config that decodes the sweep cell ``strategy(param)``."""
-    field = _PARAM_FIELD.get(strategy)
-    if field is None and param is not None and strategy in _PARAM_FIELD:
+    spec = _PARAMS.get(strategy)
+    if spec is None and param is not None and strategy in _PARAMS:
         raise ConfigError(f"{strategy} takes no parameter")
-    kwargs = {} if field is None else {field: param_value(strategy, param)}
+    kwargs = {} if spec is None else {spec.field: param_value(strategy, param)}
     return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
@@ -335,10 +364,6 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen:
     return _draw(ids, probs, u)
 
 
-def _context_ids(prefix) -> tuple[int, ...]:
-    return tuple(prefix.ids) if isinstance(prefix, TokenSequence) else tuple(prefix)
-
-
 def _tail(ids, n: int | None):
     """The last ``n`` of ``ids``; all of them when ``n`` is None."""
     return ids if n is None else ids[max(0, len(ids) - n) :]
@@ -363,7 +388,7 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     each prefix alone whenever the model's batched rows equal its
     single rows.
     """
-    prefixes = [_context_ids(p) for p in prefixes]
+    prefixes = [as_ids(p) for p in prefixes]
     cfgs = list(cfgs)
     if len(cfgs) != len(prefixes):
         raise ConfigError("generate_batch needs one config per prefix")
@@ -372,9 +397,7 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ConfigError("configs of one batch may differ only in seed")
-    vocab_size = model.vocab.size
-    if cfg.k is not None and cfg.k > vocab_size:
-        raise ConfigError(f"top-k k={cfg.k} exceeds vocab size {vocab_size}")
+    cfg.check_vocab(model.vocab.size)
     if cfg.strategy == "beam":
         decode, per_call = _beam_rows, max(1, MAX_BATCH_ROWS // cfg.b)
     else:
@@ -391,25 +414,21 @@ def _next_dists(model, contexts: list) -> np.ndarray:
     return np.asarray(model.next_dist_batch(contexts), dtype=np.float64)
 
 
-def token_prob_trace(model, seq, truncation: tuple[str, float] | None = None, context=()):
+def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, context=()):
     """Raw and truncated probability of each token of ``seq`` after
     ``context`` and the tokens before it, as two float arrays.
 
     The distributions of all positions come from ``next_dist_batch``, at
     most ``MAX_BATCH_ROWS`` rows per call. ``truncation`` is None or a
-    ("topk"|"topp", value) pair that :func:`_truncate_rows` applies, the
-    code the decoder samples from; a token the truncation drops has
+    topk or topp config whose truncation :func:`_truncate_rows` applies,
+    the code the decoder samples from; a token the truncation drops has
     truncated probability 0.
     """
-    ids, ctx = _context_ids(seq), _context_ids(context)
+    ids, ctx = as_ids(seq), as_ids(context)
     if truncation is not None:
-        mode, value = truncation
-        if mode not in ("topk", "topp"):
-            raise ConfigError(f"unknown truncation mode {mode!r}")
-        if mode == "topk" and not 1 <= value <= model.vocab.size:
-            raise ConfigError(f"top-k needs 1 <= k <= {model.vocab.size}")
-        if mode == "topp" and not 0 < value <= 1:
-            raise ConfigError("top-p needs 0 < p <= 1")
+        if truncation.strategy not in ("topk", "topp"):
+            raise ConfigError(f"truncation must be topk or topp, not {truncation.strategy}")
+        truncation.check_vocab(model.vocab.size)
     window, start, ctx = model.context_len, len(ctx), ctx + ids
     raw, trunc = np.empty(len(ids)), np.empty(len(ids))
     for lo in range(0, len(ids), MAX_BATCH_ROWS):
@@ -421,7 +440,7 @@ def token_prob_trace(model, seq, truncation: tuple[str, float] | None = None, co
         if truncation is None:
             trunc[lo:hi] = raw[lo:hi]
         else:
-            kept, probs, _ = _truncate_rows(dists, mode, value)
+            kept, probs, _ = _truncate_rows(dists, truncation.strategy, truncation.param)
             trunc[lo:hi] = np.where(kept == toks[:, None], probs, 0.0).sum(axis=1)
     return raw, trunc
 

@@ -1,5 +1,5 @@
-"""Exception taxonomy for the toolkit, the reader's text-file opener and
-the writers' atomic replace.
+"""Exception taxonomy for the toolkit, the reader's text-file opener,
+the writers' atomic replace and the one JSON / JSONL artifact writer.
 
 Two branches matter for the CLI: configuration problems (bad flags,
 invalid strategy/parameter pairings) exit with code 2, data problems
@@ -8,6 +8,7 @@ invalid strategy/parameter pairings) exit with code 2, data problems
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
@@ -93,3 +94,17 @@ def atomic_write(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` atomically as a JSON document: sorted keys, indent 2, final newline."""
+    with atomic_write(path, encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """Write ``rows`` atomically, one sorted-key JSON object per line."""
+    with atomic_write(path, encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True) + "\n")

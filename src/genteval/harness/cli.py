@@ -23,7 +23,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ..consistency import (
@@ -47,9 +47,12 @@ from ..corpus import (
     tokenize,
     vocab_from_manifest,
 )
-from ..decode import STRATEGIES, DecoderConfig, param_value, token_prob_trace
+from ..decode import (
+    PARAM_FIELDS, DecoderConfig, cell_config, parse_strategies, strategy_name, token_prob_trace,
+)
 from ..errors import (
     AlignmentError, ConfigError, DataError, EmptyInput, InsufficientData, atomic_write, open_text,
+    write_json, write_jsonl,
 )
 from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
@@ -63,21 +66,19 @@ from ..losses import (
     labels_to_ids,
     load_label_file,
 )
-from ..metrics import SampleSet, acceptability_penlp
+from ..metrics import acceptability_penlp
 from .samples import load_sample_set, save_sample_set, write_metric_report
 from .sweep import (
     METRICS,
     SweepConfig,
     decode_cell,
     metric_inputs,
+    prefix_windows,
     read_sweep_csv,
     run_sweep,
     tradeoff_table,
     write_tradeoff,
 )
-
-_STRATEGY_ALIASES = {"temp": "temperature"}
-
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are one-line config errors (exit 2)."""
@@ -143,11 +144,8 @@ def _build_parser(config: dict | None = None, command: str | None = None) -> arg
     p.add_argument("--manifest")
     p.add_argument("--split", choices=("train", "dev", "test"), default="train")
     p.add_argument("--strategy", default="greedy")
-    p.add_argument("--b", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--theta", type=float)
+    for name, kind in PARAM_FIELDS.items():
+        p.add_argument(f"--{name}", type=kind)
     p.add_argument("--prefix-len", type=int, default=50)
     p.add_argument("--gen-len", type=int, default=100)
     p.add_argument("--n-prefixes", type=int)
@@ -260,24 +258,7 @@ def _parse_id_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def _strategy_name(name: str) -> str:
-    name = _STRATEGY_ALIASES.get(name, name)
-    if name not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {name!r}")
-    return name
-
-
-@_option_parser
-def _parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
-    """Accept "greedy;topp:0.2,0.9" or the equivalent list-of-pairs."""
-    if isinstance(raw, str):
-        parts = [p.strip().partition(":") for p in raw.split(";") if p.strip()]
-        raw = [(name.strip(), params.split(",") if params else [None]) for name, _, params in parts]
-    out = []
-    for name, params in raw:
-        name = _strategy_name(name)
-        out.append((name, tuple(param_value(name, x) for x in params)))
-    return tuple(out)
+_parse_strategies = _option_parser(parse_strategies)
 
 
 @_option_parser
@@ -478,9 +459,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
     )
     trainer = Trainer(model, cfg, seed=opt.seed)
     history = trainer.fit(TrainData(**data_kwargs))
-    with atomic_write(out / "train_history.json", encoding="utf-8") as f:
-        json.dump(history, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(out / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")
     print(f"steps: {len(history)}  final total loss: {history[-1]['total']:.6f}")
@@ -489,31 +468,16 @@ def _cmd_train(opt: argparse.Namespace) -> int:
 
 def _cmd_generate(opt: argparse.Namespace) -> int:
     _require(opt, "model", "manifest")
-    out = _out_dir(opt)
+    params = {name: getattr(opt, name) for name in PARAM_FIELDS if getattr(opt, name) is not None}
+    dcfg = DecoderConfig(strategy=strategy_name(opt.strategy), max_len=opt.gen_len, **params)
     model = load_model(opt.model)
     splits, _ = load_splits(opt.manifest)
-    sequences = getattr(splits, opt.split)
-    if opt.n_prefixes is not None:
-        sequences = sequences[: opt.n_prefixes]
-    if not sequences:
-        raise DataError(f"split {opt.split!r} has no sequences")
-    strategy = _strategy_name(opt.strategy)
-    kwargs = {
-        name: getattr(opt, name)
-        for name in ("b", "t", "k", "p", "theta")
-        if getattr(opt, name) is not None
-    }
-    model_name = Path(opt.model).stem
-    dcfg = DecoderConfig(strategy=strategy, max_len=opt.gen_len, **kwargs)
-    prefixes = [seq.window(0, opt.prefix_len) for seq in sequences]
-    samples = decode_cell(model, model_name, dcfg.param, prefixes, dcfg, opt.seed)
-    sset = SampleSet(
-        samples,
-        {"model": model_name, "strategy": strategy, "param": dcfg.param, "seed": opt.seed},
-    )
+    prefixes = prefix_windows(splits, opt.split, opt.prefix_len, opt.n_prefixes)
+    sset = decode_cell(model, Path(opt.model).stem, prefixes, dcfg, opt.seed)
+    out = _out_dir(opt)
     samples_out = Path(opt.samples_out) if opt.samples_out else out / "samples.jsonl"
     save_sample_set(samples_out, sset)
-    print(f"samples: {samples_out} ({len(samples)} continuations)")
+    print(f"samples: {samples_out} ({len(sset)} continuations)")
     return 0
 
 
@@ -589,9 +553,7 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
     values = iter(scores)
     rows = [{"index": i, "penlp": next(values) if s else None, "n_tokens": len(s)} for i, s in enumerate(seqs)]
     items_path = out / "acceptability.items.jsonl"
-    with atomic_write(items_path, encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(items_path, rows)
     mean = sum(scores) / len(scores) if scores else None
     write_metric_report(
         out / "report_acceptability.json",
@@ -608,28 +570,16 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
 
 def _cmd_sweep(opt: argparse.Namespace) -> int:
     _require(opt, "manifest", "models", "strategies")
-    out = _out_dir(opt)
-    splits, _ = load_splits(opt.manifest)
     mapping = _parse_models(opt.models)
     metrics = opt.metrics
     if isinstance(metrics, str):
         metrics = tuple(m.strip() for m in metrics.split(",") if m.strip())
-    cfg = SweepConfig(
-        models=tuple(mapping),
-        strategies=_parse_strategies(opt.strategies),
-        prefix_len=opt.prefix_len,
-        gen_len=opt.gen_len,
-        n_prefixes=opt.n_prefixes,
-        seed=opt.seed,
-        metrics=tuple(metrics),
-        max_n=opt.max_n,
-        subsample=opt.subsample,
-        subsample_seed=opt.subsample_seed,
-        rev_order=opt.rev_order,
-        rev_k_s=opt.rev_k_s,
-        fwd_order=opt.fwd_order,
-        fwd_k_s=opt.fwd_k_s,
-    )
+    # Every other SweepConfig field is the option of the same name.
+    parsed = {"models": tuple(mapping), "metrics": tuple(metrics),
+              "strategies": _parse_strategies(opt.strategies)}
+    cfg = SweepConfig(**{f.name: parsed.get(f.name, getattr(opt, f.name)) for f in fields(SweepConfig)})
+    out = _out_dir(opt)
+    splits, _ = load_splits(opt.manifest)
     records = run_sweep(cfg, splits, out, models=mapping)
     failed = [r for r in records if r.failed]
     print(f"sweep: {len(records)} cells, {len(failed)} failed -> {out / 'sweep.csv'}")
@@ -653,29 +603,24 @@ def _cmd_fit(opt: argparse.Namespace) -> int:
     return 0
 
 
-@_option_parser
-def _parse_truncation(raw: str | None) -> tuple[str, float] | None:
-    if raw is None:
-        return None
-    mode, _, value = raw.partition(":")
-    if mode not in ("topk", "topp") or not value:
-        raise ConfigError('truncation must be "topk:K" or "topp:P"')
-    return (mode, int(value) if mode == "topk" else float(value))
-
-
 def _cmd_trace(opt: argparse.Namespace) -> int:
     _require(opt, "model")
-    out = _out_dir(opt)
-    model = load_model(opt.model)
     if (opt.ids is None) == (opt.text is None):
         raise ConfigError("trace needs exactly one of --ids/--text")
+    truncation = None
+    if opt.truncate is not None:
+        cells = [(name, p) for name, params in _parse_strategies(opt.truncate) for p in params]
+        if len(cells) != 1:
+            raise ConfigError('truncation must be one "topk:K" or "topp:P"')
+        truncation = cell_config(*cells[0], max_len=1)
+    out = _out_dir(opt)
+    model = load_model(opt.model)
     if opt.ids is not None:
-        ids = _parse_id_list(opt.ids)
-        seq = TokenSequence(ids, model.vocab)
+        seq = TokenSequence(_parse_id_list(opt.ids), model.vocab)
     else:
         seq = encode(opt.text, model.vocab, opt.scheme, on_oov="error")
-    context = _parse_id_list(opt.context_ids) if opt.context_ids else ()
-    raw, trunc = token_prob_trace(model, seq, _parse_truncation(opt.truncate), context)
+    context = TokenSequence(_parse_id_list(opt.context_ids), model.vocab) if opt.context_ids else ()
+    raw, trunc = token_prob_trace(model, seq, truncation, context)
     trace_out = Path(opt.trace_out) if opt.trace_out else out / "trace.csv"
     with atomic_write(trace_out, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)

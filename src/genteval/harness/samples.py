@@ -12,29 +12,24 @@ import json
 from pathlib import Path
 
 from ..corpus import TokenSequence, Vocab
-from ..errors import ConfigError, DataError, atomic_write, open_text
+from ..errors import ConfigError, DataError, open_text, write_json, write_jsonl
 from ..metrics import Sample, SampleSet
+
+# The provenance keys every sample row repeats.
+_PROVENANCE = ("model", "strategy", "param", "seed")
 
 
 def save_sample_set(path: str | Path, sset: SampleSet) -> None:
-    prov = sset.provenance
-    with atomic_write(path, encoding="utf-8") as f:
-        for s in sset.samples:
-            f.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "model": prov.get("model"),
-                        "strategy": prov.get("strategy"),
-                        "param": prov.get("param"),
-                        "seed": prov.get("seed"),
-                        "prefix_ids": list(s.prefix.ids) if s.prefix else [],
-                        "continuation_ids": list(s.continuation.ids),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    prov = {key: sset.provenance.get(key) for key in _PROVENANCE}
+    write_jsonl(path, (
+        {
+            "id": s.id,
+            **prov,
+            "prefix_ids": list(s.prefix.ids) if s.prefix else [],
+            "continuation_ids": list(s.continuation.ids),
+        }
+        for s in sset.samples
+    ))
 
 
 def _row_sequence(row: dict, key: str, vocab: Vocab, where: str) -> TokenSequence | None:
@@ -73,13 +68,7 @@ def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
             samples.append(Sample(id=str(row["id"]), prefix=prefix, continuation=continuation))
     if first is None:
         raise DataError(f"{path}: no samples")
-    provenance = {
-        "model": first.get("model"),
-        "strategy": first.get("strategy"),
-        "param": first.get("param"),
-        "seed": first.get("seed"),
-    }
-    return SampleSet(tuple(samples), provenance)
+    return SampleSet(tuple(samples), {key: first.get(key) for key in _PROVENANCE})
 
 
 def write_metric_report(
@@ -91,14 +80,11 @@ def write_metric_report(
     n_samples: int,
     nulls_excluded: int = 0,
 ) -> None:
-    report = {
+    write_json(path, {
         "metric": metric,
         "value": value,
         "config": config,
         "provenance": provenance,
         "n_samples": n_samples,
         "nulls_excluded": nulls_excluded,
-    }
-    with atomic_write(path, encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })

@@ -27,7 +27,7 @@ from typing import Callable
 
 from ..corpus import CorpusSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
-from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text
+from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text, write_json
 from ..lm.ngram import NGramLM, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
@@ -133,8 +133,9 @@ class SweepConfig:
 
     ``models`` holds model names (or paths, resolved by the caller).
     ``strategies`` maps strategy name to its parameter list; greedy
-    takes the single parameter None. Cell grids must not contain
-    duplicates. ``subsample`` caps the candidate set for the BLEU
+    takes the single parameter None. Every cell is checked by its decoder
+    config, which also gives its parameter the field's type, and no cell
+    may repeat. ``subsample`` caps the candidate set for the BLEU
     metrics (large runs typically cap at 500); None scores everything.
     """
 
@@ -158,19 +159,21 @@ class SweepConfig:
             raise ConfigError("sweep needs at least one model")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model names in sweep")
-        if min(self.prefix_len, self.gen_len) < 1:
-            raise ConfigError("prefix_len and gen_len must be positive")
+        _check_positive(prefix_len=self.prefix_len, gen_len=self.gen_len, n_prefixes=self.n_prefixes)
         for name in self.metrics:
             if name not in METRICS:
                 raise ConfigError(f"unknown sweep metric {name!r}")
-        seen = set()
+        seen, grid = set(), []
         for strategy, params in self.strategies:
             if not params:
                 raise ConfigError(f"strategy {strategy!r} has no parameters")
+            params = tuple(cell_config(strategy, p, self.gen_len).param for p in params)
             for p in params:
                 if (strategy, p) in seen:
                     raise ConfigError(f"duplicate cell {strategy}({p})")
                 seen.add((strategy, p))
+            grid.append((strategy, params))
+        object.__setattr__(self, "strategies", tuple(grid))
 
     def cells(self) -> list[tuple[str, str, object]]:
         out = []
@@ -198,6 +201,25 @@ class SweepRecord:
         return asdict(self)
 
 
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be positive")
+
+
+def prefix_windows(
+    splits: CorpusSplits, split: str, prefix_len: int, n_prefixes: int | None
+) -> list[TokenSequence]:
+    """The first ``prefix_len`` tokens of each of the first ``n_prefixes``
+    sequences of ``split`` (all of them when None): what ``genteval
+    generate`` and a sweep decode from."""
+    _check_positive(prefix_len=prefix_len, n_prefixes=n_prefixes)
+    seqs = getattr(splits, split)[:n_prefixes]
+    if not seqs:
+        raise DataError(f"split {split!r} has no sequences")
+    return [seq.window(0, prefix_len) for seq in seqs]
+
+
 def cell_key(model: str, strategy: str, param) -> str:
     raw = f"{model}__{strategy}__{param}"
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", raw)
@@ -208,9 +230,7 @@ def sample_seed(base_seed: int, model: str, strategy: str, param, index: int) ->
     return base_seed ^ stable_hash(f"{model}|{strategy}|{param}|{index}")
 
 
-def decode_cell(
-    model, model_name: str, param, prefixes, dcfg: DecoderConfig, base_seed: int
-) -> tuple[Sample, ...]:
+def decode_cell(model, model_name: str, prefixes, dcfg: DecoderConfig, base_seed: int) -> SampleSet:
     """One continuation per prefix, sample i seeded by :func:`sample_seed`.
 
     All prefixes decode in one :func:`genteval.decode.generate_batch`
@@ -218,13 +238,16 @@ def decode_cell(
     decode through here, so they batch alike and write the same samples.
     """
     cfgs = [
-        replace(dcfg, seed=sample_seed(base_seed, model_name, dcfg.strategy, param, i))
+        replace(dcfg, seed=sample_seed(base_seed, model_name, dcfg.strategy, dcfg.param, i))
         for i in range(len(prefixes))
     ]
     continuations = generate_batch(model, prefixes, cfgs)
-    return tuple(
-        Sample(id=str(i), prefix=prefix, continuation=cont)
-        for i, (prefix, cont) in enumerate(zip(prefixes, continuations))
+    return SampleSet(
+        tuple(
+            Sample(id=str(i), prefix=prefix, continuation=cont)
+            for i, (prefix, cont) in enumerate(zip(prefixes, continuations))
+        ),
+        {"model": model_name, "strategy": dcfg.strategy, "param": dcfg.param, "seed": base_seed},
     )
 
 
@@ -293,23 +316,15 @@ def run_sweep(
     saved-model paths; names absent from the mapping are treated as
     paths themselves.
     """
+    prefixes = prefix_windows(splits, "train", cfg.prefix_len, cfg.n_prefixes)
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
     (out / "samples").mkdir(parents=True, exist_ok=True)
-    cells = cfg.cells()
-    prefixes = [
-        seq.window(0, cfg.prefix_len)
-        for seq in (
-            splits.train[: cfg.n_prefixes] if cfg.n_prefixes else splits.train
-        )
-    ]
-    if cells and not prefixes:
-        raise ConfigError("no prefixes available for the sweep")
     inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     loaded, load_errors = _resolve_models(cfg, models)
 
     records = []
-    for model_name, strategy, param in cells:
+    for model_name, strategy, param in cfg.cells():
         digest = _config_digest(cfg, model_name, strategy, param, len(prefixes))
         key = cell_key(model_name, strategy, param)
         record_path = out / "records" / f"{key}.json"
@@ -339,9 +354,7 @@ def run_sweep(
                 failed=f"{type(exc).__name__}: {exc}",
                 config_hash=digest,
             )
-        with atomic_write(record_path, encoding="utf-8") as f:
-            json.dump(record.to_json(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json(record_path, record.to_json())
         records.append(record)
     write_sweep_csv(out / "sweep.csv", records)
     return records
@@ -377,18 +390,13 @@ def _compute_cell(
     inputs: MetricInputs,
     samples_path: Path,
 ) -> SweepRecord:
-    dcfg = cell_config(strategy, param, cfg.gen_len)
-    samples = decode_cell(model, model_name, param, prefixes, dcfg, cfg.seed)
-    sset = SampleSet(
-        samples,
-        {"model": model_name, "strategy": strategy, "param": param, "seed": cfg.seed},
-    )
+    sset = decode_cell(model, model_name, prefixes, cell_config(strategy, param, cfg.gen_len), cfg.seed)
     save_sample_set(samples_path, sset)
     return SweepRecord(
         model=model_name,
         strategy=strategy,
         param=param,
-        n_samples=len(samples),
+        n_samples=len(sset),
         metrics={name: METRICS[name].compute(sset, inputs)[0] for name in cfg.metrics},
         seed=cfg.seed,
     )
@@ -561,7 +569,7 @@ def write_tradeoff(table: TradeoffTable, csv_path: str | Path, fits_path: str | 
                     _format_cell(row.y),
                 ]
             )
-    payload = {
+    write_json(fits_path, {
         "quality_metric": table.quality_metric,
         "diversity_metric": table.diversity_metric,
         "fits": {
@@ -572,7 +580,4 @@ def write_tradeoff(table: TradeoffTable, csv_path: str | Path, fits_path: str | 
             )
             for model, fit in table.fits.items()
         },
-    }
-    with atomic_write(fits_path, encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    })

@@ -607,6 +607,60 @@ def test_sweep_rejects_unknown_strategy(workspace, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", ["topk:0", "greedy:3", "topp:1.5", "greedy;beam:2,0"])
+def test_bad_sweep_grid_exits_2_before_any_cell(workspace, tmp_path, capsys, grid):
+    argv = ["sweep", "--manifest", workspace["manifest"], "--models", f"m={workspace['model']}",
+            "--strategies", grid, "--out-dir", tmp_path / "out"]
+    _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "out" / "records").exists()
+
+
+def test_topk_past_a_model_vocab_fails_only_that_models_cells(workspace, toy_sweep, tmp_path, capsys):
+    ffn = toy_sweep.parent / "ffn" / "model.lmek"
+    k = load_model(ffn).vocab.size  # the ffn's pad token puts k one past the bigram's vocab
+    assert k == load_model(workspace["model"]).vocab.size + 1
+    capsys.readouterr()
+    rc = main([str(a) for a in [
+        "sweep", "--manifest", workspace["manifest"], "--models", f"ngram={workspace['model']},ffn={ffn}",
+        "--strategies", f"greedy;topk:{k}", "--metrics", "seq_rep_4", "--prefix-len", "5", "--gen-len", "4",
+        "--n-prefixes", "2", "--out-dir", tmp_path,
+    ]])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert err.startswith(f"failed cell ngram/topk/{k}: ConfigError: top-k needs") and err.count("\n") == 1, err
+    records = read_sweep_csv(tmp_path / "sweep.csv")
+    assert [(r.model, r.strategy, r.n_samples) for r in records] == [
+        ("ngram", "greedy", 2), ("ngram", "topk", 0), ("ffn", "greedy", 2), ("ffn", "topk", 2)
+    ]
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("flag, value", [("--n-prefixes", "0"), ("--n-prefixes", "-1"),
+                                         ("--prefix-len", "0"), ("--prefix-len", "-1")])
+def test_generate_and_sweep_reject_the_same_prefix_settings(workspace, tmp_path, capsys, command, flag, value):
+    argv = {
+        "generate": ["generate", "--model", workspace["model"]],
+        "sweep": ["sweep", "--models", f"m={workspace['model']}", "--strategies", "greedy"],
+    }[command]
+    argv += ["--manifest", workspace["manifest"], flag, value, "--out-dir", tmp_path / "out"]
+    assert f"{flag[2:].replace('-', '_')} must be positive" in _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_context_ids_outside_an_ffn_vocab_are_config_errors(toy_sweep, tmp_path, capsys):
+    ffn = toy_sweep.parent / "ffn" / "model.lmek"
+    for bad in ("99999", "-5"):
+        argv = ["trace", "--model", ffn, "--ids", "1 2", "--context-ids", bad, "--out-dir", tmp_path]
+        assert f"token id {bad} out of range" in _fails_with_one_line(capsys, argv, 2)
+
+
+def test_generate_parameter_flags_keep_their_names_types_and_order():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    actions = subparsers.choices["generate"]._actions
+    flags = [(a.option_strings[0], a.type) for a in actions if a.dest in ("b", "t", "k", "p", "theta")]
+    assert flags == [("--b", int), ("--t", float), ("--k", int), ("--p", float), ("--theta", float)]
+
+
 def test_missing_model_file_is_data_error(workspace, tmp_path):
     rc = main(
         [
@@ -714,6 +768,16 @@ def _fails_with_one_line(capsys, argv, code):
             (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", bad, "--out-dir", "{out}"], None, want)
             for bad, want in (("topk:0", "top-k needs"), ("topk:{over}", "top-k needs"),
                               ("topp:0", "top-p needs"), ("topp:1.5", "top-p needs"))
+        ),
+        *(
+            (["trace", "--model", "{model}", "--ids", "0 1", "--context-ids", bad, "--out-dir", "{out}"], None,
+             f"token id {bad} out of range")
+            for bad in ("99999", "-5")
+        ),
+        *(
+            (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", bad, "--out-dir", "{out}"], None, want)
+            for bad, want in (("topk:2,3", "truncation must be one"), ("topk:2;topp:0.5", "truncation must be one"),
+                              ("greedy", "truncation must be topk or topp"), ("topk", "needs parameter k"))
         ),
     ],
 )

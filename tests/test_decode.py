@@ -80,7 +80,7 @@ def test_truncation_param_validation():
     model = TableLM(2)
     for bad in (("topk", 0), ("topk", 3), ("topp", 0.0), ("topp", 1.5), ("entmax", 0.5)):
         with pytest.raises(ConfigError):
-            token_prob_trace(model, [0], bad)
+            token_prob_trace(model, [0], cell_config(*bad, max_len=1))
     with pytest.raises(ConfigError):
         DecoderConfig(strategy="temperature", t=-1.0)
 
@@ -193,6 +193,9 @@ def test_config_range_checks():
         dict(strategy="temperature", t=0.0),
         dict(strategy="topp", p=1.5),
         dict(strategy="penalized", theta=0.9),
+        dict(strategy="penalized", theta=float("nan")),
+        dict(strategy="penalized", theta=1.5, t=-1.0),
+        dict(strategy="topk", k=0),
         dict(strategy="greedy", max_len=0),
     ):
         with pytest.raises(ConfigError):

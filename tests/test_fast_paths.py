@@ -618,7 +618,8 @@ def test_trace_runs_in_blocks_and_equals_per_prefix_rows():
             sizes, batch = [], model.next_dist_batch
             with mock.patch.object(model, "next_dist_batch", lambda c: sizes.append(len(c)) or batch(c)), \
                     mock.patch.object(model, "next_dist", None):  # no one-row call
-                got = np.concatenate(decode.token_prob_trace(model, seq, truncation, context))
+                cfg = truncation and decode.cell_config(*truncation, max_len=1)
+                got = np.concatenate(decode.token_prob_trace(model, seq, cfg, context))
             assert sum(sizes) == len(seq) and max(sizes) <= decode.MAX_BATCH_ROWS
             kept = [naive_truncate(d, *truncation) for d in dists] if truncation else dists
             want = np.array([d[tok] for rows in (dists, kept) for d, tok in zip(rows, seq)])

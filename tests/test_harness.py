@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import CorpusSplits, TokenSequence, Vocab, write_ids_file
+from genteval.decode import cell_config, parse_strategies
 from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
 from genteval.harness.sweep import (
@@ -195,6 +196,57 @@ def test_sample_seed_varies_per_index_and_cell():
     assert len(seeds) == 50
     assert sample_seed(7, "m", "topp", 0.9, 0) == sample_seed(7, "m", "topp", 0.9, 0)
     assert sample_seed(7, "m", "topp", 0.9, 0) != sample_seed(7, "m", "topk", 2, 0)
+
+
+# sample_seed of samples 0 and 3 of cell m/<spec> at base seed 7, as computed
+# before the strategy table moved into decode. The seed hashes str(param), so
+# these pin each parameter's type: topk:40 stays 40, temperature:1 stays 1.0.
+_FROZEN_SEEDS = {
+    "greedy": (11070713176002198970, 10911758193573370697),
+    "beam:4": (4356883094966602761, 15152942434592410782),
+    "temperature:1": (3248580014347983152, 6441054474462168147),
+    "temp:0.8": (8545874988144759380, 1322561487466395619),
+    "topk:40": (16436721261280439829, 8257377725250173324),
+    "topp:0.9": (4017251578694135109, 11053629851708410692),
+    "penalized:1.5": (18326288704410012915, 12703631045951938638),
+}
+
+
+@pytest.mark.parametrize("spec", list(_FROZEN_SEEDS))
+def test_strategy_specs_keep_their_sample_seeds(spec):
+    ((strategy, (param,)),) = parse_strategies(spec)
+    cfg = cell_config(strategy, param, 5)
+    assert cfg.param == param and type(cfg.param) is type(param)
+    assert tuple(sample_seed(7, "m", cfg.strategy, cfg.param, i) for i in (0, 3)) == _FROZEN_SEEDS[spec]
+
+
+def test_strategy_specs_round_trip_through_the_sweep_csv(tmp_path):
+    cfg = mk_cfg(strategies=parse_strategies(";".join(_FROZEN_SEEDS)))
+    write_sweep_csv(tmp_path / "sweep.csv", [SweepRecord(m, s, p, 1, {}, 0) for m, s, p in cfg.cells()])
+    back = [(r.strategy, r.param, type(r.param)) for r in read_sweep_csv(tmp_path / "sweep.csv")]
+    assert back == [(s, p, type(p)) for _, s, p in cfg.cells()]
+    assert [type(p) for _, _, p in cfg.cells()] == [type(None), int, float, float, int, float, float]
+
+
+@pytest.mark.parametrize("bad", [
+    dict(strategies=(("topk", (0,)),)),
+    dict(strategies=(("greedy", (3.0,)),)),
+    dict(strategies=(("topp", (1.5,)),)),
+    dict(strategies=(("beam", (None,)),)),
+    dict(strategies=(("topk", (2, 2.0)),)),
+    dict(n_prefixes=0),
+    dict(prefix_len=0),
+])
+def test_sweep_config_checks_every_cell(bad):
+    with pytest.raises(ConfigError):
+        mk_cfg(**bad)
+
+
+def test_sweep_config_gives_each_param_its_field_type():
+    cfg = mk_cfg(strategies=(("greedy", (None,)), ("topk", (40.0,)), ("beam", ("2",)), ("temperature", (1,))))
+    assert [(s, p, type(p)) for _, s, p in cfg.cells()] == [
+        ("greedy", None, type(None)), ("topk", 40, int), ("beam", 2, int), ("temperature", 1.0, float)
+    ]
 
 
 def test_reference_set_skips_short_chunks():

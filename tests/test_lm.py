@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab, tokenize
-from genteval.decode import token_prob_trace
+from genteval.decode import DecoderConfig, token_prob_trace
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm import (
     FeedForwardLM,
@@ -233,10 +233,10 @@ def test_trace_hand_value_topk2():
         def next_dist(self, context):
             return np.array([0.5, 0.3, 0.2])
 
-    raw, trunc = token_prob_trace(Fixed(), (1,), truncation=("topk", 2))
+    raw, trunc = token_prob_trace(Fixed(), (1,), truncation=DecoderConfig(strategy="topk", k=2))
     assert raw[0] == pytest.approx(0.3)
     assert trunc[0] == pytest.approx(0.375)
-    _, dropped = token_prob_trace(Fixed(), (2,), truncation=("topk", 2))
+    _, dropped = token_prob_trace(Fixed(), (2,), truncation=DecoderConfig(strategy="topk", k=2))
     assert dropped[0] == 0.0
 
 
