@@ -20,7 +20,7 @@ import json
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -356,37 +356,15 @@ def build_pair_datasets(
     return items
 
 
-@dataclass
-class TfidfTable:
-    """Per-(document, token) TF-IDF scores over fixed-length documents.
+def tfidf_scores(seq: TokenSequence, doc_len: int) -> list[float]:
+    """Per-position TF-IDF regression targets over consecutive ``doc_len`` documents.
 
-    tf is the within-document relative frequency; idf is ln(n_docs / df)
-    with df the number of documents containing the token. A token that
-    appears in every document therefore scores exactly 0 everywhere.
+    Position p belongs to document p // doc_len and scores its token there:
+    tf is the within-document relative frequency, idf is ln(n_docs / df)
+    with df the number of documents containing the token, so a token that
+    appears in every document scores exactly 0. Positions past the last
+    full document are dropped.
     """
-
-    doc_len: int
-    n_docs: int
-    scores: list[dict[int, float]] = field(repr=False)
-
-    def score(self, doc: int, token: int) -> float:
-        return self.scores[doc].get(token, 0.0)
-
-    def position_targets(self, ids: Sequence[int]) -> list[float]:
-        """Per-position regression targets for the chunked region.
-
-        Position p belongs to document p // doc_len; positions past the
-        last full document are not covered and excluded from the output.
-        """
-        covered = self.n_docs * self.doc_len
-        return [
-            self.scores[p // self.doc_len].get(ids[p], 0.0)
-            for p in range(min(len(ids), covered))
-        ]
-
-
-def tfidf_scores(seq: TokenSequence, doc_len: int) -> TfidfTable:
-    """TF-IDF over consecutive ``doc_len`` windows; remainder dropped."""
     if doc_len < 1:
         raise ConfigError("doc_len must be positive")
     n_docs = len(seq) // doc_len
@@ -403,7 +381,7 @@ def tfidf_scores(seq: TokenSequence, doc_len: int) -> TfidfTable:
         {tok: (c / doc_len) * idf[tok] for tok, c in counts.items()}
         for counts in doc_counts
     ]
-    return TfidfTable(doc_len=doc_len, n_docs=n_docs, scores=scores)
+    return [scores[p // doc_len][tok] for p, tok in enumerate(seq.ids[: n_docs * doc_len])]
 
 
 # ---------------------------------------------------------------------------

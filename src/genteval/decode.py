@@ -157,11 +157,19 @@ def strategy_name(name: str) -> str:
 
 
 def param_value(strategy: str, value) -> float | int | None:
-    """``value`` as the type of ``strategy``'s parameter (a float if it has none); None stays None."""
+    """``value`` as the type of ``strategy``'s parameter (a float if it has none); None stays None.
+
+    A bool, and a number that an int field would truncate, are config errors.
+    """
     if value is None:
         return None
     spec = _PARAMS.get(strategy)
-    return float(value) if spec is None else spec.type(value)
+    if spec is None:
+        return float(value)
+    if isinstance(value, bool) or (spec.type is int and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if spec.type is int else "a number"
+        raise ConfigError(f"parameter {spec.field} of {strategy} must be {kind}, not {value!r}")
+    return spec.type(value)
 
 
 def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:

@@ -23,7 +23,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from ..consistency import (
@@ -58,6 +58,8 @@ from ..lm.ffn import FeedForwardLM
 from ..lm.ngram import ngram_fit
 from ..lm.store import load_model, save_model
 from ..losses import (
+    OBJECTIVES,
+    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -296,13 +298,6 @@ def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
-def _manifest_scheme(manifest: dict) -> tuple[str, Vocab]:
-    tok = manifest["tokenizer"]
-    vocab = vocab_from_manifest(manifest)
-    scheme = tok.get("scheme", "external")
-    return scheme, vocab
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -332,27 +327,22 @@ def _cmd_ingest(opt: argparse.Namespace) -> int:
 
 
 def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
-    base = TrainConfig()
-    objectives = _parse_objectives(opt.objectives) if opt.objectives is not None else None
-    ul_overrides = {
-        "mix_prob": opt.mix_prob,
-        "prefix_len": opt.ul_prefix_len,
-        "gen_len": opt.ul_gen_len,
-        "ngram": opt.ul_ngram,
-    }
-    ul_overrides = {k: v for k, v in ul_overrides.items() if v is not None}
-    seq_ul = replace(base.seq_ul, **ul_overrides) if ul_overrides else None
-    return base.override(
-        epochs=opt.epochs,
-        batch_size=opt.batch_size,
-        learning_rate=opt.learning_rate,
-        margin=opt.margin,
-        objectives=objectives,
-        seq_ul=seq_ul,
+    """The training options that were given, over the TrainConfig defaults."""
+    given = {name: getattr(opt, name) for name in ("epochs", "batch_size", "learning_rate", "margin")}
+    given["objectives"] = None if opt.objectives is None else _parse_objectives(opt.objectives)
+    ul = {"mix_prob": opt.mix_prob, "prefix_len": opt.ul_prefix_len, "gen_len": opt.ul_gen_len,
+          "ngram": opt.ul_ngram}
+    return TrainConfig(
+        seq_ul=SeqUlConfig(**{k: v for k, v in ul.items() if v is not None}),
+        **{k: v for k, v in given.items() if v is not None},
     )
 
 
-def _pair_items(opt, scheme: str, vocab: Vocab, mode: str):
+# Pool builders, called as builder(opt, splits, scheme, vocab, pool): each
+# returns the pool's items and the number of labels they classify into.
+
+
+def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
     if opt.pairs_text is None:
         raise ConfigError(f"objective {mode!r} needs --pairs-text")
     if scheme == "external":
@@ -366,27 +356,26 @@ def _pair_items(opt, scheme: str, vocab: Vocab, mode: str):
         except EmptyInput:
             continue
     try:
-        return tuple(build_pair_datasets(sentences, mode, opt.pairs_count, opt.seed))
+        return tuple(build_pair_datasets(sentences, mode, opt.pairs_count, opt.seed)), 0
     except InsufficientData as exc:
         raise InsufficientData(
             f"{opt.pairs_text}: {exc} (sentences split only after ./!/? followed by an uppercase letter)"
         ) from None
 
 
-def _tfidf_items(opt, splits, vocab: Vocab):
+def _tfidf_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
     doc_len = opt.doc_len if opt.doc_len is not None else splits.seq_len
     flat = tuple(i for s in splits.train for i in s.ids)
-    table = tfidf_scores(TokenSequence(flat, vocab), doc_len)
-    targets = table.position_targets(flat)
+    targets = tfidf_scores(TokenSequence(flat, vocab), doc_len)
     items = []
     for c, seq in enumerate(splits.train):
         lo, hi = c * splits.seq_len, (c + 1) * splits.seq_len
         if hi <= len(targets):
             items.append((seq, tuple(targets[lo:hi])))
-    return tuple(items)
+    return tuple(items), 0
 
 
-def _label_items(opt, scheme: str, vocab: Vocab):
+def _label_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
     if opt.labels is None:
         raise ConfigError("objectives pos/dp need --labels")
     if scheme == "external":
@@ -419,11 +408,16 @@ def _label_items(opt, scheme: str, vocab: Vocab):
     return tuple(items), len(table)
 
 
+_POOL_ITEMS = {"sequences": lambda opt, splits, *_: (splits.train, 0), "nsp": _pair_items, "sop": _pair_items,
+               "tfidf": _tfidf_items, "pos": _label_items, "dp": _label_items}
+
+
 def _cmd_train(opt: argparse.Namespace) -> int:
     _require(opt, "manifest")
     out = _out_dir(opt)
     splits, manifest = load_splits(opt.manifest)
-    scheme, vocab = _manifest_scheme(manifest)
+    vocab = vocab_from_manifest(manifest)
+    scheme = manifest["tokenizer"].get("scheme", "external")
     model_out = Path(opt.model_out) if opt.model_out else out / "model.lmek"
 
     if opt.backend == "ngram":
@@ -433,32 +427,18 @@ def _cmd_train(opt: argparse.Namespace) -> int:
         return 0
 
     cfg = _build_train_config(opt)
-    active = {kind for kind, weight in cfg.objectives if weight > 0}
-    if "pos" in active and "dp" in active:
-        raise ConfigError("pos and dp share the classification head; train one at a time")
-
-    data_kwargs: dict = {"sequences": splits.train}
+    # The train split goes in whatever is active: the epoch shuffle draws from it.
+    pools: dict = {"sequences": splits.train}
     n_labels = 0
-    for mode in ("nsp", "sop"):
-        if mode in active:
-            data_kwargs[mode] = _pair_items(opt, scheme, vocab, mode)
-    if "tfidf" in active:
-        data_kwargs["tfidf"] = _tfidf_items(opt, splits, vocab)
-    for kind in ("pos", "dp"):
-        if kind in active:
-            data_kwargs[kind], n_labels = _label_items(opt, scheme, vocab)
+    for pool in cfg.pools:
+        pools[pool], labels = _POOL_ITEMS[pool](opt, splits, scheme, vocab, pool)
+        n_labels = max(n_labels, labels)
 
-    model = FeedForwardLM.init(
-        vocab,
-        context=opt.context,
-        embed_dim=opt.embed_dim,
-        hidden_dim=opt.hidden_dim,
-        seed=opt.seed,
-        n_labels=n_labels,
-        regression="tfidf" in active,
-    )
+    regression = any(OBJECTIVES[kind].head == "regression" for kind, _ in cfg.active)
+    model = FeedForwardLM.init(vocab, context=opt.context, embed_dim=opt.embed_dim, hidden_dim=opt.hidden_dim,
+                               seed=opt.seed, n_labels=n_labels, regression=regression)
     trainer = Trainer(model, cfg, seed=opt.seed)
-    history = trainer.fit(TrainData(**data_kwargs))
+    history = trainer.fit(TrainData(**pools))
     write_json(out / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")

@@ -6,7 +6,9 @@ through the softmax/tanh stack (see :meth:`FeedForwardLM.backward`),
 which the test suite checks against central finite differences; nothing
 here relies on an autodiff framework.
 
-Objective kinds understood by :func:`multitask_step`:
+Objective kinds understood by :func:`multitask_step`, each declared once
+in the objective table ``OBJECTIVES`` with the :class:`TrainData` pool it
+draws from, the loss that runs it and the model head it trains:
 
 * ``mle``: mean token cross-entropy.
 * ``ul``: unlikelihood; each step flips a mix_prob-weighted coin between
@@ -39,9 +41,9 @@ item's windows and use only the heads, never the vocab logits; only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +60,6 @@ from .errors import (
 from .lm.base import as_ids
 from .lm.ffn import FeedForwardLM, log_softmax, softmax
 from .rng import SplitMix64
-
-OBJECTIVE_KINDS = ("mle", "ul", "nsp", "sop", "tfidf", "pos", "dp")
 
 # Probabilities inside ln(1 - p) are clamped to at most 1 - _UL_CLAMP.
 _UL_CLAMP = 1e-12
@@ -159,12 +159,13 @@ def hinge_rank(ppl_pos: float, ppl_neg: float, margin: float) -> float:
 
 def _rank_losses(
     model: FeedForwardLM,
+    kind: str,
     items: Sequence[tuple[SentencePair, SentencePair]],
-    margin: float,
     scale: float,
     grads: dict[str, np.ndarray],
+    cfg: TrainConfig,
 ) -> list[float]:
-    """Hinge of each ``(positive, negative)`` item on its perplexity gap.
+    """Hinge at ``cfg.margin`` of each ``(positive, negative)`` item on its perplexity gap.
 
     The second sentence of every pair is scored given its first in one
     ``score_batch`` call. d ppl / d logits is ppl times the mean CE
@@ -176,7 +177,7 @@ def _rank_losses(
     seqs = [pair.second.ids for pair in pairs]
     contexts = [pair.first.ids for pair in pairs]
     ppl = np.exp(-np.array(model.score_batch(seqs, contexts)) / [len(s) for s in seqs])
-    hinges = [hinge_rank(p, n, margin) for p, n in zip(ppl[0::2].tolist(), ppl[1::2].tolist())]
+    hinges = [hinge_rank(p, n, cfg.margin) for p, n in zip(ppl[0::2].tolist(), ppl[1::2].tolist())]
     on = np.flatnonzero(np.repeat(np.array(hinges) > 0.0, 2))
     if len(on):
         weights = scale * np.tile([1.0, -1.0], len(items)) * ppl
@@ -199,13 +200,15 @@ def _head_losses(
     items: Sequence[tuple[object, Sequence]],
     scale: float,
     grads: dict[str, np.ndarray],
+    cfg: TrainConfig,
 ) -> list[float]:
-    """Per-item losses of ``(seq, targets)`` items on a head, one target per token.
+    """Per-item losses of ``(seq, targets)`` items on ``kind``'s head, one target per token.
 
-    ``tfidf`` is the mean smooth-L1 between the regression head and the
-    targets. ``pos`` and ``dp`` are the mean CE of the gold label at each
-    supervised position; ``None`` marks an unsupervised position (the X
-    alignment label), and an item with none supervised is an error. One
+    On the regression head (``tfidf``) the loss is the mean smooth-L1
+    between the head and the targets. On the classification head (``pos``,
+    ``dp``) it is the mean CE of the gold label at each supervised position;
+    ``None`` marks an unsupervised position (the X alignment label), and
+    an item with none supervised is an error. One
     forward runs the windows of every item and no vocab logits are formed;
     each item adds ``scale`` times its gradient into ``grads``.
     """
@@ -215,7 +218,7 @@ def _head_losses(
         raise ConfigError(f"{kind} needs one target per position")
     bounds = np.cumsum([0, *lens])
     cache = model.forward(np.concatenate([model.windows(s) for s in seqs]))
-    if kind == "tfidf":
+    if OBJECTIVES[kind].head == "regression":
         targets = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in items])
         losses, dreg = smooth_l1_loss(model.reg_predictions(cache), targets)
         model.backward(cache, grads, dreg=dreg * np.repeat(scale / lens, lens))
@@ -396,6 +399,25 @@ class SeqUlConfig:
             raise ConfigError("prefix_len, gen_len and ngram must be positive")
 
 
+class _Objective(NamedTuple):
+    pool: str  # the TrainData field its items come from
+    loss: Callable | None  # called as loss(model, kind, items, scale, grads, cfg)
+    head: str | None  # the model head it trains: "regression", "classification" or none
+
+
+# The objective table, in the order the CLI builds the pools. mle and ul
+# have no loss of their own: they share one blocked _token_losses pass.
+OBJECTIVES: dict[str, _Objective] = {
+    "mle": _Objective("sequences", None, None),
+    "ul": _Objective("sequences", None, None),
+    "nsp": _Objective("nsp", _rank_losses, None),
+    "sop": _Objective("sop", _rank_losses, None),
+    "tfidf": _Objective("tfidf", _head_losses, "regression"),
+    "pos": _Objective("pos", _head_losses, "classification"),
+    "dp": _Objective("dp", _head_losses, "classification"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 4
@@ -408,30 +430,42 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
+        if not math.isfinite(self.margin):
+            raise ConfigError("margin must be finite")
         if not self.objectives:
             raise ConfigError("at least one objective is required")
         kinds = [kind for kind, _ in self.objectives]
         for kind, weight in self.objectives:
             if kinds.count(kind) > 1:
                 raise ConfigError(f"objective {kind!r} is listed more than once")
-            if kind not in OBJECTIVE_KINDS:
+            if kind not in OBJECTIVES:
                 raise ConfigError(f"unknown objective kind {kind!r}")
-            if weight < 0:
-                raise ConfigError("objective weights must be non-negative")
-        if not any(w > 0 for _, w in self.objectives):
+            if not 0 <= weight < math.inf:
+                raise ConfigError("objective weights must be non-negative and finite")
+        active = dict(self.active)
+        if not active:
             raise ConfigError("at least one objective weight must be positive")
+        labelled = [k for k, obj in OBJECTIVES.items() if obj.head == "classification" and k in active]
+        if len(labelled) > 1:
+            raise ConfigError(f"{' and '.join(labelled)} share the classification head; train one at a time")
 
-    def override(self, **kwargs) -> "TrainConfig":
-        """Replace fields with any non-None keyword values (CLI flags win)."""
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **clean) if clean else self
+    @property
+    def active(self) -> tuple[tuple[str, float], ...]:
+        """The ``(kind, weight)`` objectives of positive weight, in the given order."""
+        return tuple((kind, w) for kind, w in self.objectives if w > 0)
+
+    @property
+    def pools(self) -> tuple[str, ...]:
+        """The distinct TrainData pools of the active kinds, in table order."""
+        kinds = dict(self.active)
+        return tuple(dict.fromkeys(obj.pool for kind, obj in OBJECTIVES.items() if kind in kinds))
 
 
 @dataclass(frozen=True)
 class TrainData:
-    """Items per objective kind: the trainer's pools, and one step's batch."""
+    """Items per pool of the objective table: the trainer's pools, and one step's batch."""
 
     sequences: tuple[TokenSequence, ...] = ()
     nsp: tuple[tuple[SentencePair, SentencePair], ...] = ()
@@ -441,11 +475,11 @@ class TrainData:
     dp: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
 
 
-def _items(data: TrainData, kind: str):
-    """The items objective ``kind`` trains on (mle and ul share sequences)."""
-    if kind in ("mle", "ul"):
-        return data.sequences
-    return getattr(data, kind)
+def _require_items(cfg: TrainConfig, data: TrainData, problem: str) -> None:
+    """Raise ``objective <kind> <problem>`` for the first active kind whose pool is empty."""
+    for kind, _ in cfg.active:
+        if not getattr(data, OBJECTIVES[kind].pool):
+            raise ConfigError(f"objective {kind!r} {problem}")
 
 
 def _mean(losses: Sequence[float]) -> float:
@@ -470,25 +504,18 @@ def multitask_step(
     sequence-level ul makes a blocked pass over the greedy rollouts; every
     other kind makes one batched call over its items.
     """
-    active = [(kind, w) for kind, w in cfg.objectives if w != 0.0]
-    for kind, _ in active:
-        if not _items(batch, kind):
-            raise ConfigError(f"objective {kind!r} is active but the batch has no data for it")
-    weights = dict(active)
+    _require_items(cfg, batch, "is active but the batch has no data for it")
+    weights = dict(cfg.active)
     seq_level = "ul" in weights and rng.uniform() < cfg.seq_ul.mix_prob
     token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
     means: dict[str, float] = {}
     seqs = [s.ids for s in batch.sequences]
     if "mle" in weights or token_ul:
-        cands = None
-        if token_ul:
-            cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs]
+        cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs] if token_ul else None
         ce, ul = _token_losses(
             model, seqs, [()] * len(seqs), cands,
-            weights.get("mle", 0.0) / len(seqs),
-            weights["ul"] / len(seqs) if token_ul else 0.0,
-            grads,
+            weights.get("mle", 0.0) / len(seqs), weights["ul"] / len(seqs) if token_ul else 0.0, grads,
         )
         means["mle"] = _mean(ce)
         if token_ul:
@@ -502,15 +529,13 @@ def multitask_step(
             0.0, weights["ul"] / len(seqs), grads,
         )
         means["ul"] = _mean(ul)
-    for kind, weight in active:
-        items = _items(batch, kind)
-        if kind in ("nsp", "sop"):
-            means[kind] = _mean(_rank_losses(model, items, cfg.margin, weight / len(items), grads))
-        elif kind not in ("mle", "ul"):
-            means[kind] = _mean(_head_losses(model, kind, items, weight / len(items), grads))
     scalars: dict[str, float] = {}
     total = 0.0
-    for kind, weight in active:
+    for kind, weight in weights.items():
+        pool, loss, _ = OBJECTIVES[kind]
+        if loss is not None:
+            items = getattr(batch, pool)
+            means[kind] = _mean(loss(model, kind, items, weight / len(items), grads, cfg))
         if kind == "ul":
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
         scalars[kind] = means[kind]
@@ -535,6 +560,10 @@ def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence,
 class Trainer:
     """Deterministic epoch loop: shuffle, slice, multitask_step.
 
+    An epoch has as many steps as the largest active pool has batches. The
+    sequences are reshuffled each epoch and wrap within it; every other
+    pool cycles on in order across epochs.
+
     Identical (model seed, data, config, trainer seed) reproduce the
     exact parameter trajectory; all randomness flows from one splitmix
     stream (epoch shuffles and UL coins, in program order).
@@ -548,37 +577,24 @@ class Trainer:
         self.history: list[dict[str, float]] = []
 
     def fit(self, data: TrainData) -> list[dict[str, float]]:
-        active = [k for k, w in self.cfg.objectives if w > 0]
-        pools = {k: _items(data, k) for k in active}
-        for kind, pool in pools.items():
-            if not pool:
-                raise ConfigError(f"objective {kind!r} has no training data")
-        steps = max(
-            math.ceil(len(pool) / self.cfg.batch_size) for pool in pools.values()
-        )
-        cursors = {k: 0 for k in active}
+        _require_items(self.cfg, data, "has no training data")
+        size = self.cfg.batch_size
+        pools = {name: getattr(data, name) for name in self.cfg.pools}
+        steps = max(math.ceil(len(items) / size) for items in pools.values())
+        cursors = dict.fromkeys(pools, 0)
         for _ in range(self.cfg.epochs):
             seq_order = list(range(len(data.sequences)))
             self.rng.shuffle(seq_order)
             for step in range(steps):
                 parts: dict[str, tuple] = {}
-                for kind in active:
-                    pool = pools[kind]
-                    if kind in ("mle", "ul"):
-                        lo = (step * self.cfg.batch_size) % len(seq_order)
-                        picked = [
-                            data.sequences[seq_order[(lo + i) % len(seq_order)]]
-                            for i in range(min(self.cfg.batch_size, len(seq_order)))
-                        ]
-                        parts["sequences"] = tuple(picked)
+                for name, items in pools.items():
+                    n = min(size, len(items))
+                    if name == "sequences":
+                        picked = [seq_order[(step * size + i) % len(items)] for i in range(n)]
                     else:
-                        taken = []
-                        for _ in range(min(self.cfg.batch_size, len(pool))):
-                            taken.append(pool[cursors[kind] % len(pool)])
-                            cursors[kind] += 1
-                        parts[kind] = tuple(taken)
+                        picked = [(cursors[name] + i) % len(items) for i in range(n)]
+                        cursors[name] += n
+                    parts[name] = tuple(items[i] for i in picked)
                 batch = TrainData(**parts)
-                self.history.append(
-                    multitask_step(self.model, batch, self.cfg, self.opt, self.rng)
-                )
+                self.history.append(multitask_step(self.model, batch, self.cfg, self.opt, self.rng))
         return self.history

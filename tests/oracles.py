@@ -716,17 +716,17 @@ def one_ul(model, ids, pairs, context=()):
 
 
 def one_rank(model, pos, neg, margin):
-    from genteval.losses import _rank_losses
+    from genteval.losses import TrainConfig, _rank_losses
 
     grads = model.zero_grads()
-    return _rank_losses(model, [(pos, neg)], margin, 1.0, grads)[0], grads
+    return _rank_losses(model, pos.mode, [(pos, neg)], 1.0, grads, TrainConfig(margin=margin))[0], grads
 
 
 def one_head(model, kind, seq, targets):
-    from genteval.losses import _head_losses
+    from genteval.losses import TrainConfig, _head_losses
 
     grads = model.zero_grads()
-    return _head_losses(model, kind, [(seq, targets)], 1.0, grads)[0], grads
+    return _head_losses(model, kind, [(seq, targets)], 1.0, grads, TrainConfig())[0], grads
 
 
 def grad_check(model, loss_fn, step=1e-5):

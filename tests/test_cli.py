@@ -158,6 +158,22 @@ def test_train_config_file_reaches_the_trainer(workspace, tmp_path):
     assert all(step["ul_branch"] == 1.0 and step["ul"] == 0.0 for step in history)
 
 
+def test_train_flags_override_config_values(workspace, tmp_path):
+    # One step an epoch, so the history length is the epoch count.
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 2, "batch_size": 10_000, "context": 2, "embed_dim": 4,
+                                  "hidden_dim": 4}), encoding="utf-8")
+
+    def epochs(*flags):
+        out = tmp_path / str(len(flags))
+        argv = ["train", "--manifest", workspace["manifest"], "--config", config, "--out-dir", out, *flags]
+        assert main([str(a) for a in argv]) == 0
+        return len(json.loads((out / "train_history.json").read_text(encoding="utf-8")))
+
+    assert epochs() == 2
+    assert epochs("--epochs", "1") == 1
+
+
 def test_train_aux_objectives_end_to_end_reruns_are_byte_identical(workspace, tmp_path):
     sentences = [s.strip() for s in workspace["text"].read_text(encoding="utf-8").split(".")][:30]
     pairs = tmp_path / "pairs.txt"  # capitalized starts, so the text splits into sentences
@@ -607,10 +623,20 @@ def test_sweep_rejects_unknown_strategy(workspace, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("grid", ["topk:0", "greedy:3", "topp:1.5", "greedy;beam:2,0"])
+@pytest.mark.parametrize("grid", [
+    "topk:0", "greedy:3", "topp:1.5", "greedy;beam:2,0",
+    # config-file grids, whose params arrive as JSON numbers
+    [["topk", [2.5]]], [["beam", [True]]], [["topk", [2, 3.5]]], [["topp", [True]]],
+])
 def test_bad_sweep_grid_exits_2_before_any_cell(workspace, tmp_path, capsys, grid):
     argv = ["sweep", "--manifest", workspace["manifest"], "--models", f"m={workspace['model']}",
-            "--strategies", grid, "--out-dir", tmp_path / "out"]
+            "--out-dir", tmp_path / "out"]
+    if isinstance(grid, str):
+        argv += ["--strategies", grid]
+    else:
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"strategies": grid}), encoding="utf-8")
+        argv += ["--config", config]
     _fails_with_one_line(capsys, argv, 2)
     assert not (tmp_path / "out" / "records").exists()
 
@@ -778,6 +804,15 @@ def _fails_with_one_line(capsys, argv, code):
             (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", bad, "--out-dir", "{out}"], None, want)
             for bad, want in (("topk:2,3", "truncation must be one"), ("topk:2;topp:0.5", "truncation must be one"),
                               ("greedy", "truncation must be topk or topp"), ("topk", "needs parameter k"))
+        ),
+        *(
+            (["train", "--manifest", "{manifest}", *flags, "--out-dir", "{out}"], None, want)
+            for flags, want in (
+                (["--objectives", "mle:1.0,ul:nan", "--ul-prefix-len", "5", "--ul-gen-len", "5"],
+                 "objective weights must be non-negative and finite"),
+                (["--learning-rate", "inf"], "learning_rate must be positive and finite"),
+                (["--margin", "nan"], "margin must be finite"),
+            )
         ),
     ],
 )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from genteval import losses
 from genteval.corpus import SentencePair, TokenSequence, Vocab
 from genteval.errors import AlignmentError, ConfigError, DataError, EmptyDataset, NoSupervision
 from genteval.lm import FeedForwardLM
@@ -285,13 +286,6 @@ def test_adam_constant_gradient_steps_by_lr():
     assert params["p"][0] == pytest.approx(0.8, abs=1e-7)
 
 
-def test_train_config_override():
-    cfg = TrainConfig(epochs=2, objectives=(("mle", 1.0), ("ul", 0.5)))
-    out = cfg.override(epochs=None, batch_size=4)
-    assert out.epochs == 2 and out.batch_size == 4
-    assert out.objectives == cfg.objectives and out.seq_ul == SeqUlConfig()
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -302,6 +296,13 @@ def test_train_config_override():
         {"objectives": (("mle", 0.0), ("ul", 0.0))},
         {"learning_rate": 0.0},
         {"objectives": (("mle", 1.0), ("ul", 0.5), ("mle", 2.0))},
+        {"objectives": (("mle", 1.0), ("ul", math.nan))},
+        {"objectives": (("mle", math.inf),)},
+        {"learning_rate": math.inf},
+        {"learning_rate": math.nan},
+        {"margin": math.nan},
+        {"margin": -math.inf},
+        {"objectives": (("pos", 1.0), ("dp", 0.5))},
     ],
 )
 def test_train_config_rejects(bad):
@@ -387,3 +388,37 @@ def test_trainer_history_length_is_epochs_times_steps():
     cfg = TrainConfig(epochs=3, batch_size=2)
     history = Trainer(tiny_model(), cfg).fit(data)
     assert len(history) == 3 * math.ceil(5 / 2)
+
+
+def test_trainer_batch_schedule_is_pinned(monkeypatch):
+    # Pools of 5/3/4/2 items at batch size 2: three steps an epoch (from the
+    # largest pool), the sequences reshuffled each epoch and the other pools
+    # cycling on across epochs. Item indices only, so it holds on every platform.
+    seqs = tuple(seq(i, (i + 1) % 5, (i + 2) % 5, i) for i in range(5))
+    nsp = tuple((SentencePair(seqs[i], seqs[i + 1], "positive", "nsp"),
+                 SentencePair(seqs[i], seqs[(i + 3) % 5], "negative", "nsp")) for i in range(3))
+    tfidf = tuple((seqs[i], (0.1 * i,) * 4) for i in range(4))
+    pos = tuple((seqs[i], (i % 2, None, 1, 0)) for i in range(2))
+    pools = {"sequences": seqs, "nsp": nsp, "tfidf": tfidf, "pos": pos}
+    cfg = TrainConfig(
+        epochs=3, batch_size=2,
+        objectives=(("mle", 1.0), ("ul", 0.5), ("nsp", 0.3), ("tfidf", 0.2), ("pos", 0.4)),
+        seq_ul=SeqUlConfig(prefix_len=2, gen_len=3, ngram=2),
+    )
+    seen, step = [], losses.multitask_step
+
+    def recording(model, batch, *rest):
+        seen.append(tuple(
+            tuple(next(i for i, x in enumerate(pool) if x is item) for item in getattr(batch, name))
+            for name, pool in pools.items()
+        ))
+        return step(model, batch, *rest)
+
+    monkeypatch.setattr(losses, "multitask_step", recording)
+    Trainer(tiny_model(n_labels=2, regression=True), cfg, seed=3).fit(TrainData(**pools))
+    # (sequences, nsp, tfidf, pos) item indices per step, three steps an epoch
+    assert seen == [
+        ((2, 4), (0, 1), (0, 1), (0, 1)), ((0, 1), (2, 0), (2, 3), (0, 1)), ((3, 2), (1, 2), (0, 1), (0, 1)),
+        ((1, 3), (0, 1), (2, 3), (0, 1)), ((4, 2), (2, 0), (0, 1), (0, 1)), ((0, 1), (1, 2), (2, 3), (0, 1)),
+        ((0, 3), (0, 1), (0, 1), (0, 1)), ((1, 4), (2, 0), (2, 3), (0, 1)), ((2, 0), (1, 2), (0, 1), (0, 1)),
+    ]
