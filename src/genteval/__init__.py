@@ -14,6 +14,14 @@ multi-objective trainer with hand-derived gradients, and a deterministic
 sweep harness with a CLI front end (``genteval --help``).
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: a threaded OpenBLAS
+# splits the training matmuls so that the weights move in the last bits
+# with the core count. This must run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import consistency, corpus, decode, harness, losses, metrics, rng
 from .corpus import CorpusSplits, TokenSequence, Vocab, split_corpus, tokenize
 from .decode import DecoderConfig, generate_batch

@@ -286,8 +286,8 @@ def _parse_models(raw) -> dict[str, str]:
 
 @_option_parser
 def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
-    if not isinstance(raw, str):
-        return tuple((kind, float(w)) for kind, w in raw)
+    if not isinstance(raw, str):  # a config-file list; a bool weight stays for TrainConfig to refuse
+        return tuple((kind, w if isinstance(w, bool) else float(w)) for kind, w in raw)
     out = []
     for part in raw.split(","):
         part = part.strip()

@@ -471,9 +471,6 @@ class LogFit:
     b: float
     residual_sum: float
 
-    def predict(self, x: float) -> float:
-        return self.a * math.log(x) + self.b
-
 
 def fit_log_curve(points) -> LogFit:
     """Closed-form normal equations on (ln x, y) pairs.

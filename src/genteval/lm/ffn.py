@@ -225,15 +225,19 @@ class FeedForwardLM:
             pass
         return logp
 
-    def gold_blocks(self, seqs, contexts, gold_logp: np.ndarray):
+    def gold_blocks(self, seqs, contexts, gold_logp: np.ndarray, rows: np.ndarray | None = None):
         """Run the windows of ``seqs`` (``seqs[i]`` after ``contexts[i]``) in
         blocks of at most ``BLOCK_ROWS`` rows, one forward and one exp pass
-        each. Fills ``gold_logp`` with each row's log-probability of its own
-        id and yields ``(lo, hi, cache, z, denom)`` per block of rows
-        ``lo:hi``: ``z / denom`` is its softmax, and the caller owns ``z``."""
+        each. ``rows`` picks the rows to run, as ascending indices into all
+        of ``seqs``' stacked rows (default: every row). Fills ``gold_logp``
+        with each run row's log-probability of its own id and yields
+        ``(lo, hi, cache, z, denom)`` per block of run rows ``lo:hi``:
+        ``z / denom`` is its softmax, and the caller owns ``z``."""
         empty = np.empty((0, self.context), dtype=np.int64)
         windows = np.concatenate([empty] + [self.windows(s, c) for s, c in zip(seqs, contexts)])
         gold = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=len(windows))
+        if rows is not None:
+            windows, gold = windows[rows], gold[rows]
         for lo in range(0, len(gold), BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, len(gold))
             cache = self.forward(windows[lo:hi])
@@ -259,10 +263,15 @@ class FeedForwardLM:
 
         ``dlogits`` is d(loss)/d(vocab logits), ``dreg`` and ``dcls``
         the analogues for the heads; any may be omitted.
+
+        dW2 is summed in ``(H, V)`` layout: ``h.T @ dlogits`` is added into
+        ``grads["w2"].T``. A ``(V, H)`` ``grads["w2"]`` stored in Fortran
+        order takes that add contiguously, the fastest of the layouts.
         """
         dh = np.zeros_like(cache.h)
         if dlogits is not None:
-            grads["w2"] += dlogits.T @ cache.h
+            dw2 = grads["w2"].T
+            dw2 += cache.h.T @ dlogits
             grads["b2"] += dlogits.sum(axis=0)
             dh += dlogits @ self.params["w2"]
         if dreg is not None:

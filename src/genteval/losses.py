@@ -30,7 +30,9 @@ exp pass that yields both the gold log-probs and the softmax, one
 combined ``dlogits`` and one backward. Token-level UL trains on the same
 windows as MLE, so it shares MLE's blocks; its candidates are
 ``(position, token)`` arrays, gathered and scattered sparsely.
-Sequence-level UL stacks the greedy rollouts into blocks of their own.
+Sequence-level UL has no CE term, so it stacks into blocks of its own
+only the rollout rows that end a repeated n-gram: a rollout without
+repeats costs only its decode.
 ``nsp``/``sop`` score all their pairs with one ``score_batch`` call and
 run the pairs of active hinges through the same blocks, as CE weighted by
 perplexity. ``tfidf``, ``pos`` and ``dp`` make one forward over every
@@ -112,28 +114,42 @@ def _token_losses(
 
     ``seqs[i]`` is conditioned on ``contexts[i]``; ``candidates[i]`` is
     its UL ``(position, token)`` arrays, positions ascending (None: no
-    UL). Each block of :meth:`FeedForwardLM.gold_blocks` turns its ``z``
-    into dlogits in place and runs one backward. ``ce_weight`` is one
-    float or one weight per sequence; sequence i adds ``ce_weight_i / len_i``
-    times its CE gradient plus ``ul_weight / len_i`` times its UL gradient
-    into ``grads``. The returned losses are unweighted.
+    UL). ``ce_weight`` is one float or one weight per sequence; sequence i
+    adds ``ce_weight_i / len_i`` times its CE gradient plus
+    ``ul_weight / len_i`` times its UL gradient into ``grads``. The
+    returned losses are unweighted.
+
+    A row of CE weight 0 without a candidate has a dlogits row of exact
+    zeros, so only the other rows run: a UL-only pass forwards just the
+    rows that hold a candidate, and one without candidates runs nothing.
+    The CE loss of a sequence with a row left out is NaN. Each block of
+    :meth:`FeedForwardLM.gold_blocks` turns its ``z`` into dlogits in
+    place and runs one backward, which sums dW2 into one ``(H, V)``
+    array per pass; its transpose joins ``grads["w2"]`` at the end.
     """
     lens = [len(s) for s in seqs]
     bounds = np.cumsum([0] + lens)
     n_rows = int(bounds[-1])
-    gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    row_scale = np.repeat(1.0 / np.array(lens), lens)
     row_ce = np.repeat(np.broadcast_to(ce_weight, len(lens)), lens)
     if candidates is None:
         cand_rows = cand_toks = np.empty(0, dtype=np.int64)
     else:
         cand_rows = np.concatenate([t + lo for (t, _), lo in zip(candidates, bounds)])
         cand_toks = np.concatenate([tok for _, tok in candidates])
-    gold_logp = np.empty(n_rows)
+    needed = row_ce != 0.0
+    needed[cand_rows] = True
+    run = np.flatnonzero(needed)
+    cand_at = np.searchsorted(run, cand_rows)  # each candidate's index among the run rows
+    gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])[run]
+    row_scale = np.repeat(1.0 / np.array(lens), lens)[run]
+    row_ce = row_ce[run]
+    run_logp = np.empty(len(run))
     cand_p = np.empty(len(cand_rows))
-    for lo, hi, cache, z, denom in model.gold_blocks(seqs, contexts, gold_logp):
-        a, b = np.searchsorted(cand_rows, (lo, hi))
-        rows, cr, ct = np.arange(hi - lo), cand_rows[a:b] - lo, cand_toks[a:b]
+    dw2 = np.zeros(grads["w2"].shape, order="F")  # (H, V) in memory; see backward
+    pass_grads = {**grads, "w2": dw2}
+    for lo, hi, cache, z, denom in model.gold_blocks(seqs, contexts, run_logp, run):
+        a, b = np.searchsorted(cand_at, (lo, hi))
+        rows, cr, ct = np.arange(hi - lo), cand_at[a:b] - lo, cand_toks[a:b]
         p = cand_p[a:b] = z[cr, ct] / denom[cr]
         # d/dlogits: ce * (softmax - onehot) + ul * (q - softmax * sum(q)),
         # with q = p / (1 - p) at the candidates; the clamp zeroes q.
@@ -144,7 +160,10 @@ def _token_losses(
         z *= ((ce - ul_weight * q_sum) * scale / denom)[:, None]
         z[rows, gold[lo:hi]] -= ce * scale
         z[cr, ct] += ul_weight * scale[cr] * q
-        model.backward(cache, grads, dlogits=z)
+        model.backward(cache, pass_grads, dlogits=z)
+    grads["w2"] += dw2
+    gold_logp = np.full(n_rows, np.nan)
+    gold_logp[run] = run_logp
     penalty = -np.log1p(-np.minimum(cand_p, 1.0 - _UL_CLAMP))
     cuts = np.searchsorted(cand_rows, bounds)
     ce = [float(-gold_logp[lo:hi].mean()) for lo, hi in zip(bounds, bounds[1:])]
@@ -442,6 +461,8 @@ class TrainConfig:
                 raise ConfigError(f"objective {kind!r} is listed more than once")
             if kind not in OBJECTIVES:
                 raise ConfigError(f"unknown objective kind {kind!r}")
+            if isinstance(weight, bool):
+                raise ConfigError(f"objective weight of {kind!r} must be a number, not {weight!r}")
             if not 0 <= weight < math.inf:
                 raise ConfigError("objective weights must be non-negative and finite")
         active = dict(self.active)
@@ -517,7 +538,8 @@ def multitask_step(
             model, seqs, [()] * len(seqs), cands,
             weights.get("mle", 0.0) / len(seqs), weights["ul"] / len(seqs) if token_ul else 0.0, grads,
         )
-        means["mle"] = _mean(ce)
+        if "mle" in weights:
+            means["mle"] = _mean(ce)
         if token_ul:
             means["ul"] = _mean(ul)
     if seq_level:

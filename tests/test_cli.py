@@ -814,6 +814,8 @@ def _fails_with_one_line(capsys, argv, code):
                 (["--margin", "nan"], "margin must be finite"),
             )
         ),
+        (["train", "--manifest", "{manifest}", "--out-dir", "{out}"], {"objectives": [["mle", True]]},
+         "objective weight of 'mle' must be a number, not True"),
     ],
 )
 def test_usage_errors_are_one_line_config_errors(workspace, tmp_path, capsys, argv, config, message):

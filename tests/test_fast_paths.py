@@ -767,9 +767,14 @@ STEP_RTOL = 1e-12
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_blocked_step_matches_per_item_step(case):
     objectives, mix, margin = STEP_CASES[case]
-    vocab, batch = _step_data()
     cfg = TrainConfig(objectives=objectives, margin=margin,
                       seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
+    _assert_step_matches_oracle(cfg)
+
+
+def _assert_step_matches_oracle(cfg):
+    """One multitask_step against naive_multitask_step at STEP_RTOL; returns the step's scalars."""
+    vocab, batch = _step_data()
 
     def run(step):
         model = _step_model(vocab)
@@ -785,6 +790,7 @@ def test_blocked_step_matches_per_item_step(case):
     for name, want in slow_grads.items():
         err = np.max(np.abs(fast_grads[name] - want))
         assert err <= STEP_RTOL * np.max(np.abs(want)), (name, err)
+    return fast
 
 
 def test_step_cases_cover_both_hinge_states():
@@ -834,6 +840,44 @@ def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
         if mix == 0.0:
             # Token-level UL reuses MLE's forward: every token is forwarded once.
             assert sum(rows) == sum(_LENS)
+
+
+def _seq_ul_forward_rows(monkeypatch, cfg):
+    """Rows per forward of one seq-UL step, and its rollouts: they are
+    decoded before counting starts, so only the loss pass is counted."""
+    vocab, batch = _step_data()
+    model = _step_model(vocab)
+    rollouts = losses._greedy_rollouts(model, batch.sequences, cfg.seq_ul)
+    monkeypatch.setattr(losses, "_greedy_rollouts", lambda *_: rollouts)
+    rows = []
+    forward = FeedForwardLM.forward
+
+    def counting(self, ctx):
+        rows.append(ctx.shape[0])
+        return forward(self, ctx)
+
+    monkeypatch.setattr(FeedForwardLM, "forward", counting)
+    scalars = multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
+    assert scalars["ul_branch"] == 1.0
+    return rows, rollouts
+
+
+def test_seq_ul_step_forwards_only_candidate_rows(monkeypatch):
+    cfg = TrainConfig(objectives=(("ul", 1.0),),
+                      seq_ul=SeqUlConfig(mix_prob=1.0, prefix_len=3, gen_len=20, ngram=2))
+    rows, rollouts = _seq_ul_forward_rows(monkeypatch, cfg)
+    with_cands = sum(bool(c) for _, cont in rollouts for c in naive_ul_seq_candidates(cont.ids, 2))
+    assert 0 < with_cands < sum(len(cont) for _, cont in rollouts)
+    assert sum(rows) == with_cands and max(rows) <= BLOCK_ROWS
+
+
+def test_seq_ul_without_candidates_forwards_nothing(monkeypatch):
+    # No rollout is as long as one n-gram, so none can repeat one.
+    cfg = TrainConfig(objectives=(("ul", 2.0),),
+                      seq_ul=SeqUlConfig(mix_prob=1.0, prefix_len=3, gen_len=20, ngram=21))
+    assert _assert_step_matches_oracle(cfg)["ul"] == 0.0
+    rows, _ = _seq_ul_forward_rows(monkeypatch, cfg)
+    assert rows == []
 
 
 def test_in_place_adam_matches_whole_array_expressions():

@@ -1,10 +1,15 @@
 """Training objectives: frozen values, gradient checks, trainer determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genteval
 from genteval import losses
 from genteval.corpus import SentencePair, TokenSequence, Vocab
 from genteval.errors import AlignmentError, ConfigError, DataError, EmptyDataset, NoSupervision
@@ -303,6 +308,7 @@ def test_adam_constant_gradient_steps_by_lr():
         {"margin": math.nan},
         {"margin": -math.inf},
         {"objectives": (("pos", 1.0), ("dp", 0.5))},
+        {"objectives": (("mle", True),)},
     ],
 )
 def test_train_config_rejects(bad):
@@ -381,6 +387,36 @@ def test_trainer_is_deterministic():
     hist_b, params_b = run()
     assert hist_a == hist_b
     assert all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
+
+
+_TRAIN_AND_HASH = """
+import hashlib
+from genteval.corpus import TokenSequence, Vocab
+from genteval.lm import FeedForwardLM
+from genteval.losses import TrainConfig, TrainData, Trainer
+from genteval.rng import SplitMix64
+vocab, rng = Vocab.placeholder(500), SplitMix64(3)
+seqs = tuple(TokenSequence(tuple(int(rng.uniform() * 500) for _ in range(64)), vocab) for _ in range(16))
+model = FeedForwardLM.init(vocab, seed=1)
+Trainer(model, TrainConfig(epochs=1, batch_size=16)).fit(TrainData(sequences=seqs))
+print(hashlib.sha256(b"".join(a.tobytes() for a in model.params.values())).hexdigest())
+"""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_trained_weights_do_not_depend_on_an_unset_blas_thread_count():
+    # A threaded BLAS would change these weights in the last bits on a
+    # machine of two or more cores; importing genteval pins one thread.
+    src = str(Path(genteval.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+
+    def weights_hash(**threads):
+        run = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env={**base, **threads},
+                             capture_output=True, text=True, check=True)
+        return run.stdout
+
+    assert weights_hash() == weights_hash(OPENBLAS_NUM_THREADS="1")
 
 
 def test_trainer_history_length_is_epochs_times_steps():
