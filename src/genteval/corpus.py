@@ -21,6 +21,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -496,8 +497,35 @@ def vocab_from_manifest(manifest: dict) -> Vocab:
     return Vocab.placeholder(int(tok["vocab_size"]))
 
 
-def load_splits(manifest_path: str | Path) -> tuple[CorpusSplits, dict]:
-    """Read a manifest and its three ids files; a malformed one raises DataError."""
+class SavedSplits:
+    """The splits of a saved manifest and the vocab their ids files are checked against.
+
+    Each split's ids file is read and checked when code first reads that
+    split, so a command opens only the files it uses.
+    """
+
+    def __init__(self, directory: Path, vocab: Vocab, seq_len: int, ratios: tuple) -> None:
+        self.directory, self.vocab, self.seq_len, self.ratios = directory, vocab, seq_len, ratios
+
+    def _read(self, name: str) -> tuple[TokenSequence, ...]:
+        path = self.directory / _SPLIT_FILES[name]
+        sequences, vocab_size = read_ids_file(path)
+        if vocab_size != self.vocab.size:
+            raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {self.vocab.size}")
+        # read_ids_file has range-checked every line against this vocab size.
+        return tuple(TokenSequence.trusted(tuple(ids), self.vocab) for ids in sequences)
+
+    train = cached_property(lambda self: self._read("train"))
+    dev = cached_property(lambda self: self._read("dev"))
+    test = cached_property(lambda self: self._read("test"))
+    counts = CorpusSplits.counts
+
+
+def load_splits(manifest_path: str | Path) -> tuple[SavedSplits, dict]:
+    """Read and check a manifest and its vocab; a malformed one raises DataError.
+
+    The ids files are read on first use (see :class:`SavedSplits`).
+    """
     manifest_path = Path(manifest_path)
     try:
         with open(manifest_path, encoding="utf-8") as f:
@@ -506,19 +534,4 @@ def load_splits(manifest_path: str | Path) -> tuple[CorpusSplits, dict]:
         seq_len, ratios = int(manifest["seq_len"]), tuple(manifest["ratios"])
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: bad manifest ({type(exc).__name__}: {exc})") from None
-    parts = {}
-    for name, fname in _SPLIT_FILES.items():
-        path = manifest_path.parent / fname
-        sequences, vocab_size = read_ids_file(path)
-        if vocab_size != vocab.size:
-            raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {vocab.size}")
-        # read_ids_file has range-checked every line against this vocab size.
-        parts[name] = tuple(TokenSequence.trusted(tuple(ids), vocab) for ids in sequences)
-    splits = CorpusSplits(
-        train=parts["train"],
-        dev=parts["dev"],
-        test=parts["test"],
-        seq_len=seq_len,
-        ratios=ratios,
-    )
-    return splits, manifest
+    return SavedSplits(manifest_path.parent, vocab, seq_len, ratios), manifest

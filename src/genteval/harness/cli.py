@@ -45,7 +45,6 @@ from ..corpus import (
     surface_tokens,
     tfidf_scores,
     tokenize,
-    vocab_from_manifest,
 )
 from ..decode import (
     PARAM_FIELDS, DecoderConfig, cell_config, parse_strategies, strategy_name, token_prob_trace,
@@ -73,6 +72,7 @@ from .samples import load_sample_set, save_sample_set, write_metric_report
 from .sweep import (
     METRICS,
     SweepConfig,
+    check_positive,
     decode_cell,
     metric_inputs,
     prefix_windows,
@@ -90,115 +90,128 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(config: dict | None = None, command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI; ``config`` values become the defaults of ``command``'s options."""
+    """The CLI; ``config`` values become the defaults of ``command``'s options.
+
+    With a known ``command`` only its subparser is built, which parses
+    that command's arguments exactly as the full parser does; otherwise
+    every subcommand is, for the help listing and the unknown-command error.
+    """
     parser = _Parser(
         prog="genteval",
         description="Evaluate language models on open-ended generation: "
         "quality, diversity, and consistency.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of option values")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out-dir", default=".")
-    common.add_argument("--workers", type=int, default=1, help="ignored; sweep cells run serially")
-    metric_settings = argparse.ArgumentParser(add_help=False)
-    metric_settings.add_argument("--max-n", type=int, default=4)
-    metric_settings.add_argument("--subsample", type=int)
-    metric_settings.add_argument("--subsample-seed", type=int, default=0)
-    metric_settings.add_argument("--fwd-order", type=int, default=2)
-    metric_settings.add_argument("--fwd-k-s", type=float, default=1.0)
-    metric_settings.add_argument("--rev-order", type=int, default=2)
-    metric_settings.add_argument("--rev-k-s", type=float, default=1.0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="tokenize and split a corpus")
-    p.add_argument("--input")
-    p.add_argument("--format", choices=("text", "ids"), default="text")
-    p.add_argument("--scheme", choices=("word", "char"), default="word")
-    p.add_argument("--seq-len", type=int, default=100)
-    p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test fractions")
+    def add(name: str, help_text: str, metric_settings: bool = False) -> argparse.ArgumentParser | None:
+        """``name``'s subparser with its shared options; None when only another command is built."""
+        if command in _COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option values")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", default=".")
+        p.add_argument("--workers", type=int, default=1, help="ignored; sweep cells run serially")
+        if metric_settings:
+            p.add_argument("--max-n", type=int, default=4)
+            p.add_argument("--subsample", type=int)
+            p.add_argument("--subsample-seed", type=int, default=0)
+            p.add_argument("--fwd-order", type=int, default=2)
+            p.add_argument("--fwd-k-s", type=float, default=1.0)
+            p.add_argument("--rev-order", type=int, default=2)
+            p.add_argument("--rev-k-s", type=float, default=1.0)
+        return p
 
-    p = sub.add_parser("train", parents=[common], help="train an n-gram or feed-forward LM")
-    p.add_argument("--manifest")
-    p.add_argument("--backend", choices=("ffn", "ngram"), default="ffn")
-    p.add_argument("--model-out")
-    p.add_argument("--order", type=int, default=2, help="n-gram order")
-    p.add_argument("--k-s", type=float, default=1.0, help="n-gram add-k smoothing")
-    p.add_argument("--context", type=int, default=8, help="ffn window size")
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--objectives", help='e.g. "mle:1.0,ul:0.5"')
-    p.add_argument("--mix-prob", type=float)
-    p.add_argument("--ul-prefix-len", type=int)
-    p.add_argument("--ul-gen-len", type=int)
-    p.add_argument("--ul-ngram", type=int)
-    p.add_argument("--pairs-text", help="raw text for nsp/sop pairs")
-    p.add_argument("--pairs-count", type=int, default=200)
-    p.add_argument("--labels", help="TSV label file for pos/dp")
-    p.add_argument("--doc-len", type=int, help="tf-idf document length")
+    if p := add("ingest", "tokenize and split a corpus"):
+        p.add_argument("--input")
+        p.add_argument("--format", choices=("text", "ids"), default="text")
+        p.add_argument("--scheme", choices=("word", "char"), default="word")
+        p.add_argument("--seq-len", type=int, default=100)
+        p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test fractions")
 
-    p = sub.add_parser("generate", parents=[common], help="decode continuations into a sample file")
-    p.add_argument("--model")
-    p.add_argument("--manifest")
-    p.add_argument("--split", choices=("train", "dev", "test"), default="train")
-    p.add_argument("--strategy", default="greedy")
-    for name, kind in PARAM_FIELDS.items():
-        p.add_argument(f"--{name}", type=kind)
-    p.add_argument("--prefix-len", type=int, default=50)
-    p.add_argument("--gen-len", type=int, default=100)
-    p.add_argument("--n-prefixes", type=int)
-    p.add_argument("--samples-out")
+    if p := add("train", "train an n-gram or feed-forward LM"):
+        p.add_argument("--manifest")
+        p.add_argument("--backend", choices=("ffn", "ngram"), default="ffn")
+        p.add_argument("--model-out")
+        p.add_argument("--order", type=int, default=2, help="n-gram order")
+        p.add_argument("--k-s", type=float, default=1.0, help="n-gram add-k smoothing")
+        p.add_argument("--context", type=int, default=8, help="ffn window size")
+        p.add_argument("--embed-dim", type=int, default=32)
+        p.add_argument("--hidden-dim", type=int, default=64)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--learning-rate", type=float)
+        p.add_argument("--margin", type=float)
+        p.add_argument("--objectives", help='e.g. "mle:1.0,ul:0.5"')
+        p.add_argument("--mix-prob", type=float)
+        p.add_argument("--ul-prefix-len", type=int)
+        p.add_argument("--ul-gen-len", type=int)
+        p.add_argument("--ul-ngram", type=int)
+        p.add_argument("--pairs-text", help="raw text for nsp/sop pairs")
+        p.add_argument("--pairs-count", type=int, default=200)
+        p.add_argument("--labels", help="TSV label file for pos/dp")
+        p.add_argument("--doc-len", type=int, help="tf-idf document length")
 
-    p = sub.add_parser("eval", parents=[common, metric_settings], help="score samples or datasets")
-    p.add_argument("kind", choices=("quality", "diversity", "consistency", "acceptability"))
-    p.add_argument("--samples", help="generated SampleSet JSONL")
-    p.add_argument("--manifest")
-    p.add_argument("--model")
-    p.add_argument("--triples")
-    p.add_argument("--stories")
-    p.add_argument("--sentences", help="file of sentences for acceptability, one per line")
-    p.add_argument("--scheme", choices=("word", "char"), default="word")
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--prefix-len", type=int)
-    p.add_argument("--gen-len", type=int)
+    if p := add("generate", "decode continuations into a sample file"):
+        p.add_argument("--model")
+        p.add_argument("--manifest")
+        p.add_argument("--split", choices=("train", "dev", "test"), default="train")
+        p.add_argument("--strategy", default="greedy")
+        for name, kind in PARAM_FIELDS.items():
+            p.add_argument(f"--{name}", type=kind)
+        p.add_argument("--prefix-len", type=int, default=50)
+        p.add_argument("--gen-len", type=int, default=100)
+        p.add_argument("--n-prefixes", type=int)
+        p.add_argument("--samples-out")
 
-    p = sub.add_parser(
-        "sweep", parents=[common, metric_settings], help="run the model x strategy x param grid"
-    )
-    p.add_argument("--manifest")
-    p.add_argument("--models", help='e.g. "mle=out/mle.lmek,ul=out/ul.lmek"')
-    p.add_argument("--strategies", help='e.g. "greedy;topp:0.2,0.9;topk:2,10"')
-    p.add_argument("--prefix-len", type=int, default=50)
-    p.add_argument("--gen-len", type=int, default=100)
-    p.add_argument("--n-prefixes", type=int)
-    p.add_argument("--metrics", default=",".join(METRICS))
+    if p := add("eval", "score samples or datasets", metric_settings=True):
+        p.add_argument("kind", choices=("quality", "diversity", "consistency", "acceptability"))
+        p.add_argument("--samples", help="generated SampleSet JSONL")
+        p.add_argument("--manifest")
+        p.add_argument("--model")
+        p.add_argument("--triples")
+        p.add_argument("--stories")
+        p.add_argument("--sentences", help="file of sentences for acceptability, one per line")
+        p.add_argument("--scheme", choices=("word", "char"), default="word")
+        p.add_argument("--alpha", type=float, default=0.6)
+        p.add_argument("--prefix-len", type=int)
+        p.add_argument("--gen-len", type=int)
 
-    p = sub.add_parser("fit", parents=[common], help="fit the quality-diversity trade-off curves")
-    p.add_argument("--csv", help="sweep.csv from a finished sweep")
-    p.add_argument("--quality", default="corpus_bleu")
-    p.add_argument("--diversity", default="self_bleu")
+    if p := add("sweep", "run the model x strategy x param grid", metric_settings=True):
+        p.add_argument("--manifest")
+        p.add_argument("--models", help='e.g. "mle=out/mle.lmek,ul=out/ul.lmek"')
+        p.add_argument("--strategies", help='e.g. "greedy;topp:0.2,0.9;topk:2,10"')
+        p.add_argument("--prefix-len", type=int, default=50)
+        p.add_argument("--gen-len", type=int, default=100)
+        p.add_argument("--n-prefixes", type=int)
+        p.add_argument("--metrics", default=",".join(METRICS))
 
-    p = sub.add_parser("trace", parents=[common], help="per-token probability trace as CSV")
-    p.add_argument("--model")
-    p.add_argument("--ids", help='space-separated token ids, e.g. "4 1 7"')
-    p.add_argument("--text", help="text to encode with --scheme against the model vocab")
-    p.add_argument("--scheme", choices=("word", "char"), default="word")
-    p.add_argument("--context-ids")
-    p.add_argument("--truncate", help='"topk:K" or "topp:P"')
-    p.add_argument("--trace-out")
+    if p := add("fit", "fit the quality-diversity trade-off curves"):
+        p.add_argument("--csv", help="sweep.csv from a finished sweep")
+        p.add_argument("--quality", default="corpus_bleu")
+        p.add_argument("--diversity", default="self_bleu")
+
+    if p := add("trace", "per-token probability trace as CSV"):
+        p.add_argument("--model")
+        p.add_argument("--ids", help='space-separated token ids, e.g. "4 1 7"')
+        p.add_argument("--text", help="text to encode with --scheme against the model vocab")
+        p.add_argument("--scheme", choices=("word", "char"), default="word")
+        p.add_argument("--context-ids")
+        p.add_argument("--truncate", help='"topk:K" or "topp:P"')
+        p.add_argument("--trace-out")
 
     if config:
-        p = sub.choices[command]
-        p.set_defaults(**{
-            a.dest: _config_value(a, config[a.dest])
-            for a in p._actions
-            if a.option_strings and a.dest in config and a.dest not in ("help", "config")
-        })
+        _apply_config(sub.choices[command], config)
     return parser
+
+
+def _apply_config(p: argparse.ArgumentParser, config: dict) -> None:
+    """Make ``config``'s values the defaults of the options of subparser ``p``."""
+    p.set_defaults(**{
+        a.dest: _config_value(a, config[a.dest])
+        for a in p._actions
+        if a.option_strings and a.dest in config and a.dest not in ("help", "config")
+    })
 
 
 def _config_value(action: argparse.Action, value):
@@ -208,7 +221,8 @@ def _config_value(action: argparse.Action, value):
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Flags over the ``--config`` file over the built-in defaults."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(command=argv[0] if argv else None).parse_args(argv)
     if args.config is not None:
         args = _build_parser(_load_config(args.config), args.command).parse_args(argv)
     return args
@@ -416,7 +430,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
     _require(opt, "manifest")
     out = _out_dir(opt)
     splits, manifest = load_splits(opt.manifest)
-    vocab = vocab_from_manifest(manifest)
+    vocab = splits.vocab
     scheme = manifest["tokenizer"].get("scheme", "external")
     model_out = Path(opt.model_out) if opt.model_out else out / "model.lmek"
 
@@ -461,11 +475,12 @@ def _cmd_generate(opt: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_metrics(opt: argparse.Namespace, out: Path) -> int:
+def _eval_metrics(opt: argparse.Namespace) -> int:
     """Report every metric of kind ``opt.kind`` through the sweep's table."""
     _require(opt, "samples", "manifest")
-    splits, manifest = load_splits(opt.manifest)
-    gen = load_sample_set(opt.samples, vocab_from_manifest(manifest))
+    check_positive(prefix_len=opt.prefix_len, gen_len=opt.gen_len)
+    splits, _ = load_splits(opt.manifest)
+    gen = load_sample_set(opt.samples, splits.vocab)
     first = gen.samples[0]
     prefix_len = opt.prefix_len if opt.prefix_len is not None else (
         len(first.prefix) if first.prefix else 1
@@ -475,6 +490,7 @@ def _eval_metrics(opt: argparse.Namespace, out: Path) -> int:
     provenance["samples"] = Path(opt.samples).name
     names = [name for name, metric in METRICS.items() if metric.kind == opt.kind]
     inputs = metric_inputs(opt, names, splits, prefix_len, gen_len)
+    out = _out_dir(opt)
     for name in names:
         value, nulls = METRICS[name].compute(gen, inputs)
         write_metric_report(
@@ -491,9 +507,9 @@ def _eval_metrics(opt: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_eval(opt: argparse.Namespace) -> int:
-    out = _out_dir(opt)
     if opt.kind in ("quality", "diversity"):
-        return _eval_metrics(opt, out)
+        return _eval_metrics(opt)
+    out = _out_dir(opt)
     if opt.kind == "consistency":
         if (opt.triples is None) == (opt.stories is None):
             raise ConfigError("eval consistency needs exactly one of --triples/--stories")
@@ -558,7 +574,7 @@ def _cmd_sweep(opt: argparse.Namespace) -> int:
     parsed = {"models": tuple(mapping), "metrics": tuple(metrics),
               "strategies": _parse_strategies(opt.strategies)}
     cfg = SweepConfig(**{f.name: parsed.get(f.name, getattr(opt, f.name)) for f in fields(SweepConfig)})
-    out = _out_dir(opt)
+    out = Path(opt.out_dir)  # run_sweep makes it once the settings pass
     splits, _ = load_splits(opt.manifest)
     records = run_sweep(cfg, splits, out, models=mapping)
     failed = [r for r in records if r.failed]

@@ -25,15 +25,16 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from ..corpus import CorpusSplits, TokenSequence
+from ..corpus import CorpusSplits, SavedSplits, TokenSequence
 from ..decode import DecoderConfig, cell_config, generate_batch, param_value
 from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text, write_json
-from ..lm.ngram import NGramLM, ngram_fit
+from ..lm.ngram import NGramLM, check_settings, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
     BleuConfig,
     Sample,
     SampleSet,
+    check_reverse_settings,
     corpus_bleu,
     forward_ppl,
     mean_seq_rep,
@@ -111,12 +112,17 @@ SCHEMA_TAG = "v1"
 
 
 def metric_inputs(
-    settings, names, splits: CorpusSplits, prefix_len: int, gen_len: int
+    settings, names, splits: CorpusSplits | SavedSplits, prefix_len: int, gen_len: int
 ) -> MetricInputs:
-    """Build the inputs the metrics ``names`` need, each part only if needed."""
+    """Check the settings of the metrics ``names``, then build the inputs they
+    need, each part only if needed."""
     bleu_cfg = BleuConfig(
         max_n=settings.max_n, subsample=settings.subsample, subsample_seed=settings.subsample_seed
     )
+    if "forward_ppl" in names:
+        check_settings(settings.fwd_order, settings.fwd_k_s)
+    if "reverse_ppl" in names:
+        check_reverse_settings(settings.rev_order, settings.rev_k_s)
     refs = fwd_scorer = None
     if "corpus_bleu" in names or "reverse_ppl" in names:
         refs = reference_set(splits, prefix_len, gen_len)
@@ -159,7 +165,7 @@ class SweepConfig:
             raise ConfigError("sweep needs at least one model")
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model names in sweep")
-        _check_positive(prefix_len=self.prefix_len, gen_len=self.gen_len, n_prefixes=self.n_prefixes)
+        check_positive(prefix_len=self.prefix_len, gen_len=self.gen_len, n_prefixes=self.n_prefixes)
         for name in self.metrics:
             if name not in METRICS:
                 raise ConfigError(f"unknown sweep metric {name!r}")
@@ -201,19 +207,19 @@ class SweepRecord:
         return asdict(self)
 
 
-def _check_positive(**values) -> None:
+def check_positive(**values) -> None:
     for name, value in values.items():
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be positive")
 
 
 def prefix_windows(
-    splits: CorpusSplits, split: str, prefix_len: int, n_prefixes: int | None
+    splits: CorpusSplits | SavedSplits, split: str, prefix_len: int, n_prefixes: int | None
 ) -> list[TokenSequence]:
     """The first ``prefix_len`` tokens of each of the first ``n_prefixes``
     sequences of ``split`` (all of them when None): what ``genteval
     generate`` and a sweep decode from."""
-    _check_positive(prefix_len=prefix_len, n_prefixes=n_prefixes)
+    check_positive(prefix_len=prefix_len, n_prefixes=n_prefixes)
     seqs = getattr(splits, split)[:n_prefixes]
     if not seqs:
         raise DataError(f"split {split!r} has no sequences")
@@ -277,7 +283,7 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def reference_set(splits: CorpusSplits, prefix_len: int, gen_len: int) -> SampleSet:
+def reference_set(splits: CorpusSplits | SavedSplits, prefix_len: int, gen_len: int) -> SampleSet:
     """Human continuations from the test split, matching the generated span."""
     samples = []
     for i, seq in enumerate(splits.test):
@@ -306,7 +312,7 @@ def _resolve_models(cfg: SweepConfig, models) -> tuple[dict, dict]:
 
 def run_sweep(
     cfg: SweepConfig,
-    splits: CorpusSplits,
+    splits: CorpusSplits | SavedSplits,
     out_dir: str | Path,
     models: dict[str, object] | None = None,
 ) -> list[SweepRecord]:
@@ -317,10 +323,10 @@ def run_sweep(
     paths themselves.
     """
     prefixes = prefix_windows(splits, "train", cfg.prefix_len, cfg.n_prefixes)
+    inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
     (out / "samples").mkdir(parents=True, exist_ok=True)
-    inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     loaded, load_errors = _resolve_models(cfg, models)
 
     records = []

@@ -23,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -33,16 +34,21 @@ from ..errors import BadOrder, ConfigError, DataError, EmptyInput
 from .base import as_ids, summed_scores
 
 
+def check_settings(order: int, k_s: float) -> None:
+    """Refuse an order below 1 or a smoothing constant that is negative, inf or NaN."""
+    if order < 1:
+        raise BadOrder("n-gram order must be at least 1")
+    if not 0 <= k_s < math.inf:
+        raise ConfigError(f"smoothing constant must be non-negative and finite, not {k_s}")
+
+
 class NGramLM:
     backend = "ngram"
 
     def __init__(self, vocab: Vocab, order: int, k_s: float, grams: dict, counts: dict) -> None:
         """``grams[o]``: the o-grams, strictly increasing, each one's
         context a gram of ``grams[o - 1]``; ``counts[o]``: their counts."""
-        if order < 1:
-            raise BadOrder("n-gram order must be at least 1")
-        if k_s < 0:
-            raise ConfigError("smoothing constant must be non-negative")
+        check_settings(order, k_s)
         self.vocab, self.order, self.k_s = vocab, order, float(k_s)
         self.grams = {o: np.asarray(grams[o], dtype=np.int64).reshape(-1, o) for o in range(1, order + 1)}
         # counts[o] views all but a trailing 0 that row -1 (no gram) reads.

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import TokenSequence, Vocab, ngram_windows
 from .errors import ConfigError, InsufficientSamples
 from .lm.base import as_ids
-from .lm.ngram import ngram_fit
+from .lm.ngram import check_settings, ngram_fit
 from .rng import SplitMix64
 
 
@@ -240,6 +240,13 @@ def forward_ppl(scorer, gen: SampleSet) -> float:
     return _pooled_ppl(scorer, gen)
 
 
+def check_reverse_settings(order: int, k_s: float) -> None:
+    """Refuse an n-gram setting :func:`reverse_ppl` cannot fit with."""
+    check_settings(order, k_s)
+    if not k_s > 0:
+        raise ConfigError("reverse_ppl requires k_s > 0")
+
+
 def reverse_ppl(
     gen: SampleSet,
     human_test: SampleSet,
@@ -254,8 +261,7 @@ def reverse_ppl(
     smoothed over the human set's vocab, so every model's generations are
     compared over the same tokens.
     """
-    if not k_s > 0:
-        raise ConfigError("reverse_ppl requires k_s > 0")
+    check_reverse_settings(order, k_s)
     if not len(gen) or not len(human_test):
         raise InsufficientSamples("reverse_ppl needs non-empty gen and human sets")
     scorer = ngram_fit(gen.continuations(), order=order, k_s=k_s, vocab=human_test.vocab)

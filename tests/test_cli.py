@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genteval.corpus import write_ids_file
-from genteval.harness.cli import _build_parser, _parse_args, main
+from genteval.errors import ConfigError
+from genteval.harness.cli import _COMMANDS, _apply_config, _build_parser, _load_config, _parse_args, main
 from genteval.harness.sweep import CSV_COLUMNS, SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
 from genteval.lm import load_model
 from toytext import make_text
@@ -40,12 +41,15 @@ def workspace(tmp_path_factory):
         ]
     )
     assert rc == 0
-    return {
+    space = {
         "root": root,
         "text": text_path,
         "manifest": data / "manifest.json",
         "model": model_dir / "model.lmek",
+        "samples": root / "gen" / "samples.jsonl",
     }
+    assert _generate(space, root / "gen") == 0
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +677,51 @@ def test_generate_and_sweep_reject_the_same_prefix_settings(workspace, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["quality", "diversity"])
+@pytest.mark.parametrize("flag, value", [("--prefix-len", "0"), ("--prefix-len", "-1"),
+                                         ("--gen-len", "0"), ("--gen-len", "-2")])
+def test_eval_rejects_a_bad_length_like_generate_and_sweep(workspace, tmp_path, capsys, kind, flag, value):
+    argv = ["eval", kind, "--samples", workspace["samples"], "--manifest", workspace["manifest"],
+            flag, value, "--out-dir", tmp_path / "out"]
+    assert f"{flag[2:].replace('-', '_')} must be positive" in _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "out").exists()
+
+
+_BAD_METRIC_SETTINGS = [
+    ("--fwd-order", "0", "quality", "n-gram order must be at least 1"),
+    ("--fwd-k-s", "-1", "quality", "smoothing constant must be non-negative and finite"),
+    ("--rev-order", "0", "diversity", "n-gram order must be at least 1"),
+    ("--rev-k-s", "-1", "diversity", "smoothing constant must be non-negative and finite"),
+    ("--rev-k-s", "0", "diversity", "reverse_ppl requires k_s > 0"),
+    ("--max-n", "0", "diversity", "max_n must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, kind, message", _BAD_METRIC_SETTINGS)
+def test_bad_metric_setting_stops_eval_before_any_report(workspace, tmp_path, capsys, flag, value, kind, message):
+    argv = ["eval", kind, "--samples", workspace["samples"], "--manifest", workspace["manifest"],
+            flag, value, "--out-dir", tmp_path / "out"]
+    assert message in _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "out").exists()
+    # The other kind does not run the metric the setting belongs to.
+    other = "quality" if kind == "diversity" else "diversity"
+    if flag != "--max-n":
+        assert main([str(a) for a in argv[:1] + [other] + argv[2:]]) == 0
+
+
+@pytest.mark.parametrize("flag, value, kind, message", _BAD_METRIC_SETTINGS)
+def test_bad_metric_setting_stops_sweep_before_any_model_loads(workspace, tmp_path, capsys, flag, value, kind,
+                                                               message):
+    argv = ["sweep", "--manifest", workspace["manifest"], "--models", f"m={workspace['model']}",
+            "--strategies", "greedy", "--prefix-len", "5", "--gen-len", "4", "--n-prefixes", "2",
+            flag, value, "--out-dir", tmp_path / "out"]
+    assert message in _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "out").exists()
+    # A sweep that does not compute the metric does not check its setting.
+    if flag != "--max-n":
+        assert main([str(a) for a in argv + ["--metrics", "seq_rep_4"]]) == 0
+
+
 def test_trace_context_ids_outside_an_ffn_vocab_are_config_errors(toy_sweep, tmp_path, capsys):
     ffn = toy_sweep.parent / "ffn" / "model.lmek"
     for bad in ("99999", "-5"):
@@ -733,6 +782,144 @@ def test_config_sets_every_option_and_flags_win(tmp_path):
             assert from_config[a.dest] == values[a.dest][0], (command, a.dest)
             assert from_flags[a.dest] == values[a.dest][2], (command, a.dest)
         assert "not_an_option" not in from_config
+
+
+# ---------------------------------------------------------------------------
+# setup fast paths: one subparser per call, splits read on first use
+# ---------------------------------------------------------------------------
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command")
+
+
+def _parse_with_every_subparser(argv):
+    """The slow path: all seven subparsers built, a config applied to argv[0]'s."""
+    args = _build_parser().parse_args(argv)
+    if args.config is not None:
+        parser = _build_parser()
+        _apply_config(_subparsers(parser).choices[args.command], _load_config(args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
+def test_one_subparser_parses_like_the_full_parser(tmp_path):
+    full = _subparsers(_build_parser()).choices
+    for command, parser in full.items():
+        assert list(_subparsers(_build_parser(command=command)).choices) == [command]
+        head = [command, "quality"] if command == "eval" else [command]
+        options = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+        values = {a.dest: _config_and_flag_values(a) for a in options}
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({k: v[0] for k, v in values.items()}), encoding="utf-8")
+        flags = [x for a in options for x in (a.option_strings[0], values[a.dest][1])]
+        cases = [head, [*head, *flags], [*head, "--config", str(config)],
+                 [*head, "--config", str(config), *flags]]
+        cases += [[*head, a.option_strings[0], values[a.dest][1]] for a in options]
+        for argv in cases:
+            assert vars(_parse_args(argv)) == vars(_parse_with_every_subparser(argv)), argv
+
+
+def _parse_outcome(parse, argv):
+    """(exit code or config error text, standard output) of parsing ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            parse(argv)
+            result = 0
+        except SystemExit as exc:
+            result = exc.code
+        except ConfigError as exc:
+            result = str(exc)
+    return result, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["eval"], ["eval", "nope"], ["train", "--bogus"],
+                                  *([command, "--help"] for command in _COMMANDS)])
+def test_help_and_usage_errors_match_the_full_parser(argv):
+    got = _parse_outcome(_parse_args, argv)
+    assert got == _parse_outcome(lambda a: _build_parser().parse_args(a), argv)
+    if "--help" in argv:
+        assert got[0] == 0 and got[1].startswith("usage: genteval")
+    else:
+        assert isinstance(got[0], str) and got[1] == ""
+
+
+def test_help_listing_and_unknown_command_name_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out
+    assert all(command in listing for command in _COMMANDS)
+    assert main(["nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: argument command: invalid choice: 'nope' (choose from ")
+    assert all(repr(command) in err for command in _COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0 and "--rev-k-s" in capsys.readouterr().out
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _split_runs(manifest, workspace, out):
+    """Each command that reads splits, as (name, argv, the splits it reads)."""
+    common = ["--manifest", manifest, "--out-dir", out]
+    samples = ["--samples", workspace["samples"]]
+    return [
+        ("quality", ["eval", "quality", *samples, *common], {"train", "test"}),
+        ("diversity", ["eval", "diversity", *samples, *common], {"test"}),
+        ("sweep", ["sweep", "--models", f"m={workspace['model']}", "--strategies", "greedy;topk:3",
+                   "--prefix-len", "5", "--gen-len", "4", "--n-prefixes", "3", *common], {"train", "test"}),
+        ("ngram", ["train", "--backend", "ngram", *common], {"train"}),
+        ("ffn", ["train", "--backend", "ffn", "--epochs", "1", "--context", "2", "--embed-dim", "4",
+                 "--hidden-dim", "4", *common], {"train"}),
+        ("generate", ["generate", "--model", workspace["model"], "--split", "test", "--prefix-len", "5",
+                      "--gen-len", "4", *common], {"test"}),
+    ]
+
+
+def test_commands_write_the_same_artifacts_when_unread_splits_are_garbage(workspace, tmp_path):
+    clean = workspace["manifest"].parent
+    for name, _, reads in _split_runs(clean / "manifest.json", workspace, tmp_path):
+        damaged = tmp_path / f"data-{name}"
+        shutil.copytree(clean, damaged)
+        for split in {"train", "dev", "test"} - reads:
+            (damaged / f"{split}.ids.txt").write_bytes(b"\xff not an ids file\n")
+        trees = []
+        for data in (clean, damaged):
+            out = tmp_path / name / data.name
+            argv = next(r[1] for r in _split_runs(data / "manifest.json", workspace, out) if r[0] == name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([str(a) for a in argv]) == 0, (name, data.name)
+            trees.append(_tree(out))
+        assert trees[0] and trees[0] == trees[1], name
+
+
+@pytest.mark.parametrize("name, split", [("quality", "train"), ("quality", "test"), ("diversity", "test"),
+                                         ("sweep", "train"), ("sweep", "test"), ("ngram", "train"),
+                                         ("generate", "test")])
+def test_a_damaged_split_a_command_reads_still_fails_it(workspace, tmp_path, capsys, name, split):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    ids = data / f"{split}.ids.txt"
+    lines = ids.read_text(encoding="utf-8").splitlines()
+    lines[1] += " x"
+    ids.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = next(r[1] for r in _split_runs(data / "manifest.json", workspace, tmp_path / "out") if r[0] == name)
+    assert f"{ids}:2: " in _fails_with_one_line(capsys, argv, 3)
+
+
+def test_generate_from_a_damaged_dev_split_fails(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    ids = data / "dev.ids.txt"
+    ids.write_text(ids.read_text(encoding="utf-8").replace("\n", "\n-1 ", 1), encoding="utf-8")
+    argv = ["generate", "--model", workspace["model"], "--manifest", data / "manifest.json", "--split", "dev",
+            "--prefix-len", "5", "--gen-len", "4", "--out-dir", tmp_path / "out"]
+    assert f"{ids}:2: " in _fails_with_one_line(capsys, argv, 3)
 
 
 def test_sweep_output_does_not_depend_on_workers(workspace, tmp_path):
@@ -816,6 +1003,13 @@ def _fails_with_one_line(capsys, argv, code):
         ),
         (["train", "--manifest", "{manifest}", "--out-dir", "{out}"], {"objectives": [["mle", True]]},
          "objective weight of 'mle' must be a number, not True"),
+        (["train", "--manifest", "{manifest}", "--backend", "ngram", "--k-s", "nan", "--out-dir", "{out}"],
+         None, "smoothing constant must be non-negative and finite, not nan"),
+        *(
+            (["eval", kind, "--samples", "{samples}", "--manifest", "{manifest}", flag, bad, "--out-dir", "{out}"],
+             None, f"smoothing constant must be non-negative and finite, not {bad}")
+            for kind, flag, bad in (("quality", "--fwd-k-s", "nan"), ("diversity", "--rev-k-s", "inf"))
+        ),
     ],
 )
 def test_usage_errors_are_one_line_config_errors(workspace, tmp_path, capsys, argv, config, message):
