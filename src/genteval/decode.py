@@ -50,9 +50,14 @@ One decode step costs O(|V|) numpy work per row plus sorts:
 - a model's ``context_len`` hands it only that many trailing ids, so a
   step does not copy the whole context;
 - top-k and the beam's per-hypothesis top-``b`` select with
-  ``np.partition`` along the rows and resolve ties at the boundary by
-  id, falling back to a full sort when the vocab is not much larger
-  than k;
+  ``np.argpartition`` along the rows; the rows where the k-th value ties
+  past the partition take their lowest-id ties in one block operation,
+  and a full sort serves when the vocab is not much larger than k (or a
+  row's k-th value is NaN);
+- a beam step merges the candidates of every prefix with one
+  ``np.lexsort`` along the rows, by (-score, parent's rank, token): each
+  hypothesis carries the rank of its id tuple within its beam, so that
+  order is the (-score, id tuple) order a one-prefix beam sorts by;
 - a large full ranking first tries the faster unstable sort on the whole
   block and keeps it for each row without ties, since then that row's
   order is unique; the rows with ties are sorted again stably, and a
@@ -236,23 +241,36 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
 
     Equal to ``_rank_rows(values)[0][:, :k]``.
     """
-    if values.shape[1] < _PARTITION_FACTOR * k:
+    width = values.shape[1]
+    if width < _PARTITION_FACTOR * k:
         return _rank_rows(values)[0][:, :k]
+    rows = np.arange(len(values))[:, None]
     ids = np.argpartition(-values, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(values, ids, axis=1).min(axis=1)
+    top = values[rows, ids]
+    kth = top.min(axis=1)[:, None]
+    n_kept = np.count_nonzero(values >= kth, axis=1)
     # The partition's set is exact unless the k-th value has ties beyond
-    # it (or NaN is in play); such a row takes every value above the k-th,
-    # then the lowest-id ties up to k in all.
-    for i in np.flatnonzero(np.count_nonzero(values >= kth[:, None], axis=1) != k).tolist():
-        above = np.flatnonzero(values[i] > kth[i])
-        tied = np.flatnonzero(values[i] == kth[i])[: k - above.size]
-        if above.size + tied.size < k:  # NaN: only the full sort ranks it
-            ids[i] = _rank_rows(values[i : i + 1])[0][0, :k]
-        else:
-            ids[i] = np.concatenate((above, tied))
+    # it. It holds every value above the k-th, so in those rows only the
+    # slots of the k-th value change: as one block, they take the row's
+    # lowest-id ties. The flat tie positions run row by row and id by id,
+    # so row i's ties start at ``first[i]``, where its offset sorts in,
+    # and its ``need[i]`` slots take the next ``need[i]`` of them.
+    redo = np.flatnonzero(n_kept > k)
+    if redo.size:
+        slots = top[redo] == kth[redo]
+        need = np.count_nonzero(slots, axis=1)
+        ties = np.flatnonzero(values[redo] == kth[redo])
+        first = np.searchsorted(ties, np.arange(redo.size) * width)
+        taken = np.repeat(first - np.cumsum(need) + need, need) + np.arange(need.sum())
+        redone = ids[redo]
+        redone[slots] = ties[taken] % width
+        ids[redo] = redone
+    # A NaN k-th value compares with nothing; only the full sort ranks it.
+    nan = n_kept < k
+    if nan.any():
+        ids[nan] = _rank_rows(values[nan])[0][:, :k]
     ids.sort(axis=1)
-    order = np.argsort(-np.take_along_axis(values, ids, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(ids, order, axis=1)
+    return ids[rows, np.argsort(-values[rows, ids], axis=1, kind="stable")]
 
 
 def _log_rows(dists: np.ndarray) -> np.ndarray:
@@ -472,29 +490,47 @@ def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfi
 
 
 def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
-    # Hypotheses are (ids, score); score is the summed log-probability of
-    # the continuation tokens only.
-    width = cfgs[0].b
-    window = model.context_len
-    heads = [_tail(p, window) for p in prefixes]
-    beams: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in prefixes]
+    # Every prefix holds the same number n of hypotheses. Row j*n + i of
+    # ``ids`` is hypothesis i of prefix j, with ``score`` its summed
+    # log-probability of the continuation tokens only and ``rank`` the
+    # place of its ids among its beam's, in lexicographic order. The rows
+    # of a beam run in (-score, ids) order, so row j*n is prefix j's best.
+    width, window = cfgs[0].b, model.context_len
+    n_beams = len(prefixes)
+    heads = [list(_tail(p, window)) for p in prefixes]
+    ids = np.zeros((n_beams, 0), dtype=np.int64)
+    score, rank = np.zeros(n_beams), np.zeros(n_beams, dtype=np.int64)
     for _ in range(cfgs[0].max_len):
-        contexts = [
-            _tail(head + _tail(ids, window), window)
-            for head, hyps in zip(heads, beams)
-            for ids, _ in hyps
-        ]
-        logp = _log_rows(_next_dists(model, contexts))
+        n = len(score) // n_beams
+        logp = _log_rows(_next_dists(model, _beam_contexts(heads, ids, window)))
         # Keeping only the per-hypothesis top ``width`` tokens is exact:
         # anything dropped is dominated by width better candidates that
         # share its prefix, under the same (score, ids) order.
         top = _top_rows(logp, width)
-        tops = iter(zip(top.tolist(), np.take_along_axis(logp, top, axis=1).tolist()))
-        for i, hyps in enumerate(beams):
-            candidates: list[tuple[tuple[int, ...], float]] = []
-            for (ids, score), (toks, logps) in zip(hyps, tops):
-                for tok, lp in zip(toks, logps):
-                    candidates.append((ids + (tok,), score + lp))
-            candidates.sort(key=lambda c: (-c[1], c[0]))
-            beams[i] = candidates[:width]
-    return [hyps[0][0] for hyps in beams]
+        m = top.shape[1]
+        cand = score[:, None] + logp[np.arange(len(top))[:, None], top]
+        # Candidate i of row r sits at flat index r*m + i, and row j of the
+        # (n_beams, n*m) views holds beam j's candidates. Two hypotheses of
+        # a beam never share ids, so (parent rank, token) orders candidate
+        # ids as comparing the whole tuples does, and one lexsort along the
+        # rows orders every beam by (-score, ids).
+        keys = (top, np.repeat(rank, m), -cand)
+        order = np.lexsort([key.reshape(n_beams, n * m) for key in keys], axis=1)
+        pick = (order[:, : min(width, n * m)] + n * m * np.arange(n_beams)[:, None]).ravel()
+        parent, toks, score = pick // m, top.ravel()[pick], cand.ravel()[pick]
+        ids = np.concatenate((ids[parent], toks[:, None]), axis=1)
+        # The new ids order by (parent rank, token) too.
+        lex = np.lexsort([key.reshape(n_beams, -1) for key in (toks, rank[parent])], axis=1)
+        rank = lex.argsort(axis=1).ravel()
+    return ids[:: len(score) // n_beams].tolist()
+
+
+def _beam_contexts(heads: list[list[int]], ids: np.ndarray, window: int | None) -> list:
+    """The model context of every hypothesis row: the last ``window`` ids
+    (all when None) of its prefix followed by its row of ``ids``; each
+    prefix has the same number of consecutive rows."""
+    t, n = ids.shape[1], len(ids) // len(heads)
+    if window is not None and t >= window:
+        return ids[:, t - window :].tolist()
+    heads = [_tail(head, None if window is None else window - t) for head in heads]
+    return [heads[i // n] + row for i, row in enumerate(ids.tolist())]

@@ -54,7 +54,7 @@ from ..errors import (
     write_json, write_jsonl,
 )
 from ..lm.ffn import FeedForwardLM
-from ..lm.ngram import ngram_fit
+from ..lm.ngram import check_settings, ngram_fit
 from ..lm.store import load_model, save_model
 from ..losses import (
     OBJECTIVES,
@@ -428,19 +428,24 @@ _POOL_ITEMS = {"sequences": lambda opt, splits, *_: (splits.train, 0), "nsp": _p
 
 def _cmd_train(opt: argparse.Namespace) -> int:
     _require(opt, "manifest")
-    out = _out_dir(opt)
+    # Settings are checked before any split is read, and --out-dir is made
+    # only for the first artifact, so a config error leaves nothing behind.
+    if opt.backend == "ngram":
+        check_settings(opt.order, opt.k_s)
+    else:
+        cfg = _build_train_config(opt)
     splits, manifest = load_splits(opt.manifest)
     vocab = splits.vocab
     scheme = manifest["tokenizer"].get("scheme", "external")
-    model_out = Path(opt.model_out) if opt.model_out else out / "model.lmek"
+    model_out = Path(opt.model_out) if opt.model_out else Path(opt.out_dir) / "model.lmek"
 
     if opt.backend == "ngram":
         model = ngram_fit(list(splits.train), order=opt.order, k_s=opt.k_s, vocab=vocab)
+        _out_dir(opt)
         save_model(model, model_out)
         print(f"model: {model_out}")
         return 0
 
-    cfg = _build_train_config(opt)
     # The train split goes in whatever is active: the epoch shuffle draws from it.
     pools: dict = {"sequences": splits.train}
     n_labels = 0
@@ -453,7 +458,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
                                seed=opt.seed, n_labels=n_labels, regression=regression)
     trainer = Trainer(model, cfg, seed=opt.seed)
     history = trainer.fit(TrainData(**pools))
-    write_json(out / "train_history.json", history)
+    write_json(_out_dir(opt) / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")
     print(f"steps: {len(history)}  final total loss: {history[-1]['total']:.6f}")

@@ -722,6 +722,21 @@ def test_bad_metric_setting_stops_sweep_before_any_model_loads(workspace, tmp_pa
         assert main([str(a) for a in argv + ["--metrics", "seq_rep_4"]]) == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--backend", "ngram", "--k-s", "nan"], "smoothing constant must be non-negative and finite, not nan"),
+    (["--backend", "ffn", "--objectives", "pos:1,dp:1"], "pos and dp"),
+])
+def test_train_config_error_reads_no_split_and_makes_no_out_dir(workspace, tmp_path, capsys, flags, message):
+    # A train split that is not an ids file would be a data error (exit 3)
+    # if it were read before the settings are checked.
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    (data / "train.ids.txt").write_bytes(b"\xff not an ids file\n")
+    argv = ["train", "--manifest", data / "manifest.json", *flags, "--out-dir", tmp_path / "kst" / "out"]
+    assert message in _fails_with_one_line(capsys, argv, 2)
+    assert not (tmp_path / "kst").exists()
+
+
 def test_trace_context_ids_outside_an_ffn_vocab_are_config_errors(toy_sweep, tmp_path, capsys):
     ffn = toy_sweep.parent / "ffn" / "model.lmek"
     for bad in ("99999", "-5"):

@@ -42,6 +42,7 @@ from oracles import (
     SlowLM,
     StackedRows,
     naive_adam_update,
+    naive_beam_search,
     naive_generate,
     naive_generate_batch,
     naive_margin_rank_loss,
@@ -63,7 +64,7 @@ from oracles import (
     row_pick,
     row_temperature,
 )
-from toytext import word_splits
+from toytext import char_splits, word_splits
 
 # --- n-gram sorted arrays against the dict model ---------------------------
 
@@ -331,6 +332,44 @@ def test_large_vocab_rankings_match_full_sort(case):
         assert one_sample(dist, fast) == naive_sample(dist, slow)
 
 
+_TOP_KINDS = ("distinct", "tie_at_k", "addk", "nan", "mostly_nan", "neginf")
+
+
+def _top_row(kind, width, k, rng):
+    """One row of values for ``_top_rows`` with the named kind of ties."""
+    values = rng.random(width)
+    if kind == "tie_at_k" and k < width:  # copies of the k-th value beyond it
+        order = np.argsort(-values, kind="stable")
+        values[rng.choice(order[k:], min(width - k, 1 + rng.integers(3 * k)), replace=False)] = values[order[k - 1]]
+    elif kind == "addk":  # log of an add-k n-gram row: every unseen id shares one value
+        seen = rng.choice(width, min(width, int(rng.integers(0, 2 * k + 2))), replace=False)
+        counts = np.ones(width)
+        counts[seen] += rng.integers(1, 4, seen.size)
+        values = np.log(counts / counts.sum())
+    elif kind in ("nan", "mostly_nan"):  # a few NaN, or fewer than k values that compare
+        at = rng.choice(width, 3, replace=False) if kind == "nan" else np.arange(int(rng.integers(0, k)), width)
+        values[at] = np.nan
+    elif kind == "neginf":  # a log of sparse probabilities, sometimes fewer than k finite
+        values = np.full(width, -np.inf)
+        finite = rng.choice(width, min(width, int(rng.integers(0, 2 * k))), replace=False)
+        values[finite] = np.log(rng.integers(1, 4, finite.size))
+    return values
+
+
+@given(width=st.sampled_from([101, 5001]), k=st.sampled_from([1, 4, 40, None]),
+       kinds=st.lists(st.sampled_from(_TOP_KINDS), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_top_rows_of_mixed_blocks_match_stable_argsort_row_by_row(width, k, kinds, seed):
+    # Rows with and without ties at the k-th value, NaN and -inf rows in
+    # one block, on the narrow and the wide side of the partition rule.
+    k = width if k is None else k
+    rng = np.random.default_rng(seed)
+    block = np.stack([_top_row(kind, width, k, rng) for kind in kinds])
+    got = decode._top_rows(block, k)
+    for row, ids in zip(block, got):
+        assert np.array_equal(ids, naive_top_ids(row, k))
+
+
 def test_sample_degenerate_all_zero_keeps_old_answer():
     dist = np.zeros(40)
     assert one_sample(dist, _FixedU(0.3)) == naive_sample(dist, _FixedU(0.3)) == 0
@@ -375,6 +414,99 @@ def test_beam_matches_full_sort_on_ties(width):
     cfg = DecoderConfig(strategy="beam", b=width, max_len=6)
     for prefix in ([0], [3, 1], [7, 7, 7]):
         assert one_generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
+
+
+def _naive_beams(model, prefixes, cfg):
+    return [naive_beam_search(model, p, cfg.b, cfg.max_len) for p in prefixes]
+
+
+# Mixed lengths, the empty prefix among them.
+_MIXED_PREFIXES = ([], [0], [3, 1], [7, 7, 7], [2, 5, 1, 4, 4], [1] * 9)
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_beam_at_and_above_the_vocab_size_matches_naive_search(extra):
+    # Above |V| the first step has fewer candidates than the width, and
+    # the beam fills up over the steps.
+    model = TieLM(5, seed=extra)
+    cfg = DecoderConfig(strategy="beam", b=5 + extra, max_len=4)
+    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, [cfg] * len(_MIXED_PREFIXES))]
+    assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
+
+
+class _ContextFreeTieLM(TieLM):
+    """One distribution over a few levels for every context: hypotheses
+    (a, b) and (b, a) score alike, so ties across parents are everywhere
+    and the token ids decide."""
+
+    def next_dist(self, context):
+        return super().next_dist(())
+
+
+@pytest.mark.parametrize("width", [2, 4, 7])
+@pytest.mark.parametrize("model", [TieLM(12, seed=3), _ContextFreeTieLM(12, seed=5)], ids=["hashed", "context_free"])
+def test_beam_batch_of_mixed_prefixes_breaks_score_ties_by_ids(model, width):
+    cfg = DecoderConfig(strategy="beam", b=width, max_len=5)
+    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, [cfg] * len(_MIXED_PREFIXES))]
+    assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
+
+
+class _LastTokenLM(StackedRows):
+    """Next-token distributions keyed by the last token of the context."""
+
+    vocab = Vocab.placeholder(4)
+    table = {
+        None: [0.1, 0.3, 0.5, 0.1],
+        0: [0.25, 0.25, 0.25, 0.25],
+        1: [0.5, 0.2, 0.2, 0.1],
+        2: [0.3, 0.25, 0.25, 0.2],
+        3: [0.1, 0.3, 0.5, 0.1],  # as after no context
+    }
+
+    def next_dist(self, context):
+        return np.array(self.table[context[-1] if len(context) else None])
+
+
+def test_beam_tie_across_parents_goes_to_the_lower_ids_not_the_better_parent():
+    # (2, 0) and (1, 0) both score log 0.5 + log 0.3, the best of all.
+    # Parent (2,) outscores parent (1,), but (1, 0) sorts first by ids.
+    model = _LastTokenLM()
+    cfg = DecoderConfig(strategy="beam", b=2, max_len=2)
+    prefixes = [[], [3], [1, 3], [0, 0, 3]]
+    got = [s.ids for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
+    assert got == [(1, 0)] * 4 == _naive_beams(model, prefixes, cfg)
+
+
+# beam:4 continuations of 20 prefixes decoded as one batch by an add-k
+# char n-gram and a briefly trained char ffn, as the merge that sorted
+# (ids, score) tuples per prefix decoded them.
+_PINNED_BEAMS = {
+    "ngram": [
+        " cat. the ol", "d. the small", " the cat. th", "e cat. the s", " the cat. th",
+        "nd the small", "the cat. the", "ran the old ", "met the smal", "cat. the old",
+        "he cat. the ", "ish. the old", "cat. the old", "cat. the old", " cat. the ol",
+        "e cat. the s", "et the small", "rd. the old ", "ree. the old", " the cat. th",
+    ],
+    "ffn": [
+        " a  t ae   a", "  ase a a   ", "   ae   ae  ", "he ae a ae a", "   ae   ae  ",
+        " a ae   ae  ", " ae   ae   a", "  ae   ae   ", "aese ae   ae", "t  as   ae  ",
+        " sts  a a   ", "tsesa a    a", "he ae a ae a", "ae   ae   ae", " a  t ae   a",
+        "   ae   ae  ", " ae   ae   a", "se ae   ae  ", " at   ae   a", "   ae   ae  ",
+    ],
+}
+
+
+def test_beam_outputs_are_pinned():
+    splits, vocab = char_splits(300, 64, seed=5)
+    train = list(splits.train)
+    ffn = FeedForwardLM.init(vocab, context=6, embed_dim=8, hidden_dim=16, seed=4)
+    Trainer(ffn, TrainConfig(epochs=1, batch_size=16), seed=1).fit(TrainData(sequences=train))
+    models = {"ngram": ngram_fit(train, order=4, k_s=1.0, vocab=vocab), "ffn": ffn}
+    prefixes = [train[i].window(0, 3 + i) for i in range(20)]
+    cfg = DecoderConfig(strategy="beam", b=4, max_len=12)
+    for name, model in models.items():
+        got = ["".join(s.surfaces()) for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
+        assert got == _PINNED_BEAMS[name], name
 
 
 # --- block selection against the per-row code --------------------------------
