@@ -473,7 +473,6 @@ def save_splits(
     ``{"scheme": "external", "vocab_size": N}``.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     vocab_size = vocab_from_manifest({"tokenizer": tokenizer}).size
     for name, fname in _SPLIT_FILES.items():
         part = getattr(splits, name)

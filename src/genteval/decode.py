@@ -75,7 +75,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .errors import ConfigError
-from .lm.base import as_ids
+from .lm.base import as_ids, exp_rows
 from .rng import SplitMix64
 
 
@@ -286,13 +286,11 @@ def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
     mask = dists > 0
     if not mask.any(axis=1).all():
         raise ValueError("temperature needs a distribution with positive mass")
-    logw = _log_rows(dists)
-    logw /= t
-    logw -= logw.max(axis=1)[:, None]
-    w = np.exp(logw)
+    w = _log_rows(dists)
+    w /= t
     # One row sums its positive entries alone. Zeros among them change the
     # grouping of numpy's pairwise sum, so only full rows take the block sum.
-    total = w.sum(axis=1)
+    total, _ = exp_rows(w)
     for i in np.flatnonzero(~mask.all(axis=1)).tolist():
         total[i] = w[i][mask[i]].sum()
     w /= total[:, None]
@@ -346,10 +344,11 @@ def _penalize_rows(dists: np.ndarray, seen: np.ndarray, theta: float) -> np.ndar
     """Every row with the log-probabilities of its generated tokens (``seen[i]``
     marks those of row i) scaled by ``theta``, softmax-renormalized; theta =
     1 is the identity, larger theta pushes repeated tokens down."""
-    logp = _log_rows(dists)
-    np.multiply(logp, theta, out=logp, where=seen)  # -inf stays -inf
-    w = np.exp(logp - logp.max(axis=1)[:, None])
-    return w / w.sum(axis=1)[:, None]
+    w = _log_rows(dists)
+    np.multiply(w, theta, out=w, where=seen)  # -inf stays -inf
+    total, _ = exp_rows(w)
+    w /= total[:, None]
+    return w
 
 
 def _draw(ids: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:

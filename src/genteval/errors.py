@@ -82,10 +82,11 @@ def open_text(path, newline: str | None = None):
 
 @contextmanager
 def atomic_write(path, mode: str = "w", **kwargs):
-    """Open a temp file beside ``path`` for writing. A clean exit moves it
-    onto ``path`` in one ``os.replace``; an error removes it and leaves
-    ``path`` as it was."""
+    """Open a temp file beside ``path`` for writing, making ``path``'s
+    directory first if need be. A clean exit moves it onto ``path`` in one
+    ``os.replace``; an error removes it and leaves ``path`` as it was."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as f:

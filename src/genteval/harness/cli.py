@@ -53,7 +53,7 @@ from ..errors import (
     AlignmentError, ConfigError, DataError, EmptyInput, InsufficientData, atomic_write, open_text,
     write_json, write_jsonl,
 )
-from ..lm.ffn import FeedForwardLM
+from ..lm.ffn import FeedForwardLM, check_sizes
 from ..lm.ngram import check_settings, ngram_fit
 from ..lm.store import load_model, save_model
 from ..losses import (
@@ -245,12 +245,6 @@ def _require(opt: argparse.Namespace, *names: str) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
-def _out_dir(opt: argparse.Namespace) -> Path:
-    out = Path(opt.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _option_parser(parse):
     """Make a malformed value (not a number, a string or a list of pairs) a config error."""
 
@@ -319,7 +313,6 @@ def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
 
 def _cmd_ingest(opt: argparse.Namespace) -> int:
     _require(opt, "input")
-    out = _out_dir(opt)
     if opt.format == "ids":
         sequences, vocab_size = read_ids_file(opt.input)
         flat = tuple(i for seq in sequences for i in seq)
@@ -333,7 +326,7 @@ def _cmd_ingest(opt: argparse.Namespace) -> int:
         corpus, vocab = tokenize(text, opt.scheme)
         tokenizer = {"scheme": opt.scheme, "vocab": list(vocab.tokens)}
     splits = split_corpus(corpus, opt.seq_len, _parse_ratios(opt.ratios))
-    manifest_path = save_splits(out, splits, tokenizer, opt.seed)
+    manifest_path = save_splits(opt.out_dir, splits, tokenizer, opt.seed)
     counts = splits.counts
     print(f"splits: train={counts[0]} dev={counts[1]} test={counts[2]}")
     print(f"manifest: {manifest_path}")
@@ -428,12 +421,12 @@ _POOL_ITEMS = {"sequences": lambda opt, splits, *_: (splits.train, 0), "nsp": _p
 
 def _cmd_train(opt: argparse.Namespace) -> int:
     _require(opt, "manifest")
-    # Settings are checked before any split is read, and --out-dir is made
-    # only for the first artifact, so a config error leaves nothing behind.
+    # Settings are checked before any split is read.
     if opt.backend == "ngram":
         check_settings(opt.order, opt.k_s)
     else:
         cfg = _build_train_config(opt)
+        check_sizes(opt.context, opt.embed_dim, opt.hidden_dim)
     splits, manifest = load_splits(opt.manifest)
     vocab = splits.vocab
     scheme = manifest["tokenizer"].get("scheme", "external")
@@ -441,7 +434,6 @@ def _cmd_train(opt: argparse.Namespace) -> int:
 
     if opt.backend == "ngram":
         model = ngram_fit(list(splits.train), order=opt.order, k_s=opt.k_s, vocab=vocab)
-        _out_dir(opt)
         save_model(model, model_out)
         print(f"model: {model_out}")
         return 0
@@ -458,7 +450,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
                                seed=opt.seed, n_labels=n_labels, regression=regression)
     trainer = Trainer(model, cfg, seed=opt.seed)
     history = trainer.fit(TrainData(**pools))
-    write_json(_out_dir(opt) / "train_history.json", history)
+    write_json(Path(opt.out_dir) / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")
     print(f"steps: {len(history)}  final total loss: {history[-1]['total']:.6f}")
@@ -473,8 +465,7 @@ def _cmd_generate(opt: argparse.Namespace) -> int:
     splits, _ = load_splits(opt.manifest)
     prefixes = prefix_windows(splits, opt.split, opt.prefix_len, opt.n_prefixes)
     sset = decode_cell(model, Path(opt.model).stem, prefixes, dcfg, opt.seed)
-    out = _out_dir(opt)
-    samples_out = Path(opt.samples_out) if opt.samples_out else out / "samples.jsonl"
+    samples_out = Path(opt.samples_out) if opt.samples_out else Path(opt.out_dir) / "samples.jsonl"
     save_sample_set(samples_out, sset)
     print(f"samples: {samples_out} ({len(sset)} continuations)")
     return 0
@@ -495,7 +486,7 @@ def _eval_metrics(opt: argparse.Namespace) -> int:
     provenance["samples"] = Path(opt.samples).name
     names = [name for name, metric in METRICS.items() if metric.kind == opt.kind]
     inputs = metric_inputs(opt, names, splits, prefix_len, gen_len)
-    out = _out_dir(opt)
+    out = Path(opt.out_dir)
     for name in names:
         value, nulls = METRICS[name].compute(gen, inputs)
         write_metric_report(
@@ -514,7 +505,7 @@ def _eval_metrics(opt: argparse.Namespace) -> int:
 def _cmd_eval(opt: argparse.Namespace) -> int:
     if opt.kind in ("quality", "diversity"):
         return _eval_metrics(opt)
-    out = _out_dir(opt)
+    out = Path(opt.out_dir)
     if opt.kind == "consistency":
         if (opt.triples is None) == (opt.stories is None):
             raise ConfigError("eval consistency needs exactly one of --triples/--stories")
@@ -579,7 +570,7 @@ def _cmd_sweep(opt: argparse.Namespace) -> int:
     parsed = {"models": tuple(mapping), "metrics": tuple(metrics),
               "strategies": _parse_strategies(opt.strategies)}
     cfg = SweepConfig(**{f.name: parsed.get(f.name, getattr(opt, f.name)) for f in fields(SweepConfig)})
-    out = Path(opt.out_dir)  # run_sweep makes it once the settings pass
+    out = Path(opt.out_dir)
     splits, _ = load_splits(opt.manifest)
     records = run_sweep(cfg, splits, out, models=mapping)
     failed = [r for r in records if r.failed]
@@ -591,7 +582,7 @@ def _cmd_sweep(opt: argparse.Namespace) -> int:
 
 def _cmd_fit(opt: argparse.Namespace) -> int:
     _require(opt, "csv")
-    out = _out_dir(opt)
+    out = Path(opt.out_dir)
     records = read_sweep_csv(opt.csv)
     table = tradeoff_table(records, opt.quality, opt.diversity)
     write_tradeoff(table, out / "tradeoff.csv", out / "fits.json")
@@ -614,7 +605,6 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
         if len(cells) != 1:
             raise ConfigError('truncation must be one "topk:K" or "topp:P"')
         truncation = cell_config(*cells[0], max_len=1)
-    out = _out_dir(opt)
     model = load_model(opt.model)
     if opt.ids is not None:
         seq = TokenSequence(_parse_id_list(opt.ids), model.vocab)
@@ -622,7 +612,7 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
         seq = encode(opt.text, model.vocab, opt.scheme, on_oov="error")
     context = TokenSequence(_parse_id_list(opt.context_ids), model.vocab) if opt.context_ids else ()
     raw, trunc = token_prob_trace(model, seq, truncation, context)
-    trace_out = Path(opt.trace_out) if opt.trace_out else out / "trace.csv"
+    trace_out = Path(opt.trace_out) if opt.trace_out else Path(opt.out_dir) / "trace.csv"
     with atomic_write(trace_out, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["position", "token_id", "token", "prob", "truncated_prob"])

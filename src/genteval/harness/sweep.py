@@ -325,8 +325,6 @@ def run_sweep(
     prefixes = prefix_windows(splits, "train", cfg.prefix_len, cfg.n_prefixes)
     inputs = metric_inputs(cfg, cfg.metrics, splits, cfg.prefix_len, cfg.gen_len)
     out = Path(out_dir)
-    (out / "records").mkdir(parents=True, exist_ok=True)
-    (out / "samples").mkdir(parents=True, exist_ok=True)
     loaded, load_errors = _resolve_models(cfg, models)
 
     records = []

@@ -1,7 +1,7 @@
 """Language model backends and scoring utilities."""
 
 from .base import LanguageModel, as_ids, perplexity
-from .ffn import PAD_TOKEN, FeedForwardLM, log_softmax, softmax
+from .ffn import PAD_TOKEN, FeedForwardLM
 from .ngram import NGramLM, ngram_fit
 from .store import load_model, save_model
 
@@ -12,9 +12,7 @@ __all__ = [
     "PAD_TOKEN",
     "as_ids",
     "load_model",
-    "log_softmax",
     "ngram_fit",
     "perplexity",
     "save_model",
-    "softmax",
 ]

@@ -25,6 +25,10 @@ probabilities near 1e-4 at |V| = 5000, a few 1e-16 relative on scores).
 A decode is therefore a function of the batch it ran in, which is why
 ``genteval generate`` and a sweep cell decode the same prefixes in the
 same batches.
+
+:func:`exp_rows` turns every block of logit rows into distributions: the
+ffn's forward passes, the classification head's loss and the temperature
+and penalized decoders all normalize through it.
 """
 
 from __future__ import annotations
@@ -81,3 +85,16 @@ def summed_scores(token_logp: Callable, seqs, contexts: Sequence = ()) -> list[f
     logp = token_logp(seqs, contexts or [()] * len(seqs))
     ends = np.cumsum([len(s) for s in seqs]).tolist()
     return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+
+
+def exp_rows(z: np.ndarray, gold: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exponentiate a ``(rows, n)`` block of logits in place, each row shifted
+    by its max, so that ``z / denom[:, None]`` is its softmax. Returns the
+    row sums ``denom`` and, given ``gold`` (one column per row), each row's
+    log-probability of its gold column, else None. A row of only -inf comes
+    out NaN, as a reference softmax does."""
+    z -= z.max(axis=1, keepdims=True)
+    gold_z = None if gold is None else z[np.arange(len(z)), gold]
+    np.exp(z, out=z)
+    denom = z.sum(axis=1)
+    return denom, None if gold is None else gold_z - np.log(denom)

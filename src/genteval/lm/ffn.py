@@ -27,7 +27,7 @@ import numpy as np
 from ..corpus import Vocab
 from ..errors import ConfigError
 from ..rng import SplitMix64
-from .base import summed_scores
+from .base import exp_rows, summed_scores
 
 PAD_TOKEN = "<pad>"
 
@@ -36,22 +36,18 @@ PAD_TOKEN = "<pad>"
 BLOCK_ROWS = 128
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
-
-
 def _uniform(rng: SplitMix64, shape: tuple[int, ...]) -> np.ndarray:
     # Elementwise the same two roundings as rng.uniform() * 0.2 - 0.1.
     arr = rng.uniforms(int(np.prod(shape)))
     arr *= 0.2
     arr -= 0.1
     return arr.reshape(shape)
+
+
+def check_sizes(context: int, embed_dim: int, hidden_dim: int) -> None:
+    """Refuse a window, embedding or hidden size below 1."""
+    if min(context, embed_dim, hidden_dim) < 1:
+        raise ConfigError("context, embed_dim and hidden_dim must be positive")
 
 
 def param_shapes(
@@ -67,8 +63,7 @@ def param_shapes(
     ``vocab_size`` counts the pad token. Weights draw from the seeded
     stream in this order; biases (the ``b*`` tensors) start at zero.
     """
-    if min(context, embed_dim, hidden_dim) < 1:
-        raise ConfigError("context, embed_dim and hidden_dim must be positive")
+    check_sizes(context, embed_dim, hidden_dim)
     if n_labels < 0:
         raise ConfigError("n_labels must be non-negative")
     shapes = {
@@ -92,7 +87,6 @@ class FfnCache:
     ctx: np.ndarray  # (T, c) int64
     x: np.ndarray  # (T, c*d) concatenated embeddings
     h: np.ndarray  # (T, hidden) tanh activations
-    logits: np.ndarray | None = None  # (T, V), filled on demand
 
 
 class FeedForwardLM:
@@ -186,10 +180,10 @@ class FeedForwardLM:
         return FfnCache(ctx=ctx, x=x, h=h)
 
     def vocab_logits(self, cache: FfnCache) -> np.ndarray:
-        if cache.logits is None:
-            cache.logits = cache.h @ self.params["w2"].T
-            cache.logits += self.params["b2"]  # in place: one (rows, V) array
-        return cache.logits
+        """A fresh ``(T, V)`` logits array, which the caller owns."""
+        logits = cache.h @ self.params["w2"].T
+        logits += self.params["b2"]  # in place: one (rows, V) array
+        return logits
 
     def reg_predictions(self, cache: FfnCache) -> np.ndarray:
         if not self.regression:
@@ -211,7 +205,10 @@ class FeedForwardLM:
         windows = np.array(
             [(*pad, *ctx[-c:])[-c:] for ctx in contexts], dtype=np.int64
         ).reshape(len(contexts), c)
-        return softmax(self.vocab_logits(self.forward(windows)))
+        z = self.vocab_logits(self.forward(windows))
+        denom, _ = exp_rows(z)
+        z /= denom[:, None]
+        return z
 
     def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
         """The summed log-probability of each ``seqs[i]`` after ``contexts[i]``,
@@ -227,7 +224,7 @@ class FeedForwardLM:
 
     def gold_blocks(self, seqs, contexts, gold_logp: np.ndarray, rows: np.ndarray | None = None):
         """Run the windows of ``seqs`` (``seqs[i]`` after ``contexts[i]``) in
-        blocks of at most ``BLOCK_ROWS`` rows, one forward and one exp pass
+        blocks of at most ``BLOCK_ROWS`` rows, one forward and one ``exp_rows``
         each. ``rows`` picks the rows to run, as ascending indices into all
         of ``seqs``' stacked rows (default: every row). Fills ``gold_logp``
         with each run row's log-probability of its own id and yields
@@ -242,11 +239,7 @@ class FeedForwardLM:
             hi = min(lo + BLOCK_ROWS, len(gold))
             cache = self.forward(windows[lo:hi])
             z = self.vocab_logits(cache)
-            z -= z.max(axis=1, keepdims=True)
-            gold_z = z[np.arange(hi - lo), gold[lo:hi]]
-            np.exp(z, out=z)
-            denom = z.sum(axis=1)
-            gold_logp[lo:hi] = gold_z - np.log(denom)
+            denom, gold_logp[lo:hi] = exp_rows(z, gold[lo:hi])
             yield lo, hi, cache, z, denom
 
     # -- backward ---------------------------------------------------------

@@ -37,7 +37,8 @@ repeats costs only its decode.
 run the pairs of active hinges through the same blocks, as CE weighted by
 perplexity. ``tfidf``, ``pos`` and ``dp`` make one forward over every
 item's windows and use only the heads, never the vocab logits; only
-``gold_blocks`` normalizes those.
+``gold_blocks`` normalizes those. Both it and the label head normalize
+through :func:`genteval.lm.base.exp_rows`.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .errors import (
     NoSupervision,
     open_text,
 )
-from .lm.base import as_ids
-from .lm.ffn import FeedForwardLM, log_softmax, softmax
+from .lm.base import as_ids, exp_rows
+from .lm.ffn import FeedForwardLM
 from .rng import SplitMix64
 
 # Probabilities inside ln(1 - p) are clamped to at most 1 - _UL_CLAMP.
@@ -248,15 +249,16 @@ def _head_losses(
     counts = np.diff(cuts)
     if not counts.all():
         raise NoSupervision("every position is masked")
-    gold = (np.arange(len(rows)), np.array([lab for lab in labels if lab is not None], dtype=np.int64))
+    gold = np.array([lab for lab in labels if lab is not None], dtype=np.int64)
     logits = model.cls_logits(cache)
-    nll = -log_softmax(logits[rows])[gold]
-    dsup = softmax(logits[rows])
-    dsup[gold] -= 1.0
+    dsup = logits[rows]
+    denom, logp = exp_rows(dsup, gold)
+    dsup /= denom[:, None]
+    dsup[np.arange(len(rows)), gold] -= 1.0
     dcls = np.zeros_like(logits)
     dcls[rows] = dsup * np.repeat(scale / counts, counts)[:, None]
     model.backward(cache, grads, dcls=dcls)
-    return [float(nll[a:b].mean()) for a, b in zip(cuts, cuts[1:])]
+    return [float(-logp[a:b].mean()) for a, b in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------

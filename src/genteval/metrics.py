@@ -72,10 +72,12 @@ class SampleSet:
         return [s.continuation for s in self.samples]
 
 
+SMOOTHING_EPSILON = 1e-9  # a clipped precision of zero counts as this
+
+
 @dataclass(frozen=True)
 class BleuConfig:
     max_n: int = 4
-    smoothing_epsilon: float = 1e-9
     # Candidate-set subsample for the corpus-level metrics; None = all.
     subsample: int | None = None
     subsample_seed: int = 0
@@ -83,8 +85,6 @@ class BleuConfig:
     def __post_init__(self) -> None:
         if self.max_n < 1:
             raise ConfigError("max_n must be at least 1")
-        if not self.smoothing_epsilon > 0:
-            raise ConfigError("smoothing epsilon must be positive")
         if self.subsample is not None and self.subsample < 1:
             raise ConfigError("subsample must be positive")
 
@@ -160,7 +160,7 @@ def _mean_bleu(cands: list, refs: list | None, cfg: BleuConfig) -> float:
         log_sum = 0.0
         for n in range(1, orders + 1):
             m = row[n - 1]
-            p = m / (c_len - n + 1) if m > 0 else cfg.smoothing_epsilon
+            p = m / (c_len - n + 1) if m > 0 else SMOOTHING_EPSILON
             log_sum += math.log(p)
         geo = math.exp(log_sum / orders)
         total += math.exp(min(0.0, 1.0 - r_len / c_len)) * geo

@@ -11,6 +11,18 @@ import math
 import numpy as np
 
 
+def log_softmax(logits):
+    """Reference log-softmax along the last axis: shift by the max, subtract the log-sum-exp."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def softmax(logits):
+    """Reference softmax along the last axis: shift by the max, exponentiate, divide by the sum."""
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
 def naive_ngrams(ids, n):
     """All length-n windows as a plain dict of counts."""
     out = {}
@@ -570,8 +582,6 @@ def naive_ffn_score(model, ids, context=()):
     """The ffn's one-sequence score as it was before ``score_batch``: one
     forward over the sequence's windows, a log-softmax over the vocab, the
     gold entries summed by numpy; 0.0 when empty."""
-    from genteval.lm.ffn import log_softmax
-
     if not len(ids):
         return 0.0
     logits = model.vocab_logits(model.forward(naive_windows(model, ids, context)))
@@ -603,8 +613,6 @@ def naive_ul_seq_candidates(ids, n):
 
 def naive_ce_loss(model, ids, context=()):
     """Mean token cross-entropy of one sequence: its own forward and backward."""
-    from genteval.lm.ffn import log_softmax, softmax
-
     cache = model.forward(naive_windows(model, ids, context))
     logp = log_softmax(model.vocab_logits(cache))
     rows = np.arange(len(ids))
@@ -618,8 +626,6 @@ def naive_ce_loss(model, ids, context=()):
 
 def naive_ul_token_loss(model, ids, candidates, context=()):
     """Unlikelihood of one sequence, one candidate at a time into a dense q."""
-    from genteval.lm.ffn import softmax
-
     cache = model.forward(naive_windows(model, ids, context))
     probs = softmax(model.vocab_logits(cache))
     loss = 0.0
@@ -638,8 +644,6 @@ def naive_ul_token_loss(model, ids, candidates, context=()):
 
 def naive_pair_ppl(model, pair):
     """Perplexity of a pair's second sentence given its first, with its forward cache."""
-    from genteval.lm.ffn import log_softmax
-
     ids = pair.second.ids
     cache = model.forward(naive_windows(model, ids, pair.first.ids))
     logp = log_softmax(model.vocab_logits(cache))
@@ -650,8 +654,6 @@ def naive_pair_ppl(model, pair):
 def naive_margin_rank_loss(model, pos, neg, margin):
     """The hinge on one item's perplexity gap, each pair with its own forward
     and a dense softmax gradient scaled by its perplexity."""
-    from genteval.lm.ffn import softmax
-
     ppl_pos, cache_pos, ids_pos = naive_pair_ppl(model, pos)
     ppl_neg, cache_neg, ids_neg = naive_pair_ppl(model, neg)
     loss = max(0.0, ppl_pos - ppl_neg + margin)
@@ -680,8 +682,6 @@ def naive_regression_loss(model, seq, targets):
 
 def naive_classification_loss(model, seq, labels):
     """Mean label CE of one item over its supervised positions."""
-    from genteval.lm.ffn import log_softmax, softmax
-
     ids = seq.ids
     supervised = [t for t, lab in enumerate(labels) if lab is not None]
     cache = model.forward(naive_windows(model, ids))

@@ -737,6 +737,34 @@ def test_train_config_error_reads_no_split_and_makes_no_out_dir(workspace, tmp_p
     assert not (tmp_path / "kst").exists()
 
 
+@pytest.mark.parametrize("argv, code, written", [
+    (["ingest", "--input", "{text}", "--seq-len", "1"], 2, None),
+    (["trace", "--model", "{model}", "--ids", "1 99999"], 2, None),
+    (["fit", "--csv", "{csv}", "--quality", "bogus"], 2, None),
+    (["eval", "consistency", "--model", "{model}"], 2, None),
+    (["eval", "acceptability", "--model", "{model}", "--sentences", "{sentences}", "--alpha", "-1"], 2, None),
+    (["train", "--manifest", "{manifest}", "--backend", "ngram", "--model-out", "{new}/m.lmek"], 0, "m.lmek"),
+    (["generate", "--model", "{model}", "--manifest", "{manifest}", "--prefix-len", "5", "--gen-len", "4",
+      "--n-prefixes", "2", "--samples-out", "{new}/s.jsonl"], 0, "s.jsonl"),
+    (["trace", "--model", "{model}", "--ids", "1 2", "--trace-out", "{new}/t.csv"], 0, "t.csv"),
+])
+def test_directories_are_made_only_by_the_first_write(workspace, tmp_path, capsys, argv, code, written):
+    # A failed command leaves no --out-dir behind; a --*-out path in a new
+    # directory is written there; neither makes an --out-dir it writes nothing into.
+    csv_path, sentences = tmp_path / "sweep.csv", tmp_path / "sentences.txt"
+    write_sweep_csv(csv_path, [SweepRecord("m", "greedy", None, 3, {"corpus_bleu": 0.5}, 0)])
+    sentences.write_text("the cat sat\n", encoding="utf-8")
+    paths = {**workspace, "csv": csv_path, "sentences": sentences, "new": tmp_path / "new" / "dir"}
+    argv = [a.format(**paths) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+    if code:
+        _fails_with_one_line(capsys, argv, code)
+    else:
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "new" / "dir" / written).stat().st_size > 0
+    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.rglob(".*.tmp")] == []
+
+
 def test_trace_context_ids_outside_an_ffn_vocab_are_config_errors(toy_sweep, tmp_path, capsys):
     ffn = toy_sweep.parent / "ffn" / "model.lmek"
     for bad in ("99999", "-5"):
@@ -1024,6 +1052,11 @@ def _fails_with_one_line(capsys, argv, code):
             (["eval", kind, "--samples", "{samples}", "--manifest", "{manifest}", flag, bad, "--out-dir", "{out}"],
              None, f"smoothing constant must be non-negative and finite, not {bad}")
             for kind, flag, bad in (("quality", "--fwd-k-s", "nan"), ("diversity", "--rev-k-s", "inf"))
+        ),
+        *(
+            (["train", "--manifest", "{root}/none.json", "--backend", "ffn", flag, "0", "--out-dir", "{out}"],
+             None, "context, embed_dim and hidden_dim must be positive")
+            for flag in ("--context", "--embed-dim", "--hidden-dim")
         ),
     ],
 )

@@ -25,6 +25,7 @@ from genteval.decode import DecoderConfig, generate_batch
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
+from genteval.lm.base import exp_rows
 from genteval.lm.ffn import BLOCK_ROWS
 from genteval import losses
 from genteval.losses import (
@@ -39,6 +40,7 @@ from genteval.rng import SplitMix64, stable_hash
 
 from oracles import (
     DictNGram,
+    log_softmax,
     SlowLM,
     StackedRows,
     naive_adam_update,
@@ -63,6 +65,7 @@ from oracles import (
     row_penalize,
     row_pick,
     row_temperature,
+    softmax,
 )
 from toytext import char_splits, word_splits
 
@@ -781,6 +784,32 @@ def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
     slow_hist, slow_params = train()
     assert hist == slow_hist
     assert all(params[n].tobytes() == slow_params[n].tobytes() for n in params)
+
+
+# --- the shared row normalization against the reference softmax ----------
+
+
+@given(rows=st.integers(1, 6), width=st.sampled_from([1, 2, 7, 101, 5001]),
+       dead=st.sampled_from([0.0, 0.3, 0.9, 1.0]), scale=st.sampled_from([1.0, 30.0, 800.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_exp_rows_matches_the_reference_softmax_bit_for_bit(rows, width, dead, scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, scale, (rows, width))
+    logits[rng.random(logits.shape) < dead] = -np.inf  # dead=1.0: every row is all -inf
+    gold = rng.integers(0, width, rows)
+    with np.errstate(invalid="ignore"):  # an all -inf row shifts by -inf - -inf
+        want_p, want_logp = softmax(logits), log_softmax(logits)[np.arange(rows), gold]
+        z, plain = logits.copy(), logits.copy()
+        denom, gold_logp = exp_rows(z, gold)
+        plain_denom, no_gold = exp_rows(plain)
+        assert no_gold is None and (plain.tobytes(), plain_denom.tobytes()) == (z.tobytes(), denom.tobytes())
+        z /= denom[:, None]
+    assert z.tobytes() == want_p.tobytes()
+    assert gold_logp.tobytes() == want_logp.tobytes()
+    all_inf = np.isneginf(logits).all(axis=1)
+    assert np.isnan(z[all_inf]).all() and np.isnan(gold_logp[all_inf]).all()
+    assert not np.isnan(z[~all_inf]).any()
 
 
 # --- the blocked training step ----------------------------------------------

@@ -79,11 +79,6 @@ def test_bleu_ref_length_tie_goes_shorter():
     assert bleu([7, 7, 7], [[1, 2], [3, 4, 5, 6]]) == pytest.approx(1e-9, rel=1e-9)
 
 
-def test_bleu_epsilon_is_configurable():
-    got = bleu([7], [[1]], BleuConfig(smoothing_epsilon=1e-3))
-    assert got == pytest.approx(1e-3, rel=1e-12)
-
-
 def test_bleu_empty_references():
     with pytest.raises(InsufficientSamples):
         corpus_bleu(mk_set([[1, 2]]), SampleSet(()))
