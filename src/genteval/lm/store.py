@@ -31,9 +31,17 @@ def _pack(header: dict, payload: np.ndarray) -> bytes:
     return MAGIC + struct.pack("<Q", len(head)) + head + body
 
 
+def _filed(name: str, arr: np.ndarray) -> np.ndarray:
+    """The ffn holds ``w2`` as ``(H, V)`` and model files keep it as
+    ``(V, H)``: ``w2`` is transposed, the same way on save and on load,
+    and every other tensor passes as it is."""
+    return arr.T if name == "w2" else arr
+
+
 def save_model(model, path: str | Path) -> None:
     if isinstance(model, FeedForwardLM):
         names = sorted(model.params)
+        tensors = {n: _filed(n, model.params[n]) for n in names}
         header = {
             "backend": "ffn",
             "context": model.context,
@@ -43,10 +51,10 @@ def save_model(model, path: str | Path) -> None:
             "regression": model.regression,
             "pad_id": model.pad_id,
             "vocab": list(model.vocab.tokens),
-            "tensors": [[n, list(model.params[n].shape)] for n in names],
+            "tensors": [[n, list(tensors[n].shape)] for n in names],
         }
         payload = np.concatenate(
-            [model.params[n].reshape(-1) for n in names]
+            [tensors[n].reshape(-1) for n in names]
         ) if names else np.empty(0)
     elif isinstance(model, NGramLM):
         header = {
@@ -98,7 +106,11 @@ def _decode(header: dict, payload: np.ndarray, path):
     if header["backend"] == "ffn":
         hyper = {k: int(header[k]) for k in ("context", "embed_dim", "hidden_dim", "n_labels")}
         regression = bool(header["regression"])
-        shapes = param_shapes(vocab.size, regression=regression, **hyper)
+        # broadcast_to gives each held shape's filed shape without allocating.
+        shapes = {
+            n: _filed(n, np.broadcast_to(0.0, s)).shape
+            for n, s in param_shapes(vocab.size, regression=regression, **hyper).items()
+        }
         names = sorted(shapes)
         if header["tensors"] != [[n, list(shapes[n])] for n in names]:
             raise DataError(f"{path}: tensor shapes do not fit the model header")
@@ -110,7 +122,7 @@ def _decode(header: dict, payload: np.ndarray, path):
         for name in names:
             size = math.prod(shapes[name])
             _need(payload, pos + size, path)
-            params[name] = payload[pos : pos + size].reshape(shapes[name]).copy()
+            params[name] = _filed(name, payload[pos : pos + size].reshape(shapes[name])).copy()
             pos += size
         model = FeedForwardLM(
             vocab, params=params, pad_id=pad_id, regression=regression, **hyper

@@ -125,8 +125,7 @@ def _token_losses(
     rows that hold a candidate, and one without candidates runs nothing.
     The CE loss of a sequence with a row left out is NaN. Each block of
     :meth:`FeedForwardLM.gold_blocks` turns its ``z`` into dlogits in
-    place and runs one backward, which sums dW2 into one ``(H, V)``
-    array per pass; its transpose joins ``grads["w2"]`` at the end.
+    place and runs one backward, which adds its dW2 into ``grads["w2"]``.
     """
     lens = [len(s) for s in seqs]
     bounds = np.cumsum([0] + lens)
@@ -146,8 +145,6 @@ def _token_losses(
     row_ce = row_ce[run]
     run_logp = np.empty(len(run))
     cand_p = np.empty(len(cand_rows))
-    dw2 = np.zeros(grads["w2"].shape, order="F")  # (H, V) in memory; see backward
-    pass_grads = {**grads, "w2": dw2}
     for lo, hi, cache, z, denom in model.gold_blocks(seqs, contexts, run_logp, run):
         a, b = np.searchsorted(cand_at, (lo, hi))
         rows, cr, ct = np.arange(hi - lo), cand_at[a:b] - lo, cand_toks[a:b]
@@ -161,8 +158,7 @@ def _token_losses(
         z *= ((ce - ul_weight * q_sum) * scale / denom)[:, None]
         z[rows, gold[lo:hi]] -= ce * scale
         z[cr, ct] += ul_weight * scale[cr] * q
-        model.backward(cache, pass_grads, dlogits=z)
-    grads["w2"] += dw2
+        model.backward(cache, grads, dlogits=z)
     gold_logp = np.full(n_rows, np.nan)
     gold_logp[run] = run_logp
     penalty = -np.log1p(-np.minimum(cand_p, 1.0 - _UL_CLAMP))

@@ -101,15 +101,17 @@ def _ngram_case(draw, max_order=4):
 
 def _scoring_case(v=300):
     """A fitted n-gram, an ffn with a 4-id window, and sequences whose
-    windows number over 128 in all, with one sequence straddling row 128,
-    empty sequences, and contexts shorter and longer than the window."""
+    windows fill more than two ``BLOCK_ROWS`` blocks, with one sequence
+    straddling a block boundary, empty sequences, and contexts shorter
+    and longer than the window."""
     rng = SplitMix64(11)
     lens = [0, 1, 3, 7, 0, 40, 2, 90, 5, 11]
     ctx_lens = [0, 2, 5, 0, 3, 1, 9, 0, 4, 12]
     seqs = [tuple(rng.randint(v) for _ in range(n)) for n in lens]
     contexts = [tuple(rng.randint(v) for _ in range(n)) for n in ctx_lens]
     starts = np.cumsum(lens) - lens
-    assert sum(lens) > 128 and any(a < 128 < a + n for a, n in zip(starts, lens))
+    assert sum(lens) > 2 * BLOCK_ROWS
+    assert any(a // BLOCK_ROWS < (a + n - 1) // BLOCK_ROWS for a, n in zip(starts, lens) if n)
     corpus = [tuple(rng.randint(v) for _ in range(60)) for _ in range(8)]
     ngram = ngram_fit(corpus, 3, 0.5, vocab=Vocab.placeholder(v))
     ffn = FeedForwardLM.init(Vocab.placeholder(v), context=4, embed_dim=8, hidden_dim=16, seed=5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -302,6 +303,56 @@ def _split_model_file(path):
 def _write_model_file(path, header, payload):
     head = json.dumps(header).encode("utf-8")
     path.write_bytes(b"LMEK1" + struct.pack("<Q", len(head)) + head + payload.astype("<f8").tobytes())
+
+
+# sha256 of save_model(FeedForwardLM.init(...)), from files that hold w2 as
+# (V, H). The first model is square (3 ids plus the pad, hidden_dim 4), so a
+# transpose left out of save passes every shape check but not this one.
+_INIT_MODEL_SHA256 = {
+    "square": (
+        dict(vocab=("a", "b", "c"), context=2, embed_dim=3, hidden_dim=4, seed=5),
+        "dbb891ffde82a6449136c83a8e0a97ab8203817c81f8254bfbaa60fcc79f6652",
+    ),
+    "both-heads": (
+        dict(vocab=tuple("abcdef"), context=3, embed_dim=2, hidden_dim=5, seed=11,
+             n_labels=3, regression=True),
+        "fba74eb8c3676026fc07140e9f07027b783d63d88ebaa368227f23eb5393777d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INIT_MODEL_SHA256))
+def test_saved_init_model_bytes_are_pinned(tmp_path, name):
+    kwargs, digest = _INIT_MODEL_SHA256[name]
+    model = FeedForwardLM.init(Vocab(kwargs.pop("vocab")), **kwargs)
+    path = tmp_path / "m.lmek"
+    save_model(model, path)
+    header, _ = _split_model_file(path)
+    assert ["w2", [model.vocab.size, model.hidden_dim]] in header["tensors"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("hidden_dim", [4, 5])
+def test_load_transposes_the_filed_v_by_h_output_layer(tmp_path, hidden_dim):
+    vocab = ["a", "b", "c", PAD_TOKEN]
+    names = ["b1", "b2", "emb", "w1", "w2"]  # the file's sorted tensor order
+    shapes = [[hidden_dim], [4], [4, 3], [hidden_dim, 6], [4, hidden_dim]]
+    header = {
+        "backend": "ffn", "context": 2, "embed_dim": 3, "hidden_dim": hidden_dim,
+        "n_labels": 0, "regression": False, "pad_id": 3, "vocab": vocab,
+        "tensors": [list(t) for t in zip(names, shapes)],
+    }
+    payload = np.arange(sum(math.prod(s) for s in shapes), dtype=np.float64) / 64.0
+    path = tmp_path / "m.lmek"
+    _write_model_file(path, header, payload)
+    model = load_model(path)
+    filed_w2 = payload[-4 * hidden_dim:].reshape(4, hidden_dim)
+    assert model.params["w2"].shape == (hidden_dim, 4)
+    assert model.params["w2"].flags.c_contiguous
+    assert np.array_equal(model.params["w2"], filed_w2.T)
+    again = tmp_path / "again.lmek"
+    save_model(model, again)
+    assert _split_model_file(again)[1].tobytes() == payload.tobytes()
 
 
 @pytest.mark.parametrize(
