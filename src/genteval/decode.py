@@ -47,13 +47,13 @@ same order:
 
 One decode step costs O(|V|) numpy work per row plus sorts:
 
-- a model's ``context_len`` hands it only that many trailing ids, so a
-  step does not copy the whole context;
-- top-k and the beam's per-hypothesis top-``b`` select with
-  ``np.argpartition`` along the rows; the rows where the k-th value ties
-  past the partition take their lowest-id ties in one block operation,
-  and a full sort serves when the vocab is not much larger than k (or a
-  row's k-th value is NaN);
+- a decode holds its ids in one matrix, prefixes -1-padded on the left,
+  and hands the model its last ``context_len`` columns (all if None);
+- a top-k of k <= 8 (the beam's top-``b``) takes k passes of ``argmax``;
+  a larger one selects with ``np.argpartition`` along the rows, the rows
+  where the k-th value ties past the partition take their lowest-id
+  ties in one block operation, and a full sort serves when the vocab is
+  not much larger than k (or a row's k-th value is NaN);
 - a beam step merges the candidates of every prefix with one
   ``np.lexsort`` along the rows, by (-score, parent's rank, token): each
   hypothesis carries the rank of its id tuple within its beam, so that
@@ -75,7 +75,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .errors import ConfigError
-from .lm.base import as_ids, exp_rows
+from .lm.base import as_ids, exp_rows, left_padded
 from .rng import SplitMix64
 
 
@@ -205,6 +205,9 @@ def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderCon
 # Partial selection beats a full sort only when the vocab is well past
 # k; at |V| = 100 the argsort was faster.
 _PARTITION_FACTOR = 16
+# Up to this k, k argmax passes over the block beat a partition or a sort:
+# on an (80, 100) n-gram beam block, 40 us against 139 for the partition.
+_ARGMAX_MAX_K = 8
 # From about this many values on, an unstable sort that turns out to have
 # no ties is much cheaper than the stable one (5x on an (8, 5001) block).
 _QUICKSORT_MIN = 2048
@@ -242,6 +245,18 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
     Equal to ``_rank_rows(values)[0][:, :k]``.
     """
     width = values.shape[1]
+    if k <= _ARGMAX_MAX_K:
+        # An argmax takes a tie's lowest id, as the stable ranking does; each
+        # pass hides its pick. Rows without k values above -inf rank in full.
+        hidden, rows = np.fmax(values, -np.inf), np.arange(len(values))
+        ids = np.empty((len(values), min(k, width)), dtype=np.int64)
+        short = np.count_nonzero(hidden > -np.inf, axis=1) < ids.shape[1]
+        for j in range(ids.shape[1]):
+            ids[:, j] = np.argmax(hidden, axis=1)
+            hidden[rows, ids[:, j]] = -np.inf
+        if short.any():
+            ids[short] = _rank_rows(values[short])[0][:, :k]
+        return ids
     if width < _PARTITION_FACTOR * k:
         return _rank_rows(values)[0][:, :k]
     rows = np.arange(len(values))[:, None]
@@ -274,8 +289,10 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _log_rows(dists: np.ndarray) -> np.ndarray:
-    """Elementwise log, -inf where a probability is zero."""
-    return np.log(dists, out=np.full(dists.shape, -np.inf), where=dists > 0)
+    """Elementwise log, -inf where a probability is zero, negative or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.log(dists)
+    return np.fmax(w, -np.inf, out=w)
 
 
 def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
@@ -389,11 +406,6 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen:
     return _draw(ids, probs, u)
 
 
-def _tail(ids, n: int | None):
-    """The last ``n`` of ``ids``; all of them when ``n`` is None."""
-    return ids if n is None else ids[max(0, len(ids) - n) :]
-
-
 def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     """Decode one continuation per prefix, all prefixes in lockstep.
 
@@ -411,7 +423,7 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     index order. The tokens of a step are chosen for the whole block by
     the rules of a single-prefix decode, so the output equals decoding
     each prefix alone whenever the model's batched rows equal its
-    single rows.
+    single rows. A negative id is a config error (-1 pads the windows).
     """
     prefixes = [as_ids(p) for p in prefixes]
     cfgs = list(cfgs)
@@ -434,11 +446,6 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     return out
 
 
-def _next_dists(model, contexts: list) -> np.ndarray:
-    """``(len(contexts), |V|)`` next-token distributions, one row per context."""
-    return np.asarray(model.next_dist_batch(contexts), dtype=np.float64)
-
-
 def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, context=()):
     """Raw and truncated probability of each token of ``seq`` after
     ``context`` and the tokens before it, as two float arrays.
@@ -454,54 +461,54 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
         if truncation.strategy not in ("topk", "topp"):
             raise ConfigError(f"truncation must be topk or topp, not {truncation.strategy}")
         truncation.check_vocab(model.vocab.size)
-    window, start, ctx = model.context_len, len(ctx), ctx + ids
+    # The context's last ``lead`` ids, then ``ids``; ids[j]'s window is line[j : j + lead].
+    lead = len(ctx) + len(ids) if model.context_len is None else model.context_len
+    line = left_padded([ctx + ids], lead + len(ids))[0]
+    windows, toks = np.lib.stride_tricks.sliding_window_view(line, lead), line[lead:]
     raw, trunc = np.empty(len(ids)), np.empty(len(ids))
     for lo in range(0, len(ids), MAX_BATCH_ROWS):
         hi = min(lo + MAX_BATCH_ROWS, len(ids))
-        ends = range(start + lo, start + hi)
-        dists = _next_dists(model, [ctx[0 if window is None else max(0, e - window) : e] for e in ends])
-        toks = np.array(ids[lo:hi], dtype=np.int64)
-        raw[lo:hi] = dists[np.arange(hi - lo), toks]
+        dists = model.next_dist_batch(windows[lo:hi])
+        raw[lo:hi] = dists[np.arange(hi - lo), toks[lo:hi]]
         if truncation is None:
             trunc[lo:hi] = raw[lo:hi]
         else:
             kept, probs, _ = _truncate_rows(dists, truncation.strategy, truncation.param)
-            trunc[lo:hi] = np.where(kept == toks[:, None], probs, 0.0).sum(axis=1)
+            trunc[lo:hi] = np.where(kept == toks[lo:hi, None], probs, 0.0).sum(axis=1)
     return raw, trunc
 
 
 def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
-    cfg = cfgs[0]
-    window = model.context_len
+    # Row i of ``buf``: prefix i padded to ``lead`` ids, then its continuation.
+    cfg, window = cfgs[0], model.context_len
+    head = left_padded(prefixes, window)
+    buf, lead = np.pad(head, ((0, 0), (0, cfg.max_len))), head.shape[1]
     rngs = [SplitMix64(c.seed) for c in cfgs]
-    ctxs = [list(p) for p in prefixes]
     rows = np.arange(len(prefixes))
     seen = None
-    for _ in range(cfg.max_len):
-        dists = _next_dists(model, [_tail(ctx, window) for ctx in ctxs])
+    for t in range(lead, lead + cfg.max_len):
+        dists = model.next_dist_batch(buf[:, 0 if window is None else t - window : t])
         if seen is None:
             seen = np.zeros(dists.shape, dtype=bool)
         toks = _choose(dists, cfg, rngs, seen)
+        buf[:, t] = toks
         seen[rows, toks] = True
-        for ctx, tok in zip(ctxs, toks.tolist()):
-            ctx.append(tok)
-    return [ctx[len(p) :] for ctx, p in zip(ctxs, prefixes)]
+    return buf[:, lead:].tolist()
 
 
 def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
     # Every prefix holds the same number n of hypotheses. Row j*n + i of
-    # ``ids`` is hypothesis i of prefix j, with ``score`` its summed
-    # log-probability of the continuation tokens only and ``rank`` the
-    # place of its ids among its beam's, in lexicographic order. The rows
+    # ``ids`` is prefix j padded to ``lead`` ids, then its hypothesis i,
+    # with ``score`` the summed log-probability of the hypothesis and
+    # ``rank`` its place among its beam's, in lexicographic order. The rows
     # of a beam run in (-score, ids) order, so row j*n is prefix j's best.
     width, window = cfgs[0].b, model.context_len
-    n_beams = len(prefixes)
-    heads = [list(_tail(p, window)) for p in prefixes]
-    ids = np.zeros((n_beams, 0), dtype=np.int64)
+    ids = left_padded(prefixes, window)
+    n_beams, lead = ids.shape
     score, rank = np.zeros(n_beams), np.zeros(n_beams, dtype=np.int64)
     for _ in range(cfgs[0].max_len):
-        n = len(score) // n_beams
-        logp = _log_rows(_next_dists(model, _beam_contexts(heads, ids, window)))
+        n, t = len(score) // n_beams, ids.shape[1]
+        logp = _log_rows(model.next_dist_batch(ids[:, 0 if window is None else t - window :]))
         # Keeping only the per-hypothesis top ``width`` tokens is exact:
         # anything dropped is dominated by width better candidates that
         # share its prefix, under the same (score, ids) order.
@@ -521,15 +528,4 @@ def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]
         # The new ids order by (parent rank, token) too.
         lex = np.lexsort([key.reshape(n_beams, -1) for key in (toks, rank[parent])], axis=1)
         rank = lex.argsort(axis=1).ravel()
-    return ids[:: len(score) // n_beams].tolist()
-
-
-def _beam_contexts(heads: list[list[int]], ids: np.ndarray, window: int | None) -> list:
-    """The model context of every hypothesis row: the last ``window`` ids
-    (all when None) of its prefix followed by its row of ``ids``; each
-    prefix has the same number of consecutive rows."""
-    t, n = ids.shape[1], len(ids) // len(heads)
-    if window is not None and t >= window:
-        return ids[:, t - window :].tolist()
-    heads = [_tail(head, None if window is None else window - t) for head in heads]
-    return [heads[i // n] + row for i, row in enumerate(ids.tolist())]
+    return ids[:: len(score) // n_beams, lead:].tolist()

@@ -1,13 +1,12 @@
 """Language model backends and scoring utilities."""
 
-from .base import LanguageModel, as_ids, perplexity
+from .base import as_ids, perplexity
 from .ffn import PAD_TOKEN, FeedForwardLM
 from .ngram import NGramLM, ngram_fit
 from .store import load_model, save_model
 
 __all__ = [
     "FeedForwardLM",
-    "LanguageModel",
     "NGramLM",
     "PAD_TOKEN",
     "as_ids",

@@ -1,22 +1,21 @@
 """Language model contract plus scoring utilities shared by all backends.
 
-A language model has a ``vocab``; a ``context_len``, the number of
+A language model has a ``vocab``; a ``context_len`` ``c``, the number of
 trailing context ids its predictions depend on (order-1 for the n-gram,
-the window for the ffn) or None for the whole context, so decoders pass
-only that many; and two batched methods over int id sequences (a caller
-holding a TokenSequence passes its ``.ids``):
+the window for the ffn) or None for the whole context; and two batched
+methods over int ids (a caller holding a TokenSequence passes its ``.ids``):
 
-- ``next_dist_batch(contexts)``: a ``(len(contexts), |V|)`` array whose
-  row i is the next-token distribution after ``contexts[i]`` (summing to
-  1 within 1e-9). Decoders make one call per step for all the prefixes
-  (or beam hypotheses) they decode together.
+- ``next_dist_batch(windows)``: row i is the next-token distribution
+  (summing to 1 within 1e-9) after row i of the ``(rows, c)`` int64
+  matrix ``windows``, a context's last ``c`` ids left-padded with -1 ("no
+  token"). Decoders hold their ids in one matrix and pass it a slice.
 - ``score_batch(seqs, contexts=())``: the summed natural log-probability
   of each ``seqs[i]`` given ``contexts[i]`` (or no context); the context
   conditions but is never scored. An empty sequence scores 0.0. Every
   scorer (perplexities, acceptability, consistency) makes one call.
 
 Both backends also keep ``next_dist(context)``, the one-row call of
-``next_dist_batch``, for callers that walk one context at a time. A row
+``next_dist_batch`` on a list of ids (via :func:`left_padded`). A row
 may differ between batches in the last bits, depending on the batch
 size and the row's position. The n-gram computes rows elementwise from
 sorted-array lookups, so they do not depend on the batch; the ffn's
@@ -34,23 +33,12 @@ and penalized decoders all normalize through it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..corpus import TokenSequence, Vocab
 from ..errors import ConfigError
-
-
-class LanguageModel(Protocol):
-    vocab: Vocab
-    context_len: int | None
-
-    def next_dist(self, context: Sequence[int]) -> np.ndarray: ...
-
-    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray: ...
-
-    def score_batch(self, seqs: Sequence[Sequence[int]], contexts: Sequence = ()) -> list[float]: ...
 
 
 def as_ids(seq) -> tuple[int, ...]:
@@ -60,6 +48,20 @@ def as_ids(seq) -> tuple[int, ...]:
     if isinstance(seq, TokenSequence):
         return seq.ids
     return tuple(int(i) for i in seq)
+
+
+def left_padded(seqs: Sequence[Sequence[int]], width: int | None) -> np.ndarray:
+    """``(len(seqs), width)`` int64: row i is the last ``width`` ids of ``seqs[i]``
+    right-aligned after -1s; ``width`` None fits the longest. A negative id,
+    which would read as "no token", is a config error."""
+    if any(len(s) and min(s) < 0 for s in seqs):
+        raise ConfigError("token ids must be non-negative")
+    width = max(map(len, seqs), default=0) if width is None else width
+    out = np.full((len(seqs), width), -1, dtype=np.int64)
+    for row, seq in zip(out, seqs):
+        tail = seq[max(0, len(seq) - width) :]
+        row[width - len(tail) :] = tail
+    return out
 
 
 def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:

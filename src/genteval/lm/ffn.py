@@ -27,7 +27,7 @@ import numpy as np
 from ..corpus import Vocab
 from ..errors import ConfigError
 from ..rng import SplitMix64
-from .base import exp_rows, summed_scores
+from .base import exp_rows, left_padded, summed_scores
 
 PAD_TOKEN = "<pad>"
 
@@ -200,16 +200,11 @@ class FeedForwardLM:
         return cache.h @ self.params["wc"].T + self.params["bc"]
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        return self.next_dist_batch([context])[0]
+        return self.next_dist_batch(left_padded([context], self.context))[0]
 
-    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """``(len(contexts), V)`` next-token distributions from one forward pass."""
-        c = self.context
-        pad = (self.pad_id,) * c
-        windows = np.array(
-            [(*pad, *ctx[-c:])[-c:] for ctx in contexts], dtype=np.int64
-        ).reshape(len(contexts), c)
-        z = self.vocab_logits(self.forward(windows))
+    def next_dist_batch(self, windows: np.ndarray) -> np.ndarray:
+        """The next-token rows of a ``(rows, c)`` window matrix, -1 read as the pad id."""
+        z = self.vocab_logits(self.forward(np.where(windows < 0, self.pad_id, windows)))
         denom, _ = exp_rows(z)
         z /= denom[:, None]
         return z

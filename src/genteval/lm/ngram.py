@@ -17,8 +17,8 @@ and their ``counts[o]``. A gram's key is the row of its context in
 ``grams[o - 1]`` times a base above every id, plus its last id, so keys
 ascend with the grams, each context's continuations are one block of
 rows, and no key overflows at any order. ``score_batch`` and
-``next_dist_batch`` look up a whole batch with one ``searchsorted`` per
-order.
+``next_dist_batch`` (whose windows mark a context's start with -1) share
+one backoff chain with one ``searchsorted`` per order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..corpus import TokenSequence, Vocab, ngram_windows
 from ..errors import BadOrder, ConfigError, DataError, EmptyInput
-from .base import as_ids, summed_scores
+from .base import as_ids, left_padded, summed_scores
 
 
 def check_settings(order: int, k_s: float) -> None:
@@ -88,44 +88,41 @@ class NGramLM:
         at = np.searchsorted(self._keys[o], want)
         return np.where(self._keys[o][at] == want, at, -1)
 
-    def _lookup(self, contexts, seqs):
-        """Backoff level, context row, context total and gram count of every
-        id of ``seqs``, end to end; ``seqs[i]`` follows ``contexts[i]``."""
-        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in contexts]
-        n_ctx = np.array([len(t) for t in tails], dtype=np.int64)
-        lens = n_ctx + np.array([len(s) for s in seqs], dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64)
+    def _backoff(self, flat: np.ndarray, behind: np.ndarray, q: np.ndarray):
+        """Backoff level, context row and context total of each id ``flat[q]``, and per
+        order k < ``order`` the row of the k-gram ending at each id. ``behind[i]`` counts
+        the ids before ``flat[i]`` its context may use (< 0 before it); overwrites ``flat``."""
         flat[flat.view(np.uint64) >= self._base - 1] = self._base - 1  # negative ids too
-        behind = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)  # ids before, per segment
-        q = np.flatnonzero(behind >= np.repeat(n_ctx, lens))
         avail = behind[q]
         level, row = np.ones(len(q), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
-        total, count = np.full(len(q), self._totals[1][0]), np.zeros(len(q), dtype=np.int64)
+        total, ends = np.full(len(q), self._totals[1][0]), []
         prefix = np.zeros(len(flat), dtype=np.int64)  # row of the (k-1)-gram ending before i
-        for k in range(1, self.order + 1):
-            ends = self._find(k, prefix, flat)  # row of the k-gram ending at i
-            count = np.where(level == k, self._counts[k][ends[q]], count)  # level k: context + id
-            if k == self.order:
-                return level, row, total, count
-            prefix = np.concatenate(([-1], ends[:-1]))
+        for k in range(1, self.order):
+            ends.append(self._find(k, prefix, flat))  # row of the k-gram ending at i
+            prefix = np.concatenate(([-1], ends[-1][:-1]))
             prefix[behind < k] = -1
             r = prefix[q]
             t = self._totals[k + 1][r]
             pick = avail >= k if self.k_s > 0 else t > 0
             level, row, total = np.where(pick, k + 1, level), np.where(pick, r, row), np.where(pick, t, total)
+        return level, row, total, ends
 
     def next_dist(self, context: Sequence[int]) -> np.ndarray:
-        return self.next_dist_batch([context])[0]
+        return self.next_dist_batch(left_padded([context], self.context_len))[0]
 
-    def next_dist_batch(self, contexts: Sequence[Sequence[int]]) -> np.ndarray:
-        """``(len(contexts), V)``; row i is the distribution after ``contexts[i]``."""
-        level, row, total, _ = self._lookup(contexts, [(-1,)] * len(contexts))
+    def next_dist_batch(self, windows: np.ndarray) -> np.ndarray:
+        """``(rows, V)``: the distributions after the ids past each row's last -1."""
+        rows, w = windows.shape
+        flat = np.concatenate((windows, np.full((rows, 1), -1)), axis=1).ravel()  # then the next id
+        start = np.max(np.where(windows < 0, np.arange(1, w + 1), 0), axis=1, initial=0)
+        behind = (np.arange(w + 1) - start[:, None]).ravel()
+        level, row, total, _ = self._backoff(flat, behind, np.arange(w, len(flat), w + 1))
         v = self.vocab.size
         denom = total + self.k_s * v
         # Same float operations as (count + k_s) / denom per token.
-        out = np.empty((len(contexts), v))
+        out = np.empty((len(level), v))
         out[:] = (self.k_s / denom)[:, None]
-        for o in np.unique(level[row >= 0]).tolist():  # the levels that answer from counts
+        for o in np.flatnonzero(np.bincount(level[row >= 0])).tolist():  # the levels that answer from counts
             b = np.flatnonzero((level == o) & (row >= 0))
             lo = self._bounds[o][row[b]]
             n = self._bounds[o][row[b] + 1] - lo
@@ -141,7 +138,18 @@ class NGramLM:
         return summed_scores(self._token_logp, seqs, contexts)
 
     def _token_logp(self, seqs, contexts) -> np.ndarray:
-        _, _, total, count = self._lookup(contexts, seqs)
+        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in contexts]
+        n_ctx = np.array([len(t) for t in tails], dtype=np.int64)
+        lens = n_ctx + np.array([len(s) for s in seqs], dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64)
+        behind = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)  # ids before, per segment
+        q = np.flatnonzero(behind >= np.repeat(n_ctx, lens))
+        level, row, total, ends = self._backoff(flat, behind, q)
+        # Each id's gram count at its level; a top-order id's context is ``row``.
+        top = self._find(self.order, np.where(level == self.order, row, -1), flat[q])
+        count = self._counts[self.order][top]
+        for k, e in enumerate(ends, 1):
+            count = np.where(level == k, self._counts[k][e[q]], count)
         p = (count + self.k_s) / (total + self.k_s * self.vocab.size)
         return np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
 

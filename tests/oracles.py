@@ -285,12 +285,13 @@ class StackedScores:
 class StackedRows(StackedScores):
     """The batched half of the LM contract for a test model that defines
     only ``next_dist`` (and ``score``): its rows and scores stacked, and
-    whole contexts."""
+    whole contexts. With ``context_len`` None a decoder hands it its whole
+    buffer; row i's context is that row with the -1 padding stripped."""
 
     context_len = None
 
-    def next_dist_batch(self, contexts):
-        return np.stack([np.asarray(self.next_dist(c), dtype=np.float64) for c in contexts])
+    def next_dist_batch(self, windows):
+        return np.stack([np.asarray(self.next_dist(row[row >= 0].tolist()), dtype=np.float64) for row in windows])
 
 
 class SlowLM(StackedRows):
@@ -576,6 +577,21 @@ def naive_windows(model, ids, context=()):
     return np.array(
         [full[offset + t : offset + t + c] for t in range(len(ids))], dtype=np.int64
     ).reshape(len(ids), c)
+
+
+def tuple_window_dists(model, contexts):
+    """The ffn's ``next_dist_batch`` as it was when it took a list of
+    contexts: one tuple per row, the pad id before its last ``c`` ids,
+    then one forward and ``exp_rows``."""
+    from genteval.lm.base import exp_rows
+
+    c = model.context
+    pad = (model.pad_id,) * c
+    windows = np.array([(*pad, *ctx[-c:])[-c:] for ctx in contexts], dtype=np.int64).reshape(len(contexts), c)
+    z = model.vocab_logits(model.forward(windows))
+    denom, _ = exp_rows(z)
+    z /= denom[:, None]
+    return z
 
 
 def naive_ffn_score(model, ids, context=()):

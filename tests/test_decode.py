@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab
-from genteval.decode import DecoderConfig, cell_config, param_value, token_prob_trace
+from genteval.decode import DecoderConfig, cell_config, generate_batch, param_value, token_prob_trace
 from genteval.errors import ConfigError
+from genteval.lm import FeedForwardLM, ngram_fit
 from genteval.rng import SplitMix64, stable_hash
 
 from oracles import StackedRows, one_generate, one_penalize, one_sample, one_truncate
@@ -303,3 +304,21 @@ def test_beam_improves_or_matches_greedy_score():
     greedy = one_generate(model, prefix, DecoderConfig(strategy="greedy", max_len=5))
     wide = one_generate(model, prefix, DecoderConfig(strategy="beam", b=4, max_len=5))
     assert model.score(wide.ids, prefix) >= model.score(greedy.ids, prefix) - 1e-12
+
+
+def test_negative_ids_are_refused_not_read_as_padding():
+    # -1 marks "no token" in a model's window matrix, so a negative id in a
+    # prefix or trace context would silently shorten the context.
+    vocab = Vocab.placeholder(5)
+    for model in (ngram_fit([(0, 1, 2, 3, 4, 1, 2)], 3, 0.5, vocab=vocab),
+                  FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3)):
+        greedy = DecoderConfig(strategy="greedy", max_len=2)
+        for cfg in (greedy, DecoderConfig(strategy="beam", b=2, max_len=2)):
+            with pytest.raises(ConfigError, match="non-negative"):
+                generate_batch(model, [(1, 2), (3, -1, 2)], [cfg, cfg])
+        with pytest.raises(ConfigError, match="non-negative"):
+            token_prob_trace(model, (1, 2), context=(-2,))
+        with pytest.raises(ConfigError, match="non-negative"):
+            token_prob_trace(model, (1, -1))
+        with pytest.raises(ConfigError, match="non-negative"):
+            model.next_dist([4, -3])

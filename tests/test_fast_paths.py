@@ -25,7 +25,7 @@ from genteval.decode import DecoderConfig, generate_batch
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
-from genteval.lm.base import exp_rows
+from genteval.lm.base import exp_rows, left_padded
 from genteval.lm.ffn import BLOCK_ROWS
 from genteval import losses
 from genteval.losses import (
@@ -66,6 +66,7 @@ from oracles import (
     row_pick,
     row_temperature,
     softmax,
+    tuple_window_dists,
 )
 from toytext import char_splits, word_splits
 
@@ -165,9 +166,25 @@ def test_next_dist_matches_naive_loop(case):
         want = naive_next_dist(ref, ctx).tobytes()
         assert model.next_dist(ctx).tobytes() == want
         assert naive_next_dist(model, ctx).tobytes() == want
-    batch = model.next_dist_batch(contexts)
+    batch = model.next_dist_batch(left_padded(contexts, model.context_len))
     for row, ctx in zip(batch, contexts):
         assert row.tobytes() == naive_next_dist(ref, ctx).tobytes()
+
+
+@given(case=_ngram_case(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_ngram_window_matrix_rows_match_the_dict_model(case, data):
+    # Rows hold 0..c real ids after their -1 padding; the model's corpus
+    # (a context here) may count ids the vocab lacks.
+    model, ref, seqs, contexts = case
+    c = model.context_len
+    rows = []
+    for ctx in contexts + seqs:
+        n = data.draw(st.integers(0, min(c, len(ctx))))
+        rows.append([-1] * (c - n) + list(ctx[len(ctx) - n :]))
+    batch = model.next_dist_batch(np.array(rows, dtype=np.int64).reshape(len(rows), c))
+    for got, row in zip(batch, rows):
+        assert got.tobytes() == naive_next_dist(ref, [i for i in row if i >= 0]).tobytes()
 
 
 @given(
@@ -234,8 +251,8 @@ def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
     model = ngram_fit(seq, order=3, k_s=0.5)
     save_model(model, tmp_path / "m.lmek")
     loaded = load_model(tmp_path / "m.lmek")
-    contexts = [(), (0,), (0, 1), (2, 2, 2)]
-    assert loaded.next_dist_batch(contexts).tobytes() == model.next_dist_batch(contexts).tobytes()
+    windows = left_padded([(), (0,), (0, 1), (2, 2, 2)], model.context_len)
+    assert loaded.next_dist_batch(windows).tobytes() == model.next_dist_batch(windows).tobytes()
     assert loaded.score_batch([seq.ids]) == model.score_batch([seq.ids])
 
 
@@ -373,6 +390,31 @@ def test_top_rows_of_mixed_blocks_match_stable_argsort_row_by_row(width, k, kind
     got = decode._top_rows(block, k)
     for row, ids in zip(block, got):
         assert np.array_equal(ids, naive_top_ids(row, k))
+
+
+@given(width=st.integers(1, 12), k=st.integers(1, 8), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_rows_by_argmax_passes_match_stable_argsort(width, k, data):
+    # k past the width, rows with fewer than k finite values, NaN, and a
+    # row of only -inf, in one block.
+    value = st.sampled_from([0.5, 0.25, 0.0, -1.0, -np.inf, np.nan])
+    rows = data.draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=6))
+    block = np.array(rows + [[-np.inf] * width])
+    got = decode._top_rows(block, k)
+    assert got.shape == (len(block), min(k, width))
+    for row, ids in zip(block, got):
+        assert np.array_equal(ids, naive_top_ids(row, k))
+
+
+def test_log_rows_is_minus_inf_at_zero_negative_and_nan_and_the_masked_log_elsewhere():
+    rng = np.random.default_rng(4)
+    dists = rng.random((20, 101))
+    dists[dists < 0.3] = 0.0
+    dists[0, :6] = [-0.0, -0.25, np.nan, 1e-310, 1.0, -np.inf]
+    got = decode._log_rows(dists)
+    want = np.log(dists, out=np.full(dists.shape, -np.inf), where=dists > 0)
+    assert got.tobytes() == want.tobytes()
+    assert np.isneginf(got[0, :3]).all() and np.isneginf(got[dists == 0]).all()
 
 
 def test_sample_degenerate_all_zero_keeps_old_answer():
@@ -727,8 +769,10 @@ def test_generate_batch_equals_per_prefix_decodes_on_the_ffn(cfg):
 def test_ffn_batch_rows_match_single_rows():
     model = FeedForwardLM.init(Vocab.placeholder(3000), context=4, embed_dim=16, hidden_dim=64, seed=3)
     contexts = [[], [5], list(range(7))] + [[(13 * i + j) % 3000 for j in range(4)] for i in range(29)]
-    batch = model.next_dist_batch(contexts)
+    batch = model.next_dist_batch(left_padded(contexts, model.context_len))
     assert batch.shape == (32, model.vocab.size)
+    # -1 padding reads as the pad id, exactly as the old tuple windows put it.
+    assert batch.tobytes() == tuple_window_dists(model, contexts).tobytes()
     for row, ctx in zip(batch, contexts):
         np.testing.assert_allclose(row, model.next_dist(ctx), rtol=1e-12, atol=0)
 
