@@ -75,7 +75,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .errors import ConfigError
-from .lm.base import as_ids, exp_rows, left_padded
+from .lm.base import as_ids, exp_rows, id_lines, left_padded
 from .rng import SplitMix64
 
 
@@ -461,14 +461,13 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
         if truncation.strategy not in ("topk", "topp"):
             raise ConfigError(f"truncation must be topk or topp, not {truncation.strategy}")
         truncation.check_vocab(model.vocab.size)
-    # The context's last ``lead`` ids, then ``ids``; ids[j]'s window is line[j : j + lead].
     lead = len(ctx) + len(ids) if model.context_len is None else model.context_len
-    line = left_padded([ctx + ids], lead + len(ids))[0]
-    windows, toks = np.lib.stride_tricks.sliding_window_view(line, lead), line[lead:]
+    line, q = id_lines([ids], [ctx], lead)
+    toks = line[q]
     raw, trunc = np.empty(len(ids)), np.empty(len(ids))
     for lo in range(0, len(ids), MAX_BATCH_ROWS):
         hi = min(lo + MAX_BATCH_ROWS, len(ids))
-        dists = model.next_dist_batch(windows[lo:hi])
+        dists = model.next_dist_batch(line[q[lo:hi, None] + np.arange(-lead, 0)])
         raw[lo:hi] = dists[np.arange(hi - lo), toks[lo:hi]]
         if truncation is None:
             trunc[lo:hi] = raw[lo:hi]

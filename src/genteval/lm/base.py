@@ -14,8 +14,10 @@ methods over int ids (a caller holding a TokenSequence passes its ``.ids``):
   conditions but is never scored. An empty sequence scores 0.0. Every
   scorer (perplexities, acceptability, consistency) makes one call.
 
-Both backends also keep ``next_dist(context)``, the one-row call of
-``next_dist_batch`` on a list of ids (via :func:`left_padded`). A row
+Every -1-padded window comes from :func:`id_lines` (the decoders' through
+:func:`left_padded`), which refuses a negative id everywhere. Both
+backends also keep ``next_dist(context)``, the one-row call of
+``next_dist_batch`` on a list of ids. A row
 may differ between batches in the last bits, depending on the batch
 size and the row's position. The n-gram computes rows elementwise from
 sorted-array lookups, so they do not depend on the batch; the ffn's
@@ -33,6 +35,7 @@ and penalized decoders all normalize through it.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,18 +53,29 @@ def as_ids(seq) -> tuple[int, ...]:
     return tuple(int(i) for i in seq)
 
 
+def id_lines(seqs: Sequence[Sequence[int]], contexts: Sequence[Sequence[int]], c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, q)``: each ``seqs[i]`` after ``c`` slots holding the last ``c`` ids of
+    ``contexts[i]`` left-padded with -1 ("no token"), end to end in ``flat``, and where
+    each id of ``seqs`` sits in it: ``flat[q]`` are those ids and
+    ``flat[q[:, None] - c + np.arange(c)]`` their windows. Refuses a negative id."""
+    if len(contexts) != len(seqs):
+        raise ConfigError("need one context per sequence")
+    tails = [ctx[max(0, len(ctx) - c) :] for ctx in contexts]
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    runs = lens + np.array([len(t) for t in tails], dtype=np.int64)  # the ids of each line
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64, count=runs.sum())
+    if ids.min(initial=0) < 0:
+        raise ConfigError("token ids must be non-negative")
+    flat = np.full(c * len(seqs) + lens.sum(), -1, dtype=np.int64)
+    flat[np.arange(len(ids)) + np.repeat(np.cumsum(lens + c) - np.cumsum(runs), runs)] = ids
+    return flat, np.arange(lens.sum()) + c * np.repeat(np.arange(1, len(seqs) + 1), lens)
+
+
 def left_padded(seqs: Sequence[Sequence[int]], width: int | None) -> np.ndarray:
     """``(len(seqs), width)`` int64: row i is the last ``width`` ids of ``seqs[i]``
-    right-aligned after -1s; ``width`` None fits the longest. A negative id,
-    which would read as "no token", is a config error."""
-    if any(len(s) and min(s) < 0 for s in seqs):
-        raise ConfigError("token ids must be non-negative")
+    after -1s, as :func:`id_lines` pads them; ``width`` None fits the longest."""
     width = max(map(len, seqs), default=0) if width is None else width
-    out = np.full((len(seqs), width), -1, dtype=np.int64)
-    for row, seq in zip(out, seqs):
-        tail = seq[max(0, len(seq) - width) :]
-        row[width - len(tail) :] = tail
-    return out
+    return id_lines([()] * len(seqs), seqs, width)[0].reshape(len(seqs), width)
 
 
 def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:
@@ -81,12 +95,13 @@ def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:
 def summed_scores(token_logp: Callable, seqs, contexts: Sequence = ()) -> list[float]:
     """``score_batch`` from a backend's ``token_logp(seqs, contexts)``, the
     log-probability of every id of ``seqs`` end to end: each sequence's sum,
-    left to right as a per-token loop adds, and 0.0 for an empty one."""
-    if contexts and len(contexts) != len(seqs):
-        raise ConfigError("score_batch needs one context per sequence")
+    left to right as a per-token loop adds (one cumsum along the rows of a
+    zero-padded block), and 0.0 for an empty one."""
     logp = token_logp(seqs, contexts or [()] * len(seqs))
-    ends = np.cumsum([len(s) for s in seqs]).tolist()
-    return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    block = np.zeros((len(seqs), int(lens.max(initial=0)) + 1))
+    block[:, 1:][np.arange(block.shape[1] - 1) < lens[:, None]] = logp
+    return np.cumsum(block, axis=1)[np.arange(len(seqs)), lens].tolist()
 
 
 def exp_rows(z: np.ndarray, gold: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:

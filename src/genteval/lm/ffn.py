@@ -5,9 +5,10 @@ table), concatenated to a single vector, passed through one tanh hidden
 layer, and projected to vocab logits. Optional heads share the hidden
 layer: a scalar regression head and an n-label classification head.
 
-Contexts shorter than the window are left-padded with a reserved pad
-token. The pad token is appended to the supplied vocab (so existing ids
-are unchanged) and its embedding trains like any other row.
+Contexts shorter than the window are left-padded with -1, which only
+``forward`` reads as a reserved pad token, appended to the supplied vocab
+(so existing ids are unchanged); its embedding trains like any other row.
+An id outside the padded vocab is a config error.
 
 Training support is deliberately transparent: ``forward`` returns a
 cache of intermediates and ``backward`` accumulates parameter gradients
@@ -19,7 +20,6 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from ..corpus import Vocab
 from ..errors import ConfigError
 from ..rng import SplitMix64
-from .base import exp_rows, left_padded, summed_scores
+from .base import exp_rows, id_lines, left_padded, summed_scores
 
 PAD_TOKEN = "<pad>"
 
@@ -163,21 +163,9 @@ class FeedForwardLM:
 
     # -- forward ----------------------------------------------------------
 
-    def windows(self, ids: Sequence[int], context: Sequence[int] = ()) -> np.ndarray:
-        """(len(ids), c) matrix: row t holds the window conditioning ids[t]."""
-        c = self.context
-        ctx = tuple(context)[-c:]  # only the last c context ids reach a window
-        full = np.array((self.pad_id,) * c + ctx + tuple(ids), dtype=np.int64)
-        # Row t is full[len(ctx) + t : len(ctx) + t + c]: a strided view of
-        # full, then copied. numpy's sliding_window_view would add more
-        # Python overhead per call than the per-row loop cost on short rows.
-        step = full.itemsize
-        view = np.ndarray(
-            (len(ids), c), dtype=np.int64, buffer=full, offset=len(ctx) * step, strides=(step, step)
-        )
-        return view.copy()
-
     def forward(self, ctx: np.ndarray) -> FfnCache:
+        """Run a ``(T, c)`` window matrix, -1 read as the pad id."""
+        ctx = self._in_vocab(np.where(ctx < 0, self.pad_id, ctx))
         t = ctx.shape[0]
         x = self.params["emb"][ctx].reshape(t, self.context * self.embed_dim)
         h = np.tanh(x @ self.params["w1"].T + self.params["b1"])
@@ -203,8 +191,8 @@ class FeedForwardLM:
         return self.next_dist_batch(left_padded([context], self.context))[0]
 
     def next_dist_batch(self, windows: np.ndarray) -> np.ndarray:
-        """The next-token rows of a ``(rows, c)`` window matrix, -1 read as the pad id."""
-        z = self.vocab_logits(self.forward(np.where(windows < 0, self.pad_id, windows)))
+        """The next-token rows of a ``(rows, c)`` window matrix."""
+        z = self.vocab_logits(self.forward(windows))
         denom, _ = exp_rows(z)
         z /= denom[:, None]
         return z
@@ -226,20 +214,24 @@ class FeedForwardLM:
         blocks of at most ``BLOCK_ROWS`` rows, one forward and one ``exp_rows``
         each. ``rows`` picks the rows to run, as ascending indices into all
         of ``seqs``' stacked rows (default: every row). Fills ``gold_logp``
-        with each run row's log-probability of its own id and yields
-        ``(lo, hi, cache, z, denom)`` per block of run rows ``lo:hi``:
+        with each run row's log-probability of its own id ``gold`` and yields
+        ``(lo, hi, cache, z, denom, gold)`` per block of run rows ``lo:hi``:
         ``z / denom`` is its softmax, and the caller owns ``z``."""
-        empty = np.empty((0, self.context), dtype=np.int64)
-        windows = np.concatenate([empty] + [self.windows(s, c) for s, c in zip(seqs, contexts)])
-        gold = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=len(windows))
+        flat, q = id_lines(seqs, contexts, self.context)
         if rows is not None:
-            windows, gold = windows[rows], gold[rows]
-        for lo in range(0, len(gold), BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, len(gold))
-            cache = self.forward(windows[lo:hi])
+            q = q[rows]
+        gold = self._in_vocab(flat[q])
+        for lo in range(0, len(q), BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, len(q))
+            cache = self.forward(flat[q[lo:hi, None] + np.arange(-self.context, 0)])
             z = self.vocab_logits(cache)
             denom, gold_logp[lo:hi] = exp_rows(z, gold[lo:hi])
-            yield lo, hi, cache, z, denom
+            yield lo, hi, cache, z, denom, gold[lo:hi]
+
+    def _in_vocab(self, ids: np.ndarray) -> np.ndarray:
+        if ids.max(initial=0) >= self.vocab.size:
+            raise ConfigError(f"token id {int(ids.max())} is outside the model's {self.vocab.size}-token vocab")
+        return ids
 
     # -- backward ---------------------------------------------------------
 

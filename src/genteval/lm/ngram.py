@@ -16,22 +16,23 @@ Order o keeps ``grams[o]``, its distinct o-grams in lexicographic order,
 and their ``counts[o]``. A gram's key is the row of its context in
 ``grams[o - 1]`` times a base above every id, plus its last id, so keys
 ascend with the grams, each context's continuations are one block of
-rows, and no key overflows at any order. ``score_batch`` and
-``next_dist_batch`` (whose windows mark a context's start with -1) share
-one backoff chain with one ``searchsorted`` per order.
+rows, and no key overflows at any order. One backoff chain, with one
+``searchsorted`` per order, reads ids end to end, each id's context the
+ids after the last -1 before it: ``score_batch`` lays them out with
+:func:`genteval.lm.base.id_lines`, ``next_dist_batch`` appends a -1 to
+each window. A query id that no gram holds reads as an unknown token.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..corpus import TokenSequence, Vocab, ngram_windows
 from ..errors import BadOrder, ConfigError, DataError, EmptyInput
-from .base import as_ids, left_padded, summed_scores
+from .base import as_ids, id_lines, left_padded, summed_scores
 
 
 def check_settings(order: int, k_s: float) -> None:
@@ -55,7 +56,7 @@ class NGramLM:
         self._counts = {o: np.append(np.asarray(counts[o], dtype=np.int64), 0) for o in self.grams}
         self.counts = {o: c[:-1] for o, c in self._counts.items()}
         # Ids run below base - 1, which stands for every id no gram holds
-        # (and row -1 makes a negative key), so a miss never matches.
+        # (id -1 and row -1 make keys no gram has), so a miss never matches.
         self._base = 2 + max((int(g.max()) for g in self.grams.values() if g.size), default=0)
         # Per order: the keys, then a sentinel; context r's row block [bounds[r],
         # bounds[r + 1]) and total, then a 0 total that row -1 (absent) reads.
@@ -88,22 +89,21 @@ class NGramLM:
         at = np.searchsorted(self._keys[o], want)
         return np.where(self._keys[o][at] == want, at, -1)
 
-    def _backoff(self, flat: np.ndarray, behind: np.ndarray, q: np.ndarray):
+    def _backoff(self, flat: np.ndarray, q: np.ndarray):
         """Backoff level, context row and context total of each id ``flat[q]``, and per
-        order k < ``order`` the row of the k-gram ending at each id. ``behind[i]`` counts
-        the ids before ``flat[i]`` its context may use (< 0 before it); overwrites ``flat``."""
-        flat[flat.view(np.uint64) >= self._base - 1] = self._base - 1  # negative ids too
-        avail = behind[q]
+        order k < ``order`` the row of the k-gram ending at each id. An id's context is
+        the ids after the last -1 before it; overwrites ``flat``."""
+        np.clip(flat, -1, self._base - 1, out=flat)  # every negative id reads as -1
         level, row = np.ones(len(q), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
-        total, ends = np.full(len(q), self._totals[1][0]), []
+        total, ends, avail = np.full(len(q), self._totals[1][0]), [], np.ones(len(q), dtype=bool)
         prefix = np.zeros(len(flat), dtype=np.int64)  # row of the (k-1)-gram ending before i
         for k in range(1, self.order):
             ends.append(self._find(k, prefix, flat))  # row of the k-gram ending at i
             prefix = np.concatenate(([-1], ends[-1][:-1]))
-            prefix[behind < k] = -1
+            avail &= flat[q - k] >= 0  # no -1 among the k ids before the id
             r = prefix[q]
             t = self._totals[k + 1][r]
-            pick = avail >= k if self.k_s > 0 else t > 0
+            pick = avail if self.k_s > 0 else t > 0
             level, row, total = np.where(pick, k + 1, level), np.where(pick, r, row), np.where(pick, t, total)
         return level, row, total, ends
 
@@ -114,9 +114,7 @@ class NGramLM:
         """``(rows, V)``: the distributions after the ids past each row's last -1."""
         rows, w = windows.shape
         flat = np.concatenate((windows, np.full((rows, 1), -1)), axis=1).ravel()  # then the next id
-        start = np.max(np.where(windows < 0, np.arange(1, w + 1), 0), axis=1, initial=0)
-        behind = (np.arange(w + 1) - start[:, None]).ravel()
-        level, row, total, _ = self._backoff(flat, behind, np.arange(w, len(flat), w + 1))
+        level, row, total, _ = self._backoff(flat, np.arange(w, len(flat), w + 1))
         v = self.vocab.size
         denom = total + self.k_s * v
         # Same float operations as (count + k_s) / denom per token.
@@ -138,13 +136,8 @@ class NGramLM:
         return summed_scores(self._token_logp, seqs, contexts)
 
     def _token_logp(self, seqs, contexts) -> np.ndarray:
-        tails = [ids[max(0, len(ids) - self.order + 1) :] for ids in contexts]
-        n_ctx = np.array([len(t) for t in tails], dtype=np.int64)
-        lens = n_ctx + np.array([len(s) for s in seqs], dtype=np.int64)
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64)
-        behind = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)  # ids before, per segment
-        q = np.flatnonzero(behind >= np.repeat(n_ctx, lens))
-        level, row, total, ends = self._backoff(flat, behind, q)
+        flat, q = id_lines(seqs, contexts, self.context_len)
+        level, row, total, ends = self._backoff(flat, q)
         # Each id's gram count at its level; a top-order id's context is ``row``.
         top = self._find(self.order, np.where(level == self.order, row, -1), flat[q])
         count = self._counts[self.order][top]

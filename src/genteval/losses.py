@@ -60,7 +60,7 @@ from .errors import (
     NoSupervision,
     open_text,
 )
-from .lm.base import as_ids, exp_rows
+from .lm.base import as_ids, exp_rows, id_lines
 from .lm.ffn import FeedForwardLM
 from .rng import SplitMix64
 
@@ -140,12 +140,11 @@ def _token_losses(
     needed[cand_rows] = True
     run = np.flatnonzero(needed)
     cand_at = np.searchsorted(run, cand_rows)  # each candidate's index among the run rows
-    gold = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])[run]
     row_scale = np.repeat(1.0 / np.array(lens), lens)[run]
     row_ce = row_ce[run]
     run_logp = np.empty(len(run))
     cand_p = np.empty(len(cand_rows))
-    for lo, hi, cache, z, denom in model.gold_blocks(seqs, contexts, run_logp, run):
+    for lo, hi, cache, z, denom, gold in model.gold_blocks(seqs, contexts, run_logp, run):
         a, b = np.searchsorted(cand_at, (lo, hi))
         rows, cr, ct = np.arange(hi - lo), cand_at[a:b] - lo, cand_toks[a:b]
         p = cand_p[a:b] = z[cr, ct] / denom[cr]
@@ -156,7 +155,7 @@ def _token_losses(
         scale, ce = row_scale[lo:hi], row_ce[lo:hi]
         q_sum = np.bincount(cr, weights=q, minlength=hi - lo)
         z *= ((ce - ul_weight * q_sum) * scale / denom)[:, None]
-        z[rows, gold[lo:hi]] -= ce * scale
+        z[rows, gold] -= ce * scale
         z[cr, ct] += ul_weight * scale[cr] * q
         model.backward(cache, grads, dlogits=z)
     gold_logp = np.full(n_rows, np.nan)
@@ -233,7 +232,8 @@ def _head_losses(
     if any(len(targets) != len(s) for s, (_, targets) in zip(seqs, items)):
         raise ConfigError(f"{kind} needs one target per position")
     bounds = np.cumsum([0, *lens])
-    cache = model.forward(np.concatenate([model.windows(s) for s in seqs]))
+    flat, q = id_lines(seqs, [()] * len(seqs), model.context)
+    cache = model.forward(flat[q[:, None] + np.arange(-model.context, 0)])
     if OBJECTIVES[kind].head == "regression":
         targets = np.concatenate([np.asarray(t, dtype=np.float64) for _, t in items])
         losses, dreg = smooth_l1_loss(model.reg_predictions(cache), targets)

@@ -604,6 +604,13 @@ def naive_ffn_score(model, ids, context=()):
     return float(log_softmax(logits)[np.arange(len(ids)), list(ids)].sum())
 
 
+def naive_summed_scores(logp, seqs):
+    """``summed_scores`` as it was: one ``np.cumsum`` per sequence over its
+    slice of the end-to-end log-probs ``logp``, 0.0 when empty."""
+    ends = np.cumsum([len(s) for s in seqs]).tolist()
+    return [float(np.cumsum(logp[e - len(s) : e])[-1]) if len(s) else 0.0 for s, e in zip(seqs, ends)]
+
+
 def naive_previous_token_candidates(ids):
     """Per position, the set of earlier tokens minus the gold one."""
     out, seen = [], set()

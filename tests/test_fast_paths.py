@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from genteval.decode import DecoderConfig, generate_batch
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
-from genteval.lm.base import exp_rows, left_padded
+from genteval.lm.base import exp_rows, id_lines, left_padded, summed_scores
 from genteval.lm.ffn import BLOCK_ROWS
 from genteval import losses
 from genteval.losses import (
@@ -57,6 +58,7 @@ from oracles import (
     naive_top_ids,
     naive_truncate,
     naive_ffn_score,
+    naive_summed_scores,
     naive_ul_seq_candidates,
     naive_windows,
     one_generate,
@@ -155,6 +157,42 @@ def test_score_batch_and_score_match_the_dict_model(case):
     assert [_bits(x) for x in got] == [_bits(x) for x in want]
     no_context = [_bits(ref.score(s)) for s in seqs]
     assert [_bits(x) for x in model.score_batch(seqs)] == no_context
+
+
+@given(
+    corpus=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=30), min_size=1, max_size=3),
+    order=st.integers(min_value=1, max_value=4),
+    k_s=st.sampled_from([0.0, 0.5]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_ngram_score_batch_with_contexts_back_to_back(corpus, order, k_s, data):
+    # Every context holds at least c = order - 1 ids, so no -1 separates one
+    # sequence's line from the next: the backoff must still stop at each line.
+    vocab = Vocab.placeholder(6)
+    model = ngram_fit([tuple(s) for s in corpus], order, k_s, vocab=vocab)
+    ref = DictNGram.fit(corpus, vocab, order, k_s)
+    ids = st.integers(0, 8)
+    seqs = data.draw(st.lists(st.lists(ids, max_size=9), min_size=1, max_size=5))
+    contexts = [data.draw(st.lists(ids, min_size=order - 1, max_size=order + 3)) for _ in seqs]
+    got = model.score_batch(seqs, contexts)
+    assert [_bits(x) for x in got] == [_bits(ref.score(s, c)) for s, c in zip(seqs, contexts)]
+
+
+@given(
+    seqs=st.lists(
+        st.lists(st.sampled_from([-0.25, -1.5, -1e-17, -3.0e2, -np.inf, -np.log(3.0)]), max_size=12),
+        max_size=7,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_summed_scores_match_one_cumsum_per_sequence(seqs):
+    logp = np.array([x for s in seqs for x in s], dtype=np.float64)
+    got = summed_scores(lambda s, c: logp, seqs)
+    want = naive_summed_scores(logp, seqs)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    assert all(x == 0.0 for x, s in zip(got, seqs) if not s)
+    assert summed_scores(lambda s, c: np.empty(0), []) == []
 
 
 @given(case=_ngram_case())
@@ -861,17 +899,46 @@ def test_exp_rows_matches_the_reference_softmax_bit_for_bit(rows, width, dead, s
 # --- the blocked training step ----------------------------------------------
 
 
+_PAD = 99  # above every id the windows below hold
+
+
+@given(
+    lines=st.lists(
+        st.tuples(st.lists(st.integers(0, 40), max_size=12), st.lists(st.integers(0, 40), max_size=12)),
+        max_size=6,
+    ),
+    c=st.sampled_from([0, 1, 3, 8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_id_lines_windows_match_per_row_slices(lines, c):
+    # Contexts run from empty to longer than c; -1 in a window reads as the pad.
+    seqs, contexts = [tuple(s) for s, _ in lines], [tuple(x) for _, x in lines]
+    flat, q = id_lines(seqs, contexts, c)
+    assert flat.dtype == q.dtype == np.int64 and len(flat) == len(q) + c * len(seqs)
+    windows = flat[q[:, None] - c + np.arange(c)]
+    slices = SimpleNamespace(context=c, pad_id=_PAD)
+    want = [np.empty((0, c), dtype=np.int64)] + [naive_windows(slices, s, x) for s, x in zip(seqs, contexts)]
+    assert np.array_equal(np.where(windows < 0, _PAD, windows), np.concatenate(want))
+    assert flat[q].tolist() == [i for s in seqs for i in s]
+    # left_padded's rows are the windows of a one-id sequence after each context.
+    rows = left_padded(contexts, c)
+    want = [np.empty((0, c), dtype=np.int64)] + [naive_windows(slices, (0,), x) for x in contexts]
+    assert np.array_equal(np.where(rows < 0, _PAD, rows), np.concatenate(want))
+
+
 @pytest.mark.parametrize("context", [1, 3, 8])
 def test_windows_match_per_row_slices(context):
+    # The ffn's windows, each context alone and all of them in one id_lines call.
     model = FeedForwardLM.init(Vocab.placeholder(40), context=context, embed_dim=2, hidden_dim=2)
     seqs = [(), (5,), (1, 2, 3), tuple(range(30))]
     contexts = [(), (7,), (4, 5, 6), tuple(range(10, 35))]
-    for ids in seqs:
-        for ctx in contexts:
-            fast = model.windows(ids, ctx)
-            slow = naive_windows(model, ids, ctx)
-            assert fast.dtype == slow.dtype and fast.shape == slow.shape == (len(ids), context)
-            assert fast.flags.c_contiguous and fast.flags.owndata and np.array_equal(fast, slow)
+    pairs = [(ids, ctx) for ids in seqs for ctx in contexts]
+    for group in [[p] for p in pairs] + [pairs]:
+        flat, q = id_lines([ids for ids, _ in group], [ctx for _, ctx in group], context)
+        fast = np.where(flat < 0, model.pad_id, flat)[q[:, None] - context + np.arange(context)]
+        slow = np.concatenate([np.empty((0, context), dtype=np.int64)] + [naive_windows(model, *p) for p in group])
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape == (len(q), context)
+        assert fast.flags.c_contiguous and np.array_equal(fast, slow)
 
 
 def _pairs_from_sets(sets):

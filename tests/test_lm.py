@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab, tokenize
-from genteval.decode import DecoderConfig, token_prob_trace
+from genteval.decode import DecoderConfig, generate_batch, token_prob_trace
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm import (
     FeedForwardLM,
@@ -17,6 +17,7 @@ from genteval.lm import (
     perplexity,
     save_model,
 )
+from genteval.lm.base import id_lines, left_padded
 from genteval.lm.ffn import PAD_TOKEN
 
 from oracles import StackedRows, StackedScores, ngram_tables
@@ -215,13 +216,50 @@ def test_ffn_score_matches_next_dist_chain():
     assert _score(model, ids) == pytest.approx(expected)
 
 
-def test_windows_left_padded():
+def test_id_lines_left_pad_each_window():
+    flat, q = id_lines([(0, 1), (2,)], [(), (3, 0, 1, 2)], 3)
+    assert flat.tolist() == [-1, -1, -1, 0, 1, 0, 1, 2, 2] and q.tolist() == [3, 4, 8]
+    windows = flat[q[:, None] - 3 + np.arange(3)]
     model = FeedForwardLM.init(Vocab.placeholder(4), context=3, seed=0)
-    win = model.windows((0, 1), ())
     pad = model.pad_id
-    assert win.tolist() == [[pad, pad, pad], [pad, pad, 0]]
-    win2 = model.windows((2,), (0, 1))
-    assert win2.tolist() == [[pad, 0, 1]]
+    assert np.where(windows < 0, pad, windows).tolist() == [[pad, pad, pad], [pad, pad, 0], [0, 1, 2]]
+    assert left_padded([(), (5,), (1, 2, 3, 4)], 2).tolist() == [[-1, -1], [-1, 5], [3, 4]]
+
+
+def _both_backends():
+    seq = TokenSequence((0, 1, 2, 1, 0, 2), Vocab.placeholder(4))
+    return ngram_fit(seq, order=3, k_s=0.5), FeedForwardLM.init(Vocab.placeholder(4), context=3, seed=0)
+
+
+def test_both_backends_refuse_negative_ids():
+    for model in _both_backends():
+        for seqs, contexts in (([(1, -2)], ()), ([(1, 2)], [(-1,)]), ([(), (0,)], [(0,), (2, -1, 1)])):
+            with pytest.raises(ConfigError, match="non-negative"):
+                model.score_batch(seqs, contexts)
+        with pytest.raises(ConfigError, match="non-negative"):
+            model.next_dist((0, -1))
+
+
+def test_window_matrix_reads_any_negative_id_as_no_token():
+    for model in _both_backends():
+        windows = left_padded([(), (1,), (2, 0), (1, 2, 3)], model.context_len)
+        other = np.where(windows < 0, -7, windows)
+        assert model.next_dist_batch(other).tobytes() == model.next_dist_batch(windows).tobytes()
+
+
+def test_ffn_refuses_ids_past_its_padded_vocab():
+    model = FeedForwardLM.init(Vocab.placeholder(5), context=2, embed_dim=2, hidden_dim=3)
+    greedy = [DecoderConfig("greedy", max_len=2)]
+    for bad in (9, model.vocab.size):
+        with pytest.raises(ConfigError, match="outside the model"):
+            generate_batch(model, [(bad,)], greedy)
+        with pytest.raises(ConfigError, match="outside the model"):
+            model.score_batch([(bad,)])
+        with pytest.raises(ConfigError, match="outside the model"):
+            model.score_batch([(1,)], [(0, bad)])
+    # The pad id is a valid input, as a context and as a scored id.
+    assert len(generate_batch(model, [(model.pad_id,)], greedy)[0].ids) == 2
+    assert all(math.isfinite(x) for x in model.score_batch([(model.pad_id, 1)], [(model.pad_id,)]))
 
 
 # --- probability traces -------------------------------------------------------
