@@ -5,9 +5,10 @@ penalized(theta). One table holds each one's parameter field, type and
 valid range; :class:`DecoderConfig`, the sweep grid, the ``generate``
 flags and ``trace --truncate`` all read it. The stochastic strategies
 draw exactly one uniform variate per emitted token from the splitmix
-generator in :mod:`genteval.rng`, so a (model, prefix, config, seed)
-tuple always reproduces the same continuation. Continuations have fixed
-length ``max_len``; there is no end-of-sequence token.
+generator in :mod:`genteval.rng` (a decode takes each row's ``max_len``
+uniforms at once), so a (model, prefix, config, seed) tuple always
+reproduces the same continuation. Continuations have fixed length
+``max_len``; there is no end-of-sequence token.
 
 Because every continuation has the same length, the prefixes of a batch
 decode in lockstep (:func:`generate_batch`): one ``next_dist_batch``
@@ -24,13 +25,17 @@ fixed sequence's probabilities through the same truncation code.
 
 Every ranking of tokens is probability (or log-probability) descending
 with ties broken toward the lower id, i.e. a stable argsort of the
-negated values. A step ranks its block once, and truncation and the
-inverse-CDF draw share that ranking: dividing the kept probabilities by
-their sum keeps their order, except where it rounds two different
-probabilities to one value, and only such rows are ranked again. Each
-row's choice is bit-identical to choosing it alone, because every
-floating-point operation that decides it sees the same operands in the
-same order:
+negated values, but a sampled token needs no such ranking. Its draw
+needs the ranked values, which are the row sorted in descending order,
+and the id at the drawn rank: the ``r``-th lowest id among those holding
+the drawn value, ``r`` being the rank less the number of larger values.
+Truncation and the draw share one ``np.sort``: a truncated row's sorted
+values are its first kept ones divided by the kept mass, and the id
+lookup runs on the renormalized row itself, so two probabilities that
+the division rounds to one value rank by id, as a ranking of that row
+would. Each row's choice is bit-identical to choosing it alone, because
+every floating-point operation that decides it sees the same operands
+in the same order:
 
 - elementwise operations (log, exp, division) give an element the same
   result wherever it sits, so a log taken only where the probability is
@@ -43,27 +48,29 @@ same order:
   and penalized (which sum whole zero-filled rows) take block sums,
   while temperature (which sums the positive entries only) takes the
   block sum only for rows without zeros and sums the others alone;
-- maxima, comparisons and counts are exact.
+- maxima, sorts, comparisons and counts are exact.
 
 One decode step costs O(|V|) numpy work per row plus sorts:
 
 - a decode holds its ids in one matrix, prefixes -1-padded on the left,
   and hands the model its last ``context_len`` columns (all if None);
-- a top-k of k <= 8 (the beam's top-``b``) takes k passes of ``argmax``;
-  a larger one selects with ``np.argpartition`` along the rows, the rows
-  where the k-th value ties past the partition take their lowest-id
-  ties in one block operation, and a full sort serves when the vocab is
-  not much larger than k (or a row's k-th value is NaN);
+- a beam step picks each hypothesis's top ``b`` from the probabilities,
+  which the log does not reorder, and takes the log of the picks only;
+  a row ranks its whole log only where a log could merge its ``b``-th
+  pick with a different probability: the ``b``-th probability is not
+  positive, or the largest below it or a larger pick has the same log;
+- a top-k of k <= 8 takes k passes of ``argmax``; a larger one selects
+  with ``np.argpartition`` along the rows, the rows where the k-th value
+  ties past the partition take their lowest-id ties in one block
+  operation, and a full sort serves when the vocab is not much larger
+  than k (or a row's k-th value is NaN);
 - a beam step merges the candidates of every prefix with one
   ``np.lexsort`` along the rows, by (-score, parent's rank, token): each
   hypothesis carries the rank of its id tuple within its beam, so that
   order is the (-score, id tuple) order a one-prefix beam sorts by;
-- a large full ranking first tries the faster unstable sort on the whole
-  block and keeps it for each row without ties, since then that row's
-  order is unique; the rows with ties are sorted again stably, and a
-  block whose rows visibly tie (a repeated smallest value) sorts stably
-  at once;
-- top-p keeps only the ranked columns that hold some row's kept mass.
+- a top-k or top-p draw sums only the sorted columns that hold some
+  row's kept mass, and a truncated row's kept ties are the ones up to
+  the id of the last it needs, found with one ``np.flatnonzero``.
 """
 
 from __future__ import annotations
@@ -208,57 +215,30 @@ _PARTITION_FACTOR = 16
 # Up to this k, k argmax passes over the block beat a partition or a sort:
 # on an (80, 100) n-gram beam block, 40 us against 139 for the partition.
 _ARGMAX_MAX_K = 8
-# From about this many values on, an unstable sort that turns out to have
-# no ties is much cheaper than the stable one (5x on an (8, 5001) block).
-_QUICKSORT_MIN = 2048
-
-
-def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``order = np.argsort(-values, axis=1, kind="stable")`` and the values
-    in that order, faster on large tie-free rows.
-
-    Without ties a row's descending order is unique, so any sort finds it:
-    a large block tries the unstable sort and sorts again stably the rows
-    whose ranking shows a tie (or NaN). A block where some row's smallest
-    value repeats (an add-k n-gram's unseen tokens, or zeros) has ties,
-    and sorts stably at once.
-    """
-    if values.shape[1] < _QUICKSORT_MIN or np.any(
-        np.count_nonzero(values == values.min(axis=1)[:, None], axis=1) > 1
-    ):
-        return _sort_rows(values, "stable")
-    order, ranked = _sort_rows(values, "quicksort")
-    tied = ~np.all(ranked[:, 1:] < ranked[:, :-1], axis=1)
-    if tied.any():
-        order[tied], ranked[tied] = _sort_rows(values[tied], "stable")
-    return order, ranked
-
-
-def _sort_rows(values: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(-values, axis=1, kind=kind)
-    return order, np.take_along_axis(values, order, axis=1)
 
 
 def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
     """Each row's ids of its ``k`` largest values, value desc then id asc.
 
-    Equal to ``_rank_rows(values)[0][:, :k]``.
+    Equal to ``np.argsort(-values, axis=1, kind="stable")[:, :k]``.
     """
     width = values.shape[1]
     if k <= _ARGMAX_MAX_K:
-        # An argmax takes a tie's lowest id, as the stable ranking does; each
-        # pass hides its pick. Rows without k values above -inf rank in full.
+        # An argmax takes a tie's lowest id, as the stable sort does; each
+        # pass hides the pick before it. A row whose last pick is hidden
+        # already has fewer than k values above -inf, and sorts in full.
         hidden, rows = np.fmax(values, -np.inf), np.arange(len(values))
         ids = np.empty((len(values), min(k, width)), dtype=np.int64)
-        short = np.count_nonzero(hidden > -np.inf, axis=1) < ids.shape[1]
         for j in range(ids.shape[1]):
+            if j:
+                hidden[rows, ids[:, j - 1]] = -np.inf
             ids[:, j] = np.argmax(hidden, axis=1)
-            hidden[rows, ids[:, j]] = -np.inf
+        short = hidden[rows, ids[:, -1]] == -np.inf
         if short.any():
-            ids[short] = _rank_rows(values[short])[0][:, :k]
+            ids[short] = np.argsort(-values[short], axis=1, kind="stable")[:, :k]
         return ids
     if width < _PARTITION_FACTOR * k:
-        return _rank_rows(values)[0][:, :k]
+        return np.argsort(-values, axis=1, kind="stable")[:, :k]
     rows = np.arange(len(values))[:, None]
     ids = np.argpartition(-values, k - 1, axis=1)[:, :k]
     top = values[rows, ids]
@@ -283,7 +263,7 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
     # A NaN k-th value compares with nothing; only the full sort ranks it.
     nan = n_kept < k
     if nan.any():
-        ids[nan] = _rank_rows(values[nan])[0][:, :k]
+        ids[nan] = np.argsort(-values[nan], axis=1, kind="stable")[:, :k]
     ids.sort(axis=1)
     return ids[rows, np.argsort(-values[rows, ids], axis=1, kind="stable")]
 
@@ -293,6 +273,32 @@ def _log_rows(dists: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.log(dists)
     return np.fmax(w, -np.inf, out=w)
+
+
+def _beam_top(dists: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_rows(logp, b)`` and its values, ``logp`` being ``_log_rows(dists)``,
+    with the log taken of the picks only except in the rows where a log
+    could merge the ``b``-th pick with a different probability."""
+    top = _top_rows(dists, b + 1)
+    picks = dists[np.arange(len(dists))[:, None], top]
+    m = min(b, dists.shape[1])
+    if top.shape[1] == m:  # every id is picked
+        return top, _log_rows(picks)
+    # Column m becomes the largest value below the b-th; where the next pick
+    # ties the b-th, that value lies past the picks.
+    last = picks[:, m - 1 : m]
+    tie = np.flatnonzero(picks[:, m] == last[:, 0])
+    if tie.size:
+        x = dists[tie]
+        picks[tie, m] = np.max(x, axis=1, initial=-np.inf, where=x < last[tie])
+    logp = _log_rows(picks)
+    merged = (logp == logp[:, m - 1 : m]) & (picks != last)
+    redo = np.flatnonzero(~(last[:, 0] > 0) | merged.any(axis=1))
+    if redo.size:
+        full = _log_rows(dists[redo])
+        top[redo, :m] = _top_rows(full, b)
+        logp[redo, :m] = full[np.arange(redo.size)[:, None], top[redo, :m]]
+    return top[:, :m], logp[:, :m]
 
 
 def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
@@ -314,47 +320,56 @@ def _temperature_rows(dists: np.ndarray, t: float) -> np.ndarray:
     return w
 
 
-def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-k or top-p of every row of a ``(B, |V|)`` block, in rank order.
+def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k or top-p of every row of a ``(B, |V|)`` block.
 
     Top-k keeps a row's first k ranked tokens, top-p the fewest whose
-    mass reaches p. Returns ``(ids, probs, cut)``: each row's token ids
-    ranked as the inverse-CDF draw ranks its truncated distribution, their
-    truncated probabilities (zero past the kept tokens), and whether the
-    row dropped mass and was renormalized. A row that drops no mass keeps
-    its input probabilities exactly. Columns that hold no row's mass are
-    cut off. The one ranking of the input serves both: dividing by the kept
-    mass keeps the order unless it rounds two different probabilities to
-    one value, and only such rows rank again.
+    mass reaches p. Returns ``(kept, top)``: the truncated distributions
+    in id order, and their values sorted in descending order, in as many
+    columns as the most any row keeps. A row that drops no mass keeps its
+    input probabilities exactly. A truncated row keeps every value above
+    its kept-th value and the lowest-id ties of that value, divided by the
+    sum of the zero-filled row.
     """
+    v = dists.shape[1]
+    top = np.sort(dists, axis=1)[:, ::-1]
     if mode == "topk":
-        ids = _top_rows(dists, int(value))
-        probs = np.take_along_axis(dists, ids, axis=1)
-        kept = np.full(len(dists), int(value))
-        cut = np.count_nonzero(dists > 0, axis=1) > kept
+        n = np.full(len(dists), int(value))
     else:
-        ids, probs = _rank_rows(dists)
-        # Zero-mass tokens rank last and never change the cumsum.
-        kept = np.count_nonzero(np.cumsum(probs, axis=1) < value, axis=1) + 1
-        support = np.count_nonzero(probs > 0, axis=1)
-        cut = support > kept
-        width = max(1, int(np.where(cut, kept, support).max()))
-        ids, probs = ids[:, :width], probs[:, :width]
-    if cut.any():
-        raw, ranked, kept = probs[cut], ids[cut], kept[cut][:, None]
-        width = int(kept.max())
-        kept_probs = np.where(np.arange(raw.shape[1]) < kept, raw, 0.0)
-        # One row renormalizes by the sum of its whole zero-filled vector.
-        out = np.zeros((len(raw), dists.shape[1]))
-        out[np.arange(len(raw))[:, None], ranked[:, :width]] = kept_probs[:, :width]
-        total = out.sum(axis=1)[:, None]
-        new = kept_probs / total
-        merged = ((raw[:, :-1] > raw[:, 1:]) & (new[:, :-1] == new[:, 1:]) & (new[:, 1:] > 0)).any(axis=1)
-        if merged.any():
-            order, ranked_out = _rank_rows(out[merged] / total[merged])
-            ranked[merged], new[merged] = order[:, : raw.shape[1]], ranked_out[:, : raw.shape[1]]
-        ids[cut], probs[cut] = ranked, new
-    return ids, probs, cut
+        # Zero-mass tokens sort last and never change the cumsum.
+        n = np.minimum(np.count_nonzero(np.cumsum(top, axis=1) < value, axis=1) + 1, v)
+    # A row drops mass where the value past its kept ones is positive.
+    past = top[np.arange(len(dists)), np.minimum(n, v - 1)]
+    cut = np.flatnonzero((n < v) & (past > 0))
+    # Comparisons run at half speed on the reversed view of a sort.
+    top = np.ascontiguousarray(top[:, : int(n.max())])
+    if not cut.size:
+        return dists, top
+    x, n = dists[cut], n[cut]
+    kth = top[cut, n - 1][:, None]
+    keep = x >= kth
+    tied = np.flatnonzero(past[cut] == kth[:, 0])
+    if tied.size:
+        # Where the kept-th value ties past the kept ones, the row keeps its
+        # ties up to its need-th, need being n less the larger values. The
+        # flat tie positions run row by row and id by id.
+        xt, kt, starts = x[tied], kth[tied], np.arange(tied.size) * v
+        above, ties = xt > kt, np.flatnonzero(xt == kt)
+        need = n[tied] - np.count_nonzero(above, axis=1)
+        last = ties[np.searchsorted(ties, starts) + need - 1] - starts
+        keep[tied] &= above | (np.arange(v) <= last[:, None])
+    # A probability row is zero-filled by multiplying with the mask, three
+    # times as fast as np.where. One row renormalizes by the sum of its
+    # whole zero-filled vector.
+    x *= keep
+    total = x.sum(axis=1)[:, None]
+    x /= total
+    top[cut] = top[cut] * (np.arange(top.shape[1]) < n[:, None]) / total
+    if cut.size == len(dists):
+        return x, top
+    kept = dists.copy()
+    kept[cut] = x
+    return kept, top
 
 
 def _penalize_rows(dists: np.ndarray, seen: np.ndarray, theta: float) -> np.ndarray:
@@ -368,27 +383,32 @@ def _penalize_rows(dists: np.ndarray, seen: np.ndarray, theta: float) -> np.ndar
     return w
 
 
-def _draw(ids: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one token per row.
-
-    ``probs`` holds each row's probabilities in rank order (the support
-    first, zeros after) and ``ids`` their tokens. Row i takes the first
-    token whose cumulative mass exceeds ``u[i]``, the last of the support
-    when round-off leaves ``u[i]`` past it, and token 0 when the row has
-    no mass at all.
+def _draw(top: np.ndarray, dists: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one token per row of ``dists``, whose values
+    ``top`` holds sorted in descending order. Row i takes the first rank
+    whose cumulative mass exceeds ``u[i]``, the last of the support when
+    round-off leaves ``u[i]`` past it, and token 0 when it has no mass.
     """
-    cum = np.cumsum(probs, axis=1)
-    n = np.count_nonzero(probs > 0, axis=1)
-    at = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), n - 1)
-    toks = np.take_along_axis(ids, np.maximum(at, 0)[:, None], axis=1)[:, 0]
-    return np.where(n > 0, toks, 0)
+    cum = np.cumsum(top, axis=1)
+    n = np.count_nonzero(top > 0, axis=1)
+    at = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), np.maximum(n - 1, 0))
+    rows = np.arange(len(top))
+    value = top[rows, at][:, None]
+    r = at - np.count_nonzero(top > value, axis=1)
+    # The r-th id of the value: the flat ties run row by row and id by id.
+    hit = dists == value
+    hit[n == 0, 0] = True
+    ties = np.flatnonzero(hit)
+    starts = rows * dists.shape[1]
+    return ties[np.searchsorted(ties, starts) + r] - starts
 
 
-def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen: np.ndarray) -> np.ndarray:
+def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: np.ndarray) -> np.ndarray:
     """The next token of every row of ``dists`` for every strategy but beam.
 
-    Row i draws one uniform from ``rngs[i]`` when the strategy samples;
-    ``seen`` marks the tokens each row has generated.
+    Row i draws with the uniform ``u[i]`` when the strategy samples (u is
+    None when it does not); ``seen`` marks the tokens each row has
+    generated.
     """
     if cfg.strategy == "greedy":
         return np.argmax(dists, axis=1)
@@ -398,12 +418,11 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, rngs: list[SplitMix64], seen:
         if cfg.t is None:
             return np.argmax(dists, axis=1)
         mode, value = "temperature", cfg.t
-    u = np.array([rng.uniform() for rng in rngs])
     if mode == "temperature":
-        ids, probs = _rank_rows(_temperature_rows(dists, value))
-    else:
-        ids, probs, _ = _truncate_rows(dists, mode, value)
-    return _draw(ids, probs, u)
+        dists = _temperature_rows(dists, value)
+        return _draw(np.ascontiguousarray(np.sort(dists, axis=1)[:, ::-1]), dists, u)
+    dists, top = _truncate_rows(dists, mode, value)
+    return _draw(top, dists, u)
 
 
 def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
@@ -472,8 +491,8 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
         if truncation is None:
             trunc[lo:hi] = raw[lo:hi]
         else:
-            kept, probs, _ = _truncate_rows(dists, truncation.strategy, truncation.param)
-            trunc[lo:hi] = np.where(kept == toks[lo:hi, None], probs, 0.0).sum(axis=1)
+            kept, _ = _truncate_rows(dists, truncation.strategy, truncation.param)
+            trunc[lo:hi] = kept[np.arange(hi - lo), toks[lo:hi]]
     return raw, trunc
 
 
@@ -482,14 +501,16 @@ def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfi
     cfg, window = cfgs[0], model.context_len
     head = left_padded(prefixes, window)
     buf, lead = np.pad(head, ((0, 0), (0, cfg.max_len))), head.shape[1]
-    rngs = [SplitMix64(c.seed) for c in cfgs]
+    # Step j of row i draws the j-th uniform of row i's stream, if it samples.
+    samples = cfg.strategy in ("topk", "topp") or cfg.t is not None
+    u = np.stack([SplitMix64(c.seed).uniforms(cfg.max_len) for c in cfgs], axis=1) if samples else None
     rows = np.arange(len(prefixes))
     seen = None
     for t in range(lead, lead + cfg.max_len):
         dists = model.next_dist_batch(buf[:, 0 if window is None else t - window : t])
         if seen is None:
             seen = np.zeros(dists.shape, dtype=bool)
-        toks = _choose(dists, cfg, rngs, seen)
+        toks = _choose(dists, cfg, None if u is None else u[t - lead], seen)
         buf[:, t] = toks
         seen[rows, toks] = True
     return buf[:, lead:].tolist()
@@ -507,13 +528,12 @@ def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]
     score, rank = np.zeros(n_beams), np.zeros(n_beams, dtype=np.int64)
     for _ in range(cfgs[0].max_len):
         n, t = len(score) // n_beams, ids.shape[1]
-        logp = _log_rows(model.next_dist_batch(ids[:, 0 if window is None else t - window :]))
         # Keeping only the per-hypothesis top ``width`` tokens is exact:
         # anything dropped is dominated by width better candidates that
         # share its prefix, under the same (score, ids) order.
-        top = _top_rows(logp, width)
+        top, logp = _beam_top(model.next_dist_batch(ids[:, 0 if window is None else t - window :]), width)
         m = top.shape[1]
-        cand = score[:, None] + logp[np.arange(len(top))[:, None], top]
+        cand = score[:, None] + logp
         # Candidate i of row r sits at flat index r*m + i, and row j of the
         # (n_beams, n*m) views holds beam j's candidates. Two hypotheses of
         # a beam never share ids, so (parent rank, token) orders candidate

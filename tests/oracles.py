@@ -469,16 +469,13 @@ def naive_generate_batch(model, prefixes, cfgs):
 
 def one_truncate(dist, mode, value):
     """``dist`` after ``decode._truncate_rows`` (or ``_temperature_rows``)
-    as a one-row block, scattered back to a dense vector."""
+    as a one-row block."""
     from genteval.decode import _temperature_rows, _truncate_rows
 
     rows = np.asarray(dist, dtype=np.float64)[None]
     if mode == "temperature":
         return _temperature_rows(rows, value)[0]
-    ids, probs, _ = _truncate_rows(rows, mode, value)
-    out = np.zeros(rows.shape[1])
-    out[ids[0]] = probs[0]
-    return out
+    return _truncate_rows(rows, mode, value)[0][0]
 
 
 def one_penalize(dist, generated, theta):
@@ -490,11 +487,12 @@ def one_penalize(dist, generated, theta):
 
 
 def one_sample(dist, rng):
-    """One inverse-CDF draw by ``decode._choose`` (temperature 1 keeps ``dist``)."""
+    """One inverse-CDF draw by ``decode._choose`` (temperature 1 keeps ``dist``)
+    with the next uniform of ``rng``."""
     from genteval.decode import DecoderConfig, _choose
 
     cfg = DecoderConfig("temperature", t=1.0)
-    return int(_choose(np.asarray(dist, dtype=np.float64)[None], cfg, [rng], None)[0])
+    return int(_choose(np.asarray(dist, dtype=np.float64)[None], cfg, np.array([rng.uniform()]), None)[0])
 
 
 def one_generate(model, prefix, cfg):

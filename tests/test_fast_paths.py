@@ -428,6 +428,10 @@ def test_top_rows_of_mixed_blocks_match_stable_argsort_row_by_row(width, k, kind
     got = decode._top_rows(block, k)
     for row, ids in zip(block, got):
         assert np.array_equal(ids, naive_top_ids(row, k))
+    # The beam's top-k of the same values read as probabilities, by their log.
+    top, logp = decode._beam_top(np.exp(block), k)
+    for row, ids, lp in zip(decode._log_rows(np.exp(block)), top, logp):
+        assert np.array_equal(ids, naive_top_ids(row, k)) and lp.tobytes() == row[ids].tobytes()
 
 
 @given(width=st.integers(1, 12), k=st.integers(1, 8), data=st.data())
@@ -469,7 +473,7 @@ def test_renormalizing_that_merges_two_probabilities_ranks_again():
         assert out[0] == out[1] and out.tobytes() == naive_truncate(dist, cfg.strategy, cfg.param).tobytes()
         picks = [row_pick(dist, cfg, [], _FixedU(u)) for u in (0.0, 0.5, 0.8, 0.99)]
         assert picks == [2, 0, 1, 1]
-        assert [int(decode._choose(dist[None], cfg, [_FixedU(u)], None)[0]) for u in (0.0, 0.5, 0.8, 0.99)] == picks
+        assert [int(decode._choose(dist[None], cfg, np.array([u]), None)[0]) for u in (0.0, 0.5, 0.8, 0.99)] == picks
 
 
 class _FixedU:
@@ -596,7 +600,8 @@ def test_beam_outputs_are_pinned():
 
 # --- block selection against the per-row code --------------------------------
 
-_ROW_KINDS = ("ngram", "unsmoothed", "ffn", "peaked", "levels", "adjacent", "onehot", "empty")
+_ROW_KINDS = ("ngram", "unsmoothed", "ffn", "peaked", "levels", "adjacent", "onehot", "near_uniform", "flat",
+              "empty")
 
 
 def _block_row(kind, v, rng):
@@ -620,6 +625,10 @@ def _block_row(kind, v, rng):
         return w
     elif kind == "onehot":
         w[rng.integers(v)] = 1.0
+    elif kind == "near_uniform":  # a barely trained softmax: top-p 0.9 keeps about 90% of the ids
+        w = np.exp(rng.normal(0.0, 0.05, v))
+    elif kind == "flat":  # 2-5 levels over all ids, so draws land deep in a run of ties
+        w = rng.choice(rng.random(int(rng.integers(2, 6))) + 0.1, v)
     else:
         return w
     return w / w.sum()
@@ -662,16 +671,20 @@ def test_block_selection_matches_per_row_code(case):
     seen = np.zeros(dists.shape, dtype=bool)
     for i, out in enumerate(generated):
         seen[i, out] = True
+    # The block takes one uniform per row if the strategy samples; the
+    # per-row code must then draw exactly one from each stream, else none.
     fast, slow = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
+    samples = cfg.strategy in ("topk", "topp") or cfg.t is not None
+    u = np.array([rng.uniform() for rng in fast]) if samples else None
     with np.errstate(invalid="ignore"):  # a row without mass penalizes to NaN
         try:
             want = [int(np.argmax(d)) if cfg.strategy == "greedy" else row_pick(d, cfg, out, rng)
                     for d, out, rng in zip(dists, generated, slow)]
         except ValueError:  # temperature of a row without mass
             with pytest.raises(ValueError):
-                decode._choose(dists, cfg, fast, seen)
+                decode._choose(dists, cfg, u, seen)
             return
-        got = decode._choose(dists, cfg, fast, seen).tolist()
+        got = decode._choose(dists, cfg, u, seen).tolist()
     assert got == want
     assert [r.state for r in fast] == [r.state for r in slow]
 
@@ -696,12 +709,11 @@ def test_block_probabilities_match_per_row_code_bit_for_bit(case):
             got = decode._temperature_rows(dists, cfg.t)
             assert got.tobytes() == np.stack([row_temperature(d, cfg.t) for d in dists]).tobytes()
         return
-    ids, probs, cut = decode._truncate_rows(dists, cfg.strategy, cfg.param)
-    got = dists.copy()
-    got[cut] = 0.0
-    rows = np.flatnonzero(cut)
-    got[rows[:, None], ids[cut]] = probs[cut]
+    got, top = decode._truncate_rows(dists, cfg.strategy, cfg.param)
     assert got.tobytes() == np.stack([naive_truncate(d, cfg.strategy, cfg.param) for d in dists]).tobytes()
+    # The sorted values hold every row's support, in descending order.
+    ranked = -np.sort(-got, axis=1)
+    assert top.tobytes() == ranked[:, : top.shape[1]].tobytes() and not ranked[:, top.shape[1] :].any()
 
 
 class _ReplayLM(StackedRows):
@@ -726,6 +738,126 @@ def test_block_decode_cut_by_max_batch_rows_matches_per_row_decode(case, n, cap)
     with mock.patch.object(decode, "MAX_BATCH_ROWS", cap):
         got = [s.ids for s in generate_batch(model, prefixes, cfgs)]
     assert got == [s.ids for s in naive_generate_batch(model, prefixes, cfgs)]
+
+
+def _drawn(dist, cfg, out):
+    """The distribution row_pick draws from, for a sampled config."""
+    if cfg.strategy == "penalized":
+        return row_temperature(row_penalize(dist, out, cfg.theta), cfg.t)
+    return naive_truncate(dist, cfg.strategy, cfg.param)
+
+
+_SAMPLED = [DecoderConfig("topk", k=40), DecoderConfig("topp", p=0.9), DecoderConfig("topp", p=0.3),
+            DecoderConfig("temperature", t=0.8), DecoderConfig("penalized", theta=1.5, t=0.7)]
+
+
+@pytest.mark.parametrize("v", [100, 5001])
+@pytest.mark.parametrize("cfg", _SAMPLED, ids=lambda c: f"{c.strategy}-{c.param}")
+def test_draws_at_cumulative_boundaries_match_per_row_code(cfg, v):
+    # Bench-like rows: a near-uniform softmax and a few levels over all ids.
+    # Row i draws its j-th u: an exact cumulative sum of its drawn
+    # distribution, the double below it, 0 or nextafter(1, 0), which
+    # round-off leaves past the support.
+    rng = np.random.default_rng(v)
+    dists = np.stack([_block_row(kind, v, rng) for kind in ("near_uniform", "flat", "flat", "near_uniform")])
+    generated = [[1, 2, 2], [], [0, 5], [7]]
+    seen = np.zeros(dists.shape, dtype=bool)
+    for i, out in enumerate(generated):
+        seen[i, out] = True
+    cums = [np.cumsum(-np.sort(-_drawn(d, cfg, out))) for d, out in zip(dists, generated)]
+    picks = [np.unique(np.r_[0, np.linspace(0, len(c) - 1, 40).astype(int), len(c) - 1]) for c in cums]
+    us = [np.r_[0.0, np.nextafter(1.0, 0.0), c[at], np.nextafter(c[at], 0.0)] for c, at in zip(cums, picks)]
+    deep = 0
+    for j in range(min(map(len, us))):
+        u = np.array([row[j] for row in us])
+        got = decode._choose(dists, cfg, u, seen).tolist()
+        want = [row_pick(d, cfg, out, _FixedU(x)) for d, out, x in zip(dists, generated, u)]
+        assert got == want
+        deep += sum(tok > np.flatnonzero(d == d[tok])[0] for d, tok in zip(dists, got))
+    assert deep  # some draws take a tie that is not the lowest id of its value
+
+
+@pytest.mark.parametrize("v", [100, 5001])
+def test_truncation_and_trace_of_bench_like_rows_match_naive_truncate(v):
+    rng = np.random.default_rng(3 + v)
+    dists = np.stack([_block_row(kind, v, rng) for kind in ("near_uniform", "flat", "near_uniform", "flat")])
+    kept, _ = decode._truncate_rows(dists, "topp", 0.9)
+    assert 0.85 * v < np.count_nonzero(kept[0]) < 0.95 * v
+    model, seq = _ReplayLM(dists), rng.integers(0, v, 12).tolist()
+    rows = [model.next_dist(seq[:t]) for t in range(len(seq))]
+    for truncation in (("topp", 0.9), ("topp", 0.5), ("topk", 40), ("topk", v // 2)):
+        got, top = decode._truncate_rows(dists, *truncation)
+        assert got.tobytes() == np.stack([naive_truncate(d, *truncation) for d in dists]).tobytes()
+        assert top.tobytes() == (-np.sort(-got, axis=1))[:, : top.shape[1]].tobytes()
+        _, trunc = decode.token_prob_trace(model, seq, decode.cell_config(*truncation, max_len=1))
+        want = [naive_truncate(d, *truncation)[tok] for d, tok in zip(rows, seq)]
+        assert trunc.tobytes() == np.array(want).tobytes()
+
+
+def _log_merged(p):
+    """The first double from ``p`` up whose log equals its lower neighbour's."""
+    while np.log(p) != np.log(np.nextafter(p, 0.0)):
+        p = np.nextafter(p, 1.0)
+    return p
+
+
+def _merge_rows(v):
+    """Beam rows (b = 2) where two different probabilities share one log."""
+    p = _log_merged(1e-4)
+    q = np.nextafter(p, 0.0)
+    rows = np.full((7, v), 1e-6)
+    rows[0, [9, 4, 2]] = [0.5, p, q]  # the b-th pick p, and q below it at a lower id
+    rows[1, [9, 7, 3]] = [p, q, q]  # a larger pick p shares q's log: id 3 ties id 7
+    rows[2] = 0.0  # fewer than b positive entries; NaN and -inf rank with zero's log
+    rows[2, [1, 3, 6]] = [np.nan, -np.inf, 0.5]
+    rows[3] = -np.inf  # one positive entry; the NaN at id 0 logs to -inf too
+    rows[3, [0, 7]] = [np.nan, 0.5]
+    rows[4, [9, 6, 8, 3]] = [0.5, p, p, q]  # the b-th pick ties past b, q below at a lower id
+    rows[5, [8, 5, 1, 0]] = [0.5, p, p, q / 2]  # a plain tie at the b-th pick, q / 2 far below
+    rows[6, [9, 2, 4, 7]] = [0.5, p, p, q]  # q below a tie shares its log, at a higher id: same picks
+    return rows
+
+
+@pytest.mark.parametrize("v", [12, 101, 5001])
+def test_beam_top_where_logs_merge_matches_log_ranking(v):
+    rows = _merge_rows(v)
+    logp = decode._log_rows(rows)
+    for b in (1, 2, 3):
+        top, lp = decode._beam_top(rows, b)
+        want = np.stack([naive_top_ids(row, b) for row in logp])
+        assert np.array_equal(top, want)
+        assert lp.tobytes() == logp[np.arange(len(rows))[:, None], want].tobytes()
+    # The probabilities pick other ids than the logs in all rows but the last two.
+    assert [any(set(naive_top_ids(row, b)) != set(naive_top_ids(lp, b)) for b in (1, 2, 3))
+            for row, lp in zip(rows, logp)] == [True] * 5 + [False] * 2
+
+
+def test_beam_decode_where_logs_merge_matches_naive_beam_search():
+    model = _ReplayLM(np.abs(np.nan_to_num(_merge_rows(60), neginf=0.0)))
+    cfgs = [DecoderConfig("beam", b=b, max_len=4) for b in (1, 2, 3)]
+    for cfg in cfgs:
+        prefixes = [[i] for i in range(6)]
+        got = [s.ids for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
+        assert got == [naive_beam_search(model, p, cfg.b, cfg.max_len) for p in prefixes]
+
+
+def test_sample_rows_take_each_streams_uniforms_once(monkeypatch):
+    # A sampled decode hands step j the j-th uniform of every row's stream,
+    # the values of per-row uniform() calls; the others draw none.
+    calls = []
+    choose = decode._choose
+    monkeypatch.setattr(decode, "_choose", lambda d, cfg, u, seen: calls.append(u) or choose(d, cfg, u, seen))
+    model = _ReplayLM(np.stack([_block_row("flat", 30, np.random.default_rng(i)) for i in range(3)]))
+    seeds = [5, 2**64 - 1, 0]
+    for cfg in (DecoderConfig("topp", p=0.9, max_len=6), DecoderConfig("penalized", theta=1.5, t=0.8, max_len=6)):
+        calls.clear()
+        generate_batch(model, [[1], [2], [3]], [replace(cfg, seed=s) for s in seeds])
+        rngs = [SplitMix64(s) for s in seeds]
+        assert np.stack(calls).tobytes() == np.array([[r.uniform() for r in rngs] for _ in range(6)]).tobytes()
+    for cfg in (DecoderConfig("greedy", max_len=3), DecoderConfig("penalized", theta=1.5, max_len=3)):
+        calls.clear()
+        generate_batch(model, [[1], [2]], [cfg, cfg])
+        assert calls == [None] * 3
 
 
 # --- whole decodes: trailing windows and every strategy ----------------------
