@@ -59,18 +59,20 @@ One decode step costs O(|V|) numpy work per row plus sorts:
   a row ranks its whole log only where a log could merge its ``b``-th
   pick with a different probability: the ``b``-th probability is not
   positive, or the largest below it or a larger pick has the same log;
-- a top-k of k <= 8 takes k passes of ``argmax``; a larger one selects
-  with ``np.argpartition`` along the rows, the rows where the k-th value
-  ties past the partition take their lowest-id ties in one block
-  operation, and a full sort serves when the vocab is not much larger
-  than k (or a row's k-th value is NaN);
+- a row's top k is every value above its k-th and that value's
+  lowest-id ties: top-k and top-p truncation (top-p's k being its kept
+  count) and a beam's top b + 1 of more than 8 picks share one routine
+  for that kept set, read off one ``np.sort`` of the rows; a top of at
+  most 8 picks takes that many passes of ``argmax``, and a row whose
+  last pick is -inf or NaN sorts in full;
 - a beam step merges the candidates of every prefix with one
   ``np.lexsort`` along the rows, by (-score, parent's rank, token): each
   hypothesis carries the rank of its id tuple within its beam, so that
   order is the (-score, id tuple) order a one-prefix beam sorts by;
 - a top-k or top-p draw sums only the sorted columns that hold some
-  row's kept mass, and a truncated row's kept ties are the ones up to
-  the id of the last it needs, found with one ``np.flatnonzero``.
+  row's kept mass; the kept set's last tie and a drawn token's id are
+  both the r-th lowest id holding a value, found for the whole block
+  with one ``np.flatnonzero``.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.strategy not in _PARAMS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if isinstance(self.max_len, bool) or not isinstance(self.max_len, (int, np.integer)):
+            raise ConfigError(f"max_len must be an integer, not {self.max_len!r}")
         if self.max_len < 1:
             raise ConfigError("max_len must be at least 1")
         for strategy, spec in _PARAMS.items():
@@ -145,8 +149,11 @@ class DecoderConfig:
             # Lone exception: penalized composes with a temperature.
             elif strategy != self.strategy and (self.strategy, strategy) != ("penalized", "temperature"):
                 raise ConfigError(f"parameter {spec.field} not valid for strategy {self.strategy}")
-            elif not spec.valid(value):
-                raise ConfigError(spec.error)
+            else:
+                value = param_value(strategy, value)
+                if not spec.valid(value):
+                    raise ConfigError(spec.error)
+                object.__setattr__(self, spec.field, value)
 
     @property
     def param(self) -> float | int | None:
@@ -205,16 +212,42 @@ def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderCon
     spec = _PARAMS.get(strategy)
     if spec is None and param is not None and strategy in _PARAMS:
         raise ConfigError(f"{strategy} takes no parameter")
-    kwargs = {} if spec is None else {spec.field: param_value(strategy, param)}
+    kwargs = {} if spec is None else {spec.field: param}
     return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
-# Partial selection beats a full sort only when the vocab is well past
-# k; at |V| = 100 the argsort was faster.
-_PARTITION_FACTOR = 16
-# Up to this k, k argmax passes over the block beat a partition or a sort:
-# on an (80, 100) n-gram beam block, 40 us against 139 for the partition.
+# Up to this k, k argmax passes over the block beat the sorted kept set:
+# on an (80, 100) n-gram beam block at k = 5, 58 us against 152.
 _ARGMAX_MAX_K = 8
+
+
+def _nth_true(hit: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each row's column of its ``r[i]``-th True (from 0) in ``hit``.
+
+    The flat positions of the Trues run row by row and id by id, so row
+    i's start where its offset ``i * width`` sorts in.
+    """
+    at = np.flatnonzero(hit)
+    starts = np.arange(len(hit)) * hit.shape[1]
+    return at[np.searchsorted(at, starts) + r] - starts
+
+
+def _top_mask(x: np.ndarray, kth: np.ndarray, past: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Each row's mask of its ``n[i]`` largest values, ties to the lowest ids.
+
+    ``kth`` (a column) holds each row's ``n``-th largest value and ``past``
+    the one after it. A row keeps every value above its ``kth``, and where
+    ``past`` ties it, the ``kth`` ties up to its need-th, need being n less
+    the larger values.
+    """
+    keep = x >= kth
+    tied = np.flatnonzero(past == kth[:, 0])
+    if tied.size:
+        xt, kt = x[tied], kth[tied]
+        above, hit = xt > kt, xt == kt
+        last = _nth_true(hit, n[tied] - np.count_nonzero(above, axis=1) - 1)
+        keep[tied] = above | hit & (np.arange(x.shape[1]) <= last[:, None])
+    return keep
 
 
 def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
@@ -223,49 +256,31 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
     Equal to ``np.argsort(-values, axis=1, kind="stable")[:, :k]``.
     """
     width = values.shape[1]
+    if k >= width:
+        return np.argsort(-values, axis=1, kind="stable")
+    # NaN reads as -inf; a row whose k-th pick is -inf has fewer than k
+    # values above it and sorts in full, where NaN ranks after -inf.
+    hidden, rows = np.fmax(values, -np.inf), np.arange(len(values))
     if k <= _ARGMAX_MAX_K:
         # An argmax takes a tie's lowest id, as the stable sort does; each
-        # pass hides the pick before it. A row whose last pick is hidden
-        # already has fewer than k values above -inf, and sorts in full.
-        hidden, rows = np.fmax(values, -np.inf), np.arange(len(values))
-        ids = np.empty((len(values), min(k, width)), dtype=np.int64)
-        for j in range(ids.shape[1]):
+        # pass hides the pick before it.
+        ids = np.empty((len(values), k), dtype=np.int64)
+        for j in range(k):
             if j:
                 hidden[rows, ids[:, j - 1]] = -np.inf
             ids[:, j] = np.argmax(hidden, axis=1)
-        short = hidden[rows, ids[:, -1]] == -np.inf
-        if short.any():
-            ids[short] = np.argsort(-values[short], axis=1, kind="stable")[:, :k]
-        return ids
-    if width < _PARTITION_FACTOR * k:
-        return np.argsort(-values, axis=1, kind="stable")[:, :k]
-    rows = np.arange(len(values))[:, None]
-    ids = np.argpartition(-values, k - 1, axis=1)[:, :k]
-    top = values[rows, ids]
-    kth = top.min(axis=1)[:, None]
-    n_kept = np.count_nonzero(values >= kth, axis=1)
-    # The partition's set is exact unless the k-th value has ties beyond
-    # it. It holds every value above the k-th, so in those rows only the
-    # slots of the k-th value change: as one block, they take the row's
-    # lowest-id ties. The flat tie positions run row by row and id by id,
-    # so row i's ties start at ``first[i]``, where its offset sorts in,
-    # and its ``need[i]`` slots take the next ``need[i]`` of them.
-    redo = np.flatnonzero(n_kept > k)
-    if redo.size:
-        slots = top[redo] == kth[redo]
-        need = np.count_nonzero(slots, axis=1)
-        ties = np.flatnonzero(values[redo] == kth[redo])
-        first = np.searchsorted(ties, np.arange(redo.size) * width)
-        taken = np.repeat(first - np.cumsum(need) + need, need) + np.arange(need.sum())
-        redone = ids[redo]
-        redone[slots] = ties[taken] % width
-        ids[redo] = redone
-    # A NaN k-th value compares with nothing; only the full sort ranks it.
-    nan = n_kept < k
-    if nan.any():
-        ids[nan] = np.argsort(-values[nan], axis=1, kind="stable")[:, :k]
-    ids.sort(axis=1)
-    return ids[rows, np.argsort(-values[rows, ids], axis=1, kind="stable")]
+        last = hidden[rows, ids[:, -1]]
+    else:
+        # The top-k kept set of truncation, in id order, then ranked.
+        top = np.sort(hidden, axis=1)
+        last = top[:, width - k]
+        keep = _top_mask(hidden, last[:, None], top[:, width - k - 1], np.full(len(values), k))
+        ids = np.flatnonzero(keep).reshape(len(values), k) - rows[:, None] * width
+        ids = ids[rows[:, None], np.argsort(-hidden[rows[:, None], ids], axis=1, kind="stable")]
+    short = last == -np.inf
+    if short.any():
+        ids[short] = np.argsort(-values[short], axis=1, kind="stable")[:, :k]
+    return ids
 
 
 def _log_rows(dists: np.ndarray) -> np.ndarray:
@@ -346,18 +361,7 @@ def _truncate_rows(dists: np.ndarray, mode: str, value) -> tuple[np.ndarray, np.
     if not cut.size:
         return dists, top
     x, n = dists[cut], n[cut]
-    kth = top[cut, n - 1][:, None]
-    keep = x >= kth
-    tied = np.flatnonzero(past[cut] == kth[:, 0])
-    if tied.size:
-        # Where the kept-th value ties past the kept ones, the row keeps its
-        # ties up to its need-th, need being n less the larger values. The
-        # flat tie positions run row by row and id by id.
-        xt, kt, starts = x[tied], kth[tied], np.arange(tied.size) * v
-        above, ties = xt > kt, np.flatnonzero(xt == kt)
-        need = n[tied] - np.count_nonzero(above, axis=1)
-        last = ties[np.searchsorted(ties, starts) + need - 1] - starts
-        keep[tied] &= above | (np.arange(v) <= last[:, None])
+    keep = _top_mask(x, top[cut, n - 1][:, None], past[cut], n)
     # A probability row is zero-filled by multiplying with the mask, three
     # times as fast as np.where. One row renormalizes by the sum of its
     # whole zero-filled vector.
@@ -392,15 +396,11 @@ def _draw(top: np.ndarray, dists: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(top, axis=1)
     n = np.count_nonzero(top > 0, axis=1)
     at = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), np.maximum(n - 1, 0))
-    rows = np.arange(len(top))
-    value = top[rows, at][:, None]
-    r = at - np.count_nonzero(top > value, axis=1)
-    # The r-th id of the value: the flat ties run row by row and id by id.
+    value = top[np.arange(len(top)), at][:, None]
+    # The token is the r-th id of the drawn value.
     hit = dists == value
     hit[n == 0, 0] = True
-    ties = np.flatnonzero(hit)
-    starts = rows * dists.shape[1]
-    return ties[np.searchsorted(ties, starts) + r] - starts
+    return _nth_true(hit, at - np.count_nonzero(top > value, axis=1))
 
 
 def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: np.ndarray) -> np.ndarray:
@@ -439,7 +439,8 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     distributions of all live rows (each prefix, or each beam
     hypothesis) at once, through ``next_dist_batch``. A model call
     takes at most ``MAX_BATCH_ROWS`` rows, filled with whole prefixes in
-    index order. The tokens of a step are chosen for the whole block by
+    index order; a beam of b > ``MAX_BATCH_ROWS`` takes one prefix's b
+    rows per call. The tokens of a step are chosen for the whole block by
     the rules of a single-prefix decode, so the output equals decoding
     each prefix alone whenever the model's batched rows equal its
     single rows. A negative id is a config error (-1 pads the windows).

@@ -1,45 +1,1 @@
 """Evaluation pipeline: sweeps, persistence, curve fits, and the CLI."""
-
-from .samples import load_sample_set, save_sample_set, write_metric_report
-from .sweep import (
-    CSV_COLUMNS,
-    METRICS,
-    LogFit,
-    SCHEMA_TAG,
-    SweepConfig,
-    SweepRecord,
-    TradeoffRow,
-    TradeoffTable,
-    cell_key,
-    fit_log_curve,
-    read_sweep_csv,
-    reference_set,
-    run_sweep,
-    sample_seed,
-    tradeoff_table,
-    write_sweep_csv,
-    write_tradeoff,
-)
-
-__all__ = [
-    "CSV_COLUMNS",
-    "METRICS",
-    "LogFit",
-    "SCHEMA_TAG",
-    "SweepConfig",
-    "SweepRecord",
-    "TradeoffRow",
-    "TradeoffTable",
-    "cell_key",
-    "fit_log_curve",
-    "load_sample_set",
-    "read_sweep_csv",
-    "reference_set",
-    "run_sweep",
-    "sample_seed",
-    "save_sample_set",
-    "tradeoff_table",
-    "write_metric_report",
-    "write_sweep_csv",
-    "write_tradeoff",
-]

@@ -203,6 +203,18 @@ def test_config_range_checks():
             DecoderConfig(**bad)
 
 
+def test_config_holds_each_parameter_as_its_fields_type():
+    # A whole float is its int; a bool, a fraction or a float max_len is a
+    # config error, not a traceback once the decode starts.
+    cfg = DecoderConfig(strategy="beam", b=2.0, max_len=3)
+    assert type(cfg.b) is int and cfg == DecoderConfig(strategy="beam", b=2, max_len=3)
+    assert len(generate_batch(TableLM(6), [[0]], [cfg])[0].ids) == 3
+    assert type(DecoderConfig(strategy="penalized", theta=2, t=1).t) is float
+    for bad in (dict(b=True), dict(b=2.5), dict(b=2, max_len=2.0)):
+        with pytest.raises(ConfigError):
+            DecoderConfig(strategy="beam", **bad)
+
+
 def test_cell_config_puts_the_parameter_in_its_field():
     assert cell_config("greedy", None, 7, seed=3) == DecoderConfig(strategy="greedy", max_len=7, seed=3)
     for strategy, raw, field, want in (

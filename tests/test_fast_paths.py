@@ -366,7 +366,7 @@ def test_sample_matches_full_sort(dist, seed):
 
 @pytest.mark.parametrize("case", ["distinct", "one_tie", "levels", "nan", "mostly_nan", "signed_zero"])
 def test_large_vocab_rankings_match_full_sort(case):
-    # Past the size where the ranking first tries an unstable sort.
+    # A wide row, ranked in full and cut to its top 40 by the sorted kept set.
     rng = np.random.default_rng(7)
     values = rng.random(5000)
     if case == "one_tie":
@@ -416,12 +416,12 @@ def _top_row(kind, width, k, rng):
     return values
 
 
-@given(width=st.sampled_from([101, 5001]), k=st.sampled_from([1, 4, 40, None]),
+@given(width=st.sampled_from([101, 5001]), k=st.sampled_from([1, 4, 9, 40, None]),
        kinds=st.lists(st.sampled_from(_TOP_KINDS), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_top_rows_of_mixed_blocks_match_stable_argsort_row_by_row(width, k, kinds, seed):
     # Rows with and without ties at the k-th value, NaN and -inf rows in
-    # one block, on the narrow and the wide side of the partition rule.
+    # one block, for argmax passes (k <= 8) and the sorted kept set.
     k = width if k is None else k
     rng = np.random.default_rng(seed)
     block = np.stack([_top_row(kind, width, k, rng) for kind in kinds])
@@ -497,7 +497,8 @@ class TieLM(StackedRows):
         return w / w.sum()
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
+# Widths of 8 and more take their top b + 1 from the sorted kept set.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 12])
 def test_beam_matches_full_sort_on_ties(width):
     model = TieLM(80, seed=width)
     cfg = DecoderConfig(strategy="beam", b=width, max_len=6)
@@ -532,7 +533,7 @@ class _ContextFreeTieLM(TieLM):
         return super().next_dist(())
 
 
-@pytest.mark.parametrize("width", [2, 4, 7])
+@pytest.mark.parametrize("width", [2, 4, 7, 9])
 @pytest.mark.parametrize("model", [TieLM(12, seed=3), _ContextFreeTieLM(12, seed=5)], ids=["hashed", "context_free"])
 def test_beam_batch_of_mixed_prefixes_breaks_score_ties_by_ids(model, width):
     cfg = DecoderConfig(strategy="beam", b=width, max_len=5)
