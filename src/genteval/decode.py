@@ -77,6 +77,7 @@ One decode step costs O(|V|) numpy work per row plus sorts:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -149,6 +150,8 @@ class DecoderConfig:
             # Lone exception: penalized composes with a temperature.
             elif strategy != self.strategy and (self.strategy, strategy) != ("penalized", "temperature"):
                 raise ConfigError(f"parameter {spec.field} not valid for strategy {self.strategy}")
+            elif isinstance(value, str):
+                raise ConfigError(f"parameter {spec.field} must be a number, not {value!r}")
             else:
                 value = param_value(strategy, value)
                 if not spec.valid(value):
@@ -176,19 +179,24 @@ def strategy_name(name: str) -> str:
 
 
 def param_value(strategy: str, value) -> float | int | None:
-    """``value`` as the type of ``strategy``'s parameter (a float if it has none); None stays None.
+    """``value``, a number or its text, as the type of ``strategy``'s
+    parameter (a float if it has none); None stays None.
 
-    A bool, and a number that an int field would truncate, are config errors.
+    Text that does not parse as that type raises ValueError. A number that
+    is a bool or no real number, or that an int field would truncate, is a
+    config error.
     """
     if value is None:
         return None
     spec = _PARAMS.get(strategy)
-    if spec is None:
-        return float(value)
-    if isinstance(value, bool) or (spec.type is int and isinstance(value, float) and not value.is_integer()):
-        kind = "an integer" if spec.type is int else "a number"
-        raise ConfigError(f"parameter {spec.field} of {strategy} must be {kind}, not {value!r}")
-    return spec.type(value)
+    kind = float if spec is None else spec.type
+    if isinstance(value, str):
+        return kind(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (kind is int and not isinstance(value, numbers.Integral) and not float(value).is_integer())):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"the parameter of {strategy} must be {what}, not {value!r}")
+    return kind(value)
 
 
 def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
@@ -208,11 +216,11 @@ def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
 
 
 def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderConfig:
-    """The config that decodes the sweep cell ``strategy(param)``."""
+    """The config that decodes the sweep cell ``strategy(param)``, ``param`` a number or its text."""
     spec = _PARAMS.get(strategy)
     if spec is None and param is not None and strategy in _PARAMS:
         raise ConfigError(f"{strategy} takes no parameter")
-    kwargs = {} if spec is None else {spec.field: param}
+    kwargs = {} if spec is None else {spec.field: param_value(strategy, param)}
     return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
@@ -271,7 +279,9 @@ def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
             ids[:, j] = np.argmax(hidden, axis=1)
         last = hidden[rows, ids[:, -1]]
     else:
-        # The top-k kept set of truncation, in id order, then ranked.
+        # The top-k kept set of truncation, in id order, then ranked. A stable
+        # argsort is faster on tie-heavy n-gram rows but 6-14x slower on rows
+        # of distinct values: 34 ms against 5 on an (80, 5001) ffn block at k = 9.
         top = np.sort(hidden, axis=1)
         last = top[:, width - k]
         keep = _top_mask(hidden, last[:, None], top[:, width - k - 1], np.full(len(values), k))

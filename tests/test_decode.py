@@ -204,13 +204,17 @@ def test_config_range_checks():
 
 
 def test_config_holds_each_parameter_as_its_fields_type():
-    # A whole float is its int; a bool, a fraction or a float max_len is a
-    # config error, not a traceback once the decode starts.
+    # A whole float is its int; a bool, a fraction of any float type, text
+    # or a float max_len is a config error, not a traceback once the decode
+    # starts.
     cfg = DecoderConfig(strategy="beam", b=2.0, max_len=3)
     assert type(cfg.b) is int and cfg == DecoderConfig(strategy="beam", b=2, max_len=3)
     assert len(generate_batch(TableLM(6), [[0]], [cfg])[0].ids) == 3
+    assert type(DecoderConfig(strategy="beam", b=np.int64(2)).b) is int
     assert type(DecoderConfig(strategy="penalized", theta=2, t=1).t) is float
-    for bad in (dict(b=True), dict(b=2.5), dict(b=2, max_len=2.0)):
+    bad_params = (dict(b=True), dict(b=2.5), dict(b=np.float32(2.5)), dict(b=float("inf")), dict(b="2"),
+                  dict(b=2, max_len=2.0))
+    for bad in bad_params:
         with pytest.raises(ConfigError):
             DecoderConfig(strategy="beam", **bad)
 
