@@ -24,28 +24,18 @@ _TERMINALS = (".", "!", "?")
 
 
 @dataclass(frozen=True)
-class NliTriple:
-    """Premise plus an entailed and a contradicting hypothesis."""
+class Choice:
+    """A context with its consistent and its inconsistent option.
+
+    An NLI triple is a premise with its entailed and its contradicting
+    hypothesis; a story is its four opening sentences, joined by spaces,
+    with its right and its wrong ending.
+    """
 
     context: str
-    entailed: str
-    contradicting: str
+    consistent: str
+    inconsistent: str
     where: str = field(default="", compare=False)  # "path:line" of a loaded record
-
-
-@dataclass(frozen=True)
-class StoryItem:
-    """Four-sentence opening with a right and a wrong ending."""
-
-    opening: tuple[str, str, str, str]
-    ending_a: str
-    ending_b: str
-    correct: str  # "a" | "b"
-    where: str = field(default="", compare=False)  # "path:line" of a loaded record
-
-    @property
-    def context(self) -> str:
-        return " ".join(self.opening)
 
 
 @dataclass(frozen=True)
@@ -56,7 +46,7 @@ class LineIssue:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: tuple
+    records: tuple[Choice, ...]
     issues: tuple[LineIssue, ...]
 
 
@@ -89,14 +79,18 @@ def load_triples(path: str | Path) -> LoadResult:
         if not context.endswith(_TERMINALS):
             issues.append(LineIssue(lineno, "context does not end with terminal punctuation"))
             continue
-        records.append(NliTriple(context, entailed, contradicting, f"{path}:{lineno}"))
+        records.append(Choice(context, entailed, contradicting, f"{path}:{lineno}"))
     if not records:
         raise EmptyDataset(f"{path}: no valid triples")
     return LoadResult(tuple(records), tuple(issues))
 
 
 def load_stories(path: str | Path) -> LoadResult:
-    """TSV: s1..s4<TAB>ending_a<TAB>ending_b<TAB>correct, correct in {a, b}."""
+    """TSV: s1..s4<TAB>ending_a<TAB>ending_b<TAB>correct, correct in {a, b}.
+
+    The four sentences join into the context; ``correct`` names the
+    consistent ending.
+    """
     records = []
     issues = []
     for lineno, line in _data_lines(path):
@@ -111,7 +105,8 @@ def load_stories(path: str | Path) -> LoadResult:
         if fields[6] not in ("a", "b"):
             issues.append(LineIssue(lineno, f"correct column must be 'a' or 'b', got {fields[6]!r}"))
             continue
-        records.append(StoryItem(tuple(fields[:4]), fields[4], fields[5], fields[6], f"{path}:{lineno}"))
+        right, wrong = (fields[4], fields[5]) if fields[6] == "a" else (fields[5], fields[4])
+        records.append(Choice(" ".join(fields[:4]), right, wrong, f"{path}:{lineno}"))
     if not records:
         raise EmptyDataset(f"{path}: no valid stories")
     return LoadResult(tuple(records), tuple(issues))
@@ -132,7 +127,7 @@ class SelectionResult:
     per_item: tuple[ItemOutcome, ...]
 
 
-def selection_accuracy(model, items: Sequence, encode: Callable) -> SelectionResult:
+def selection_accuracy(model, items: Sequence[Choice], encode: Callable) -> SelectionResult:
     """Fraction of items where the consistent option has lower perplexity.
 
     ``encode`` maps text to token ids for the model's vocab. The context
@@ -146,14 +141,8 @@ def selection_accuracy(model, items: Sequence, encode: Callable) -> SelectionRes
         raise EmptyDataset("no items to score")
     contexts, options = [], []
     for i, item in enumerate(items):
-        if isinstance(item, NliTriple):
-            context, pos_text, neg_text = item.context, item.entailed, item.contradicting
-        else:
-            context = item.context
-            pos_text = item.ending_a if item.correct == "a" else item.ending_b
-            neg_text = item.ending_b if item.correct == "a" else item.ending_a
         try:
-            ctx, pos, neg = encode(context), encode(pos_text), encode(neg_text)
+            ctx, pos, neg = encode(item.context), encode(item.consistent), encode(item.inconsistent)
         except EmptyInput as exc:
             raise DataError(f"{item.where or f'item {i}'}: {exc}") from None
         contexts += [ctx, ctx]

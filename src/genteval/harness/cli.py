@@ -10,7 +10,10 @@ overrides both.
 
 Config file keys use the flag names with underscores, in one flat
 object shared by all subcommands; keys a subcommand does not use are
-ignored, and a value of an option with a type is read as that type.
+ignored. A null leaves the built-in default; a list or object is taken
+only by the options that read one (``--ratios``, ``--objectives``,
+``--strategies``, ``--models``, ``--metrics``); any other value parses as
+the text of its flag would, type and choices included.
 Exit codes: 0 success, 2 configuration error (including usage errors),
 3 data error; a failure prints one line to stderr. Artifacts never embed
 absolute paths or timestamps, so two runs from one config produce
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -205,18 +209,32 @@ def _build_parser(config: dict | None = None, command: str | None = None) -> arg
     return parser
 
 
+# The options whose parsers read a config-file list or object as well as the flag's text.
+_LIST_OPTIONS = ("ratios", "objectives", "strategies", "models", "metrics")
+
+
 def _apply_config(p: argparse.ArgumentParser, config: dict) -> None:
-    """Make ``config``'s values the defaults of the options of subparser ``p``."""
-    p.set_defaults(**{
-        a.dest: _config_value(a, config[a.dest])
-        for a in p._actions
-        if a.option_strings and a.dest in config and a.dest not in ("help", "config")
-    })
+    """Make ``config``'s values the defaults of the options of subparser ``p``.
 
-
-def _config_value(action: argparse.Action, value):
-    """A config value of an option with a type, as the text of its flag: argparse converts it."""
-    return value if action.type is None or value is None else str(value)
+    A null leaves the built-in default. A list or object is taken as is
+    by the options of ``_LIST_OPTIONS`` and refused by every other one;
+    every other value is parsed as the text of its flag would be, type
+    and choices included.
+    """
+    for a in p._actions:
+        value = config.get(a.dest)
+        if not a.option_strings or a.dest in ("help", "config") or value is None:
+            continue
+        listed = isinstance(value, (list, dict))
+        if listed and a.type is None and a.dest not in _LIST_OPTIONS:
+            raise ConfigError(f"argument {a.option_strings[0]}: takes one value, not a list or object")
+        if not (listed and a.dest in _LIST_OPTIONS):  # a typed option refuses a list's text itself
+            try:
+                value = p._get_value(a, str(value))
+                p._check_value(a, value)
+            except argparse.ArgumentError as exc:
+                raise ConfigError(str(exc)) from None
+        p.set_defaults(**{a.dest: value})
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -272,14 +290,21 @@ _parse_strategies = _option_parser(parse_strategies)
 
 
 @_option_parser
+def _parse_metrics(raw) -> tuple[str, ...]:
+    """Metric names from "a,b" text or a config-file list."""
+    names = raw.split(",") if isinstance(raw, str) else raw
+    return tuple(name.strip() for name in names if name.strip())
+
+
+@_option_parser
 def _parse_models(raw) -> dict[str, str]:
     """Accept "name=path,..." / "path,..." or a dict / list from config."""
     if isinstance(raw, dict):
-        return {str(k): str(v) for k, v in raw.items()}
+        return {str(k): os.fspath(v) for k, v in raw.items()}
     if isinstance(raw, str):
         entries = [e.strip() for e in raw.split(",") if e.strip()]
     else:
-        entries = [str(e) for e in raw]
+        entries = [os.fspath(e) for e in raw]
     mapping = {}
     for entry in entries:
         if "=" in entry:
@@ -295,7 +320,7 @@ def _parse_models(raw) -> dict[str, str]:
 @_option_parser
 def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
     if not isinstance(raw, str):  # a config-file list; a bool weight stays for TrainConfig to refuse
-        return tuple((kind, w if isinstance(w, bool) else float(w)) for kind, w in raw)
+        return tuple((kind.strip(), w if isinstance(w, bool) else float(w)) for kind, w in raw)
     out = []
     for part in raw.split(","):
         part = part.strip()
@@ -450,7 +475,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
                                seed=opt.seed, n_labels=n_labels, regression=regression)
     trainer = Trainer(model, cfg, seed=opt.seed)
     history = trainer.fit(TrainData(**pools))
-    write_json(Path(opt.out_dir) / "train_history.json", history)
+    write_json(model_out.parent / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")
     print(f"steps: {len(history)}  final total loss: {history[-1]['total']:.6f}")
@@ -563,11 +588,8 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
 def _cmd_sweep(opt: argparse.Namespace) -> int:
     _require(opt, "manifest", "models", "strategies")
     mapping = _parse_models(opt.models)
-    metrics = opt.metrics
-    if isinstance(metrics, str):
-        metrics = tuple(m.strip() for m in metrics.split(",") if m.strip())
     # Every other SweepConfig field is the option of the same name.
-    parsed = {"models": tuple(mapping), "metrics": tuple(metrics),
+    parsed = {"models": tuple(mapping), "metrics": _parse_metrics(opt.metrics),
               "strategies": _parse_strategies(opt.strategies)}
     cfg = SweepConfig(**{f.name: parsed.get(f.name, getattr(opt, f.name)) for f in fields(SweepConfig)})
     out = Path(opt.out_dir)

@@ -6,12 +6,12 @@ lockstep batch), persists them, computes the configured metrics, and
 emits one SweepRecord. Cells run one after another, in grid order,
 and are independent: the seed for sample i of a cell is ``seed XOR
 stable_hash(model | strategy | param | i)``, so a record does not depend
-on which cells ran before it. A failed cell is recorded with its error
-and the sweep moves on.
+on which cells ran before it. A failed cell is recorded with its config
+hash and its error alone, and the sweep moves on.
 
-Re-running a sweep recomputes only missing or stale cells: every record
-stores a hash of the cell configuration plus a digest of its samples
-file, and cells whose record matches are reused as-is.
+Re-running a sweep recomputes only missing, failed or stale cells: every
+record stores a hash of the cell configuration plus a digest of its
+samples file, and cells whose record matches are reused as-is.
 """
 
 from __future__ import annotations
@@ -203,9 +203,6 @@ class SweepRecord:
     samples_file: str = ""
     samples_sha256: str = ""
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def check_positive(**values) -> None:
     for name, value in values.items():
@@ -333,32 +330,25 @@ def run_sweep(
         key = cell_key(model_name, strategy, param)
         record_path = out / "records" / f"{key}.json"
         samples_path = out / "samples" / f"{key}.jsonl"
-        reused = _try_reuse(record_path, samples_path, digest)
-        if reused is not None:
-            records.append(reused)
-            continue
-        try:
-            if model_name in load_errors:
-                raise ConfigError(load_errors[model_name])
-            record = _compute_cell(
-                cfg, loaded[model_name], model_name, strategy, param,
-                prefixes, inputs, samples_path,
-            )
-            record.config_hash = digest
-            record.samples_file = samples_path.name
-            record.samples_sha256 = _file_digest(samples_path)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            record = SweepRecord(
-                model=model_name,
-                strategy=strategy,
-                param=param,
-                n_samples=0,
-                metrics={},
-                seed=cfg.seed,
-                failed=f"{type(exc).__name__}: {exc}",
-                config_hash=digest,
-            )
-        write_json(record_path, record.to_json())
+        record = _try_reuse(record_path, samples_path, digest)
+        if record is None:
+            record = SweepRecord(model_name, strategy, param, 0, {}, cfg.seed, config_hash=digest)
+            try:
+                if model_name in load_errors:
+                    raise ConfigError(load_errors[model_name])
+                dcfg = cell_config(strategy, param, cfg.gen_len)
+                sset = decode_cell(loaded[model_name], model_name, prefixes, dcfg, cfg.seed)
+                save_sample_set(samples_path, sset)
+                record = replace(
+                    record,
+                    n_samples=len(sset),
+                    metrics={name: METRICS[name].compute(sset, inputs)[0] for name in cfg.metrics},
+                    samples_file=samples_path.name,
+                    samples_sha256=_file_digest(samples_path),
+                )
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                record.failed = f"{type(exc).__name__}: {exc}"
+            write_json(record_path, asdict(record))
         records.append(record)
     write_sweep_csv(out / "sweep.csv", records)
     return records
@@ -382,28 +372,6 @@ def _try_reuse(record_path: Path, samples_path: Path, digest: str) -> SweepRecor
         if record.samples_sha256 and _file_digest(samples_path) != record.samples_sha256:
             return None
     return record
-
-
-def _compute_cell(
-    cfg: SweepConfig,
-    model,
-    model_name: str,
-    strategy: str,
-    param,
-    prefixes: list[TokenSequence],
-    inputs: MetricInputs,
-    samples_path: Path,
-) -> SweepRecord:
-    sset = decode_cell(model, model_name, prefixes, cell_config(strategy, param, cfg.gen_len), cfg.seed)
-    save_sample_set(samples_path, sset)
-    return SweepRecord(
-        model=model_name,
-        strategy=strategy,
-        param=param,
-        n_samples=len(sset),
-        metrics={name: METRICS[name].compute(sset, inputs)[0] for name in cfg.metrics},
-        seed=cfg.seed,
-    )
 
 
 def _format_cell(value) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ def test_train_flags_override_config_values(workspace, tmp_path):
 
     assert epochs() == 2
     assert epochs("--epochs", "1") == 1
+
+
+def test_train_history_goes_beside_the_model_file(workspace, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--manifest", workspace["manifest"], "--backend", "ffn", "--epochs", "1",
+            "--context", "2", "--embed-dim", "4", "--hidden-dim", "4", "--model-out", "elsewhere/m.lmek"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere"]
+    assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["m.lmek", "train_history.json"]
 
 
 def test_train_aux_objectives_end_to_end_reruns_are_byte_identical(workspace, tmp_path):
@@ -645,6 +656,43 @@ def test_bad_sweep_grid_exits_2_before_any_cell(workspace, tmp_path, capsys, gri
     assert not (tmp_path / "out" / "records").exists()
 
 
+_FAILED_RECORDS = {
+    # One prefix: Self-BLEU fails after the sample file is written.
+    "ok__greedy__None": ("7589d5d4ab48e7a844253aaef10091ba412478fabcd553472a6bb16fd4d38da3", None,
+                         "InsufficientSamples: self_bleu needs at least two samples"),
+    "ok__topk__2": ("ebafe83dce7cc824bac533a072bc6587c6cc0ccdf618326a946aeb45bfbb097b", 2,
+                    "InsufficientSamples: self_bleu needs at least two samples"),
+    # A model that cannot load fails each of its cells before any decode.
+    "gone__greedy__None": ("a91133e10d67091374747e08bc2e91707c856a7514c812fed3a096620ae6a741", None,
+                           "ConfigError: FileNotFoundError: [Errno 2] No such file or directory: 'absent.lmek'"),
+    "gone__topk__2": ("a495e629dbc7fb7e6bb19ec76ef13696218b5f7aa24dfe65bdc25141c35418f8", 2,
+                      "ConfigError: FileNotFoundError: [Errno 2] No such file or directory: 'absent.lmek'"),
+}
+
+
+def test_a_failed_cell_record_keeps_only_its_config_hash_and_error(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--manifest", workspace["manifest"], "--models", f"ok={workspace['model']},gone=absent.lmek",
+            "--strategies", "greedy;topk:2", "--metrics", "seq_rep_4,self_bleu", "--prefix-len", "5",
+            "--gen-len", "4", "--n-prefixes", "1", "--out-dir", "sweep"]
+    expected = {}
+    for key, (digest, param, error) in _FAILED_RECORDS.items():
+        model, strategy, _ = key.split("__")
+        record = {"config_hash": digest, "failed": error, "metrics": {}, "model": model, "n_samples": 0,
+                  "param": param, "samples_file": "", "samples_sha256": "", "seed": 0, "strategy": strategy}
+        expected[f"{key}.json"] = (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()
+    samples = tmp_path / "sweep" / "samples"
+    for run in range(2):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 0
+        assert capsys.readouterr().err.count("failed cell ") == 4, run
+        assert _tree(tmp_path / "sweep" / "records") == {Path(k): v for k, v in expected.items()}, run
+        # The sample files were written before Self-BLEU failed; a rerun
+        # recomputes every failed cell, so it writes them again.
+        assert sorted(p.name for p in samples.iterdir()) == ["ok__greedy__None.jsonl", "ok__topk__2.jsonl"]
+        shutil.rmtree(samples)
+
+
 def test_topk_past_a_model_vocab_fails_only_that_models_cells(workspace, toy_sweep, tmp_path, capsys):
     ffn = toy_sweep.parent / "ffn" / "model.lmek"
     k = load_model(ffn).vocab.size  # the ffn's pad token puts k one past the bigram's vocab
@@ -825,6 +873,63 @@ def test_config_sets_every_option_and_flags_win(tmp_path):
             assert from_config[a.dest] == values[a.dest][0], (command, a.dest)
             assert from_flags[a.dest] == values[a.dest][2], (command, a.dest)
         assert "not_an_option" not in from_config
+
+
+def _parsed(argv):
+    """The options ``argv`` parses to, or the config error it raises."""
+    try:
+        args = vars(_parse_args(argv))
+    except ConfigError as exc:
+        return f"config error: {exc}"
+    args.pop("config")
+    return args
+
+
+def test_config_values_parse_like_their_flags(tmp_path):
+    config = tmp_path / "config.json"
+    for command, parser in _subparsers(_build_parser()).choices.items():
+        head = [command, "quality"] if command == "eval" else [command]
+        for a in parser._actions:
+            if not a.option_strings or a.dest in ("help", "config"):
+                continue
+            for value in (5, 2.5, True, "x", -1):
+                config.write_text(json.dumps({a.dest: value}), encoding="utf-8")
+                from_config = _parsed([*head, "--config", str(config)])
+                assert from_config == _parsed([*head, a.option_strings[0], str(value)]), (command, a.dest, value)
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--strategies", "greedy"], {"metrics": 5}, 2),
+    (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--strategies", "greedy"],
+     {"metrics": [["seq_rep_4"]]}, 2),
+    (["sweep", "--manifest", "{manifest}", "--strategies", "greedy"], {"models": {"m": [1]}}, 2),
+    (["sweep", "--manifest", "{manifest}", "--strategies", "greedy"], {"models": [None]}, 2),
+    # A number is read as the text "5", as --strategies 5 is: no such strategy.
+    (["sweep", "--manifest", "{manifest}", "--models", "m={model}"], {"strategies": 5}, 2),
+    (["train"], {"manifest": 5}, 3),
+    (["train", "--manifest", "{manifest}"], {"objectives": [[[1], 1]]}, 2),
+    (["train", "--manifest", "{manifest}"], {"backend": "x"}, 2),
+    (["train", "--manifest", "{manifest}"], {"model_out": ["m.lmek"]}, 2),
+    (["ingest", "--input", "{text}"], {"format": "x"}, 2),
+    (["generate", "--model", "{model}", "--manifest", "{manifest}"], {"split": "x"}, 2),
+])
+def test_bad_config_values_fail_with_one_line(workspace, tmp_path, capsys, argv, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    _fails_with_one_line(capsys, [*(a.format(**workspace) for a in argv), "--config", path, "--out-dir", out], code)
+    assert not out.exists()
+
+
+def test_a_null_config_value_leaves_the_default(workspace, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_n": None, "subsample": None}), encoding="utf-8")
+    argv = ["eval", "quality", "--samples", workspace["samples"], "--manifest", workspace["manifest"],
+            "--config", config, "--out-dir", tmp_path]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in argv]) == 0
+    report = json.loads((tmp_path / "report_corpus_bleu.json").read_text(encoding="utf-8"))
+    assert report["config"]["max_n"] == 4 and report["config"]["subsample"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1122,7 @@ def _fails_with_one_line(capsys, argv, code):
         (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--strategies", "topk:two",
           "--out-dir", "{out}"], None, "malformed option value"),
         (["sweep", "--manifest", "{manifest}", "--models", "m={model}", "--out-dir", "{out}"],
-         {"strategies": 5}, "malformed option value 5"),
+         {"strategies": [5]}, "malformed option value [5]"),
         (["trace", "--model", "{model}", "--ids", "0 1", "--truncate", "topp:x", "--out-dir", "{out}"],
          None, "malformed option value"),
         *(

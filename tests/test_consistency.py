@@ -7,8 +7,7 @@ import re
 import pytest
 
 from genteval.consistency import (
-    NliTriple,
-    StoryItem,
+    Choice,
     load_stories,
     load_triples,
     save_selection_result,
@@ -58,9 +57,10 @@ def test_load_triples_valid_and_comments(tmp_path):
     result = load_triples(path)
     assert len(result.records) == 2
     assert result.issues == ()
-    assert result.records[0] == NliTriple(
+    assert result.records[0] == Choice(
         "The dog barks.", "It is loud.", "It is silent."
     )
+    assert result.records[1].where == f"{path}:4"
 
 
 def test_load_triples_collects_issues(tmp_path):
@@ -87,11 +87,13 @@ def test_load_triples_all_bad_raises(tmp_path):
 def test_load_stories_valid(tmp_path):
     path = tmp_path / "story.tsv"
     row = "\t".join(["One.", "Two.", "Three.", "Four.", "Happy end.", "Sad end.", "b"])
-    path.write_text(row + "\n", encoding="utf-8")
-    result = load_stories(path)
-    item = result.records[0]
-    assert item.correct == "b"
-    assert item.context == "One. Two. Three. Four."
+    path.write_text(row + "\n" + row[:-1] + "a\n", encoding="utf-8")
+    records = load_stories(path).records
+    assert records == (
+        Choice("One. Two. Three. Four.", "Sad end.", "Happy end."),
+        Choice("One. Two. Three. Four.", "Happy end.", "Sad end."),
+    )
+    assert [r.where for r in records] == [f"{path}:1", f"{path}:2"]
 
 
 def test_load_stories_bad_correct_column(tmp_path):
@@ -118,8 +120,8 @@ def test_load_stories_empty_raises(tmp_path):
 
 def _triples():
     return [
-        NliTriple("ctx one.", "good", "bad"),
-        NliTriple("ctx two.", "good good", "bad bad"),
+        Choice("ctx one.", "good", "bad"),
+        Choice("ctx two.", "good good", "bad bad"),
     ]
 
 
@@ -174,10 +176,11 @@ def test_selection_tie_counts_as_incorrect():
     assert result.per_item[0].ppl_pos == result.per_item[0].ppl_neg
 
 
-def test_selection_handles_story_items():
-    item = StoryItem(("A.", "B.", "C.", "D."), "bad end", "good end", "b")
+def test_selection_handles_story_items(tmp_path):
+    path = tmp_path / "story.tsv"
+    path.write_text("\t".join(["A.", "B.", "C.", "D.", "bad end", "good end", "b"]) + "\n", encoding="utf-8")
     scorer = WordScorer({"good": -0.1, "bad": -2.0, "end": -0.5})
-    result = selection_accuracy(scorer, [item], encode_words)
+    result = selection_accuracy(scorer, load_stories(path).records, encode_words)
     # correct option is ending b; it scores better, so the pick is "pos"
     assert result.accuracy == 1.0
 

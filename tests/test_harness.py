@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_run_sweep_reuses_finished_cells(tmp_path):
     model.calls = 0
     second = run_sweep(cfg, mk_splits(), tmp_path, models={"m1": model})
     assert model.calls == 0  # everything came from the on-disk records
-    assert [r.to_json() for r in first] == [r.to_json() for r in second]
+    assert [asdict(r) for r in first] == [asdict(r) for r in second]
 
 
 def test_run_sweep_recomputes_when_config_changes(tmp_path):
