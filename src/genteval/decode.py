@@ -1,11 +1,13 @@
 """Decoding strategies over next-token distributions.
 
 Six strategies: greedy, beam(b), temperature(t), top-k(k), top-p(p), and
-penalized(theta). One table holds each one's parameter field, type and
-valid range; :class:`DecoderConfig`, the sweep grid, the ``generate``
-flags and ``trace --truncate`` all read it. The stochastic strategies
-draw exactly one uniform variate per emitted token from the splitmix
-generator in :mod:`genteval.rng` (a decode takes each row's ``max_len``
+penalized(theta). One table holds each one's parameter flag, type and
+valid range; :class:`DecoderConfig`, which carries the parameter in its
+one ``param`` field, the sweep grid, the ``generate`` flags and ``trace
+--truncate`` all read it. A decode is one config and one seed per
+prefix. The stochastic strategies draw exactly one uniform variate per
+emitted token from the splitmix generator in :mod:`genteval.rng`,
+seeded with the prefix's seed (a decode takes each row's ``max_len``
 uniforms at once), so a (model, prefix, config, seed) tuple always
 reproduces the same continuation. Continuations have fixed length
 ``max_len``; there is no end-of-sequence token.
@@ -77,8 +79,9 @@ One decode step costs O(|V|) numpy work per row plus sorts:
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,25 +93,26 @@ from .rng import SplitMix64
 
 
 class _Param(NamedTuple):
-    field: str  # the DecoderConfig field that carries the parameter
+    flag: str  # the ``generate`` flag that carries the parameter
     type: type
     valid: Callable[[float], bool]
     error: str
 
 
-# The strategy table: each strategy's parameter field, type, valid range
+# The strategy table: each strategy's parameter flag, type, valid range
 # and range error, in the order of the ``generate`` flags. Greedy takes
 # no parameter.
 _PARAMS: dict[str, _Param | None] = {
     "greedy": None,
     "beam": _Param("b", int, lambda b: b >= 1, "beam width must be at least 1"),
-    "temperature": _Param("t", float, lambda t: t > 0, "temperature must be positive"),
+    "temperature": _Param("t", float, lambda t: 0 < t < math.inf, "temperature must be positive and finite"),
     "topk": _Param("k", int, lambda k: k >= 1, "top-k needs k >= 1"),
     "topp": _Param("p", float, lambda p: 0 < p <= 1, "top-p needs 0 < p <= 1"),
-    "penalized": _Param("theta", float, lambda theta: theta >= 1, "penalty exponent must be at least 1"),
+    "penalized": _Param("theta", float, lambda theta: 1 <= theta < math.inf,
+                        "penalty exponent must be at least 1 and finite"),
 }
-# Parameter field -> type, for front ends that take one flag per field.
-PARAM_FIELDS = {spec.field: spec.type for spec in _PARAMS.values() if spec is not None}
+# Parameter flag -> (its strategy, its type), for front ends that take one flag per strategy.
+PARAM_FLAGS = {spec.flag: (strategy, spec.type) for strategy, spec in _PARAMS.items() if spec is not None}
 _ALIASES = {"temp": "temperature"}
 
 # Rows per model call in generate_batch. Whole prefixes fill it in index
@@ -121,19 +125,16 @@ MAX_BATCH_ROWS = 128
 class DecoderConfig:
     """Strategy plus its parameter; bad pairings and out-of-range values are rejected.
 
-    ``t`` may additionally be set alongside ``penalized`` to sample from
-    the penalized distribution at a temperature instead of taking its
-    argmax.
+    ``param`` is the strategy's parameter as the table's type: b, t, k,
+    p or theta, and None for greedy. ``t`` may be set alongside
+    ``penalized`` only, to sample from the penalized distribution at that
+    temperature instead of taking its argmax.
     """
 
     strategy: str
-    b: int | None = None
-    t: float | None = None
-    k: int | None = None
-    p: float | None = None
-    theta: float | None = None
+    param: float | int | None = None
     max_len: int = 100
-    seed: int = 0
+    t: float | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in _PARAMS:
@@ -142,32 +143,33 @@ class DecoderConfig:
             raise ConfigError(f"max_len must be an integer, not {self.max_len!r}")
         if self.max_len < 1:
             raise ConfigError("max_len must be at least 1")
-        for strategy, spec in _PARAMS.items():
-            value = None if spec is None else getattr(self, spec.field)
-            if value is None:
-                if strategy == self.strategy and spec is not None:
-                    raise ConfigError(f"strategy {strategy} needs parameter {spec.field}")
-            # Lone exception: penalized composes with a temperature.
-            elif strategy != self.strategy and (self.strategy, strategy) != ("penalized", "temperature"):
-                raise ConfigError(f"parameter {spec.field} not valid for strategy {self.strategy}")
-            elif isinstance(value, str):
-                raise ConfigError(f"parameter {spec.field} must be a number, not {value!r}")
-            else:
-                value = param_value(strategy, value)
-                if not spec.valid(value):
-                    raise ConfigError(spec.error)
-                object.__setattr__(self, spec.field, value)
-
-    @property
-    def param(self) -> float | int | None:
-        """The strategy's scalar parameter, for records and sweep tables."""
         spec = _PARAMS[self.strategy]
-        return None if spec is None else getattr(self, spec.field)
+        if spec is None and self.param is not None:
+            raise ConfigError(f"{self.strategy} takes no parameter")
+        if spec is not None and self.param is None:
+            raise ConfigError(f"strategy {self.strategy} needs parameter {spec.flag}")
+        if self.t is not None and self.strategy != "penalized":
+            raise ConfigError(f"parameter t not valid for strategy {self.strategy}")
+        object.__setattr__(self, "param", _checked(self.strategy, self.param))
+        object.__setattr__(self, "t", _checked("temperature", self.t))
 
     def check_vocab(self, vocab_size: int) -> None:
         """Reject a top-k larger than the vocab it is to decode over."""
-        if self.k is not None and self.k > vocab_size:
-            raise ConfigError(f"top-k needs k <= {vocab_size}, the vocab size; got k={self.k}")
+        if self.strategy == "topk" and self.param > vocab_size:
+            raise ConfigError(f"top-k needs k <= {vocab_size}, the vocab size; got k={self.param}")
+
+
+def _checked(strategy: str, value):
+    """``value`` as the type of ``strategy``'s parameter, refused outside its range; None stays None."""
+    if value is None:
+        return None
+    spec = _PARAMS[strategy]
+    if isinstance(value, str):
+        raise ConfigError(f"parameter {spec.flag} must be a number, not {value!r}")
+    value = param_value(strategy, value)
+    if not spec.valid(value):
+        raise ConfigError(spec.error)
+    return value
 
 
 def strategy_name(name: str) -> str:
@@ -183,8 +185,8 @@ def param_value(strategy: str, value) -> float | int | None:
     parameter (a float if it has none); None stays None.
 
     Text that does not parse as that type raises ValueError. A number that
-    is a bool or no real number, or that an int field would truncate, is a
-    config error.
+    is a bool or no real number, or that an int parameter would truncate,
+    is a config error.
     """
     if value is None:
         return None
@@ -201,8 +203,8 @@ def param_value(strategy: str, value) -> float | int | None:
 
 def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
     """The grid "greedy;topp:0.2,0.9", or its list of (name, params) pairs,
-    with aliases resolved and each param as its field's type; a name
-    without params gets the one param None. :func:`cell_config` checks
+    with aliases resolved and each param as its strategy's type; a name
+    without params gets the one param None. :class:`DecoderConfig` checks
     each cell; a param that is not a number raises ValueError.
     """
     if isinstance(raw, str):
@@ -213,15 +215,6 @@ def parse_strategies(raw) -> tuple[tuple[str, tuple], ...]:
         name = strategy_name(name)
         out.append((name, tuple(param_value(name, x) for x in params)))
     return tuple(out)
-
-
-def cell_config(strategy: str, param, max_len: int, seed: int = 0) -> DecoderConfig:
-    """The config that decodes the sweep cell ``strategy(param)``, ``param`` a number or its text."""
-    spec = _PARAMS.get(strategy)
-    if spec is None and param is not None and strategy in _PARAMS:
-        raise ConfigError(f"{strategy} takes no parameter")
-    kwargs = {} if spec is None else {spec.field: param_value(strategy, param)}
-    return DecoderConfig(strategy=strategy, max_len=max_len, seed=seed, **kwargs)
 
 
 # Up to this k, k argmax passes over the block beat the sorted kept set:
@@ -424,7 +417,7 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: n
         return np.argmax(dists, axis=1)
     mode, value = cfg.strategy, cfg.param
     if cfg.strategy == "penalized":
-        dists = _penalize_rows(dists, seen, cfg.theta)
+        dists = _penalize_rows(dists, seen, cfg.param)
         if cfg.t is None:
             return np.argmax(dists, axis=1)
         mode, value = "temperature", cfg.t
@@ -435,7 +428,7 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: n
     return _draw(top, dists, u)
 
 
-def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
+def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> list[TokenSequence]:
     """Decode one continuation per prefix, all prefixes in lockstep.
 
     Each continuation holds ``max_len`` tokens after its prefix, which
@@ -443,9 +436,9 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     deterministic; beam breaks score ties lexicographically on the
     token-id sequence.
 
-    ``cfgs[i]`` decodes ``prefixes[i]``. The configs may differ only in
-    ``seed``; row i draws from its own SplitMix64 stream seeded with
-    ``cfgs[i].seed``. Every step asks the model for the next-token
+    ``cfg`` decodes every prefix. Row i draws from its own SplitMix64
+    stream seeded with ``seeds[i]``, one seed per prefix; None seeds every
+    row with 0. Every step asks the model for the next-token
     distributions of all live rows (each prefix, or each beam
     hypothesis) at once, through ``next_dist_batch``. A model call
     takes at most ``MAX_BATCH_ROWS`` rows, filled with whole prefixes in
@@ -456,23 +449,19 @@ def generate_batch(model, prefixes, cfgs) -> list[TokenSequence]:
     single rows. A negative id is a config error (-1 pads the windows).
     """
     prefixes = [as_ids(p) for p in prefixes]
-    cfgs = list(cfgs)
-    if len(cfgs) != len(prefixes):
-        raise ConfigError("generate_batch needs one config per prefix")
-    if not cfgs:
+    seeds = [0] * len(prefixes) if seeds is None else list(seeds)
+    if len(seeds) != len(prefixes):
+        raise ConfigError("generate_batch needs one seed per prefix")
+    if not prefixes:
         return []
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ConfigError("configs of one batch may differ only in seed")
     cfg.check_vocab(model.vocab.size)
-    if cfg.strategy == "beam":
-        decode, per_call = _beam_rows, max(1, MAX_BATCH_ROWS // cfg.b)
-    else:
-        decode, per_call = _sample_rows, MAX_BATCH_ROWS
+    beam = cfg.strategy == "beam"
+    per_call = max(1, MAX_BATCH_ROWS // cfg.param) if beam else MAX_BATCH_ROWS
     out: list[TokenSequence] = []
     for lo in range(0, len(prefixes), per_call):
-        for ids in decode(model, prefixes[lo : lo + per_call], cfgs[lo : lo + per_call]):
-            out.append(TokenSequence(tuple(ids), model.vocab))
+        chunk, chunk_seeds = prefixes[lo : lo + per_call], seeds[lo : lo + per_call]
+        rows = _beam_rows(model, chunk, cfg) if beam else _sample_rows(model, chunk, cfg, chunk_seeds)
+        out += [TokenSequence(tuple(ids), model.vocab) for ids in rows]
     return out
 
 
@@ -507,14 +496,14 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
     return raw, trunc
 
 
-def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
+def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, seeds: list[int]) -> list:
     # Row i of ``buf``: prefix i padded to ``lead`` ids, then its continuation.
-    cfg, window = cfgs[0], model.context_len
+    window = model.context_len
     head = left_padded(prefixes, window)
     buf, lead = np.pad(head, ((0, 0), (0, cfg.max_len))), head.shape[1]
     # Step j of row i draws the j-th uniform of row i's stream, if it samples.
-    samples = cfg.strategy in ("topk", "topp") or cfg.t is not None
-    u = np.stack([SplitMix64(c.seed).uniforms(cfg.max_len) for c in cfgs], axis=1) if samples else None
+    samples = cfg.strategy in ("temperature", "topk", "topp") or cfg.t is not None
+    u = np.stack([SplitMix64(seed).uniforms(cfg.max_len) for seed in seeds], axis=1) if samples else None
     rows = np.arange(len(prefixes))
     seen = None
     for t in range(lead, lead + cfg.max_len):
@@ -527,17 +516,17 @@ def _sample_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfi
     return buf[:, lead:].tolist()
 
 
-def _beam_rows(model, prefixes: list[tuple[int, ...]], cfgs: list[DecoderConfig]) -> list:
+def _beam_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig) -> list:
     # Every prefix holds the same number n of hypotheses. Row j*n + i of
     # ``ids`` is prefix j padded to ``lead`` ids, then its hypothesis i,
     # with ``score`` the summed log-probability of the hypothesis and
     # ``rank`` its place among its beam's, in lexicographic order. The rows
     # of a beam run in (-score, ids) order, so row j*n is prefix j's best.
-    width, window = cfgs[0].b, model.context_len
+    width, window = cfg.param, model.context_len
     ids = left_padded(prefixes, window)
     n_beams, lead = ids.shape
     score, rank = np.zeros(n_beams), np.zeros(n_beams, dtype=np.int64)
-    for _ in range(cfgs[0].max_len):
+    for _ in range(cfg.max_len):
         n, t = len(score) // n_beams, ids.shape[1]
         # Keeping only the per-hypothesis top ``width`` tokens is exact:
         # anything dropped is dominated by width better candidates that

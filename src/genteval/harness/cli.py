@@ -50,9 +50,7 @@ from ..corpus import (
     tfidf_scores,
     tokenize,
 )
-from ..decode import (
-    PARAM_FIELDS, DecoderConfig, cell_config, parse_strategies, strategy_name, token_prob_trace,
-)
+from ..decode import PARAM_FLAGS, DecoderConfig, parse_strategies, strategy_name, token_prob_trace
 from ..errors import (
     AlignmentError, ConfigError, DataError, EmptyInput, InsufficientData, atomic_write, open_text,
     write_json, write_jsonl,
@@ -62,7 +60,6 @@ from ..lm.ngram import check_settings, ngram_fit
 from ..lm.store import load_model, save_model
 from ..losses import (
     OBJECTIVES,
-    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -161,8 +158,8 @@ def _build_parser(config: dict | None = None, command: str | None = None) -> arg
         p.add_argument("--manifest")
         p.add_argument("--split", choices=("train", "dev", "test"), default="train")
         p.add_argument("--strategy", default="greedy")
-        for name, kind in PARAM_FIELDS.items():
-            p.add_argument(f"--{name}", type=kind)
+        for flag, (_, kind) in PARAM_FLAGS.items():
+            p.add_argument(f"--{flag}", type=kind)
         p.add_argument("--prefix-len", type=int, default=50)
         p.add_argument("--gen-len", type=int, default=100)
         p.add_argument("--n-prefixes", type=int)
@@ -360,14 +357,10 @@ def _cmd_ingest(opt: argparse.Namespace) -> int:
 
 def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
     """The training options that were given, over the TrainConfig defaults."""
-    given = {name: getattr(opt, name) for name in ("epochs", "batch_size", "learning_rate", "margin")}
+    # Every TrainConfig field is the option of the same name.
+    given = {f.name: getattr(opt, f.name) for f in fields(TrainConfig)}
     given["objectives"] = None if opt.objectives is None else _parse_objectives(opt.objectives)
-    ul = {"mix_prob": opt.mix_prob, "prefix_len": opt.ul_prefix_len, "gen_len": opt.ul_gen_len,
-          "ngram": opt.ul_ngram}
-    return TrainConfig(
-        seq_ul=SeqUlConfig(**{k: v for k, v in ul.items() if v is not None}),
-        **{k: v for k, v in given.items() if v is not None},
-    )
+    return TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 # Pool builders, called as builder(opt, splits, scheme, vocab, pool): each
@@ -484,8 +477,18 @@ def _cmd_train(opt: argparse.Namespace) -> int:
 
 def _cmd_generate(opt: argparse.Namespace) -> int:
     _require(opt, "model", "manifest")
-    params = {name: getattr(opt, name) for name in PARAM_FIELDS if getattr(opt, name) is not None}
-    dcfg = DecoderConfig(strategy=strategy_name(opt.strategy), max_len=opt.gen_len, **params)
+    strategy, param, t = strategy_name(opt.strategy), None, None
+    for flag, (owner, _) in PARAM_FLAGS.items():
+        value = getattr(opt, flag)
+        if value is None:
+            continue
+        if owner == strategy:
+            param = value
+        elif (strategy, owner) == ("penalized", "temperature"):  # penalized samples at --t
+            t = value
+        else:
+            raise ConfigError(f"parameter {flag} not valid for strategy {strategy}")
+    dcfg = DecoderConfig(strategy, param, opt.gen_len, t)
     model = load_model(opt.model)
     splits, _ = load_splits(opt.manifest)
     prefixes = prefix_windows(splits, opt.split, opt.prefix_len, opt.n_prefixes)
@@ -626,7 +629,7 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
         cells = [(name, p) for name, params in _parse_strategies(opt.truncate) for p in params]
         if len(cells) != 1:
             raise ConfigError('truncation must be one "topk:K" or "topp:P"')
-        truncation = cell_config(*cells[0], max_len=1)
+        truncation = DecoderConfig(*cells[0], max_len=1)
     model = load_model(opt.model)
     if opt.ids is not None:
         seq = TokenSequence(_parse_id_list(opt.ids), model.vocab)

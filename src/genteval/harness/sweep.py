@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..corpus import CorpusSplits, SavedSplits, TokenSequence
-from ..decode import DecoderConfig, cell_config, generate_batch, param_value
+from ..decode import DecoderConfig, generate_batch, param_value
 from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text, write_json
 from ..lm.ngram import NGramLM, check_settings, ngram_fit
 from ..lm.store import load_model
@@ -140,7 +140,7 @@ class SweepConfig:
     ``models`` holds model names (or paths, resolved by the caller).
     ``strategies`` maps strategy name to its parameter list; greedy
     takes the single parameter None. Every cell is checked by its decoder
-    config, which also gives its parameter the field's type, and no cell
+    config, which also gives its parameter the strategy's type, and no cell
     may repeat. ``subsample`` caps the candidate set for the BLEU
     metrics (large runs typically cap at 500); None scores everything.
     """
@@ -173,7 +173,8 @@ class SweepConfig:
         for strategy, params in self.strategies:
             if not params:
                 raise ConfigError(f"strategy {strategy!r} has no parameters")
-            params = tuple(cell_config(strategy, p, self.gen_len).param for p in params)
+            params = tuple(DecoderConfig(strategy, param_value(strategy, p), self.gen_len).param
+                           for p in params)
             for p in params:
                 if (strategy, p) in seen:
                     raise ConfigError(f"duplicate cell {strategy}({p})")
@@ -240,11 +241,8 @@ def decode_cell(model, model_name: str, prefixes, dcfg: DecoderConfig, base_seed
     call, in index order. ``genteval generate`` and a sweep cell both
     decode through here, so they batch alike and write the same samples.
     """
-    cfgs = [
-        replace(dcfg, seed=sample_seed(base_seed, model_name, dcfg.strategy, dcfg.param, i))
-        for i in range(len(prefixes))
-    ]
-    continuations = generate_batch(model, prefixes, cfgs)
+    seeds = [sample_seed(base_seed, model_name, dcfg.strategy, dcfg.param, i) for i in range(len(prefixes))]
+    continuations = generate_batch(model, prefixes, dcfg, seeds)
     return SampleSet(
         tuple(
             Sample(id=str(i), prefix=prefix, continuation=cont)
@@ -336,7 +334,7 @@ def run_sweep(
             try:
                 if model_name in load_errors:
                     raise ConfigError(load_errors[model_name])
-                dcfg = cell_config(strategy, param, cfg.gen_len)
+                dcfg = DecoderConfig(strategy, param, cfg.gen_len)
                 sset = decode_cell(loaded[model_name], model_name, prefixes, dcfg, cfg.seed)
                 save_sample_set(samples_path, sset)
                 record = replace(

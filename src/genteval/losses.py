@@ -44,7 +44,7 @@ through :func:`genteval.lm.base.exp_rows`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -400,22 +400,6 @@ class AdamState:
                 np.subtract(p_, np.divide(t, u, out=t), out=p_)
 
 
-@dataclass(frozen=True)
-class SeqUlConfig:
-    """Sequence-level unlikelihood settings."""
-
-    mix_prob: float = 0.5
-    prefix_len: int = 50
-    gen_len: int = 100
-    ngram: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mix_prob <= 1.0:
-            raise ConfigError("mix_prob must lie in [0, 1]")
-        if min(self.prefix_len, self.gen_len, self.ngram) < 1:
-            raise ConfigError("prefix_len, gen_len and ngram must be positive")
-
-
 class _Objective(NamedTuple):
     pool: str  # the TrainData field its items come from
     loss: Callable | None  # called as loss(model, kind, items, scale, grads, cfg)
@@ -441,10 +425,19 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     objectives: tuple[tuple[str, float], ...] = (("mle", 1.0),)
-    seq_ul: SeqUlConfig = field(default_factory=SeqUlConfig)
     margin: float = 1.0
+    # Sequence-level unlikelihood: the chance a ul step takes it, and its
+    # rollouts' prefix and greedy continuation lengths and repeat n-gram.
+    mix_prob: float = 0.5
+    ul_prefix_len: int = 50
+    ul_gen_len: int = 100
+    ul_ngram: int = 4
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.mix_prob <= 1.0:
+            raise ConfigError("mix_prob must lie in [0, 1]")
+        if min(self.ul_prefix_len, self.ul_gen_len, self.ul_ngram) < 1:
+            raise ConfigError("ul_prefix_len, ul_gen_len and ul_ngram must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0 < self.learning_rate < math.inf:
@@ -525,7 +518,7 @@ def multitask_step(
     """
     _require_items(cfg, batch, "is active but the batch has no data for it")
     weights = dict(cfg.active)
-    seq_level = "ul" in weights and rng.uniform() < cfg.seq_ul.mix_prob
+    seq_level = "ul" in weights and rng.uniform() < cfg.mix_prob
     token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
     means: dict[str, float] = {}
@@ -541,9 +534,9 @@ def multitask_step(
         if token_ul:
             means["ul"] = _mean(ul)
     if seq_level:
-        rollouts = _greedy_rollouts(model, batch.sequences, cfg.seq_ul)
+        rollouts = _greedy_rollouts(model, batch.sequences, cfg)
         conts = [cont.ids for _, cont in rollouts]
-        cands = _repeat_pairs(conts, cfg.seq_ul.ngram)
+        cands = _repeat_pairs(conts, cfg.ul_ngram)
         _, ul = _token_losses(
             model, conts, [prefix.ids for prefix, _ in rollouts], cands,
             0.0, weights["ul"] / len(seqs), grads,
@@ -565,16 +558,16 @@ def multitask_step(
     return scalars
 
 
-def _greedy_rollouts(model, seqs, cfg: SeqUlConfig) -> list[tuple[TokenSequence, TokenSequence]]:
+def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> list[tuple[TokenSequence, TokenSequence]]:
     """(prefix, greedy continuation) per sequence, decoded in one batch."""
     for seq in seqs:
-        if len(seq) < cfg.prefix_len:
+        if len(seq) < cfg.ul_prefix_len:
             raise ConfigError(
-                f"sequence of {len(seq)} tokens is shorter than ul prefix {cfg.prefix_len}"
+                f"sequence of {len(seq)} tokens is shorter than ul prefix {cfg.ul_prefix_len}"
             )
-    prefixes = [seq.window(0, cfg.prefix_len) for seq in seqs]
-    greedy = DecoderConfig(strategy="greedy", max_len=cfg.gen_len)
-    return list(zip(prefixes, generate_batch(model, prefixes, [greedy] * len(prefixes))))
+    prefixes = [seq.window(0, cfg.ul_prefix_len) for seq in seqs]
+    greedy = DecoderConfig("greedy", max_len=cfg.ul_gen_len)
+    return list(zip(prefixes, generate_batch(model, prefixes, greedy)))
 
 
 class Trainer:

@@ -417,7 +417,7 @@ def row_pick(dist, cfg, out, rng):
     """One row's next token for every strategy but greedy and beam."""
     if cfg.strategy != "penalized":  # temperature, topk, topp
         return row_sample(naive_truncate(dist, cfg.strategy, cfg.param), rng)
-    pdist = row_penalize(dist, out, cfg.theta)
+    pdist = row_penalize(dist, out, cfg.param)
     if cfg.t is not None:
         return row_sample(naive_truncate(pdist, "temperature", cfg.t), rng)
     return int(np.argmax(pdist))
@@ -439,16 +439,16 @@ def naive_beam_search(model, prefix, width, max_len):
     return beams[0][0]
 
 
-def naive_generate(model, prefix, cfg):
-    """One prefix of ``genteval.decode.generate_batch`` with every step on
-    the slow path."""
+def naive_generate(model, prefix, cfg, seed=0):
+    """One prefix of ``genteval.decode.generate_batch``, seeded with
+    ``seed``, with every step on the slow path."""
     from genteval.corpus import TokenSequence
     from genteval.rng import SplitMix64
 
     prefix = tuple(prefix.ids) if isinstance(prefix, TokenSequence) else tuple(prefix)
     if cfg.strategy == "beam":
-        return TokenSequence(naive_beam_search(model, prefix, cfg.b, cfg.max_len), model.vocab)
-    rng = SplitMix64(cfg.seed)
+        return TokenSequence(naive_beam_search(model, prefix, cfg.param, cfg.max_len), model.vocab)
+    rng = SplitMix64(seed)
     ctx = list(prefix)
     out = []
     for _ in range(cfg.max_len):
@@ -459,9 +459,10 @@ def naive_generate(model, prefix, cfg):
     return TokenSequence(tuple(out), model.vocab)
 
 
-def naive_generate_batch(model, prefixes, cfgs):
+def naive_generate_batch(model, prefixes, cfg, seeds=None):
     """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix."""
-    return [naive_generate(model, prefix, cfg) for prefix, cfg in zip(prefixes, cfgs)]
+    seeds = [0] * len(prefixes) if seeds is None else seeds
+    return [naive_generate(model, prefix, cfg, seed) for prefix, seed in zip(prefixes, seeds)]
 
 
 # One row or one prefix through the block code, for tests that pin one case.
@@ -491,14 +492,14 @@ def one_sample(dist, rng):
     with the next uniform of ``rng``."""
     from genteval.decode import DecoderConfig, _choose
 
-    cfg = DecoderConfig("temperature", t=1.0)
+    cfg = DecoderConfig("temperature", 1.0)
     return int(_choose(np.asarray(dist, dtype=np.float64)[None], cfg, np.array([rng.uniform()]), None)[0])
 
 
-def one_generate(model, prefix, cfg):
+def one_generate(model, prefix, cfg, seed=0):
     from genteval.decode import generate_batch
 
-    return generate_batch(model, [prefix], [cfg])[0]
+    return generate_batch(model, [prefix], cfg, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +788,12 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
         items = batch.sequences if kind in ("mle", "ul") else getattr(batch, kind)
         rollouts = [None] * len(items)
         if kind == "ul":
-            seq_level = rng.uniform() < cfg.seq_ul.mix_prob
+            seq_level = rng.uniform() < cfg.mix_prob
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
             if seq_level:
-                ul = cfg.seq_ul
-                prefixes = [seq.window(0, ul.prefix_len) for seq in items]
-                greedy = DecoderConfig(strategy="greedy", max_len=ul.gen_len)
-                conts = naive_generate_batch(model, prefixes, [greedy] * len(items))
+                prefixes = [seq.window(0, cfg.ul_prefix_len) for seq in items]
+                greedy = DecoderConfig(strategy="greedy", max_len=cfg.ul_gen_len)
+                conts = naive_generate_batch(model, prefixes, greedy)
                 rollouts = list(zip(prefixes, conts))
         loss_sum = 0.0
         for item, rollout in zip(items, rollouts):
@@ -804,7 +804,7 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
                 loss, g = naive_ul_token_loss(model, ids, naive_previous_token_candidates(ids))
             elif kind == "ul":
                 prefix, cont = rollout
-                cands = naive_ul_seq_candidates(cont.ids, cfg.seq_ul.ngram)
+                cands = naive_ul_seq_candidates(cont.ids, cfg.ul_ngram)
                 loss, g = naive_ul_token_loss(model, cont.ids, cands, prefix.ids)
             elif kind in ("nsp", "sop"):
                 loss, g = naive_margin_rank_loss(model, *item, cfg.margin)

@@ -24,7 +24,6 @@ from genteval.harness.cli import main
 from genteval.harness.sweep import SweepConfig, run_sweep
 from genteval.lm import FeedForwardLM, ngram_fit
 from genteval.losses import (
-    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -168,21 +167,19 @@ def test_criterion_03_sampler_identities():
         want_sampled = _ref_unrestricted(model, prefix.ids, steps, seed)
         pairs = {
             "topk(1)=greedy": (
-                one_generate(model, prefix, DecoderConfig("topk", k=1, max_len=steps, seed=seed)).ids,
+                one_generate(model, prefix, DecoderConfig("topk", 1, max_len=steps), seed).ids,
                 want_greedy,
             ),
             "beam(1)=greedy": (
-                one_generate(model, prefix, DecoderConfig("beam", b=1, max_len=steps)).ids,
+                one_generate(model, prefix, DecoderConfig("beam", 1, max_len=steps)).ids,
                 want_greedy,
             ),
             "topp(1.0)=unrestricted": (
-                one_generate(model, prefix, DecoderConfig("topp", p=1.0, max_len=steps, seed=seed)).ids,
+                one_generate(model, prefix, DecoderConfig("topp", 1.0, max_len=steps), seed).ids,
                 want_sampled,
             ),
             "temperature(1)=identity": (
-                one_generate(
-                    model, prefix, DecoderConfig("temperature", t=1.0, max_len=steps, seed=seed)
-                ).ids,
+                one_generate(model, prefix, DecoderConfig("temperature", 1.0, max_len=steps), seed).ids,
                 want_sampled,
             ),
         }
@@ -292,7 +289,10 @@ def test_criterion_06_unlikelihood_reduces_repetition():
             batch_size=16,
             learning_rate=2e-3,
             objectives=objectives,
-            seq_ul=SeqUlConfig(mix_prob=0.5, prefix_len=50, gen_len=100, ngram=4),
+            mix_prob=0.5,
+            ul_prefix_len=50,
+            ul_gen_len=100,
+            ul_ngram=4,
         )
         Trainer(model, cfg, seed=0).fit(TrainData(sequences=splits.train))
         return model

@@ -281,7 +281,9 @@ def test_generate_reruns_byte_identically(workspace, tmp_path):
     assert (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("strategy", [["--strategy", "topk", "--k", "5"], ["--strategy", "beam", "--b", "3"]])
+@pytest.mark.parametrize("strategy", [["--strategy", "topk", "--k", "5"], ["--strategy", "beam", "--b", "3"],
+                                      ["--strategy", "temperature", "--t", "0.8"],
+                                      ["--strategy", "penalized", "--theta", "1.5"]])
 def test_generate_and_sweep_cell_write_identical_samples(workspace, tmp_path, strategy):
     # An ffn's batched rows depend on the batch, so the two paths must
     # batch the same prefixes for their samples to agree.
@@ -827,6 +829,29 @@ def test_generate_parameter_flags_keep_their_names_types_and_order():
     assert flags == [("--b", int), ("--t", float), ("--k", int), ("--p", float), ("--theta", float)]
 
 
+def test_non_finite_temperature_or_penalty_fails_before_any_output(workspace, tmp_path, capsys):
+    # With add-k 0 an unseen id has probability 0; an infinite theta then
+    # made 0 * inf a NaN row, and an infinite t a -inf / inf one.
+    zero_k = tmp_path / "zero_k.lmek"
+    assert main(["train", "--manifest", str(workspace["manifest"]), "--backend", "ngram", "--k-s", "0",
+                 "--model-out", str(zero_k)]) == 0
+    out = tmp_path / "out"
+    shared = ["--manifest", workspace["manifest"], "--out-dir", out]
+    for flags, message in (
+        (["--strategy", "penalized", "--theta", "inf", "--t", "0.8"], "penalty exponent"),
+        (["--strategy", "penalized", "--theta", "1.5", "--t", "inf"], "temperature"),
+        (["--strategy", "penalized", "--theta", "nan"], "penalty exponent"),
+        (["--strategy", "temperature", "--t", "inf"], "temperature"),
+    ):
+        argv = ["generate", "--model", zero_k, *flags, *shared]
+        assert f"{message} must be" in _fails_with_one_line(capsys, argv, 2)
+    for grid, message in (("temperature:inf", "temperature"), ("penalized:inf", "penalty exponent"),
+                          ("greedy;temperature:0.8,inf", "temperature")):
+        argv = ["sweep", "--models", f"m={zero_k}", "--strategies", grid, *shared]
+        assert f"{message} must be" in _fails_with_one_line(capsys, argv, 2)
+    assert not out.exists()
+
+
 def test_missing_model_file_is_data_error(workspace, tmp_path):
     rc = main(
         [
@@ -1162,6 +1187,14 @@ def _fails_with_one_line(capsys, argv, code):
             (["train", "--manifest", "{root}/none.json", "--backend", "ffn", flag, "0", "--out-dir", "{out}"],
              None, "context, embed_dim and hidden_dim must be positive")
             for flag in ("--context", "--embed-dim", "--hidden-dim")
+        ),
+        *(
+            (["generate", "--model", "{model}", "--manifest", "{manifest}", *flags, "--out-dir", "{out}"], None, want)
+            for flags, want in (
+                (["--strategy", "topp", "--p", "0.9", "--k", "3"], "parameter k not valid for strategy topp"),
+                (["--strategy", "greedy", "--t", "1.0"], "parameter t not valid for strategy greedy"),
+                (["--strategy", "penalized", "--t", "0.8"], "strategy penalized needs parameter theta"),
+            )
         ),
     ],
 )

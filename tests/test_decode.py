@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import TokenSequence, Vocab
-from genteval.decode import DecoderConfig, cell_config, generate_batch, param_value, token_prob_trace
+from genteval.decode import DecoderConfig, generate_batch, param_value, token_prob_trace
 from genteval.errors import ConfigError
 from genteval.lm import FeedForwardLM, ngram_fit
 from genteval.rng import SplitMix64, stable_hash
@@ -81,9 +81,9 @@ def test_truncation_param_validation():
     model = TableLM(2)
     for bad in (("topk", 0), ("topk", 3), ("topp", 0.0), ("topp", 1.5), ("entmax", 0.5)):
         with pytest.raises(ConfigError):
-            token_prob_trace(model, [0], cell_config(*bad, max_len=1))
+            token_prob_trace(model, [0], DecoderConfig(*bad, max_len=1))
     with pytest.raises(ConfigError):
-        DecoderConfig(strategy="temperature", t=-1.0)
+        DecoderConfig(strategy="temperature", param=-1.0)
 
 
 def test_truncations_sum_to_one():
@@ -125,7 +125,7 @@ def test_penalize_only_hits_generated():
 
 def test_penalize_rejects_theta_below_one():
     with pytest.raises(ConfigError):
-        DecoderConfig(strategy="penalized", theta=0.5)
+        DecoderConfig(strategy="penalized", param=0.5)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -160,8 +160,8 @@ def test_sample_never_returns_zero_prob_token():
 
 def test_sample_consumes_one_variate_per_token():
     model = TableLM(6, seed=1)
-    cfg = DecoderConfig(strategy="topp", p=0.8, max_len=7, seed=5)
-    out = one_generate(model, [0], cfg)
+    cfg = DecoderConfig(strategy="topp", param=0.8, max_len=7)
+    out = one_generate(model, [0], cfg, seed=5)
     # Replay the exact draws with a parallel generator.
     rng = SplitMix64(5)
     ctx = [0]
@@ -178,25 +178,29 @@ def test_config_requires_matching_param():
     with pytest.raises(ConfigError):
         DecoderConfig(strategy="topk")
     with pytest.raises(ConfigError):
-        DecoderConfig(strategy="greedy", k=4)
+        DecoderConfig(strategy="greedy", param=4)
     with pytest.raises(ConfigError):
-        DecoderConfig(strategy="topp", p=0.9, k=3)
+        DecoderConfig(strategy="topp", param=0.9, t=0.8)
 
 
 def test_config_penalized_composes_with_temperature():
-    cfg = DecoderConfig(strategy="penalized", theta=1.5, t=0.8)
-    assert cfg.param == 1.5
+    cfg = DecoderConfig(strategy="penalized", param=1.5, t=0.8)
+    assert cfg.param == 1.5 and cfg.t == 0.8
 
 
 def test_config_range_checks():
     for bad in (
-        dict(strategy="beam", b=0),
-        dict(strategy="temperature", t=0.0),
-        dict(strategy="topp", p=1.5),
-        dict(strategy="penalized", theta=0.9),
-        dict(strategy="penalized", theta=float("nan")),
-        dict(strategy="penalized", theta=1.5, t=-1.0),
-        dict(strategy="topk", k=0),
+        dict(strategy="beam", param=0),
+        dict(strategy="temperature", param=0.0),
+        dict(strategy="temperature", param=float("inf")),
+        dict(strategy="temperature", param=float("nan")),
+        dict(strategy="topp", param=1.5),
+        dict(strategy="penalized", param=0.9),
+        dict(strategy="penalized", param=float("nan")),
+        dict(strategy="penalized", param=float("inf")),
+        dict(strategy="penalized", param=1.5, t=-1.0),
+        dict(strategy="penalized", param=1.5, t=float("inf")),
+        dict(strategy="topk", param=0),
         dict(strategy="greedy", max_len=0),
     ):
         with pytest.raises(ConfigError):
@@ -207,41 +211,41 @@ def test_config_holds_each_parameter_as_its_fields_type():
     # A whole float is its int; a bool, a fraction of any float type, text
     # or a float max_len is a config error, not a traceback once the decode
     # starts.
-    cfg = DecoderConfig(strategy="beam", b=2.0, max_len=3)
-    assert type(cfg.b) is int and cfg == DecoderConfig(strategy="beam", b=2, max_len=3)
-    assert len(generate_batch(TableLM(6), [[0]], [cfg])[0].ids) == 3
-    assert type(DecoderConfig(strategy="beam", b=np.int64(2)).b) is int
-    assert type(DecoderConfig(strategy="penalized", theta=2, t=1).t) is float
-    bad_params = (dict(b=True), dict(b=2.5), dict(b=np.float32(2.5)), dict(b=float("inf")), dict(b="2"),
-                  dict(b=2, max_len=2.0))
+    cfg = DecoderConfig(strategy="beam", param=2.0, max_len=3)
+    assert type(cfg.param) is int and cfg == DecoderConfig(strategy="beam", param=2, max_len=3)
+    assert len(generate_batch(TableLM(6), [[0]], cfg)[0].ids) == 3
+    assert type(DecoderConfig(strategy="beam", param=np.int64(2)).param) is int
+    assert type(DecoderConfig(strategy="penalized", param=2, t=1).t) is float
+    bad_params = (dict(param=True), dict(param=2.5), dict(param=np.float32(2.5)), dict(param=float("inf")),
+                  dict(param="2"), dict(param=2, max_len=2.0))
     for bad in bad_params:
         with pytest.raises(ConfigError):
             DecoderConfig(strategy="beam", **bad)
 
 
-def test_cell_config_puts_the_parameter_in_its_field():
-    assert cell_config("greedy", None, 7, seed=3) == DecoderConfig(strategy="greedy", max_len=7, seed=3)
-    for strategy, raw, field, want in (
-        ("beam", "4", "b", 4),
-        ("topk", 40.0, "k", 40),
-        ("temperature", "0.8", "t", 0.8),
-        ("topp", 1, "p", 1.0),
-        ("penalized", "1.5", "theta", 1.5),
+def test_decoder_config_holds_a_cell_parameter_as_its_strategys_type():
+    assert DecoderConfig("greedy", None, 7) == DecoderConfig(strategy="greedy", max_len=7)
+    for strategy, raw, want in (
+        ("beam", "4", 4),
+        ("topk", 40.0, 40),
+        ("temperature", "0.8", 0.8),
+        ("topp", 1, 1.0),
+        ("penalized", "1.5", 1.5),
     ):
         value = param_value(strategy, raw)
         assert value == want and type(value) is type(want)
-        cfg = cell_config(strategy, raw, 5)
-        assert getattr(cfg, field) == want and cfg.param == want and cfg.max_len == 5
+        cfg = DecoderConfig(strategy, value, 5)
+        assert cfg.param == want and type(cfg.param) is type(want) and cfg.max_len == 5 and cfg.t is None
     assert param_value("topp", None) is None
     for strategy, param in (("greedy", 0.5), ("beam", None), ("bogus", None), ("topp", 2.0)):
         with pytest.raises(ConfigError):
-            cell_config(strategy, param, 5)
+            DecoderConfig(strategy, param, 5)
 
 
 def test_topk_larger_than_vocab_rejected_at_generate():
     model = TableLM(4)
     with pytest.raises(ConfigError):
-        one_generate(model, [0], DecoderConfig(strategy="topk", k=5, max_len=3))
+        one_generate(model, [0], DecoderConfig(strategy="topk", param=5, max_len=3))
 
 
 # --- decoding one prefix ----------------------------------------------------
@@ -256,14 +260,15 @@ def test_generate_returns_continuation_only():
 
 def test_generate_deterministic_under_seed():
     model = TableLM(9, seed=4)
-    cfg = DecoderConfig(strategy="temperature", t=1.3, max_len=12, seed=77)
-    assert one_generate(model, [0, 3], cfg).ids == one_generate(model, [0, 3], cfg).ids
+    cfg = DecoderConfig(strategy="temperature", param=1.3, max_len=12)
+    assert one_generate(model, [0, 3], cfg, seed=77).ids == one_generate(model, [0, 3], cfg, seed=77).ids
 
 
 def test_generate_seed_changes_stochastic_output():
     model = TableLM(9, seed=4)
-    a = one_generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=1))
-    b = one_generate(model, [0], DecoderConfig(strategy="topp", p=0.9, max_len=20, seed=2))
+    cfg = DecoderConfig(strategy="topp", param=0.9, max_len=20)
+    a = one_generate(model, [0], cfg, seed=1)
+    b = one_generate(model, [0], cfg, seed=2)
     assert a.ids != b.ids
 
 
@@ -278,7 +283,7 @@ def test_penalized_greedy_avoids_repeats():
 
     greedy = one_generate(Peaky(), [0], DecoderConfig(strategy="greedy", max_len=4))
     assert greedy.ids == (0, 0, 0, 0)
-    pen = one_generate(Peaky(), [0], DecoderConfig(strategy="penalized", theta=30.0, max_len=4))
+    pen = one_generate(Peaky(), [0], DecoderConfig(strategy="penalized", param=30.0, max_len=4))
     assert pen.ids[0] == 0
     assert pen.ids[1] != 0
 
@@ -303,13 +308,13 @@ def test_beam_full_width_matches_exhaustive_search():
     model = TableLM(3, seed=8)
     for seed in (0, 1, 2):
         model.seed = seed
-        got = one_generate(model, [0], DecoderConfig(strategy="beam", b=9, max_len=2))
+        got = one_generate(model, [0], DecoderConfig(strategy="beam", param=9, max_len=2))
         assert got.ids == _exhaustive_best(model, [0], 9, 2)
 
 
 def test_beam_width_one_is_greedy():
     model = TableLM(7, seed=3)
-    a = one_generate(model, [2, 4], DecoderConfig(strategy="beam", b=1, max_len=10))
+    a = one_generate(model, [2, 4], DecoderConfig(strategy="beam", param=1, max_len=10))
     g = one_generate(model, [2, 4], DecoderConfig(strategy="greedy", max_len=10))
     assert a.ids == g.ids
 
@@ -318,7 +323,7 @@ def test_beam_improves_or_matches_greedy_score():
     model = TableLM(5, seed=11)
     prefix = [1]
     greedy = one_generate(model, prefix, DecoderConfig(strategy="greedy", max_len=5))
-    wide = one_generate(model, prefix, DecoderConfig(strategy="beam", b=4, max_len=5))
+    wide = one_generate(model, prefix, DecoderConfig(strategy="beam", param=4, max_len=5))
     assert model.score(wide.ids, prefix) >= model.score(greedy.ids, prefix) - 1e-12
 
 
@@ -329,9 +334,9 @@ def test_negative_ids_are_refused_not_read_as_padding():
     for model in (ngram_fit([(0, 1, 2, 3, 4, 1, 2)], 3, 0.5, vocab=vocab),
                   FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3)):
         greedy = DecoderConfig(strategy="greedy", max_len=2)
-        for cfg in (greedy, DecoderConfig(strategy="beam", b=2, max_len=2)):
+        for cfg in (greedy, DecoderConfig(strategy="beam", param=2, max_len=2)):
             with pytest.raises(ConfigError, match="non-negative"):
-                generate_batch(model, [(1, 2), (3, -1, 2)], [cfg, cfg])
+                generate_batch(model, [(1, 2), (3, -1, 2)], cfg)
         with pytest.raises(ConfigError, match="non-negative"):
             token_prob_trace(model, (1, 2), context=(-2,))
         with pytest.raises(ConfigError, match="non-negative"):

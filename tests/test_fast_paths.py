@@ -31,7 +31,6 @@ from genteval.lm.ffn import BLOCK_ROWS
 from genteval import losses
 from genteval.losses import (
     AdamState,
-    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -468,7 +467,7 @@ def test_renormalizing_that_merges_two_probabilities_ranks_again():
     # Token 0 sits one ulp below token 1. Dividing by the kept mass rounds
     # both to one value, so after truncation the lower id ranks first.
     dist = np.array([np.nextafter(0.24, 0.0), 0.24, 0.4, 0.12])
-    for cfg in (DecoderConfig("topk", k=3), DecoderConfig("topp", p=0.85)):
+    for cfg in (DecoderConfig("topk", param=3), DecoderConfig("topp", param=0.85)):
         out = one_truncate(dist, cfg.strategy, cfg.param)
         assert out[0] == out[1] and out.tobytes() == naive_truncate(dist, cfg.strategy, cfg.param).tobytes()
         picks = [row_pick(dist, cfg, [], _FixedU(u)) for u in (0.0, 0.5, 0.8, 0.99)]
@@ -501,13 +500,13 @@ class TieLM(StackedRows):
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 12])
 def test_beam_matches_full_sort_on_ties(width):
     model = TieLM(80, seed=width)
-    cfg = DecoderConfig(strategy="beam", b=width, max_len=6)
+    cfg = DecoderConfig(strategy="beam", param=width, max_len=6)
     for prefix in ([0], [3, 1], [7, 7, 7]):
         assert one_generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
 
 
 def _naive_beams(model, prefixes, cfg):
-    return [naive_beam_search(model, p, cfg.b, cfg.max_len) for p in prefixes]
+    return [naive_beam_search(model, p, cfg.param, cfg.max_len) for p in prefixes]
 
 
 # Mixed lengths, the empty prefix among them.
@@ -519,8 +518,8 @@ def test_beam_at_and_above_the_vocab_size_matches_naive_search(extra):
     # Above |V| the first step has fewer candidates than the width, and
     # the beam fills up over the steps.
     model = TieLM(5, seed=extra)
-    cfg = DecoderConfig(strategy="beam", b=5 + extra, max_len=4)
-    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, [cfg] * len(_MIXED_PREFIXES))]
+    cfg = DecoderConfig(strategy="beam", param=5 + extra, max_len=4)
+    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, cfg)]
     assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
 
 
@@ -536,8 +535,8 @@ class _ContextFreeTieLM(TieLM):
 @pytest.mark.parametrize("width", [2, 4, 7, 9])
 @pytest.mark.parametrize("model", [TieLM(12, seed=3), _ContextFreeTieLM(12, seed=5)], ids=["hashed", "context_free"])
 def test_beam_batch_of_mixed_prefixes_breaks_score_ties_by_ids(model, width):
-    cfg = DecoderConfig(strategy="beam", b=width, max_len=5)
-    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, [cfg] * len(_MIXED_PREFIXES))]
+    cfg = DecoderConfig(strategy="beam", param=width, max_len=5)
+    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, cfg)]
     assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
 
 
@@ -561,9 +560,9 @@ def test_beam_tie_across_parents_goes_to_the_lower_ids_not_the_better_parent():
     # (2, 0) and (1, 0) both score log 0.5 + log 0.3, the best of all.
     # Parent (2,) outscores parent (1,), but (1, 0) sorts first by ids.
     model = _LastTokenLM()
-    cfg = DecoderConfig(strategy="beam", b=2, max_len=2)
+    cfg = DecoderConfig(strategy="beam", param=2, max_len=2)
     prefixes = [[], [3], [1, 3], [0, 0, 3]]
-    got = [s.ids for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
+    got = [s.ids for s in generate_batch(model, prefixes, cfg)]
     assert got == [(1, 0)] * 4 == _naive_beams(model, prefixes, cfg)
 
 
@@ -593,9 +592,9 @@ def test_beam_outputs_are_pinned():
     Trainer(ffn, TrainConfig(epochs=1, batch_size=16), seed=1).fit(TrainData(sequences=train))
     models = {"ngram": ngram_fit(train, order=4, k_s=1.0, vocab=vocab), "ffn": ffn}
     prefixes = [train[i].window(0, 3 + i) for i in range(20)]
-    cfg = DecoderConfig(strategy="beam", b=4, max_len=12)
+    cfg = DecoderConfig(strategy="beam", param=4, max_len=12)
     for name, model in models.items():
-        got = ["".join(s.surfaces()) for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
+        got = ["".join(s.surfaces()) for s in generate_batch(model, prefixes, cfg)]
         assert got == _PINNED_BEAMS[name], name
 
 
@@ -645,19 +644,19 @@ def _selection_case(draw, strategies=("greedy", "topk", "topp", "temperature", "
     dists = np.stack([_block_row(kind, v, rng) for kind in rows])
     strategy = draw(st.sampled_from(strategies))
     if strategy == "topk":
-        cfg = DecoderConfig(strategy, k=draw(st.sampled_from([1, 2, 40, v]) | st.integers(1, v)))
+        cfg = DecoderConfig(strategy, draw(st.sampled_from([1, 2, 40, v]) | st.integers(1, v)))
     elif strategy == "topp":
         ranked = -np.sort(-dists[draw(st.integers(0, len(rows) - 1))])
         exact = float(min(1.0, np.cumsum(ranked)[draw(st.integers(0, 40))]))  # a boundary hit
         exact = exact if exact > 0 else 1.0  # a row without mass has none
-        cfg = DecoderConfig(strategy, p=draw(st.sampled_from([1.0, exact]) | st.floats(0.01, 1.0)))
+        cfg = DecoderConfig(strategy, draw(st.sampled_from([1.0, exact]) | st.floats(0.01, 1.0)))
     elif strategy == "temperature":
-        cfg = DecoderConfig(strategy, t=draw(st.sampled_from([1.0, 0.3, 0.8, 1.5])))
+        cfg = DecoderConfig(strategy, draw(st.sampled_from([1.0, 0.3, 0.8, 1.5])))
     elif strategy == "penalized":
-        cfg = DecoderConfig(strategy, theta=draw(st.sampled_from([1.0, 1.5, 30.0])),
+        cfg = DecoderConfig(strategy, draw(st.sampled_from([1.0, 1.5, 30.0])),
                             t=draw(st.sampled_from([None, 1.0, 0.7])))
     elif strategy == "beam":
-        cfg = DecoderConfig(strategy, b=draw(st.integers(1, 3)))
+        cfg = DecoderConfig(strategy, draw(st.integers(1, 3)))
     else:
         cfg = DecoderConfig(strategy)
     generated = [draw(st.lists(st.integers(0, v - 1), max_size=6)) for _ in rows]
@@ -675,7 +674,7 @@ def test_block_selection_matches_per_row_code(case):
     # The block takes one uniform per row if the strategy samples; the
     # per-row code must then draw exactly one from each stream, else none.
     fast, slow = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
-    samples = cfg.strategy in ("topk", "topp") or cfg.t is not None
+    samples = cfg.strategy in ("temperature", "topk", "topp") or cfg.t is not None
     u = np.array([rng.uniform() for rng in fast]) if samples else None
     with np.errstate(invalid="ignore"):  # a row without mass penalizes to NaN
         try:
@@ -699,16 +698,16 @@ def test_block_probabilities_match_per_row_code_bit_for_bit(case):
         for i, out in enumerate(generated):
             seen[i, out] = True
         with np.errstate(invalid="ignore"):  # a row without mass penalizes to NaN
-            got = decode._penalize_rows(dists, seen, cfg.theta)
-            want = np.stack([row_penalize(d, out, cfg.theta) for d, out in zip(dists, generated)])
+            got = decode._penalize_rows(dists, seen, cfg.param)
+            want = np.stack([row_penalize(d, out, cfg.param) for d, out in zip(dists, generated)])
         live = dists.any(axis=1)
         assert got[live].tobytes() == want[live].tobytes() and np.isnan(got[~live]).all()
         return
     if cfg.strategy == "temperature":
         dists = dists[dists.any(axis=1)]  # a row without mass has no temperature
         if len(dists):
-            got = decode._temperature_rows(dists, cfg.t)
-            assert got.tobytes() == np.stack([row_temperature(d, cfg.t) for d in dists]).tobytes()
+            got = decode._temperature_rows(dists, cfg.param)
+            assert got.tobytes() == np.stack([row_temperature(d, cfg.param) for d in dists]).tobytes()
         return
     got, top = decode._truncate_rows(dists, cfg.strategy, cfg.param)
     assert got.tobytes() == np.stack([naive_truncate(d, cfg.strategy, cfg.param) for d in dists]).tobytes()
@@ -735,21 +734,21 @@ def test_block_decode_cut_by_max_batch_rows_matches_per_row_decode(case, n, cap)
     dists, cfg, _, seeds = case
     model = _ReplayLM(dists)
     prefixes = [[i % dists.shape[1]] for i in range(n)]
-    cfgs = [replace(cfg, max_len=4, seed=seeds[0] ^ i) for i in range(n)]
+    cfg, seeds = replace(cfg, max_len=4), [seeds[0] ^ i for i in range(n)]
     with mock.patch.object(decode, "MAX_BATCH_ROWS", cap):
-        got = [s.ids for s in generate_batch(model, prefixes, cfgs)]
-    assert got == [s.ids for s in naive_generate_batch(model, prefixes, cfgs)]
+        got = [s.ids for s in generate_batch(model, prefixes, cfg, seeds)]
+    assert got == [s.ids for s in naive_generate_batch(model, prefixes, cfg, seeds)]
 
 
 def _drawn(dist, cfg, out):
     """The distribution row_pick draws from, for a sampled config."""
     if cfg.strategy == "penalized":
-        return row_temperature(row_penalize(dist, out, cfg.theta), cfg.t)
+        return row_temperature(row_penalize(dist, out, cfg.param), cfg.t)
     return naive_truncate(dist, cfg.strategy, cfg.param)
 
 
-_SAMPLED = [DecoderConfig("topk", k=40), DecoderConfig("topp", p=0.9), DecoderConfig("topp", p=0.3),
-            DecoderConfig("temperature", t=0.8), DecoderConfig("penalized", theta=1.5, t=0.7)]
+_SAMPLED = [DecoderConfig("topk", param=40), DecoderConfig("topp", param=0.9), DecoderConfig("topp", param=0.3),
+            DecoderConfig("temperature", param=0.8), DecoderConfig("penalized", param=1.5, t=0.7)]
 
 
 @pytest.mark.parametrize("v", [100, 5001])
@@ -790,7 +789,7 @@ def test_truncation_and_trace_of_bench_like_rows_match_naive_truncate(v):
         got, top = decode._truncate_rows(dists, *truncation)
         assert got.tobytes() == np.stack([naive_truncate(d, *truncation) for d in dists]).tobytes()
         assert top.tobytes() == (-np.sort(-got, axis=1))[:, : top.shape[1]].tobytes()
-        _, trunc = decode.token_prob_trace(model, seq, decode.cell_config(*truncation, max_len=1))
+        _, trunc = decode.token_prob_trace(model, seq, decode.DecoderConfig(*truncation, max_len=1))
         want = [naive_truncate(d, *truncation)[tok] for d, tok in zip(rows, seq)]
         assert trunc.tobytes() == np.array(want).tobytes()
 
@@ -835,11 +834,10 @@ def test_beam_top_where_logs_merge_matches_log_ranking(v):
 
 def test_beam_decode_where_logs_merge_matches_naive_beam_search():
     model = _ReplayLM(np.abs(np.nan_to_num(_merge_rows(60), neginf=0.0)))
-    cfgs = [DecoderConfig("beam", b=b, max_len=4) for b in (1, 2, 3)]
-    for cfg in cfgs:
+    for cfg in [DecoderConfig("beam", param=b, max_len=4) for b in (1, 2, 3)]:
         prefixes = [[i] for i in range(6)]
-        got = [s.ids for s in generate_batch(model, prefixes, [cfg] * len(prefixes))]
-        assert got == [naive_beam_search(model, p, cfg.b, cfg.max_len) for p in prefixes]
+        got = [s.ids for s in generate_batch(model, prefixes, cfg)]
+        assert got == [naive_beam_search(model, p, cfg.param, cfg.max_len) for p in prefixes]
 
 
 def test_sample_rows_take_each_streams_uniforms_once(monkeypatch):
@@ -850,27 +848,28 @@ def test_sample_rows_take_each_streams_uniforms_once(monkeypatch):
     monkeypatch.setattr(decode, "_choose", lambda d, cfg, u, seen: calls.append(u) or choose(d, cfg, u, seen))
     model = _ReplayLM(np.stack([_block_row("flat", 30, np.random.default_rng(i)) for i in range(3)]))
     seeds = [5, 2**64 - 1, 0]
-    for cfg in (DecoderConfig("topp", p=0.9, max_len=6), DecoderConfig("penalized", theta=1.5, t=0.8, max_len=6)):
+    for cfg in (DecoderConfig("topp", param=0.9, max_len=6), DecoderConfig("penalized", param=1.5, t=0.8, max_len=6)):
         calls.clear()
-        generate_batch(model, [[1], [2], [3]], [replace(cfg, seed=s) for s in seeds])
+        generate_batch(model, [[1], [2], [3]], cfg, seeds)
         rngs = [SplitMix64(s) for s in seeds]
         assert np.stack(calls).tobytes() == np.array([[r.uniform() for r in rngs] for _ in range(6)]).tobytes()
-    for cfg in (DecoderConfig("greedy", max_len=3), DecoderConfig("penalized", theta=1.5, max_len=3)):
+    for cfg in (DecoderConfig("greedy", max_len=3), DecoderConfig("penalized", param=1.5, max_len=3)):
         calls.clear()
-        generate_batch(model, [[1], [2]], [cfg, cfg])
+        generate_batch(model, [[1], [2]], cfg)
         assert calls == [None] * 3
 
 
 # --- whole decodes: trailing windows and every strategy ----------------------
 
+# Each config with its seed, by strategy, parameter and the temperature it samples at.
 CONFIGS = [
-    DecoderConfig(strategy="greedy", max_len=15),
-    DecoderConfig(strategy="beam", b=3, max_len=8),
-    DecoderConfig(strategy="temperature", t=0.8, max_len=15, seed=3),
-    DecoderConfig(strategy="topk", k=4, max_len=15, seed=4),
-    DecoderConfig(strategy="topp", p=0.7, max_len=15, seed=5),
-    DecoderConfig(strategy="penalized", theta=1.5, max_len=15),
-    DecoderConfig(strategy="penalized", theta=1.5, t=0.9, max_len=15, seed=6),
+    pytest.param(DecoderConfig(strategy="greedy", max_len=15), 0, id="greedy-None-None"),
+    pytest.param(DecoderConfig(strategy="beam", param=3, max_len=8), 0, id="beam-3-None"),
+    pytest.param(DecoderConfig(strategy="temperature", param=0.8, max_len=15), 3, id="temperature-0.8-0.8"),
+    pytest.param(DecoderConfig(strategy="topk", param=4, max_len=15), 4, id="topk-4-None"),
+    pytest.param(DecoderConfig(strategy="topp", param=0.7, max_len=15), 5, id="topp-0.7-None"),
+    pytest.param(DecoderConfig(strategy="penalized", param=1.5, max_len=15), 0, id="penalized-1.5-None"),
+    pytest.param(DecoderConfig(strategy="penalized", param=1.5, t=0.9, max_len=15), 6, id="penalized-1.5-0.9"),
 ]
 
 
@@ -893,48 +892,48 @@ class _NoWindow(StackedRows):
         self.next_dist = model.next_dist
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.strategy}-{c.param}-{c.t}")
-def test_generate_with_window_equals_whole_context(cfg):
+@pytest.mark.parametrize("cfg, seed", CONFIGS)
+def test_generate_with_window_equals_whole_context(cfg, seed):
     splits, models = _models()
     prefixes = [splits.train[i].window(0, 10) for i in range(3)] + [[0]]
     for name, model in models.items():
         for prefix in prefixes:
-            fast = one_generate(model, prefix, cfg).ids
-            assert fast == one_generate(_NoWindow(model), prefix, cfg).ids, name
-            assert fast == naive_generate(SlowLM(model), prefix, cfg).ids, name
+            fast = one_generate(model, prefix, cfg, seed).ids
+            assert fast == one_generate(_NoWindow(model), prefix, cfg, seed).ids, name
+            assert fast == naive_generate(SlowLM(model), prefix, cfg, seed).ids, name
 
 
 # --- lockstep batches --------------------------------------------------------
 
 
-def _batch(cfg, splits, n=9):
+def _batch(seed, splits, n=9):
     """Prefixes of mixed lengths, each with its own seed."""
     prefixes = [splits.train[i].window(0, 4 + i) for i in range(n - 2)] + [[0], [3, 1]]
-    return prefixes, [replace(cfg, seed=cfg.seed * 1000 + 17 * i) for i in range(n)]
+    return prefixes, [seed * 1000 + 17 * i for i in range(n)]
 
 
 @pytest.mark.parametrize("max_rows", [2, decode.MAX_BATCH_ROWS])
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.strategy}-{c.param}-{c.t}")
-def test_generate_batch_equals_per_prefix_decodes_on_the_ngram(cfg, max_rows, monkeypatch):
+@pytest.mark.parametrize("cfg, seed", CONFIGS)
+def test_generate_batch_equals_per_prefix_decodes_on_the_ngram(cfg, seed, max_rows, monkeypatch):
     # A cap of 2 rows splits the batch into several calls (one prefix per
     # call for beam(3)).
     monkeypatch.setattr(decode, "MAX_BATCH_ROWS", max_rows)
     splits, models = _models()
-    prefixes, cfgs = _batch(cfg, splits)
+    prefixes, seeds = _batch(seed, splits)
     for name in ("ngram3", "ngram2s", "unigram"):
         model = models[name]
-        slow = [s.ids for s in naive_generate_batch(SlowLM(model), prefixes, cfgs)]
-        assert [s.ids for s in generate_batch(model, prefixes, cfgs)] == slow, name
+        slow = [s.ids for s in naive_generate_batch(SlowLM(model), prefixes, cfg, seeds)]
+        assert [s.ids for s in generate_batch(model, prefixes, cfg, seeds)] == slow, name
         # Served by stacking next_dist rows.
-        assert [s.ids for s in generate_batch(_NoWindow(model), prefixes, cfgs)] == slow, name
+        assert [s.ids for s in generate_batch(_NoWindow(model), prefixes, cfg, seeds)] == slow, name
 
 
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.strategy}-{c.param}-{c.t}")
-def test_generate_batch_equals_per_prefix_decodes_on_the_ffn(cfg):
+@pytest.mark.parametrize("cfg, seed", CONFIGS)
+def test_generate_batch_equals_per_prefix_decodes_on_the_ffn(cfg, seed):
     splits, models = _models()
-    prefixes, cfgs = _batch(cfg, splits)
-    fast = [s.ids for s in generate_batch(models["ffn"], prefixes, cfgs)]
-    assert fast == [s.ids for s in naive_generate_batch(models["ffn"], prefixes, cfgs)]
+    prefixes, seeds = _batch(seed, splits)
+    fast = [s.ids for s in generate_batch(models["ffn"], prefixes, cfg, seeds)]
+    assert fast == [s.ids for s in naive_generate_batch(models["ffn"], prefixes, cfg, seeds)]
 
 
 def test_ffn_batch_rows_match_single_rows():
@@ -948,16 +947,17 @@ def test_ffn_batch_rows_match_single_rows():
         np.testing.assert_allclose(row, model.next_dist(ctx), rtol=1e-12, atol=0)
 
 
-def test_generate_batch_rejects_mixed_configs():
+def test_generate_batch_needs_one_seed_per_prefix():
     _, models = _models()
     model = models["ngram3"]
-    greedy = DecoderConfig(strategy="greedy", max_len=3)
-    assert generate_batch(model, [], []) == []
-    with pytest.raises(ConfigError):
-        generate_batch(model, [[0], [1]], [greedy])
-    with pytest.raises(ConfigError):
-        generate_batch(model, [[0], [1]], [greedy, replace(greedy, max_len=4)])
-    assert len(generate_batch(model, [[0], [1]], [greedy, replace(greedy, seed=9)])) == 2
+    topp = DecoderConfig(strategy="topp", param=0.9, max_len=3)
+    assert generate_batch(model, [], topp) == generate_batch(model, [], topp, []) == []
+    for seeds in ([], [7], [7, 8, 9]):
+        with pytest.raises(ConfigError, match="one seed per prefix"):
+            generate_batch(model, [[0], [1]], topp, seeds)
+    # No seeds seed every row with 0.
+    ids = [s.ids for s in generate_batch(model, [[0], [1]], topp)]
+    assert ids == [s.ids for s in generate_batch(model, [[0], [1]], topp, [0, 0])]
 
 
 def test_trace_runs_in_blocks_and_equals_per_prefix_rows():
@@ -970,7 +970,7 @@ def test_trace_runs_in_blocks_and_equals_per_prefix_rows():
             sizes, batch = [], model.next_dist_batch
             with mock.patch.object(model, "next_dist_batch", lambda c: sizes.append(len(c)) or batch(c)), \
                     mock.patch.object(model, "next_dist", None):  # no one-row call
-                cfg = truncation and decode.cell_config(*truncation, max_len=1)
+                cfg = truncation and decode.DecoderConfig(*truncation, max_len=1)
                 got = np.concatenate(decode.token_prob_trace(model, seq, cfg, context))
             assert sum(sizes) == len(seq) and max(sizes) <= decode.MAX_BATCH_ROWS
             kept = [naive_truncate(d, *truncation) for d in dists] if truncation else dists
@@ -987,7 +987,7 @@ def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
         epochs=2,
         batch_size=8,
         objectives=(("mle", 1.0), ("ul", 1.0)),
-        seq_ul=SeqUlConfig(mix_prob=0.7, prefix_len=8, gen_len=10, ngram=2),
+        mix_prob=0.7, ul_prefix_len=8, ul_gen_len=10, ul_ngram=2,
     )
 
     def train():
@@ -1175,7 +1175,7 @@ STEP_RTOL = 1e-12
 def test_blocked_step_matches_per_item_step(case):
     objectives, mix, margin = STEP_CASES[case]
     cfg = TrainConfig(objectives=objectives, margin=margin,
-                      seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
+                      mix_prob=mix, ul_prefix_len=3, ul_gen_len=20, ul_ngram=2)
     _assert_step_matches_oracle(cfg)
 
 
@@ -1239,7 +1239,7 @@ def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
     assert max(_LENS) > BLOCK_ROWS
     for mix in (0.0, 1.0):
         cfg = TrainConfig(objectives=(("mle", 1.0), ("ul", 0.5)),
-                          seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=3, gen_len=20, ngram=2))
+                          mix_prob=mix, ul_prefix_len=3, ul_gen_len=20, ul_ngram=2)
         model = FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=5)
         rows.clear()
         multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
@@ -1254,7 +1254,7 @@ def _seq_ul_forward_rows(monkeypatch, cfg):
     decoded before counting starts, so only the loss pass is counted."""
     vocab, batch = _step_data()
     model = _step_model(vocab)
-    rollouts = losses._greedy_rollouts(model, batch.sequences, cfg.seq_ul)
+    rollouts = losses._greedy_rollouts(model, batch.sequences, cfg)
     monkeypatch.setattr(losses, "_greedy_rollouts", lambda *_: rollouts)
     rows = []
     forward = FeedForwardLM.forward
@@ -1271,7 +1271,7 @@ def _seq_ul_forward_rows(monkeypatch, cfg):
 
 def test_seq_ul_step_forwards_only_candidate_rows(monkeypatch):
     cfg = TrainConfig(objectives=(("ul", 1.0),),
-                      seq_ul=SeqUlConfig(mix_prob=1.0, prefix_len=3, gen_len=20, ngram=2))
+                      mix_prob=1.0, ul_prefix_len=3, ul_gen_len=20, ul_ngram=2)
     rows, rollouts = _seq_ul_forward_rows(monkeypatch, cfg)
     with_cands = sum(bool(c) for _, cont in rollouts for c in naive_ul_seq_candidates(cont.ids, 2))
     assert 0 < with_cands < sum(len(cont) for _, cont in rollouts)
@@ -1281,7 +1281,7 @@ def test_seq_ul_step_forwards_only_candidate_rows(monkeypatch):
 def test_seq_ul_without_candidates_forwards_nothing(monkeypatch):
     # No rollout is as long as one n-gram, so none can repeat one.
     cfg = TrainConfig(objectives=(("ul", 2.0),),
-                      seq_ul=SeqUlConfig(mix_prob=1.0, prefix_len=3, gen_len=20, ngram=21))
+                      mix_prob=1.0, ul_prefix_len=3, ul_gen_len=20, ul_ngram=21)
     assert _assert_step_matches_oracle(cfg)["ul"] == 0.0
     rows, _ = _seq_ul_forward_rows(monkeypatch, cfg)
     assert rows == []

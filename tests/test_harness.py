@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from genteval.corpus import CorpusSplits, TokenSequence, Vocab, write_ids_file
-from genteval.decode import cell_config, parse_strategies
+from genteval.decode import DecoderConfig, parse_strategies
 from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
 from genteval.harness.sweep import (
@@ -216,7 +216,7 @@ _FROZEN_SEEDS = {
 @pytest.mark.parametrize("spec", list(_FROZEN_SEEDS))
 def test_strategy_specs_keep_their_sample_seeds(spec):
     ((strategy, (param,)),) = parse_strategies(spec)
-    cfg = cell_config(strategy, param, 5)
+    cfg = DecoderConfig(strategy, param, 5)
     assert cfg.param == param and type(cfg.param) is type(param)
     assert tuple(sample_seed(7, "m", cfg.strategy, cfg.param, i) for i in (0, 3)) == _FROZEN_SEEDS[spec]
 

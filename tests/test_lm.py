@@ -249,7 +249,7 @@ def test_window_matrix_reads_any_negative_id_as_no_token():
 
 def test_ffn_refuses_ids_past_its_padded_vocab():
     model = FeedForwardLM.init(Vocab.placeholder(5), context=2, embed_dim=2, hidden_dim=3)
-    greedy = [DecoderConfig("greedy", max_len=2)]
+    greedy = DecoderConfig("greedy", max_len=2)
     for bad in (9, model.vocab.size):
         with pytest.raises(ConfigError, match="outside the model"):
             generate_batch(model, [(bad,)], greedy)
@@ -272,10 +272,10 @@ def test_trace_hand_value_topk2():
         def next_dist(self, context):
             return np.array([0.5, 0.3, 0.2])
 
-    raw, trunc = token_prob_trace(Fixed(), (1,), truncation=DecoderConfig(strategy="topk", k=2))
+    raw, trunc = token_prob_trace(Fixed(), (1,), truncation=DecoderConfig(strategy="topk", param=2))
     assert raw[0] == pytest.approx(0.3)
     assert trunc[0] == pytest.approx(0.375)
-    _, dropped = token_prob_trace(Fixed(), (2,), truncation=DecoderConfig(strategy="topk", k=2))
+    _, dropped = token_prob_trace(Fixed(), (2,), truncation=DecoderConfig(strategy="topk", param=2))
     assert dropped[0] == 0.0
 
 

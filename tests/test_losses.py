@@ -16,7 +16,6 @@ from genteval.errors import AlignmentError, ConfigError, DataError, EmptyDataset
 from genteval.lm import FeedForwardLM
 from genteval.losses import (
     AdamState,
-    SeqUlConfig,
     TrainConfig,
     TrainData,
     Trainer,
@@ -317,10 +316,11 @@ def test_train_config_rejects(bad):
 
 
 def test_seq_ul_config_rejects():
-    with pytest.raises(ConfigError):
-        SeqUlConfig(mix_prob=1.5)
-    with pytest.raises(ConfigError):
-        SeqUlConfig(ngram=0)
+    with pytest.raises(ConfigError, match="mix_prob"):
+        TrainConfig(mix_prob=1.5)
+    for field in ("ul_prefix_len", "ul_gen_len", "ul_ngram"):
+        with pytest.raises(ConfigError, match="must be positive"):
+            TrainConfig(**{field: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_multitask_step_ul_branch_follows_mix_prob():
         model = tiny_model()
         cfg = TrainConfig(
             objectives=(("ul", 1.0),),
-            seq_ul=SeqUlConfig(mix_prob=mix, prefix_len=2, gen_len=3, ngram=2),
+            mix_prob=mix, ul_prefix_len=2, ul_gen_len=3, ul_ngram=2,
         )
         batch = TrainData(sequences=(seq(0, 1, 0, 1),))
         out = multitask_step(
@@ -374,7 +374,7 @@ def test_trainer_is_deterministic():
         epochs=2,
         batch_size=2,
         objectives=(("mle", 1.0), ("ul", 0.5)),
-        seq_ul=SeqUlConfig(mix_prob=0.5, prefix_len=3, gen_len=4, ngram=2),
+        mix_prob=0.5, ul_prefix_len=3, ul_gen_len=4, ul_ngram=2,
     )
 
     def run():
@@ -439,7 +439,7 @@ def test_trainer_batch_schedule_is_pinned(monkeypatch):
     cfg = TrainConfig(
         epochs=3, batch_size=2,
         objectives=(("mle", 1.0), ("ul", 0.5), ("nsp", 0.3), ("tfidf", 0.2), ("pos", 0.4)),
-        seq_ul=SeqUlConfig(prefix_len=2, gen_len=3, ngram=2),
+        ul_prefix_len=2, ul_gen_len=3, ul_ngram=2,
     )
     seen, step = [], losses.multitask_step
 
