@@ -132,10 +132,10 @@ class CorpusSplits:
 
 @dataclass(frozen=True)
 class SentencePair:
+    """``second`` read after ``first``; an item's (positive, negative) order is its label."""
+
     first: TokenSequence
     second: TokenSequence
-    label: str  # "positive" | "negative"
-    mode: str  # "nsp" | "sop"
 
 
 def _is_punct(ch: str) -> bool:
@@ -339,20 +339,15 @@ def build_pair_datasets(
     starts = sorted(starts[:count])
     items = []
     for i in starts:
-        pos = SentencePair(sentences[i], sentences[i + 1], "positive", mode)
+        pos = SentencePair(sentences[i], sentences[i + 1])
         if mode == "sop":
-            neg = SentencePair(sentences[i + 1], sentences[i], "negative", mode)
+            neg = SentencePair(sentences[i + 1], sentences[i])
         else:
             successor = sentences[i + 1].ids
             candidates = [s for s in sentences if s.ids != successor]
             if not candidates:
                 raise InsufficientData("every sentence equals the true successor")
-            neg = SentencePair(
-                sentences[i],
-                candidates[rng.randint(len(candidates))],
-                "negative",
-                mode,
-            )
+            neg = SentencePair(sentences[i], candidates[rng.randint(len(candidates))])
         items.append((pos, neg))
     return items
 

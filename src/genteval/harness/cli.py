@@ -61,12 +61,11 @@ from ..lm.store import load_model, save_model
 from ..losses import (
     OBJECTIVES,
     TrainConfig,
-    TrainData,
-    Trainer,
     align_labels,
     label_vocab,
     labels_to_ids,
     load_label_file,
+    train,
 )
 from ..metrics import acceptability_penlp
 from .samples import load_sample_set, save_sample_set, write_metric_report
@@ -363,11 +362,11 @@ def _build_train_config(opt: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-# Pool builders, called as builder(opt, splits, scheme, vocab, pool): each
-# returns the pool's items and the number of labels they classify into.
+# Pool builders, called as builder(opt, splits, scheme, pool): each returns
+# the pool's items and the number of labels they classify into.
 
 
-def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
+def _pair_items(opt, splits, scheme: str, mode: str):
     if opt.pairs_text is None:
         raise ConfigError(f"objective {mode!r} needs --pairs-text")
     if scheme == "external":
@@ -377,7 +376,7 @@ def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
     sentences = []
     for sent in segment_sentences(text):
         try:
-            sentences.append(encode(sent, vocab, scheme, on_oov="skip"))
+            sentences.append(encode(sent, splits.vocab, scheme, on_oov="skip"))
         except EmptyInput:
             continue
     try:
@@ -388,10 +387,10 @@ def _pair_items(opt, splits, scheme: str, vocab: Vocab, mode: str):
         ) from None
 
 
-def _tfidf_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
+def _tfidf_items(opt, splits, scheme: str, pool: str):
     doc_len = opt.doc_len if opt.doc_len is not None else splits.seq_len
     flat = tuple(i for s in splits.train for i in s.ids)
-    targets = tfidf_scores(TokenSequence(flat, vocab), doc_len)
+    targets = tfidf_scores(TokenSequence(flat, splits.vocab), doc_len)
     items = []
     for c, seq in enumerate(splits.train):
         lo, hi = c * splits.seq_len, (c + 1) * splits.seq_len
@@ -400,7 +399,7 @@ def _tfidf_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
     return tuple(items), 0
 
 
-def _label_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
+def _label_items(opt, splits, scheme: str, pool: str):
     if opt.labels is None:
         raise ConfigError("objectives pos/dp need --labels")
     if scheme == "external":
@@ -417,15 +416,15 @@ def _label_items(opt, splits, scheme: str, vocab: Vocab, pool: str):
         except AlignmentError:
             skipped += 1
             continue
-        if any(s not in vocab for s in model_surfaces):
+        if any(s not in splits.vocab for s in model_surfaces):
             skipped += 1
             continue
         label_ids = labels_to_ids(aligned, table)
         if all(lab is None for lab in label_ids):
             skipped += 1
             continue
-        ids = tuple(vocab.id_of(s) for s in model_surfaces)
-        items.append((TokenSequence(ids, vocab), tuple(label_ids)))
+        ids = tuple(splits.vocab.id_of(s) for s in model_surfaces)
+        items.append((TokenSequence(ids, splits.vocab), tuple(label_ids)))
     if not items:
         raise DataError(f"{opt.labels}: no usable labeled sentences")
     if skipped:
@@ -446,28 +445,24 @@ def _cmd_train(opt: argparse.Namespace) -> int:
         cfg = _build_train_config(opt)
         check_sizes(opt.context, opt.embed_dim, opt.hidden_dim)
     splits, manifest = load_splits(opt.manifest)
-    vocab = splits.vocab
     scheme = manifest["tokenizer"].get("scheme", "external")
     model_out = Path(opt.model_out) if opt.model_out else Path(opt.out_dir) / "model.lmek"
 
     if opt.backend == "ngram":
-        model = ngram_fit(list(splits.train), order=opt.order, k_s=opt.k_s, vocab=vocab)
+        model = ngram_fit(list(splits.train), order=opt.order, k_s=opt.k_s, vocab=splits.vocab)
         save_model(model, model_out)
         print(f"model: {model_out}")
         return 0
 
-    # The train split goes in whatever is active: the epoch shuffle draws from it.
-    pools: dict = {"sequences": splits.train}
-    n_labels = 0
+    pools, n_labels = {}, 0
     for pool in cfg.pools:
-        pools[pool], labels = _POOL_ITEMS[pool](opt, splits, scheme, vocab, pool)
+        pools[pool], labels = _POOL_ITEMS[pool](opt, splits, scheme, pool)
         n_labels = max(n_labels, labels)
 
     regression = any(OBJECTIVES[kind].head == "regression" for kind, _ in cfg.active)
-    model = FeedForwardLM.init(vocab, context=opt.context, embed_dim=opt.embed_dim, hidden_dim=opt.hidden_dim,
+    model = FeedForwardLM.init(splits.vocab, context=opt.context, embed_dim=opt.embed_dim, hidden_dim=opt.hidden_dim,
                                seed=opt.seed, n_labels=n_labels, regression=regression)
-    trainer = Trainer(model, cfg, seed=opt.seed)
-    history = trainer.fit(TrainData(**pools))
+    history = train(model, pools, cfg, seed=opt.seed)
     write_json(model_out.parent / "train_history.json", history)
     save_model(model, model_out)
     print(f"model: {model_out}")

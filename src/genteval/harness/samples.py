@@ -45,9 +45,9 @@ def _row_sequence(row: dict, key: str, vocab: Vocab, where: str) -> TokenSequenc
 
 
 def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
-    """Read a sample JSONL whose token ids must index ``vocab``."""
+    """Read a sample JSONL whose token ids must index ``vocab``; a repeated sample id is a DataError."""
     first = None
-    samples = []
+    samples, ids = [], set()
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -64,8 +64,12 @@ def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
             continuation = _row_sequence(row, "continuation_ids", vocab, where)
             if continuation is None:
                 raise DataError(f"{where}: empty continuation_ids")
+            sid = str(row["id"])
+            if sid in ids:
+                raise DataError(f"{where}: repeated sample id {sid!r}")
+            ids.add(sid)
             first = first or row
-            samples.append(Sample(id=str(row["id"]), prefix=prefix, continuation=continuation))
+            samples.append(Sample(id=sid, prefix=prefix, continuation=continuation))
     if first is None:
         raise DataError(f"{path}: no samples")
     return SampleSet(tuple(samples), {key: first.get(key) for key in _PROVENANCE})

@@ -7,8 +7,10 @@ which the test suite checks against central finite differences; nothing
 here relies on an autodiff framework.
 
 Objective kinds understood by :func:`multitask_step`, each declared once
-in the objective table ``OBJECTIVES`` with the :class:`TrainData` pool it
-draws from, the loss that runs it and the model head it trains:
+in the objective table ``OBJECTIVES`` with the training pool it draws
+from, the loss that runs it and the model head it trains. Pools and
+batches are plain dicts keyed by those pool names; :func:`train` runs the
+epochs over them.
 
 * ``mle``: mean token cross-entropy.
 * ``ul``: unlikelihood; each step flips a mix_prob-weighted coin between
@@ -401,7 +403,7 @@ class AdamState:
 
 
 class _Objective(NamedTuple):
-    pool: str  # the TrainData field its items come from
+    pool: str  # the training pool its items come from: a key of the pools and batch dicts
     loss: Callable | None  # called as loss(model, kind, items, scale, grads, cfg)
     head: str | None  # the model head it trains: "regression", "classification" or none
 
@@ -470,27 +472,15 @@ class TrainConfig:
 
     @property
     def pools(self) -> tuple[str, ...]:
-        """The distinct TrainData pools of the active kinds, in table order."""
+        """The distinct pools of the active kinds, in table order."""
         kinds = dict(self.active)
         return tuple(dict.fromkeys(obj.pool for kind, obj in OBJECTIVES.items() if kind in kinds))
 
 
-@dataclass(frozen=True)
-class TrainData:
-    """Items per pool of the objective table: the trainer's pools, and one step's batch."""
-
-    sequences: tuple[TokenSequence, ...] = ()
-    nsp: tuple[tuple[SentencePair, SentencePair], ...] = ()
-    sop: tuple[tuple[SentencePair, SentencePair], ...] = ()
-    tfidf: tuple[tuple[TokenSequence, tuple[float, ...]], ...] = ()
-    pos: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
-    dp: tuple[tuple[TokenSequence, tuple[int | None, ...]], ...] = ()
-
-
-def _require_items(cfg: TrainConfig, data: TrainData, problem: str) -> None:
-    """Raise ``objective <kind> <problem>`` for the first active kind whose pool is empty."""
+def _require_items(cfg: TrainConfig, pools: dict[str, tuple], problem: str) -> None:
+    """Raise ``objective <kind> <problem>`` for the first active kind whose pool is missing or empty."""
     for kind, _ in cfg.active:
-        if not getattr(data, OBJECTIVES[kind].pool):
+        if not pools.get(OBJECTIVES[kind].pool):
             raise ConfigError(f"objective {kind!r} {problem}")
 
 
@@ -503,7 +493,7 @@ def _mean(losses: Sequence[float]) -> float:
 
 def multitask_step(
     model: FeedForwardLM,
-    batch: TrainData,
+    batch: dict[str, tuple],
     cfg: TrainConfig,
     opt: AdamState,
     rng: SplitMix64,
@@ -522,7 +512,7 @@ def multitask_step(
     token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
     means: dict[str, float] = {}
-    seqs = [s.ids for s in batch.sequences]
+    seqs = [s.ids for s in batch.get("sequences", ())]
     if "mle" in weights or token_ul:
         cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs] if token_ul else None
         ce, ul = _token_losses(
@@ -534,7 +524,7 @@ def multitask_step(
         if token_ul:
             means["ul"] = _mean(ul)
     if seq_level:
-        rollouts = _greedy_rollouts(model, batch.sequences, cfg)
+        rollouts = _greedy_rollouts(model, batch["sequences"], cfg)
         conts = [cont.ids for _, cont in rollouts]
         cands = _repeat_pairs(conts, cfg.ul_ngram)
         _, ul = _token_losses(
@@ -547,7 +537,7 @@ def multitask_step(
     for kind, weight in weights.items():
         pool, loss, _ = OBJECTIVES[kind]
         if loss is not None:
-            items = getattr(batch, pool)
+            items = batch[pool]
             means[kind] = _mean(loss(model, kind, items, weight / len(items), grads, cfg))
         if kind == "ul":
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
@@ -570,44 +560,38 @@ def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> list[tuple[TokenSequence,
     return list(zip(prefixes, generate_batch(model, prefixes, greedy)))
 
 
-class Trainer:
-    """Deterministic epoch loop: shuffle, slice, multitask_step.
+def train(
+    model: FeedForwardLM, pools: dict[str, tuple], cfg: TrainConfig, seed: int = 0
+) -> list[dict[str, float]]:
+    """Deterministic epoch loop: shuffle, slice, multitask_step; returns each step's scalars.
 
-    An epoch has as many steps as the largest active pool has batches. The
-    sequences are reshuffled each epoch and wrap within it; every other
-    pool cycles on in order across epochs.
+    ``pools`` maps pool names of the objective table to their items; only
+    the active kinds' pools are read. An epoch has as many steps as the
+    largest of them has batches. The sequences are reshuffled each epoch
+    and wrap within it; every other pool cycles on in order across epochs.
 
-    Identical (model seed, data, config, trainer seed) reproduce the
-    exact parameter trajectory; all randomness flows from one splitmix
-    stream (epoch shuffles and UL coins, in program order).
+    Identical (model seed, pools, config, seed) reproduce the exact
+    parameter trajectory; all randomness flows from one splitmix stream
+    (epoch shuffles and UL coins, in program order).
     """
-
-    def __init__(self, model: FeedForwardLM, cfg: TrainConfig, seed: int = 0) -> None:
-        self.model = model
-        self.cfg = cfg
-        self.opt = AdamState(model.params, cfg.learning_rate)
-        self.rng = SplitMix64(seed)
-        self.history: list[dict[str, float]] = []
-
-    def fit(self, data: TrainData) -> list[dict[str, float]]:
-        _require_items(self.cfg, data, "has no training data")
-        size = self.cfg.batch_size
-        pools = {name: getattr(data, name) for name in self.cfg.pools}
-        steps = max(math.ceil(len(items) / size) for items in pools.values())
-        cursors = dict.fromkeys(pools, 0)
-        for _ in range(self.cfg.epochs):
-            seq_order = list(range(len(data.sequences)))
-            self.rng.shuffle(seq_order)
-            for step in range(steps):
-                parts: dict[str, tuple] = {}
-                for name, items in pools.items():
-                    n = min(size, len(items))
-                    if name == "sequences":
-                        picked = [seq_order[(step * size + i) % len(items)] for i in range(n)]
-                    else:
-                        picked = [(cursors[name] + i) % len(items) for i in range(n)]
-                        cursors[name] += n
-                    parts[name] = tuple(items[i] for i in picked)
-                batch = TrainData(**parts)
-                self.history.append(multitask_step(self.model, batch, self.cfg, self.opt, self.rng))
-        return self.history
+    _require_items(cfg, pools, "has no training data")
+    opt, rng, size = AdamState(model.params, cfg.learning_rate), SplitMix64(seed), cfg.batch_size
+    pools = {name: pools[name] for name in cfg.pools}
+    steps = max(math.ceil(len(items) / size) for items in pools.values())
+    cursors = dict.fromkeys(pools, 0)
+    history = []
+    for _ in range(cfg.epochs):
+        seq_order = list(range(len(pools.get("sequences", ()))))
+        rng.shuffle(seq_order)
+        for step in range(steps):
+            batch = {}
+            for name, items in pools.items():
+                n = min(size, len(items))
+                if name == "sequences":
+                    picked = [seq_order[(step * size + i) % len(items)] for i in range(n)]
+                else:
+                    picked = [(cursors[name] + i) % len(items) for i in range(n)]
+                    cursors[name] += n
+                batch[name] = tuple(items[i] for i in picked)
+            history.append(multitask_step(model, batch, cfg, opt, rng))
+    return history

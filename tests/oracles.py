@@ -241,7 +241,7 @@ def ngram_tables(model):
 
 def ngram_from_tables(vocab, order, k_s, counts):
     """An ``NGramLM`` holding the dict tables ``counts`` ({order: {gram: count}})."""
-    from genteval.lm import NGramLM
+    from genteval.lm.ngram import NGramLM
 
     rows = {o: sorted(counts.get(o, {}).items()) for o in range(1, order + 1)}
     grams = {o: np.array([g for g, _ in r], dtype=np.int64).reshape(-1, o) for o, r in rows.items()}
@@ -741,7 +741,7 @@ def one_rank(model, pos, neg, margin):
     from genteval.losses import TrainConfig, _rank_losses
 
     grads = model.zero_grads()
-    return _rank_losses(model, pos.mode, [(pos, neg)], 1.0, grads, TrainConfig(margin=margin))[0], grads
+    return _rank_losses(model, "nsp", [(pos, neg)], 1.0, grads, TrainConfig(margin=margin))[0], grads
 
 
 def one_head(model, kind, seq, targets):
@@ -785,7 +785,7 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
     for kind, weight in cfg.objectives:
         if weight == 0.0:
             continue
-        items = batch.sequences if kind in ("mle", "ul") else getattr(batch, kind)
+        items = batch["sequences"] if kind in ("mle", "ul") else batch[kind]
         rollouts = [None] * len(items)
         if kind == "ul":
             seq_level = rng.uniform() < cfg.mix_prob

@@ -22,13 +22,13 @@ from genteval.corpus import TokenSequence, Vocab, encode, ngram_windows, tokeniz
 from genteval.decode import DecoderConfig
 from genteval.harness.cli import main
 from genteval.harness.sweep import SweepConfig, run_sweep
-from genteval.lm import FeedForwardLM, ngram_fit
+from genteval.lm.ffn import FeedForwardLM
+from genteval.lm.ngram import ngram_fit
 from genteval.losses import (
     TrainConfig,
-    TrainData,
-    Trainer,
     _previous_token_pairs,
     smooth_l1_loss,
+    train,
 )
 from genteval.metrics import Sample, SampleSet, mean_seq_rep, reverse_ppl, seq_rep_n
 from genteval.rng import SplitMix64, stable_hash
@@ -234,8 +234,8 @@ def test_criterion_05_gradient_suite():
             fresh(),
             lambda m: one_rank(
                 m,
-                SentencePair(seq, TokenSequence((1, 5), vocab), "positive", "nsp"),
-                SentencePair(seq, TokenSequence((6, 3), vocab), "negative", "nsp"),
+                SentencePair(seq, TokenSequence((1, 5), vocab)),
+                SentencePair(seq, TokenSequence((6, 3), vocab)),
                 margin=5.0,
             ),
         ),
@@ -282,7 +282,7 @@ def test_criterion_06_unlikelihood_reduces_repetition():
     total = sum(len(s) for part in (splits.train, splits.dev, splits.test) for s in part)
     assert total <= 50_000 and vocab.size <= 100
 
-    def train(objectives):
+    def trained(objectives):
         model = FeedForwardLM.init(vocab, context=8, embed_dim=24, hidden_dim=48, seed=0)
         cfg = TrainConfig(
             epochs=8,
@@ -294,11 +294,11 @@ def test_criterion_06_unlikelihood_reduces_repetition():
             ul_gen_len=100,
             ul_ngram=4,
         )
-        Trainer(model, cfg, seed=0).fit(TrainData(sequences=splits.train))
+        train(model, {"sequences": splits.train}, cfg, seed=0)
         return model
 
-    mle = train((("mle", 1.0),))
-    ul = train((("mle", 1.0), ("ul", 8.0)))
+    mle = trained((("mle", 1.0),))
+    ul = trained((("mle", 1.0), ("ul", 8.0)))
     rep_mle = _greedy_rep(mle, splits)
     rep_ul = _greedy_rep(ul, splits)
     elapsed = time.monotonic() - start
@@ -324,9 +324,7 @@ def test_criterion_07_tradeoff_direction(tmp_path):
     splits, vocab = word_splits(3000, seq_len=60, seed=0)
     assert vocab.size >= max(K_GRID)
     model = FeedForwardLM.init(vocab, context=8, embed_dim=24, hidden_dim=48, seed=0)
-    Trainer(
-        model, TrainConfig(epochs=20, batch_size=16, learning_rate=1e-3), seed=0
-    ).fit(TrainData(sequences=splits.train))
+    train(model, {"sequences": splits.train}, TrainConfig(epochs=20, batch_size=16, learning_rate=1e-3), seed=0)
     cfg = SweepConfig(
         models=("mle",),
         strategies=(("topp", P_GRID), ("topk", K_GRID)),

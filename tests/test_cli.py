@@ -16,7 +16,7 @@ from genteval.corpus import write_ids_file
 from genteval.errors import ConfigError
 from genteval.harness.cli import _COMMANDS, _apply_config, _build_parser, _load_config, _parse_args, main
 from genteval.harness.sweep import CSV_COLUMNS, SweepRecord, cell_key, read_sweep_csv, write_sweep_csv
-from genteval.lm import load_model
+from genteval.lm.store import load_model
 from toytext import make_text
 
 
@@ -215,6 +215,10 @@ def test_train_aux_objectives_end_to_end_reruns_are_byte_identical(workspace, tm
     assert keys == {frozenset({"mle", "nsp", "tfidf", "pos"})}
     assert train("mle:1.0,nsp:0.5,tfidf:0.5,pos:0.5", tmp_path / "b") == (keys, first)
     assert train("sop:1.0,dp:1.0", tmp_path / "c")[0] == {frozenset({"sop", "dp"})}
+    # Without mle or ul the run has no sequence pool.
+    keys, first = train("nsp:1.0,tfidf:0.5", tmp_path / "d")
+    assert keys == {frozenset({"nsp", "tfidf"})}
+    assert train("nsp:1.0,tfidf:0.5", tmp_path / "e") == (keys, first)
 
 
 def test_lowercase_pairs_text_names_the_file_and_the_split_rule(workspace, tmp_path, capsys):
@@ -396,8 +400,9 @@ _GOOD_ROW = {"id": "0", "prefix_ids": [0, 1], "continuation_ids": [2, 3, 1]}
         '{"id": "1", "prefix_ids": [0], "continuation_ids": [2, 1.5]}',
         '{"id": "1", "prefix_ids": 0, "continuation_ids": [2]}',
         '{"id": "1", "prefix_ids": [0], "continuation_ids": []}',
+        '{"id": "0", "prefix_ids": [0], "continuation_ids": [2]}',
     ],
-    ids=["no-continuation", "not-object", "id-outside-vocab", "float-id", "ids-not-list", "empty"],
+    ids=["no-continuation", "not-object", "id-outside-vocab", "float-id", "ids-not-list", "empty", "repeated-id"],
 )
 def test_eval_rejects_bad_sample_rows(workspace, tmp_path, capsys, kind, bad_row):
     samples = tmp_path / "samples.jsonl"

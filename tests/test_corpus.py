@@ -220,7 +220,7 @@ def _sentences():
 def test_nsp_negative_never_true_successor():
     sents = _sentences()
     for pos, neg in build_pair_datasets(sents, "nsp", 4, seed=3):
-        assert pos.label == "positive" and neg.label == "negative"
+        assert neg.first.ids == pos.first.ids
         true_next = pos.second.ids
         assert neg.second.ids != true_next
 

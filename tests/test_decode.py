@@ -7,7 +7,8 @@ import pytest
 from genteval.corpus import TokenSequence, Vocab
 from genteval.decode import DecoderConfig, generate_batch, param_value, token_prob_trace
 from genteval.errors import ConfigError
-from genteval.lm import FeedForwardLM, ngram_fit
+from genteval.lm.ffn import FeedForwardLM
+from genteval.lm.ngram import ngram_fit
 from genteval.rng import SplitMix64, stable_hash
 
 from oracles import StackedRows, one_generate, one_penalize, one_sample, one_truncate

@@ -25,15 +25,14 @@ from genteval import decode
 from genteval.decode import DecoderConfig, generate_batch
 from genteval.errors import ConfigError
 from genteval.harness.sweep import SweepConfig, run_sweep
-from genteval.lm import FeedForwardLM, load_model, ngram_fit, save_model
 from genteval.lm.base import exp_rows, id_lines, left_padded, summed_scores
-from genteval.lm.ffn import BLOCK_ROWS
+from genteval.lm.ffn import BLOCK_ROWS, FeedForwardLM
+from genteval.lm.ngram import ngram_fit
+from genteval.lm.store import load_model, save_model
 from genteval import losses
 from genteval.losses import (
     AdamState,
     TrainConfig,
-    TrainData,
-    Trainer,
     multitask_step,
 )
 from genteval.rng import SplitMix64, stable_hash
@@ -589,7 +588,7 @@ def test_beam_outputs_are_pinned():
     splits, vocab = char_splits(300, 64, seed=5)
     train = list(splits.train)
     ffn = FeedForwardLM.init(vocab, context=6, embed_dim=8, hidden_dim=16, seed=4)
-    Trainer(ffn, TrainConfig(epochs=1, batch_size=16), seed=1).fit(TrainData(sequences=train))
+    losses.train(ffn, {"sequences": train}, TrainConfig(epochs=1, batch_size=16), seed=1)
     models = {"ngram": ngram_fit(train, order=4, k_s=1.0, vocab=vocab), "ffn": ffn}
     prefixes = [train[i].window(0, 3 + i) for i in range(20)]
     cfg = DecoderConfig(strategy="beam", param=4, max_len=12)
@@ -992,7 +991,7 @@ def test_batched_seq_ul_trains_like_per_item_decoding(monkeypatch):
 
     def train():
         model = FeedForwardLM.init(vocab, context=3, embed_dim=8, hidden_dim=16, seed=4)
-        history = Trainer(model, cfg, seed=2).fit(TrainData(sequences=splits.train))
+        history = losses.train(model, {"sequences": splits.train}, cfg, seed=2)
         return history, model.params
 
     hist, params = train()
@@ -1130,20 +1129,17 @@ def _step_data(lens=_LENS):
     seqs = [TokenSequence(tuple((7 * i + 3 * t + t // 5) % 11 for t in range(n)), vocab)
             for i, n in enumerate(lens)]
     pairs = [
-        (SentencePair(seqs[0], seqs[2], "positive", "nsp"),
-         SentencePair(seqs[0], seqs[5], "negative", "nsp")),
-        (SentencePair(seqs[2], seqs[0], "positive", "nsp"),
-         SentencePair(seqs[2], seqs[1], "negative", "nsp")),
+        (SentencePair(seqs[0], seqs[2]), SentencePair(seqs[0], seqs[5])),
+        (SentencePair(seqs[2], seqs[0]), SentencePair(seqs[2], seqs[1])),
     ]
-    swaps = [(SentencePair(seqs[a], seqs[b], "positive", "sop"),
-              SentencePair(seqs[b], seqs[a], "negative", "sop")) for a, b in ((0, 2), (5, 1), (2, 7))]
+    swaps = [(SentencePair(seqs[a], seqs[b]), SentencePair(seqs[b], seqs[a])) for a, b in ((0, 2), (5, 1), (2, 7))]
     tfidf = [(seqs[i], tuple(0.3 * ((t * i) % 7) for t in range(len(seqs[i])))) for i in (0, 2)]
     pos = [(seqs[i], tuple(None if t % 3 == 0 else t % 4 for t in range(len(seqs[i]))))
            for i in (0, 5)]
     dp = [(seqs[i], tuple(None if t % 4 == 1 else (t * i) % 4 for t in range(len(seqs[i]))))
           for i in (2, 7, 5)]
-    return vocab, TrainData(sequences=tuple(seqs), nsp=tuple(pairs), sop=tuple(swaps),
-                            tfidf=tuple(tfidf), pos=tuple(pos), dp=tuple(dp))
+    return vocab, {"sequences": tuple(seqs), "nsp": tuple(pairs), "sop": tuple(swaps),
+                   "tfidf": tuple(tfidf), "pos": tuple(pos), "dp": tuple(dp)}
 
 
 def _step_model(vocab):
@@ -1203,7 +1199,7 @@ def _assert_step_matches_oracle(cfg):
 def test_step_cases_cover_both_hinge_states():
     vocab, batch = _step_data()
     model = _step_model(vocab)
-    hinges = {m: [naive_margin_rank_loss(model, *item, m)[0] for item in batch.nsp] for m in (-1.0, 0.0, 1.0)}
+    hinges = {m: [naive_margin_rank_loss(model, *item, m)[0] for item in batch["nsp"]] for m in (-1.0, 0.0, 1.0)}
     assert hinges[-1.0] == [0.0, 0.0]
     assert hinges[0.0][0] == 0.0 < hinges[0.0][1]
     assert min(hinges[1.0]) > 0.0
@@ -1223,7 +1219,7 @@ def test_head_objective_makes_one_forward_per_step(monkeypatch, kind):
     model = _step_model(vocab)
     cfg = TrainConfig(objectives=((kind, 1.0),))
     multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
-    assert rows == [sum(len(seq) for seq, _ in getattr(batch, kind))]
+    assert rows == [sum(len(seq) for seq, _ in batch[kind])]
 
 
 def test_blocked_step_forwards_at_most_block_rows(monkeypatch):
@@ -1254,7 +1250,7 @@ def _seq_ul_forward_rows(monkeypatch, cfg):
     decoded before counting starts, so only the loss pass is counted."""
     vocab, batch = _step_data()
     model = _step_model(vocab)
-    rollouts = losses._greedy_rollouts(model, batch.sequences, cfg)
+    rollouts = losses._greedy_rollouts(model, batch["sequences"], cfg)
     monkeypatch.setattr(losses, "_greedy_rollouts", lambda *_: rollouts)
     rows = []
     forward = FeedForwardLM.forward

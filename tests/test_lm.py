@@ -9,16 +9,10 @@ import pytest
 from genteval.corpus import TokenSequence, Vocab, tokenize
 from genteval.decode import DecoderConfig, generate_batch, token_prob_trace
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
-from genteval.lm import (
-    FeedForwardLM,
-    NGramLM,
-    load_model,
-    ngram_fit,
-    perplexity,
-    save_model,
-)
-from genteval.lm.base import id_lines, left_padded
-from genteval.lm.ffn import PAD_TOKEN
+from genteval.lm.base import id_lines, left_padded, perplexity
+from genteval.lm.ffn import PAD_TOKEN, FeedForwardLM
+from genteval.lm.ngram import NGramLM, ngram_fit
+from genteval.lm.store import load_model, save_model
 
 from oracles import StackedRows, StackedScores, ngram_tables
 

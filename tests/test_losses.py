@@ -13,12 +13,10 @@ import genteval
 from genteval import losses
 from genteval.corpus import SentencePair, TokenSequence, Vocab
 from genteval.errors import AlignmentError, ConfigError, DataError, EmptyDataset, NoSupervision
-from genteval.lm import FeedForwardLM
+from genteval.lm.ffn import FeedForwardLM
 from genteval.losses import (
     AdamState,
     TrainConfig,
-    TrainData,
-    Trainer,
     _previous_token_pairs,
     _repeat_pairs,
     align_labels,
@@ -28,6 +26,7 @@ from genteval.losses import (
     load_label_file,
     multitask_step,
     smooth_l1_loss,
+    train,
 )
 from genteval.rng import SplitMix64
 
@@ -170,8 +169,8 @@ def test_grad_ul_token():
 
 def test_grad_margin_rank_active():
     model = tiny_model()
-    pos = SentencePair(seq(0, 1), seq(2, 3), "positive", "nsp")
-    neg = SentencePair(seq(0, 1), seq(4, 4), "negative", "nsp")
+    pos = SentencePair(seq(0, 1), seq(2, 3))
+    neg = SentencePair(seq(0, 1), seq(4, 4))
     # margin large enough that the hinge is active regardless of ppl gap
     err = grad_check(model, lambda m: one_rank(m, pos, neg, margin=5.0))
     assert err < GRAD_TOL
@@ -179,8 +178,8 @@ def test_grad_margin_rank_active():
 
 def test_margin_rank_inactive_hinge_gives_zero_grads():
     model = tiny_model()
-    pos = SentencePair(seq(0, 1), seq(2, 3), "positive", "nsp")
-    neg = SentencePair(seq(0, 1), seq(4, 4), "negative", "nsp")
+    pos = SentencePair(seq(0, 1), seq(2, 3))
+    neg = SentencePair(seq(0, 1), seq(4, 4))
     loss, grads = one_rank(model, pos, neg, margin=-100.0)
     assert loss == 0.0
     assert all(not g.any() for g in grads.values())
@@ -331,7 +330,7 @@ def test_seq_ul_config_rejects():
 def test_multitask_step_scalars_and_total():
     model = tiny_model()
     cfg = TrainConfig(objectives=(("mle", 2.0),))
-    batch = TrainData(sequences=(seq(0, 1, 2), seq(3, 4)))
+    batch = {"sequences": (seq(0, 1, 2), seq(3, 4))}
     out = multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
     assert set(out) == {"mle", "total"}
     assert out["total"] == pytest.approx(2.0 * out["mle"], abs=1e-12)
@@ -344,7 +343,7 @@ def test_multitask_step_ul_branch_follows_mix_prob():
             objectives=(("ul", 1.0),),
             mix_prob=mix, ul_prefix_len=2, ul_gen_len=3, ul_ngram=2,
         )
-        batch = TrainData(sequences=(seq(0, 1, 0, 1),))
+        batch = {"sequences": (seq(0, 1, 0, 1),)}
         out = multitask_step(
             model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(1)
         )
@@ -354,7 +353,7 @@ def test_multitask_step_ul_branch_follows_mix_prob():
 def test_multitask_step_missing_data_raises():
     model = tiny_model()
     cfg = TrainConfig(objectives=(("mle", 1.0), ("nsp", 0.5)))
-    batch = TrainData(sequences=(seq(0, 1),))
+    batch = {"sequences": (seq(0, 1),)}
     with pytest.raises(ConfigError):
         multitask_step(model, batch, cfg, AdamState(model.params, 1e-3), SplitMix64(0))
 
@@ -363,13 +362,11 @@ def test_trainer_empty_pool_raises():
     model = tiny_model()
     cfg = TrainConfig(objectives=(("nsp", 1.0),))
     with pytest.raises(ConfigError):
-        Trainer(model, cfg).fit(TrainData())
+        train(model, {}, cfg)
 
 
 def test_trainer_is_deterministic():
-    data = TrainData(
-        sequences=(seq(0, 1, 2, 3, 0, 1), seq(4, 4, 2, 2, 1, 0), seq(2, 3, 2, 3, 2, 3)),
-    )
+    pools = {"sequences": (seq(0, 1, 2, 3, 0, 1), seq(4, 4, 2, 2, 1, 0), seq(2, 3, 2, 3, 2, 3))}
     cfg = TrainConfig(
         epochs=2,
         batch_size=2,
@@ -379,8 +376,7 @@ def test_trainer_is_deterministic():
 
     def run():
         model = tiny_model(seed=11)
-        trainer = Trainer(model, cfg, seed=5)
-        history = trainer.fit(data)
+        history = train(model, pools, cfg, seed=5)
         return history, {n: p.copy() for n, p in model.params.items()}
 
     hist_a, params_a = run()
@@ -389,16 +385,35 @@ def test_trainer_is_deterministic():
     assert all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
 
 
+def test_train_reads_only_the_active_pools():
+    # nsp and tfidf draw nothing from the sequence pool, so passing one
+    # changes neither the steps nor the weights.
+    seqs = tuple(seq(i, (i + 1) % 5, (i + 2) % 5, i) for i in range(5))
+    pools = {
+        "nsp": tuple((SentencePair(seqs[i], seqs[i + 1]), SentencePair(seqs[i], seqs[(i + 3) % 5]))
+                     for i in range(3)),
+        "tfidf": tuple((seqs[i], (0.1 * i,) * 4) for i in range(4)),
+    }
+    cfg = TrainConfig(epochs=3, batch_size=2, objectives=(("nsp", 1.0), ("tfidf", 0.5)))
+
+    def run(pools):
+        model = tiny_model(seed=11, regression=True)
+        history = train(model, pools, cfg, seed=5)
+        return history, {n: p.tobytes() for n, p in model.params.items()}
+
+    assert run(pools) == run({**pools, "sequences": seqs})
+
+
 _TRAIN_AND_HASH = """
 import hashlib
 from genteval.corpus import TokenSequence, Vocab
-from genteval.lm import FeedForwardLM
-from genteval.losses import TrainConfig, TrainData, Trainer
+from genteval.lm.ffn import FeedForwardLM
+from genteval.losses import TrainConfig, train
 from genteval.rng import SplitMix64
 vocab, rng = Vocab.placeholder(500), SplitMix64(3)
 seqs = tuple(TokenSequence(tuple(int(rng.uniform() * 500) for _ in range(64)), vocab) for _ in range(16))
 model = FeedForwardLM.init(vocab, seed=1)
-Trainer(model, TrainConfig(epochs=1, batch_size=16)).fit(TrainData(sequences=seqs))
+train(model, {"sequences": seqs}, TrainConfig(epochs=1, batch_size=16))
 print(hashlib.sha256(b"".join(a.tobytes() for a in model.params.values())).hexdigest())
 """
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -420,9 +435,9 @@ def test_trained_weights_do_not_depend_on_an_unset_blas_thread_count():
 
 
 def test_trainer_history_length_is_epochs_times_steps():
-    data = TrainData(sequences=tuple(seq(i % 5, (i + 1) % 5) for i in range(5)))
+    pools = {"sequences": tuple(seq(i % 5, (i + 1) % 5) for i in range(5))}
     cfg = TrainConfig(epochs=3, batch_size=2)
-    history = Trainer(tiny_model(), cfg).fit(data)
+    history = train(tiny_model(), pools, cfg)
     assert len(history) == 3 * math.ceil(5 / 2)
 
 
@@ -431,8 +446,7 @@ def test_trainer_batch_schedule_is_pinned(monkeypatch):
     # largest pool), the sequences reshuffled each epoch and the other pools
     # cycling on across epochs. Item indices only, so it holds on every platform.
     seqs = tuple(seq(i, (i + 1) % 5, (i + 2) % 5, i) for i in range(5))
-    nsp = tuple((SentencePair(seqs[i], seqs[i + 1], "positive", "nsp"),
-                 SentencePair(seqs[i], seqs[(i + 3) % 5], "negative", "nsp")) for i in range(3))
+    nsp = tuple((SentencePair(seqs[i], seqs[i + 1]), SentencePair(seqs[i], seqs[(i + 3) % 5])) for i in range(3))
     tfidf = tuple((seqs[i], (0.1 * i,) * 4) for i in range(4))
     pos = tuple((seqs[i], (i % 2, None, 1, 0)) for i in range(2))
     pools = {"sequences": seqs, "nsp": nsp, "tfidf": tfidf, "pos": pos}
@@ -445,13 +459,13 @@ def test_trainer_batch_schedule_is_pinned(monkeypatch):
 
     def recording(model, batch, *rest):
         seen.append(tuple(
-            tuple(next(i for i, x in enumerate(pool) if x is item) for item in getattr(batch, name))
+            tuple(next(i for i, x in enumerate(pool) if x is item) for item in batch[name])
             for name, pool in pools.items()
         ))
         return step(model, batch, *rest)
 
     monkeypatch.setattr(losses, "multitask_step", recording)
-    Trainer(tiny_model(n_labels=2, regression=True), cfg, seed=3).fit(TrainData(**pools))
+    train(tiny_model(n_labels=2, regression=True), pools, cfg, seed=3)
     # (sequences, nsp, tfidf, pos) item indices per step, three steps an epoch
     assert seen == [
         ((2, 4), (0, 1), (0, 1), (0, 1)), ((0, 1), (2, 0), (2, 3), (0, 1)), ((3, 2), (1, 2), (0, 1), (0, 1)),
