@@ -242,6 +242,16 @@ def split_corpus(
     )
 
 
+def flat_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat, owner, room)``: the ids of ``seqs`` end to end, the sequence
+    each position of ``flat`` belongs to, and how many ids its sequence
+    holds from that position on."""
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lens.sum()))
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return flat, owner, np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))
+
+
 def ngram_windows(
     seqs: Sequence[Sequence[int]], max_n: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -258,10 +268,7 @@ def ngram_windows(
     """
     if max_n < 1:
         raise BadOrder("n-gram order must be at least 1")
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lens.sum()))
-    owner = np.repeat(np.arange(len(lens)), lens)
-    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))  # ids left in the sequence
+    flat, owner, room = flat_ids(seqs)
     base = int(flat.max()) + 1 if flat.size else 1
     ids, prev = [], np.zeros(len(flat), dtype=np.int64)
     for o in range(1, max_n + 1):

@@ -152,19 +152,23 @@ def ngram_fit(
     order: int,
     k_s: float = 1.0,
     vocab: Vocab | None = None,
+    windows: tuple | None = None,
 ) -> NGramLM:
     """Count n-grams of orders 1..order over one or more sequences.
 
     Windows never span sequence boundaries. The vocab defaults to the
     vocab of the first sequence; pass one explicitly when fitting on raw
-    generated ids.
+    generated ids. ``windows``, when given, is ``ngram_windows`` of the
+    sequences at least ``order`` deep, counted by the caller.
     """
     sequences = [corpus] if isinstance(corpus, TokenSequence) else list(corpus)
     if not sequences:
         raise EmptyInput("no training sequences")
     if vocab is None:
         vocab = sequences[0].vocab
-    flat, _, ids = ngram_windows([as_ids(s) for s in sequences], order)
+    if windows is None:
+        windows = ngram_windows([as_ids(s) for s in sequences], order)
+    flat, _, ids = windows
     grams, counts = {}, {}
     for o in range(1, order + 1):
         at = np.flatnonzero(ids[o - 1] >= 0)

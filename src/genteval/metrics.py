@@ -8,14 +8,19 @@ always scores 1.0), zero-count precisions replaced by a small epsilon,
 times the brevity penalty exp(min(0, 1 - r/c)) where r is the closest
 reference length with ties broken toward the shorter reference.
 
-BLEU, Self-BLEU and seq-rep-n count n-grams as the dense gram ids of
-``corpus.ngram_windows``, references and candidates in one call. One
-``np.unique`` per order counts every (sequence, gram) pair; one
-``lexsort`` per order ranks each gram's counts across the references,
-so a candidate's clipped count is the lesser of its own and the best
-count in a reference other than itself. Matched counts are integers and
-each candidate's floats stay in Python, so the values equal those of
-the brute-force oracle in the test suite exactly.
+Each :class:`SampleSet` counts its continuations' n-grams once, as the
+dense gram ids of ``corpus.ngram_windows``, and Self-BLEU, seq-rep-n and
+the reverse-ppl fit read that one count. Corpus BLEU looks each
+candidate n-gram up in the reference set's table, built once per set:
+per order, the sorted gram keys and each gram's largest count in one
+reference, so a candidate's clipped count is the lesser of its own and
+that best count, and a gram no reference holds matches nothing.
+Self-BLEU counts every (sequence, gram) pair with one ``np.unique`` per
+order, and one ``lexsort`` per order ranks each gram's counts across
+the sequences, so a candidate's clipped count is the lesser of its own
+and the best count in a sequence other than itself. Matched counts are
+integers and each candidate's floats stay in Python, so the values
+equal those of the brute-force oracle in the test suite exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSequence, Vocab, ngram_windows
-from .errors import ConfigError, InsufficientSamples
+from .corpus import TokenSequence, Vocab, flat_ids, ngram_windows
+from .errors import BadOrder, ConfigError, InsufficientSamples
 from .lm.base import as_ids
 from .lm.ngram import check_settings, ngram_fit
 from .rng import SplitMix64
@@ -45,10 +50,19 @@ class SampleSet:
 
     Provenance records model id, strategy, parameter, and seed; ids must
     be unique and every sequence must index the same vocab.
+
+    A set counts its continuations' n-grams once. ``_grams`` memoizes the
+    deepest :meth:`_windows` asked for so far, which serve every lower
+    order, and, on a reference set, corpus BLEU's table
+    (:func:`_reference_table`). One cell's Self-BLEU, seq-rep-n and
+    reverse-ppl fit thus share one windowing pass, and a sweep, whose
+    metrics share one reference set, builds the table once. A subsample
+    is a new set that counts its own n-grams.
     """
 
     samples: tuple[Sample, ...]
     provenance: dict = field(default_factory=dict)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = [s.id for s in self.samples]
@@ -70,6 +84,25 @@ class SampleSet:
 
     def continuations(self) -> list[TokenSequence]:
         return [s.continuation for s in self.samples]
+
+    def _windows(self, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """``corpus.ngram_windows`` of the continuations for orders 1..max_n,
+        sliced from the deepest windows counted so far."""
+        if max_n < 1:
+            raise BadOrder("n-gram order must be at least 1")
+        depth = min(max_n, int(_lengths(self).max(initial=1)))
+        held = self._grams.get("windows")
+        if held is None or len(held[2]) < depth:
+            held = self._grams["windows"] = ngram_windows([s.continuation.ids for s in self.samples], depth)
+            for a in (held[0], held[1], *held[2]):
+                a.setflags(write=False)  # every metric of the set reads these arrays
+        flat, owner, ids = held
+        # Orders past the longest continuation have no windows.
+        return flat, owner, ids[:max_n] + [np.full(len(flat), -1, dtype=np.int64)] * (max_n - len(ids))
+
+
+def _lengths(sset: SampleSet) -> np.ndarray:
+    return np.array([len(s.continuation) for s in sset.samples], dtype=np.int64)
 
 
 SMOOTHING_EPSILON = 1e-9  # a clipped precision of zero counts as this
@@ -98,23 +131,21 @@ def _pair_counts(owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     return keys // base, keys % base, counts
 
 
-def _clipped_counts(seqs: list, n_refs: int, first_cand: int, max_n: int) -> np.ndarray:
-    """Clipped n-gram matches of candidates ``seqs[first_cand:]`` against
-    references ``seqs[:n_refs]``: entry (i, n - 1) sums, over candidate i's
-    n-grams, its count capped at the gram's largest count in one reference
-    other than the candidate itself. Orders past the longest sequence have
-    no n-grams, so the columns stop there."""
-    max_n = max(1, min(max_n, max(map(len, seqs))))
-    _, owner, ids = ngram_windows(seqs, max_n)
-    out = np.zeros((len(seqs) - first_cand, max_n), dtype=np.int64)
+def _clipped_counts(cands: SampleSet, max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of each candidate against all the others:
+    entry (i, n - 1) sums, over candidate i's n-grams, its count capped at
+    the gram's largest count in one candidate other than i. Orders past
+    the longest candidate have no n-grams, so the columns stop there."""
+    max_n = min(max_n, int(_lengths(cands).max()))
+    _, owner, ids = cands._windows(max_n)
+    out = np.zeros((len(cands), max_n), dtype=np.int64)
     for n in range(max_n):
         seq, gram, count = _pair_counts(owner, ids[n])
-        ref = seq < n_refs
         # By gram, then count descending: each gram's first entry holds its
         # best count and that count's owner, the next entry of the same gram
         # the second best. On a tie the two are equal, so the owner is moot.
-        order = np.lexsort((-count[ref], gram[ref]))
-        r_seq, r_gram, r_count = seq[ref][order], gram[ref][order], count[ref][order]
+        order = np.lexsort((-count, gram))
+        r_seq, r_gram, r_count = seq[order], gram[order], count[order]
         head = np.flatnonzero(np.diff(r_gram, prepend=-1))
         has_second = np.append(r_gram, -1)[head + 1] == r_gram[head]
         n_grams = int(ids[n].max(initial=-1)) + 1
@@ -122,10 +153,60 @@ def _clipped_counts(seqs: list, n_refs: int, first_cand: int, max_n: int) -> np.
         owner_of_best = np.full(n_grams, -1)
         best[r_gram[head]], owner_of_best[r_gram[head]] = r_count[head], r_seq[head]
         second[r_gram[head[has_second]]] = r_count[head[has_second] + 1]
-        cand = seq >= first_cand
-        g, c_seq = gram[cand], seq[cand]
-        clip = np.minimum(count[cand], np.where(owner_of_best[g] == c_seq, second[g], best[g]))
-        out[:, n] = np.bincount(c_seq - first_cand, weights=clip, minlength=len(out))
+        clip = np.minimum(count, np.where(owner_of_best[gram] == seq, second[gram], best[gram]))
+        out[:, n] = np.bincount(seq, weights=clip, minlength=len(out))
+    return out
+
+
+def _reference_table(ref: SampleSet, depth: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """Corpus BLEU's table of ``ref`` for orders 1..``depth`` or more, built
+    once per set: an id base, and per order the sorted gram keys, then a
+    sentinel, and each gram's largest count in one reference. A gram's key
+    is its prefix's row in the order below (0 at order 1) times the base,
+    plus its last id. The base is 2 above every reference id, so id
+    base - 1 stands for every id no reference holds."""
+    held = ref._grams.get("table")
+    if held is None or len(held[1]) < depth:
+        flat, owner, ids = ref._windows(depth)
+        base = int(flat.max(initial=-1)) + 2
+        orders = []
+        for o in range(depth):
+            _, gram, count = _pair_counts(owner, ids[o])
+            best = np.zeros(int(ids[o].max(initial=-1)) + 1, dtype=np.int64)
+            np.maximum.at(best, gram, count)
+            # Rows are the dense ids of ngram_windows, which ascend with the
+            # grams; any window of a gram spells it.
+            at = np.flatnonzero(ids[o] >= 0)
+            start = np.empty(len(best), dtype=np.int64)
+            start[ids[o][at]] = at
+            prefix = ids[o - 1][start] if o else 0
+            keys = prefix * base + flat[start + o]
+            orders.append((np.append(keys, np.iinfo(np.int64).max), best))
+        held = ref._grams["table"] = (base, orders)
+    return held
+
+
+def _reference_matches(cands: SampleSet, ref: SampleSet, max_n: int) -> np.ndarray:
+    """Clipped n-gram matches of each candidate against the references:
+    entry (i, n - 1) sums, over candidate i's n-grams, its count capped at
+    the gram's largest count in one reference. Each order takes one
+    ``searchsorted`` of the candidate windows whose prefix the table holds,
+    and counts only the windows it finds there. The columns stop at the
+    longest candidate; orders past the longest reference match nothing."""
+    n_cols = min(max_n, int(_lengths(cands).max()))
+    out = np.zeros((len(cands), n_cols), dtype=np.int64)
+    base, table = _reference_table(ref, min(n_cols, int(_lengths(ref).max())))
+    flat, owner, room = flat_ids([s.continuation.ids for s in cands.samples])
+    last = np.minimum(flat, base - 1)
+    at, row = np.arange(len(flat)), np.zeros(len(flat), dtype=np.int64)  # windows found so far, their rows
+    for o, (keys, best) in enumerate(table[:n_cols]):
+        live = room[at] > o
+        want = row[live] * base + last[at[live] + o]
+        found = np.searchsorted(keys, want)
+        hit = keys[found] == want
+        at, row = at[live][hit], found[hit]
+        seq, gram, count = _pair_counts(owner[at], row)
+        out[:, o] = np.bincount(seq, weights=np.minimum(count, best[gram]), minlength=len(out))
     return out
 
 
@@ -141,22 +222,16 @@ def _closest(ref_lens: np.ndarray, c_lens: np.ndarray, skip: int) -> np.ndarray:
     return np.where(hi - lo > skip, c_lens, nearest)
 
 
-def _mean_bleu(cands: list, refs: list | None, cfg: BleuConfig) -> float:
-    """Mean BLEU of ``cands`` against ``refs``, or, with ``refs`` None, of
-    each candidate against all the other candidates (leave-one-out).
+def _mean_bleu(matched: np.ndarray, c_lens: np.ndarray, r_lens: np.ndarray, max_n: int) -> float:
+    """Mean BLEU over candidates of lengths ``c_lens`` with clipped matches
+    ``matched`` and closest reference lengths ``r_lens``.
 
     Matched counts are integers; each candidate's floats are Python's,
     summed left to right, as the brute-force oracle computes them.
     """
-    loo = refs is None
-    pool = cands if loo else refs
-    seqs = cands if loo else [*refs, *cands]
-    matched = _clipped_counts(seqs, len(pool), len(seqs) - len(cands), cfg.max_n)
-    c_lens = np.array([len(c) for c in cands], dtype=np.int64)
-    r_lens = _closest(np.array([len(r) for r in pool], dtype=np.int64), c_lens, int(loo))
     total = 0.0
     for c_len, r_len, row in zip(c_lens.tolist(), r_lens.tolist(), matched.tolist()):
-        orders = min(cfg.max_n, c_len)
+        orders = min(max_n, c_len)
         log_sum = 0.0
         for n in range(1, orders + 1):
             m = row[n - 1]
@@ -164,15 +239,16 @@ def _mean_bleu(cands: list, refs: list | None, cfg: BleuConfig) -> float:
             log_sum += math.log(p)
         geo = math.exp(log_sum / orders)
         total += math.exp(min(0.0, 1.0 - r_len / c_len)) * geo
-    return total / len(cands)
+    return total / len(c_lens)
 
 
-def _pick_candidates(n: int, cfg: BleuConfig) -> list[int]:
-    if cfg.subsample is None or cfg.subsample >= n:
-        return list(range(n))
-    order = list(range(n))
+def _candidates(gen: SampleSet, cfg: BleuConfig) -> SampleSet:
+    """``gen``, or its configured subsample as a new set."""
+    if cfg.subsample is None or cfg.subsample >= len(gen):
+        return gen
+    order = list(range(len(gen)))
     SplitMix64(cfg.subsample_seed).shuffle(order)
-    return sorted(order[: cfg.subsample])
+    return SampleSet(tuple(gen.samples[i] for i in sorted(order[: cfg.subsample])), gen.provenance)
 
 
 def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -> float:
@@ -180,8 +256,10 @@ def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -
     cfg = cfg or BleuConfig()
     if not len(gen) or not len(ref):
         raise InsufficientSamples("corpus_bleu needs non-empty gen and ref sets")
-    cands = [gen.samples[i].continuation.ids for i in _pick_candidates(len(gen), cfg)]
-    return _mean_bleu(cands, [s.continuation.ids for s in ref.samples], cfg)
+    cands = _candidates(gen, cfg)
+    c_lens = _lengths(cands)
+    matched = _reference_matches(cands, ref, cfg.max_n)
+    return _mean_bleu(matched, c_lens, _closest(_lengths(ref), c_lens, 0), cfg.max_n)
 
 
 def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
@@ -192,29 +270,31 @@ def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
     leave-one-out references come from the subsampled set.
     """
     cfg = cfg or BleuConfig()
-    chosen = _pick_candidates(len(gen), cfg)
-    if len(chosen) < 2:
+    cands = _candidates(gen, cfg)
+    if len(cands) < 2:
         raise InsufficientSamples("self_bleu needs at least two samples")
-    return _mean_bleu([gen.samples[i].continuation.ids for i in chosen], None, cfg)
+    c_lens = _lengths(cands)
+    return _mean_bleu(_clipped_counts(cands, cfg.max_n), c_lens, _closest(c_lens, c_lens, 1), cfg.max_n)
 
 
-def _seq_reps(seqs: list, n: int) -> list[float | None]:
-    """1 - distinct/total n-grams of each sequence; None where it has none."""
-    _, owner, ids = ngram_windows(seqs, n)
+def _seq_reps(windows: tuple, n_seqs: int, n: int) -> list[float | None]:
+    """1 - distinct/total n-grams of each sequence of ``windows``
+    (``corpus.ngram_windows`` of ``n_seqs`` sequences); None where it has none."""
+    _, owner, ids = windows
     seq, _, _ = _pair_counts(owner, ids[n - 1])
-    total = np.bincount(owner[ids[n - 1] >= 0], minlength=len(seqs))
-    reps = 1.0 - np.bincount(seq, minlength=len(seqs)) / np.maximum(total, 1)
+    total = np.bincount(owner[ids[n - 1] >= 0], minlength=n_seqs)
+    reps = 1.0 - np.bincount(seq, minlength=n_seqs) / np.maximum(total, 1)
     return [r if t else None for r, t in zip(reps.tolist(), total.tolist())]
 
 
 def seq_rep_n(seq, n: int = 4) -> float | None:
     """Repeated n-gram fraction: 1 - unique/total. None when len < n."""
-    return _seq_reps([as_ids(seq)], n)[0]
+    return _seq_reps(ngram_windows([as_ids(seq)], n), 1, n)[0]
 
 
 def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
     """Average seq_rep_n over a set; returns (mean, null count)."""
-    values = [v for v in _seq_reps([s.continuation.ids for s in gen.samples], n) if v is not None]
+    values = [v for v in _seq_reps(gen._windows(n), len(gen), n) if v is not None]
     nulls = len(gen) - len(values)
     if not values:
         return None, nulls
@@ -264,7 +344,9 @@ def reverse_ppl(
     check_reverse_settings(order, k_s)
     if not len(gen) or not len(human_test):
         raise InsufficientSamples("reverse_ppl needs non-empty gen and human sets")
-    scorer = ngram_fit(gen.continuations(), order=order, k_s=k_s, vocab=human_test.vocab)
+    scorer = ngram_fit(
+        gen.continuations(), order=order, k_s=k_s, vocab=human_test.vocab, windows=gen._windows(order)
+    )
     return _pooled_ppl(scorer, human_test)
 
 

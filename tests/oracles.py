@@ -115,10 +115,16 @@ def naive_self_bleu(seqs, max_n=4, epsilon=1e-9):
 
 
 def one_bleu(candidate, references, cfg=None):
-    """BLEU of one candidate by the package's batched ``metrics._mean_bleu``."""
-    from genteval.metrics import BleuConfig, _mean_bleu
+    """BLEU of one candidate by the package's ``metrics.corpus_bleu``."""
+    from genteval.corpus import TokenSequence, Vocab
+    from genteval.metrics import Sample, SampleSet, corpus_bleu
 
-    return _mean_bleu([tuple(candidate)], [tuple(r) for r in references], cfg or BleuConfig())
+    vocab = Vocab.placeholder(1 + max(max(s) for s in [candidate, *references]))
+
+    def sample_set(seqs):
+        return SampleSet(tuple(Sample(str(i), None, TokenSequence(tuple(s), vocab)) for i, s in enumerate(seqs)))
+
+    return corpus_bleu(sample_set([candidate]), sample_set(references), cfg)
 
 
 def spearman(xs, ys):

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +633,36 @@ def test_eval_reverse_ppl_matches_ffn_sweep_cells(workspace, toy_sweep, tmp_path
                   if (r.model, r.strategy) == ("ffn", "greedy"))
     got = _eval_cell(workspace, toy_sweep / "samples" / "ffn__greedy__None.jsonl", tmp_path)
     assert got["reverse_ppl"] == record.metrics["reverse_ppl"]
+
+
+_PIPELINE_SCRIPT = """
+import sys
+from pathlib import Path
+from genteval.harness.cli import main
+
+root = Path(sys.argv[1])
+manifest, model, sweep = root / "data" / "manifest.json", root / "m.lmek", root / "sweep"
+assert main(["ingest", "--input", str(root / "corpus.txt"), "--out-dir", str(root / "data"), "--seq-len", "30"]) == 0
+assert main(["train", "--manifest", str(manifest), "--backend", "ngram", "--model-out", str(model)]) == 0
+assert main(["sweep", "--manifest", str(manifest), "--models", f"m={model}", "--strategies", "greedy;topp:0.9",
+             "--n-prefixes", "4", "--prefix-len", "3", "--gen-len", "5", "--out-dir", str(sweep)]) == 0
+for kind in ("quality", "diversity"):
+    assert main(["eval", kind, "--samples", str(sweep / "samples" / "m__topp__0.9.jsonl"),
+                 "--manifest", str(manifest), "--out-dir", str(root / "eval")]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_the_pipeline_never_imports_numpy_ma(tmp_path):
+    """A plain ``np.unique`` (no ``return_*`` flag) imports ``numpy.ma`` on its
+    first call in a process, a cost that every CLI process would pay anew."""
+    (tmp_path / "corpus.txt").write_text(make_text(300, seed=4), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _PIPELINE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eval" / "report_reverse_ppl.json").exists()
 
 
 def test_sweep_rejects_unknown_strategy(workspace, tmp_path):

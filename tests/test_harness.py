@@ -1,13 +1,16 @@
 """Sample persistence, sweep orchestration, curve fits, trade-off tables."""
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from genteval.corpus import CorpusSplits, TokenSequence, Vocab, write_ids_file
+from genteval.corpus import CorpusSplits, TokenSequence, Vocab, ngram_windows, write_ids_file
 from genteval.decode import DecoderConfig, parse_strategies
 from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
@@ -297,6 +300,26 @@ def test_run_sweep_is_deterministic_across_directories(tmp_path):
         run_sweep(cfg, mk_splits(), d, models={"m1": CountingModel(VOCAB)})
         out.append((d / "sweep.csv").read_bytes())
     assert out[0] == out[1]
+
+
+def test_a_sweep_windows_each_sample_set_once(tmp_path):
+    """Each cell windows its samples once; the forward-ppl fit and the
+    reference table window once per sweep."""
+    windowed = []
+
+    def counted(seqs, max_n):
+        windowed.append(len(seqs))
+        return ngram_windows(seqs, max_n)
+
+    cfg = mk_cfg(models=("m1", "m2"))
+    models = {"m1": CountingModel(VOCAB, 0), "m2": CountingModel(VOCAB, 2)}
+    with contextlib.ExitStack() as stack:
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "genteval"]:
+            if getattr(module, "ngram_windows", None) is ngram_windows:
+                stack.enter_context(mock.patch.object(module, "ngram_windows", counted))
+        records = run_sweep(cfg, mk_splits(), tmp_path, models=models)
+    assert len(records) == 6 and all(r.failed is None and len(r.metrics) == 5 for r in records)
+    assert len(windowed) <= len(records) + 2
 
 
 def test_run_sweep_reuses_finished_cells(tmp_path):

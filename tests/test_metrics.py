@@ -137,6 +137,12 @@ BLEU_EDGE_CASES = {
     "self_all_distinct_grams": ([[1, 2], [3, 4], [5]], None, 2),
     "corpus_max_n_above_every_length": ([[1, 2], [2], [1, 2, 1]], [[1, 2, 1, 2], [2, 1]], 5),
     "corpus_no_overlap": ([[9, 9, 9], [8]], [[1, 2, 3], [4, 5]], 4),
+    "corpus_refs_tied_at_a_best_count": ([[1, 1, 2, 1], [2, 1, 1, 1]], [[1, 1, 3], [3, 1, 1], [1, 2]], 4),
+    "corpus_candidate_longer_than_every_reference": ([[1, 2, 1, 2, 3, 1, 2], [2, 3]], [[1, 2], [2, 3, 1]], 6),
+    # Refs hold ids up to 1, so the reference table's id base is 3: unclipped,
+    # the bigrams (0, 3) and (0, 4) would read as the refs' (1, 0) and (1, 1).
+    "corpus_ids_past_every_reference_id": ([[0, 3, 0, 4], [4, 3]], [[0, 1, 0, 1, 1]], 4),
+    "corpus_max_n_1": ([[1, 2, 2], [3], [2, 2, 2, 2]], [[2, 2, 4], [1]], 1),
 }
 
 
@@ -152,6 +158,63 @@ def test_bleu_edge_cases_match_oracle(case):
             want += naive_bleu(c, refs, max_n=max_n)
         ref = mk_set(refs, vocab=Vocab.placeholder(10))
         assert corpus_bleu(mk_set(cands, vocab=Vocab.placeholder(10)), ref, cfg) == want / len(cands)
+
+
+def test_corpus_bleu_reads_the_pad_id_and_foreign_ids_as_unmatched():
+    refs = [[0, 1, 0, 1, 4], [1, 1, 2]]
+    ref = mk_set(refs, vocab=Vocab.placeholder(5))
+    # The ffn's pad id V = 5 is one past the vocab; the table's base is 6.
+    padded = Vocab.placeholder(5)
+    pad_cands = [(0, 5, 0, 1, 4), (5, 5, 1, 1), (1, 0, 5)]
+    pad_set = SampleSet(tuple(Sample(str(i), None, TokenSequence.trusted(c, padded)) for i, c in enumerate(pad_cands)))
+    # A distinct vocab object with ids the references never use.
+    foreign = [[0, 1, 7, 0, 1], [6, 6, 1, 1, 2]]
+    foreign_set = mk_set(foreign, vocab=Vocab([f"w{i}" for i in range(8)]))
+    for gen, cands in ((pad_set, pad_cands), (foreign_set, foreign)):
+        for max_n in (1, 2, 4):
+            want = 0.0
+            for c in cands:
+                want += naive_bleu(c, refs, max_n=max_n)
+            assert corpus_bleu(gen, ref, BleuConfig(max_n=max_n)) == want / len(cands)
+
+
+def _set_pair():
+    # Two ids, so the sets share grams of every order up to 6.
+    rng = SplitMix64(31)
+    gen = [[rng.randint(2) for _ in range(rng.randint(7) + 6)] for _ in range(8)]
+    human = [[rng.randint(2) for _ in range(rng.randint(7) + 6)] for _ in range(5)]
+    vocab = Vocab.placeholder(2)
+    return (lambda: mk_set(gen, vocab=vocab)), (lambda: mk_set(human, vocab=vocab)), gen
+
+
+def test_one_sample_set_serves_every_order_as_fresh_sets_do():
+    fresh_gen, fresh_human, _ = _set_pair()
+    metrics_of = {
+        "rev5": lambda g, h: reverse_ppl(g, h, order=5),
+        "rev2": lambda g, h: reverse_ppl(g, h, order=2),
+        "self4": lambda g, h: self_bleu(g, BleuConfig(max_n=4)),
+        "corpus4": lambda g, h: corpus_bleu(g, h, BleuConfig(max_n=4)),
+        "corpus2": lambda g, h: corpus_bleu(g, h, BleuConfig(max_n=2)),
+        "corpus6": lambda g, h: corpus_bleu(g, h, BleuConfig(max_n=6)),
+        "rep4": lambda g, h: mean_seq_rep(g, 4),
+    }
+    want = {name: f(fresh_gen(), fresh_human()) for name, f in metrics_of.items()}
+    for order in (list(metrics_of), list(reversed(metrics_of))):
+        gen, human = fresh_gen(), fresh_human()
+        assert {name: metrics_of[name](gen, human) for name in order} == want
+
+
+def test_a_subsample_counts_its_own_ngrams():
+    fresh_gen, fresh_human, seqs = _set_pair()
+    gen, human = fresh_gen(), fresh_human()
+    self_bleu(gen, BleuConfig(max_n=4))  # fills the full set's memo
+    corpus_bleu(gen, human, BleuConfig(max_n=4))
+    cfg = BleuConfig(max_n=4, subsample=5, subsample_seed=3)
+    chosen = list(range(len(seqs)))
+    SplitMix64(cfg.subsample_seed).shuffle(chosen)
+    subset = [seqs[i] for i in sorted(chosen[: cfg.subsample])]
+    assert self_bleu(gen, cfg) == naive_self_bleu(subset, max_n=4)
+    assert corpus_bleu(gen, human, cfg) == corpus_bleu(fresh_gen(), fresh_human(), cfg)
 
 
 @given(
@@ -177,13 +240,17 @@ def test_bleu_and_self_bleu_equal_the_oracle(top, seqs, max_n, data):
 def test_bleu_counts_no_order_past_the_longest_sequence():
     cands, refs = [[1, 2, 3] * 10, [3, 1]], [[1, 2, 3, 4] * 5] * 6
     cfg = BleuConfig(max_n=10**5)
-    for run, want in (
-        (lambda: corpus_bleu(mk_set(cands), mk_set(refs), cfg), sum(naive_bleu(c, refs, 10**5) for c in cands) / 2),
-        (lambda: self_bleu(mk_set(cands + refs), cfg), naive_self_bleu(cands + refs, 10**5)),
-    ):
+    ref = mk_set(refs)
+    # Corpus BLEU counts the orders up to the longest reference (20): the
+    # first call builds the reference table and walks the candidates through
+    # it, a second call on the same reference set only walks.
+    for calls in (2 * 20, 20):
         with mock.patch.object(metrics, "_pair_counts", wraps=metrics._pair_counts) as counted:
-            assert run() == want
-        assert counted.call_count <= 30  # the longest sequence
+            assert corpus_bleu(mk_set(cands), ref, cfg) == sum(naive_bleu(c, refs, 10**5) for c in cands) / 2
+        assert counted.call_count == calls
+    with mock.patch.object(metrics, "_pair_counts", wraps=metrics._pair_counts) as counted:
+        assert self_bleu(mk_set(cands + refs), cfg) == naive_self_bleu(cands + refs, 10**5)
+    assert counted.call_count <= 30  # the longest sequence
 
 
 @given(
