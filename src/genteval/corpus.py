@@ -252,35 +252,83 @@ def flat_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.
     return flat, owner, np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))
 
 
+class GramTable:
+    """The distinct n-grams of some id lists: per order, sorted int64 keys.
+
+    A gram's key is its prefix's row among the grams one order below (0 at
+    order 1) times ``base``, plus its last id: keys ascend with the grams,
+    and each prefix's continuations are one block of rows. ``keys[o - 1]``
+    holds order o's keys, then ``END``. ``base`` is 2 above every id held:
+    :meth:`clip` reads every other id as base - 1, or as -1 if negative,
+    and neither of those ids, nor row -1, is part of any gram's key.
+    """
+
+    END = np.iinfo(np.int64).max  # above every key
+
+    def __init__(self, base: int, keys: list[np.ndarray]) -> None:
+        self.base, self.keys = base, keys
+
+    @classmethod
+    def of_grams(cls, grams: Sequence[np.ndarray]) -> GramTable:
+        """The table of ``grams[o - 1]``, order o's ``(n, o)`` int64 grams; DataError
+        unless each order strictly increases and each prefix is a gram of the order below."""
+        table = cls(2 + max((int(g.max()) for g in grams if g.size), default=0), [])
+        for o, g in enumerate(grams, 1):
+            rows = np.zeros(len(g), dtype=np.int64)
+            for j in range(o - 1):
+                rows = table.find(j + 1, rows, g[:, j])
+            if (rows < 0).any():
+                raise DataError(f"an order-{o} n-gram's context is not an order-{o - 1} n-gram")
+            keys = rows * table.base + g[:, -1]
+            if (keys[1:] <= keys[:-1]).any():
+                raise DataError(f"order-{o} n-grams are not strictly increasing")
+            table.keys.append(np.append(keys, cls.END))
+        return table
+
+    def clip(self, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``ids`` as :meth:`find` takes them; one clip serves a whole walk."""
+        return np.minimum(np.maximum(ids, -1, out=out), self.base - 1, out=out)  # np.clip, without its overhead
+
+    def find(self, o: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Row among order ``o``'s grams of gram ``rows`` (order o - 1, or -1) + clipped ``ids``, else -1."""
+        keys, want = self.keys[o - 1], rows * self.base + ids
+        at = np.searchsorted(keys, want)
+        return np.where(keys[at] == want, at, -1)
+
+    def grams(self, o: int) -> np.ndarray:
+        """``(n, o)``: order ``o``'s grams, spelled back from their keys."""
+        prefix, last = np.divmod(self.keys[o - 1][:-1], self.base)
+        return np.column_stack((self.grams(o - 1)[prefix], last)) if o > 1 else last[:, None]
+
+
 def ngram_windows(
     seqs: Sequence[Sequence[int]], max_n: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
     """Every n-gram window of ``seqs`` for orders 1..max_n, as a dense gram id.
 
-    Returns ``(flat, owner, ids)``: the ids of ``seqs`` end to end, the
-    sequence each position of ``flat`` belongs to, and one array per order
-    whose ``ids[o - 1][i]`` is the id of the o-gram starting at position
-    i, or -1 where that window would run past its sequence. Windows never
-    span sequences. The ids of one order are dense and lexicographic:
-    equal grams share an id, and ids ascend with the grams. An o-gram's
-    key is its (o-1)-gram's id times a base above every token id, plus
-    its last id, and one ``np.unique`` per order ranks the keys.
+    Returns ``(flat, owner, ids, table)``: the ids of ``seqs`` end to end,
+    the sequence each position of ``flat`` belongs to, one array per order
+    whose ``ids[o - 1][i]`` is the row in the :class:`GramTable` ``table``
+    of the o-gram starting at position i, or -1 where that window would run
+    past its sequence. Windows never span sequences. Equal grams share an
+    id, ids ascend with the grams, and one ``np.unique`` per order ranks
+    the table's keys.
     """
     if max_n < 1:
         raise BadOrder("n-gram order must be at least 1")
     flat, owner, room = flat_ids(seqs)
-    base = int(flat.max()) + 1 if flat.size else 1
+    table = GramTable(int(flat.max(initial=-1)) + 2, [])
     ids, prev = [], np.zeros(len(flat), dtype=np.int64)
-    for o in range(1, max_n + 1):
+    for o in range(1, min(max_n, int(room.max(initial=0))) + 1):  # no order past the longest sequence
         at = np.flatnonzero(room >= o)
-        if not at.size:
-            break
-        keys = prev[at] * base + flat[at + o - 1]
+        keys = prev[at] * table.base + flat[at + o - 1]
         prev = np.full(len(flat), -1, dtype=np.int64)
-        _, prev[at] = np.unique(keys, return_inverse=True)
+        keys, prev[at] = np.unique(keys, return_inverse=True)
+        table.keys.append(np.append(keys, table.END))
         ids.append(prev)
-    # Orders past the longest sequence have no windows, so one array serves them all.
-    return flat, owner, ids + [np.full(len(flat), -1, dtype=np.int64)] * (max_n - len(ids))
+    # Orders past the longest sequence have no windows, so one array of each kind serves them all.
+    table.keys += [np.array([table.END])] * (max_n - len(ids))
+    return flat, owner, ids + [np.full(len(flat), -1, dtype=np.int64)] * (max_n - len(ids)), table
 
 
 _TERMINALS = ".!?"

@@ -12,13 +12,10 @@ would be 0/0, so the model backs off to the shortened context (dropping
 the leftmost token) until it finds one with observations; the unigram
 level always qualifies on non-empty training data.
 
-Order o keeps ``grams[o]``, its distinct o-grams in lexicographic order,
-and their ``counts[o]``. A gram's key is the row of its context in
-``grams[o - 1]`` times a base above every id, plus its last id, so keys
-ascend with the grams, each context's continuations are one block of
-rows, and no key overflows at any order. One backoff chain, with one
-``searchsorted`` per order, reads ids end to end, each id's context the
-ids after the last -1 before it: ``score_batch`` lays them out with
+The grams of each order live in a :class:`genteval.corpus.GramTable`,
+their counts beside it in key order. One backoff chain, with one
+``GramTable.find`` per order, reads ids end to end, each id's context
+the ids after the last -1 before it: ``score_batch`` lays them out with
 :func:`genteval.lm.base.id_lines`, ``next_dist_batch`` appends a -1 to
 each window. A query id that no gram holds reads as an unknown token.
 """
@@ -30,8 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..corpus import TokenSequence, Vocab, ngram_windows
-from ..errors import BadOrder, ConfigError, DataError, EmptyInput
+from ..corpus import GramTable, TokenSequence, Vocab, ngram_windows
+from ..errors import BadOrder, ConfigError, EmptyInput
 from .base import as_ids, id_lines, left_padded, summed_scores
 
 
@@ -46,35 +43,20 @@ def check_settings(order: int, k_s: float) -> None:
 class NGramLM:
     backend = "ngram"
 
-    def __init__(self, vocab: Vocab, order: int, k_s: float, grams: dict, counts: dict) -> None:
-        """``grams[o]``: the o-grams, strictly increasing, each one's
-        context a gram of ``grams[o - 1]``; ``counts[o]``: their counts."""
+    def __init__(self, vocab: Vocab, order: int, k_s: float, table: GramTable, counts: dict) -> None:
+        """``table``: the grams of orders 1..``order`` or more; ``counts[o]``:
+        the counts of order o's grams, in key order."""
         check_settings(order, k_s)
-        self.vocab, self.order, self.k_s = vocab, order, float(k_s)
-        self.grams = {o: np.asarray(grams[o], dtype=np.int64).reshape(-1, o) for o in range(1, order + 1)}
+        self.vocab, self.order, self.k_s, self.table = vocab, order, float(k_s), table
         # counts[o] views all but a trailing 0 that row -1 (no gram) reads.
-        self._counts = {o: np.append(np.asarray(counts[o], dtype=np.int64), 0) for o in self.grams}
+        self._counts = {o: np.append(np.asarray(counts[o], dtype=np.int64), 0) for o in range(1, order + 1)}
         self.counts = {o: c[:-1] for o, c in self._counts.items()}
-        # Ids run below base - 1, which stands for every id no gram holds
-        # (id -1 and row -1 make keys no gram has), so a miss never matches.
-        self._base = 2 + max((int(g.max()) for g in self.grams.values() if g.size), default=0)
-        # Per order: the keys, then a sentinel; context r's row block [bounds[r],
-        # bounds[r + 1]) and total, then a 0 total that row -1 (absent) reads.
-        self._keys, self._bounds, self._totals = {}, {}, {}
-        for o, g in self.grams.items():
-            rows = np.zeros(len(g), dtype=np.int64)
-            for j in range(o - 1):
-                rows = self._find(j + 1, rows, g[:, j])
-            if (rows < 0).any():
-                raise DataError(f"an order-{o} n-gram's context is not an order-{o - 1} n-gram")
-            keys = rows * self._base + g[:, -1]
-            if (keys[1:] <= keys[:-1]).any():
-                raise DataError(f"order-{o} n-grams are not strictly increasing")
-            self._keys[o] = np.append(keys, np.iinfo(np.int64).max)
-            n_ctx = len(self.grams[o - 1]) if o > 1 else 1
-            b = self._bounds[o] = np.searchsorted(self._keys[o], np.arange(n_ctx + 1) * self._base)
-            cum = np.concatenate(([0], np.cumsum(self.counts[o])))
-            self._totals[o] = np.append(cum[b[1:]] - cum[b[:-1]], 0)
+        # Per order: each context row's total count, then a 0 that row -1 (absent) reads.
+        self._totals = {}
+        for o in self.counts:
+            n_ctx = len(table.keys[o - 2]) - 1 if o > 1 else 1
+            by_ctx = np.bincount(table.keys[o - 1][:-1] // table.base, self.counts[o], n_ctx)
+            self._totals[o] = np.append(by_ctx.astype(np.int64), 0)
         if self._totals[1][0] == 0:
             raise EmptyInput("n-gram model fitted on no tokens")
 
@@ -83,22 +65,16 @@ class NGramLM:
         """Only the last order-1 ids of a context affect a prediction."""
         return self.order - 1
 
-    def _find(self, o: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Row in ``grams[o]`` of (gram ``rows`` of ``grams[o - 1]``) + (id,), or -1."""
-        want = rows * self._base + ids
-        at = np.searchsorted(self._keys[o], want)
-        return np.where(self._keys[o][at] == want, at, -1)
-
     def _backoff(self, flat: np.ndarray, q: np.ndarray):
         """Backoff level, context row and context total of each id ``flat[q]``, and per
         order k < ``order`` the row of the k-gram ending at each id. An id's context is
         the ids after the last -1 before it; overwrites ``flat``."""
-        np.clip(flat, -1, self._base - 1, out=flat)  # every negative id reads as -1
+        self.table.clip(flat, out=flat)
         level, row = np.ones(len(q), dtype=np.int64), np.zeros(len(q), dtype=np.int64)
         total, ends, avail = np.full(len(q), self._totals[1][0]), [], np.ones(len(q), dtype=bool)
         prefix = np.zeros(len(flat), dtype=np.int64)  # row of the (k-1)-gram ending before i
         for k in range(1, self.order):
-            ends.append(self._find(k, prefix, flat))  # row of the k-gram ending at i
+            ends.append(self.table.find(k, prefix, flat))  # row of the k-gram ending at i
             prefix = np.concatenate(([-1], ends[-1][:-1]))
             avail &= flat[q - k] >= 0  # no -1 among the k ids before the id
             r = prefix[q]
@@ -120,14 +96,15 @@ class NGramLM:
         # Same float operations as (count + k_s) / denom per token.
         out = np.empty((len(level), v))
         out[:] = (self.k_s / denom)[:, None]
+        keys, base = self.table.keys, self.table.base
         for o in np.flatnonzero(np.bincount(level[row >= 0])).tolist():  # the levels that answer from counts
             b = np.flatnonzero((level == o) & (row >= 0))
-            lo = self._bounds[o][row[b]]
-            n = self._bounds[o][row[b] + 1] - lo
+            first = row[b] * base  # context r's keys run from r * base, ascending with their last ids
+            lo = np.searchsorted(keys[o - 1], first)
+            n = np.searchsorted(keys[o - 1], first + min(v, base)) - lo  # a counted id the vocab lacks has no entry
             at = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-            b, nxt = np.repeat(b, n), self.grams[o][at, -1]
-            keep = nxt < v  # a counted id the vocab lacks has no entry
-            out[b[keep], nxt[keep]] = (self.counts[o][at[keep]] + self.k_s) / denom[b[keep]]
+            b, nxt = np.repeat(b, n), keys[o - 1][at] - np.repeat(first, n)
+            out[b, nxt] = (self.counts[o][at] + self.k_s) / denom[b]
         return out
 
     def score_batch(self, seqs, contexts: Sequence[Sequence[int]] = ()) -> list[float]:
@@ -139,7 +116,7 @@ class NGramLM:
         flat, q = id_lines(seqs, contexts, self.context_len)
         level, row, total, ends = self._backoff(flat, q)
         # Each id's gram count at its level; a top-order id's context is ``row``.
-        top = self._find(self.order, np.where(level == self.order, row, -1), flat[q])
+        top = self.table.find(self.order, np.where(level == self.order, row, -1), flat[q])
         count = self._counts[self.order][top]
         for k, e in enumerate(ends, 1):
             count = np.where(level == k, self._counts[k][e[q]], count)
@@ -168,14 +145,6 @@ def ngram_fit(
         vocab = sequences[0].vocab
     if windows is None:
         windows = ngram_windows([as_ids(s) for s in sequences], order)
-    flat, _, ids = windows
-    grams, counts = {}, {}
-    for o in range(1, order + 1):
-        at = np.flatnonzero(ids[o - 1] >= 0)
-        gram_ids = ids[o - 1][at]
-        counts[o] = np.bincount(gram_ids)
-        # Windows with one id hold one gram, so any of them spells it.
-        start = np.empty(len(counts[o]), dtype=np.int64)
-        start[gram_ids] = at
-        grams[o] = flat[start[:, None] + np.arange(o)]
-    return NGramLM(vocab, order, k_s, grams, counts)
+    _, _, ids, table = windows
+    counts = {o: np.bincount(ids[o - 1][ids[o - 1] >= 0]) for o in range(1, order + 1)}
+    return NGramLM(vocab, order, k_s, table, counts)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Vocab
+from ..corpus import GramTable, Vocab
 from ..errors import ConfigError, DataError, atomic_write
 from .ffn import FeedForwardLM, param_shapes
 from .ngram import NGramLM
@@ -65,7 +65,7 @@ def save_model(model, path: str | Path) -> None:
         }
         payload = np.concatenate([
             np.concatenate(([len(model.counts[o])], np.column_stack(
-                [model.grams[o], model.counts[o]]).ravel()))
+                [model.table.grams(o), model.counts[o]]).ravel()))
             for o in range(1, model.order + 1)
         ])
     else:
@@ -152,7 +152,8 @@ def _decode(header: dict, payload: np.ndarray, path):
                 raise DataError(f"{path}: an order-{o} n-gram record is not ids and a count")
             pos = end
         try:
-            model = NGramLM(vocab, order, float(header["k_s"]), grams, counts)
+            table = GramTable.of_grams([grams[o].astype(np.int64) for o in range(1, order + 1)])
+            model = NGramLM(vocab, order, float(header["k_s"]), table, counts)
         except DataError as exc:
             raise type(exc)(f"{path}: {exc}") from None
     else:

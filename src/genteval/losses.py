@@ -91,7 +91,7 @@ def _repeat_pairs(seqs: Sequence[Sequence[int]], n: int) -> list[tuple[np.ndarra
     """Sequence-level UL candidates of each sequence as ``(position, token)``
     arrays, positions ascending: the last token of every n-gram window
     whose gram already ended earlier in the same sequence."""
-    flat, owner, ids = ngram_windows(seqs, n)
+    flat, owner, ids, _ = ngram_windows(seqs, n)
     at = np.flatnonzero(ids[n - 1] >= 0)
     base = int(ids[n - 1].max(initial=0)) + 1
     _, first = np.unique(owner[at] * base + ids[n - 1][at], return_index=True)

@@ -11,10 +11,9 @@ reference length with ties broken toward the shorter reference.
 Each :class:`SampleSet` counts its continuations' n-grams once, as the
 dense gram ids of ``corpus.ngram_windows``, and Self-BLEU, seq-rep-n and
 the reverse-ppl fit read that one count. Corpus BLEU looks each
-candidate n-gram up in the reference set's table, built once per set:
-per order, the sorted gram keys and each gram's largest count in one
-reference, so a candidate's clipped count is the lesser of its own and
-that best count, and a gram no reference holds matches nothing.
+candidate n-gram up in the reference set's ``corpus.GramTable``, built
+once per set, and caps its count at the gram's largest count in one
+reference; a gram no reference holds matches nothing.
 Self-BLEU counts every (sequence, gram) pair with one ``np.unique`` per
 order, and one ``lexsort`` per order ranks each gram's counts across
 the sequences, so a candidate's clipped count is the lesser of its own
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TokenSequence, Vocab, flat_ids, ngram_windows
+from .corpus import GramTable, TokenSequence, Vocab, flat_ids, ngram_windows
 from .errors import BadOrder, ConfigError, InsufficientSamples
 from .lm.base import as_ids
 from .lm.ngram import check_settings, ngram_fit
@@ -85,20 +84,20 @@ class SampleSet:
     def continuations(self) -> list[TokenSequence]:
         return [s.continuation for s in self.samples]
 
-    def _windows(self, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """``corpus.ngram_windows`` of the continuations for orders 1..max_n,
-        sliced from the deepest windows counted so far."""
+    def _windows(self, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
+        """``corpus.ngram_windows`` of the continuations for orders 1..max_n
+        or more, from the deepest windows counted so far."""
         if max_n < 1:
             raise BadOrder("n-gram order must be at least 1")
-        depth = min(max_n, int(_lengths(self).max(initial=1)))
         held = self._grams.get("windows")
-        if held is None or len(held[2]) < depth:
-            held = self._grams["windows"] = ngram_windows([s.continuation.ids for s in self.samples], depth)
-            for a in (held[0], held[1], *held[2]):
+        if held is None or (len(held[2]) < max_n and len(held[2]) < int(_lengths(self).max())):
+            held = self._grams["windows"] = ngram_windows([s.continuation.ids for s in self.samples], max_n)
+            for a in (held[0], held[1], *held[2], *held[3].keys):
                 a.setflags(write=False)  # every metric of the set reads these arrays
-        flat, owner, ids = held
-        # Orders past the longest continuation have no windows.
-        return flat, owner, ids[:max_n] + [np.full(len(flat), -1, dtype=np.int64)] * (max_n - len(ids))
+        flat, owner, ids, table = held
+        pad = max(0, max_n - len(ids))  # the held windows rank every order that has any
+        keys = table.keys + [np.array([GramTable.END])] * pad
+        return flat, owner, ids + [np.full(len(flat), -1, dtype=np.int64)] * pad, GramTable(table.base, keys)
 
 
 def _lengths(sset: SampleSet) -> np.ndarray:
@@ -137,7 +136,7 @@ def _clipped_counts(cands: SampleSet, max_n: int) -> np.ndarray:
     the gram's largest count in one candidate other than i. Orders past
     the longest candidate have no n-grams, so the columns stop there."""
     max_n = min(max_n, int(_lengths(cands).max()))
-    _, owner, ids = cands._windows(max_n)
+    _, owner, ids, _ = cands._windows(max_n)
     out = np.zeros((len(cands), max_n), dtype=np.int64)
     for n in range(max_n):
         seq, gram, count = _pair_counts(owner, ids[n])
@@ -158,55 +157,37 @@ def _clipped_counts(cands: SampleSet, max_n: int) -> np.ndarray:
     return out
 
 
-def _reference_table(ref: SampleSet, depth: int) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """Corpus BLEU's table of ``ref`` for orders 1..``depth`` or more, built
-    once per set: an id base, and per order the sorted gram keys, then a
-    sentinel, and each gram's largest count in one reference. A gram's key
-    is its prefix's row in the order below (0 at order 1) times the base,
-    plus its last id. The base is 2 above every reference id, so id
-    base - 1 stands for every id no reference holds."""
-    held = ref._grams.get("table")
-    if held is None or len(held[1]) < depth:
-        flat, owner, ids = ref._windows(depth)
-        base = int(flat.max(initial=-1)) + 2
-        orders = []
-        for o in range(depth):
-            _, gram, count = _pair_counts(owner, ids[o])
-            best = np.zeros(int(ids[o].max(initial=-1)) + 1, dtype=np.int64)
-            np.maximum.at(best, gram, count)
-            # Rows are the dense ids of ngram_windows, which ascend with the
-            # grams; any window of a gram spells it.
-            at = np.flatnonzero(ids[o] >= 0)
-            start = np.empty(len(best), dtype=np.int64)
-            start[ids[o][at]] = at
-            prefix = ids[o - 1][start] if o else 0
-            keys = prefix * base + flat[start + o]
-            orders.append((np.append(keys, np.iinfo(np.int64).max), best))
-        held = ref._grams["table"] = (base, orders)
-    return held
+def _reference_table(ref: SampleSet, depth: int) -> tuple[GramTable, list[np.ndarray]]:
+    """``ref``'s gram table and, per order 1..``depth`` or more, each gram's
+    largest count in one reference: corpus BLEU's table, each order built once per set."""
+    best = ref._grams.setdefault("best", [])
+    _, owner, ids, table = ref._windows(depth)
+    for o in range(len(best), depth):
+        _, gram, count = _pair_counts(owner, ids[o])
+        best.append(np.zeros(len(table.keys[o]) - 1, dtype=np.int64))
+        np.maximum.at(best[o], gram, count)
+    return table, best
 
 
 def _reference_matches(cands: SampleSet, ref: SampleSet, max_n: int) -> np.ndarray:
     """Clipped n-gram matches of each candidate against the references:
     entry (i, n - 1) sums, over candidate i's n-grams, its count capped at
     the gram's largest count in one reference. Each order takes one
-    ``searchsorted`` of the candidate windows whose prefix the table holds,
-    and counts only the windows it finds there. The columns stop at the
-    longest candidate; orders past the longest reference match nothing."""
+    ``GramTable.find`` of the candidate windows whose prefix the table
+    holds, and counts only the windows it finds there. The columns stop at
+    the longest candidate; orders past the longest reference match nothing."""
     n_cols = min(max_n, int(_lengths(cands).max()))
     out = np.zeros((len(cands), n_cols), dtype=np.int64)
-    base, table = _reference_table(ref, min(n_cols, int(_lengths(ref).max())))
+    table, best = _reference_table(ref, min(n_cols, int(_lengths(ref).max())))
     flat, owner, room = flat_ids([s.continuation.ids for s in cands.samples])
-    last = np.minimum(flat, base - 1)
-    at, row = np.arange(len(flat)), np.zeros(len(flat), dtype=np.int64)  # windows found so far, their rows
-    for o, (keys, best) in enumerate(table[:n_cols]):
-        live = room[at] > o
-        want = row[live] * base + last[at[live] + o]
-        found = np.searchsorted(keys, want)
-        hit = keys[found] == want
-        at, row = at[live][hit], found[hit]
+    last = table.clip(flat)
+    at, row = np.argsort(last), np.zeros(len(flat), dtype=np.int64)  # id-ordered windows (faster searches), rows or -1
+    for o in range(min(n_cols, len(best))):
+        live = (room[at] > o) & (row >= 0)  # the windows that go on past a prefix the table holds
+        at = at[live]
+        row = table.find(o + 1, row[live], last[at + o])
         seq, gram, count = _pair_counts(owner[at], row)
-        out[:, o] = np.bincount(seq, weights=np.minimum(count, best[gram]), minlength=len(out))
+        out[:, o] = np.bincount(seq, weights=np.minimum(count, best[o][gram]), minlength=len(out))
     return out
 
 
@@ -280,7 +261,7 @@ def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
 def _seq_reps(windows: tuple, n_seqs: int, n: int) -> list[float | None]:
     """1 - distinct/total n-grams of each sequence of ``windows``
     (``corpus.ngram_windows`` of ``n_seqs`` sequences); None where it has none."""
-    _, owner, ids = windows
+    _, owner, ids, _ = windows
     seq, _, _ = _pair_counts(owner, ids[n - 1])
     total = np.bincount(owner[ids[n - 1] >= 0], minlength=n_seqs)
     reps = 1.0 - np.bincount(seq, minlength=n_seqs) / np.maximum(total, 1)

@@ -240,18 +240,19 @@ class DictNGram:
 def ngram_tables(model):
     """An ``NGramLM``'s count arrays as {order: {gram tuple: count}}."""
     return {
-        o: dict(zip(map(tuple, model.grams[o].tolist()), model.counts[o].tolist()))
+        o: dict(zip(map(tuple, model.table.grams(o).tolist()), model.counts[o].tolist()))
         for o in range(1, model.order + 1)
     }
 
 
 def ngram_from_tables(vocab, order, k_s, counts):
     """An ``NGramLM`` holding the dict tables ``counts`` ({order: {gram: count}})."""
+    from genteval.corpus import GramTable
     from genteval.lm.ngram import NGramLM
 
     rows = {o: sorted(counts.get(o, {}).items()) for o in range(1, order + 1)}
-    grams = {o: np.array([g for g, _ in r], dtype=np.int64).reshape(-1, o) for o, r in rows.items()}
-    return NGramLM(vocab, order, k_s, grams, {o: [c for _, c in r] for o, r in rows.items()})
+    table = GramTable.of_grams([np.array([g for g, _ in r], dtype=np.int64).reshape(-1, o) for o, r in rows.items()])
+    return NGramLM(vocab, order, k_s, table, {o: [c for _, c in r] for o, r in rows.items()})
 
 
 def naive_next_dist(model, context):

@@ -1,11 +1,14 @@
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from genteval.corpus import (
     CorpusSplits,
+    GramTable,
     TokenSequence,
     Vocab,
     build_pair_datasets,
@@ -169,7 +172,7 @@ def test_ngram_windows_match_oracle():
 
 
 def test_ngram_windows_short_input_empty():
-    _, _, ids = ngram_windows([[1, 2]], 3)
+    _, _, ids, _ = ngram_windows([[1, 2]], 3)
     assert [a.tolist() for a in ids] == [[0, 1], [0, -1], [-1, -1]]
 
 
@@ -190,6 +193,44 @@ def test_ngram_windows_match_naive_ngrams(seqs, max_n):
 def test_ngram_windows_reject_order_zero():
     with pytest.raises(BadOrder):
         ngram_windows([[1, 2]], 0)
+
+
+def test_ngram_windows_stop_ranking_at_the_longest_sequence():
+    with mock.patch.object(np, "unique", wraps=np.unique) as ranked:
+        _, _, ids, table = ngram_windows([[1, 2]], 10**6)
+    assert ranked.call_count <= 2
+    assert len(ids) == len(table.keys) == 10**6
+    assert table.find(10**6, np.array([0, -1]), np.array([1, -1])).tolist() == [-1, -1]
+
+
+@given(_id_lists(), st.integers(min_value=1, max_value=14), st.data())  # orders past the longest sequence too
+@settings(max_examples=150, deadline=None)
+def test_gram_table_find_matches_a_dict_lookup(seqs, max_n, data):
+    flat, _, ids, table = ngram_windows(seqs, max_n)
+    # Per order, each gram's row, read from the windows; order 0 holds the empty gram.
+    rows = [{(): 0}] + [{} for _ in range(max_n)]
+    for o in range(1, max_n + 1):
+        for i, r in enumerate(ids[o - 1].tolist()):
+            if r >= 0:
+                rows[o][tuple(flat[i : i + o].tolist())] = r
+    base = table.base
+    held = sorted({t for s in seqs for t in s})
+    # Ids the table holds, ids it lacks, id -1, base - 1 and above (an ffn's
+    # pad id, an id of a larger vocab) and ids below -1.
+    pick = st.sampled_from(held + [-1, -7, base - 1, base, base + 40, 10**6] + list(range(base - 1)))
+    for o in range(1, max_n + 1):
+        spelled = {r: g for g, r in rows[o - 1].items()}
+        n = data.draw(st.integers(1, 12), label="queries")
+        prefix = data.draw(st.lists(st.sampled_from([-1, *spelled]), min_size=n, max_size=n), label="rows")
+        query = data.draw(st.lists(pick, min_size=n, max_size=n), label="ids")
+        want = [rows[o].get(spelled[r] + (i,), -1) if r >= 0 else -1 for r, i in zip(prefix, query)]
+        got = table.find(o, np.array(prefix, dtype=np.int64), table.clip(np.array(query, dtype=np.int64)))
+        assert got.tolist() == want
+    # The grams spelled back from the keys build the same keys.
+    again = GramTable.of_grams([table.grams(o) for o in range(1, max_n + 1)])
+    assert [k.tobytes() for k in again.keys] == [k.tobytes() for k in table.keys]
+    for o in range(1, max_n + 1):
+        assert table.grams(o).tolist() == sorted(map(list, rows[o]))
 
 
 # --- sentence segmentation --------------------------------------------------

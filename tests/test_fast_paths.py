@@ -235,7 +235,7 @@ def test_fit_counts_match_window_scan(corpus, order):
         for ids in corpus:
             for gram, c in naive_ngrams(ids, o).items():
                 want[gram] = want.get(gram, 0) + c
-        got = list(zip(map(tuple, model.grams[o].tolist()), model.counts[o].tolist()))
+        got = list(zip(map(tuple, model.table.grams(o).tolist()), model.counts[o].tolist()))
         assert got == sorted(want.items())
 
 
@@ -247,11 +247,15 @@ def test_saved_model_bytes_equal_the_dict_writer(case):
         path = Path(tmp) / "m.lmek"
         save_model(model, path)
         assert path.read_bytes() == ref.to_bytes()
-        if model.grams[1].max() >= model.vocab.size:
+        if model.table.grams(1).max() >= model.vocab.size:
             return  # a file with ids the vocab lacks is refused
         loaded = load_model(path)
+    # The fit's table comes from ngram_windows, the loaded one from the
+    # file's grams: both hold the same keys at every order.
+    assert loaded.table.base == model.table.base
     for o in range(1, model.order + 1):
-        assert loaded.grams[o].tobytes() == model.grams[o].tobytes()
+        assert loaded.table.keys[o - 1].tobytes() == model.table.keys[o - 1].tobytes()
+        assert loaded.table.grams(o).tobytes() == model.table.grams(o).tobytes()
         assert loaded.counts[o].tobytes() == model.counts[o].tobytes()
 
 

@@ -304,22 +304,25 @@ def test_run_sweep_is_deterministic_across_directories(tmp_path):
 
 def test_a_sweep_windows_each_sample_set_once(tmp_path):
     """Each cell windows its samples once; the forward-ppl fit and the
-    reference table window once per sweep."""
-    windowed = []
+    reference table window once per sweep. With continuations shorter than
+    4, Self-BLEU asks for fewer orders than seq-rep-4 does, and the cell
+    still windows once."""
+    for gen_len in (5, 3):
+        windowed = []
 
-    def counted(seqs, max_n):
-        windowed.append(len(seqs))
-        return ngram_windows(seqs, max_n)
+        def counted(seqs, max_n):
+            windowed.append(len(seqs))
+            return ngram_windows(seqs, max_n)
 
-    cfg = mk_cfg(models=("m1", "m2"))
-    models = {"m1": CountingModel(VOCAB, 0), "m2": CountingModel(VOCAB, 2)}
-    with contextlib.ExitStack() as stack:
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "genteval"]:
-            if getattr(module, "ngram_windows", None) is ngram_windows:
-                stack.enter_context(mock.patch.object(module, "ngram_windows", counted))
-        records = run_sweep(cfg, mk_splits(), tmp_path, models=models)
-    assert len(records) == 6 and all(r.failed is None and len(r.metrics) == 5 for r in records)
-    assert len(windowed) <= len(records) + 2
+        cfg = mk_cfg(models=("m1", "m2"), gen_len=gen_len)
+        models = {"m1": CountingModel(VOCAB, 0), "m2": CountingModel(VOCAB, 2)}
+        with contextlib.ExitStack() as stack:
+            for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "genteval"]:
+                if getattr(module, "ngram_windows", None) is ngram_windows:
+                    stack.enter_context(mock.patch.object(module, "ngram_windows", counted))
+            records = run_sweep(cfg, mk_splits(), tmp_path / str(gen_len), models=models)
+        assert len(records) == 6 and all(r.failed is None and len(r.metrics) == 5 for r in records)
+        assert len(windowed) <= len(records) + 2
 
 
 def test_run_sweep_reuses_finished_cells(tmp_path):

@@ -204,6 +204,19 @@ def test_one_sample_set_serves_every_order_as_fresh_sets_do():
         assert {name: metrics_of[name](gen, human) for name in order} == want
 
 
+def test_orders_past_the_longest_continuation_reuse_the_held_windows():
+    # Continuations of 2 and 3 ids: the first request ranks every order that
+    # has windows, so the deeper ones only pad.
+    seqs = [[0, 1, 0], [1, 1], [0, 0, 1]]
+    asks = [lambda g: mean_seq_rep(g, 3), lambda g: self_bleu(g, BleuConfig(max_n=4)),
+            lambda g: mean_seq_rep(g, 4), lambda g: reverse_ppl(g, mk_set(seqs), order=5)]
+    want = [ask(mk_set(seqs)) for ask in asks]
+    gen = mk_set(seqs)
+    with mock.patch.object(metrics, "ngram_windows", wraps=metrics.ngram_windows) as windowed:
+        assert [ask(gen) for ask in asks] == want
+    assert windowed.call_count == 1
+
+
 def test_a_subsample_counts_its_own_ngrams():
     fresh_gen, fresh_human, seqs = _set_pair()
     gen, human = fresh_gen(), fresh_human()
