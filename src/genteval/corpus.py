@@ -12,6 +12,10 @@ desk-scale experiments:
 
 Text is NFC-normalized before tokenization; no other normalization is
 applied (no lowercasing, no unicode folding).
+
+Ids travel as int64 arrays: :func:`tokenize` returns one, and each split
+of :class:`CorpusSplits` is a read-only ``(n, seq_len)`` matrix, one row
+per line of its ids file. :class:`TokenSequence` serves per-sequence APIs.
 """
 
 from __future__ import annotations
@@ -97,37 +101,8 @@ class TokenSequence:
         if lo < 0 or hi >= limit:
             raise ConfigError(f"token id {lo if lo < 0 else hi} out of range for vocab of {limit}")
 
-    @classmethod
-    def trusted(cls, ids: tuple[int, ...], vocab: Vocab) -> "TokenSequence":
-        """A sequence of non-empty ids the caller has already range-checked."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "ids", ids)
-        object.__setattr__(seq, "vocab", vocab)
-        return seq
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def window(self, start: int, stop: int) -> "TokenSequence":
-        return TokenSequence(self.ids[start:stop], self.vocab)
-
-    def surfaces(self) -> list[str]:
-        return [self.vocab.tokens[i] for i in self.ids]
-
-
-@dataclass(frozen=True)
-class CorpusSplits:
-    """Disjoint train/dev/test chunk lists, all chunks of equal length."""
-
-    train: tuple[TokenSequence, ...]
-    dev: tuple[TokenSequence, ...]
-    test: tuple[TokenSequence, ...]
-    seq_len: int
-    ratios: tuple[float, float, float]
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.train), len(self.dev), len(self.test))
 
 
 @dataclass(frozen=True)
@@ -146,8 +121,8 @@ def _word_surfaces(text: str) -> list[str]:
     out: list[str] = []
     for chunk in text.split():
         # Alphanumeric characters are all in L* or N*, so such a chunk
-        # has no punctuation to split on.
-        if chunk.isalnum():
+        # has no punctuation to split on; a one-character chunk is one token.
+        if chunk.isalnum() or len(chunk) == 1:
             out.append(chunk)
             continue
         run = []
@@ -174,19 +149,13 @@ def surface_tokens(text: str, scheme: str) -> list[str]:
     return list(text)
 
 
-def tokenize(text: str, scheme: str = "word") -> tuple[TokenSequence, Vocab]:
-    """Tokenize text, assigning fresh ids in first-occurrence order."""
+def tokenize(text: str, scheme: str = "word") -> tuple[np.ndarray, Vocab]:
+    """Tokenize text to one int64 id array, assigning fresh ids in first-occurrence order."""
     surfaces = surface_tokens(text, scheme)
     if not surfaces:
         raise EmptyInput("no tokens after normalization")
-    index: dict[str, int] = {}
-    ids = []
-    for s in surfaces:
-        if s not in index:
-            index[s] = len(index)
-        ids.append(index[s])
-    vocab = Vocab(index)
-    return TokenSequence(tuple(ids), vocab), vocab
+    vocab = Vocab(dict.fromkeys(surfaces))
+    return np.fromiter(map(vocab._index.__getitem__, surfaces), dtype=np.int64, count=len(surfaces)), vocab
 
 
 def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error") -> TokenSequence:
@@ -208,16 +177,57 @@ def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error")
     return TokenSequence(tuple(ids), vocab)
 
 
+class CorpusSplits:
+    """Train/dev/test chunks over one vocab, each split a read-only ``(n, seq_len)`` int64 matrix.
+
+    Splits made in memory hold their matrices, checked against the vocab;
+    a split not given is empty. Those of a saved manifest (``directory``
+    set, see :func:`load_splits`) read and check a split's ids file when
+    code first reads that split, so a command opens only the files it uses.
+    """
+
+    def __init__(self, vocab: Vocab, seq_len: int, ratios, directory: Path | None = None, **splits) -> None:
+        self.vocab, self.seq_len, self.ratios, self.directory = vocab, seq_len, tuple(ratios), directory
+        for name in _SPLIT_FILES if directory is None else ():
+            ids = np.asarray(splits.get(name, ()), dtype=np.int64).reshape(-1, seq_len)
+            if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
+                raise ConfigError(f"{name} split has a token id out of range for vocab of {vocab.size}")
+            ids.setflags(write=False)
+            vars(self)[name] = ids
+
+    def _read(self, name: str) -> np.ndarray:
+        path = self.directory / _SPLIT_FILES[name]
+        flat, bounds, vocab_size = read_ids_file(path)
+        if vocab_size != self.vocab.size:
+            raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {self.vocab.size}")
+        lengths = np.diff(bounds)
+        bad = np.flatnonzero((lengths != 0) & (lengths != self.seq_len))  # blank lines hold no chunk
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 2}: {lengths[bad[0]]} ids, not seq_len {self.seq_len}")
+        flat.setflags(write=False)
+        return flat.reshape(-1, self.seq_len)
+
+    train = cached_property(lambda self: self._read("train"))
+    dev = cached_property(lambda self: self._read("dev"))
+    test = cached_property(lambda self: self._read("test"))
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        return (len(self.train), len(self.dev), len(self.test))
+
+
 def split_corpus(
-    seq: TokenSequence,
+    ids: np.ndarray,
+    vocab: Vocab,
     seq_len: int,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> CorpusSplits:
-    """Chunk into consecutive ``seq_len`` windows and split by ratio.
+    """Chunk ``ids`` into consecutive ``seq_len`` windows and split by ratio.
 
     The trailing remainder shorter than ``seq_len`` is dropped. With N
     chunks, train takes the first floor(N*r1), dev the next floor(N*r2),
     and test everything left, so the three parts partition the chunks.
+    Each split is a view of ``ids`` reshaped to ``(n, seq_len)``.
     """
     if seq_len < 2:
         raise ConfigError("seq_len must be at least 2")
@@ -225,31 +235,42 @@ def split_corpus(
         raise ConfigError("need three non-negative ratios")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("ratios must sum to 1")
-    n_chunks = len(seq) // seq_len
+    ids = np.asarray(ids, dtype=np.int64)
+    n_chunks = len(ids) // seq_len
     if n_chunks < 3:
         raise CorpusTooSmall(f"corpus yields {n_chunks} chunks, need at least 3")
-    chunks = tuple(
-        seq.window(i * seq_len, (i + 1) * seq_len) for i in range(n_chunks)
-    )
+    chunks = ids[: n_chunks * seq_len].reshape(n_chunks, seq_len)
     n_train = int(n_chunks * ratios[0])
     n_dev = int(n_chunks * ratios[1])
     return CorpusSplits(
-        train=chunks[:n_train],
-        dev=chunks[n_train : n_train + n_dev],
-        test=chunks[n_train + n_dev :],
-        seq_len=seq_len,
-        ratios=tuple(ratios),
+        vocab, seq_len, ratios,
+        train=chunks[:n_train], dev=chunks[n_train : n_train + n_dev], test=chunks[n_train + n_dev :],
     )
 
 
-def flat_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flat, owner, room)``: the ids of ``seqs`` end to end, the sequence
-    each position of ``flat`` belongs to, and how many ids its sequence
-    holds from that position on."""
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=int(lens.sum()))
-    owner = np.repeat(np.arange(len(lens)), lens)
-    return flat, owner, np.repeat(np.cumsum(lens), lens) - np.arange(len(flat))
+def flat_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, bounds)``: the ids of ``rows`` (a matrix, or any id sequences)
+    end to end, row i being ``flat[bounds[i]:bounds[i + 1]]``."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows.reshape(-1), np.arange(len(rows) + 1) * rows.shape[1]
+    rows = list(rows)
+    bounds = np.cumsum([0, *map(len, rows)])
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(bounds[-1])), bounds
+
+
+def row_lists(flat: list, bounds: np.ndarray) -> list[list]:
+    """The rows of a flat list, row i being ``flat[bounds[i]:bounds[i + 1]]``."""
+    bounds = bounds.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def positions(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, room)`` of sequences of ``lengths`` laid end to end: the
+    sequence each position belongs to, and how many ids its sequence holds
+    from that position on."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.repeat(np.cumsum(lengths), lengths) - np.arange(len(owner))
 
 
 class GramTable:
@@ -301,29 +322,37 @@ class GramTable:
         return np.column_stack((self.grams(o - 1)[prefix], last)) if o > 1 else last[:, None]
 
 
-def ngram_windows(
-    seqs: Sequence[Sequence[int]], max_n: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
-    """Every n-gram window of ``seqs`` for orders 1..max_n, as a dense gram id.
+def ngram_windows(flat, lengths, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
+    """Every n-gram window for orders 1..max_n of the sequences of ``lengths``
+    non-negative ids each, end to end in ``flat``, as a dense gram id.
 
-    Returns ``(flat, owner, ids, table)``: the ids of ``seqs`` end to end,
-    the sequence each position of ``flat`` belongs to, one array per order
-    whose ``ids[o - 1][i]`` is the row in the :class:`GramTable` ``table``
-    of the o-gram starting at position i, or -1 where that window would run
-    past its sequence. Windows never span sequences. Equal grams share an
-    id, ids ascend with the grams, and one ``np.unique`` per order ranks
-    the table's keys.
+    Returns ``(flat, owner, ids, table)``: the ids as int64, the sequence
+    each position of ``flat`` belongs to, one array per order whose
+    ``ids[o - 1][i]`` is the row in the :class:`GramTable` ``table`` of the
+    o-gram starting at position i, or -1 where that window would run past
+    its sequence. Windows never span sequences. Equal grams share an id and
+    ids ascend with the grams: a bincount over the ids ranks order 1, one
+    ``np.unique`` the keys of each higher order.
     """
     if max_n < 1:
         raise BadOrder("n-gram order must be at least 1")
-    flat, owner, room = flat_ids(seqs)
+    flat = np.asarray(flat, dtype=np.int64)
+    owner, room = positions(lengths)
+    if len(owner) != len(flat):
+        raise ConfigError(f"sequence lengths sum to {len(owner)}, not the {len(flat)} ids given")
+    if flat.min(initial=0) < 0:
+        raise ConfigError("token ids must be non-negative")
     table = GramTable(int(flat.max(initial=-1)) + 2, [])
     ids, prev = [], np.zeros(len(flat), dtype=np.int64)
     for o in range(1, min(max_n, int(room.max(initial=0))) + 1):  # no order past the longest sequence
-        at = np.flatnonzero(room >= o)
-        keys = prev[at] * table.base + flat[at + o - 1]
-        prev = np.full(len(flat), -1, dtype=np.int64)
-        keys, prev[at] = np.unique(keys, return_inverse=True)
+        if o == 1:  # every position starts a 1-gram; the rank of id t is the number of distinct ids below t
+            seen = np.bincount(flat) > 0
+            keys, prev = np.flatnonzero(seen), (np.cumsum(seen) - 1)[flat]
+        else:
+            at = np.flatnonzero(room >= o)
+            keys = prev[at] * table.base + flat[at + o - 1]
+            prev = np.full(len(flat), -1, dtype=np.int64)
+            keys, prev[at] = np.unique(keys, return_inverse=True)
         table.keys.append(np.append(keys, table.END))
         ids.append(prev)
     # Orders past the longest sequence have no windows, so one array of each kind serves them all.
@@ -407,8 +436,8 @@ def build_pair_datasets(
     return items
 
 
-def tfidf_scores(seq: TokenSequence, doc_len: int) -> list[float]:
-    """Per-position TF-IDF regression targets over consecutive ``doc_len`` documents.
+def tfidf_scores(ids: Sequence[int], doc_len: int) -> list[float]:
+    """Per-position TF-IDF regression targets of ``ids`` over consecutive ``doc_len`` documents.
 
     Position p belongs to document p // doc_len and scores its token there:
     tf is the within-document relative frequency, idf is ln(n_docs / df)
@@ -418,12 +447,11 @@ def tfidf_scores(seq: TokenSequence, doc_len: int) -> list[float]:
     """
     if doc_len < 1:
         raise ConfigError("doc_len must be positive")
-    n_docs = len(seq) // doc_len
+    ids = np.asarray(ids, dtype=np.int64).tolist()
+    n_docs = len(ids) // doc_len
     if n_docs < 1:
         raise CorpusTooSmall("corpus shorter than one document")
-    doc_counts = [
-        Counter(seq.ids[d * doc_len : (d + 1) * doc_len]) for d in range(n_docs)
-    ]
+    doc_counts = [Counter(ids[d * doc_len : (d + 1) * doc_len]) for d in range(n_docs)]
     df = Counter()
     for counts in doc_counts:
         df.update(counts.keys())
@@ -432,7 +460,7 @@ def tfidf_scores(seq: TokenSequence, doc_len: int) -> list[float]:
         {tok: (c / doc_len) * idf[tok] for tok, c in counts.items()}
         for counts in doc_counts
     ]
-    return [scores[p // doc_len][tok] for p, tok in enumerate(seq.ids[: n_docs * doc_len])]
+    return [scores[p // doc_len][tok] for p, tok in enumerate(ids[: n_docs * doc_len])]
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +470,22 @@ def tfidf_scores(seq: TokenSequence, doc_len: int) -> list[float]:
 IDS_HEADER = "#vocab_size="
 
 
-def write_ids_file(path: str | Path, sequences: Iterable[Sequence[int]], vocab_size: int) -> None:
-    """One sequence per line of space-separated ids, after a vocab header."""
+def write_ids_file(path: str | Path, rows, vocab_size: int) -> None:
+    """One row of ``rows`` (an id matrix or id sequences) per line, space-separated,
+    after a vocab header; each id is its entry in one table of decimal texts."""
+    flat, bounds = flat_rows(rows)
+    if flat.min(initial=0) < 0:
+        raise ConfigError("token ids must be non-negative")
+    texts = np.array([str(i) for i in range(int(flat.max(initial=-1)) + 1)], dtype=object)[flat].tolist()
     with atomic_write(path, encoding="utf-8") as f:
         f.write(f"{IDS_HEADER}{vocab_size}\n")
-        for ids in sequences:
-            f.write(" ".join(str(i) for i in ids))
+        for row in row_lists(texts, bounds):
+            f.write(" ".join(row))
             f.write("\n")
 
 
-def _parse_plain_ids(body: str, vocab_size: int) -> list[list[int]] | None:
-    """The non-empty lines of ``body`` as id lists, parsed in one numpy pass.
+def _parse_plain_ids(body: str, vocab_size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(flat, bounds)`` of ``body`` (see :func:`read_ids_file`), parsed in one numpy pass.
 
     Handles the files ``write_ids_file`` writes: ASCII digits, spaces and
     newlines only, ids of at most 18 digits, all below ``vocab_size``.
@@ -474,37 +507,37 @@ def _parse_plain_ids(body: str, vocab_size: int) -> list[list[int]] | None:
         ids = np.where(lengths > j, ids * 10 + (raw[starts + j] - ord("0")), ids)
     if ids.size and ids.max() >= vocab_size:
         return None
-    bounds = [0, *np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))).tolist(), len(ids)]
-    flat = ids.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return ids, np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(raw == ord("\n"))), [len(ids)]))
 
 
-def read_ids_file(path: str | Path) -> tuple[list[list[int]], int]:
-    """Read an ids file; a bad header or id raises DataError naming ``path:line``."""
+def read_ids_file(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read an ids file as ``(flat, bounds, vocab_size)``: line k + 2 (after the
+    header) holds ids ``flat[bounds[k]:bounds[k + 1]]``, none for a blank line.
+    A bad header or id raises DataError naming ``path:line``."""
     with open_text(path) as f:
         header = f.readline().strip()
         if not header.startswith(IDS_HEADER):
             raise EmptyInput(f"{path}: missing {IDS_HEADER}N header")
         try:
             vocab_size = int(header[len(IDS_HEADER) :])
+            if not 0 <= vocab_size < 2**63:  # every id below it fits an int64
+                raise ValueError
         except ValueError:
             raise DataError(f"{path}:1: bad vocab size in {header!r}") from None
         body = f.read()
-    sequences = _parse_plain_ids(body, vocab_size)
-    if sequences is not None:
-        return sequences, vocab_size
-    sequences = []
+    parsed = _parse_plain_ids(body, vocab_size)
+    if parsed is not None:
+        return (*parsed, vocab_size)
+    rows = []
     for lineno, line in enumerate(body.split("\n"), start=2):
         try:
             ids = [int(tok) for tok in line.split()]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not ids:
-            continue
-        if min(ids) < 0 or max(ids) >= vocab_size:
+        if ids and (min(ids) < 0 or max(ids) >= vocab_size):
             raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
-        sequences.append(ids)
-    return sequences, vocab_size
+        rows.append(ids)
+    return (*flat_rows(rows), vocab_size)
 
 
 _SPLIT_FILES = {"train": "train.ids.txt", "dev": "dev.ids.txt", "test": "test.ids.txt"}
@@ -523,10 +556,8 @@ def save_splits(
     ``{"scheme": "external", "vocab_size": N}``.
     """
     out = Path(out_dir)
-    vocab_size = vocab_from_manifest({"tokenizer": tokenizer}).size
     for name, fname in _SPLIT_FILES.items():
-        part = getattr(splits, name)
-        write_ids_file(out / fname, (s.ids for s in part), vocab_size)
+        write_ids_file(out / fname, getattr(splits, name), splits.vocab.size)
     manifest = {
         "seq_len": splits.seq_len,
         "ratios": list(splits.ratios),
@@ -546,34 +577,10 @@ def vocab_from_manifest(manifest: dict) -> Vocab:
     return Vocab.placeholder(int(tok["vocab_size"]))
 
 
-class SavedSplits:
-    """The splits of a saved manifest and the vocab their ids files are checked against.
-
-    Each split's ids file is read and checked when code first reads that
-    split, so a command opens only the files it uses.
-    """
-
-    def __init__(self, directory: Path, vocab: Vocab, seq_len: int, ratios: tuple) -> None:
-        self.directory, self.vocab, self.seq_len, self.ratios = directory, vocab, seq_len, ratios
-
-    def _read(self, name: str) -> tuple[TokenSequence, ...]:
-        path = self.directory / _SPLIT_FILES[name]
-        sequences, vocab_size = read_ids_file(path)
-        if vocab_size != self.vocab.size:
-            raise DataError(f"{path}:1: vocab size {vocab_size} != manifest {self.vocab.size}")
-        # read_ids_file has range-checked every line against this vocab size.
-        return tuple(TokenSequence.trusted(tuple(ids), self.vocab) for ids in sequences)
-
-    train = cached_property(lambda self: self._read("train"))
-    dev = cached_property(lambda self: self._read("dev"))
-    test = cached_property(lambda self: self._read("test"))
-    counts = CorpusSplits.counts
-
-
-def load_splits(manifest_path: str | Path) -> tuple[SavedSplits, dict]:
+def load_splits(manifest_path: str | Path) -> tuple[CorpusSplits, dict]:
     """Read and check a manifest and its vocab; a malformed one raises DataError.
 
-    The ids files are read on first use (see :class:`SavedSplits`).
+    The ids files are read on first use (see :class:`CorpusSplits`).
     """
     manifest_path = Path(manifest_path)
     try:
@@ -581,6 +588,8 @@ def load_splits(manifest_path: str | Path) -> tuple[SavedSplits, dict]:
             manifest = json.load(f)
         vocab = vocab_from_manifest(manifest)
         seq_len, ratios = int(manifest["seq_len"]), tuple(manifest["ratios"])
+        if seq_len < 1:
+            raise ValueError(f"seq_len {seq_len} is not positive")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{manifest_path}: bad manifest ({type(exc).__name__}: {exc})") from None
-    return SavedSplits(manifest_path.parent, vocab, seq_len, ratios), manifest
+    return CorpusSplits(vocab, seq_len, ratios, manifest_path.parent), manifest

@@ -86,7 +86,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import TokenSequence
 from .errors import ConfigError
 from .lm.base import as_ids, exp_rows, id_lines, left_padded
 from .rng import SplitMix64
@@ -428,11 +427,12 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: n
     return _draw(top, dists, u)
 
 
-def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> list[TokenSequence]:
+def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> np.ndarray:
     """Decode one continuation per prefix, all prefixes in lockstep.
 
-    Each continuation holds ``max_len`` tokens after its prefix, which
-    conditions it but is not part of the output. Greedy and beam are
+    Returns the ``(len(prefixes), max_len)`` int64 matrix whose row i is
+    prefix i's continuation: the ``max_len`` tokens after the prefix,
+    which conditions it but is not part of the output. Greedy and beam are
     deterministic; beam breaks score ties lexicographically on the
     token-id sequence.
 
@@ -453,16 +453,15 @@ def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> list[Toke
     if len(seeds) != len(prefixes):
         raise ConfigError("generate_batch needs one seed per prefix")
     if not prefixes:
-        return []
+        return np.zeros((0, cfg.max_len), dtype=np.int64)
     cfg.check_vocab(model.vocab.size)
     beam = cfg.strategy == "beam"
     per_call = max(1, MAX_BATCH_ROWS // cfg.param) if beam else MAX_BATCH_ROWS
-    out: list[TokenSequence] = []
+    out = []
     for lo in range(0, len(prefixes), per_call):
         chunk, chunk_seeds = prefixes[lo : lo + per_call], seeds[lo : lo + per_call]
-        rows = _beam_rows(model, chunk, cfg) if beam else _sample_rows(model, chunk, cfg, chunk_seeds)
-        out += [TokenSequence(tuple(ids), model.vocab) for ids in rows]
-    return out
+        out.append(_beam_rows(model, chunk, cfg) if beam else _sample_rows(model, chunk, cfg, chunk_seeds))
+    return np.concatenate(out)
 
 
 def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, context=()):
@@ -496,7 +495,7 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
     return raw, trunc
 
 
-def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, seeds: list[int]) -> list:
+def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, seeds: list[int]) -> np.ndarray:
     # Row i of ``buf``: prefix i padded to ``lead`` ids, then its continuation.
     window = model.context_len
     head = left_padded(prefixes, window)
@@ -513,10 +512,10 @@ def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, see
         toks = _choose(dists, cfg, None if u is None else u[t - lead], seen)
         buf[:, t] = toks
         seen[rows, toks] = True
-    return buf[:, lead:].tolist()
+    return buf[:, lead:]
 
 
-def _beam_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig) -> list:
+def _beam_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig) -> np.ndarray:
     # Every prefix holds the same number n of hypotheses. Row j*n + i of
     # ``ids`` is prefix j padded to ``lead`` ids, then its hypothesis i,
     # with ``score`` the summed log-probability of the hypothesis and
@@ -547,4 +546,4 @@ def _beam_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig) -> li
         # The new ids order by (parent rank, token) too.
         lex = np.lexsort([key.reshape(n_beams, -1) for key in (toks, rank[parent])], axis=1)
         rank = lex.argsort(axis=1).ravel()
-    return ids[:: len(score) // n_beams, lead:].tolist()
+    return ids[:: len(score) // n_beams, lead:]

@@ -100,8 +100,7 @@ def atomic_write(path, mode: str = "w", **kwargs):
 def write_json(path, obj) -> None:
     """Write ``obj`` atomically as a JSON document: sorted keys, indent 2, final newline."""
     with atomic_write(path, encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")  # one write, not one per token
 
 
 def write_jsonl(path, rows) -> None:

@@ -335,18 +335,16 @@ def _parse_objectives(raw) -> tuple[tuple[str, float], ...]:
 def _cmd_ingest(opt: argparse.Namespace) -> int:
     _require(opt, "input")
     if opt.format == "ids":
-        sequences, vocab_size = read_ids_file(opt.input)
-        flat = tuple(i for seq in sequences for i in seq)
-        if not flat:
+        ids, _, vocab_size = read_ids_file(opt.input)
+        if not ids.size:
             raise DataError(f"{opt.input}: no token ids")
-        corpus = TokenSequence(flat, Vocab.placeholder(vocab_size))
+        vocab = Vocab.placeholder(vocab_size)
         tokenizer = {"scheme": "external", "vocab_size": vocab_size}
     else:
         with open_text(opt.input) as f:
-            text = f.read()
-        corpus, vocab = tokenize(text, opt.scheme)
+            ids, vocab = tokenize(f.read(), opt.scheme)
         tokenizer = {"scheme": opt.scheme, "vocab": list(vocab.tokens)}
-    splits = split_corpus(corpus, opt.seq_len, _parse_ratios(opt.ratios))
+    splits = split_corpus(ids, vocab, opt.seq_len, _parse_ratios(opt.ratios))
     manifest_path = save_splits(opt.out_dir, splits, tokenizer, opt.seed)
     counts = splits.counts
     print(f"splits: train={counts[0]} dev={counts[1]} test={counts[2]}")
@@ -389,14 +387,9 @@ def _pair_items(opt, splits, scheme: str, mode: str):
 
 def _tfidf_items(opt, splits, scheme: str, pool: str):
     doc_len = opt.doc_len if opt.doc_len is not None else splits.seq_len
-    flat = tuple(i for s in splits.train for i in s.ids)
-    targets = tfidf_scores(TokenSequence(flat, splits.vocab), doc_len)
-    items = []
-    for c, seq in enumerate(splits.train):
-        lo, hi = c * splits.seq_len, (c + 1) * splits.seq_len
-        if hi <= len(targets):
-            items.append((seq, tuple(targets[lo:hi])))
-    return tuple(items), 0
+    targets, width = tfidf_scores(splits.train.reshape(-1), doc_len), splits.seq_len
+    chunks = splits.train[: len(targets) // width]  # the chunks that lie within whole documents
+    return tuple((seq, tuple(targets[c * width : (c + 1) * width])) for c, seq in enumerate(chunks)), 0
 
 
 def _label_items(opt, splits, scheme: str, pool: str):
@@ -449,7 +442,7 @@ def _cmd_train(opt: argparse.Namespace) -> int:
     model_out = Path(opt.model_out) if opt.model_out else Path(opt.out_dir) / "model.lmek"
 
     if opt.backend == "ngram":
-        model = ngram_fit(list(splits.train), order=opt.order, k_s=opt.k_s, vocab=splits.vocab)
+        model = ngram_fit(splits.train, splits.vocab, opt.order, opt.k_s)
         save_model(model, model_out)
         print(f"model: {model_out}")
         return 0
@@ -500,11 +493,9 @@ def _eval_metrics(opt: argparse.Namespace) -> int:
     check_positive(prefix_len=opt.prefix_len, gen_len=opt.gen_len)
     splits, _ = load_splits(opt.manifest)
     gen = load_sample_set(opt.samples, splits.vocab)
-    first = gen.samples[0]
-    prefix_len = opt.prefix_len if opt.prefix_len is not None else (
-        len(first.prefix) if first.prefix else 1
-    )
-    gen_len = opt.gen_len if opt.gen_len is not None else len(first.continuation)
+    # By default, the first sample's prefix (or 1) and continuation lengths.
+    prefix_len = opt.prefix_len if opt.prefix_len is not None else int(gen.prefix_bounds[1]) or 1
+    gen_len = opt.gen_len if opt.gen_len is not None else int(gen.bounds[1])
     provenance = dict(gen.provenance)
     provenance["samples"] = Path(opt.samples).name
     names = [name for name, metric in METRICS.items() if metric.kind == opt.kind]

@@ -1,7 +1,9 @@
 """SampleSet persistence and metric report files.
 
 Samples travel as JSONL, one object per line with keys id, model,
-strategy, param, seed, prefix_ids, continuation_ids. Metric reports are
+strategy, param, seed, prefix_ids, continuation_ids; a loaded set holds
+them as flat id arrays (see :class:`genteval.metrics.SampleSet`), whose
+ids one check per file holds to the vocab. Metric reports are
 small JSON documents carrying the value next to everything needed to
 reproduce it.
 """
@@ -9,11 +11,12 @@ reproduce it.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
-from ..corpus import TokenSequence, Vocab
-from ..errors import ConfigError, DataError, open_text, write_json, write_jsonl
-from ..metrics import Sample, SampleSet
+from ..corpus import Vocab, row_lists
+from ..errors import DataError, open_text, write_json, write_jsonl
+from ..metrics import SampleSet
 
 # The provenance keys every sample row repeats.
 _PROVENANCE = ("model", "strategy", "param", "seed")
@@ -21,33 +24,21 @@ _PROVENANCE = ("model", "strategy", "param", "seed")
 
 def save_sample_set(path: str | Path, sset: SampleSet) -> None:
     prov = {key: sset.provenance.get(key) for key in _PROVENANCE}
+    prefixes = row_lists(sset.prefix_flat.tolist(), sset.prefix_bounds)
     write_jsonl(path, (
-        {
-            "id": s.id,
-            **prov,
-            "prefix_ids": list(s.prefix.ids) if s.prefix else [],
-            "continuation_ids": list(s.continuation.ids),
-        }
-        for s in sset.samples
+        {"id": name, **prov, "prefix_ids": prefix, "continuation_ids": continuation}
+        for name, prefix, continuation in zip(sset.names, prefixes, sset.continuations())
     ))
 
 
-def _row_sequence(row: dict, key: str, vocab: Vocab, where: str) -> TokenSequence | None:
-    ids = row.get(key)
-    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
-        raise DataError(f"{where}: {key} must be a list of integer token ids")
-    if not ids:
-        return None
-    try:
-        return TokenSequence(tuple(ids), vocab)
-    except ConfigError as exc:  # an id outside the vocab
-        raise DataError(f"{where}: {exc}") from None
-
-
 def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
-    """Read a sample JSONL whose token ids must index ``vocab``; a repeated sample id is a DataError."""
+    """Read a sample JSONL whose token ids must index ``vocab``; a repeated sample id is a DataError.
+
+    One range check covers the ids of the whole file; only a file that fails
+    it is searched for its first bad row, prefix before continuation.
+    """
     first = None
-    samples, ids = [], set()
+    names, prefixes, continuations, lines, seen = [], [], [], [], set()
     with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -60,19 +51,30 @@ def load_sample_set(path: str | Path, vocab: Vocab) -> SampleSet:
                 raise DataError(f"{where}: bad JSON ({exc})") from None
             if not isinstance(row, dict) or "id" not in row:
                 raise DataError(f"{where}: a sample must be a JSON object with an id")
-            prefix = _row_sequence(row, "prefix_ids", vocab, where)
-            continuation = _row_sequence(row, "continuation_ids", vocab, where)
-            if continuation is None:
+            prefix, continuation = row.get("prefix_ids"), row.get("continuation_ids")
+            for key, ids in (("prefix_ids", prefix), ("continuation_ids", continuation)):
+                if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
+                    raise DataError(f"{where}: {key} must be a list of integer token ids")
+            if not continuation:
                 raise DataError(f"{where}: empty continuation_ids")
             sid = str(row["id"])
-            if sid in ids:
+            if sid in seen:
                 raise DataError(f"{where}: repeated sample id {sid!r}")
-            ids.add(sid)
+            seen.add(sid)
+            names.append(sid)
+            prefixes.append(prefix)
+            continuations.append(continuation)
+            lines.append(where)
             first = first or row
-            samples.append(Sample(id=sid, prefix=prefix, continuation=continuation))
     if first is None:
         raise DataError(f"{path}: no samples")
-    return SampleSet(tuple(samples), {key: first.get(key) for key in _PROVENANCE})
+    every = list(chain.from_iterable(prefixes + continuations))
+    if min(every, default=0) < 0 or max(every, default=0) >= vocab.size:  # then find the first bad row
+        for where, ids in ((w, ids) for w, *row in zip(lines, prefixes, continuations) for ids in row):
+            lo, hi = min(ids, default=0), max(ids, default=0)
+            if lo < 0 or hi >= vocab.size:
+                raise DataError(f"{where}: token id {lo if lo < 0 else hi} out of range for vocab of {vocab.size}")
+    return SampleSet(names, vocab, continuations, prefixes, {key: first.get(key) for key in _PROVENANCE})
 
 
 def write_metric_report(

@@ -25,14 +25,15 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from ..corpus import CorpusSplits, SavedSplits, TokenSequence
+import numpy as np
+
+from ..corpus import CorpusSplits
 from ..decode import DecoderConfig, generate_batch, param_value
 from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text, write_json
 from ..lm.ngram import NGramLM, check_settings, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
     BleuConfig,
-    Sample,
     SampleSet,
     check_reverse_settings,
     corpus_bleu,
@@ -112,7 +113,7 @@ SCHEMA_TAG = "v1"
 
 
 def metric_inputs(
-    settings, names, splits: CorpusSplits | SavedSplits, prefix_len: int, gen_len: int
+    settings, names, splits: CorpusSplits, prefix_len: int, gen_len: int
 ) -> MetricInputs:
     """Check the settings of the metrics ``names``, then build the inputs they
     need, each part only if needed."""
@@ -127,9 +128,7 @@ def metric_inputs(
     if "corpus_bleu" in names or "reverse_ppl" in names:
         refs = reference_set(splits, prefix_len, gen_len)
     if "forward_ppl" in names:
-        fwd_scorer = ngram_fit(
-            list(splits.train), order=settings.fwd_order, k_s=settings.fwd_k_s
-        )
+        fwd_scorer = ngram_fit(splits.train, splits.vocab, settings.fwd_order, settings.fwd_k_s)
     return MetricInputs(settings, bleu_cfg, refs, fwd_scorer)
 
 
@@ -211,17 +210,15 @@ def check_positive(**values) -> None:
             raise ConfigError(f"{name} must be positive")
 
 
-def prefix_windows(
-    splits: CorpusSplits | SavedSplits, split: str, prefix_len: int, n_prefixes: int | None
-) -> list[TokenSequence]:
+def prefix_windows(splits: CorpusSplits, split: str, prefix_len: int, n_prefixes: int | None) -> np.ndarray:
     """The first ``prefix_len`` tokens of each of the first ``n_prefixes``
-    sequences of ``split`` (all of them when None): what ``genteval
-    generate`` and a sweep decode from."""
+    sequences of ``split`` (all of them when None), as one matrix: what
+    ``genteval generate`` and a sweep decode from."""
     check_positive(prefix_len=prefix_len, n_prefixes=n_prefixes)
-    seqs = getattr(splits, split)[:n_prefixes]
-    if not seqs:
+    prefixes = getattr(splits, split)[:n_prefixes, :prefix_len]
+    if not len(prefixes):
         raise DataError(f"split {split!r} has no sequences")
-    return [seq.window(0, prefix_len) for seq in seqs]
+    return prefixes
 
 
 def cell_key(model: str, strategy: str, param) -> str:
@@ -242,12 +239,8 @@ def decode_cell(model, model_name: str, prefixes, dcfg: DecoderConfig, base_seed
     decode through here, so they batch alike and write the same samples.
     """
     seeds = [sample_seed(base_seed, model_name, dcfg.strategy, dcfg.param, i) for i in range(len(prefixes))]
-    continuations = generate_batch(model, prefixes, dcfg, seeds)
     return SampleSet(
-        tuple(
-            Sample(id=str(i), prefix=prefix, continuation=cont)
-            for i, (prefix, cont) in enumerate(zip(prefixes, continuations))
-        ),
+        map(str, range(len(prefixes))), model.vocab, generate_batch(model, prefixes, dcfg, seeds), prefixes,
         {"model": model_name, "strategy": dcfg.strategy, "param": dcfg.param, "seed": base_seed},
     )
 
@@ -278,15 +271,15 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def reference_set(splits: CorpusSplits | SavedSplits, prefix_len: int, gen_len: int) -> SampleSet:
-    """Human continuations from the test split, matching the generated span."""
-    samples = []
-    for i, seq in enumerate(splits.test):
-        if len(seq) <= prefix_len:
-            continue
-        cont = seq.window(prefix_len, min(len(seq), prefix_len + gen_len))
-        samples.append(Sample(id=f"ref-{i}", prefix=seq.window(0, prefix_len), continuation=cont))
-    return SampleSet(tuple(samples), {"model": "human", "strategy": "human", "param": None, "seed": None})
+def reference_set(splits: CorpusSplits, prefix_len: int, gen_len: int) -> SampleSet:
+    """Human continuations from the test split, matching the generated span;
+    none when its chunks are no longer than the prefix."""
+    test = splits.test if splits.seq_len > prefix_len else splits.test[:0]
+    return SampleSet(
+        (f"ref-{i}" for i in range(len(test))), splits.vocab,
+        test[:, prefix_len : prefix_len + gen_len], test[:, :prefix_len],
+        {"model": "human", "strategy": "human", "param": None, "seed": None},
+    )
 
 
 def _resolve_models(cfg: SweepConfig, models) -> tuple[dict, dict]:
@@ -307,7 +300,7 @@ def _resolve_models(cfg: SweepConfig, models) -> tuple[dict, dict]:
 
 def run_sweep(
     cfg: SweepConfig,
-    splits: CorpusSplits | SavedSplits,
+    splits: CorpusSplits,
     out_dir: str | Path,
     models: dict[str, object] | None = None,
 ) -> list[SweepRecord]:

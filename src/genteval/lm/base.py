@@ -40,16 +40,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import TokenSequence, Vocab
+from ..corpus import TokenSequence
 from ..errors import ConfigError
 
 
 def as_ids(seq) -> tuple[int, ...]:
-    """Accept a TokenSequence or any id sequence (possibly empty)."""
+    """Accept a TokenSequence, an id array or any id sequence (possibly empty)."""
     if seq is None:
         return ()
     if isinstance(seq, TokenSequence):
         return seq.ids
+    if isinstance(seq, np.ndarray):
+        return tuple(seq.tolist())
     return tuple(int(i) for i in seq)
 
 

@@ -23,13 +23,13 @@ each window. A query id that no gram holds reads as an unknown token.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..corpus import GramTable, TokenSequence, Vocab, ngram_windows
+from ..corpus import GramTable, Vocab, ngram_windows
 from ..errors import BadOrder, ConfigError, EmptyInput
-from .base import as_ids, id_lines, left_padded, summed_scores
+from .base import id_lines, left_padded, summed_scores
 
 
 def check_settings(order: int, k_s: float) -> None:
@@ -124,27 +124,20 @@ class NGramLM:
         return np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
 
 
-def ngram_fit(
-    corpus: TokenSequence | Iterable[TokenSequence],
-    order: int,
-    k_s: float = 1.0,
-    vocab: Vocab | None = None,
-    windows: tuple | None = None,
-) -> NGramLM:
-    """Count n-grams of orders 1..order over one or more sequences.
+def ngram_fit(ids, vocab: Vocab, order: int, k_s: float = 1.0, lengths=None, windows: tuple | None = None) -> NGramLM:
+    """Count n-grams of orders 1..order over some sequences of ids from ``vocab``.
 
-    Windows never span sequence boundaries. The vocab defaults to the
-    vocab of the first sequence; pass one explicitly when fitting on raw
-    generated ids. ``windows``, when given, is ``ngram_windows`` of the
-    sequences at least ``order`` deep, counted by the caller.
+    ``ids`` is a matrix whose rows are the sequences, or flat ids: the
+    sequences of ``lengths`` end to end, or one sequence when ``lengths``
+    is None. Windows never span sequences. ``windows``, when given, is
+    ``ngram_windows`` of the sequences at least ``order`` deep, counted by
+    the caller.
     """
-    sequences = [corpus] if isinstance(corpus, TokenSequence) else list(corpus)
-    if not sequences:
-        raise EmptyInput("no training sequences")
-    if vocab is None:
-        vocab = sequences[0].vocab
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim == 2:
+        ids, lengths = ids.reshape(-1), [ids.shape[1]] * len(ids)
     if windows is None:
-        windows = ngram_windows([as_ids(s) for s in sequences], order)
-    _, _, ids, table = windows
-    counts = {o: np.bincount(ids[o - 1][ids[o - 1] >= 0]) for o in range(1, order + 1)}
+        windows = ngram_windows(ids, [len(ids)] if lengths is None else lengths, order)
+    _, _, grams, table = windows
+    counts = {o: np.bincount(grams[o - 1][grams[o - 1] >= 0]) for o in range(1, order + 1)}
     return NGramLM(vocab, order, k_s, table, counts)

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import SentencePair, TokenSequence, ngram_windows
+from .corpus import SentencePair, flat_rows, ngram_windows
 from .decode import DecoderConfig, generate_batch
 from .errors import (
     AlignmentError,
@@ -91,15 +91,15 @@ def _repeat_pairs(seqs: Sequence[Sequence[int]], n: int) -> list[tuple[np.ndarra
     """Sequence-level UL candidates of each sequence as ``(position, token)``
     arrays, positions ascending: the last token of every n-gram window
     whose gram already ended earlier in the same sequence."""
-    flat, owner, ids, _ = ngram_windows(seqs, n)
+    flat, bounds = flat_rows(seqs)
+    _, owner, ids, _ = ngram_windows(flat, np.diff(bounds), n)
     at = np.flatnonzero(ids[n - 1] >= 0)
     base = int(ids[n - 1].max(initial=0)) + 1
     _, first = np.unique(owner[at] * base + ids[n - 1][at], return_index=True)
     repeat = np.ones(len(at), dtype=bool)
     repeat[first] = False
     ends = at[repeat] + (n - 1)
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    rows = ends - (np.cumsum(lens) - lens)[owner[ends]]
+    rows = ends - bounds[owner[ends]]
     cuts = np.searchsorted(owner[ends], np.arange(len(seqs) + 1)).tolist()
     return [(rows[a:b], flat[ends[a:b]]) for a, b in zip(cuts[:-1], cuts[1:])]
 
@@ -480,7 +480,7 @@ class TrainConfig:
 def _require_items(cfg: TrainConfig, pools: dict[str, tuple], problem: str) -> None:
     """Raise ``objective <kind> <problem>`` for the first active kind whose pool is missing or empty."""
     for kind, _ in cfg.active:
-        if not pools.get(OBJECTIVES[kind].pool):
+        if not len(pools.get(OBJECTIVES[kind].pool, ())):
             raise ConfigError(f"objective {kind!r} {problem}")
 
 
@@ -512,7 +512,7 @@ def multitask_step(
     token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
     means: dict[str, float] = {}
-    seqs = [s.ids for s in batch.get("sequences", ())]
+    seqs = [as_ids(s) for s in batch.get("sequences", ())]
     if "mle" in weights or token_ul:
         cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs] if token_ul else None
         ce, ul = _token_losses(
@@ -524,13 +524,9 @@ def multitask_step(
         if token_ul:
             means["ul"] = _mean(ul)
     if seq_level:
-        rollouts = _greedy_rollouts(model, batch["sequences"], cfg)
-        conts = [cont.ids for _, cont in rollouts]
+        prefixes, conts = _greedy_rollouts(model, seqs, cfg)
         cands = _repeat_pairs(conts, cfg.ul_ngram)
-        _, ul = _token_losses(
-            model, conts, [prefix.ids for prefix, _ in rollouts], cands,
-            0.0, weights["ul"] / len(seqs), grads,
-        )
+        _, ul = _token_losses(model, conts, prefixes, cands, 0.0, weights["ul"] / len(seqs), grads)
         means["ul"] = _mean(ul)
     scalars: dict[str, float] = {}
     total = 0.0
@@ -548,16 +544,16 @@ def multitask_step(
     return scalars
 
 
-def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> list[tuple[TokenSequence, TokenSequence]]:
-    """(prefix, greedy continuation) per sequence, decoded in one batch."""
+def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(prefixes, greedy continuations), one of each per sequence, decoded in one batch."""
     for seq in seqs:
         if len(seq) < cfg.ul_prefix_len:
             raise ConfigError(
                 f"sequence of {len(seq)} tokens is shorter than ul prefix {cfg.ul_prefix_len}"
             )
-    prefixes = [seq.window(0, cfg.ul_prefix_len) for seq in seqs]
+    prefixes = [seq[: cfg.ul_prefix_len] for seq in seqs]
     greedy = DecoderConfig("greedy", max_len=cfg.ul_gen_len)
-    return list(zip(prefixes, generate_batch(model, prefixes, greedy)))
+    return prefixes, generate_batch(model, prefixes, greedy).tolist()
 
 
 def train(

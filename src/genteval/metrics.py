@@ -8,12 +8,13 @@ always scores 1.0), zero-count precisions replaced by a small epsilon,
 times the brevity penalty exp(min(0, 1 - r/c)) where r is the closest
 reference length with ties broken toward the shorter reference.
 
-Each :class:`SampleSet` counts its continuations' n-grams once, as the
-dense gram ids of ``corpus.ngram_windows``, and Self-BLEU, seq-rep-n and
-the reverse-ppl fit read that one count. Corpus BLEU looks each
-candidate n-gram up in the reference set's ``corpus.GramTable``, built
-once per set, and caps its count at the gram's largest count in one
-reference; a gram no reference holds matches nothing.
+A :class:`SampleSet` holds its continuations as one flat int64 id array
+with row offsets. It counts their n-grams once, as the dense gram ids of
+``corpus.ngram_windows``, and Self-BLEU, seq-rep-n and the reverse-ppl fit
+read that one count. Corpus BLEU looks each candidate n-gram up in the
+reference set's ``corpus.GramTable``, built once per set, and caps its
+count at the gram's largest count in one reference; a gram no reference
+holds matches nothing.
 Self-BLEU counts every (sequence, gram) pair with one ``np.unique`` per
 order, and one ``lexsort`` per order ranks each gram's counts across
 the sequences, so a candidate's clipped count is the lesser of its own
@@ -25,11 +26,12 @@ equal those of the brute-force oracle in the test suite exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .corpus import GramTable, TokenSequence, Vocab, flat_ids, ngram_windows
+from .corpus import GramTable, TokenSequence, Vocab, flat_rows, ngram_windows, positions, row_lists
 from .errors import BadOrder, ConfigError, InsufficientSamples
 from .lm.base import as_ids
 from .lm.ngram import check_settings, ngram_fit
@@ -43,12 +45,16 @@ class Sample:
     continuation: TokenSequence
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """Generated (or human) continuations plus their provenance.
+    """Generated (or human) continuations plus their provenance, as flat ids.
 
-    Provenance records model id, strategy, parameter, and seed; ids must
-    be unique and every sequence must index the same vocab.
+    Sample i, named ``names[i]`` (unique), continues with the ids
+    ``flat[bounds[i]:bounds[i + 1]]`` of ``vocab`` after its prefix
+    ``prefix_flat[prefix_bounds[i]:prefix_bounds[i + 1]]``, possibly empty.
+    Each part comes in as an id matrix or id sequences (``corpus.flat_rows``)
+    that the caller checked against the vocab. :meth:`of` takes
+    :class:`Sample` objects, and ``samples`` is that view, built on first
+    use. Provenance records model id, strategy, parameter, and seed.
 
     A set counts its continuations' n-grams once. ``_grams`` memoizes the
     deepest :meth:`_windows` asked for so far, which serve every lower
@@ -59,30 +65,43 @@ class SampleSet:
     is a new set that counts its own n-grams.
     """
 
-    samples: tuple[Sample, ...]
-    provenance: dict = field(default_factory=dict)
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
+    def __init__(self, names, vocab: Vocab | None, continuations, prefixes=None, provenance: dict | None = None):
+        self.names, self.vocab, self.provenance = tuple(names), vocab, dict(provenance or {})
+        if len(set(self.names)) != len(self.names):
             raise ConfigError("sample ids must be unique")
-        vocabs = {id(s.continuation.vocab) for s in self.samples}
-        if len(vocabs) > 1:
-            first = self.samples[0].continuation.vocab
-            for s in self.samples:
-                if s.continuation.vocab != first:
-                    raise ConfigError("all samples must share one vocab")
+        self.flat, self.bounds = flat_rows(continuations)
+        self.lengths = np.diff(self.bounds)
+        self.prefix_flat, self.prefix_bounds = flat_rows([()] * len(self.names) if prefixes is None else prefixes)
+        if not len(self.bounds) == len(self.prefix_bounds) == len(self.names) + 1:
+            raise ConfigError("need one continuation and one prefix per sample")
+        for a in (self.flat, self.bounds, self.lengths, self.prefix_flat, self.prefix_bounds):
+            a.setflags(write=False)  # the n-gram memo counts these ids once
+        self._grams: dict = {}
+
+    @classmethod
+    def of(cls, samples, provenance: dict | None = None) -> SampleSet:
+        """The set of :class:`Sample` objects ``samples``, whose continuations share one vocab."""
+        samples = tuple(samples)
+        if len({s.continuation.vocab for s in samples}) > 1:
+            raise ConfigError("all samples must share one vocab")
+        return cls(
+            [s.id for s in samples], samples[0].continuation.vocab if samples else None,
+            [s.continuation.ids for s in samples], [s.prefix.ids if s.prefix else () for s in samples], provenance,
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.names)
 
-    @property
-    def vocab(self) -> Vocab:
-        return self.samples[0].continuation.vocab
+    def continuations(self) -> list[list[int]]:
+        return row_lists(self.flat.tolist(), self.bounds)
 
-    def continuations(self) -> list[TokenSequence]:
-        return [s.continuation for s in self.samples]
+    @cached_property
+    def samples(self) -> tuple[Sample, ...]:
+        prefixes = row_lists(self.prefix_flat.tolist(), self.prefix_bounds)
+        return tuple(
+            Sample(name, TokenSequence(tuple(p), self.vocab) if p else None, TokenSequence(tuple(c), self.vocab))
+            for name, p, c in zip(self.names, prefixes, self.continuations())
+        )
 
     def _windows(self, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
         """``corpus.ngram_windows`` of the continuations for orders 1..max_n
@@ -90,18 +109,14 @@ class SampleSet:
         if max_n < 1:
             raise BadOrder("n-gram order must be at least 1")
         held = self._grams.get("windows")
-        if held is None or (len(held[2]) < max_n and len(held[2]) < int(_lengths(self).max())):
-            held = self._grams["windows"] = ngram_windows([s.continuation.ids for s in self.samples], max_n)
-            for a in (held[0], held[1], *held[2], *held[3].keys):
+        if held is None or (len(held[2]) < max_n and len(held[2]) < int(self.lengths.max())):
+            held = self._grams["windows"] = ngram_windows(self.flat, self.lengths, max_n)
+            for a in (held[1], *held[2], *held[3].keys):
                 a.setflags(write=False)  # every metric of the set reads these arrays
         flat, owner, ids, table = held
         pad = max(0, max_n - len(ids))  # the held windows rank every order that has any
         keys = table.keys + [np.array([GramTable.END])] * pad
         return flat, owner, ids + [np.full(len(flat), -1, dtype=np.int64)] * pad, GramTable(table.base, keys)
-
-
-def _lengths(sset: SampleSet) -> np.ndarray:
-    return np.array([len(s.continuation) for s in sset.samples], dtype=np.int64)
 
 
 SMOOTHING_EPSILON = 1e-9  # a clipped precision of zero counts as this
@@ -135,7 +150,7 @@ def _clipped_counts(cands: SampleSet, max_n: int) -> np.ndarray:
     entry (i, n - 1) sums, over candidate i's n-grams, its count capped at
     the gram's largest count in one candidate other than i. Orders past
     the longest candidate have no n-grams, so the columns stop there."""
-    max_n = min(max_n, int(_lengths(cands).max()))
+    max_n = min(max_n, int(cands.lengths.max()))
     _, owner, ids, _ = cands._windows(max_n)
     out = np.zeros((len(cands), max_n), dtype=np.int64)
     for n in range(max_n):
@@ -176,12 +191,12 @@ def _reference_matches(cands: SampleSet, ref: SampleSet, max_n: int) -> np.ndarr
     ``GramTable.find`` of the candidate windows whose prefix the table
     holds, and counts only the windows it finds there. The columns stop at
     the longest candidate; orders past the longest reference match nothing."""
-    n_cols = min(max_n, int(_lengths(cands).max()))
+    n_cols = min(max_n, int(cands.lengths.max()))
     out = np.zeros((len(cands), n_cols), dtype=np.int64)
-    table, best = _reference_table(ref, min(n_cols, int(_lengths(ref).max())))
-    flat, owner, room = flat_ids([s.continuation.ids for s in cands.samples])
-    last = table.clip(flat)
-    at, row = np.argsort(last), np.zeros(len(flat), dtype=np.int64)  # id-ordered windows (faster searches), rows or -1
+    table, best = _reference_table(ref, min(n_cols, int(ref.lengths.max())))
+    owner, room = positions(cands.lengths)
+    last = table.clip(cands.flat)
+    at, row = np.argsort(last), np.zeros(len(last), dtype=np.int64)  # id-ordered windows (faster searches), rows or -1
     for o in range(min(n_cols, len(best))):
         live = (room[at] > o) & (row >= 0)  # the windows that go on past a prefix the table holds
         at = at[live]
@@ -229,7 +244,8 @@ def _candidates(gen: SampleSet, cfg: BleuConfig) -> SampleSet:
         return gen
     order = list(range(len(gen)))
     SplitMix64(cfg.subsample_seed).shuffle(order)
-    return SampleSet(tuple(gen.samples[i] for i in sorted(order[: cfg.subsample])), gen.provenance)
+    keep, rows = sorted(order[: cfg.subsample]), gen.continuations()
+    return SampleSet([gen.names[i] for i in keep], gen.vocab, [rows[i] for i in keep], provenance=gen.provenance)
 
 
 def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -> float:
@@ -238,9 +254,9 @@ def corpus_bleu(gen: SampleSet, ref: SampleSet, cfg: BleuConfig | None = None) -
     if not len(gen) or not len(ref):
         raise InsufficientSamples("corpus_bleu needs non-empty gen and ref sets")
     cands = _candidates(gen, cfg)
-    c_lens = _lengths(cands)
+    c_lens = cands.lengths
     matched = _reference_matches(cands, ref, cfg.max_n)
-    return _mean_bleu(matched, c_lens, _closest(_lengths(ref), c_lens, 0), cfg.max_n)
+    return _mean_bleu(matched, c_lens, _closest(ref.lengths, c_lens, 0), cfg.max_n)
 
 
 def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
@@ -254,7 +270,7 @@ def self_bleu(gen: SampleSet, cfg: BleuConfig | None = None) -> float:
     cands = _candidates(gen, cfg)
     if len(cands) < 2:
         raise InsufficientSamples("self_bleu needs at least two samples")
-    c_lens = _lengths(cands)
+    c_lens = cands.lengths
     return _mean_bleu(_clipped_counts(cands, cfg.max_n), c_lens, _closest(c_lens, c_lens, 1), cfg.max_n)
 
 
@@ -270,7 +286,8 @@ def _seq_reps(windows: tuple, n_seqs: int, n: int) -> list[float | None]:
 
 def seq_rep_n(seq, n: int = 4) -> float | None:
     """Repeated n-gram fraction: 1 - unique/total. None when len < n."""
-    return _seq_reps(ngram_windows([as_ids(seq)], n), 1, n)[0]
+    ids = as_ids(seq)
+    return _seq_reps(ngram_windows(ids, [len(ids)], n), 1, n)[0]
 
 
 def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
@@ -285,13 +302,12 @@ def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
 def _pooled_ppl(scorer, sset: SampleSet) -> float:
     """exp of the token-weighted mean NLL of ``sset``'s continuations, each
     scored from an empty context so that samples never condition each other."""
-    seqs = [s.continuation.ids for s in sset.samples]
     total_lp = 0.0
-    for lp in scorer.score_batch(seqs):
+    for lp in scorer.score_batch(sset.continuations()):
         if not math.isfinite(lp):
             return math.inf
         total_lp += lp
-    return math.exp(-total_lp / sum(map(len, seqs)))
+    return math.exp(-total_lp / len(sset.flat))
 
 
 def forward_ppl(scorer, gen: SampleSet) -> float:
@@ -325,9 +341,7 @@ def reverse_ppl(
     check_reverse_settings(order, k_s)
     if not len(gen) or not len(human_test):
         raise InsufficientSamples("reverse_ppl needs non-empty gen and human sets")
-    scorer = ngram_fit(
-        gen.continuations(), order=order, k_s=k_s, vocab=human_test.vocab, windows=gen._windows(order)
-    )
+    scorer = ngram_fit(gen.flat, human_test.vocab, order, k_s, lengths=gen.lengths, windows=gen._windows(order))
     return _pooled_ppl(scorer, human_test)
 
 

@@ -32,6 +32,20 @@ def naive_ngrams(ids, n):
     return out
 
 
+def windows_of(seqs, max_n):
+    """``corpus.ngram_windows`` of the id lists ``seqs``, laid end to end."""
+    from genteval.corpus import ngram_windows
+
+    return ngram_windows([t for s in seqs for t in s], [len(s) for s in seqs], max_n)
+
+
+def fit_on(seqs, vocab, order, k_s=1.0):
+    """``lm.ngram.ngram_fit`` on the id lists ``seqs``."""
+    from genteval.lm.ngram import ngram_fit
+
+    return ngram_fit([t for s in seqs for t in s], vocab, order, k_s, lengths=[len(s) for s in seqs])
+
+
 def check_ngram_windows(seqs, max_n, windows):
     """Assert that ``windows``, the ``corpus.ngram_windows(seqs, max_n)``
     result, spells every sequence's n-grams as ``naive_ngrams`` counts them.
@@ -122,7 +136,7 @@ def one_bleu(candidate, references, cfg=None):
     vocab = Vocab.placeholder(1 + max(max(s) for s in [candidate, *references]))
 
     def sample_set(seqs):
-        return SampleSet(tuple(Sample(str(i), None, TokenSequence(tuple(s), vocab)) for i, s in enumerate(seqs)))
+        return SampleSet.of(Sample(str(i), None, TokenSequence(tuple(s), vocab)) for i, s in enumerate(seqs))
 
     return corpus_bleu(sample_set([candidate]), sample_set(references), cfg)
 
@@ -467,9 +481,11 @@ def naive_generate(model, prefix, cfg, seed=0):
 
 
 def naive_generate_batch(model, prefixes, cfg, seeds=None):
-    """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix."""
+    """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix,
+    stacked into its ``(len(prefixes), max_len)`` matrix."""
     seeds = [0] * len(prefixes) if seeds is None else seeds
-    return [naive_generate(model, prefix, cfg, seed) for prefix, seed in zip(prefixes, seeds)]
+    rows = [naive_generate(model, prefix, cfg, seed).ids for prefix, seed in zip(prefixes, seeds)]
+    return np.array(rows, dtype=np.int64).reshape(len(prefixes), cfg.max_len)
 
 
 # One row or one prefix through the block code, for tests that pin one case.
@@ -504,9 +520,11 @@ def one_sample(dist, rng):
 
 
 def one_generate(model, prefix, cfg, seed=0):
+    """One prefix's continuation by ``decode.generate_batch``, as a TokenSequence."""
+    from genteval.corpus import TokenSequence
     from genteval.decode import generate_batch
 
-    return generate_batch(model, [prefix], cfg, [seed])[0]
+    return TokenSequence(tuple(generate_batch(model, [prefix], cfg, [seed])[0].tolist()), model.vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +545,8 @@ def naive_read_ids_file(path):
             vocab_size = int(header[len(IDS_HEADER) :])
         except ValueError:
             raise DataError(f"{path}:1: bad vocab size in {header!r}") from None
+        if not 0 <= vocab_size < 2**63:
+            raise DataError(f"{path}:1: bad vocab size in {header!r}")
         sequences = []
         for lineno, line in enumerate(f, start=2):
             try:
@@ -539,6 +559,75 @@ def naive_read_ids_file(path):
                 raise DataError(f"{path}:{lineno}: token id outside the vocab of {vocab_size}")
             sequences.append(ids)
     return sequences, vocab_size
+
+
+def naive_write_ids_file(path, rows, vocab_size):
+    """``write_ids_file`` as one ``str()`` per id, row by row."""
+    from genteval.corpus import IDS_HEADER
+
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(f"{IDS_HEADER}{vocab_size}\n")
+        for ids in rows:
+            f.write(" ".join(str(i) for i in ids))
+            f.write("\n")
+
+
+def naive_order1_rank(flat):
+    """Order 1 of ``ngram_windows``: the distinct ids and each position's
+    rank among them, by ``np.unique``."""
+    return np.unique(np.asarray(flat, dtype=np.int64), return_inverse=True)
+
+
+# ---------------------------------------------------------------------------
+# Sample files: the per-row TokenSequence check the one range check replaces
+# ---------------------------------------------------------------------------
+
+
+def naive_load_sample_set(path, vocab):
+    """``load_sample_set`` with one validated TokenSequence per row, as the
+    rows ``(name, prefix ids, continuation ids)`` and the provenance."""
+    import json
+
+    from genteval.corpus import TokenSequence
+    from genteval.errors import ConfigError, DataError, open_text
+
+    def row_ids(row, key, where):
+        ids = row.get(key)
+        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+            raise DataError(f"{where}: {key} must be a list of integer token ids")
+        if not ids:
+            return ()
+        try:
+            return TokenSequence(tuple(ids), vocab).ids
+        except ConfigError as exc:  # an id outside the vocab
+            raise DataError(f"{where}: {exc}") from None
+
+    first, rows, seen = None, [], set()
+    with open_text(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: bad JSON ({exc})") from None
+            if not isinstance(row, dict) or "id" not in row:
+                raise DataError(f"{where}: a sample must be a JSON object with an id")
+            prefix = row_ids(row, "prefix_ids", where)
+            continuation = row_ids(row, "continuation_ids", where)
+            if not continuation:
+                raise DataError(f"{where}: empty continuation_ids")
+            sid = str(row["id"])
+            if sid in seen:
+                raise DataError(f"{where}: repeated sample id {sid!r}")
+            seen.add(sid)
+            first = first or row
+            rows.append((sid, prefix, continuation))
+    if first is None:
+        raise DataError(f"{path}: no samples")
+    return rows, {key: first.get(key) for key in ("model", "strategy", "param", "seed")}
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +654,18 @@ def naive_word_surfaces(text):
         if run:
             out.append("".join(run))
     return out
+
+
+def naive_tokenize(text, scheme):
+    """``tokenize`` as the per-surface dict loop: ``(ids, vocab surfaces)``."""
+    from genteval.corpus import surface_tokens
+
+    index, ids = {}, []
+    for s in surface_tokens(text, scheme):
+        if s not in index:
+            index[s] = len(index)
+        ids.append(index[s])
+    return ids, tuple(index)
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +887,7 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
     """``genteval.losses.multitask_step`` one item at a time: a fresh
     gradient dict per item, scaled and added into the step's total."""
     from genteval.decode import DecoderConfig
+    from genteval.lm.base import as_ids
 
     grads = model.zero_grads()
     scalars, total = {}, 0.0
@@ -798,21 +900,21 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
             seq_level = rng.uniform() < cfg.mix_prob
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
             if seq_level:
-                prefixes = [seq.window(0, cfg.ul_prefix_len) for seq in items]
+                prefixes = [as_ids(seq)[: cfg.ul_prefix_len] for seq in items]
                 greedy = DecoderConfig(strategy="greedy", max_len=cfg.ul_gen_len)
-                conts = naive_generate_batch(model, prefixes, greedy)
+                conts = naive_generate_batch(model, prefixes, greedy).tolist()
                 rollouts = list(zip(prefixes, conts))
         loss_sum = 0.0
         for item, rollout in zip(items, rollouts):
             if kind == "mle":
-                loss, g = naive_ce_loss(model, item.ids)
+                loss, g = naive_ce_loss(model, as_ids(item))
             elif kind == "ul" and rollout is None:
-                ids = item.ids
+                ids = as_ids(item)
                 loss, g = naive_ul_token_loss(model, ids, naive_previous_token_candidates(ids))
             elif kind == "ul":
                 prefix, cont = rollout
-                cands = naive_ul_seq_candidates(cont.ids, cfg.ul_ngram)
-                loss, g = naive_ul_token_loss(model, cont.ids, cands, prefix.ids)
+                cands = naive_ul_seq_candidates(cont, cfg.ul_ngram)
+                loss, g = naive_ul_token_loss(model, cont, cands, prefix)
             elif kind in ("nsp", "sop"):
                 loss, g = naive_margin_rank_loss(model, *item, cfg.margin)
             elif kind == "tfidf":

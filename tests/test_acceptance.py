@@ -59,7 +59,7 @@ def test_criterion_01_metric_oracles():
     for _ in range(1000):
         ids = [rng.randint(6) for _ in range(rng.randint(15) + 1)]
         n = rng.randint(4) + 1
-        check_ngram_windows([ids], n, ngram_windows([ids], n))
+        check_ngram_windows([ids], n, ngram_windows(ids, [len(ids)], n))
     for _ in range(1000):
         ids = [rng.randint(6) for _ in range(rng.randint(15) + 1)]
         n = rng.randint(4) + 1
@@ -269,10 +269,9 @@ def test_criterion_05_gradient_suite():
 def _greedy_rep(model, splits, n_prefixes=30):
     samples = []
     for i, seq in enumerate(splits.train[:n_prefixes]):
-        prefix = seq.window(0, 50)
-        cont = one_generate(model, prefix, DecoderConfig("greedy", max_len=100))
-        samples.append(Sample(str(i), prefix, cont))
-    mean, _nulls = mean_seq_rep(SampleSet(tuple(samples)), 4)
+        cont = one_generate(model, seq[:50], DecoderConfig("greedy", max_len=100))
+        samples.append(Sample(str(i), None, cont))
+    mean, _nulls = mean_seq_rep(SampleSet.of(samples), 4)
     return mean
 
 
@@ -366,7 +365,7 @@ def _sentence_ids(seq_and_vocab, how_many, offset=0):
     stop = vocab.id_of(".")
     sentences = []
     current = []
-    for tok in seq.ids:
+    for tok in seq.tolist():
         current.append(tok)
         if tok == stop:
             sentences.append(tuple(current))
@@ -382,12 +381,7 @@ def test_criterion_08_reverse_ppl_direction():
     human_ids, _ = _sentence_ids(corpus, 100, offset=100)
 
     def sset(seq_list):
-        return SampleSet(
-            tuple(
-                Sample(str(i), None, TokenSequence(ids, vocab))
-                for i, ids in enumerate(seq_list)
-            )
-        )
+        return SampleSet.of(Sample(str(i), None, TokenSequence(ids, vocab)) for i, ids in enumerate(seq_list))
 
     repeated = sset([distinct_ids[0]] * 100)
     distinct = sset(distinct_ids)
@@ -416,7 +410,7 @@ def test_criterion_09_selection_oracle(tmp_path):
     body = " ".join(f"q{i} r{i}. e{i} f{i} g{i}" for i in range(n))
     tail = " ".join(f"x{i} y{i} z{i}" for i in range(n))
     seq, vocab = tokenize(body + " " + tail, "word")
-    scorer = ngram_fit([seq], order=2, k_s=0.0, vocab=vocab)
+    scorer = ngram_fit(seq, vocab, order=2, k_s=0.0)
 
     rows = [(f"q{i} r{i}.", f"e{i} f{i} g{i}", f"x{i} y{i} z{i}") for i in range(n)]
     straight = tmp_path / "triples.tsv"
@@ -473,12 +467,10 @@ def test_criterion_10_log_fit_and_grid_count(tmp_path):
         metrics=("seq_rep_4",),
     )
     vocab = Vocab.placeholder(6)
-    chunks = tuple(
-        TokenSequence(tuple((i + j) % 6 for j in range(8)), vocab) for i in range(4)
-    )
+    chunks = [[(i + j) % 6 for j in range(8)] for i in range(4)]
     from genteval.corpus import CorpusSplits
 
-    splits = CorpusSplits(chunks, (), chunks, seq_len=8, ratios=(0.5, 0.0, 0.5))
+    splits = CorpusSplits(vocab, 8, (0.5, 0.0, 0.5), train=chunks, test=chunks)
     models = {name: _HashLM(6, salt=i) for i, name in enumerate(cfg.models)}
     records = run_sweep(cfg, splits, tmp_path, models=models)
     count_ok = len(records) == 57 and all(r.failed is None for r in records)

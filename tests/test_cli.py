@@ -1123,6 +1123,23 @@ def test_a_damaged_split_a_command_reads_still_fails_it(workspace, tmp_path, cap
     assert f"{ids}:2: " in _fails_with_one_line(capsys, argv, 3)
 
 
+@pytest.mark.parametrize("short, long", [(True, False), (False, True), (True, True)])
+def test_a_split_line_that_is_not_seq_len_ids_long_is_a_data_error(workspace, tmp_path, capsys, short, long):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["manifest"].parent, data)
+    ids = data / "test.ids.txt"
+    header, *lines = ids.read_text(encoding="utf-8").splitlines()
+    if short:
+        lines[0] = lines[0].rsplit(" ", 1)[0]
+    if long:
+        lines[1] += " 0"
+    ids.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    argv = ["eval", "quality", "--samples", workspace["samples"], "--manifest", data / "manifest.json",
+            "--out-dir", tmp_path / "out"]
+    line, n = (2, 29) if short else (3, 31)  # the first bad line; every chunk holds seq_len 30 ids
+    assert f"data error: {ids}:{line}: {n} ids, not seq_len 30\n" == _fails_with_one_line(capsys, argv, 3)
+
+
 def test_generate_from_a_damaged_dev_split_fails(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["manifest"].parent, data)
@@ -1271,6 +1288,7 @@ def test_bad_train_config_is_one_line_config_error(workspace, tmp_path, capsys, 
     [
         ("manifest-not-json", "manifest.json:"),
         ("manifest-without-tokenizer", "manifest.json:"),
+        ("manifest-seq-len-zero", "manifest.json:"),
         ("id-not-integer", "train.ids.txt:3:"),
         ("id-outside-vocab", "train.ids.txt:2:"),
         ("vocab-size-disagrees", "train.ids.txt:1:"),
@@ -1288,6 +1306,8 @@ def test_malformed_splits_are_data_errors(workspace, tmp_path, capsys, case, whe
         content = json.loads(manifest.read_text(encoding="utf-8"))
         del content["tokenizer"]
         manifest.write_text(json.dumps(content), encoding="utf-8")
+    elif case == "manifest-seq-len-zero":  # no chunk of a split could be read with it
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace('"seq_len": 30', '"seq_len": 0'), encoding="utf-8")
     else:
         if case == "id-not-integer":
             lines[2] += " x"
@@ -1505,5 +1525,35 @@ def test_truncated_or_mutated_input_fails_cleanly(fuzz_inputs, kind, data):
     err = stderr.getvalue()
     assert rc in (0, 2, 3), err
     assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1, err
+
+
+# The inputs whose readers hold ids as arrays, each with the eval kind that
+# reads it, cut or with one byte changed at seeded places: 15 cases a file.
+_PROBED = {"train": "data/train.ids.txt", "test": "data/test.ids.txt", "manifest": "data/manifest.json",
+           "samples": "samples.jsonl"}
+
+
+@pytest.mark.parametrize("case", range(15))
+@pytest.mark.parametrize("kind", sorted(_PROBED))
+def test_a_cut_or_flipped_ids_input_exits_0_2_or_3_with_one_line(fuzz_inputs, tmp_path, kind, case):
+    shutil.copytree(fuzz_inputs / "clean" / "data", tmp_path / "data")
+    shutil.copy(fuzz_inputs / "clean" / "samples.jsonl", tmp_path / "samples.jsonl")
+    target = tmp_path / _PROBED[kind]
+    blob = target.read_bytes()
+    rng = np.random.default_rng([32, case, sorted(_PROBED).index(kind)])
+    pos = int(rng.integers(len(blob)))
+    if case % 2:
+        target.write_bytes(blob[:pos])
+    else:
+        target.write_bytes(blob[:pos] + bytes([(blob[pos] + int(rng.integers(1, 256))) % 256]) + blob[pos + 1:])
+    argv = ["eval", "diversity" if kind == "test" else "quality", "--samples", tmp_path / "samples.jsonl",
+            "--manifest", tmp_path / "data" / "manifest.json", "--out-dir", tmp_path / "out"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main([str(a) for a in argv])
+    err = stderr.getvalue()
+    assert rc in (0, 2, 3) and "Traceback" not in err, err
     if rc:
         assert err.count("\n") == 1, err

@@ -16,6 +16,7 @@ from genteval.corpus import (
     load_splits,
     ngram_windows,
     read_ids_file,
+    row_lists,
     save_splits,
     segment_sentences,
     split_corpus,
@@ -32,7 +33,15 @@ from genteval.errors import (
     InsufficientData,
 )
 
-from oracles import check_ngram_windows, naive_read_ids_file, naive_word_surfaces
+from oracles import (
+    check_ngram_windows,
+    naive_order1_rank,
+    naive_read_ids_file,
+    naive_tokenize,
+    naive_word_surfaces,
+    naive_write_ids_file,
+    windows_of,
+)
 
 
 # --- tokenization -----------------------------------------------------------
@@ -70,9 +79,21 @@ def test_char_scheme_keeps_whitespace():
 
 
 def test_tokenize_assigns_first_occurrence_ids():
-    seq, vocab = tokenize("a b a c", "word")
-    assert seq.ids == (0, 1, 0, 2)
+    ids, vocab = tokenize("a b a c", "word")
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 0, 2]
     assert vocab.tokens == ("a", "b", "c")
+
+
+@given(st.text(alphabet=st.sampled_from(_MIXED), min_size=1) | st.text(min_size=1), st.sampled_from(["word", "char"]))
+def test_tokenize_matches_the_per_surface_dict_loop(text, scheme):
+    want_ids, want_vocab = naive_tokenize(text, scheme)
+    if not want_ids:
+        with pytest.raises(EmptyInput):
+            tokenize(text, scheme)
+        return
+    ids, vocab = tokenize(text, scheme)
+    assert ids.dtype == np.int64 and ids.tolist() == want_ids
+    assert vocab.tokens == want_vocab
 
 
 def test_tokenize_rejects_empty():
@@ -87,15 +108,15 @@ def test_unknown_scheme_rejected():
 
 def test_detokenize_char_is_exact_inverse():
     text = "The cat sat, twice!"
-    seq, _ = tokenize(text, "char")
-    assert "".join(seq.surfaces()) == text
+    ids, vocab = tokenize(text, "char")
+    assert "".join(vocab.tokens[i] for i in ids) == text
 
 
 @given(st.text(alphabet="abc .", min_size=1).filter(lambda s: s.strip()))
 def test_word_roundtrip_up_to_whitespace(text):
-    seq, _ = tokenize(text, "word")
-    again, _ = tokenize(" ".join(seq.surfaces()), "word")
-    assert again.ids == seq.ids
+    ids, vocab = tokenize(text, "word")
+    again, _ = tokenize(" ".join(vocab.tokens[i] for i in ids), "word")
+    assert again.tolist() == ids.tolist()
 
 
 def test_encode_skip_drops_oov():
@@ -126,32 +147,39 @@ def test_token_sequence_bounds_checked():
 
 
 def _range_seq(n):
-    vocab = Vocab.placeholder(n)
-    return TokenSequence(tuple(range(n)), vocab)
+    return np.arange(n), Vocab.placeholder(n)
 
 
 def test_split_partitions_chunks_in_order():
-    splits = split_corpus(_range_seq(100), 10, (0.8, 0.1, 0.1))
+    splits = split_corpus(*_range_seq(100), 10, (0.8, 0.1, 0.1))
     assert splits.counts == (8, 1, 1)
-    flat = [i for part in (splits.train, splits.dev, splits.test) for s in part for i in s.ids]
-    assert flat == list(range(100))
+    parts = (splits.train, splits.dev, splits.test)
+    assert all(part.dtype == np.int64 and not part.flags.writeable for part in parts)
+    assert np.concatenate(parts).ravel().tolist() == list(range(100))
 
 
 def test_split_drops_trailing_remainder():
-    splits = split_corpus(_range_seq(35), 10, (0.4, 0.3, 0.3))
+    splits = split_corpus(*_range_seq(35), 10, (0.4, 0.3, 0.3))
     # 3 chunks: floor(3*0.4)=1 train, floor(3*0.3)=0 dev, rest test.
     assert splits.counts == (1, 0, 2)
-    assert all(len(s) == 10 for part in (splits.train, splits.test) for s in part)
+    assert splits.train.shape == (1, 10) and splits.dev.shape == (0, 10) and splits.test.shape == (2, 10)
 
 
 def test_split_too_small():
     with pytest.raises(CorpusTooSmall):
-        split_corpus(_range_seq(25), 10)
+        split_corpus(*_range_seq(25), 10)
 
 
 def test_split_rejects_bad_ratios():
     with pytest.raises(ConfigError):
-        split_corpus(_range_seq(100), 10, (0.5, 0.4, 0.2))
+        split_corpus(*_range_seq(100), 10, (0.5, 0.4, 0.2))
+
+
+def test_splits_in_memory_are_checked_against_the_vocab():
+    with pytest.raises(ConfigError, match="test split has a token id out of range"):
+        CorpusSplits(Vocab.placeholder(3), 2, (0.5, 0, 0.5), train=[[0, 1]], test=[[2, 3]])
+    splits = CorpusSplits(Vocab.placeholder(3), 2, (1, 0, 0), train=[[0, 1], [2, 2]])
+    assert splits.counts == (2, 0, 0)
 
 
 @given(
@@ -159,7 +187,7 @@ def test_split_rejects_bad_ratios():
     st.integers(min_value=2, max_value=9),
 )
 def test_split_counts_sum_to_chunks(n, seq_len):
-    splits = split_corpus(_range_seq(n), seq_len)
+    splits = split_corpus(*_range_seq(n), seq_len)
     assert sum(splits.counts) == n // seq_len
 
 
@@ -168,11 +196,11 @@ def test_split_counts_sum_to_chunks(n, seq_len):
 
 def test_ngram_windows_match_oracle():
     ids = [1, 2, 1, 2, 1, 3]
-    check_ngram_windows([ids], 3, ngram_windows([ids], 3))
+    check_ngram_windows([ids], 3, ngram_windows(ids, [len(ids)], 3))
 
 
 def test_ngram_windows_short_input_empty():
-    _, _, ids, _ = ngram_windows([[1, 2]], 3)
+    _, _, ids, _ = ngram_windows([1, 2], [2], 3)
     assert [a.tolist() for a in ids] == [[0, 1], [0, -1], [-1, -1]]
 
 
@@ -187,17 +215,32 @@ def _id_lists(draw):
 @example([], 2)
 @settings(max_examples=150, deadline=None)
 def test_ngram_windows_match_naive_ngrams(seqs, max_n):
-    check_ngram_windows(seqs, max_n, ngram_windows(seqs, max_n))
+    check_ngram_windows(seqs, max_n, windows_of(seqs, max_n))
+
+
+@given(st.lists(st.integers(0, 7) | st.integers(0, 5000), max_size=60))
+def test_order_one_bincount_rank_matches_np_unique(flat):
+    keys, rank = naive_order1_rank(flat)
+    _, _, ids, table = ngram_windows(flat, [len(flat)], 1)
+    assert ids[0].tolist() == rank.tolist()
+    assert table.keys[0][:-1].tolist() == keys.tolist()
 
 
 def test_ngram_windows_reject_order_zero():
     with pytest.raises(BadOrder):
-        ngram_windows([[1, 2]], 0)
+        ngram_windows([1, 2], [2], 0)
+
+
+def test_ngram_windows_refuse_negative_ids_and_lengths_that_miss_the_ids():
+    with pytest.raises(ConfigError, match="non-negative"):
+        ngram_windows([1, -1], [2], 2)
+    with pytest.raises(ConfigError, match="lengths sum to 3"):
+        ngram_windows([1, 2], [1, 2], 2)
 
 
 def test_ngram_windows_stop_ranking_at_the_longest_sequence():
     with mock.patch.object(np, "unique", wraps=np.unique) as ranked:
-        _, _, ids, table = ngram_windows([[1, 2]], 10**6)
+        _, _, ids, table = ngram_windows([1, 2], [2], 10**6)
     assert ranked.call_count <= 2
     assert len(ids) == len(table.keys) == 10**6
     assert table.find(10**6, np.array([0, -1]), np.array([1, -1])).tolist() == [-1, -1]
@@ -206,7 +249,7 @@ def test_ngram_windows_stop_ranking_at_the_longest_sequence():
 @given(_id_lists(), st.integers(min_value=1, max_value=14), st.data())  # orders past the longest sequence too
 @settings(max_examples=150, deadline=None)
 def test_gram_table_find_matches_a_dict_lookup(seqs, max_n, data):
-    flat, _, ids, table = ngram_windows(seqs, max_n)
+    flat, _, ids, table = windows_of(seqs, max_n)
     # Per order, each gram's row, read from the windows; order 0 holds the empty gram.
     rows = [{(): 0}] + [{} for _ in range(max_n)]
     for o in range(1, max_n + 1):
@@ -289,31 +332,26 @@ def test_pairs_deterministic_and_capped():
 def test_tfidf_hand_value():
     # Two docs of 4 tokens; token 0 occurs twice in doc 0 and nowhere in
     # doc 1: tf = 2/4, idf = ln(2/1). Token 3 likewise in doc 1.
-    vocab = Vocab.placeholder(4)
-    seq = TokenSequence((0, 0, 1, 2, 1, 2, 3, 3), vocab)
+    seq = np.array([0, 0, 1, 2, 1, 2, 3, 3])
     half_ln2 = pytest.approx(0.5 * math.log(2.0))
     assert tfidf_scores(seq, 4) == [half_ln2, half_ln2, 0.0, 0.0, 0.0, 0.0, half_ln2, half_ln2]
 
 
 def test_tfidf_everywhere_token_scores_zero():
-    vocab = Vocab.placeholder(3)
-    seq = TokenSequence((0, 1, 0, 2, 0, 1), vocab)
+    seq = (0, 1, 0, 2, 0, 1)
     targets = tfidf_scores(seq, 2)
     assert [targets[p] for p in (0, 2, 4)] == [0.0, 0.0, 0.0]
 
 
 def test_tfidf_invariant_under_id_permutation():
-    vocab = Vocab.placeholder(5)
-    ids = (0, 1, 2, 0, 3, 4, 1, 1)
+    seq = (0, 1, 2, 0, 3, 4, 1, 1)
     perm = {0: 3, 1: 4, 2: 0, 3: 1, 4: 2}
-    seq = TokenSequence(ids, vocab)
-    seq_p = TokenSequence(tuple(perm[i] for i in ids), vocab)
+    seq_p = tuple(perm[i] for i in seq)
     assert tfidf_scores(seq, 4) == pytest.approx(tfidf_scores(seq_p, 4))
 
 
 def test_position_targets_cover_full_docs_only():
-    vocab = Vocab.placeholder(3)
-    seq = TokenSequence((0, 1, 2, 0, 1), vocab)
+    seq = (0, 1, 2, 0, 1)
     assert len(tfidf_scores(seq, 2)) == 4
 
 
@@ -323,9 +361,31 @@ def test_position_targets_cover_full_docs_only():
 def test_ids_file_roundtrip(tmp_path):
     path = tmp_path / "x.ids.txt"
     write_ids_file(path, [[1, 2, 3], [4]], vocab_size=9)
-    sequences, vocab_size = read_ids_file(path)
-    assert sequences == [[1, 2, 3], [4]]
+    flat, bounds, vocab_size = read_ids_file(path)
+    assert flat.tolist() == [1, 2, 3, 4] and bounds.tolist() == [0, 3, 4, 4]  # then the empty text after the last newline
     assert vocab_size == 9
+
+
+_ID_ROWS = st.lists(st.lists(st.integers(0, 30) | st.integers(0, 10**6), max_size=9), max_size=8)
+
+
+@given(rows=_ID_ROWS)
+@example(rows=[[10**6, 0], [], [7, 10**6 - 1, 10]])
+@settings(max_examples=40, deadline=None)
+def test_write_ids_file_matches_the_per_id_writer(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("ids")
+    write_ids_file(out / "fast.txt", rows, vocab_size=10**6 + 1)
+    naive_write_ids_file(out / "naive.txt", rows, vocab_size=10**6 + 1)
+    assert (out / "fast.txt").read_bytes() == (out / "naive.txt").read_bytes()
+    if rows and all(len(r) == len(rows[0]) for r in rows):  # a matrix writes as its rows do
+        write_ids_file(out / "matrix.txt", np.array(rows, dtype=np.int64).reshape(len(rows), -1), 10**6 + 1)
+        assert (out / "matrix.txt").read_bytes() == (out / "naive.txt").read_bytes()
+
+
+def test_write_ids_file_refuses_a_negative_id(tmp_path):
+    with pytest.raises(ConfigError, match="non-negative"):
+        write_ids_file(tmp_path / "x.txt", [[1, -2]], vocab_size=3)
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_ids_file_requires_header(tmp_path):
@@ -333,6 +393,12 @@ def test_ids_file_requires_header(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(EmptyInput):
         read_ids_file(path)
+
+
+def _lines(path):
+    """``read_ids_file`` as the naive reader returns it: the non-empty lines and the vocab size."""
+    flat, bounds, vocab_size = read_ids_file(path)
+    return [row for row in row_lists(flat.tolist(), bounds) if row], vocab_size
 
 
 def _read_outcome(read, path):
@@ -354,34 +420,39 @@ _IDS_TEXT = st.lists(
 def test_read_ids_file_matches_the_line_reader(tmp_path_factory, body, vocab_size):
     path = tmp_path_factory.mktemp("ids") / "x.ids.txt"
     path.write_bytes(f"#vocab_size={vocab_size}\n{body}".encode("utf-8"))
-    assert _read_outcome(read_ids_file, path) == _read_outcome(naive_read_ids_file, path)
+    assert _read_outcome(_lines, path) == _read_outcome(naive_read_ids_file, path)
 
 
 def test_read_ids_file_parses_long_and_padded_ids(tmp_path):
     path = tmp_path / "x.ids.txt"
     for body in ("007  12\n\n\n3 \n", "1" * 18 + "\n" + "2" * 19, "9" * 18):
-        path.write_text(f"#vocab_size={10**19}\n{body}", encoding="utf-8")
-        assert read_ids_file(path) == naive_read_ids_file(path)
+        path.write_text(f"#vocab_size={2**63 - 1}\n{body}", encoding="utf-8")
+        assert _lines(path) == naive_read_ids_file(path)
+    # Every id must fit an int64, so no vocab may be larger.
+    path.write_text(f"#vocab_size={2**63}\n1\n", encoding="utf-8")
+    assert _read_outcome(_lines, path) == _read_outcome(naive_read_ids_file, path)
+    assert _read_outcome(_lines, path)[0] == "DataError"
 
 
 def test_splits_roundtrip(tmp_path):
-    seq, vocab = tokenize("a b c d e f g h i j k l m n o p q r s t", "word")
-    splits = split_corpus(seq, 5, (0.5, 0.25, 0.25))
+    ids, vocab = tokenize("a b c d e f g h i j k l m n o p q r s t", "word")
+    splits = split_corpus(ids, vocab, 5, (0.5, 0.25, 0.25))
     tokenizer = {"scheme": "word", "vocab": list(vocab.tokens)}
     manifest_path = save_splits(tmp_path, splits, tokenizer, seed=4)
     loaded, manifest = load_splits(manifest_path)
     assert loaded.counts == splits.counts
     assert loaded.seq_len == splits.seq_len
-    assert [s.ids for s in loaded.train] == [s.ids for s in splits.train]
-    # Loaded sequences skip the second range check but equal checked ones.
-    assert (loaded.train, loaded.dev, loaded.test) == (splits.train, splits.dev, splits.test)
+    for name in ("train", "dev", "test"):
+        part = getattr(loaded, name)
+        assert part.tolist() == getattr(splits, name).tolist()
+        assert part.dtype == np.int64 and part.shape[1] == 5 and not part.flags.writeable
     assert manifest["seed"] == 4
     assert manifest["tokenizer"]["scheme"] == "word"
 
 
 def test_manifest_is_stable_json(tmp_path):
-    seq, vocab = tokenize("a b c d e f g h i j k l", "word")
-    splits = split_corpus(seq, 4, (0.4, 0.3, 0.3))
+    ids, vocab = tokenize("a b c d e f g h i j k l", "word")
+    splits = split_corpus(ids, vocab, 4, (0.4, 0.3, 0.3))
     tok = {"scheme": "word", "vocab": list(vocab.tokens)}
     p1 = save_splits(tmp_path / "one", splits, tok, seed=0)
     p2 = save_splits(tmp_path / "two", splits, tok, seed=0)

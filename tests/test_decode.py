@@ -214,7 +214,7 @@ def test_config_holds_each_parameter_as_its_fields_type():
     # starts.
     cfg = DecoderConfig(strategy="beam", param=2.0, max_len=3)
     assert type(cfg.param) is int and cfg == DecoderConfig(strategy="beam", param=2, max_len=3)
-    assert len(generate_batch(TableLM(6), [[0]], cfg)[0].ids) == 3
+    assert generate_batch(TableLM(6), [[0]], cfg).shape == (1, 3)
     assert type(DecoderConfig(strategy="beam", param=np.int64(2)).param) is int
     assert type(DecoderConfig(strategy="penalized", param=2, t=1).t) is float
     bad_params = (dict(param=True), dict(param=2.5), dict(param=np.float32(2.5)), dict(param=float("inf")),
@@ -332,7 +332,7 @@ def test_negative_ids_are_refused_not_read_as_padding():
     # -1 marks "no token" in a model's window matrix, so a negative id in a
     # prefix or trace context would silently shorten the context.
     vocab = Vocab.placeholder(5)
-    for model in (ngram_fit([(0, 1, 2, 3, 4, 1, 2)], 3, 0.5, vocab=vocab),
+    for model in (ngram_fit([0, 1, 2, 3, 4, 1, 2], vocab, 3, 0.5),
                   FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3)):
         greedy = DecoderConfig(strategy="greedy", max_len=2)
         for cfg in (greedy, DecoderConfig(strategy="beam", param=2, max_len=2)):

@@ -39,6 +39,7 @@ from genteval.rng import SplitMix64, stable_hash
 
 from oracles import (
     DictNGram,
+    fit_on,
     log_softmax,
     SlowLM,
     StackedRows,
@@ -70,6 +71,12 @@ from oracles import (
 )
 from toytext import char_splits, word_splits
 
+
+def _rows(matrix):
+    """A decoded id matrix as one tuple per row, as the reference decoders return them."""
+    return [tuple(row) for row in matrix.tolist()]
+
+
 # --- n-gram sorted arrays against the dict model ---------------------------
 
 
@@ -88,7 +95,7 @@ def _ngram_case(draw, max_order=4):
     top = v + 1 if draw(st.booleans()) else v - 2
     corpus = draw(st.lists(st.lists(st.integers(0, top), min_size=1, max_size=40), min_size=1, max_size=3))
     vocab = Vocab.placeholder(v)
-    model = ngram_fit([tuple(s) for s in corpus], order, k_s, vocab=vocab)
+    model = fit_on(corpus, vocab, order, k_s)
     queries = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=9), min_size=1, max_size=5))
     contexts = draw(st.lists(st.lists(st.integers(0, v - 1), max_size=6), min_size=len(queries),
                              max_size=len(queries)))
@@ -114,7 +121,7 @@ def _scoring_case(v=300):
     assert sum(lens) > 2 * BLOCK_ROWS
     assert any(a // BLOCK_ROWS < (a + n - 1) // BLOCK_ROWS for a, n in zip(starts, lens) if n)
     corpus = [tuple(rng.randint(v) for _ in range(60)) for _ in range(8)]
-    ngram = ngram_fit(corpus, 3, 0.5, vocab=Vocab.placeholder(v))
+    ngram = fit_on(corpus, Vocab.placeholder(v), 3, 0.5)
     ffn = FeedForwardLM.init(Vocab.placeholder(v), context=4, embed_dim=8, hidden_dim=16, seed=5)
     return ngram, ffn, seqs, contexts
 
@@ -168,7 +175,7 @@ def test_ngram_score_batch_with_contexts_back_to_back(corpus, order, k_s, data):
     # Every context holds at least c = order - 1 ids, so no -1 separates one
     # sequence's line from the next: the backoff must still stop at each line.
     vocab = Vocab.placeholder(6)
-    model = ngram_fit([tuple(s) for s in corpus], order, k_s, vocab=vocab)
+    model = fit_on(corpus, vocab, order, k_s)
     ref = DictNGram.fit(corpus, vocab, order, k_s)
     ids = st.integers(0, 8)
     seqs = data.draw(st.lists(st.lists(ids, max_size=9), min_size=1, max_size=5))
@@ -229,7 +236,7 @@ def test_ngram_window_matrix_rows_match_the_dict_model(case, data):
 )
 def test_fit_counts_match_window_scan(corpus, order):
     vocab = Vocab.placeholder(6)
-    model = ngram_fit([TokenSequence(tuple(s), vocab) for s in corpus], order)
+    model = fit_on(corpus, vocab, order)
     for o in range(1, order + 1):
         want = {}
         for ids in corpus:
@@ -268,7 +275,7 @@ def test_orders_whose_mixed_radix_key_would_overflow_int64():
         corpus = [tuple(rng.integers(0, v, size=60).tolist()) for _ in range(3)]
         corpus.append(corpus[0][:30] * 2)  # repeated contexts at every order
         for k_s in (0.0, 0.5):
-            model = ngram_fit(corpus, order, k_s, vocab=vocab)
+            model = fit_on(corpus, vocab, order, k_s)
             ref = DictNGram.fit(corpus, vocab, order, k_s)
             seqs = [corpus[3][:25], corpus[1][5:40], (v - 1, 0, v - 1)]
             assert [_bits(x) for x in model.score_batch(seqs)] == [_bits(ref.score(s)) for s in seqs]
@@ -288,7 +295,7 @@ def test_next_dist_ignores_counted_ids_outside_the_vocab():
 
 def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
     seq = TokenSequence((0, 1, 2, 1, 0, 2, 2), Vocab.placeholder(3))
-    model = ngram_fit(seq, order=3, k_s=0.5)
+    model = ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.5)
     save_model(model, tmp_path / "m.lmek")
     loaded = load_model(tmp_path / "m.lmek")
     windows = left_padded([(), (0,), (0, 1), (2, 2, 2)], model.context_len)
@@ -298,13 +305,13 @@ def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
 
 def test_rows_cache_is_safe_under_concurrent_first_use():
     splits, vocab = word_splits(120, 16)
-    contexts = [s.ids[:j] for s in splits.train[:6] for j in range(4)]
+    contexts = [s[:j].tolist() for s in splits.train[:6] for j in range(4)]
     expected = None
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            model = ngram_fit(list(splits.train), order=3, k_s=0.0, vocab=vocab)
+            model = ngram_fit(splits.train, vocab, order=3, k_s=0.0)
             if expected is None:
                 expected = [naive_next_dist(model, c).tobytes() for c in contexts]
             results = [None] * 8
@@ -522,7 +529,7 @@ def test_beam_at_and_above_the_vocab_size_matches_naive_search(extra):
     # the beam fills up over the steps.
     model = TieLM(5, seed=extra)
     cfg = DecoderConfig(strategy="beam", param=5 + extra, max_len=4)
-    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, cfg)]
+    got = _rows(generate_batch(model, _MIXED_PREFIXES, cfg))
     assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
 
 
@@ -539,7 +546,7 @@ class _ContextFreeTieLM(TieLM):
 @pytest.mark.parametrize("model", [TieLM(12, seed=3), _ContextFreeTieLM(12, seed=5)], ids=["hashed", "context_free"])
 def test_beam_batch_of_mixed_prefixes_breaks_score_ties_by_ids(model, width):
     cfg = DecoderConfig(strategy="beam", param=width, max_len=5)
-    got = [s.ids for s in generate_batch(model, _MIXED_PREFIXES, cfg)]
+    got = _rows(generate_batch(model, _MIXED_PREFIXES, cfg))
     assert got == _naive_beams(model, _MIXED_PREFIXES, cfg)
 
 
@@ -565,7 +572,7 @@ def test_beam_tie_across_parents_goes_to_the_lower_ids_not_the_better_parent():
     model = _LastTokenLM()
     cfg = DecoderConfig(strategy="beam", param=2, max_len=2)
     prefixes = [[], [3], [1, 3], [0, 0, 3]]
-    got = [s.ids for s in generate_batch(model, prefixes, cfg)]
+    got = _rows(generate_batch(model, prefixes, cfg))
     assert got == [(1, 0)] * 4 == _naive_beams(model, prefixes, cfg)
 
 
@@ -590,14 +597,14 @@ _PINNED_BEAMS = {
 
 def test_beam_outputs_are_pinned():
     splits, vocab = char_splits(300, 64, seed=5)
-    train = list(splits.train)
+    train = splits.train
     ffn = FeedForwardLM.init(vocab, context=6, embed_dim=8, hidden_dim=16, seed=4)
     losses.train(ffn, {"sequences": train}, TrainConfig(epochs=1, batch_size=16), seed=1)
-    models = {"ngram": ngram_fit(train, order=4, k_s=1.0, vocab=vocab), "ffn": ffn}
-    prefixes = [train[i].window(0, 3 + i) for i in range(20)]
+    models = {"ngram": ngram_fit(train, vocab, order=4, k_s=1.0), "ffn": ffn}
+    prefixes = [train[i][: 3 + i] for i in range(20)]
     cfg = DecoderConfig(strategy="beam", param=4, max_len=12)
     for name, model in models.items():
-        got = ["".join(s.surfaces()) for s in generate_batch(model, prefixes, cfg)]
+        got = ["".join(vocab.tokens[t] for t in row) for row in generate_batch(model, prefixes, cfg).tolist()]
         assert got == _PINNED_BEAMS[name], name
 
 
@@ -739,8 +746,8 @@ def test_block_decode_cut_by_max_batch_rows_matches_per_row_decode(case, n, cap)
     prefixes = [[i % dists.shape[1]] for i in range(n)]
     cfg, seeds = replace(cfg, max_len=4), [seeds[0] ^ i for i in range(n)]
     with mock.patch.object(decode, "MAX_BATCH_ROWS", cap):
-        got = [s.ids for s in generate_batch(model, prefixes, cfg, seeds)]
-    assert got == [s.ids for s in naive_generate_batch(model, prefixes, cfg, seeds)]
+        got = _rows(generate_batch(model, prefixes, cfg, seeds))
+    assert got == _rows(naive_generate_batch(model, prefixes, cfg, seeds))
 
 
 def _drawn(dist, cfg, out):
@@ -839,7 +846,7 @@ def test_beam_decode_where_logs_merge_matches_naive_beam_search():
     model = _ReplayLM(np.abs(np.nan_to_num(_merge_rows(60), neginf=0.0)))
     for cfg in [DecoderConfig("beam", param=b, max_len=4) for b in (1, 2, 3)]:
         prefixes = [[i] for i in range(6)]
-        got = [s.ids for s in generate_batch(model, prefixes, cfg)]
+        got = _rows(generate_batch(model, prefixes, cfg))
         assert got == [naive_beam_search(model, p, cfg.param, cfg.max_len) for p in prefixes]
 
 
@@ -878,11 +885,11 @@ CONFIGS = [
 
 def _models():
     splits, vocab = word_splits(150, 24)
-    train = list(splits.train)
+    train = splits.train
     return splits, {
-        "ngram3": ngram_fit(train, order=3, k_s=0.0, vocab=vocab),
-        "ngram2s": ngram_fit(train, order=2, k_s=0.5, vocab=vocab),
-        "unigram": ngram_fit(train, order=1, k_s=1.0, vocab=vocab),
+        "ngram3": ngram_fit(train, vocab, order=3, k_s=0.0),
+        "ngram2s": ngram_fit(train, vocab, order=2, k_s=0.5),
+        "unigram": ngram_fit(train, vocab, order=1, k_s=1.0),
         "ffn": FeedForwardLM.init(vocab, context=3, embed_dim=4, hidden_dim=8, seed=2),
     }
 
@@ -898,7 +905,7 @@ class _NoWindow(StackedRows):
 @pytest.mark.parametrize("cfg, seed", CONFIGS)
 def test_generate_with_window_equals_whole_context(cfg, seed):
     splits, models = _models()
-    prefixes = [splits.train[i].window(0, 10) for i in range(3)] + [[0]]
+    prefixes = [splits.train[i][:10] for i in range(3)] + [[0]]
     for name, model in models.items():
         for prefix in prefixes:
             fast = one_generate(model, prefix, cfg, seed).ids
@@ -911,7 +918,7 @@ def test_generate_with_window_equals_whole_context(cfg, seed):
 
 def _batch(seed, splits, n=9):
     """Prefixes of mixed lengths, each with its own seed."""
-    prefixes = [splits.train[i].window(0, 4 + i) for i in range(n - 2)] + [[0], [3, 1]]
+    prefixes = [splits.train[i][: 4 + i] for i in range(n - 2)] + [[0], [3, 1]]
     return prefixes, [seed * 1000 + 17 * i for i in range(n)]
 
 
@@ -925,18 +932,18 @@ def test_generate_batch_equals_per_prefix_decodes_on_the_ngram(cfg, seed, max_ro
     prefixes, seeds = _batch(seed, splits)
     for name in ("ngram3", "ngram2s", "unigram"):
         model = models[name]
-        slow = [s.ids for s in naive_generate_batch(SlowLM(model), prefixes, cfg, seeds)]
-        assert [s.ids for s in generate_batch(model, prefixes, cfg, seeds)] == slow, name
+        slow = _rows(naive_generate_batch(SlowLM(model), prefixes, cfg, seeds))
+        assert _rows(generate_batch(model, prefixes, cfg, seeds)) == slow, name
         # Served by stacking next_dist rows.
-        assert [s.ids for s in generate_batch(_NoWindow(model), prefixes, cfg, seeds)] == slow, name
+        assert _rows(generate_batch(_NoWindow(model), prefixes, cfg, seeds)) == slow, name
 
 
 @pytest.mark.parametrize("cfg, seed", CONFIGS)
 def test_generate_batch_equals_per_prefix_decodes_on_the_ffn(cfg, seed):
     splits, models = _models()
     prefixes, seeds = _batch(seed, splits)
-    fast = [s.ids for s in generate_batch(models["ffn"], prefixes, cfg, seeds)]
-    assert fast == [s.ids for s in naive_generate_batch(models["ffn"], prefixes, cfg, seeds)]
+    fast = generate_batch(models["ffn"], prefixes, cfg, seeds)
+    assert fast.tolist() == naive_generate_batch(models["ffn"], prefixes, cfg, seeds).tolist()
 
 
 def test_ffn_batch_rows_match_single_rows():
@@ -954,13 +961,13 @@ def test_generate_batch_needs_one_seed_per_prefix():
     _, models = _models()
     model = models["ngram3"]
     topp = DecoderConfig(strategy="topp", param=0.9, max_len=3)
-    assert generate_batch(model, [], topp) == generate_batch(model, [], topp, []) == []
+    assert generate_batch(model, [], topp).shape == generate_batch(model, [], topp, []).shape == (0, topp.max_len)
     for seeds in ([], [7], [7, 8, 9]):
         with pytest.raises(ConfigError, match="one seed per prefix"):
             generate_batch(model, [[0], [1]], topp, seeds)
     # No seeds seed every row with 0.
-    ids = [s.ids for s in generate_batch(model, [[0], [1]], topp)]
-    assert ids == [s.ids for s in generate_batch(model, [[0], [1]], topp, [0, 0])]
+    ids = generate_batch(model, [[0], [1]], topp)
+    assert ids.tolist() == generate_batch(model, [[0], [1]], topp, [0, 0]).tolist()
 
 
 def test_trace_runs_in_blocks_and_equals_per_prefix_rows():
@@ -1254,7 +1261,7 @@ def _seq_ul_forward_rows(monkeypatch, cfg):
     decoded before counting starts, so only the loss pass is counted."""
     vocab, batch = _step_data()
     model = _step_model(vocab)
-    rollouts = losses._greedy_rollouts(model, batch["sequences"], cfg)
+    rollouts = losses._greedy_rollouts(model, [s.ids for s in batch["sequences"]], cfg)
     monkeypatch.setattr(losses, "_greedy_rollouts", lambda *_: rollouts)
     rows = []
     forward = FeedForwardLM.forward
@@ -1273,8 +1280,9 @@ def test_seq_ul_step_forwards_only_candidate_rows(monkeypatch):
     cfg = TrainConfig(objectives=(("ul", 1.0),),
                       mix_prob=1.0, ul_prefix_len=3, ul_gen_len=20, ul_ngram=2)
     rows, rollouts = _seq_ul_forward_rows(monkeypatch, cfg)
-    with_cands = sum(bool(c) for _, cont in rollouts for c in naive_ul_seq_candidates(cont.ids, 2))
-    assert 0 < with_cands < sum(len(cont) for _, cont in rollouts)
+    _, conts = rollouts
+    with_cands = sum(bool(c) for cont in conts for c in naive_ul_seq_candidates(cont, 2))
+    assert 0 < with_cands < sum(len(cont) for cont in conts)
     assert sum(rows) == with_cands and max(rows) <= BLOCK_ROWS
 
 

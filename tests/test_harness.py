@@ -9,8 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from genteval.corpus import CorpusSplits, TokenSequence, Vocab, ngram_windows, write_ids_file
+from genteval.corpus import CorpusSplits, Vocab, ngram_windows, write_ids_file
 from genteval.decode import DecoderConfig, parse_strategies
 from genteval.errors import ConfigError, DataError, DegenerateFit, atomic_write
 from genteval.harness.samples import load_sample_set, save_sample_set, write_metric_report
@@ -32,7 +33,7 @@ from genteval.harness.sweep import (
 )
 from genteval.metrics import Sample, SampleSet
 
-from oracles import StackedRows
+from oracles import StackedRows, naive_load_sample_set
 
 VOCAB = Vocab.placeholder(6)
 
@@ -57,14 +58,11 @@ class CountingModel(StackedRows):
 
 def mk_splits(train=4, test=3, length=10):
     def chunk(tag, i):
-        return TokenSequence(tuple((i + j + tag) % VOCAB.size for j in range(length)), VOCAB)
+        return [(i + j + tag) % VOCAB.size for j in range(length)]
 
     return CorpusSplits(
-        train=tuple(chunk(0, i) for i in range(train)),
-        dev=(),
-        test=tuple(chunk(1, i) for i in range(test)),
-        seq_len=length,
-        ratios=(0.8, 0.0, 0.2),
+        VOCAB, length, (0.8, 0.0, 0.2),
+        train=[chunk(0, i) for i in range(train)], test=[chunk(1, i) for i in range(test)],
     )
 
 
@@ -83,11 +81,7 @@ def mk_cfg(**kw):
 
 def _sample_set():
     prov = {"model": "toy", "strategy": "topp", "param": 0.9, "seed": 3}
-    samples = tuple(
-        Sample(str(i), TokenSequence((0, 1), VOCAB), TokenSequence((2, 3, i), VOCAB))
-        for i in range(3)
-    )
-    return SampleSet(samples, prov)
+    return SampleSet(["0", "1", "2"], VOCAB, [(2, 3, i) for i in range(3)], [(0, 1)] * 3, prov)
 
 
 def test_sample_roundtrip_preserves_ids_and_provenance(tmp_path):
@@ -115,10 +109,9 @@ def test_a_writer_that_fails_midway_keeps_the_previous_file(tmp_path):
     path = tmp_path / "samples.jsonl"
     save_sample_set(path, _sample_set())
     before = path.read_bytes()
-    good = _sample_set().samples[0]
-    unwritable = Sample("x", None, TokenSequence.trusted((2, object()), VOCAB))
+    unwritable = SampleSet(["0", object()], VOCAB, [(2, 3), (2, 4)])
     with pytest.raises(TypeError):  # after the first line went out
-        save_sample_set(path, SampleSet((good, unwritable), {}))
+        save_sample_set(path, unwritable)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["samples.jsonl"]
     with pytest.raises(KeyboardInterrupt):
@@ -150,6 +143,35 @@ def test_load_sample_set_errors(tmp_path):
     bad.write_text("{not json\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_sample_set(bad, VOCAB)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except DataError as exc:  # the two loaders must fail alike
+        return str(exc)
+
+
+# Rows of ids that may leave the vocab of 6 (below 0, at 6, far past it), in
+# the prefix or the continuation; nothing else in the file is wrong.
+_ROW_IDS = st.lists(st.integers(0, 5) | st.sampled_from([-1, -7, 6, 9, 2**70]), max_size=5)
+
+
+@given(rows=st.lists(st.tuples(_ROW_IDS, _ROW_IDS.filter(bool)), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_load_sample_set_checks_ids_as_the_per_row_check_did(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("samples") / "s.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": i, "model": "m", "prefix_ids": p, "continuation_ids": c}) + "\n\n" * (i % 2)
+        for i, (p, c) in enumerate(rows)
+    ), encoding="utf-8")
+
+    def fast(path):
+        sset = load_sample_set(path, VOCAB)
+        rows = [(s.id, s.prefix.ids if s.prefix else (), s.continuation.ids) for s in sset.samples]
+        return rows, sset.provenance
+
+    assert _outcome(fast, path) == _outcome(lambda p: naive_load_sample_set(p, VOCAB), path)
 
 
 def test_metric_report_keys(tmp_path):
@@ -254,13 +276,14 @@ def test_sweep_config_gives_each_param_its_field_type():
 
 
 def test_reference_set_skips_short_chunks():
-    short = TokenSequence((0, 1, 2), VOCAB)
-    ok = TokenSequence(tuple(range(6)), VOCAB)
-    splits = CorpusSplits((), (), (short, ok), seq_len=6, ratios=(0, 0, 1))
+    splits = CorpusSplits(VOCAB, 6, (0, 0, 1), test=[[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
     refs = reference_set(splits, prefix_len=3, gen_len=10)
-    assert [s.id for s in refs.samples] == ["ref-1"]
+    assert [s.id for s in refs.samples] == ["ref-0", "ref-1"]
     # continuation is everything after the prefix, capped by gen_len
-    assert refs.samples[0].continuation.ids == (3, 4, 5)
+    assert [s.continuation.ids for s in refs.samples] == [(3, 4, 5), (2, 1, 0)]
+    assert [s.prefix.ids for s in refs.samples] == [(0, 1, 2), (5, 4, 3)]
+    # Every chunk of a split is seq_len ids long, so none outlasts a prefix that long.
+    assert len(reference_set(splits, prefix_len=6, gen_len=10)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +333,9 @@ def test_a_sweep_windows_each_sample_set_once(tmp_path):
     for gen_len in (5, 3):
         windowed = []
 
-        def counted(seqs, max_n):
-            windowed.append(len(seqs))
-            return ngram_windows(seqs, max_n)
+        def counted(flat, lengths, max_n):
+            windowed.append(len(lengths))
+            return ngram_windows(flat, lengths, max_n)
 
         cfg = mk_cfg(models=("m1", "m2"), gen_len=gen_len)
         models = {"m1": CountingModel(VOCAB, 0), "m2": CountingModel(VOCAB, 2)}

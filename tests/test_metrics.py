@@ -31,11 +31,7 @@ from oracles import StackedScores, naive_bleu, naive_self_bleu, naive_seq_rep, o
 def mk_set(seqs, vocab=None, **prov):
     if vocab is None:
         vocab = Vocab.placeholder(1 + max(max(s) for s in seqs))
-    samples = tuple(
-        Sample(f"s{i}", None, TokenSequence(tuple(s), vocab))
-        for i, s in enumerate(seqs)
-    )
-    return SampleSet(samples, dict(prov))
+    return SampleSet([f"s{i}" for i in range(len(seqs))], vocab, seqs, provenance=dict(prov))
 
 
 class UniformScorer(StackedScores):
@@ -81,7 +77,7 @@ def test_bleu_ref_length_tie_goes_shorter():
 
 def test_bleu_empty_references():
     with pytest.raises(InsufficientSamples):
-        corpus_bleu(mk_set([[1, 2]]), SampleSet(()))
+        corpus_bleu(mk_set([[1, 2]]), SampleSet((), None, ()))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=12))
@@ -127,7 +123,7 @@ def test_corpus_bleu_subsample_matches_oracle():
             want += naive_bleu(_ids(gen)[i], _ids(ref), max_n=cfg.max_n)
         assert corpus_bleu(gen, ref, cfg) == want / len(chosen)
     with pytest.raises(InsufficientSamples):
-        corpus_bleu(gen, SampleSet(()))
+        corpus_bleu(gen, SampleSet((), None, ()))
 
 
 # (candidates, references or None for Self-BLEU, max_n)
@@ -166,7 +162,7 @@ def test_corpus_bleu_reads_the_pad_id_and_foreign_ids_as_unmatched():
     # The ffn's pad id V = 5 is one past the vocab; the table's base is 6.
     padded = Vocab.placeholder(5)
     pad_cands = [(0, 5, 0, 1, 4), (5, 5, 1, 1), (1, 0, 5)]
-    pad_set = SampleSet(tuple(Sample(str(i), None, TokenSequence.trusted(c, padded)) for i, c in enumerate(pad_cands)))
+    pad_set = SampleSet(map(str, range(len(pad_cands))), padded, pad_cands)
     # A distinct vocab object with ids the references never use.
     foreign = [[0, 1, 7, 0, 1], [6, 6, 1, 1, 2]]
     foreign_set = mk_set(foreign, vocab=Vocab([f"w{i}" for i in range(8)]))
@@ -291,7 +287,7 @@ def test_corpus_bleu_allows_distinct_vocabs():
 
 def test_corpus_bleu_empty_sets():
     gen = mk_set([[0, 1]])
-    empty = SampleSet(())
+    empty = SampleSet((), None, ())
     with pytest.raises(InsufficientSamples):
         corpus_bleu(gen, empty)
     with pytest.raises(InsufficientSamples):
@@ -407,7 +403,7 @@ def test_forward_ppl_infinite_on_zero_prob():
 
 def test_forward_ppl_empty_set():
     with pytest.raises(InsufficientSamples):
-        forward_ppl(UniformScorer(3), SampleSet(()))
+        forward_ppl(UniformScorer(3), SampleSet((), None, ()))
 
 
 def test_reverse_ppl_requires_smoothing():
@@ -466,18 +462,18 @@ def test_sample_set_rejects_duplicate_ids():
     vocab = Vocab.placeholder(2)
     ts = TokenSequence((0,), vocab)
     with pytest.raises(ConfigError):
-        SampleSet((Sample("a", None, ts), Sample("a", None, ts)))
+        SampleSet.of((Sample("a", None, ts), Sample("a", None, ts)))
 
 
 def test_sample_set_rejects_mixed_vocabs():
     a = TokenSequence((0,), Vocab(["x"]))
     b = TokenSequence((0,), Vocab(["y"]))
     with pytest.raises(ConfigError):
-        SampleSet((Sample("a", None, a), Sample("b", None, b)))
+        SampleSet.of((Sample("a", None, a), Sample("b", None, b)))
 
 
 def test_sample_set_accepts_equal_vocab_objects():
     # distinct Vocab instances with identical tables are fine
     a = TokenSequence((0,), Vocab(["x", "y"]))
     b = TokenSequence((1,), Vocab(["x", "y"]))
-    assert len(SampleSet((Sample("a", None, a), Sample("b", None, b)))) == 2
+    assert len(SampleSet.of((Sample("a", None, a), Sample("b", None, b)))) == 2

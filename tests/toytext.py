@@ -72,11 +72,11 @@ def make_rich_text(n_sentences: int, seed: int = 0) -> str:
 
 def char_splits(n_sentences: int, seq_len: int, seed: int = 0):
     """Char-tokenized splits over the synthetic text."""
-    seq, vocab = tokenize(make_text(n_sentences, seed), "char")
-    return split_corpus(seq, seq_len), vocab
+    ids, vocab = tokenize(make_text(n_sentences, seed), "char")
+    return split_corpus(ids, vocab, seq_len), vocab
 
 
 def word_splits(n_sentences: int, seq_len: int, seed: int = 0):
     """Word-tokenized splits over the wide-vocabulary text."""
-    seq, vocab = tokenize(make_rich_text(n_sentences, seed), "word")
-    return split_corpus(seq, seq_len), vocab
+    ids, vocab = tokenize(make_rich_text(n_sentences, seed), "word")
+    return split_corpus(ids, vocab, seq_len), vocab
