@@ -13,9 +13,10 @@ desk-scale experiments:
 Text is NFC-normalized before tokenization; no other normalization is
 applied (no lowercasing, no unicode folding).
 
-Ids travel as int64 arrays: :func:`tokenize` returns one, and each split
-of :class:`CorpusSplits` is a read-only ``(n, seq_len)`` matrix, one row
-per line of its ids file. :class:`TokenSequence` serves per-sequence APIs.
+Ids travel as int64 arrays: :func:`tokenize` and :func:`encode` return
+one, and each split of :class:`CorpusSplits` is a read-only ``(n,
+seq_len)`` matrix, one row per line of its ids file. A token-id sequence
+is such an array or matrix row everywhere below the CLI.
 """
 
 from __future__ import annotations
@@ -88,29 +89,11 @@ class Vocab:
 
 
 @dataclass(frozen=True)
-class TokenSequence:
-    """Non-empty run of token ids indexing a specific Vocab."""
-
-    ids: tuple[int, ...]
-    vocab: Vocab
-
-    def __post_init__(self) -> None:
-        if not self.ids:
-            raise EmptyInput("token sequence must contain at least one id")
-        lo, hi, limit = min(self.ids), max(self.ids), self.vocab.size
-        if lo < 0 or hi >= limit:
-            raise ConfigError(f"token id {lo if lo < 0 else hi} out of range for vocab of {limit}")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-@dataclass(frozen=True)
 class SentencePair:
-    """``second`` read after ``first``; an item's (positive, negative) order is its label."""
+    """``second`` read after ``first``, both id arrays; an item's (positive, negative) order is its label."""
 
-    first: TokenSequence
-    second: TokenSequence
+    first: np.ndarray
+    second: np.ndarray
 
 
 def _is_punct(ch: str) -> bool:
@@ -158,8 +141,8 @@ def tokenize(text: str, scheme: str = "word") -> tuple[np.ndarray, Vocab]:
     return np.fromiter(map(vocab._index.__getitem__, surfaces), dtype=np.int64, count=len(surfaces)), vocab
 
 
-def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error") -> TokenSequence:
-    """Tokenize text against a fixed vocab.
+def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error") -> np.ndarray:
+    """Tokenize text against a fixed vocab, to a non-empty int64 id array.
 
     ``on_oov`` is "error" to raise on unknown surfaces or "skip" to drop
     them (the CLI uses "skip" so held-out evaluation text with a few
@@ -174,7 +157,7 @@ def encode(text: str, vocab: Vocab, scheme: str = "word", on_oov: str = "error")
             raise EmptyInput(f"surface {s!r} not in vocab")
     if not ids:
         raise EmptyInput("no in-vocab tokens")
-    return TokenSequence(tuple(ids), vocab)
+    return np.array(ids, dtype=np.int64)
 
 
 class CorpusSplits:
@@ -249,17 +232,21 @@ def split_corpus(
 
 
 def flat_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """``(flat, bounds)``: the ids of ``rows`` (a matrix, or any id sequences)
-    end to end, row i being ``flat[bounds[i]:bounds[i + 1]]``."""
+    """``(flat, bounds)``: the int64 ids of ``rows`` (a matrix, or id arrays,
+    matrix rows, lists or tuples) end to end, row i being ``flat[bounds[i]:bounds[i + 1]]``.
+    Arrays join in one copy; Python ints stream into the result, which is faster than
+    converting each list."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         return rows.reshape(-1), np.arange(len(rows) + 1) * rows.shape[1]
     rows = list(rows)
     bounds = np.cumsum([0, *map(len, rows)])
+    if rows and all(isinstance(r, np.ndarray) for r in rows):
+        return np.concatenate(rows).astype(np.int64, copy=False), bounds
     return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(bounds[-1])), bounds
 
 
-def row_lists(flat: list, bounds: np.ndarray) -> list[list]:
-    """The rows of a flat list, row i being ``flat[bounds[i]:bounds[i + 1]]``."""
+def row_lists(flat, bounds: np.ndarray) -> list:
+    """The rows of a flat list or array (as views), row i being ``flat[bounds[i]:bounds[i + 1]]``."""
     bounds = bounds.tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -395,7 +382,7 @@ def segment_sentences(text: str) -> list[str]:
 
 
 def build_pair_datasets(
-    sentences: Sequence[TokenSequence],
+    sentences: Sequence[np.ndarray],
     mode: str,
     count: int,
     seed: int,
@@ -418,6 +405,7 @@ def build_pair_datasets(
             f"asked for {count} pairs but only {n_adjacent} adjacent pairs exist"
         )
     rng = SplitMix64(seed)
+    contents = [tuple(s.tolist()) for s in sentences]
     starts = list(range(n_adjacent))
     rng.shuffle(starts)
     starts = sorted(starts[:count])
@@ -427,8 +415,7 @@ def build_pair_datasets(
         if mode == "sop":
             neg = SentencePair(sentences[i + 1], sentences[i])
         else:
-            successor = sentences[i + 1].ids
-            candidates = [s for s in sentences if s.ids != successor]
+            candidates = [s for s, c in zip(sentences, contents) if c != contents[i + 1]]
             if not candidates:
                 raise InsufficientData("every sentence equals the true successor")
             neg = SentencePair(sentences[i], candidates[rng.randint(len(candidates))])

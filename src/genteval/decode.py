@@ -87,7 +87,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .lm.base import as_ids, exp_rows, id_lines, left_padded
+from .lm.base import exp_rows, id_lines, left_padded
 from .rng import SplitMix64
 
 
@@ -430,11 +430,12 @@ def _choose(dists: np.ndarray, cfg: DecoderConfig, u: np.ndarray | None, seen: n
 def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> np.ndarray:
     """Decode one continuation per prefix, all prefixes in lockstep.
 
-    Returns the ``(len(prefixes), max_len)`` int64 matrix whose row i is
-    prefix i's continuation: the ``max_len`` tokens after the prefix,
-    which conditions it but is not part of the output. Greedy and beam are
-    deterministic; beam breaks score ties lexicographically on the
-    token-id sequence.
+    ``prefixes`` is an id matrix or a list of id arrays, matrix rows or
+    int lists. Returns the ``(len(prefixes), max_len)`` int64 matrix
+    whose row i is prefix i's continuation: the ``max_len`` tokens after
+    the prefix, which conditions it but is not part of the output. Greedy
+    and beam are deterministic; beam breaks score ties lexicographically
+    on the token-id sequence.
 
     ``cfg`` decodes every prefix. Row i draws from its own SplitMix64
     stream seeded with ``seeds[i]``, one seed per prefix; None seeds every
@@ -448,11 +449,10 @@ def generate_batch(model, prefixes, cfg: DecoderConfig, seeds=None) -> np.ndarra
     each prefix alone whenever the model's batched rows equal its
     single rows. A negative id is a config error (-1 pads the windows).
     """
-    prefixes = [as_ids(p) for p in prefixes]
     seeds = [0] * len(prefixes) if seeds is None else list(seeds)
     if len(seeds) != len(prefixes):
         raise ConfigError("generate_batch needs one seed per prefix")
-    if not prefixes:
+    if not len(prefixes):
         return np.zeros((0, cfg.max_len), dtype=np.int64)
     cfg.check_vocab(model.vocab.size)
     beam = cfg.strategy == "beam"
@@ -474,17 +474,16 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
     the code the decoder samples from; a token the truncation drops has
     truncated probability 0.
     """
-    ids, ctx = as_ids(seq), as_ids(context)
     if truncation is not None:
         if truncation.strategy not in ("topk", "topp"):
             raise ConfigError(f"truncation must be topk or topp, not {truncation.strategy}")
         truncation.check_vocab(model.vocab.size)
-    lead = len(ctx) + len(ids) if model.context_len is None else model.context_len
-    line, q = id_lines([ids], [ctx], lead)
+    lead = len(context) + len(seq) if model.context_len is None else model.context_len
+    line, q = id_lines([seq], [context], lead)
     toks = line[q]
-    raw, trunc = np.empty(len(ids)), np.empty(len(ids))
-    for lo in range(0, len(ids), MAX_BATCH_ROWS):
-        hi = min(lo + MAX_BATCH_ROWS, len(ids))
+    raw, trunc = np.empty(len(toks)), np.empty(len(toks))
+    for lo in range(0, len(toks), MAX_BATCH_ROWS):
+        hi = min(lo + MAX_BATCH_ROWS, len(toks))
         dists = model.next_dist_batch(line[q[lo:hi, None] + np.arange(-lead, 0)])
         raw[lo:hi] = dists[np.arange(hi - lo), toks[lo:hi]]
         if truncation is None:
@@ -495,7 +494,7 @@ def token_prob_trace(model, seq, truncation: DecoderConfig | None = None, contex
     return raw, trunc
 
 
-def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, seeds: list[int]) -> np.ndarray:
+def _sample_rows(model, prefixes, cfg: DecoderConfig, seeds: list[int]) -> np.ndarray:
     # Row i of ``buf``: prefix i padded to ``lead`` ids, then its continuation.
     window = model.context_len
     head = left_padded(prefixes, window)
@@ -515,7 +514,7 @@ def _sample_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig, see
     return buf[:, lead:]
 
 
-def _beam_rows(model, prefixes: list[tuple[int, ...]], cfg: DecoderConfig) -> np.ndarray:
+def _beam_rows(model, prefixes, cfg: DecoderConfig) -> np.ndarray:
     # Every prefix holds the same number n of hypotheses. Row j*n + i of
     # ``ids`` is prefix j padded to ``lead`` ids, then its hypothesis i,
     # with ``score`` the summed log-probability of the hypothesis and

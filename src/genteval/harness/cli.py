@@ -37,7 +37,6 @@ from ..consistency import (
     selection_accuracy,
 )
 from ..corpus import (
-    TokenSequence,
     Vocab,
     build_pair_datasets,
     encode,
@@ -282,6 +281,17 @@ def _parse_id_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _vocab_ids(text: str, vocab: Vocab) -> tuple[int, ...]:
+    """The ids of a ``trace --ids``/``--context-ids`` value: at least one, each inside ``vocab``."""
+    ids = _parse_id_list(text)
+    if not ids:
+        raise EmptyInput("token sequence must contain at least one id")
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= vocab.size:
+        raise ConfigError(f"token id {lo if lo < 0 else hi} out of range for vocab of {vocab.size}")
+    return ids
+
+
 _parse_strategies = _option_parser(parse_strategies)
 
 
@@ -416,8 +426,7 @@ def _label_items(opt, splits, scheme: str, pool: str):
         if all(lab is None for lab in label_ids):
             skipped += 1
             continue
-        ids = tuple(splits.vocab.id_of(s) for s in model_surfaces)
-        items.append((TokenSequence(ids, splits.vocab), tuple(label_ids)))
+        items.append((tuple(map(splits.vocab.id_of, model_surfaces)), tuple(label_ids)))
     if not items:
         raise DataError(f"{opt.labels}: no usable labeled sentences")
     if skipped:
@@ -551,13 +560,13 @@ def _cmd_eval(opt: argparse.Namespace) -> int:
     seqs = []
     for line in lines:
         try:
-            seqs.append(encode(line, model.vocab, opt.scheme, on_oov="skip").ids)
+            seqs.append(encode(line, model.vocab, opt.scheme, on_oov="skip"))
         except EmptyInput:
             seqs.append(())  # no in-vocab token: a null row
-    scores = acceptability_penlp(model, [s for s in seqs if s], alpha=opt.alpha)
+    scores = acceptability_penlp(model, [s for s in seqs if len(s)], alpha=opt.alpha)
     nulls = len(seqs) - len(scores)
     values = iter(scores)
-    rows = [{"index": i, "penlp": next(values) if s else None, "n_tokens": len(s)} for i, s in enumerate(seqs)]
+    rows = [{"index": i, "penlp": next(values) if len(s) else None, "n_tokens": len(s)} for i, s in enumerate(seqs)]
     items_path = out / "acceptability.items.jsonl"
     write_jsonl(items_path, rows)
     mean = sum(scores) / len(scores) if scores else None
@@ -618,16 +627,16 @@ def _cmd_trace(opt: argparse.Namespace) -> int:
         truncation = DecoderConfig(*cells[0], max_len=1)
     model = load_model(opt.model)
     if opt.ids is not None:
-        seq = TokenSequence(_parse_id_list(opt.ids), model.vocab)
+        seq = _vocab_ids(opt.ids, model.vocab)
     else:
-        seq = encode(opt.text, model.vocab, opt.scheme, on_oov="error")
-    context = TokenSequence(_parse_id_list(opt.context_ids), model.vocab) if opt.context_ids else ()
+        seq = encode(opt.text, model.vocab, opt.scheme, on_oov="error").tolist()
+    context = _vocab_ids(opt.context_ids, model.vocab) if opt.context_ids else ()
     raw, trunc = token_prob_trace(model, seq, truncation, context)
     trace_out = Path(opt.trace_out) if opt.trace_out else Path(opt.out_dir) / "trace.csv"
     with atomic_write(trace_out, encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["position", "token_id", "token", "prob", "truncated_prob"])
-        for pos, (tok, p, q) in enumerate(zip(seq.ids, raw.tolist(), trunc.tolist())):
+        for pos, (tok, p, q) in enumerate(zip(seq, raw.tolist(), trunc.tolist())):
             writer.writerow([pos, tok, model.vocab.tokens[tok], repr(p), repr(q)])
     print(f"trace: {trace_out} ({len(seq)} positions)")
     return 0

@@ -25,9 +25,10 @@ _PROVENANCE = ("model", "strategy", "param", "seed")
 def save_sample_set(path: str | Path, sset: SampleSet) -> None:
     prov = {key: sset.provenance.get(key) for key in _PROVENANCE}
     prefixes = row_lists(sset.prefix_flat.tolist(), sset.prefix_bounds)
+    continuations = row_lists(sset.flat.tolist(), sset.bounds)
     write_jsonl(path, (
         {"id": name, **prov, "prefix_ids": prefix, "continuation_ids": continuation}
-        for name, prefix, continuation in zip(sset.names, prefixes, sset.continuations())
+        for name, prefix, continuation in zip(sset.names, prefixes, continuations)
     ))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..corpus import CorpusSplits
 from ..decode import DecoderConfig, generate_batch, param_value
-from ..errors import ConfigError, DataError, DegenerateFit, atomic_write, open_text, write_json
+from ..errors import ConfigError, DataError, DegenerateFit, InsufficientSamples, atomic_write, open_text, write_json
 from ..lm.ngram import NGramLM, check_settings, ngram_fit
 from ..lm.store import load_model
 from ..metrics import (
@@ -116,7 +116,8 @@ def metric_inputs(
     settings, names, splits: CorpusSplits, prefix_len: int, gen_len: int
 ) -> MetricInputs:
     """Check the settings of the metrics ``names``, then build the inputs they
-    need, each part only if needed."""
+    need, each part only if needed. Metrics that need references and find
+    none (the test chunks end within ``prefix_len``) raise InsufficientSamples."""
     bleu_cfg = BleuConfig(
         max_n=settings.max_n, subsample=settings.subsample, subsample_seed=settings.subsample_seed
     )
@@ -125,8 +126,14 @@ def metric_inputs(
     if "reverse_ppl" in names:
         check_reverse_settings(settings.rev_order, settings.rev_k_s)
     refs = fwd_scorer = None
-    if "corpus_bleu" in names or "reverse_ppl" in names:
+    needs_refs = [name for name in names if name in ("corpus_bleu", "reverse_ppl")]
+    if needs_refs:
         refs = reference_set(splits, prefix_len, gen_len)
+        if not len(refs):
+            raise InsufficientSamples(
+                f"no reference continuations for {' and '.join(needs_refs)}: the test split's "
+                f"{len(splits.test)} chunks of seq_len {splits.seq_len} leave none after prefix_len {prefix_len}"
+            )
     if "forward_ppl" in names:
         fwd_scorer = ngram_fit(splits.train, splits.vocab, settings.fwd_order, settings.fwd_k_s)
     return MetricInputs(settings, bleu_cfg, refs, fwd_scorer)

@@ -3,7 +3,8 @@
 A language model has a ``vocab``; a ``context_len`` ``c``, the number of
 trailing context ids its predictions depend on (order-1 for the n-gram,
 the window for the ffn) or None for the whole context; and two batched
-methods over int ids (a caller holding a TokenSequence passes its ``.ids``):
+methods over token ids, each sequence an int64 array, a matrix row or an
+int list:
 
 - ``next_dist_batch(windows)``: row i is the next-token distribution
   (summing to 1 within 1e-9) after row i of the ``(rows, c)`` int64
@@ -35,42 +36,32 @@ and penalized decoders all normalize through it.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import TokenSequence
+from ..corpus import flat_rows
 from ..errors import ConfigError
-
-
-def as_ids(seq) -> tuple[int, ...]:
-    """Accept a TokenSequence, an id array or any id sequence (possibly empty)."""
-    if seq is None:
-        return ()
-    if isinstance(seq, TokenSequence):
-        return seq.ids
-    if isinstance(seq, np.ndarray):
-        return tuple(seq.tolist())
-    return tuple(int(i) for i in seq)
 
 
 def id_lines(seqs: Sequence[Sequence[int]], contexts: Sequence[Sequence[int]], c: int) -> tuple[np.ndarray, np.ndarray]:
     """``(flat, q)``: each ``seqs[i]`` after ``c`` slots holding the last ``c`` ids of
     ``contexts[i]`` left-padded with -1 ("no token"), end to end in ``flat``, and where
     each id of ``seqs`` sits in it: ``flat[q]`` are those ids and
-    ``flat[q[:, None] - c + np.arange(c)]`` their windows. Refuses a negative id."""
+    ``flat[q[:, None] - c + np.arange(c)]`` their windows. Either side may be an id
+    matrix or a list of id arrays, matrix rows, lists or tuples. Refuses a negative id."""
     if len(contexts) != len(seqs):
         raise ConfigError("need one context per sequence")
-    tails = [ctx[max(0, len(ctx) - c) :] for ctx in contexts]
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    runs = lens + np.array([len(t) for t in tails], dtype=np.int64)  # the ids of each line
-    ids = np.fromiter(chain.from_iterable(chain.from_iterable(zip(tails, seqs))), dtype=np.int64, count=runs.sum())
-    if ids.min(initial=0) < 0:
+    ids, bounds = flat_rows(seqs)
+    tails, tail_bounds = flat_rows([ctx[max(0, len(ctx) - c) :] for ctx in contexts])
+    if min(ids.min(initial=0), tails.min(initial=0)) < 0:
         raise ConfigError("token ids must be non-negative")
-    flat = np.full(c * len(seqs) + lens.sum(), -1, dtype=np.int64)
-    flat[np.arange(len(ids)) + np.repeat(np.cumsum(lens + c) - np.cumsum(runs), runs)] = ids
-    return flat, np.arange(lens.sum()) + c * np.repeat(np.arange(1, len(seqs) + 1), lens)
+    shift = c * np.arange(1, len(seqs) + 1)  # the slots before each line's ids
+    q = np.arange(len(ids)) + np.repeat(shift, np.diff(bounds))
+    flat = np.full(c * len(seqs) + len(ids), -1, dtype=np.int64)
+    flat[q] = ids
+    flat[np.arange(len(tails)) + np.repeat(bounds[:-1] + shift - tail_bounds[1:], np.diff(tail_bounds))] = tails
+    return flat, q
 
 
 def left_padded(seqs: Sequence[Sequence[int]], width: int | None) -> np.ndarray:
@@ -87,10 +78,9 @@ def perplexity(model, seqs, contexts: Sequence = ()) -> list[float]:
     A zero-probability token makes that perplexity +inf rather than
     raising; degenerate inputs are a data condition, not a crash.
     """
-    seqs = [as_ids(s) for s in seqs]
-    if not all(seqs):
+    if not all(map(len, seqs)):
         raise ValueError("cannot take perplexity of an empty sequence")
-    scores = model.score_batch(seqs, [as_ids(c) for c in contexts])
+    scores = model.score_batch(seqs, contexts)
     return [math.exp(-lp / len(s)) if math.isfinite(lp) else math.inf for s, lp in zip(seqs, scores)]
 
 
@@ -99,7 +89,7 @@ def summed_scores(token_logp: Callable, seqs, contexts: Sequence = ()) -> list[f
     log-probability of every id of ``seqs`` end to end: each sequence's sum,
     left to right as a per-token loop adds (one cumsum along the rows of a
     zero-padded block), and 0.0 for an empty one."""
-    logp = token_logp(seqs, contexts or [()] * len(seqs))
+    logp = token_logp(seqs, contexts if len(contexts) else [()] * len(seqs))
     lens = np.array([len(s) for s in seqs], dtype=np.int64)
     block = np.zeros((len(seqs), int(lens.max(initial=0)) + 1))
     block[:, 1:][np.arange(block.shape[1] - 1) < lens[:, None]] = logp

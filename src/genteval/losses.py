@@ -62,7 +62,7 @@ from .errors import (
     NoSupervision,
     open_text,
 )
-from .lm.base import as_ids, exp_rows, id_lines
+from .lm.base import exp_rows, id_lines
 from .lm.ffn import FeedForwardLM
 from .rng import SplitMix64
 
@@ -78,7 +78,8 @@ MASK_LABEL = "X"
 
 
 def _previous_token_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Token-level UL candidates as ``(position, token)`` arrays, positions ascending."""
+    """Token-level UL candidates of ``ids`` as ``(position, token)`` arrays, positions ascending."""
+    ids = np.asarray(ids)
     _, first = np.unique(ids, return_index=True)
     first.sort()
     seen = ids[first]  # distinct tokens in order of first use
@@ -106,8 +107,8 @@ def _repeat_pairs(seqs: Sequence[Sequence[int]], n: int) -> list[tuple[np.ndarra
 
 def _token_losses(
     model: FeedForwardLM,
-    seqs: Sequence[tuple[int, ...]],
-    contexts: Sequence[tuple[int, ...]],
+    seqs: Sequence[Sequence[int]],
+    contexts: Sequence[Sequence[int]],
     candidates: Sequence[tuple[np.ndarray, np.ndarray]] | None,
     ce_weight: float | np.ndarray,
     ul_weight: float,
@@ -191,8 +192,8 @@ def _rank_losses(
     and ``-scale * ppl`` (negative).
     """
     pairs = [pair for item in items for pair in item]
-    seqs = [pair.second.ids for pair in pairs]
-    contexts = [pair.first.ids for pair in pairs]
+    seqs = [pair.second for pair in pairs]
+    contexts = [pair.first for pair in pairs]
     ppl = np.exp(-np.array(model.score_batch(seqs, contexts)) / [len(s) for s in seqs])
     hinges = [hinge_rank(p, n, cfg.margin) for p, n in zip(ppl[0::2].tolist(), ppl[1::2].tolist())]
     on = np.flatnonzero(np.repeat(np.array(hinges) > 0.0, 2))
@@ -229,7 +230,7 @@ def _head_losses(
     forward runs the windows of every item and no vocab logits are formed;
     each item adds ``scale`` times its gradient into ``grads``.
     """
-    seqs = [as_ids(seq) for seq, _ in items]
+    seqs = [seq for seq, _ in items]
     lens = np.array([len(s) for s in seqs])
     if any(len(targets) != len(s) for s, (_, targets) in zip(seqs, items)):
         raise ConfigError(f"{kind} needs one target per position")
@@ -512,9 +513,9 @@ def multitask_step(
     token_ul = "ul" in weights and not seq_level
     grads = model.zero_grads()
     means: dict[str, float] = {}
-    seqs = [as_ids(s) for s in batch.get("sequences", ())]
+    seqs = batch.get("sequences", ())
     if "mle" in weights or token_ul:
-        cands = [_previous_token_pairs(np.array(s, dtype=np.int64)) for s in seqs] if token_ul else None
+        cands = [_previous_token_pairs(s) for s in seqs] if token_ul else None
         ce, ul = _token_losses(
             model, seqs, [()] * len(seqs), cands,
             weights.get("mle", 0.0) / len(seqs), weights["ul"] / len(seqs) if token_ul else 0.0, grads,
@@ -544,8 +545,9 @@ def multitask_step(
     return scalars
 
 
-def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """(prefixes, greedy continuations), one of each per sequence, decoded in one batch."""
+def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> tuple[list, np.ndarray]:
+    """(prefixes, greedy continuations), one of each per sequence, decoded in one batch:
+    the sequences' first ``ul_prefix_len`` ids and the decoder's matrix."""
     for seq in seqs:
         if len(seq) < cfg.ul_prefix_len:
             raise ConfigError(
@@ -553,7 +555,7 @@ def _greedy_rollouts(model, seqs, cfg: TrainConfig) -> tuple[list[tuple[int, ...
             )
     prefixes = [seq[: cfg.ul_prefix_len] for seq in seqs]
     greedy = DecoderConfig("greedy", max_len=cfg.ul_gen_len)
-    return prefixes, generate_batch(model, prefixes, greedy).tolist()
+    return prefixes, generate_batch(model, prefixes, greedy)
 
 
 def train(

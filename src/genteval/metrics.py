@@ -9,12 +9,13 @@ times the brevity penalty exp(min(0, 1 - r/c)) where r is the closest
 reference length with ties broken toward the shorter reference.
 
 A :class:`SampleSet` holds its continuations as one flat int64 id array
-with row offsets. It counts their n-grams once, as the dense gram ids of
-``corpus.ngram_windows``, and Self-BLEU, seq-rep-n and the reverse-ppl fit
-read that one count. Corpus BLEU looks each candidate n-gram up in the
-reference set's ``corpus.GramTable``, built once per set, and caps its
-count at the gram's largest count in one reference; a gram no reference
-holds matches nothing.
+with row offsets, and the perplexities score views of it. It counts
+their n-grams once, as the dense gram ids of ``corpus.ngram_windows``,
+and Self-BLEU, seq-rep-n and the reverse-ppl fit read that one count.
+Corpus BLEU looks each candidate n-gram up in the reference set's
+``corpus.GramTable``, built once per set, and caps its count at the
+gram's largest count in one reference; a gram no reference holds
+matches nothing.
 Self-BLEU counts every (sequence, gram) pair with one ``np.unique`` per
 order, and one ``lexsort`` per order ranks each gram's counts across
 the sequences, so a candidate's clipped count is the lesser of its own
@@ -31,18 +32,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import GramTable, TokenSequence, Vocab, flat_rows, ngram_windows, positions, row_lists
+from .corpus import GramTable, Vocab, flat_rows, ngram_windows, positions, row_lists
 from .errors import BadOrder, ConfigError, InsufficientSamples
-from .lm.base import as_ids
 from .lm.ngram import check_settings, ngram_fit
 from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
 class Sample:
+    """One sample of a :class:`SampleSet`: views of its prefix (possibly empty) and continuation ids."""
+
     id: str
-    prefix: TokenSequence | None
-    continuation: TokenSequence
+    prefix: np.ndarray
+    continuation: np.ndarray
 
 
 class SampleSet:
@@ -52,9 +54,9 @@ class SampleSet:
     ``flat[bounds[i]:bounds[i + 1]]`` of ``vocab`` after its prefix
     ``prefix_flat[prefix_bounds[i]:prefix_bounds[i + 1]]``, possibly empty.
     Each part comes in as an id matrix or id sequences (``corpus.flat_rows``)
-    that the caller checked against the vocab. :meth:`of` takes
-    :class:`Sample` objects, and ``samples`` is that view, built on first
-    use. Provenance records model id, strategy, parameter, and seed.
+    that the caller checked against the vocab; ``samples`` views them as
+    :class:`Sample` objects, built on first use. Provenance records model
+    id, strategy, parameter, and seed.
 
     A set counts its continuations' n-grams once. ``_grams`` memoizes the
     deepest :meth:`_windows` asked for so far, which serve every lower
@@ -78,30 +80,17 @@ class SampleSet:
             a.setflags(write=False)  # the n-gram memo counts these ids once
         self._grams: dict = {}
 
-    @classmethod
-    def of(cls, samples, provenance: dict | None = None) -> SampleSet:
-        """The set of :class:`Sample` objects ``samples``, whose continuations share one vocab."""
-        samples = tuple(samples)
-        if len({s.continuation.vocab for s in samples}) > 1:
-            raise ConfigError("all samples must share one vocab")
-        return cls(
-            [s.id for s in samples], samples[0].continuation.vocab if samples else None,
-            [s.continuation.ids for s in samples], [s.prefix.ids if s.prefix else () for s in samples], provenance,
-        )
-
     def __len__(self) -> int:
         return len(self.names)
 
-    def continuations(self) -> list[list[int]]:
-        return row_lists(self.flat.tolist(), self.bounds)
+    def continuations(self) -> list[np.ndarray]:
+        """Views of each sample's continuation ids."""
+        return row_lists(self.flat, self.bounds)
 
     @cached_property
     def samples(self) -> tuple[Sample, ...]:
-        prefixes = row_lists(self.prefix_flat.tolist(), self.prefix_bounds)
-        return tuple(
-            Sample(name, TokenSequence(tuple(p), self.vocab) if p else None, TokenSequence(tuple(c), self.vocab))
-            for name, p, c in zip(self.names, prefixes, self.continuations())
-        )
+        prefixes = row_lists(self.prefix_flat, self.prefix_bounds)
+        return tuple(map(Sample, self.names, prefixes, self.continuations()))
 
     def _windows(self, max_n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], GramTable]:
         """``corpus.ngram_windows`` of the continuations for orders 1..max_n
@@ -286,8 +275,7 @@ def _seq_reps(windows: tuple, n_seqs: int, n: int) -> list[float | None]:
 
 def seq_rep_n(seq, n: int = 4) -> float | None:
     """Repeated n-gram fraction: 1 - unique/total. None when len < n."""
-    ids = as_ids(seq)
-    return _seq_reps(ngram_windows(ids, [len(ids)], n), 1, n)[0]
+    return _seq_reps(ngram_windows(seq, [len(seq)], n), 1, n)[0]
 
 
 def mean_seq_rep(gen: SampleSet, n: int = 4) -> tuple[float | None, int]:
@@ -354,8 +342,7 @@ def acceptability_penlp(scorer, sentences, alpha: float = 0.6) -> list[float]:
     """
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
-    sentences = [as_ids(s) for s in sentences]
-    if not all(sentences):
+    if not all(map(len, sentences)):
         raise InsufficientSamples("cannot score an empty sentence")
     scores = scorer.score_batch(sentences)
     return [lp / ((5.0 + len(ids)) / 6.0) ** alpha for ids, lp in zip(sentences, scores)]

@@ -130,13 +130,13 @@ def naive_self_bleu(seqs, max_n=4, epsilon=1e-9):
 
 def one_bleu(candidate, references, cfg=None):
     """BLEU of one candidate by the package's ``metrics.corpus_bleu``."""
-    from genteval.corpus import TokenSequence, Vocab
-    from genteval.metrics import Sample, SampleSet, corpus_bleu
+    from genteval.corpus import Vocab
+    from genteval.metrics import SampleSet, corpus_bleu
 
     vocab = Vocab.placeholder(1 + max(max(s) for s in [candidate, *references]))
 
     def sample_set(seqs):
-        return SampleSet.of(Sample(str(i), None, TokenSequence(tuple(s), vocab)) for i, s in enumerate(seqs))
+        return SampleSet(map(str, range(len(seqs))), vocab, seqs)
 
     return corpus_bleu(sample_set([candidate]), sample_set(references), cfg)
 
@@ -460,15 +460,19 @@ def naive_beam_search(model, prefix, width, max_len):
     return beams[0][0]
 
 
+def ids_of(seq):
+    """The ids of an id array, matrix row, list or tuple as a tuple of ints."""
+    return tuple(int(i) for i in seq)
+
+
 def naive_generate(model, prefix, cfg, seed=0):
     """One prefix of ``genteval.decode.generate_batch``, seeded with
-    ``seed``, with every step on the slow path."""
-    from genteval.corpus import TokenSequence
+    ``seed``, with every step on the slow path, as a tuple of ids."""
     from genteval.rng import SplitMix64
 
-    prefix = tuple(prefix.ids) if isinstance(prefix, TokenSequence) else tuple(prefix)
+    prefix = ids_of(prefix)
     if cfg.strategy == "beam":
-        return TokenSequence(naive_beam_search(model, prefix, cfg.param, cfg.max_len), model.vocab)
+        return naive_beam_search(model, prefix, cfg.param, cfg.max_len)
     rng = SplitMix64(seed)
     ctx = list(prefix)
     out = []
@@ -477,14 +481,14 @@ def naive_generate(model, prefix, cfg, seed=0):
         tok = int(np.argmax(dist)) if cfg.strategy == "greedy" else row_pick(dist, cfg, out, rng)
         out.append(tok)
         ctx.append(tok)
-    return TokenSequence(tuple(out), model.vocab)
+    return tuple(out)
 
 
 def naive_generate_batch(model, prefixes, cfg, seeds=None):
     """``genteval.decode.generate_batch`` as one ``naive_generate`` per prefix,
     stacked into its ``(len(prefixes), max_len)`` matrix."""
     seeds = [0] * len(prefixes) if seeds is None else seeds
-    rows = [naive_generate(model, prefix, cfg, seed).ids for prefix, seed in zip(prefixes, seeds)]
+    rows = [naive_generate(model, prefix, cfg, seed) for prefix, seed in zip(prefixes, seeds)]
     return np.array(rows, dtype=np.int64).reshape(len(prefixes), cfg.max_len)
 
 
@@ -520,11 +524,10 @@ def one_sample(dist, rng):
 
 
 def one_generate(model, prefix, cfg, seed=0):
-    """One prefix's continuation by ``decode.generate_batch``, as a TokenSequence."""
-    from genteval.corpus import TokenSequence
+    """One prefix's continuation by ``decode.generate_batch``, as a tuple of ids."""
     from genteval.decode import generate_batch
 
-    return TokenSequence(tuple(generate_batch(model, [prefix], cfg, [seed])[0].tolist()), model.vocab)
+    return tuple(generate_batch(model, [prefix], cfg, [seed])[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -579,28 +582,25 @@ def naive_order1_rank(flat):
 
 
 # ---------------------------------------------------------------------------
-# Sample files: the per-row TokenSequence check the one range check replaces
+# Sample files: the per-row range check the one range check replaces
 # ---------------------------------------------------------------------------
 
 
 def naive_load_sample_set(path, vocab):
-    """``load_sample_set`` with one validated TokenSequence per row, as the
+    """``load_sample_set`` with one range check per row, as the
     rows ``(name, prefix ids, continuation ids)`` and the provenance."""
     import json
 
-    from genteval.corpus import TokenSequence
-    from genteval.errors import ConfigError, DataError, open_text
+    from genteval.errors import DataError, open_text
 
     def row_ids(row, key, where):
         ids = row.get(key)
         if not isinstance(ids, list) or not all(type(i) is int for i in ids):
             raise DataError(f"{where}: {key} must be a list of integer token ids")
-        if not ids:
-            return ()
-        try:
-            return TokenSequence(tuple(ids), vocab).ids
-        except ConfigError as exc:  # an id outside the vocab
-            raise DataError(f"{where}: {exc}") from None
+        if ids and (min(ids) < 0 or max(ids) >= vocab.size):
+            bad = min(ids) if min(ids) < 0 else max(ids)
+            raise DataError(f"{where}: token id {bad} out of range for vocab of {vocab.size}")
+        return tuple(ids)
 
     first, rows, seen = None, [], set()
     with open_text(path) as f:
@@ -774,8 +774,8 @@ def naive_ul_token_loss(model, ids, candidates, context=()):
 
 def naive_pair_ppl(model, pair):
     """Perplexity of a pair's second sentence given its first, with its forward cache."""
-    ids = pair.second.ids
-    cache = model.forward(naive_windows(model, ids, pair.first.ids))
+    ids = ids_of(pair.second)
+    cache = model.forward(naive_windows(model, ids, ids_of(pair.first)))
     logp = log_softmax(model.vocab_logits(cache))
     nll = float(-logp[np.arange(len(ids)), list(ids)].mean())
     return math.exp(nll), cache, ids
@@ -798,7 +798,7 @@ def naive_margin_rank_loss(model, pos, neg, margin):
 
 def naive_regression_loss(model, seq, targets):
     """Mean smooth-L1 of one item's regression head, one position at a time."""
-    ids = seq.ids
+    ids = ids_of(seq)
     cache = model.forward(naive_windows(model, ids))
     preds = model.reg_predictions(cache)
     losses, dreg = np.empty(len(ids)), np.empty(len(ids))
@@ -812,7 +812,7 @@ def naive_regression_loss(model, seq, targets):
 
 def naive_classification_loss(model, seq, labels):
     """Mean label CE of one item over its supervised positions."""
-    ids = seq.ids
+    ids = ids_of(seq)
     supervised = [t for t, lab in enumerate(labels) if lab is not None]
     cache = model.forward(naive_windows(model, ids))
     logits = model.cls_logits(cache)
@@ -887,7 +887,6 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
     """``genteval.losses.multitask_step`` one item at a time: a fresh
     gradient dict per item, scaled and added into the step's total."""
     from genteval.decode import DecoderConfig
-    from genteval.lm.base import as_ids
 
     grads = model.zero_grads()
     scalars, total = {}, 0.0
@@ -900,16 +899,16 @@ def naive_multitask_step(model, batch, cfg, opt, rng):
             seq_level = rng.uniform() < cfg.mix_prob
             scalars["ul_branch"] = 1.0 if seq_level else 0.0
             if seq_level:
-                prefixes = [as_ids(seq)[: cfg.ul_prefix_len] for seq in items]
+                prefixes = [ids_of(seq)[: cfg.ul_prefix_len] for seq in items]
                 greedy = DecoderConfig(strategy="greedy", max_len=cfg.ul_gen_len)
                 conts = naive_generate_batch(model, prefixes, greedy).tolist()
                 rollouts = list(zip(prefixes, conts))
         loss_sum = 0.0
         for item, rollout in zip(items, rollouts):
             if kind == "mle":
-                loss, g = naive_ce_loss(model, as_ids(item))
+                loss, g = naive_ce_loss(model, ids_of(item))
             elif kind == "ul" and rollout is None:
-                ids = as_ids(item)
+                ids = ids_of(item)
                 loss, g = naive_ul_token_loss(model, ids, naive_previous_token_candidates(ids))
             elif kind == "ul":
                 prefix, cont = rollout

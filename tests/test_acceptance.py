@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from genteval.consistency import selection_accuracy
-from genteval.corpus import TokenSequence, Vocab, encode, ngram_windows, tokenize
+from genteval.corpus import Vocab, encode, ngram_windows, tokenize
 from genteval.decode import DecoderConfig
 from genteval.harness.cli import main
 from genteval.harness.sweep import SweepConfig, run_sweep
@@ -30,7 +30,7 @@ from genteval.losses import (
     smooth_l1_loss,
     train,
 )
-from genteval.metrics import Sample, SampleSet, mean_seq_rep, reverse_ppl, seq_rep_n
+from genteval.metrics import SampleSet, mean_seq_rep, reverse_ppl, seq_rep_n
 from genteval.rng import SplitMix64, stable_hash
 from genteval.harness.sweep import fit_log_curve
 from genteval.corpus import SentencePair
@@ -88,8 +88,8 @@ def test_criterion_01_metric_oracles():
 
 def test_criterion_02_bleu_hand_case():
     vocab = Vocab(["the", "cat", "sat", "on", "mat"])
-    cand = encode("the cat sat", vocab).ids
-    ref = encode("the cat sat on the mat", vocab).ids
+    cand = encode("the cat sat", vocab)
+    ref = encode("the cat sat on the mat", vocab)
     got = one_bleu(cand, [ref])
     ok = abs(got - 0.3679) <= 1e-4
     _verdict(2, "BLEU brevity-penalty hand case", ok, f"got {got:.6f}, want 0.3679 +/- 1e-4")
@@ -158,28 +158,26 @@ def test_criterion_03_sampler_identities():
     for case in range(100):
         size = 5 + rng.randint(5)
         model = _HashLM(size, salt=rng.randint(1 << 30), zero_one=case % 3 == 0)
-        prefix = TokenSequence(
-            tuple(rng.randint(size) for _ in range(1 + rng.randint(4))), model.vocab
-        )
+        prefix = tuple(rng.randint(size) for _ in range(1 + rng.randint(4)))
         steps = 5 + rng.randint(6)
         seed = rng.randint(1 << 30)
-        want_greedy = _ref_greedy(model, prefix.ids, steps)
-        want_sampled = _ref_unrestricted(model, prefix.ids, steps, seed)
+        want_greedy = _ref_greedy(model, prefix, steps)
+        want_sampled = _ref_unrestricted(model, prefix, steps, seed)
         pairs = {
             "topk(1)=greedy": (
-                one_generate(model, prefix, DecoderConfig("topk", 1, max_len=steps), seed).ids,
+                one_generate(model, prefix, DecoderConfig("topk", 1, max_len=steps), seed),
                 want_greedy,
             ),
             "beam(1)=greedy": (
-                one_generate(model, prefix, DecoderConfig("beam", 1, max_len=steps)).ids,
+                one_generate(model, prefix, DecoderConfig("beam", 1, max_len=steps)),
                 want_greedy,
             ),
             "topp(1.0)=unrestricted": (
-                one_generate(model, prefix, DecoderConfig("topp", 1.0, max_len=steps), seed).ids,
+                one_generate(model, prefix, DecoderConfig("topp", 1.0, max_len=steps), seed),
                 want_sampled,
             ),
             "temperature(1)=identity": (
-                one_generate(model, prefix, DecoderConfig("temperature", 1.0, max_len=steps), seed).ids,
+                one_generate(model, prefix, DecoderConfig("temperature", 1.0, max_len=steps), seed),
                 want_sampled,
             ),
         }
@@ -218,7 +216,7 @@ def test_criterion_04_sampling_statistics():
 def test_criterion_05_gradient_suite():
     start = time.monotonic()
     vocab = Vocab.placeholder(7)
-    seq = TokenSequence((0, 4, 2), vocab)
+    seq = np.array([0, 4, 2])
 
     def fresh():
         return FeedForwardLM.init(
@@ -234,8 +232,8 @@ def test_criterion_05_gradient_suite():
             fresh(),
             lambda m: one_rank(
                 m,
-                SentencePair(seq, TokenSequence((1, 5), vocab)),
-                SentencePair(seq, TokenSequence((6, 3), vocab)),
+                SentencePair(seq, np.array([1, 5])),
+                SentencePair(seq, np.array([6, 3])),
                 margin=5.0,
             ),
         ),
@@ -267,11 +265,9 @@ def test_criterion_05_gradient_suite():
 
 
 def _greedy_rep(model, splits, n_prefixes=30):
-    samples = []
-    for i, seq in enumerate(splits.train[:n_prefixes]):
-        cont = one_generate(model, seq[:50], DecoderConfig("greedy", max_len=100))
-        samples.append(Sample(str(i), None, cont))
-    mean, _nulls = mean_seq_rep(SampleSet.of(samples), 4)
+    greedy = DecoderConfig("greedy", max_len=100)
+    conts = [one_generate(model, seq[:50], greedy) for seq in splits.train[:n_prefixes]]
+    mean, _nulls = mean_seq_rep(SampleSet(map(str, range(len(conts))), model.vocab, conts), 4)
     return mean
 
 
@@ -381,7 +377,7 @@ def test_criterion_08_reverse_ppl_direction():
     human_ids, _ = _sentence_ids(corpus, 100, offset=100)
 
     def sset(seq_list):
-        return SampleSet.of(Sample(str(i), None, TokenSequence(ids, vocab)) for i, ids in enumerate(seq_list))
+        return SampleSet(map(str, range(len(seq_list))), vocab, seq_list)
 
     repeated = sset([distinct_ids[0]] * 100)
     distinct = sset(distinct_ids)

@@ -810,6 +810,37 @@ def test_bad_metric_setting_stops_sweep_before_any_model_loads(workspace, tmp_pa
         assert main([str(a) for a in argv + ["--metrics", "seq_rep_4"]]) == 0
 
 
+@pytest.mark.parametrize("prefix_len", ["30", "64"])
+@pytest.mark.parametrize("kind, metric", [("quality", "corpus_bleu"), ("diversity", "reverse_ppl")])
+def test_eval_names_the_empty_reference_set_of_a_prefix_as_long_as_the_chunks(workspace, tmp_path, capsys,
+                                                                               prefix_len, kind, metric):
+    # The workspace's chunks are 30 ids long: a 30-id prefix leaves no reference continuation.
+    argv = ["eval", kind, "--samples", workspace["samples"], "--manifest", workspace["manifest"],
+            "--prefix-len", prefix_len, "--out-dir", tmp_path / "out"]
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert f"no reference continuations for {metric}: " in err
+    assert f"seq_len 30 leave none after prefix_len {prefix_len}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prefix_len", ["30", "64"])
+def test_sweep_with_no_reference_continuations_exits_3_before_any_cell(workspace, tmp_path, capsys, monkeypatch,
+                                                                       prefix_len):
+    from genteval.harness import sweep
+
+    decoded = []
+    monkeypatch.setattr(sweep, "generate_batch", lambda *args: decoded.append(args))
+    argv = ["sweep", "--manifest", workspace["manifest"], "--models", f"m={workspace['model']}",
+            "--strategies", "greedy", "--prefix-len", prefix_len, "--gen-len", "4", "--out-dir", tmp_path / "out"]
+    err = _fails_with_one_line(capsys, argv, 3)
+    assert "no reference continuations for corpus_bleu and reverse_ppl: " in err
+    assert f"seq_len 30 leave none after prefix_len {prefix_len}" in err
+    assert decoded == [] and not (tmp_path / "out").exists()
+    # Metrics that read no references still run on whole chunks as prefixes.
+    monkeypatch.undo()
+    assert main([str(a) for a in argv + ["--metrics", "self_bleu,seq_rep_4,forward_ppl"]]) == 0
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--backend", "ngram", "--k-s", "nan"], "smoothing constant must be non-negative and finite, not nan"),
     (["--backend", "ffn", "--objectives", "pos:1,dp:1"], "pos and dp"),

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from genteval.corpus import (
     CorpusSplits,
     GramTable,
-    TokenSequence,
     Vocab,
     build_pair_datasets,
     encode,
@@ -121,7 +120,8 @@ def test_word_roundtrip_up_to_whitespace(text):
 
 def test_encode_skip_drops_oov():
     _, vocab = tokenize("a b c", "word")
-    assert encode("a x b", vocab, "word", on_oov="skip").ids == (0, 1)
+    ids = encode("a x b", vocab, "word", on_oov="skip")
+    assert ids.dtype == np.int64 and ids.tolist() == [0, 1]
     with pytest.raises(EmptyInput):
         encode("a x b", vocab, "word", on_oov="error")
 
@@ -132,15 +132,19 @@ def test_vocab_rejects_duplicates():
 
 
 def test_token_sequence_bounds_checked():
+    # The ids that ``trace --ids``/``--context-ids`` take from outside: at least one, each in the vocab.
+    from genteval.harness.cli import _vocab_ids
+
     vocab = Vocab(["a", "b"])
     with pytest.raises(ConfigError):
-        TokenSequence((0, 2), vocab)
+        _vocab_ids("0 2", vocab)
     with pytest.raises(EmptyInput):
-        TokenSequence((), vocab)
+        _vocab_ids(" ", vocab)
     with pytest.raises(ConfigError, match="token id -1 out of range"):
-        TokenSequence((1, -1, 0, 5), vocab)
+        _vocab_ids("1 -1 0 5", vocab)
     with pytest.raises(ConfigError, match="token id 5 out of range"):
-        TokenSequence((1, 5, 0), vocab)
+        _vocab_ids("1,5,0", vocab)
+    assert _vocab_ids("1, 0", vocab) == (1, 0)
 
 
 # --- splitting --------------------------------------------------------------
@@ -304,23 +308,46 @@ def _sentences():
 def test_nsp_negative_never_true_successor():
     sents = _sentences()
     for pos, neg in build_pair_datasets(sents, "nsp", 4, seed=3):
-        assert neg.first.ids == pos.first.ids
-        true_next = pos.second.ids
-        assert neg.second.ids != true_next
+        assert neg.first.tolist() == pos.first.tolist()
+        true_next = pos.second.tolist()
+        assert neg.second.tolist() != true_next
+
+
+def test_nsp_negative_is_never_a_copy_of_the_true_successor():
+    # "A b." recurs as separate arrays of equal content: none of them is a
+    # negative where it is the true successor, by content, not by object.
+    text = "A b. C d. A b. E f. A b. G h. A b."
+    _, vocab = tokenize(text, "word")
+    sents = [encode(s, vocab, "word") for s in segment_sentences(text)]
+    repeat = sents[0].tolist()
+    for seed in range(20):
+        items = build_pair_datasets(sents, "nsp", len(sents) - 1, seed=seed)
+        assert sum(pos.second.tolist() == repeat for pos, _ in items) == 3
+        for pos, neg in items:
+            assert neg.first is pos.first
+            assert neg.second.tolist() != pos.second.tolist()
+
+
+def test_nsp_with_every_sentence_equal_to_the_successor_is_insufficient():
+    _, vocab = tokenize("A b.", "word")
+    sents = [encode("A b.", vocab, "word") for _ in range(4)]
+    with pytest.raises(InsufficientData, match="every sentence equals the true successor"):
+        build_pair_datasets(sents, "nsp", 2, seed=0)
+    assert len(build_pair_datasets(sents, "sop", 2, seed=0)) == 2
 
 
 def test_sop_negative_is_reversed_positive():
     sents = _sentences()
     for pos, neg in build_pair_datasets(sents, "sop", 4, seed=0):
-        assert (neg.second.ids, neg.first.ids) == (pos.first.ids, pos.second.ids)
+        assert (neg.second.tolist(), neg.first.tolist()) == (pos.first.tolist(), pos.second.tolist())
 
 
 def test_pairs_deterministic_and_capped():
     sents = _sentences()
     a = build_pair_datasets(sents, "nsp", 3, seed=9)
     b = build_pair_datasets(sents, "nsp", 3, seed=9)
-    assert [(p.first.ids, n.second.ids) for p, n in a] == [
-        (p.first.ids, n.second.ids) for p, n in b
+    assert [(p.first.tolist(), n.second.tolist()) for p, n in a] == [
+        (p.first.tolist(), n.second.tolist()) for p, n in b
     ]
     with pytest.raises(InsufficientData):
         build_pair_datasets(sents, "nsp", 10, seed=0)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genteval.corpus import SentencePair, TokenSequence, Vocab
+from genteval.corpus import SentencePair, Vocab
 from dataclasses import replace
 
 from genteval import decode
@@ -294,13 +294,13 @@ def test_next_dist_ignores_counted_ids_outside_the_vocab():
 
 
 def test_loaded_model_answers_bit_for_bit_as_fitted(tmp_path):
-    seq = TokenSequence((0, 1, 2, 1, 0, 2, 2), Vocab.placeholder(3))
-    model = ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.5)
+    seq = np.array([0, 1, 2, 1, 0, 2, 2])
+    model = ngram_fit(seq, Vocab.placeholder(3), order=3, k_s=0.5)
     save_model(model, tmp_path / "m.lmek")
     loaded = load_model(tmp_path / "m.lmek")
     windows = left_padded([(), (0,), (0, 1), (2, 2, 2)], model.context_len)
     assert loaded.next_dist_batch(windows).tobytes() == model.next_dist_batch(windows).tobytes()
-    assert loaded.score_batch([seq.ids]) == model.score_batch([seq.ids])
+    assert loaded.score_batch([seq]) == model.score_batch([seq])
 
 
 def test_rows_cache_is_safe_under_concurrent_first_use():
@@ -512,7 +512,7 @@ def test_beam_matches_full_sort_on_ties(width):
     model = TieLM(80, seed=width)
     cfg = DecoderConfig(strategy="beam", param=width, max_len=6)
     for prefix in ([0], [3, 1], [7, 7, 7]):
-        assert one_generate(model, prefix, cfg).ids == naive_generate(model, prefix, cfg).ids
+        assert one_generate(model, prefix, cfg) == naive_generate(model, prefix, cfg)
 
 
 def _naive_beams(model, prefixes, cfg):
@@ -908,9 +908,9 @@ def test_generate_with_window_equals_whole_context(cfg, seed):
     prefixes = [splits.train[i][:10] for i in range(3)] + [[0]]
     for name, model in models.items():
         for prefix in prefixes:
-            fast = one_generate(model, prefix, cfg, seed).ids
-            assert fast == one_generate(_NoWindow(model), prefix, cfg, seed).ids, name
-            assert fast == naive_generate(SlowLM(model), prefix, cfg, seed).ids, name
+            fast = one_generate(model, prefix, cfg, seed)
+            assert fast == one_generate(_NoWindow(model), prefix, cfg, seed), name
+            assert fast == naive_generate(SlowLM(model), prefix, cfg, seed), name
 
 
 # --- lockstep batches --------------------------------------------------------
@@ -1045,17 +1045,25 @@ def test_exp_rows_matches_the_reference_softmax_bit_for_bit(rows, width, dead, s
 _PAD = 99  # above every id the windows below hold
 
 
+# The forms a token-id sequence takes: a tuple, a list or an int64 array (a matrix row is one).
+_ID_FORMS = st.sampled_from([tuple, list, lambda ids: np.array(ids, dtype=np.int64)])
+
+
 @given(
     lines=st.lists(
-        st.tuples(st.lists(st.integers(0, 40), max_size=12), st.lists(st.integers(0, 40), max_size=12)),
+        st.tuples(st.lists(st.integers(0, 40), max_size=12), st.lists(st.integers(0, 40), max_size=12),
+                  _ID_FORMS, _ID_FORMS),
         max_size=6,
     ),
     c=st.sampled_from([0, 1, 3, 8]),
+    bad_form=_ID_FORMS,
 )
 @settings(max_examples=150, deadline=None)
-def test_id_lines_windows_match_per_row_slices(lines, c):
+def test_id_lines_windows_match_per_row_slices(lines, c, bad_form):
     # Contexts run from empty to longer than c; -1 in a window reads as the pad.
-    seqs, contexts = [tuple(s) for s, _ in lines], [tuple(x) for _, x in lines]
+    # Each sequence and context comes in its own form, empty arrays included.
+    seqs = [seq_form(s) for s, _, seq_form, _ in lines]
+    contexts = [ctx_form(x) for _, x, _, ctx_form in lines]
     flat, q = id_lines(seqs, contexts, c)
     assert flat.dtype == q.dtype == np.int64 and len(flat) == len(q) + c * len(seqs)
     windows = flat[q[:, None] - c + np.arange(c)]
@@ -1063,10 +1071,20 @@ def test_id_lines_windows_match_per_row_slices(lines, c):
     want = [np.empty((0, c), dtype=np.int64)] + [naive_windows(slices, s, x) for s, x in zip(seqs, contexts)]
     assert np.array_equal(np.where(windows < 0, _PAD, windows), np.concatenate(want))
     assert flat[q].tolist() == [i for s in seqs for i in s]
+    # Every row in one form (all arrays join in one copy) lays out the same ids.
+    for form in (tuple, list, lambda ids: np.array(ids, dtype=np.int64)):
+        same = id_lines([form(s) for s in seqs], [form(x) for x in contexts], c)
+        assert np.array_equal(same[0], flat) and np.array_equal(same[1], q)
     # left_padded's rows are the windows of a one-id sequence after each context.
     rows = left_padded(contexts, c)
     want = [np.empty((0, c), dtype=np.int64)] + [naive_windows(slices, (0,), x) for x in contexts]
     assert np.array_equal(np.where(rows < 0, _PAD, rows), np.concatenate(want))
+    # A negative id is refused in a sequence, and in a context's last c ids.
+    with pytest.raises(ConfigError, match="token ids must be non-negative"):
+        id_lines([*seqs, bad_form([3, -2])], [*contexts, bad_form([])], c)
+    if c:
+        with pytest.raises(ConfigError, match="token ids must be non-negative"):
+            id_lines([*seqs, bad_form([3])], [*contexts, bad_form([5, -2])], c)
 
 
 @pytest.mark.parametrize("context", [1, 3, 8])
@@ -1137,8 +1155,7 @@ _LENS = (9, 40, 7, 130, 64, 3, 200, 25)  # several blocks; two sequences exceed 
 
 def _step_data(lens=_LENS):
     vocab = Vocab.placeholder(_V)
-    seqs = [TokenSequence(tuple((7 * i + 3 * t + t // 5) % 11 for t in range(n)), vocab)
-            for i, n in enumerate(lens)]
+    seqs = [np.array([(7 * i + 3 * t + t // 5) % 11 for t in range(n)]) for i, n in enumerate(lens)]
     pairs = [
         (SentencePair(seqs[0], seqs[2]), SentencePair(seqs[0], seqs[5])),
         (SentencePair(seqs[2], seqs[0]), SentencePair(seqs[2], seqs[1])),
@@ -1261,7 +1278,7 @@ def _seq_ul_forward_rows(monkeypatch, cfg):
     decoded before counting starts, so only the loss pass is counted."""
     vocab, batch = _step_data()
     model = _step_model(vocab)
-    rollouts = losses._greedy_rollouts(model, [s.ids for s in batch["sequences"]], cfg)
+    rollouts = losses._greedy_rollouts(model, batch["sequences"], cfg)
     monkeypatch.setattr(losses, "_greedy_rollouts", lambda *_: rollouts)
     rows = []
     forward = FeedForwardLM.forward

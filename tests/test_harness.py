@@ -90,8 +90,8 @@ def test_sample_roundtrip_preserves_ids_and_provenance(tmp_path):
     save_sample_set(path, original)
     loaded = load_sample_set(path, vocab=VOCAB)
     assert [s.id for s in loaded.samples] == ["0", "1", "2"]
-    assert [s.continuation.ids for s in loaded.samples] == [
-        s.continuation.ids for s in original.samples
+    assert [s.continuation.tolist() for s in loaded.samples] == [
+        s.continuation.tolist() for s in original.samples
     ]
     assert loaded.provenance == original.provenance
 
@@ -168,7 +168,7 @@ def test_load_sample_set_checks_ids_as_the_per_row_check_did(tmp_path_factory, r
 
     def fast(path):
         sset = load_sample_set(path, VOCAB)
-        rows = [(s.id, s.prefix.ids if s.prefix else (), s.continuation.ids) for s in sset.samples]
+        rows = [(s.id, tuple(s.prefix.tolist()), tuple(s.continuation.tolist())) for s in sset.samples]
         return rows, sset.provenance
 
     assert _outcome(fast, path) == _outcome(lambda p: naive_load_sample_set(p, VOCAB), path)
@@ -280,8 +280,8 @@ def test_reference_set_skips_short_chunks():
     refs = reference_set(splits, prefix_len=3, gen_len=10)
     assert [s.id for s in refs.samples] == ["ref-0", "ref-1"]
     # continuation is everything after the prefix, capped by gen_len
-    assert [s.continuation.ids for s in refs.samples] == [(3, 4, 5), (2, 1, 0)]
-    assert [s.prefix.ids for s in refs.samples] == [(0, 1, 2), (5, 4, 3)]
+    assert [s.continuation.tolist() for s in refs.samples] == [[3, 4, 5], [2, 1, 0]]
+    assert [s.prefix.tolist() for s in refs.samples] == [[0, 1, 2], [5, 4, 3]]
     # Every chunk of a split is seq_len ids long, so none outlasts a prefix that long.
     assert len(reference_set(splits, prefix_len=6, gen_len=10)) == 0
 

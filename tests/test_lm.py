@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from genteval.corpus import TokenSequence, Vocab, tokenize
+from genteval.corpus import Vocab, tokenize
 from genteval.decode import DecoderConfig, generate_batch, token_prob_trace
 from genteval.errors import BadOrder, ConfigError, DataError, EmptyInput
 from genteval.lm.base import id_lines, left_padded, perplexity
@@ -27,9 +27,8 @@ def _p(lm, token, context):
 
 
 def _tokens(text):
-    """``text``'s word tokens as one TokenSequence, and their vocab."""
-    ids, vocab = tokenize(text, "word")
-    return TokenSequence(tuple(ids.tolist()), vocab), vocab
+    """``text``'s word tokens as one id array, and their vocab."""
+    return tokenize(text, "word")
 
 
 def _abab():
@@ -41,7 +40,7 @@ def _abab():
 
 def test_bigram_mle_from_abab():
     seq, vocab = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=0.0)
+    lm = ngram_fit(seq, vocab, order=2, k_s=0.0)
     a, b = vocab.id_of("a"), vocab.id_of("b")
     assert _p(lm, b, (a,)) == pytest.approx(1.0)
     assert _p(lm, a, (b,)) == pytest.approx(1.0)
@@ -51,7 +50,7 @@ def test_bigram_smoothed_hand_value():
     # count(a b) = 1, count(a .) = 1, k_s = 1, |V| = 2:
     # p(b | a) = (1 + 1) / (1 + 1 * 2) = 2/3.
     seq, vocab = _tokens("a b")
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
     assert _p(lm, vocab.id_of("b"), (vocab.id_of("a"),)) == pytest.approx(2 / 3)
 
 
@@ -59,7 +58,7 @@ def test_unseen_context_with_smoothing_is_uniform():
     # The formula stays defined for an unseen context when k_s > 0:
     # (0 + k_s) / (0 + k_s |V|) = 1/|V|, with no backoff.
     seq, vocab = _abab()
-    lm3 = ngram_fit(seq.ids, seq.vocab, order=3, k_s=1.0)
+    lm3 = ngram_fit(seq, vocab, order=3, k_s=1.0)
     p = _p(lm3, vocab.id_of("a"), (vocab.id_of("b"), vocab.id_of("b")))
     assert p == pytest.approx(1.0 / vocab.size)
 
@@ -68,7 +67,7 @@ def test_unsmoothed_unseen_context_backs_off():
     # k_s = 0 leaves 0/0 for an unseen context; the model falls back to
     # the shorter context instead of dividing by zero.
     seq, vocab = _tokens("a b a b a c")
-    lm = ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.0)
+    lm = ngram_fit(seq, vocab, order=3, k_s=0.0)
     a, b, c = (vocab.id_of(t) for t in "abc")
     p_backed = _p(lm, b, (c, c))
     # Unigram fallback: p(b) = 2/6.
@@ -76,43 +75,42 @@ def test_unsmoothed_unseen_context_backs_off():
 
 
 def test_next_dist_sums_to_one():
-    seq, _ = _abab()
+    seq, vocab = _abab()
     for k_s in (0.0, 0.5, 1.0):
-        lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=k_s)
+        lm = ngram_fit(seq, vocab, order=2, k_s=k_s)
         for ctx in ((), (0,), (1,)):
             assert np.asarray(lm.next_dist(ctx)).sum() == pytest.approx(1.0)
 
 
 def test_score_is_sum_of_token_logs():
     seq, vocab = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
-    ids = seq.ids
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
     expected = 0.0
-    for t, tok in enumerate(ids):
-        expected += math.log(_p(lm, tok, ids[:t]))
-    assert _score(lm, ids) == pytest.approx(expected)
+    for t, tok in enumerate(seq):
+        expected += math.log(_p(lm, tok, seq[:t]))
+    assert _score(lm, seq) == pytest.approx(expected)
 
 
 def test_score_context_not_scored():
-    seq, _ = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
-    joint = _score(lm, seq.ids)
-    split = _score(lm, seq.ids[:2]) + _score(lm, seq.ids[2:], context=seq.ids[:2])
+    seq, vocab = _abab()
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
+    joint = _score(lm, seq)
+    split = _score(lm, seq[:2]) + _score(lm, seq[2:], context=seq[:2])
     assert joint == pytest.approx(split)
 
 
 def test_score_batch_needs_one_context_per_sequence():
-    seq, _ = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
+    seq, vocab = _abab()
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
     with pytest.raises(ConfigError):
-        lm.score_batch([seq.ids, seq.ids], [seq.ids[:1]])
+        lm.score_batch([seq, seq], [seq[:1]])
 
 
 def test_ppl_hand_value_abab():
     # p(a | start) = 1/2 (unigram MLE), p(b | a) = 1 -> ppl = sqrt(2).
     seq, vocab = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=0.0)
-    two = TokenSequence(seq.ids[:2], vocab)
+    lm = ngram_fit(seq, vocab, order=2, k_s=0.0)
+    two = seq[:2]
     assert perplexity(lm, [two]) == [pytest.approx(math.sqrt(2.0))]
 
 
@@ -129,16 +127,16 @@ def test_uniform_model_ppl_is_vocab_size():
 def test_zero_prob_gives_infinite_ppl():
     seq, vocab = _abab()
     unseen_vocab = Vocab([*vocab.tokens, "z"])
-    lm = ngram_fit(seq.ids, unseen_vocab, order=1, k_s=0.0)
+    lm = ngram_fit(seq, unseen_vocab, order=1, k_s=0.0)
     assert perplexity(lm, [(unseen_vocab.id_of("z"),)]) == [math.inf]
 
 
 def test_order_validation():
-    seq, _ = _abab()
+    seq, vocab = _abab()
     with pytest.raises(BadOrder):
-        ngram_fit(seq.ids, seq.vocab, order=0)
+        ngram_fit(seq, vocab, order=0)
     with pytest.raises(ConfigError):
-        ngram_fit(seq.ids, seq.vocab, order=2, k_s=-1.0)
+        ngram_fit(seq, vocab, order=2, k_s=-1.0)
 
 
 def test_fit_on_multiple_sequences_skips_boundaries():
@@ -225,8 +223,9 @@ def test_id_lines_left_pad_each_window():
 
 
 def _both_backends():
-    seq = TokenSequence((0, 1, 2, 1, 0, 2), Vocab.placeholder(4))
-    return ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.5), FeedForwardLM.init(Vocab.placeholder(4), context=3, seed=0)
+    vocab = Vocab.placeholder(4)
+    ngram = ngram_fit(np.array([0, 1, 2, 1, 0, 2]), vocab, order=3, k_s=0.5)
+    return ngram, FeedForwardLM.init(vocab, context=3, seed=0)
 
 
 def test_both_backends_refuse_negative_ids():
@@ -278,9 +277,9 @@ def test_trace_hand_value_topk2():
 
 
 def test_trace_no_truncation_copies_raw():
-    seq, _ = _abab()
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
-    raw, trunc = token_prob_trace(lm, seq.ids)
+    seq, vocab = _abab()
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
+    raw, trunc = token_prob_trace(lm, seq)
     assert len(raw) == len(seq) and np.array_equal(trunc, raw)
 
 
@@ -304,19 +303,19 @@ def test_ffn_roundtrip_is_exact(tmp_path):
 
 
 def test_ngram_roundtrip_is_exact(tmp_path):
-    seq, _ = _tokens("a b a b a c b")
-    lm = ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.5)
+    seq, vocab = _tokens("a b a b a c b")
+    lm = ngram_fit(seq, vocab, order=3, k_s=0.5)
     path = tmp_path / "n.lmek"
     save_model(lm, path)
     loaded = load_model(path)
     assert loaded.order == 3 and loaded.k_s == 0.5
     assert ngram_tables(loaded) == ngram_tables(lm)
-    assert _score(loaded, seq.ids) == pytest.approx(_score(lm, seq.ids))
+    assert _score(loaded, seq) == pytest.approx(_score(lm, seq))
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    seq, _ = _tokens("a b c a b")
-    lm = ngram_fit(seq.ids, seq.vocab, order=2, k_s=1.0)
+    seq, vocab = _tokens("a b c a b")
+    lm = ngram_fit(seq, vocab, order=2, k_s=1.0)
     p1, p2 = tmp_path / "one.lmek", tmp_path / "two.lmek"
     save_model(lm, p1)
     save_model(lm, p2)
@@ -399,7 +398,7 @@ def test_load_transposes_the_filed_v_by_h_output_layer(tmp_path, hidden_dim):
 def test_load_rejects_ngram_payload_that_is_not_ids_and_counts(tmp_path, case):
     seq, vocab = _tokens("a b c a b")
     path = tmp_path / "m.lmek"
-    save_model(ngram_fit(seq.ids, seq.vocab, order=2, k_s=0.5), path)
+    save_model(ngram_fit(seq, vocab, order=2, k_s=0.5), path)
     header, payload = _split_model_file(path)
     # payload: [n_unigrams, id, count, id, count, ..., n_bigrams, id, id, count, ...]
     # with unigrams (0, 2) (1, 2) (2, 1) and bigrams (0, 1, 2) (1, 2, 1) (2, 0, 1).
@@ -455,7 +454,7 @@ def test_load_rejects_ffn_header_or_weights_that_do_not_fit(tmp_path, field, val
 def test_load_rejects_every_truncation_and_a_bad_header(tmp_path, backend):
     seq, vocab = _tokens("a b c a b b c a a c")
     if backend == "ngram":
-        model = ngram_fit(seq.ids, seq.vocab, order=3, k_s=0.5)
+        model = ngram_fit(seq, vocab, order=3, k_s=0.5)
     else:
         model = FeedForwardLM.init(vocab, context=2, embed_dim=2, hidden_dim=3, seed=1)
     path = tmp_path / "m.lmek"

@@ -11,7 +11,7 @@ import pytest
 
 import genteval
 from genteval import losses
-from genteval.corpus import SentencePair, TokenSequence, Vocab
+from genteval.corpus import SentencePair, Vocab
 from genteval.errors import AlignmentError, ConfigError, DataError, EmptyDataset, NoSupervision
 from genteval.lm.ffn import FeedForwardLM
 from genteval.losses import (
@@ -44,7 +44,7 @@ def tiny_model(**kw):
 
 
 def seq(*ids):
-    return TokenSequence(tuple(ids), VOCAB)
+    return np.array(ids, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +406,12 @@ def test_train_reads_only_the_active_pools():
 
 _TRAIN_AND_HASH = """
 import hashlib
-from genteval.corpus import TokenSequence, Vocab
+from genteval.corpus import Vocab
 from genteval.lm.ffn import FeedForwardLM
 from genteval.losses import TrainConfig, train
 from genteval.rng import SplitMix64
 vocab, rng = Vocab.placeholder(500), SplitMix64(3)
-seqs = tuple(TokenSequence(tuple(int(rng.uniform() * 500) for _ in range(64)), vocab) for _ in range(16))
+seqs = tuple(tuple(int(rng.uniform() * 500) for _ in range(64)) for _ in range(16))
 model = FeedForwardLM.init(vocab, seed=1)
 train(model, {"sequences": seqs}, TrainConfig(epochs=1, batch_size=16))
 print(hashlib.sha256(b"".join(a.tobytes() for a in model.params.values())).hexdigest())

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genteval import metrics
-from genteval.corpus import TokenSequence, Vocab
-from genteval.errors import ConfigError, InsufficientSamples
+from genteval.corpus import Vocab
+from genteval.errors import ConfigError, DataError, InsufficientSamples
+from genteval.harness.samples import load_sample_set, save_sample_set
 from genteval.metrics import (
     BleuConfig,
-    Sample,
     SampleSet,
     acceptability_penlp,
     corpus_bleu,
@@ -100,13 +100,13 @@ def test_bleu_matches_naive_oracle_randomized():
 def test_corpus_bleu_is_mean_over_candidates():
     gen = mk_set([[0, 1, 2], [3, 3], [2, 1, 0, 4]])
     ref = mk_set([[0, 1, 2, 3], [4, 2, 1]])
-    refs = [list(s.continuation.ids) for s in ref.samples]
-    want = sum(naive_bleu(list(s.continuation.ids), refs) for s in gen.samples) / 3
+    refs = [s.continuation.tolist() for s in ref.samples]
+    want = sum(naive_bleu(s.continuation.tolist(), refs) for s in gen.samples) / 3
     assert corpus_bleu(gen, ref) == pytest.approx(want, abs=1e-12)
 
 
 def _ids(sset):
-    return [list(s.continuation.ids) for s in sset.samples]
+    return [s.continuation.tolist() for s in sset.samples]
 
 
 def test_corpus_bleu_subsample_matches_oracle():
@@ -459,21 +459,23 @@ def test_penlp_rejects_negative_alpha_and_empty_input():
 
 
 def test_sample_set_rejects_duplicate_ids():
-    vocab = Vocab.placeholder(2)
-    ts = TokenSequence((0,), vocab)
-    with pytest.raises(ConfigError):
-        SampleSet.of((Sample("a", None, ts), Sample("a", None, ts)))
+    with pytest.raises(ConfigError, match="sample ids must be unique"):
+        SampleSet(["a", "a"], Vocab.placeholder(2), [np.array([0]), np.array([0])])
 
 
-def test_sample_set_rejects_mixed_vocabs():
-    a = TokenSequence((0,), Vocab(["x"]))
-    b = TokenSequence((0,), Vocab(["y"]))
-    with pytest.raises(ConfigError):
-        SampleSet.of((Sample("a", None, a), Sample("b", None, b)))
+def test_sample_set_rejects_mixed_vocabs(tmp_path):
+    # A set has one vocab: ids written under a larger one do not load under a smaller.
+    path = tmp_path / "s.jsonl"
+    save_sample_set(path, SampleSet(["a", "b"], Vocab(["x", "y"]), [(0,), (1,)]))
+    with pytest.raises(DataError, match="token id 1 out of range for vocab of 1"):
+        load_sample_set(path, Vocab(["x"]))
 
 
-def test_sample_set_accepts_equal_vocab_objects():
+def test_sample_set_accepts_equal_vocab_objects(tmp_path):
     # distinct Vocab instances with identical tables are fine
-    a = TokenSequence((0,), Vocab(["x", "y"]))
-    b = TokenSequence((1,), Vocab(["x", "y"]))
-    assert len(SampleSet.of((Sample("a", None, a), Sample("b", None, b)))) == 2
+    path = tmp_path / "s.jsonl"
+    save_sample_set(path, SampleSet(["a", "b"], Vocab(["x", "y"]), [(0,), (1,)]))
+    loaded = load_sample_set(path, Vocab(["x", "y"]))
+    assert len(loaded) == 2 and loaded.vocab == Vocab(["x", "y"])
+    rows = [(s.id, s.prefix.tolist(), s.continuation.tolist()) for s in loaded.samples]
+    assert rows == [("a", [], [0]), ("b", [], [1])]
